@@ -18,8 +18,8 @@ from .measure import MappingLaw, RationalMeasure, as_fraction
 from .report import build_report, render_text, report_to_json
 from .semigroup import DEFAULT_ELEMENT_CAP
 from .simulate import (
-    sample_stationary,
-    sample_nonstationary,
+    path_tables,
+    sample_batch,
     verify_factorization,
     verify_mono_projection,
     verify_nonstationary_joint,
@@ -33,6 +33,21 @@ EXIT_OK = 0
 EXIT_STATISTICAL = 1
 EXIT_STRUCTURAL = 2
 EXIT_INPUT = 3
+
+# The simulation config of `simulate` and `verify`; config files and flags
+# override fields, `example` overrides replications, seed and law_file.
+SIM_DEFAULTS = {
+    "mode": "stationary",
+    "k_min": -64,
+    "k_max": 0,
+    "replications": 10_000,
+    "seed": 42,
+    "alpha": 0.001,
+    "window": 3,
+    "Lambda_W": None,
+    "family": None,
+    "law_file": None,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,18 +128,7 @@ def _load_law(path: str) -> MappingLaw:
 
 
 def _load_sim_config(args) -> dict:
-    config = {
-        "mode": "stationary",
-        "k_min": -64,
-        "k_max": 0,
-        "replications": 10_000,
-        "seed": 42,
-        "alpha": 0.001,
-        "window": 3,
-        "Lambda_W": None,
-        "family": None,
-        "law_file": None,
-    }
+    config = dict(SIM_DEFAULTS)
     if getattr(args, "config", None):
         try:
             with open(args.config) as fh:
@@ -225,22 +229,18 @@ def _run_simulation_battery(analysis, config) -> VerificationReport:
     )
 
     if config["mode"] == "nonstationary":
-        family = _resolve_family(config, analysis)
-        path = sample_nonstationary(
-            limits, cd, family, config["k_min"], config["k_max"], seed
-        )
+        initial = _resolve_family(config, analysis)
     else:
-        lambda_w = _resolve_lambda_w(config, analysis)
-        path = sample_stationary(
-            limits, cd, lambda_w, config["k_min"], config["k_max"], seed
-        )
+        initial = _resolve_lambda_w(config, analysis)
+    tables = path_tables(limits, cd)
+    path = sample_batch(tables, initial, config["k_min"], config["k_max"], seed, 1).path(0)
     verification.extend(verify_path_exact(path, limits, cd))
     verification.add(verify_factorization(path, limits, config["k_max"]))
 
     if config["mode"] == "nonstationary":
         verification.extend(
             verify_nonstationary_joint(
-                limits, cd, family,
+                limits, cd, initial,
                 replications=config["replications"],
                 k_min=config["k_min"],
                 steps=config["window"],
@@ -249,14 +249,18 @@ def _run_simulation_battery(analysis, config) -> VerificationReport:
             ).checks
         )
     else:
+        # one batch of replications serves both stationary checks
+        batch = sample_batch(tables, initial, -config["window"], 0, seed,
+                             config["replications"])
         verification.extend(
             verify_third_noise(
-                limits, cd, lambda_w,
+                limits, cd, initial,
                 replications=config["replications"],
                 k=0,
                 window=config["window"],
                 seed=seed,
                 alpha=alpha,
+                batch=batch,
             ).checks
         )
         if analysis.law == example_law():
@@ -268,6 +272,7 @@ def _run_simulation_battery(analysis, config) -> VerificationReport:
                     window=config["window"],
                     seed=seed,
                     alpha=alpha,
+                    batch=batch,
                 ).checks
             )
     return verification
@@ -345,18 +350,8 @@ def cmd_verify(args) -> int:
 def cmd_example(args) -> int:
     law = example_law()
     analysis = analyze_law(law)
-    config = {
-        "mode": "stationary",
-        "k_min": -64,
-        "k_max": 0,
-        "replications": args.replications,
-        "seed": args.seed,
-        "alpha": 0.001,
-        "window": 3,
-        "Lambda_W": None,
-        "family": None,
-        "law_file": "<built-in>",
-    }
+    config = dict(SIM_DEFAULTS, replications=args.replications, seed=args.seed,
+                  law_file="<built-in>")
     verification = _run_simulation_battery(analysis, config)
     report = build_report(analysis, seed=args.seed,
                           timestamp=not args.no_timestamp)

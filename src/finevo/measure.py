@@ -18,7 +18,7 @@ def as_fraction(value) -> Fraction:
     """Coerce ints, strings like "2/3" and Fractions; floats are rejected."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -232,6 +232,8 @@ class MappingLaw:
             weights = obj["weights"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"law file missing field: {exc}") from exc
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise InputError(f"n must be a positive integer, got {n!r}")
         if not isinstance(gens, list) or not gens:
             raise InputError("generators must be a nonempty list")
         if not isinstance(weights, list) or len(weights) != len(gens):

@@ -4,8 +4,11 @@ battery for the factor processes extracted from them.
 A path carries the driving maps N_k, the observed tuples X_k and the derived
 factor series (L-, G-, phase-, H- and W-parts; the G-increments; the path
 constants). The replication harness realizes the infinite past by starting
-each window from the exact stationary law, and derives per-replication RNG
-substreams from a counter-based 64-bit generator keyed as seed XOR index.
+each window from the exact stationary law. All replications of a window are
+drawn at once: replication r reads the counter-based Philox4x64-10
+substream keyed [seed XOR r, 0], computed in lock-step over r, and its
+states advance on integer tables of the analysis. A single path is the
+one-replication case.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from .analysis import example_law
-from .cliques import CliqueData, InvariantFamily, invariant_law, project_tuple
-from .errors import InputError
+from .cliques import CliqueData, InvariantFamily, invariant_law
+from .errors import InputError, StructuralInconsistencyError
 from .limits import CyclicLimit
 from .measure import RationalMeasure, coordinate_marginal
 from .stats import Check, VerificationReport, chi_square_gof, chi_square_independence
@@ -25,24 +28,103 @@ from .transform import Transformation
 
 MAX_SEED = 2**64
 
+# Uniforms drawn per pass of the generator and the state tables: a chunk
+# holds max(1, BATCH_CHUNK_DRAWS // draws per row) replications, about 10^4
+# at the default window. It bounds the generator's temporaries (some 40
+# bytes per uniform) whatever the window; what grows with replications x
+# steps is only the stored int32 maps and states of the batch.
+BATCH_CHUNK_DRAWS = 1 << 16
 
-def make_rng(seed: int) -> np.random.Generator:
-    """Counter-based generator; substreams use seed XOR replication index."""
+# Philox4x64-10 (Salmon et al., SC'11): multipliers, and the key schedule
+# [k + i*W0, i*W1] mod 2^64 of round i for a key [k, 0].
+_PHILOX_M0 = np.uint64(0xD2E7470EE14C6C93)
+_PHILOX_M1 = np.uint64(0xCA5A826395121157)
+_PHILOX_ROUND_KEYS = tuple(
+    (np.uint64(i * 0x9E3779B97F4A7C15 % 2**64), np.uint64(i * 0xBB67AE8584CAA73B % 2**64))
+    for i in range(10)
+)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_32 = np.uint64(32)
+_11 = np.uint64(11)
+
+
+def _check_seed(seed) -> None:
     if not isinstance(seed, int) or not 0 <= seed < MAX_SEED:
         raise InputError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-    return np.random.Generator(np.random.Philox(key=seed))
 
 
-def draw(measure: RationalMeasure, rng: np.random.Generator):
-    """One sample from a rational measure, walking its canonical order."""
-    u = rng.random()
-    acc = 0.0
-    items = measure.items()
-    for x, w in items:
-        acc += float(w)
-        if u < acc:
-            return x
-    return items[-1][0]
+def _mulhilo(a: np.uint64, b: np.ndarray) -> tuple:
+    """High and low words of the 128-bit products a*b, from 32-bit halves."""
+    a_lo, a_hi = a & _LOW32, a >> _32
+    b_hi, b_lo = b >> _32, b & _LOW32
+    mid = b_lo * a_lo
+    mid >>= _32
+    hi = b_hi * a_hi
+    b_hi *= a_lo  # cross products in place: fewer chunk-sized temporaries
+    b_lo *= a_hi
+    hi += b_hi >> _32
+    hi += b_lo >> _32
+    b_hi &= _LOW32
+    b_lo &= _LOW32
+    mid += b_hi
+    mid += b_lo
+    mid >>= _32
+    hi += mid
+    return hi, a * b
+
+
+def philox_uniforms(keys: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` doubles of
+    ``np.random.Generator(np.random.Philox(key=k)).random()`` for every
+    uint64 key k, as a (len(keys), count) array.
+
+    Philox4x64-10 with key [k, 0]: block i (from 0) enciphers the counter
+    [i+1, 0, 0, 0], its four words are used in order, and a word x gives
+    the double (x >> 11) * 2^-53.
+    """
+    blocks = -(-count // 4)
+    shape = (len(keys), blocks)
+    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), shape)
+    c1 = c2 = c3 = np.zeros(shape, dtype=np.uint64)
+    key = keys[:, None]
+    for w0, w1 in _PHILOX_ROUND_KEYS:
+        hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
+        hi1 ^= c1
+        hi1 ^= key + w0
+        hi0 ^= c3
+        hi0 ^= w1
+        c0, c1, c2, c3 = hi1, lo1, hi0, lo0
+    out = np.empty(shape + (4,))
+    for j, word in enumerate((c0, c1, c2, c3)):
+        out[:, :, j] = word >> _11
+    out *= 2.0**-53
+    return out.reshape(len(keys), 4 * blocks)[:, :count]
+
+
+def _uniform_chunks(seed: int, replications: int, count: int):
+    """(rows, uniforms) for consecutive chunks of replications; row r of the
+    whole batch reads the substream keyed seed ^ r."""
+    chunk = max(1, BATCH_CHUNK_DRAWS // count)
+    for start in range(0, replications, chunk):
+        stop = min(start + chunk, replications)
+        keys = np.arange(start, stop, dtype=np.uint64) ^ np.uint64(seed)
+        yield slice(start, stop), philox_uniforms(keys, count)
+
+
+def _cdf(items, carrier) -> tuple:
+    """Running float sums of the weights in ``items`` order, and the position
+    of each item in ``carrier``."""
+    pos = {x: i for i, x in enumerate(carrier)}
+    return (np.cumsum([float(w) for _, w in items]),
+            np.array([pos[x] for x, _ in items], dtype=np.intp))
+
+
+def _draw(cdf: tuple, u: np.ndarray) -> np.ndarray:
+    """For every uniform, the first item whose running sum exceeds it, or the
+    last item when none does."""
+    cum, index = cdf
+    return index[np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)]
 
 
 @dataclass
@@ -82,41 +164,198 @@ class EvolutionPath:
         return self.N[k - self.k_min - 1]
 
 
-def _derive_path(
-    limits: CyclicLimit, cd: CliqueData, k_min, k_max, seed, x0, maps
-) -> EvolutionPath:
+@dataclass(frozen=True, eq=False)
+class PathTables:
+    """The state space of one analysis as integer tables.
+
+    A state is a position in ``cd.W_mu``, a map a position in ``gens`` (the
+    law's support in ``items()`` order). ``step[f, s]`` is the state of
+    f(x_s). The ``state_*`` arrays give each state's L, G and W positions
+    (its triple), the coset index j of its G-part gamma^j h and the position
+    of h in H. ``lgw[l, g, w]`` inverts the triple map and ``coset_h[j, h]``
+    is the G position of gamma^j h.
+    """
+
+    limits: CyclicLimit
+    cd: CliqueData
+    gens: tuple
+    step: np.ndarray
+    state_l: np.ndarray
+    state_g: np.ndarray
+    state_w: np.ndarray
+    state_c: np.ndarray
+    state_h: np.ndarray
+    lgw: np.ndarray
+    coset_h: np.ndarray
+
+
+def path_tables(limits: CyclicLimit, cd: CliqueData) -> PathTables:
+    """Build the tables; raises if a map of the law leaves L G W."""
     rd = limits.rd
-    X = [x0]
-    for f in maps:
-        X.append(f.apply(X[-1]))
-
-    X_L, X_G, X_C, X_H, X_W = [], [], [], [], []
-    for x in X:
-        l, g, w = project_tuple(rd, cd, x)
-        c, h = rd.ch_split(g)
-        X_L.append(l)
-        X_G.append(g)
-        X_C.append(c)
-        X_H.append(h)
-        X_W.append(w)
-
-    M_G = [X_G[i + 1] * rd.inv(X_G[i]) for i in range(len(maps))]
-    Y_C = rd.gamma_power(-k_min) * X_C[0]
-    return EvolutionPath(
-        k_min=k_min,
-        k_max=k_max,
-        seed=seed,
-        N=list(maps),
-        X=X,
-        X_L=X_L,
-        X_G=X_G,
-        X_C=X_C,
-        X_H=X_H,
-        X_W=X_W,
-        M_G=M_G,
-        Y_C=Y_C,
-        Z_W=X_W[0],
+    gens = tuple(f for f, _ in limits.law.measure.items())
+    state_of = {x: s for s, x in enumerate(cd.W_mu)}
+    pos_l, pos_g, pos_w, pos_h = (
+        {x: i for i, x in enumerate(seq)} for seq in (rd.L, rd.G, cd.W, rd.H)
     )
+
+    g_coset = np.array([rd.coset_of[g] for g in rd.G], dtype=np.intp)
+    g_h = np.array([pos_h[rd.ch_split(g)[1]] for g in rd.G], dtype=np.intp)
+    coset_h = np.empty((rd.p, len(rd.H)), dtype=np.intp)
+    coset_h[g_coset, g_h] = np.arange(len(rd.G))
+
+    state_l, state_g, state_w = np.array(
+        [(pos_l[l], pos_g[g], pos_w[w]) for l, g, w in map(cd.triples.__getitem__, cd.W_mu)],
+        dtype=np.intp,
+    ).reshape(-1, 3).T
+    lgw = np.empty((len(rd.L), len(rd.G), len(cd.W)), dtype=np.intp)
+    lgw[state_l, state_g, state_w] = np.arange(len(cd.W_mu))
+
+    step = np.empty((len(gens), len(cd.W_mu)), dtype=np.intp)
+    for i, f in enumerate(gens):
+        for s, x in enumerate(cd.W_mu):
+            y = state_of.get(f.apply(x))
+            if y is None:
+                raise StructuralInconsistencyError(
+                    f"{f.literal()} maps the stable tuple {x} outside L G W"
+                )
+            step[i, s] = y
+    return PathTables(
+        limits=limits, cd=cd, gens=gens, step=step, state_l=state_l,
+        state_g=state_g, state_w=state_w, state_c=g_coset[state_g],
+        state_h=g_h[state_g], lgw=lgw, coset_h=coset_h,
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class PathBatch:
+    """R replications of one window [k_min, k_max], drawn in lock-step.
+
+    Row r is replication r, drawn from the substream seed ^ r. ``maps[r, i]``
+    is the position in ``tables.gens`` of the map driving the step into time
+    k_min + 1 + i and ``states[r, i]`` the state at time k_min + i.
+    ``initial`` is the Lambda_W (stationary) or the InvariantFamily
+    (nonstationary) that the first state was drawn from.
+    """
+
+    tables: PathTables
+    initial: object
+    k_min: int
+    k_max: int
+    seed: int
+    maps: np.ndarray
+    states: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def _y_c(self, first):
+        """The j with Y_C = gamma^j, gamma^(-k_min) X^C_{k_min}, for the
+        first state(s) ``first``."""
+        return (self.tables.state_c[first] - self.k_min) % self.tables.limits.p
+
+    @property
+    def y_c(self) -> np.ndarray:
+        """Per row, the j with Y_C = gamma^j."""
+        return self._y_c(self.states[:, 0])
+
+    @property
+    def z_w(self) -> np.ndarray:
+        """Per row, the position of Z_W in W."""
+        return self.tables.state_w[self.states[:, 0]]
+
+    def path(self, r: int) -> EvolutionPath:
+        """Row r as an EvolutionPath; the G-increments are group products."""
+        t = self.tables
+        rd = t.limits.rd
+        s = self.states[r]
+        X_G = [rd.G[g] for g in t.state_g[s].tolist()]
+        X_W = [t.cd.W[w] for w in t.state_w[s].tolist()]
+        return EvolutionPath(
+            k_min=self.k_min,
+            k_max=self.k_max,
+            seed=self.seed ^ r,
+            N=[t.gens[m] for m in self.maps[r].tolist()],
+            X=[t.cd.W_mu[x] for x in s.tolist()],
+            X_L=[rd.L[l] for l in t.state_l[s].tolist()],
+            X_G=X_G,
+            X_C=[rd.C[c] for c in t.state_c[s].tolist()],
+            X_H=[rd.H[h] for h in t.state_h[s].tolist()],
+            X_W=X_W,
+            M_G=[b * rd.inv(a) for a, b in zip(X_G, X_G[1:])],
+            Y_C=rd.C[int(self._y_c(s[0]))],
+            Z_W=X_W[0],
+        )
+
+
+def sample_batch(
+    tables: PathTables,
+    initial,
+    k_min: int,
+    k_max: int,
+    seed: int,
+    replications: int,
+) -> PathBatch:
+    """R = ``replications`` windows X_{k_min..k_max} drawn in lock-step.
+
+    With a Lambda_W, X_{k_min} ~ eta_L omega_G Lambda_W by three independent
+    draws (l, g, w). With an InvariantFamily, the phase index i is drawn with
+    probability c_i, then w ~ Lambda_W^i, l ~ eta_L and h ~ omega_H give
+    X_{k_min} = (l gamma^(k_min+i) h)(w). Then X_k = N_k X_{k-1} with iid
+    maps. Each draw reads the next uniform of the row's substream and picks
+    the first item whose running float sum of weights, in ``items()`` order
+    (index order for the c_i), exceeds it.
+    """
+    if k_min >= k_max:
+        raise InputError("k_min must be less than k_max")
+    limits, cd = tables.limits, tables.cd
+    rd = limits.rd
+    family = initial if isinstance(initial, InvariantFamily) else None
+    wset = set(cd.W)
+    for lam in family.Lambda_W if family else (initial,):
+        for w in lam.support():
+            if w not in wset:
+                raise InputError(f"Lambda_W has mass at {w} outside W")
+    _check_seed(seed)
+
+    l_cdf = _cdf(limits.eta_L.items(), rd.L)
+    if family is None:
+        g_cdf = _cdf(RationalMeasure.uniform(rd.G).items(), rd.G)
+        w_cdf = _cdf(initial.items(), cd.W)
+
+        def start(u):
+            return tables.lgw[_draw(l_cdf, u[:, 0]), _draw(g_cdf, u[:, 1]),
+                              _draw(w_cdf, u[:, 2])]
+        head = 3
+    else:
+        phase_cdf = (np.cumsum([float(c) for c in family.c]),
+                     np.arange(len(family.c)))
+        w_cdfs = [_cdf(lam.items(), cd.W) for lam in family.Lambda_W]
+        h_cdf = _cdf(RationalMeasure.uniform(rd.H).items(), rd.H)
+
+        def start(u):
+            i = _draw(phase_cdf, u[:, 0])
+            w = np.empty(len(u), dtype=np.intp)
+            for j, w_cdf in enumerate(w_cdfs):
+                rows = i == j
+                w[rows] = _draw(w_cdf, u[rows, 1])
+            g = tables.coset_h[(k_min + i) % rd.p, _draw(h_cdf, u[:, 3])]
+            return tables.lgw[_draw(l_cdf, u[:, 2]), g, w]
+        head = 4
+
+    steps = k_max - k_min
+    map_cdf = _cdf(limits.law.measure.items(), tables.gens)
+    maps = np.empty((replications, steps), dtype=np.int32)
+    states = np.empty((replications, steps + 1), dtype=np.int32)
+    for rows, u in _uniform_chunks(seed, replications, head + steps):
+        m = _draw(map_cdf, u[:, head:])
+        x = start(u[:, :head])
+        states[rows, 0] = x
+        for i in range(steps):
+            x = tables.step[m[:, i], x]
+            states[rows, i + 1] = x
+        maps[rows] = m
+    return PathBatch(tables=tables, initial=initial, k_min=k_min, k_max=k_max,
+                     seed=seed, maps=maps, states=states)
 
 
 def sample_stationary(
@@ -129,21 +368,7 @@ def sample_stationary(
 ) -> EvolutionPath:
     """A stationary path: X_{k_min} ~ eta_L omega_G Lambda_W by three
     independent draws, then the recursion X_k = N_k X_{k-1} with iid maps."""
-    if k_min >= k_max:
-        raise InputError("k_min must be less than k_max")
-    wset = set(cd.W)
-    for w in Lambda_W.support():
-        if w not in wset:
-            raise InputError(f"Lambda_W has mass at {w} outside W")
-    rng = make_rng(seed)
-    rd = limits.rd
-    omega_G = RationalMeasure.uniform(rd.G)
-    l = draw(limits.eta_L, rng)
-    g = draw(omega_G, rng)
-    w = draw(Lambda_W, rng)
-    x0 = (l * g).apply(w)
-    maps = [draw(limits.law.measure, rng) for _ in range(k_max - k_min)]
-    return _derive_path(limits, cd, k_min, k_max, seed, x0, maps)
+    return sample_batch(path_tables(limits, cd), Lambda_W, k_min, k_max, seed, 1).path(0)
 
 
 def sample_nonstationary(
@@ -156,24 +381,34 @@ def sample_nonstationary(
 ) -> EvolutionPath:
     """A path of the cyclic family: draw the phase index i with probability
     c_i, then X_{k_min} ~ eta_L gamma^(k_min+i) omega_H Lambda_W^i."""
-    if k_min >= k_max:
-        raise InputError("k_min must be less than k_max")
-    rng = make_rng(seed)
-    rd = limits.rd
-    u = rng.random()
-    acc = 0.0
-    i = len(family.c) - 1
-    for idx, ci in enumerate(family.c):
-        acc += float(ci)
-        if u < acc:
-            i = idx
-            break
-    w = draw(family.Lambda_W[i], rng)
-    l = draw(limits.eta_L, rng)
-    h = draw(RationalMeasure.uniform(rd.H), rng)
-    x0 = (l * rd.gamma_power(k_min + i) * h).apply(w)
-    maps = [draw(limits.law.measure, rng) for _ in range(k_max - k_min)]
-    return _derive_path(limits, cd, k_min, k_max, seed, x0, maps)
+    return sample_batch(path_tables(limits, cd), family, k_min, k_max, seed, 1).path(0)
+
+
+def _window_batch(batch, limits, cd, initial, k_min, k_max, seed, replications):
+    """``batch`` if it was drawn for exactly this window, or a fresh one."""
+    if batch is None:
+        return sample_batch(path_tables(limits, cd), initial, k_min, k_max, seed,
+                            replications)
+    if (batch.tables.limits is not limits or batch.tables.cd is not cd
+            or batch.initial != initial
+            or (batch.k_min, batch.k_max, batch.seed, len(batch))
+            != (k_min, k_max, seed, replications)):
+        raise InputError("the batch was drawn for another window, seed or initial law")
+    return batch
+
+
+def _row_counts(columns) -> list:
+    """Distinct rows of the stacked integer columns, with multiplicities."""
+    table = np.column_stack(columns)
+    table = table[np.lexsort(table.T)]
+    first = np.ones(len(table), dtype=bool)
+    first[1:] = (table[1:] != table[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    return list(zip(table[starts].tolist(), np.diff(starts, append=len(table)).tolist()))
+
+
+def _add(counts: dict, key, c: int) -> None:
+    counts[key] = counts.get(key, 0) + c
 
 
 def verify_path_exact(path: EvolutionPath, limits: CyclicLimit, cd: CliqueData) -> list:
@@ -257,12 +492,6 @@ def verify_factorization(
     )
 
 
-def _substream_paths(limits, cd, Lambda_W, replications, k, window, seed):
-    k_min = k - window
-    for r in range(replications):
-        yield sample_stationary(limits, cd, Lambda_W, k_min, k, seed ^ r)
-
-
 def verify_third_noise(
     limits: CyclicLimit,
     cd: CliqueData,
@@ -274,6 +503,7 @@ def verify_third_noise(
     seed: int,
     alpha: float = 0.001,
     check_exact: bool = False,
+    batch: PathBatch = None,
 ) -> VerificationReport:
     """Distributional checks of the third noise across replications.
 
@@ -281,11 +511,14 @@ def verify_third_noise(
     (c) pairwise independence among U^H_k, the remote-past pair (Y_C, Z_W)
     and the width-``window`` N-window, (d) the joint law of (Y_C, Z_W)
     against the product of the uniform phase law and Lambda_W. Sigma-field
-    independence is operationalized against finite N-windows.
+    independence is operationalized against finite N-windows. A ``batch``
+    already drawn for this window is used instead of drawing one.
     """
     if replications < 1000:
         raise InputError("third-noise verification needs at least 1000 replications")
+    batch = _window_batch(batch, limits, cd, Lambda_W, k - window, k, seed, replications)
     rd = limits.rd
+    t = batch.tables
     report = VerificationReport(
         replications=replications,
         seed=seed,
@@ -299,25 +532,25 @@ def verify_third_noise(
     pair_u_yz = {}
     pair_u_nw = {}
     pair_yz_nw = {}
-    exact_bad = 0
-    for path in _substream_paths(limits, cd, Lambda_W, replications, k, window, seed):
-        idx = path.index(k)
-        u = path.X_H[idx]
-        yc = path.Y_C
-        yz = (path.Y_C, path.Z_W)
-        nw = tuple(path.N)
-        u_counts[u] = u_counts.get(u, 0) + 1
-        yc_counts[yc] = yc_counts.get(yc, 0) + 1
-        yz_counts[yz] = yz_counts.get(yz, 0) + 1
-        pair_u_yz[(u, yz)] = pair_u_yz.get((u, yz), 0) + 1
-        pair_u_nw[(u, nw)] = pair_u_nw.get((u, nw), 0) + 1
-        pair_yz_nw[(yz, nw)] = pair_yz_nw.get((yz, nw), 0) + 1
-        if check_exact and any(
-            not c.passed for c in verify_path_exact(path, limits, cd)
-        ):
-            exact_bad += 1
+    columns = (t.state_h[batch.states[:, k - batch.k_min]], batch.y_c, batch.z_w,
+               batch.maps)
+    for (h, yc, w, *nw), c in _row_counts(columns):
+        u = rd.H[h]
+        yc = rd.C[yc]
+        yz = (yc, cd.W[w])
+        nw = tuple(t.gens[m] for m in nw)
+        _add(u_counts, u, c)
+        _add(yc_counts, yc, c)
+        _add(yz_counts, yz, c)
+        _add(pair_u_yz, (u, yz), c)
+        _add(pair_u_nw, (u, nw), c)
+        _add(pair_yz_nw, (yz, nw), c)
 
     if check_exact:
+        exact_bad = sum(
+            1 for r in range(replications)
+            if any(not c.passed for c in verify_path_exact(batch.path(r), limits, cd))
+        )
         report.add(
             Check("per-replication exact path invariants", "exact", exact_bad == 0,
                   note=f"{replications} replications")
@@ -370,6 +603,8 @@ def verify_nonstationary_joint(
     """Empirical joint of (Y_C, Z_W) against c_i Lambda_W^i{w} for a family."""
     if replications < 1000:
         raise InputError("joint verification needs at least 1000 replications")
+    batch = sample_batch(path_tables(limits, cd), family, k_min, k_min + steps, seed,
+                         replications)
     rd = limits.rd
     report = VerificationReport(
         replications=replications,
@@ -378,12 +613,8 @@ def verify_nonstationary_joint(
         config={"k_min": k_min, "steps": steps, "mode": "nonstationary"},
     )
     counts = {}
-    for r in range(replications):
-        path = sample_nonstationary(
-            limits, cd, family, k_min, k_min + steps, seed ^ r
-        )
-        key = (path.Y_C, path.Z_W)
-        counts[key] = counts.get(key, 0) + 1
+    for (yc, w), c in _row_counts((batch.y_c, batch.z_w)):
+        _add(counts, (rd.C[yc], cd.W[w]), c)
     expected = {}
     for i, ci in enumerate(family.c):
         if ci == 0:
@@ -425,12 +656,14 @@ def verify_mono_projection(
     window: int = 3,
     seed: int,
     alpha: float = 0.001,
+    batch: PathBatch = None,
 ) -> VerificationReport:
     """Check the mono-particle projection identities on the built-in law.
 
     On every replication the five event equivalences are checked exactly at
     time k; the empirical law of the first coordinate is tested against its
-    exact invariant marginal.
+    exact invariant marginal. A ``batch`` already drawn for this window is
+    used instead of drawing one.
     """
     if limits.law != example_law():
         raise InputError("mono-particle projection identities are specific to the built-in law")
@@ -439,6 +672,9 @@ def verify_mono_projection(
     events = mono_projection_events(limits)
     Lambda_W = RationalMeasure.point(cd.W[0])
     lam = coordinate_marginal(invariant_law(limits, cd, Lambda_W), 1)
+    batch = _window_batch(batch, limits, cd, Lambda_W, k - window, k, seed, replications)
+    rd = limits.rd
+    t = batch.tables
 
     report = VerificationReport(
         replications=replications,
@@ -448,16 +684,18 @@ def verify_mono_projection(
     )
     bad = 0
     x1_counts = {}
-    for path in _substream_paths(limits, cd, Lambda_W, replications, k, window, seed):
-        idx = path.index(k)
-        x1 = path.X[idx][0]
-        xl = path.X_L[idx]
-        u2 = path.X_G[idx](2)
-        x1_counts[x1] = x1_counts.get(x1, 0) + 1
+    at_k = np.bincount(batch.states[:, k - batch.k_min], minlength=len(cd.W_mu))
+    for s, c in enumerate(at_k.tolist()):
+        if not c:
+            continue
+        x1 = cd.W_mu[s][0]
+        xl = rd.L[t.state_l[s]]
+        u2 = rd.G[t.state_g[s]](2)
+        _add(x1_counts, x1, c)
         for value, (want_l, want_u2) in events.items():
             holds = (want_l is None or xl == want_l) and u2 == want_u2
             if (x1 == value) != holds:
-                bad += 1
+                bad += c
     report.add(
         Check("five mono-particle event identities", "exact", bad == 0,
               note=f"{replications} replications")
@@ -502,20 +740,31 @@ def mixing_uniformity(
     seed: int,
     alpha: float = 0.001,
 ) -> Check:
-    """Empirical law of the H-part of f N_1 ... N_n h against uniform on H."""
+    """Empirical law of the H-part of f N_1 ... N_n h against uniform on H.
+
+    Replication r draws N_1..N_n from the substream seed ^ r; the products
+    advance in lock-step on the table of right multiplication of the
+    kernel by the law's maps.
+    """
     rd = limits.rd
     if f not in rd.kernel_set or h not in rd.kernel_set:
         raise InputError("mixing check needs kernel elements at both ends")
+    _check_seed(seed)
+    gens = [g for g, _ in limits.law.measure.items()]
+    pos = {z: i for i, z in enumerate(rd.kernel)}
+    right = np.array([[pos[z * g] for g in gens] for z in rd.kernel], dtype=np.intp)
+    map_cdf = _cdf(limits.law.measure.items(), gens)
+    ends = np.zeros(len(rd.kernel), dtype=np.int64)
+    for rows, u in _uniform_chunks(seed, replications, n):
+        z = np.full(rows.stop - rows.start, pos[f], dtype=np.intp)
+        for m in _draw(map_cdf, u).T:
+            z = right[z, m]
+        ends += np.bincount(z, minlength=len(rd.kernel))
     counts = {}
-    for r in range(replications):
-        rng = make_rng(seed ^ r)
-        prod = f
-        for _ in range(n):
-            prod = prod * draw(limits.law.measure, rng)
-        prod = prod * h
-        g = rd.e * prod * rd.e
-        _, h_part = rd.ch_split(g)
-        counts[h_part] = counts.get(h_part, 0) + 1
+    for z, c in zip(rd.kernel, ends.tolist()):
+        if c:
+            _, h_part = rd.ch_split(rd.e * (z * h) * rd.e)
+            _add(counts, h_part, c)
     uniform_h = {x: Fraction(1, len(rd.H)) for x in rd.H}
     return chi_square_gof(
         counts, uniform_h, replications, alpha,

@@ -26,8 +26,8 @@ class Transformation:
         if n == 0:
             raise InputError("transformation needs a nonempty image table")
         for y in images:
-            if not isinstance(y, int) or not 1 <= y <= n:
-                raise InputError(f"image entry {y!r} outside 1..{n}")
+            if not isinstance(y, int) or isinstance(y, bool) or not 1 <= y <= n:
+                raise InputError(f"image entry {y!r} is not an integer in 1..{n}")
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "_hash", hash(images))
 

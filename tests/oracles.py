@@ -3,8 +3,10 @@
 These deliberately avoid the package's own algorithms: the closure oracle is
 a pairwise-product fixpoint on raw image tuples, the minimal-ideal oracle
 enumerates two-sided ideals directly, the stationary oracle is float
-power iteration, and the Cesaro first-order oracle is an exact Fraction
-solve over the brute-force closure.
+power iteration, the Cesaro first-order oracle is an exact Fraction
+solve over the brute-force closure, and the reference sampler draws every
+replication from its own ``np.random.Generator`` and follows it with
+``Transformation`` arithmetic.
 """
 
 from __future__ import annotations
@@ -150,3 +152,65 @@ def two_term_residual(average, nu, D: dict, n: int) -> float:
         abs(approx.get(k, 0.0) - float(exact.get(k, 0) + D.get(k, 0) / n))
         for k in set(approx) | set(exact) | set(D)
     )
+
+
+def scalar_draw(items, rng):
+    """One draw: the first item whose running float sum of weights exceeds a
+    fresh uniform, or the last item when none does."""
+    u = rng.random()
+    acc = 0.0
+    for x, w in items:
+        acc += float(w)
+        if u < acc:
+            return x
+    return items[-1][0]
+
+
+class ScalarReference:
+    """Per-replication reference sampler for one analysis.
+
+    Each window draws from ``np.random.Generator(np.random.Philox(key=seed))``
+    one uniform per draw, and states, triples and coset splits come from
+    products of the analysis' transformations, found by search.
+    """
+
+    def __init__(self, limits, W):
+        rd = limits.rd
+        self.limits = limits
+        self.triple = {(l * g).apply(w): (l, g, w) for l in rd.L for g in rd.G for w in W}
+        self.split = {c * h: (c, h) for c in rd.C for h in rd.H}
+
+    def _window(self, x0, k_min, k_max, rng) -> dict:
+        rd = self.limits.rd
+        maps = [scalar_draw(self.limits.law.measure.items(), rng)
+                for _ in range(k_max - k_min)]
+        X = [x0]
+        for f in maps:
+            X.append(f.apply(X[-1]))
+        _, g0, w0 = self.triple[x0]
+        c0, _ = self.split[g0]
+        return {"N": maps, "X": X, "Y_C": rd.C[-k_min % rd.p] * c0, "Z_W": w0}
+
+    def stationary(self, Lambda_W, k_min, k_max, seed) -> dict:
+        """X_{k_min} = (l g)(w) with l ~ eta_L, g ~ omega_G, w ~ Lambda_W."""
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        rd = self.limits.rd
+        l = scalar_draw(self.limits.eta_L.items(), rng)
+        g = scalar_draw([(g, Fraction(1, len(rd.G))) for g in sorted(rd.G)], rng)
+        w = scalar_draw(Lambda_W.items(), rng)
+        return self._window((l * g).apply(w), k_min, k_max, rng)
+
+    def nonstationary(self, family, k_min, k_max, seed) -> dict:
+        """Phase i ~ c, w ~ Lambda_W^i, l ~ eta_L, h ~ omega_H, then
+        X_{k_min} = (l gamma^(k_min+i) h)(w)."""
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        rd = self.limits.rd
+        i = scalar_draw(list(enumerate(family.c)), rng)
+        w = scalar_draw(family.Lambda_W[i].items(), rng)
+        l = scalar_draw(self.limits.eta_L.items(), rng)
+        h = scalar_draw([(h, Fraction(1, len(rd.H))) for h in sorted(rd.H)], rng)
+        return self._window((l * rd.C[(k_min + i) % rd.p] * h).apply(w), k_min, k_max, rng)
+
+    def h_part(self, x) -> object:
+        """The H-part of the G-part of a stable tuple."""
+        return self.split[self.triple[x][1]][1]

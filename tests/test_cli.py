@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -274,3 +275,73 @@ def test_structural_inconsistency_exits_2(capsys, law_file, monkeypatch):
     code, _, err = run(capsys, "analyze", "--law", law_file)
     assert code == 2
     assert "forced" in err
+
+
+@pytest.mark.parametrize("law, message", [
+    ({"n": 2, "generators": [[True, 2], [2, 2]], "weights": ["1/2", "1/2"]},
+     "image entry True"),
+    ({"n": True, "generators": [[1]], "weights": ["1"]},
+     "n must be a positive integer, got True"),
+    ({"n": "2", "generators": [[1, 2]], "weights": ["1"]},
+     "n must be a positive integer, got '2'"),
+    ({"n": 2, "generators": [[1, 2]], "weights": [True]},
+     "expected an exact rational, got bool"),
+])
+def test_law_parser_rejects_booleans_and_non_integer_n(capsys, tmp_path, law, message):
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps(law))
+    code, out, err = run(capsys, "analyze", "--law", str(path), "--no-timestamp")
+    assert code == 3
+    assert out == ""
+    assert message in err
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# SHA-256 of stdout from the scalar per-replication sampler that preceded the
+# lock-step one; the reports must stay byte-identical.
+EXAMPLE_2000_SHA = "9ce028909dd6362bf3ac0c964f963444776a9bcfba785b696a1e23199ed0a5ea"
+P3_NONSTATIONARY_2000_SHA = "06abbf4a020d91b279f0f97a6a7df44f24219ea838933804f560a08e19dc2d03"
+EXAMPLE_MAX_SEED_2000_SHA = "6e316e25221281a48b36bc9b1826a8be44268c00bb0eb7d7a2c699a1ee6ce9be"
+
+
+def test_pinned_report_bytes(capsys, tmp_path):
+    code, out, _ = run(capsys, "example", "--replications", "2000", "--seed", "42",
+                       "--no-timestamp")
+    assert (code, _sha256(out)) == (0, EXAMPLE_2000_SHA)
+
+    law_path = tmp_path / "p3_h2.json"
+    law_path.write_text(json.dumps({
+        "n": 6,
+        "generators": [[2, 3, 1, 5, 6, 4], [5, 6, 4, 2, 3, 1]],
+        "weights": ["1/2", "1/2"],
+    }))
+    config = tmp_path / "nonstationary.json"
+    config.write_text(json.dumps({
+        "law_file": str(law_path), "mode": "nonstationary", "k_min": -40,
+        "k_max": 0, "replications": 2000, "seed": 42, "alpha": 0.001, "window": 3,
+        "family": {
+            "c": ["1/2", "1/3", "1/6"],
+            "Lambda_W": [
+                {"(1,2,3,4,5,6)": "1"},
+                {"(1,2,3,4,5,6)": "1/2", "(1,2,3,4,6,5)": "1/2"},
+                {"(1,2,3,4,6,5)": "1"},
+            ],
+        },
+    }))
+    code, out, _ = run(capsys, "simulate", "--config", str(config), "--no-timestamp")
+    assert (code, _sha256(out)) == (0, P3_NONSTATIONARY_2000_SHA)
+
+
+def test_seed_range(capsys):
+    for seed in ("-1", str(2**64)):
+        code, out, err = run(capsys, "example", "--replications", "1000", "--seed",
+                             seed, "--no-timestamp")
+        assert (code, out) == (3, "")
+        assert f"seed must be a 64-bit unsigned integer, got {seed}" in err
+    # seed ^ r stays below 2^64 for every replication index
+    code, out, _ = run(capsys, "example", "--replications", "2000", "--seed",
+                       str(2**64 - 1), "--no-timestamp")
+    assert (code, _sha256(out)) == (0, EXAMPLE_MAX_SEED_2000_SHA)

@@ -1,14 +1,18 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from finevo import analyze_law
+from finevo import analyze_law, simulate
 from finevo.cliques import InvariantFamily
 from finevo.errors import InputError
 from finevo.measure import MappingLaw, RationalMeasure
 from finevo.simulate import (
     estimate_Te,
     mixing_uniformity,
+    path_tables,
+    philox_uniforms,
+    sample_batch,
     sample_nonstationary,
     sample_stationary,
     verify_factorization,
@@ -18,6 +22,7 @@ from finevo.simulate import (
     verify_third_noise,
 )
 from finevo.transform import Transformation
+from oracles import ScalarReference, scalar_draw
 
 
 @pytest.fixture(scope="module")
@@ -328,3 +333,152 @@ def test_mixing_requires_kernel_endpoints(example_analysis):
     with pytest.raises(InputError):
         mixing_uniformity(a.limits, Transformation([2, 3, 4, 1, 5]), a.rd.e,
                           n=5, replications=1000, seed=1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**63 + 5, 2**64 - 1])
+@pytest.mark.parametrize("count", [6, 67])
+def test_philox_uniforms_match_numpy_philox(seed, count):
+    got = philox_uniforms(np.array([seed], dtype=np.uint64), count)[0]
+    want = np.random.Generator(np.random.Philox(key=seed)).random(count)
+    assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("k_min", [-5, -300])
+@pytest.mark.parametrize("rows_per_chunk", [7, 1, 0.5])
+def test_batch_rows_do_not_depend_on_the_chunk_size(example_analysis, monkeypatch,
+                                                    k_min, rows_per_chunk):
+    """Chunks of 7 rows, of one row, and of less than one row's uniforms
+    (still one row per chunk), on a short and a 300-step window."""
+    a = example_analysis
+    lw = RationalMeasure.point(a.cliques.W[0])
+    tables = path_tables(a.limits, a.cliques)
+    whole = sample_batch(tables, lw, k_min, 0, 2**64 - 3, 50)
+    draws_per_row = 3 - k_min
+    monkeypatch.setattr(simulate, "BATCH_CHUNK_DRAWS", int(rows_per_chunk * draws_per_row))
+    chunked = sample_batch(tables, lw, k_min, 0, 2**64 - 3, 50)
+    assert (whole.states == chunked.states).all()
+    assert (whole.maps == chunked.maps).all()
+
+
+@pytest.fixture()
+def tested_counts(monkeypatch):
+    """The count dicts the verifiers hand to the chi-square tests, in order."""
+    seen = []
+    for name in ("chi_square_gof", "chi_square_independence"):
+        def spy(counts, *args, _test=getattr(simulate, name)):
+            seen.append(dict(counts))
+            return _test(counts, *args)
+        monkeypatch.setattr(simulate, name, spy)
+    return seen
+
+
+def _add(counts, key):
+    counts[key] = counts.get(key, 0) + 1
+
+
+REPS = 2000
+
+
+def _third_noise_reference(ref, lw, seed):
+    counts = [{} for _ in range(6)]
+    rows = [ref.stationary(lw, -3, 0, seed ^ r) for r in range(REPS)]
+    for row in rows:
+        u = ref.h_part(row["X"][-1])
+        yz = (row["Y_C"], row["Z_W"])
+        nw = tuple(row["N"])
+        for d, key in zip(counts, (u, row["Y_C"], yz, (u, yz), (u, nw), (yz, nw))):
+            _add(d, key)
+    return counts, rows
+
+
+@pytest.mark.parametrize("name", ["example", "cyclic3", "p3h2"])
+def test_stationary_counts_match_scalar_reference(name, request, tested_counts):
+    a = request.getfixturevalue(f"{name}_analysis")
+    lw = RationalMeasure.uniform(a.cliques.W)
+    ref = ScalarReference(a.limits, a.cliques.W)
+    want, rows = _third_noise_reference(ref, lw, 42)
+    verify_third_noise(a.limits, a.cliques, lw, replications=REPS, k=0, window=3,
+                       seed=42, alpha=0.001)
+    assert tested_counts == want
+
+    batch = sample_batch(path_tables(a.limits, a.cliques), lw, -3, 0, 42, REPS)
+    for r in (0, 1, REPS // 2, REPS - 1):
+        path = batch.path(r)
+        assert path.X == rows[r]["X"] and path.N == rows[r]["N"]
+        assert (path.Y_C, path.Z_W) == (rows[r]["Y_C"], rows[r]["Z_W"])
+
+
+def test_mono_and_mixing_counts_match_scalar_reference(example_analysis, tested_counts):
+    a = example_analysis
+    lw = RationalMeasure.point(a.cliques.W[0])
+    ref = ScalarReference(a.limits, a.cliques.W)
+    want = {}
+    for r in range(REPS):
+        _add(want, ref.stationary(lw, -3, 0, 42 ^ r)["X"][-1][0])
+    verify_mono_projection(a.limits, a.cliques, replications=REPS, k=0, seed=42,
+                           alpha=0.001)
+    assert tested_counts == [want]
+
+    f, h, n = a.rd.e, a.kernel[0], 20
+    want = {}
+    for r in range(REPS):
+        rng = np.random.Generator(np.random.Philox(key=7 ^ r))
+        prod = f
+        for _ in range(n):
+            prod = prod * scalar_draw(a.limits.law.measure.items(), rng)
+        _add(want, ref.split[a.rd.e * (prod * h) * a.rd.e][1])
+    mixing_uniformity(a.limits, f, h, n=n, replications=REPS, seed=7)
+    assert tested_counts[1:] == [want]
+
+
+def test_nonstationary_counts_match_scalar_reference(p3h2_analysis, tested_counts):
+    a = p3h2_analysis
+    w0, w1 = a.cliques.W[0], a.cliques.W[1]
+    family = InvariantFamily(
+        limits=a.limits,
+        c=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
+        Lambda_W=(
+            RationalMeasure.point(w0),
+            RationalMeasure({w0: "1/2", w1: "1/2"}),
+            RationalMeasure.point(w1),
+        ),
+    )
+    ref = ScalarReference(a.limits, a.cliques.W)
+    want = {}
+    for r in range(REPS):
+        row = ref.nonstationary(family, -10, -7, 42 ^ r)
+        _add(want, (row["Y_C"], row["Z_W"]))
+    verify_nonstationary_joint(a.limits, a.cliques, family, replications=REPS,
+                               k_min=-10, seed=42, alpha=0.001)
+    assert tested_counts == [want]
+    path = sample_nonstationary(a.limits, a.cliques, family, -10, 30, seed=42 ^ 5)
+    row = ref.nonstationary(family, -10, 30, 42 ^ 5)
+    assert (path.X, path.N, path.Y_C, path.Z_W) == (row["X"], row["N"], row["Y_C"], row["Z_W"])
+
+
+def test_nonstationary_paths_match_scalar_reference(example_analysis):
+    # two L-parts and H = G: every one of the four start draws shows in X
+    a = example_analysis
+    family = InvariantFamily(limits=a.limits, c=(Fraction(1),),
+                             Lambda_W=(RationalMeasure.point(a.cliques.W[0]),))
+    ref = ScalarReference(a.limits, a.cliques.W)
+    for seed in range(40):
+        path = sample_nonstationary(a.limits, a.cliques, family, -4, 0, seed=seed)
+        row = ref.nonstationary(family, -4, 0, seed)
+        assert (path.X, path.N) == (row["X"], row["N"])
+
+
+def test_a_shared_batch_must_match_the_window(example_analysis):
+    a = example_analysis
+    lw = RationalMeasure.point(a.cliques.W[0])
+    batch = sample_batch(path_tables(a.limits, a.cliques), lw, -3, 0, 42, 1000)
+    shared = verify_third_noise(a.limits, a.cliques, lw, replications=1000, seed=42,
+                                batch=batch)
+    fresh = verify_third_noise(a.limits, a.cliques, lw, replications=1000, seed=42)
+    assert [c.to_json() for c in shared.checks] == [c.to_json() for c in fresh.checks]
+    with pytest.raises(InputError):
+        verify_third_noise(a.limits, a.cliques, lw, replications=1000, seed=43,
+                           batch=batch)
+    with pytest.raises(InputError):
+        verify_mono_projection(a.limits, a.cliques, replications=1000, window=2,
+                               seed=42, batch=batch)
