@@ -11,7 +11,6 @@ from .limits import (
     assemble_limits,
     left_factor,
     left_stationary,
-    period_and_subgroup,
     right_factor,
     right_stationary,
 )
@@ -20,7 +19,6 @@ from .semigroup import (
     DEFAULT_ELEMENT_CAP,
     ReesData,
     Semigroup,
-    complete_rees,
     generate,
     kernel,
     rees_at,
@@ -34,11 +32,8 @@ class Analysis:
 
     law: MappingLaw
     semigroup: Semigroup
-    kernel: tuple
-    m_mu: int
     rd: ReesData
     beta_left: RationalMeasure
-    beta_right: RationalMeasure
     limits: CyclicLimit
     cliques: CliqueData
     e_word: list
@@ -61,17 +56,12 @@ def analyze_law(law: MappingLaw, *, cap: int = DEFAULT_ELEMENT_CAP) -> Analysis:
     """Compute the full algebraic limit structure of a mapping law."""
     semigroup = generate(law.generators, cap=cap)
     ker = kernel(semigroup)
-    m_mu = min(f.rank() for f in ker)
     e = base_idempotent(semigroup, ker)
     rd = rees_at(semigroup, ker, e)
 
     beta_left = left_stationary(law, rd)
-    beta_right = right_stationary(law, rd)
     eta_L = left_factor(rd, beta_left)
-    eta_R = right_factor(rd, beta_right)
-
-    p, H, gamma = period_and_subgroup(law, rd)
-    rd = complete_rees(rd, H=H, gamma=gamma, p=p)
+    eta_R = right_factor(rd, right_stationary(law, rd))
     limits = assemble_limits(law, rd, eta_L, eta_R)
     cliques = compute_W(semigroup, ker, rd)
     e_word = semigroup.word_for(e)
@@ -79,11 +69,8 @@ def analyze_law(law: MappingLaw, *, cap: int = DEFAULT_ELEMENT_CAP) -> Analysis:
     return Analysis(
         law=law,
         semigroup=semigroup,
-        kernel=ker,
-        m_mu=m_mu,
         rd=rd,
         beta_left=beta_left,
-        beta_right=beta_right,
         limits=limits,
         cliques=cliques,
         e_word=e_word,

@@ -138,6 +138,8 @@ def _load_sim_config(args) -> dict:
         except json.JSONDecodeError as exc:
             raise InputError(f"config {args.config} is not valid JSON "
                              f"(line {exc.lineno}, column {exc.colno})") from exc
+        if not isinstance(file_cfg, dict):
+            raise InputError(f"config {args.config} must be a JSON object")
         unknown = set(file_cfg) - set(config)
         if unknown:
             raise InputError(f"unknown config fields: {sorted(unknown)}")
@@ -150,10 +152,20 @@ def _load_sim_config(args) -> dict:
         config["law_file"] = args.law
     if not config["law_file"]:
         raise InputError("a law file is required (--law or config law_file)")
+    if not isinstance(config["law_file"], str):
+        raise InputError(f"law_file must be a path, got {config['law_file']!r}")
+    for field in ("replications", "seed", "k_min", "k_max", "window"):
+        if not isinstance(config[field], int) or isinstance(config[field], bool):
+            raise InputError(f"{field} must be an integer, got {config[field]!r}")
+    alpha = config["alpha"]
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0 < alpha < 1:
+        raise InputError(f"alpha must be a number in (0, 1), got {alpha!r}")
+    if config["mode"] not in ("stationary", "nonstationary"):
+        raise InputError(f"mode must be stationary or nonstationary, got {config['mode']!r}")
+    if not isinstance(config["Lambda_W"], (dict, type(None))):
+        raise InputError(f"Lambda_W must be a JSON object, got {config['Lambda_W']!r}")
     if config["replications"] < 1:
         raise InputError("replications must be >= 1")
-    if config["alpha"] is not None and not 0 < config["alpha"] < 1:
-        raise InputError("alpha must be in (0, 1)")
     if config["k_min"] >= config["k_max"]:
         raise InputError("k_min must be less than k_max")
     if config["window"] < 1:
@@ -178,7 +190,7 @@ def _resolve_family(config, analysis) -> InvariantFamily:
     try:
         coeffs = [as_fraction(c) for c in family_cfg["c"]]
         lambdas = [_parse_tuple_measure(entry) for entry in family_cfg["Lambda_W"]]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:
         raise InputError(f"bad family config: {exc}") from exc
     p = analysis.limits.p
     if len(coeffs) != p or len(lambdas) != p:
@@ -230,51 +242,23 @@ def _run_simulation_battery(analysis, config) -> VerificationReport:
 
     if config["mode"] == "nonstationary":
         initial = _resolve_family(config, analysis)
+        window = (config["k_min"], config["k_min"] + config["window"])
     else:
         initial = _resolve_lambda_w(config, analysis)
+        window = (-config["window"], 0)
     tables = path_tables(limits, cd)
     path = sample_batch(tables, initial, config["k_min"], config["k_max"], seed, 1).path(0)
     verification.extend(verify_path_exact(path, limits, cd))
     verification.add(verify_factorization(path, limits, config["k_max"]))
 
+    batch = sample_batch(tables, initial, *window, seed, config["replications"])
     if config["mode"] == "nonstationary":
-        verification.extend(
-            verify_nonstationary_joint(
-                limits, cd, initial,
-                replications=config["replications"],
-                k_min=config["k_min"],
-                steps=config["window"],
-                seed=seed,
-                alpha=alpha,
-            ).checks
-        )
+        verification.extend(verify_nonstationary_joint(batch, alpha=alpha).checks)
     else:
         # one batch of replications serves both stationary checks
-        batch = sample_batch(tables, initial, -config["window"], 0, seed,
-                             config["replications"])
-        verification.extend(
-            verify_third_noise(
-                limits, cd, initial,
-                replications=config["replications"],
-                k=0,
-                window=config["window"],
-                seed=seed,
-                alpha=alpha,
-                batch=batch,
-            ).checks
-        )
+        verification.extend(verify_third_noise(batch, alpha=alpha).checks)
         if analysis.law == example_law():
-            verification.extend(
-                verify_mono_projection(
-                    limits, cd,
-                    replications=config["replications"],
-                    k=0,
-                    window=config["window"],
-                    seed=seed,
-                    alpha=alpha,
-                    batch=batch,
-                ).checks
-            )
+            verification.extend(verify_mono_projection(batch, alpha=alpha).checks)
     return verification
 
 

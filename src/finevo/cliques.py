@@ -64,6 +64,7 @@ class CliqueData:
     triples: dict
 
     def project_index(self, x: tuple) -> tuple:
+        """Coordinates (x_L, x_G, x_W) of a stable tuple: x = (x_L * x_G)(x_W)."""
         if x not in self.triples:
             raise InputError(f"tuple {x} is not a stable distinct tuple")
         return self.triples[x]
@@ -132,11 +133,6 @@ def compute_W(semigroup: Semigroup, ker: tuple, rd: ReesData) -> CliqueData:
         orbit_of=orbit_of,
         triples=triples,
     )
-
-
-def project_tuple(rd: ReesData, cd: CliqueData, x: tuple) -> tuple:
-    """Coordinates (x_L, x_G, x_W) of a stable tuple: x = (x_L * x_G)(x_W)."""
-    return cd.project_index(x)
 
 
 def stable_under_all(semigroup: Semigroup, x: tuple) -> bool:

@@ -45,8 +45,3 @@ class ClassificationError(FinevoError):
         super().__init__(message)
         self.residual = residual or {}
 
-
-class OracleFailure(FinevoError):
-    """The floating-point cross-check did not converge within its budget."""
-
-    exit_code = 2

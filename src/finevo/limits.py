@@ -3,9 +3,9 @@
 The convolution powers of a law never stabilize support-wise (transient
 elements keep positive mass forever), so the limit cycle is computed
 structurally: stationary solves on the left/right kernel walks give the
-boundary factors, the cyclic classes of the left walk give the period p,
-the subgroup H and the coset generator gamma, and the cycle is assembled
-from the closed-form factorization. A double-precision power iteration is
+boundary factors, the Rees decomposition gives the period p, the subgroup H
+and the coset generator gamma, and the cycle is assembled from the
+closed-form factorization. A double-precision power iteration is
 kept as an independent cross-check.
 """
 
@@ -18,14 +18,7 @@ import numpy as np
 
 from .errors import StructuralInconsistencyError
 from .measure import MappingLaw, RationalMeasure, convolve, measure_product
-from .semigroup import (
-    ReesData,
-    chain_period_and_classes,
-    generate,
-    left_states,
-    project,
-    right_states,
-)
+from .semigroup import ReesData, generate, left_states, project, right_states
 
 
 def _pivot_size(value: Fraction) -> int:
@@ -138,35 +131,6 @@ def right_factor(rd: ReesData, beta: RationalMeasure) -> RationalMeasure:
     return RationalMeasure(acc)
 
 
-def period_and_subgroup(law: MappingLaw, rd: ReesData) -> tuple:
-    """Period p, subgroup H and coset generator gamma from the left walk.
-
-    The cyclic class of e on Ke has G-parts exactly H; the successor class
-    has G-parts gamma H, and gamma is the canonically smallest element of
-    that coset with gamma^p = e.
-    """
-    states = left_states(rd)
-    gens = [f for f, _ in law.measure.items()]
-    succ = {z: sorted({f * z for f in gens}) for z in states}
-    p, classes = chain_period_and_classes(states, lambda z: succ[z], rd.e)
-
-    e = rd.e
-    H = sorted({e * z * e for z in classes[0]})
-    if len(H) * p != len(rd.G):
-        raise StructuralInconsistencyError("|H| * p != |G|")
-
-    if p == 1:
-        return p, tuple(H), e
-
-    coset = sorted({e * z * e for z in classes[1]})
-    if len(coset) != len(H):
-        raise StructuralInconsistencyError("successor coset has wrong size")
-    candidates = [g for g in coset if g**p == e]
-    if not candidates:
-        raise StructuralInconsistencyError("no order-p representative in the coset")
-    return p, tuple(H), candidates[0]
-
-
 @dataclass(frozen=True)
 class CyclicLimit:
     """The limit cycle of convolution powers and its exact factorization."""
@@ -220,22 +184,6 @@ def assemble_limits(
     return CyclicLimit(
         law=law, rd=rd, p=rd.p, eta_L=eta_L, eta_R=eta_R, eta=eta, cycle=cycle, nu=nu
     )
-
-
-def float_step(law: MappingLaw, vec: dict) -> dict:
-    """One convolution power in double precision: vec -> mu * vec."""
-    out = {}
-    for f, wf in law.measure.items():
-        w = float(wf)
-        for z, v in vec.items():
-            fz = f * z
-            out[fz] = out.get(fz, 0.0) + w * v
-    return out
-
-
-def float_sup_distance(a: dict, b: dict) -> float:
-    keys = set(a) | set(b)
-    return max(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)
 
 
 def _indexed_iteration(law: MappingLaw):

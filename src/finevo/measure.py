@@ -118,13 +118,6 @@ class RationalMeasure:
             return RationalMeasure.point(other).__mul__(self)
         return NotImplemented
 
-    def sup_distance(self, other: "RationalMeasure") -> Fraction:
-        keys = set(self._w) | set(other._w)
-        return max(abs(self[x] - other[x]) for x in keys)
-
-    def to_floats(self) -> dict:
-        return {x: float(v) for x, v in self._w.items()}
-
     def __repr__(self):
         parts = ", ".join(f"{x!r}: {v}" for x, v in self.items())
         return f"RationalMeasure({{{parts}}})"

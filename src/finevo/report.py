@@ -58,10 +58,10 @@ def build_report(analysis: Analysis, *, seed=None, timestamp: bool = True) -> di
         "input": analysis.law.to_dict(),
         "semigroup": {
             "size": len(analysis.semigroup),
-            "kernel_size": len(analysis.kernel),
-            "m_mu": analysis.m_mu,
+            "kernel_size": len(rd.kernel),
+            "m_mu": cd.m_mu,
             "elements": [f.literal() for f in analysis.semigroup],
-            "kernel": [f.literal() for f in analysis.kernel],
+            "kernel": [f.literal() for f in rd.kernel],
         },
         "rees": {
             "e": rd.e.literal(),

@@ -7,8 +7,7 @@ deterministic choice downstream (in particular the base idempotent).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
 from math import gcd
 
 from .errors import InputError, ResourceLimitError, StructuralInconsistencyError
@@ -46,16 +45,6 @@ class Semigroup:
     @property
     def generator_elements(self) -> tuple:
         return tuple(self.elements[i] for i in self.generators)
-
-    def product(self, i: int, j: int) -> int:
-        """Index of elements[i] * elements[j]."""
-        return self.index[self.elements[i] * self.elements[j]]
-
-    @cached_property
-    def product_table(self) -> list:
-        """Full Cayley table; materialize only for small semigroups."""
-        size = len(self.elements)
-        return [[self.product(i, j) for j in range(size)] for i in range(size)]
 
     def word_for(self, f: Transformation) -> list:
         """A shortest generator word [g_k, ..., g_1] with g_k * ... * g_1 == f."""
@@ -104,11 +93,6 @@ def generate(generators, *, cap: int = DEFAULT_ELEMENT_CAP) -> Semigroup:
     return Semigroup(elements, index, range(len(gens)), parent)
 
 
-def idempotents(semigroup: Semigroup) -> list:
-    """All elements f with f*f == f, in canonical order."""
-    return [f for f in semigroup if f.is_idempotent()]
-
-
 def kernel(semigroup: Semigroup) -> tuple:
     """The unique minimal two-sided ideal: all elements of minimal rank.
 
@@ -129,10 +113,10 @@ def kernel(semigroup: Semigroup) -> tuple:
 
 @dataclass(frozen=True)
 class ReesData:
-    """Product decomposition kernel = L * G * R at a base idempotent e.
+    """Product decomposition kernel = L * G * R at a base idempotent e, with
+    G split into the cosets gamma^j H, j < p, of the period p.
 
-    ``H``, ``gamma``, ``C`` and ``p`` describe the cyclic coset structure of
-    G and are filled in by the limit analysis via ``complete_rees``.
+    ``C[j]`` is gamma^j and ``coset_of[g]`` the j with g in gamma^j H.
     """
 
     e: Transformation
@@ -141,11 +125,11 @@ class ReesData:
     G: tuple
     R: tuple
     inverse: dict
-    H: tuple = None
-    gamma: Transformation = None
-    C: tuple = None
-    p: int = None
-    coset_of: dict = None
+    H: tuple
+    gamma: Transformation
+    C: tuple
+    p: int
+    coset_of: dict
 
     @property
     def kernel_set(self) -> frozenset:
@@ -180,7 +164,12 @@ def rees_at(semigroup: Semigroup, ker: tuple, e: Transformation) -> ReesData:
     """Decompose the kernel at an idempotent e: L = E(Ke), G = eKe, R = E(eK).
 
     Verifies the group axioms for G, eL = Re = {e}, and the bijectivity of
-    the product map L x G x R -> kernel.
+    the product map L x G x R -> kernel. The period p, the subgroup H and
+    the coset generator gamma come from the walk z -> f z on Ke under the
+    generators (the support of any law on them): the cyclic class of e has
+    G-parts exactly H, the successor class has G-parts gamma H, and gamma
+    is the canonically smallest element of that coset with gamma^p = e.
+    Verifies that H is a normal subgroup whose p cosets partition G.
     """
     kset = set(ker)
     if e not in kset:
@@ -223,7 +212,45 @@ def rees_at(semigroup: Semigroup, ker: tuple, e: Transformation) -> ReesData:
     if set(seen) != kset:
         raise StructuralInconsistencyError("L * G * R does not cover the kernel")
 
-    return ReesData(e=e, kernel=ker, L=L, G=G, R=R, inverse=inverse)
+    gens = semigroup.generator_elements
+    succ = {z: sorted({f * z for f in gens}) for z in Ke}
+    p, classes = chain_period_and_classes(Ke, succ.__getitem__, e)
+    H = tuple(sorted({e * z * e for z in classes[0]}))
+    if len(H) * p != len(G):
+        raise StructuralInconsistencyError("|H| * p != |G|")
+    hset = set(H)
+    if e not in hset:
+        raise StructuralInconsistencyError("H does not contain the unit")
+    if any(a * b not in hset for a in H for b in H):
+        raise StructuralInconsistencyError("H is not closed under products")
+    if any(inverse[h] not in hset for h in H):
+        raise StructuralInconsistencyError("H is not closed under inverses")
+    if any(inverse[g] * h * g not in hset for h in H for g in G):
+        raise StructuralInconsistencyError("H is not normal in G")
+
+    gamma = e
+    if p > 1:
+        coset = sorted({e * z * e for z in classes[1]})
+        if len(coset) != len(H):
+            raise StructuralInconsistencyError("successor coset has wrong size")
+        gamma = next((g for g in coset if g**p == e), None)
+        if gamma is None:
+            raise StructuralInconsistencyError("no order-p representative in the coset")
+    C = [e]
+    while len(C) < p:
+        C.append(C[-1] * gamma)
+    if C[-1] * gamma != e:
+        raise StructuralInconsistencyError("gamma^p != e")
+    coset_of = {}
+    for j, c in enumerate(C):
+        for h in H:
+            if coset_of.setdefault(c * h, j) != j:
+                raise StructuralInconsistencyError("cosets of H are not disjoint")
+    if set(coset_of) != gset:
+        raise StructuralInconsistencyError("cosets of H do not cover G")
+
+    return ReesData(e=e, kernel=ker, L=L, G=G, R=R, inverse=inverse, H=H,
+                    gamma=gamma, C=tuple(C), p=p, coset_of=coset_of)
 
 
 def project(rd: ReesData, z: Transformation) -> tuple:
@@ -240,61 +267,6 @@ def project(rd: ReesData, z: Transformation) -> tuple:
     z_l = z * e * inv
     z_r = inv * e * z
     return z_l, z_g, z_r
-
-
-def complete_rees(rd: ReesData, *, H, gamma, p) -> ReesData:
-    """Attach the coset structure (H, gamma, C, p) and validate it."""
-    H = tuple(sorted(H))
-    hset = set(H)
-    if rd.e not in hset:
-        raise StructuralInconsistencyError("H does not contain the unit")
-    for a in H:
-        for b in H:
-            if a * b not in hset:
-                raise StructuralInconsistencyError("H is not closed under products")
-    if any(rd.inv(h) not in hset for h in H):
-        raise StructuralInconsistencyError("H is not closed under inverses")
-
-    C = [rd.e]
-    power = gamma
-    for _ in range(p - 1):
-        C.append(power)
-        power = power * gamma
-    if power != rd.e:
-        raise StructuralInconsistencyError("gamma^p != e")
-
-    completed = replace(
-        rd, H=H, gamma=gamma, C=tuple(C), p=p, coset_of=None
-    )
-    cosets = coset_structure(completed)
-    coset_of = {}
-    for j, coset in enumerate(cosets):
-        for g in coset:
-            coset_of[g] = j
-    return replace(completed, coset_of=coset_of)
-
-
-def coset_structure(rd: ReesData) -> list:
-    """The p cosets [H, gamma H, ..., gamma^(p-1) H]; checks they partition G
-    and that H is normal in G."""
-    if rd.H is None or rd.gamma is None or rd.p is None:
-        raise InputError("coset structure requires H, gamma and p")
-    hset = set(rd.H)
-    for h in rd.H:
-        for g in rd.G:
-            if rd.inv(g) * h * g not in hset:
-                raise StructuralInconsistencyError("H is not normal in G")
-    cosets = []
-    covered = set()
-    for j in range(rd.p):
-        coset = sorted(rd.C[j] * h for h in rd.H)
-        if covered & set(coset):
-            raise StructuralInconsistencyError("cosets of H are not disjoint")
-        covered.update(coset)
-        cosets.append(coset)
-    if covered != set(rd.G):
-        raise StructuralInconsistencyError("cosets of H do not cover G")
-    return cosets
 
 
 def left_states(rd: ReesData) -> list:

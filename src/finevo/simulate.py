@@ -358,45 +358,6 @@ def sample_batch(
                      seed=seed, maps=maps, states=states)
 
 
-def sample_stationary(
-    limits: CyclicLimit,
-    cd: CliqueData,
-    Lambda_W: RationalMeasure,
-    k_min: int,
-    k_max: int,
-    seed: int,
-) -> EvolutionPath:
-    """A stationary path: X_{k_min} ~ eta_L omega_G Lambda_W by three
-    independent draws, then the recursion X_k = N_k X_{k-1} with iid maps."""
-    return sample_batch(path_tables(limits, cd), Lambda_W, k_min, k_max, seed, 1).path(0)
-
-
-def sample_nonstationary(
-    limits: CyclicLimit,
-    cd: CliqueData,
-    family: InvariantFamily,
-    k_min: int,
-    k_max: int,
-    seed: int,
-) -> EvolutionPath:
-    """A path of the cyclic family: draw the phase index i with probability
-    c_i, then X_{k_min} ~ eta_L gamma^(k_min+i) omega_H Lambda_W^i."""
-    return sample_batch(path_tables(limits, cd), family, k_min, k_max, seed, 1).path(0)
-
-
-def _window_batch(batch, limits, cd, initial, k_min, k_max, seed, replications):
-    """``batch`` if it was drawn for exactly this window, or a fresh one."""
-    if batch is None:
-        return sample_batch(path_tables(limits, cd), initial, k_min, k_max, seed,
-                            replications)
-    if (batch.tables.limits is not limits or batch.tables.cd is not cd
-            or batch.initial != initial
-            or (batch.k_min, batch.k_max, batch.seed, len(batch))
-            != (k_min, k_max, seed, replications)):
-        raise InputError("the batch was drawn for another window, seed or initial law")
-    return batch
-
-
 def _row_counts(columns) -> list:
     """Distinct rows of the stacked integer columns, with multiplicities."""
     table = np.column_stack(columns)
@@ -493,35 +454,28 @@ def verify_factorization(
 
 
 def verify_third_noise(
-    limits: CyclicLimit,
-    cd: CliqueData,
-    Lambda_W: RationalMeasure,
-    *,
-    replications: int,
-    k: int = 0,
-    window: int = 3,
-    seed: int,
-    alpha: float = 0.001,
-    check_exact: bool = False,
-    batch: PathBatch = None,
+    batch: PathBatch, *, alpha: float = 0.001, check_exact: bool = False
 ) -> VerificationReport:
-    """Distributional checks of the third noise across replications.
+    """Distributional checks of the third noise across the replications of a
+    stationary batch, at its last time k = k_max.
 
     Tests (a) uniformity of U^H_k on H, (b) uniformity of Y_C on C,
     (c) pairwise independence among U^H_k, the remote-past pair (Y_C, Z_W)
-    and the width-``window`` N-window, (d) the joint law of (Y_C, Z_W)
-    against the product of the uniform phase law and Lambda_W. Sigma-field
-    independence is operationalized against finite N-windows. A ``batch``
-    already drawn for this window is used instead of drawing one.
+    and the N-window of the batch, (d) the joint law of (Y_C, Z_W) against
+    the product of the uniform phase law and the batch's Lambda_W.
+    Sigma-field independence is operationalized against finite N-windows.
     """
+    t = batch.tables
+    limits, cd, Lambda_W = t.limits, t.cd, batch.initial
+    replications, k, window = len(batch), batch.k_max, batch.k_max - batch.k_min
+    if isinstance(Lambda_W, InvariantFamily):
+        raise InputError("third-noise verification needs a stationary batch")
     if replications < 1000:
         raise InputError("third-noise verification needs at least 1000 replications")
-    batch = _window_batch(batch, limits, cd, Lambda_W, k - window, k, seed, replications)
     rd = limits.rd
-    t = batch.tables
     report = VerificationReport(
         replications=replications,
-        seed=seed,
+        seed=batch.seed,
         alpha=alpha,
         config={"k": k, "window": window, "mode": "stationary"},
     )
@@ -532,8 +486,7 @@ def verify_third_noise(
     pair_u_yz = {}
     pair_u_nw = {}
     pair_yz_nw = {}
-    columns = (t.state_h[batch.states[:, k - batch.k_min]], batch.y_c, batch.z_w,
-               batch.maps)
+    columns = (t.state_h[batch.states[:, -1]], batch.y_c, batch.z_w, batch.maps)
     for (h, yc, w, *nw), c in _row_counts(columns):
         u = rd.H[h]
         yc = rd.C[yc]
@@ -590,27 +543,22 @@ def verify_third_noise(
 
 
 def verify_nonstationary_joint(
-    limits: CyclicLimit,
-    cd: CliqueData,
-    family: InvariantFamily,
-    *,
-    replications: int,
-    k_min: int = 0,
-    steps: int = 3,
-    seed: int,
-    alpha: float = 0.001,
+    batch: PathBatch, *, alpha: float = 0.001
 ) -> VerificationReport:
-    """Empirical joint of (Y_C, Z_W) against c_i Lambda_W^i{w} for a family."""
+    """Empirical joint of (Y_C, Z_W) against c_i Lambda_W^i{w} for the
+    family a nonstationary batch was drawn from."""
+    t = batch.tables
+    family, cd, rd, replications = batch.initial, t.cd, t.limits.rd, len(batch)
+    if not isinstance(family, InvariantFamily):
+        raise InputError("joint verification needs a batch drawn from a family")
     if replications < 1000:
         raise InputError("joint verification needs at least 1000 replications")
-    batch = sample_batch(path_tables(limits, cd), family, k_min, k_min + steps, seed,
-                         replications)
-    rd = limits.rd
     report = VerificationReport(
         replications=replications,
-        seed=seed,
+        seed=batch.seed,
         alpha=alpha,
-        config={"k_min": k_min, "steps": steps, "mode": "nonstationary"},
+        config={"k_min": batch.k_min, "steps": batch.k_max - batch.k_min,
+                "mode": "nonstationary"},
     )
     counts = {}
     for (yc, w), c in _row_counts((batch.y_c, batch.z_w)):
@@ -648,43 +596,37 @@ def mono_projection_events(limits: CyclicLimit):
 
 
 def verify_mono_projection(
-    limits: CyclicLimit,
-    cd: CliqueData,
-    *,
-    replications: int,
-    k: int = 0,
-    window: int = 3,
-    seed: int,
-    alpha: float = 0.001,
-    batch: PathBatch = None,
+    batch: PathBatch, *, alpha: float = 0.001
 ) -> VerificationReport:
-    """Check the mono-particle projection identities on the built-in law.
+    """Check the mono-particle projection identities on a stationary batch of
+    the built-in law, at its last time k = k_max.
 
     On every replication the five event equivalences are checked exactly at
     time k; the empirical law of the first coordinate is tested against its
-    exact invariant marginal. A ``batch`` already drawn for this window is
-    used instead of drawing one.
+    exact invariant marginal under the batch's Lambda_W.
     """
+    t = batch.tables
+    limits, cd, replications = t.limits, t.cd, len(batch)
     if limits.law != example_law():
         raise InputError("mono-particle projection identities are specific to the built-in law")
+    if isinstance(batch.initial, InvariantFamily):
+        raise InputError("mono-projection verification needs a stationary batch")
     if replications < 1000:
         raise InputError("mono-projection verification needs at least 1000 replications")
     events = mono_projection_events(limits)
-    Lambda_W = RationalMeasure.point(cd.W[0])
-    lam = coordinate_marginal(invariant_law(limits, cd, Lambda_W), 1)
-    batch = _window_batch(batch, limits, cd, Lambda_W, k - window, k, seed, replications)
+    lam = coordinate_marginal(invariant_law(limits, cd, batch.initial), 1)
     rd = limits.rd
-    t = batch.tables
 
     report = VerificationReport(
         replications=replications,
-        seed=seed,
+        seed=batch.seed,
         alpha=alpha,
-        config={"k": k, "window": window, "mode": "mono-projection"},
+        config={"k": batch.k_max, "window": batch.k_max - batch.k_min,
+                "mode": "mono-projection"},
     )
     bad = 0
     x1_counts = {}
-    at_k = np.bincount(batch.states[:, k - batch.k_min], minlength=len(cd.W_mu))
+    at_k = np.bincount(batch.states[:, -1], minlength=len(cd.W_mu))
     for s, c in enumerate(at_k.tolist()):
         if not c:
             continue

@@ -119,22 +119,6 @@ class Transformation:
         return f"Transformation({self.literal()})"
 
 
-def compose(f: Transformation, g: Transformation) -> Transformation:
-    """Product fg: apply g first, then f."""
-    return f * g
-
-
-def rank(f: Transformation) -> int:
-    return f.rank()
-
-
-def apply_tuple(f: Transformation, points: tuple) -> tuple:
-    """Act componentwise on a point tuple; entries must lie in f's domain."""
-    if points and max(points) > f.n:
-        raise InputError("tuple entry outside the transformation's domain")
-    return f.apply(points)
-
-
 def is_distinct(points: tuple) -> bool:
     """Whether the tuple has pairwise distinct entries."""
     return len(set(points)) == len(points)

@@ -4,7 +4,8 @@ These deliberately avoid the package's own algorithms: the closure oracle is
 a pairwise-product fixpoint on raw image tuples, the minimal-ideal oracle
 enumerates two-sided ideals directly, the stationary oracle is float
 power iteration, the Cesaro first-order oracle is an exact Fraction
-solve over the brute-force closure, and the reference sampler draws every
+solve over the brute-force closure, the naive float step convolves dicts
+keyed by transformation, and the reference sampler draws every
 replication from its own ``np.random.Generator`` and follows it with
 ``Transformation`` arithmetic.
 """
@@ -152,6 +153,22 @@ def two_term_residual(average, nu, D: dict, n: int) -> float:
         abs(approx.get(k, 0.0) - float(exact.get(k, 0) + D.get(k, 0) / n))
         for k in set(approx) | set(exact) | set(D)
     )
+
+
+def float_step(law, vec: dict) -> dict:
+    """One convolution power in double precision: vec -> mu * vec."""
+    out = {}
+    for f, wf in law.measure.items():
+        w = float(wf)
+        for z, v in vec.items():
+            fz = f * z
+            out[fz] = out.get(fz, 0.0) + w * v
+    return out
+
+
+def float_sup_distance(a: dict, b: dict) -> float:
+    keys = set(a) | set(b)
+    return max(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)
 
 
 def scalar_draw(items, rng):

@@ -30,10 +30,10 @@ from finevo.measure import (
     coordinate_marginal,
     measure_product,
 )
-from finevo.semigroup import coset_structure, project
+from finevo.semigroup import project
 from finevo.simulate import (
-    sample_nonstationary,
-    sample_stationary,
+    path_tables,
+    sample_batch,
     verify_factorization,
     verify_mono_projection,
     verify_nonstationary_joint,
@@ -83,7 +83,7 @@ def test_criterion_1_golden_example_exact():
     check("eta_R", a.limits.eta_R == RationalMeasure({e: "2/3", ef: "1/3"}))
     check("H = G", set(a.rd.H) == set(a.rd.G))
     check("p", a.limits.p == 1)
-    check("m_mu", a.m_mu == 3)
+    check("m_mu", a.cliques.m_mu == 3)
     check("|W_mu|", len(a.cliques.W_mu) == 12)
     check("W", a.cliques.W == ((2, 4, 5),))
     check(
@@ -110,7 +110,7 @@ def test_criterion_1_golden_example_exact():
 
 def _structural_suite(a) -> list:
     problems = []
-    S, K, rd, lim, cd = a.semigroup, a.kernel, a.rd, a.limits, a.cliques
+    S, K, rd, lim, cd = a.semigroup, a.rd.kernel, a.rd, a.limits, a.cliques
     kset = set(K)
     mu = a.law.measure
 
@@ -154,8 +154,9 @@ def _structural_suite(a) -> list:
         problems.append("H not normal")
     if rd.gamma ** rd.p != rd.e:
         problems.append("gamma^p != e")
-    cosets = coset_structure(rd)
-    covered = [g for coset in cosets for g in coset]
+    if rd.C[0] != rd.e or any(rd.C[j - 1] * rd.gamma != rd.C[j] for j in range(1, rd.p)):
+        problems.append("C is not the powers of gamma")
+    covered = [rd.C[j] * h for j in range(rd.p) for h in rd.H]
     if sorted(covered) != sorted(rd.G) or len(covered) != len(set(covered)):
         problems.append("cosets do not partition G")
     if rd.p * len(rd.H) != len(rd.G):
@@ -252,7 +253,8 @@ def test_criterion_5_simulation_exact_checks(example_analysis, p3h2_analysis):
 
     a = example_analysis
     lw = RationalMeasure.point(a.cliques.W[0])
-    path = sample_stationary(a.limits, a.cliques, lw, -1000, 0, seed=SEED)
+    tables = path_tables(a.limits, a.cliques)
+    path = sample_batch(tables, lw, -1000, 0, SEED, 1).path(0)
     for c in verify_path_exact(path, a.limits, a.cliques):
         if not c.passed:
             failures.append(("example long path", c.name))
@@ -283,7 +285,8 @@ def test_criterion_5_simulation_exact_checks(example_analysis, p3h2_analysis):
             RationalMeasure.point(b.cliques.W[1]),
         ),
     )
-    path_b = sample_nonstationary(b.limits, b.cliques, family, -1000, 0, seed=SEED)
+    path_b = sample_batch(path_tables(b.limits, b.cliques), family, -1000, 0, SEED,
+                          1).path(0)
     for c in verify_path_exact(path_b, b.limits, b.cliques):
         if not c.passed:
             failures.append(("p3 long path", c.name))
@@ -293,10 +296,8 @@ def test_criterion_5_simulation_exact_checks(example_analysis, p3h2_analysis):
             failures.append(("p3 factorization", k))
 
     # every one of R short replication paths satisfies the exact battery
-    rep = verify_third_noise(
-        a.limits, a.cliques, lw, replications=R, k=0, window=3,
-        seed=SEED, alpha=ALPHA, check_exact=True,
-    )
+    rep = verify_third_noise(sample_batch(tables, lw, -3, 0, SEED, R), alpha=ALPHA,
+                             check_exact=True)
     exact = [c for c in rep.checks if c.kind == "exact"]
     for c in exact:
         if not c.passed:
@@ -318,20 +319,15 @@ def test_criterion_6_statistical_checks(example_analysis, p3h2_analysis):
 
     a = example_analysis
     lw = RationalMeasure.point(a.cliques.W[0])
-    rep1 = verify_third_noise(
-        a.limits, a.cliques, lw, replications=R, k=0, window=3,
-        seed=SEED, alpha=ALPHA,
-    )
-    rep2 = verify_mono_projection(
-        a.limits, a.cliques, replications=R, k=0, seed=SEED, alpha=ALPHA
-    )
+    batch = sample_batch(path_tables(a.limits, a.cliques), lw, -3, 0, SEED, R)
+    rep1 = verify_third_noise(batch, alpha=ALPHA)
+    rep2 = verify_mono_projection(batch, alpha=ALPHA)
     # the example law has p = 1; the p = 3 instance makes the phase and
     # remote-past checks nondegenerate at the same alpha/R/seed
     b = p3h2_analysis
     lwb = RationalMeasure({b.cliques.W[0]: "1/2", b.cliques.W[1]: "1/2"})
     rep3 = verify_third_noise(
-        b.limits, b.cliques, lwb, replications=R, k=0, window=3,
-        seed=SEED, alpha=ALPHA,
+        sample_batch(path_tables(b.limits, b.cliques), lwb, -3, 0, SEED, R), alpha=ALPHA
     )
     for rep in (rep1, rep2, rep3):
         failing.extend(c.name for c in rep.checks if not c.passed)
@@ -374,8 +370,8 @@ def test_criterion_7_nonstationary_reduction(p3h2_analysis):
         ),
     )
     rep = verify_nonstationary_joint(
-        b.limits, b.cliques, family, replications=R, k_min=-10,
-        seed=SEED, alpha=ALPHA,
+        sample_batch(path_tables(b.limits, b.cliques), family, -10, -7, SEED, R),
+        alpha=ALPHA,
     )
     joint_ok = rep.all_passed
 

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import finevo
 from finevo.cli import main
 
 EXAMPLE_LAW = {
@@ -196,6 +201,33 @@ def test_simulate_rejects_unknown_config_fields(capsys, tmp_path, law_file):
     assert "bogus" in err
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"replications": "100"}, "replications must be an integer, got '100'"),
+    ({"replications": True}, "replications must be an integer, got True"),
+    ({"replications": 1500.0}, "replications must be an integer, got 1500.0"),
+    ({"window": 2.5}, "window must be an integer, got 2.5"),
+    ({"k_min": -3.0}, "k_min must be an integer, got -3.0"),
+    ({"seed": True}, "seed must be an integer, got True"),
+    ({"alpha": None}, "alpha must be a number in (0, 1), got None"),
+    ({"alpha": True}, "alpha must be a number in (0, 1), got True"),
+    ({"mode": "bogus"}, "mode must be stationary or nonstationary, got 'bogus'"),
+    ({"Lambda_W": [1]}, "Lambda_W must be a JSON object, got [1]"),
+    ({"law_file": 5}, "law_file must be a path, got 5"),
+    ({"mode": "nonstationary", "family": {"c": ["1"], "Lambda_W": [1]}},
+     "bad family config"),
+    ([1], "must be a JSON object"),
+])
+def test_config_values_of_the_wrong_type_exit_3(capsys, tmp_path, law_file, fields,
+                                                message):
+    config = tmp_path / "sim.json"
+    if isinstance(fields, dict):
+        fields = {"law_file": law_file, **fields}
+    config.write_text(json.dumps(fields))
+    code, out, err = run(capsys, "simulate", "--config", str(config), "--no-timestamp")
+    assert (code, out) == (3, "")
+    assert message in err
+
+
 def test_verify_includes_oracle_and_cesaro(capsys, law_file):
     code, out, _ = run(
         capsys, "verify", "--law", law_file, "--replications", "2000",
@@ -300,27 +332,44 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-# SHA-256 of stdout from the scalar per-replication sampler that preceded the
-# lock-step one; the reports must stay byte-identical.
-EXAMPLE_2000_SHA = "9ce028909dd6362bf3ac0c964f963444776a9bcfba785b696a1e23199ed0a5ea"
-P3_NONSTATIONARY_2000_SHA = "06abbf4a020d91b279f0f97a6a7df44f24219ea838933804f560a08e19dc2d03"
+P3_H2_LAW = {
+    "n": 6,
+    "generators": [[2, 3, 1, 5, 6, 4], [5, 6, 4, 2, 3, 1]],
+    "weights": ["1/2", "1/2"],
+}
+
+# Exit code and SHA-256 of stdout. The example and nonstationary digests come
+# from the scalar per-replication sampler that preceded the lock-step one, the
+# analyze and verify digests from the Rees decomposition that was completed in
+# two steps; the reports must stay byte-identical. p3_h2 has p = 3 and H != G.
+PINNED_REPORTS = {
+    "example-2000": (
+        ["example", "--replications", "2000", "--seed", "42", "--no-timestamp"], 0,
+        "9ce028909dd6362bf3ac0c964f963444776a9bcfba785b696a1e23199ed0a5ea"),
+    "p3_h2-nonstationary-2000": (
+        ["simulate", "--config", "{config}", "--no-timestamp"], 0,
+        "06abbf4a020d91b279f0f97a6a7df44f24219ea838933804f560a08e19dc2d03"),
+    "cyclic3-analyze": (
+        ["analyze", "--law", "{cyclic3}", "--no-timestamp"], 0,
+        "9b84c147051ec12010f81352dcd8ef75ffcb0e85dd11a7e54666a82028d46497"),
+    "p3_h2-analyze": (
+        ["analyze", "--law", "{p3_h2}", "--no-timestamp"], 0,
+        "ae74cc2a1962730dbc9873d93cd28c4f73df5794d7dc277532802b66353bd495"),
+    "p3_h2-verify-2000": (
+        ["verify", "--law", "{p3_h2}", "--replications", "2000", "--seed", "42",
+         "--no-timestamp"], 0,
+        "40d73e32a3835460993c724506d2b78543dd33be0b8bf32da84c844738a1a223"),
+}
 EXAMPLE_MAX_SEED_2000_SHA = "6e316e25221281a48b36bc9b1826a8be44268c00bb0eb7d7a2c699a1ee6ce9be"
 
 
-def test_pinned_report_bytes(capsys, tmp_path):
-    code, out, _ = run(capsys, "example", "--replications", "2000", "--seed", "42",
-                       "--no-timestamp")
-    assert (code, _sha256(out)) == (0, EXAMPLE_2000_SHA)
-
-    law_path = tmp_path / "p3_h2.json"
-    law_path.write_text(json.dumps({
-        "n": 6,
-        "generators": [[2, 3, 1, 5, 6, 4], [5, 6, 4, 2, 3, 1]],
-        "weights": ["1/2", "1/2"],
-    }))
-    config = tmp_path / "nonstationary.json"
-    config.write_text(json.dumps({
-        "law_file": str(law_path), "mode": "nonstationary", "k_min": -40,
+@pytest.mark.parametrize("argv, code, sha", PINNED_REPORTS.values(), ids=PINNED_REPORTS)
+def test_pinned_report_bytes(capsys, tmp_path, argv, code, sha):
+    files = {"cyclic3": {"n": 3, "generators": [[2, 3, 1]], "weights": ["1"]},
+             "p3_h2": P3_H2_LAW}
+    paths = {name: str(tmp_path / f"{name}.json") for name in (*files, "config")}
+    files["config"] = {
+        "law_file": paths["p3_h2"], "mode": "nonstationary", "k_min": -40,
         "k_max": 0, "replications": 2000, "seed": 42, "alpha": 0.001, "window": 3,
         "family": {
             "c": ["1/2", "1/3", "1/6"],
@@ -330,9 +379,12 @@ def test_pinned_report_bytes(capsys, tmp_path):
                 {"(1,2,3,4,6,5)": "1"},
             ],
         },
-    }))
-    code, out, _ = run(capsys, "simulate", "--config", str(config), "--no-timestamp")
-    assert (code, _sha256(out)) == (0, P3_NONSTATIONARY_2000_SHA)
+    }
+    for name, obj in files.items():
+        with open(paths[name], "w") as fh:
+            json.dump(obj, fh)
+    got_code, out, _ = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert (got_code, _sha256(out)) == (code, sha)
 
 
 def test_seed_range(capsys):
@@ -345,3 +397,12 @@ def test_seed_range(capsys):
     code, out, _ = run(capsys, "example", "--replications", "2000", "--seed",
                        str(2**64 - 1), "--no-timestamp")
     assert (code, _sha256(out)) == (0, EXAMPLE_MAX_SEED_2000_SHA)
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # the p-values need only scipy.special, a much smaller import
+    src = str(Path(finevo.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, finevo.cli; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

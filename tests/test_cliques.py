@@ -11,7 +11,6 @@ from finevo.cliques import (
     f_cliques,
     invariant_law,
     is_deadlock,
-    project_tuple,
     stable_under_all,
 )
 from finevo.errors import ClassificationError, InputError
@@ -46,8 +45,8 @@ def test_every_pair_under_identity_semigroup_is_deadlocked():
 def test_f_cliques_golden(example_analysis):
     a = example_analysis
     assert a.cliques.f_cliques == ((1, 3, 5), (2, 4, 5))
-    assert f_cliques(a.semigroup, a.kernel) == [(1, 3, 5), (2, 4, 5)]
-    assert all(len(c) == a.m_mu for c in a.cliques.f_cliques)
+    assert f_cliques(a.semigroup, a.rd.kernel) == [(1, 3, 5), (2, 4, 5)]
+    assert all(len(c) == a.cliques.m_mu for c in a.cliques.f_cliques)
 
 
 def test_f_cliques_of_permutation_group():
@@ -100,18 +99,18 @@ def test_transitive_group_has_all_orderings():
 
 def test_projection_golden(example_analysis):
     a = example_analysis
-    assert project_tuple(a.rd, a.cliques, (3, 5, 1)) == (FE, GH, (2, 4, 5))
-    assert project_tuple(a.rd, a.cliques, (2, 4, 5)) == (E, E, (2, 4, 5))
+    assert a.cliques.project_index((3, 5, 1)) == (FE, GH, (2, 4, 5))
+    assert a.cliques.project_index((2, 4, 5)) == (E, E, (2, 4, 5))
     g = Transformation([2, 5, 5, 2, 4])
-    assert project_tuple(a.rd, a.cliques, (5, 2, 4)) == (E, g, (2, 4, 5))
+    assert a.cliques.project_index((5, 2, 4)) == (E, g, (2, 4, 5))
     with pytest.raises(InputError):
-        project_tuple(a.rd, a.cliques, (1, 2, 3))
+        a.cliques.project_index((1, 2, 3))
 
 
 def test_projection_round_trip(example_analysis):
     a = example_analysis
     for x in a.cliques.W_mu:
-        l, g, w = project_tuple(a.rd, a.cliques, x)
+        l, g, w = a.cliques.project_index(x)
         assert (l * g).apply(w) == x
 
 
@@ -218,11 +217,11 @@ def test_rank_and_clique_kernel_criteria_agree(example_analysis, fuzz_analyses):
     analyses, _ = fuzz_analyses
     for a in [example_analysis] + analyses[:40]:
         cliques = set(a.cliques.f_cliques)
-        kset = set(a.kernel)
+        kset = set(a.rd.kernel)
         for g in a.semigroup:
             in_by_rank = g in kset
             in_by_clique = tuple(sorted(g.image_set())) in cliques and (
-                g.rank() == a.m_mu
+                g.rank() == a.cliques.m_mu
             )
             image_is_clique = tuple(sorted(g.image_set())) in cliques
             assert in_by_rank == image_is_clique == in_by_clique
@@ -260,5 +259,5 @@ def test_compute_W_on_trivial_semigroup():
     assert cd.m_mu == 3
     assert len(cd.W_mu) == 6
     assert cd.W == cd.eW_mu == cd.W_mu  # trivial group: all orbits are singletons
-    fresh = compute_W(a.semigroup, a.kernel, a.rd)
+    fresh = compute_W(a.semigroup, a.rd.kernel, a.rd)
     assert fresh.W == cd.W

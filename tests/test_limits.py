@@ -11,15 +11,20 @@ from finevo.limits import (
     float_limit_oracle,
     left_factor,
     left_stationary,
-    period_and_subgroup,
     right_stationary,
     solve_stationary,
 )
 from finevo.measure import MappingLaw, RationalMeasure, convolve, measure_product
-from finevo.semigroup import left_states, project
+from finevo.semigroup import left_states, project, rees_at
 from finevo.transform import Transformation
 from fuzzlaws import cyclic3_law, p3_h2_law
-from oracles import cesaro_first_order, float_stationary, two_term_residual
+from oracles import (
+    cesaro_first_order,
+    float_stationary,
+    float_step,
+    float_sup_distance,
+    two_term_residual,
+)
 
 E = Transformation([4, 2, 2, 4, 5])
 FE = Transformation([1, 3, 3, 1, 5])
@@ -131,14 +136,14 @@ def test_nu_expands_as_triple_product(example_analysis):
     omega_G = RationalMeasure.uniform(a.rd.G)
     assert lim.nu == measure_product([lim.eta_L, omega_G, lim.eta_R])
     sixth = Fraction(1, len(a.rd.G))
-    for z in a.kernel:
+    for z in a.rd.kernel:
         l, g, r = project(a.rd, z)
         assert lim.nu[z] == lim.eta_L[l] * sixth * lim.eta_R[r]
 
 
 def test_supports(example_analysis):
     a = example_analysis
-    assert set(a.limits.nu.support()) == set(a.kernel)
+    assert set(a.limits.nu.support()) == set(a.rd.kernel)
     lhr = {l * h * r for l in a.rd.L for h in a.rd.H for r in a.rd.R}
     assert set(a.limits.eta.support()) == lhr
 
@@ -187,7 +192,7 @@ def test_float_oracle_survives_oscillating_transients():
 
 
 def test_vectorized_iteration_matches_naive_steps(example_analysis):
-    from finevo.limits import _indexed_iteration, float_step, float_sup_distance
+    from finevo.limits import _indexed_iteration
 
     law = example_analysis.law
     elements, vec, step = _indexed_iteration(law)
@@ -242,22 +247,26 @@ def test_cesaro_expansion_on_periodic_corpus_laws(fuzz_analyses):
 
 
 def test_assemble_rejects_wrong_subgroup(example_analysis):
+    from dataclasses import replace
+
     from finevo.errors import StructuralInconsistencyError
-    from finevo.semigroup import complete_rees
 
     a = example_analysis
-    base = analyze_law(a.law)  # fresh rd without relying on fixture internals
+    e = a.rd.e
+    # H = {e} is a valid normal subgroup but gives the wrong eta
+    wrong = replace(a.rd, H=(e,), gamma=e, C=(e,), p=1, coset_of={e: 0})
     with pytest.raises(StructuralInconsistencyError):
-        # H = {e} is a valid normal subgroup but gives the wrong eta
-        wrong = complete_rees(base.rd, H=[base.rd.e], gamma=base.rd.e, p=1)
-        assemble_limits(base.law, wrong, base.limits.eta_L, base.limits.eta_R)
+        assemble_limits(a.law, wrong, a.limits.eta_L, a.limits.eta_R)
 
 
-def test_period_and_subgroup_direct(example_analysis):
+def test_period_and_subgroup_direct(example_analysis, p3h2_analysis):
+    # the left walk on Ke gives p, H and gamma; only the generators matter
     a = example_analysis
-    fresh = analyze_law(a.law)
-    p, H, gamma = period_and_subgroup(fresh.law, fresh.rd)
-    assert (p, set(H), gamma) == (1, set(a.rd.G), E)
+    rd = rees_at(a.semigroup, a.rd.kernel, a.rd.e)
+    assert (rd.p, set(rd.H), rd.gamma) == (1, set(a.rd.G), E)
+    b = p3h2_analysis
+    assert (b.rd.p, len(b.rd.H), len(b.rd.G)) == (3, 2, 6)
+    assert b.rd.gamma == min(g for g in b.rd.G if b.rd.coset_of[g] == 1 and g**3 == b.rd.e)
 
 
 def test_left_right_solvers_agree_with_invariance(p3h2_analysis):

@@ -1,16 +1,11 @@
+import re
+
 import pytest
 
-from finevo.errors import InputError, ResourceLimitError
+from finevo import semigroup
+from finevo.errors import InputError, ResourceLimitError, StructuralInconsistencyError
 from finevo.measure import MappingLaw
-from finevo.semigroup import (
-    complete_rees,
-    coset_structure,
-    generate,
-    idempotents,
-    kernel,
-    project,
-    rees_at,
-)
+from finevo.semigroup import generate, kernel, left_states, project, rees_at
 from finevo.transform import Transformation
 from oracles import brute_force_closure, brute_force_minimal_ideal
 
@@ -67,11 +62,8 @@ def test_canonical_order_starts_with_generators(S):
 
 
 def test_product_table_closed(S):
-    size = len(S)
-    table = S.product_table
-    assert all(0 <= table[i][j] < size for i in range(size) for j in range(size))
-    # spot-check against direct composition
-    assert S.elements[S.product(0, 1)] == F * G
+    assert all(f * g in S for f in S for g in S)
+    assert S.elements[S.index[F * G]] == F * G
 
 
 def test_word_for_reconstructs(S):
@@ -85,7 +77,7 @@ def test_word_for_reconstructs(S):
 
 
 def test_idempotents_golden(S):
-    idem = idempotents(S)
+    idem = [f for f in S if f.is_idempotent()]
     assert E in idem
     assert FE in idem and FE * FE == FE
     assert EF in idem and EF * EF == EF
@@ -94,7 +86,7 @@ def test_idempotents_golden(S):
 
 def test_idempotents_of_a_permutation_group():
     S = generate([Transformation([2, 3, 1])])
-    assert idempotents(S) == [Transformation.identity(3)]
+    assert [f for f in S if f.is_idempotent()] == [Transformation.identity(3)]
 
 
 def test_kernel_matches_minimal_ideal_oracle(S, K):
@@ -191,11 +183,11 @@ def test_trivial_kernel_decomposition():
 
 
 def test_coset_structure_single_coset(rd):
-    completed = complete_rees(rd, H=rd.G, gamma=E, p=1)
-    cosets = coset_structure(completed)
-    assert len(cosets) == 1 and set(cosets[0]) == set(rd.G)
-    assert completed.gamma_power(-3) == E
-    c, h = completed.ch_split(G)
+    # the example law has period 1: H = G and gamma = e
+    assert (rd.p, set(rd.H), rd.gamma, rd.C) == (1, set(rd.G), E, (E,))
+    assert rd.coset_of == {g: 0 for g in rd.G}
+    assert rd.gamma_power(-3) == E
+    c, h = rd.ch_split(G)
     assert c == E and h == G
 
 
@@ -204,8 +196,30 @@ def test_coset_structure_cyclic_group():
     S = generate([g])
     K = kernel(S)
     rd = rees_at(S, K, Transformation.identity(3))
-    completed = complete_rees(rd, H=[Transformation.identity(3)], gamma=g, p=3)
-    cosets = coset_structure(completed)
-    assert [len(c) for c in cosets] == [1, 1, 1]
-    assert completed.gamma_power(2) == g * g
-    assert completed.gamma_power(-1) == g * g
+    assert (rd.p, rd.H, rd.gamma) == (3, (Transformation.identity(3),), g)
+    assert rd.coset_of == {Transformation.identity(3): 0, g: 1, g * g: 2}
+    assert rd.gamma_power(2) == g * g
+    assert rd.gamma_power(-1) == g * g
+
+
+S3 = {"e": E, "g": G, "g2": G ** 2, "h": H, "gh": G * H, "g2h": (G ** 2) * H}
+
+
+@pytest.mark.parametrize("p, parts, message", [
+    (3, ("e", "g h"), "|H| * p != |G|"),
+    (2, ("g g2 h", "e gh g2h"), "H does not contain the unit"),
+    (2, ("e g h", "g2 gh g2h"), "H is not closed under products"),
+    (3, ("e h", "g gh"), "H is not normal in G"),
+    (2, ("e g g2", "h gh"), "successor coset has wrong size"),
+    (2, ("e g g2", "e g g2"), "cosets of H are not disjoint"),
+])
+def test_rees_at_rejects_a_wrong_coset_structure(S, K, monkeypatch, p, parts, message):
+    """Cyclic classes whose G-parts are not the cosets of a normal subgroup
+    fail the coset checks (the walk of the example law has p = 1)."""
+    states = left_states(rees_at(S, K, E))
+    classes = [[z for z in states if E * z * E in {S3[x] for x in part.split()}]
+               for part in parts]
+    monkeypatch.setattr(semigroup, "chain_period_and_classes",
+                        lambda *args: (p, classes + [[]] * (p - len(classes))))
+    with pytest.raises(StructuralInconsistencyError, match=re.escape(message)):
+        rees_at(S, K, E)

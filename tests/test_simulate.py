@@ -13,8 +13,6 @@ from finevo.simulate import (
     path_tables,
     philox_uniforms,
     sample_batch,
-    sample_nonstationary,
-    sample_stationary,
     verify_factorization,
     verify_mono_projection,
     verify_nonstationary_joint,
@@ -25,11 +23,17 @@ from finevo.transform import Transformation
 from oracles import ScalarReference, scalar_draw
 
 
+def one_path(a, initial, k_min, k_max, seed):
+    """A single path: row 0 of a one-replication batch."""
+    return sample_batch(path_tables(a.limits, a.cliques), initial, k_min, k_max, seed,
+                        1).path(0)
+
+
 @pytest.fixture(scope="module")
 def example_path(example_analysis):
     a = example_analysis
     lw = RationalMeasure.point(a.cliques.W[0])
-    return sample_stationary(a.limits, a.cliques, lw, -1000, 0, seed=42)
+    return one_path(a, lw, -1000, 0, 42)
 
 
 def test_path_shape(example_path):
@@ -68,7 +72,7 @@ def test_factorization_all_pairs(example_analysis, example_path):
 def test_factorization_on_short_path(example_analysis):
     a = example_analysis
     lw = RationalMeasure.point(a.cliques.W[0])
-    path = sample_stationary(a.limits, a.cliques, lw, -1, 0, seed=3)
+    path = one_path(a, lw, -1, 0, 3)
     check = verify_factorization(path, a.limits, 0)
     assert check.passed
     # single step reduces to X_k = X_k^L X_k^G Z_W
@@ -79,9 +83,9 @@ def test_factorization_on_short_path(example_analysis):
 def test_seed_reproducibility(example_analysis):
     a = example_analysis
     lw = RationalMeasure.point(a.cliques.W[0])
-    p1 = sample_stationary(a.limits, a.cliques, lw, -50, 0, seed=7)
-    p2 = sample_stationary(a.limits, a.cliques, lw, -50, 0, seed=7)
-    p3 = sample_stationary(a.limits, a.cliques, lw, -50, 0, seed=8)
+    p1 = one_path(a, lw, -50, 0, 7)
+    p2 = one_path(a, lw, -50, 0, 7)
+    p3 = one_path(a, lw, -50, 0, 8)
     assert p1.X == p2.X and p1.N == p2.N
     assert p1.X != p3.X or p1.N != p3.N
 
@@ -90,12 +94,11 @@ def test_seed_validation(example_analysis):
     a = example_analysis
     lw = RationalMeasure.point(a.cliques.W[0])
     with pytest.raises(InputError):
-        sample_stationary(a.limits, a.cliques, lw, -10, 0, seed=-1)
+        one_path(a, lw, -10, 0, -1)
     with pytest.raises(InputError):
-        sample_stationary(a.limits, a.cliques, lw, 0, 0, seed=1)
+        one_path(a, lw, 0, 0, 1)
     with pytest.raises(InputError):
-        sample_stationary(a.limits, a.cliques, RationalMeasure.point((1, 2, 3)),
-                          -10, 0, seed=1)
+        one_path(a, RationalMeasure.point((1, 2, 3)), -10, 0, 1)
 
 
 def test_deterministic_dynamics_constant_path(example_analysis):
@@ -103,7 +106,7 @@ def test_deterministic_dynamics_constant_path(example_analysis):
                                 "weights": ["1"]})
     a = analyze_law(law)
     lw = RationalMeasure.uniform(a.cliques.W)
-    path = sample_stationary(a.limits, a.cliques, lw, -20, 0, seed=11)
+    path = one_path(a, lw, -20, 0, 11)
     assert len(set(path.X)) == 1  # e acts as the identity on its cliques
 
 
@@ -113,7 +116,7 @@ def test_empirical_left_factor_frequency(example_analysis):
     a = example_analysis
     fe = Transformation([1, 3, 3, 1, 5])
     lw = RationalMeasure.point(a.cliques.W[0])
-    path = sample_stationary(a.limits, a.cliques, lw, 0, 10_000, seed=42)
+    path = one_path(a, lw, 0, 10_000, 42)
     freq = sum(1 for l in path.X_L if l == fe) / len(path.X_L)
     assert abs(freq - 1 / 3) < 0.02
 
@@ -121,10 +124,8 @@ def test_empirical_left_factor_frequency(example_analysis):
 def test_third_noise_battery_on_example(example_analysis):
     a = example_analysis
     lw = RationalMeasure.point(a.cliques.W[0])
-    report = verify_third_noise(
-        a.limits, a.cliques, lw, replications=2000, k=0, window=3,
-        seed=42, alpha=0.001, check_exact=True,
-    )
+    batch = sample_batch(path_tables(a.limits, a.cliques), lw, -3, 0, 42, 2000)
+    report = verify_third_noise(batch, alpha=0.001, check_exact=True)
     assert report.all_passed
     names = [c.name for c in report.checks]
     assert "U^H_k uniform on H" in names
@@ -138,10 +139,8 @@ def test_third_noise_battery_on_example(example_analysis):
 def test_third_noise_on_p3_instance(p3h2_analysis):
     a = p3h2_analysis
     lw = RationalMeasure({a.cliques.W[0]: "1/2", a.cliques.W[1]: "1/2"})
-    report = verify_third_noise(
-        a.limits, a.cliques, lw, replications=3000, k=0, window=3,
-        seed=42, alpha=0.001,
-    )
+    batch = sample_batch(path_tables(a.limits, a.cliques), lw, -3, 0, 42, 3000)
+    report = verify_third_noise(batch, alpha=0.001)
     assert report.all_passed
     by_name = {c.name: c for c in report.checks}
     assert by_name["U^H_k uniform on H"].df == 1
@@ -153,16 +152,29 @@ def test_third_noise_on_p3_instance(p3h2_analysis):
 def test_third_noise_requires_enough_replications(example_analysis):
     a = example_analysis
     lw = RationalMeasure.point(a.cliques.W[0])
-    with pytest.raises(InputError):
-        verify_third_noise(a.limits, a.cliques, lw, replications=100,
-                           seed=1, alpha=0.001)
+    tables = path_tables(a.limits, a.cliques)
+    with pytest.raises(InputError, match="at least 1000 replications"):
+        verify_third_noise(sample_batch(tables, lw, -3, 0, 1, 100), alpha=0.001)
+
+
+def test_verifiers_reject_the_other_kind_of_batch(example_analysis):
+    a = example_analysis
+    lw = RationalMeasure.point(a.cliques.W[0])
+    tables = path_tables(a.limits, a.cliques)
+    family = InvariantFamily(limits=a.limits, c=(Fraction(1),), Lambda_W=(lw,))
+    with pytest.raises(InputError, match="needs a stationary batch"):
+        verify_third_noise(sample_batch(tables, family, -3, 0, 1, 1000))
+    with pytest.raises(InputError, match="needs a stationary batch"):
+        verify_mono_projection(sample_batch(tables, family, -3, 0, 1, 1000))
+    with pytest.raises(InputError, match="drawn from a family"):
+        verify_nonstationary_joint(sample_batch(tables, lw, -3, 0, 1, 1000))
 
 
 def test_mono_projection_battery(example_analysis):
     a = example_analysis
-    report = verify_mono_projection(
-        a.limits, a.cliques, replications=2000, k=0, seed=42, alpha=0.001
-    )
+    lw = RationalMeasure.point(a.cliques.W[0])
+    batch = sample_batch(path_tables(a.limits, a.cliques), lw, -3, 0, 42, 2000)
+    report = verify_mono_projection(batch, alpha=0.001)
     assert report.all_passed
     exact = [c for c in report.checks if c.kind == "exact"]
     assert exact and all(c.passed for c in exact)
@@ -170,9 +182,10 @@ def test_mono_projection_battery(example_analysis):
 
 def test_mono_projection_rejects_other_laws(p3h2_analysis):
     a = p3h2_analysis
+    lw = RationalMeasure.uniform(a.cliques.W)
+    batch = sample_batch(path_tables(a.limits, a.cliques), lw, -3, 0, 1, 2000)
     with pytest.raises(InputError):
-        verify_mono_projection(a.limits, a.cliques, replications=2000,
-                               seed=1, alpha=0.001)
+        verify_mono_projection(batch, alpha=0.001)
 
 
 def test_nonstationary_single_term_reduces_to_stationary(example_analysis):
@@ -182,7 +195,7 @@ def test_nonstationary_single_term_reduces_to_stationary(example_analysis):
         c=(Fraction(1),),
         Lambda_W=(RationalMeasure.point(a.cliques.W[0]),),
     )
-    path = sample_nonstationary(a.limits, a.cliques, family, -200, 0, seed=5)
+    path = one_path(a, family, -200, 0, 5)
     checks = verify_path_exact(path, a.limits, a.cliques)
     assert all(c.passed for c in checks)
 
@@ -196,7 +209,7 @@ def test_nonstationary_deterministic_phase(p3h2_analysis):
         Lambda_W=(RationalMeasure.point(w),) * 3,
     )
     for seed in range(5):
-        path = sample_nonstationary(a.limits, a.cliques, family, -30, 0, seed=seed)
+        path = one_path(a, family, -30, 0, seed)
         assert path.Y_C == a.rd.gamma_power(0)  # i = 0 forced
         assert path.Z_W == w
         for i, c in enumerate(path.X_C):
@@ -215,10 +228,8 @@ def test_nonstationary_joint_frequencies(p3h2_analysis):
             RationalMeasure.point(w1),
         ),
     )
-    report = verify_nonstationary_joint(
-        a.limits, a.cliques, family, replications=4000, k_min=-10,
-        seed=42, alpha=0.001,
-    )
+    batch = sample_batch(path_tables(a.limits, a.cliques), family, -10, -7, 42, 4000)
+    report = verify_nonstationary_joint(batch, alpha=0.001)
     assert report.all_passed
     check = report.checks[0]
     assert check.df == 3  # four reachable (phase, w) cells
@@ -243,7 +254,7 @@ def test_estimate_Te_windows_of_200(example_analysis):
     found = 0
     total = 200
     for r in range(total):
-        path = sample_stationary(a.limits, a.cliques, lw, -200, 0, seed=42 ^ r)
+        path = one_path(a, lw, -200, 0, 42 ^ r)
         if estimate_Te(path, 0, a.e_word) is not None:
             found += 1
     assert found == total
@@ -254,7 +265,7 @@ def test_estimate_Te_deterministic_law():
                                 "weights": ["1"]})
     a = analyze_law(law)
     lw = RationalMeasure.uniform(a.cliques.W)
-    path = sample_stationary(a.limits, a.cliques, lw, -50, 0, seed=1)
+    path = one_path(a, lw, -50, 0, 1)
     assert a.e_word == [a.rd.e]
     # every position carries the witness; T^e_k is the largest admissible l
     assert estimate_Te(path, 0, a.e_word) == -2
@@ -265,7 +276,7 @@ def test_Te_tail_decays_geometrically(example_analysis):
     lw = RationalMeasure.point(a.cliques.W[0])
     gaps = []
     for r in range(400):
-        path = sample_stationary(a.limits, a.cliques, lw, -120, 0, seed=9000 ^ r)
+        path = one_path(a, lw, -120, 0, 9000 ^ r)
         te = estimate_Te(path, 0, a.e_word)
         assert te is not None
         gaps.append(-te)
@@ -287,7 +298,7 @@ def test_one_time_law_matches_invariant_marginal(example_analysis):
     counts = {}
     reps = 3000
     for r in range(reps):
-        path = sample_stationary(a.limits, a.cliques, lw, -3, 0, seed=42 ^ r)
+        path = one_path(a, lw, -3, 0, 42 ^ r)
         x = path.x_at(0)
         counts[x] = counts.get(x, 0) + 1
     expected = {x: w for x, w in lam.items()}
@@ -300,10 +311,8 @@ def test_degenerate_H_auto_passes():
 
     a = analyze_law(cyclic3_law())
     lw = RationalMeasure.uniform(a.cliques.W)
-    report = verify_third_noise(
-        a.limits, a.cliques, lw, replications=1000, k=0, window=2,
-        seed=42, alpha=0.001,
-    )
+    batch = sample_batch(path_tables(a.limits, a.cliques), lw, -2, 0, 42, 1000)
+    report = verify_third_noise(batch, alpha=0.001)
     by_name = {c.name: c for c in report.checks}
     assert by_name["U^H_k uniform on H"].passed
     assert "degenerate" in by_name["U^H_k uniform on H"].note
@@ -316,7 +325,7 @@ def test_degenerate_H_auto_passes():
 def test_mixing_trend(example_analysis):
     a = example_analysis
     f = a.rd.e
-    h = a.kernel[0]
+    h = a.rd.kernel[0]
     stats = {}
     for n in (5, 20, 50):
         check = mixing_uniformity(
@@ -397,11 +406,10 @@ def test_stationary_counts_match_scalar_reference(name, request, tested_counts):
     lw = RationalMeasure.uniform(a.cliques.W)
     ref = ScalarReference(a.limits, a.cliques.W)
     want, rows = _third_noise_reference(ref, lw, 42)
-    verify_third_noise(a.limits, a.cliques, lw, replications=REPS, k=0, window=3,
-                       seed=42, alpha=0.001)
+    batch = sample_batch(path_tables(a.limits, a.cliques), lw, -3, 0, 42, REPS)
+    verify_third_noise(batch, alpha=0.001)
     assert tested_counts == want
 
-    batch = sample_batch(path_tables(a.limits, a.cliques), lw, -3, 0, 42, REPS)
     for r in (0, 1, REPS // 2, REPS - 1):
         path = batch.path(r)
         assert path.X == rows[r]["X"] and path.N == rows[r]["N"]
@@ -415,11 +423,12 @@ def test_mono_and_mixing_counts_match_scalar_reference(example_analysis, tested_
     want = {}
     for r in range(REPS):
         _add(want, ref.stationary(lw, -3, 0, 42 ^ r)["X"][-1][0])
-    verify_mono_projection(a.limits, a.cliques, replications=REPS, k=0, seed=42,
-                           alpha=0.001)
+    verify_mono_projection(
+        sample_batch(path_tables(a.limits, a.cliques), lw, -3, 0, 42, REPS), alpha=0.001
+    )
     assert tested_counts == [want]
 
-    f, h, n = a.rd.e, a.kernel[0], 20
+    f, h, n = a.rd.e, a.rd.kernel[0], 20
     want = {}
     for r in range(REPS):
         rng = np.random.Generator(np.random.Philox(key=7 ^ r))
@@ -448,10 +457,12 @@ def test_nonstationary_counts_match_scalar_reference(p3h2_analysis, tested_count
     for r in range(REPS):
         row = ref.nonstationary(family, -10, -7, 42 ^ r)
         _add(want, (row["Y_C"], row["Z_W"]))
-    verify_nonstationary_joint(a.limits, a.cliques, family, replications=REPS,
-                               k_min=-10, seed=42, alpha=0.001)
+    verify_nonstationary_joint(
+        sample_batch(path_tables(a.limits, a.cliques), family, -10, -7, 42, REPS),
+        alpha=0.001,
+    )
     assert tested_counts == [want]
-    path = sample_nonstationary(a.limits, a.cliques, family, -10, 30, seed=42 ^ 5)
+    path = one_path(a, family, -10, 30, 42 ^ 5)
     row = ref.nonstationary(family, -10, 30, 42 ^ 5)
     assert (path.X, path.N, path.Y_C, path.Z_W) == (row["X"], row["N"], row["Y_C"], row["Z_W"])
 
@@ -463,22 +474,7 @@ def test_nonstationary_paths_match_scalar_reference(example_analysis):
                              Lambda_W=(RationalMeasure.point(a.cliques.W[0]),))
     ref = ScalarReference(a.limits, a.cliques.W)
     for seed in range(40):
-        path = sample_nonstationary(a.limits, a.cliques, family, -4, 0, seed=seed)
+        path = one_path(a, family, -4, 0, seed)
         row = ref.nonstationary(family, -4, 0, seed)
         assert (path.X, path.N) == (row["X"], row["N"])
 
-
-def test_a_shared_batch_must_match_the_window(example_analysis):
-    a = example_analysis
-    lw = RationalMeasure.point(a.cliques.W[0])
-    batch = sample_batch(path_tables(a.limits, a.cliques), lw, -3, 0, 42, 1000)
-    shared = verify_third_noise(a.limits, a.cliques, lw, replications=1000, seed=42,
-                                batch=batch)
-    fresh = verify_third_noise(a.limits, a.cliques, lw, replications=1000, seed=42)
-    assert [c.to_json() for c in shared.checks] == [c.to_json() for c in fresh.checks]
-    with pytest.raises(InputError):
-        verify_third_noise(a.limits, a.cliques, lw, replications=1000, seed=43,
-                           batch=batch)
-    with pytest.raises(InputError):
-        verify_mono_projection(a.limits, a.cliques, replications=1000, window=2,
-                               seed=42, batch=batch)
