@@ -9,9 +9,8 @@ from .errors import StructuralInconsistencyError
 from .limits import (
     CyclicLimit,
     assemble_limits,
-    left_factor,
+    boundary_factor,
     left_stationary,
-    right_factor,
     right_stationary,
 )
 from .measure import MappingLaw, RationalMeasure
@@ -60,8 +59,8 @@ def analyze_law(law: MappingLaw, *, cap: int = DEFAULT_ELEMENT_CAP) -> Analysis:
     rd = rees_at(semigroup, ker, e)
 
     beta_left = left_stationary(law, rd)
-    eta_L = left_factor(rd, beta_left)
-    eta_R = right_factor(rd, right_stationary(law, rd))
+    eta_L = boundary_factor(rd, beta_left, left=True)
+    eta_R = boundary_factor(rd, right_stationary(law, rd), left=False)
     limits = assemble_limits(law, rd, eta_L, eta_R)
     cliques = compute_W(semigroup, ker, rd)
     e_word = semigroup.word_for(e)

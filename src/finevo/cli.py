@@ -164,6 +164,10 @@ def _load_sim_config(args) -> dict:
         raise InputError(f"mode must be stationary or nonstationary, got {config['mode']!r}")
     if not isinstance(config["Lambda_W"], (dict, type(None))):
         raise InputError(f"Lambda_W must be a JSON object, got {config['Lambda_W']!r}")
+    other = "family" if config["mode"] == "stationary" else "Lambda_W"
+    if config[other] is not None:
+        raise InputError(f"{other} is a field of the other mode; "
+                         f"{config['mode']} runs take no {other}")
     if config["replications"] < 1:
         raise InputError("replications must be >= 1")
     if config["k_min"] >= config["k_max"]:
@@ -289,7 +293,8 @@ def cmd_verify(args) -> int:
     analysis = analyze_law(law, cap=args.cap)
 
     verification = _run_simulation_battery(analysis, config)
-    est = float_limit_oracle(law, max_lag=max(64, len(analysis.rd.G)))
+    est = float_limit_oracle(law, max_lag=max(64, len(analysis.rd.G)),
+                             semigroup=analysis.semigroup)
     if not est.converged:
         verification.add(Check("float limit oracle converged", "exact", False))
         eta_err = nu_err = float("nan")
@@ -322,7 +327,7 @@ def cmd_verify(args) -> int:
     }
     # informational: the literal running average converges like C/n, far
     # slower than the cycle average checked above
-    avg = cesaro_average(law, 10_000)
+    avg = cesaro_average(law, 10_000, analysis.semigroup)
     report["cesaro"] = {
         "n": 10_000,
         "sup_error_vs_nu": exact_vs_float_sup(analysis.limits.nu, avg),

@@ -5,7 +5,10 @@ elements keep positive mass forever), so the limit cycle is computed
 structurally: stationary solves on the left/right kernel walks give the
 boundary factors, the Rees decomposition gives the period p, the subgroup H
 and the coset generator gamma, and the cycle is assembled from the
-closed-form factorization. A double-precision power iteration is
+closed-form factorization. The walks on Ke = LG and eK = GR are solved on
+their boundary factors L and R alone: the group acts on their G-fibres by
+permutations that commute with the walk, so the stationary laws are exactly
+eta_L x omega_G and omega_G x eta_R. A double-precision power iteration is
 kept as an independent cross-check.
 """
 
@@ -18,7 +21,7 @@ import numpy as np
 
 from .errors import StructuralInconsistencyError
 from .measure import MappingLaw, RationalMeasure, convolve, measure_product
-from .semigroup import ReesData, generate, left_states, project, right_states
+from .semigroup import ReesData, Semigroup, generate, project
 
 
 def _pivot_size(value: Fraction) -> int:
@@ -71,63 +74,57 @@ def solve_stationary(matrix: list) -> list:
     return pi
 
 
-def _stationary_measure(states, step_pairs) -> RationalMeasure:
-    """Stationary law of the walk state -> f*state (or state*f).
+def _fibre_stationary(law: MappingLaw, rd: ReesData, left: bool) -> RationalMeasure:
+    """Stationary law of z -> f*z on Ke = LG (or z -> z*f on eK = GR),
+    solved on the boundary factor L (or R) and lifted over the G-fibres.
 
-    ``step_pairs`` yields (state, next_state, weight) triples.
+    Multiplying by h in G on the group side (z -> z*h on Ke, z -> h*z on eK)
+    permutes the states and commutes with the walk, so the walk's unique
+    stationary law is constant on each fibre l*G (or G*r). Its L-marginal is
+    the stationary law eta_L of the quotient walk l -> (f*l)_L, and the law
+    is beta(l*g) = eta_L(l) / |G|; mirror-wise beta(g*r) = eta_R(r) / |G|.
     """
-    index = {s: i for i, s in enumerate(states)}
-    m = len(states)
-    matrix = [[Fraction(0)] * m for _ in range(m)]
-    for s, t, w in step_pairs:
-        matrix[index[s]][index[t]] += w
+    side, coord = (rd.L, 0) if left else (rd.R, 2)
+    index = {b: i for i, b in enumerate(side)}
+    matrix = [[Fraction(0)] * len(side) for _ in side]
+    for b in side:
+        for f, w in law.measure.items():
+            image = project(rd, f * b if left else b * f)[coord]
+            matrix[index[b]][index[image]] += w
     pi = solve_stationary(matrix)
-    return RationalMeasure({s: pi[index[s]] for s in states if pi[index[s]] > 0})
+    return RationalMeasure({
+        (b * g if left else g * b): pi[i] / len(rd.G)
+        for i, b in enumerate(side) for g in rd.G
+    })
 
 
 def left_stationary(law: MappingLaw, rd: ReesData) -> RationalMeasure:
-    """The unique law beta on Ke fixed under beta -> mu * beta."""
-    states = left_states(rd)
-    pairs = [
-        (z, f * z, w)
-        for z in states
-        for f, w in law.measure.items()
-    ]
-    beta = _stationary_measure(states, pairs)
+    """The unique law beta on Ke fixed under beta -> mu * beta: eta_L x
+    omega_G from the |L|-state quotient walk (``_fibre_stationary``),
+    verified mu-invariant exactly, and unique because ``rees_at`` verified
+    the left walk irreducible."""
+    beta = _fibre_stationary(law, rd, left=True)
     if convolve(law.measure, beta) != beta:
         raise StructuralInconsistencyError("left stationary law is not mu-invariant")
     return beta
 
 
 def right_stationary(law: MappingLaw, rd: ReesData) -> RationalMeasure:
-    """The unique law on eK fixed under beta -> beta * mu."""
-    states = right_states(rd)
-    pairs = [
-        (z, z * f, w)
-        for z in states
-        for f, w in law.measure.items()
-    ]
-    beta = _stationary_measure(states, pairs)
+    """The unique law on eK fixed under beta -> beta * mu: omega_G x eta_R
+    from the |R|-state quotient walk, verified as in ``left_stationary``."""
+    beta = _fibre_stationary(law, rd, left=False)
     if convolve(beta, law.measure) != beta:
         raise StructuralInconsistencyError("right stationary law is not mu-invariant")
     return beta
 
 
-def left_factor(rd: ReesData, beta: RationalMeasure) -> RationalMeasure:
-    """Marginal of the L-coordinate of a law supported in Ke."""
+def boundary_factor(rd: ReesData, beta: RationalMeasure, left: bool) -> RationalMeasure:
+    """Marginal of the L-coordinate (``left``) or the R-coordinate of a law
+    on the kernel."""
     acc = {}
     for z, w in beta.items():
-        z_l, _, _ = project(rd, z)
-        acc[z_l] = acc.get(z_l, Fraction(0)) + w
-    return RationalMeasure(acc)
-
-
-def right_factor(rd: ReesData, beta: RationalMeasure) -> RationalMeasure:
-    """Marginal of the R-coordinate of a law supported in eK."""
-    acc = {}
-    for z, w in beta.items():
-        _, _, z_r = project(rd, z)
-        acc[z_r] = acc.get(z_r, Fraction(0)) + w
+        b = project(rd, z)[0 if left else 2]
+        acc[b] = acc.get(b, Fraction(0)) + w
     return RationalMeasure(acc)
 
 
@@ -186,13 +183,14 @@ def assemble_limits(
     )
 
 
-def _indexed_iteration(law: MappingLaw):
+def _indexed_iteration(law: MappingLaw, semigroup: Semigroup = None):
     """Vectorized left-convolution step over the indexed closure.
 
     Returns (elements, v0, step) where step maps a weight vector for mu^n
-    to the one for mu^(n+1).
+    to the one for mu^(n+1); ``semigroup`` is built when not given.
     """
-    semigroup = generate(law.generators)
+    if semigroup is None:
+        semigroup = generate(law.generators)
     elements = semigroup.elements
     index = semigroup.index
     tables = []
@@ -228,6 +226,7 @@ def float_limit_oracle(
     *,
     max_iter: int = 100_000,
     max_lag: int = 64,
+    semigroup: Semigroup = None,
 ) -> FloatLimitEstimate:
     """Brute-force limit detection by iterating convolution powers.
 
@@ -239,11 +238,12 @@ def float_limit_oracle(
     An oscillating transient can push a larger lag under ``tol`` before the
     true one, so after the first detection the iteration continues to twice
     the detection index (squaring the residual transient) and the smallest
-    lag that holds at the final iterate is reported.
+    lag that holds at the final iterate is reported. ``semigroup`` is the
+    law's closure, built when not given.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    elements, vec, step = _indexed_iteration(law)
+    elements, vec, step = _indexed_iteration(law, semigroup)
     history = [(1, vec)]
     settle_until = None
     for n in range(2, max_iter + 1):
@@ -273,9 +273,9 @@ def float_limit_oracle(
     return FloatLimitEstimate(False, 0, {}, {}, max_iter)
 
 
-def cesaro_average(law: MappingLaw, n: int) -> dict:
+def cesaro_average(law: MappingLaw, n: int, semigroup: Semigroup = None) -> dict:
     """Running average (1/n) sum_{k=1..n} mu^k in double precision."""
-    elements, vec, step = _indexed_iteration(law)
+    elements, vec, step = _indexed_iteration(law, semigroup)
     acc = vec.copy()
     for _ in range(n - 1):
         vec = step(vec)

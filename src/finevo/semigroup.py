@@ -164,9 +164,10 @@ def rees_at(semigroup: Semigroup, ker: tuple, e: Transformation) -> ReesData:
     """Decompose the kernel at an idempotent e: L = E(Ke), G = eKe, R = E(eK).
 
     Verifies the group axioms for G, eL = Re = {e}, and the bijectivity of
-    the product map L x G x R -> kernel. The period p, the subgroup H and
-    the coset generator gamma come from the walk z -> f z on Ke under the
-    generators (the support of any law on them): the cyclic class of e has
+    the product map L x G x R -> kernel, and that the walks z -> f z on Ke
+    and z -> z f on eK under the generators (the support of any law on
+    them) are irreducible. The period p, the subgroup H and the coset
+    generator gamma come from the left walk: the cyclic class of e has
     G-parts exactly H, the successor class has G-parts gamma H, and gamma
     is the canonically smallest element of that coset with gamma^p = e.
     Verifies that H is a normal subgroup whose p cosets partition G.
@@ -215,6 +216,8 @@ def rees_at(semigroup: Semigroup, ker: tuple, e: Transformation) -> ReesData:
     gens = semigroup.generator_elements
     succ = {z: sorted({f * z for f in gens}) for z in Ke}
     p, classes = chain_period_and_classes(Ke, succ.__getitem__, e)
+    # irreducible walks have unique stationary laws (limits.*_stationary)
+    walk_distances(eK, lambda z: [z * f for f in gens], e, "right walk on eK")
     H = tuple(sorted({e * z * e for z in classes[0]}))
     if len(H) * p != len(G):
         raise StructuralInconsistencyError("|H| * p != |G|")
@@ -269,54 +272,47 @@ def project(rd: ReesData, z: Transformation) -> tuple:
     return z_l, z_g, z_r
 
 
-def left_states(rd: ReesData) -> list:
-    """Ke = LG, the states of the left random walk z -> f*z, sorted."""
-    return sorted({z * rd.e for z in rd.kernel})
+def walk_distances(states, neighbors, start, walk: str) -> dict:
+    """BFS distances from ``start`` in a directed graph on ``states``.
 
+    ``neighbors`` maps a state to its successors. Raises, naming ``walk``,
+    unless the graph is strongly connected: every state is reached from
+    ``start`` along the edges and along the reversed edges.
+    """
+    def bfs(step) -> dict:
+        dist = {start: 0}
+        queue = [start]
+        while queue:
+            nxt = []
+            for u in queue:
+                for v in step(u):
+                    if v not in dist:
+                        dist[v] = dist[u] + 1
+                        nxt.append(v)
+            queue = nxt
+        return dist
 
-def right_states(rd: ReesData) -> list:
-    """eK = GR, the states of the right random walk z -> z*f, sorted."""
-    return sorted({rd.e * z for z in rd.kernel})
+    reverse = {}
+    for u in states:
+        for v in neighbors(u):
+            reverse.setdefault(v, []).append(u)
+    state_set = set(states)
+    dist = bfs(neighbors)
+    if set(dist) != state_set:
+        raise StructuralInconsistencyError(f"{walk} is not irreducible (forward)")
+    if set(bfs(lambda u: reverse.get(u, ()))) != state_set:
+        raise StructuralInconsistencyError(f"{walk} is not irreducible (backward)")
+    return dist
 
 
 def chain_period_and_classes(states, neighbors, start) -> tuple:
-    """Period and cyclic classes of a strongly connected directed graph.
+    """Period and cyclic classes of the left walk on Ke (strongly connected).
 
     ``neighbors`` maps a state to its successors. Returns (p, classes) where
     classes[j] holds the states at BFS distance = j mod p from ``start``.
     Raises if the graph is not strongly connected.
     """
-    state_set = set(states)
-    dist = {start: 0}
-    queue = [start]
-    while queue:
-        nxt = []
-        for u in queue:
-            for v in neighbors(u):
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        queue = nxt
-    if set(dist) != state_set:
-        raise StructuralInconsistencyError("walk on Ke is not irreducible (forward)")
-
-    reverse = {s: [] for s in states}
-    for u in states:
-        for v in neighbors(u):
-            reverse[v].append(u)
-    seen = {start}
-    queue = [start]
-    while queue:
-        nxt = []
-        for u in queue:
-            for v in reverse[u]:
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        queue = nxt
-    if seen != state_set:
-        raise StructuralInconsistencyError("walk on Ke is not irreducible (backward)")
-
+    dist = walk_distances(states, neighbors, start, "left walk on Ke")
     p = 0
     for u in states:
         for v in neighbors(u):

@@ -3,10 +3,11 @@
 These deliberately avoid the package's own algorithms: the closure oracle is
 a pairwise-product fixpoint on raw image tuples, the minimal-ideal oracle
 enumerates two-sided ideals directly, the stationary oracle is float
-power iteration, the Cesaro first-order oracle is an exact Fraction
-solve over the brute-force closure, the naive float step convolves dicts
-keyed by transformation, and the reference sampler draws every
-replication from its own ``np.random.Generator`` and follows it with
+power iteration, the full-chain stationary oracle is an exact Fraction
+solve over every state of a kernel walk, the Cesaro first-order oracle is
+an exact Fraction solve over the brute-force closure, the naive float step
+convolves dicts keyed by transformation, and the reference sampler draws
+every replication from its own ``np.random.Generator`` and follows it with
 ``Transformation`` arithmetic.
 """
 
@@ -66,6 +67,61 @@ def float_stationary(matrix, iters: int = 20_000) -> np.ndarray:
     return pi
 
 
+def _row_reduce(rows: list, m: int) -> list:
+    """Gauss-Jordan on Fraction rows with m unknowns and a right-hand side
+    in column m, in place. Returns the pivot columns; pivot row i holds
+    pivot column pivots[i] with a unit pivot."""
+    pivots = []
+    r = 0
+    for c in range(m):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def full_chain_stationary(generators, weights, e, left: bool = True) -> dict:
+    """Exact stationary law of the walk z -> f o z (``left``) or z -> z o f
+    on the orbit of the idempotent e, which is Ke (or eK).
+
+    Every state of the orbit is a variable: the balance equations
+    pi P = pi and sum(pi) = 1 are solved with Fractions, and a unique
+    solution is asserted. ``generators`` and ``e`` are 1-based image tuples.
+    Returns {image tuple: Fraction}, zero entries dropped.
+    """
+    mu = [(tuple(g), Fraction(w)) for g, w in zip(generators, weights)]
+    e = tuple(e)
+    states = {e}
+    frontier = [e]
+    while frontier:
+        fresh = {compose_images(f, z) if left else compose_images(z, f)
+                 for z in frontier for f, _ in mu} - states
+        states |= fresh
+        frontier = list(fresh)
+    states = sorted(states)
+    index = {s: i for i, s in enumerate(states)}
+    m = len(states)
+    # row j: sum_i pi_i P(i, j) - pi_j = 0; the last row: sum_i pi_i = 1
+    rows = [[Fraction(0)] * (m + 1) for _ in range(m)]
+    for i, z in enumerate(states):
+        rows[i][i] -= 1
+        for f, w in mu:
+            rows[index[compose_images(f, z) if left else compose_images(z, f)]][i] += w
+    rows.append([Fraction(1)] * (m + 1))
+    if _row_reduce(rows, m) != list(range(m)) or rows[m][m] != 0:
+        raise AssertionError("the walk has no unique stationary law")
+    return {states[i]: rows[i][m] for i in range(m) if rows[i][m] != 0}
+
+
 def _convolve_tuples(a: dict, b: dict) -> dict:
     """(a * b){f o g} += a{f} b{g} for measures keyed by image tuples."""
     out = {}
@@ -116,22 +172,8 @@ def cesaro_first_order(generators, weights, eta) -> dict:
     for s, v in rhs.items():
         rows[index[s]][m] = Fraction(v)
 
-    pivots = []
-    r = 0
-    for c in range(m):
-        pivot = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    if any(rows[i][m] != 0 for i in range(r, m)):
+    pivots = _row_reduce(rows, m)
+    if any(rows[i][m] != 0 for i in range(len(pivots), m)):
         raise AssertionError("(I - T) x = mu - mu * eta is inconsistent")
 
     x = {elements[c]: rows[i][m] for i, c in enumerate(pivots) if rows[i][m] != 0}

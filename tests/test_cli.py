@@ -216,6 +216,12 @@ def test_simulate_rejects_unknown_config_fields(capsys, tmp_path, law_file):
     ({"mode": "nonstationary", "family": {"c": ["1"], "Lambda_W": [1]}},
      "bad family config"),
     ([1], "must be a JSON object"),
+    # a field of the other mode is refused, not ignored
+    ({"family": {"c": ["1/2", "1/2"], "Lambda_W": []}},
+     "family is a field of the other mode; stationary runs take no family"),
+    ({"mode": "nonstationary", "Lambda_W": {"(2,4,5)": "1"},
+      "family": {"c": ["1"], "Lambda_W": [{"(2,4,5)": "1"}]}},
+     "Lambda_W is a field of the other mode; nonstationary runs take no Lambda_W"),
 ])
 def test_config_values_of_the_wrong_type_exit_3(capsys, tmp_path, law_file, fields,
                                                 message):
@@ -241,6 +247,23 @@ def test_verify_includes_oracle_and_cesaro(capsys, law_file):
     assert report["cesaro"]["n"] == 10_000
     names = [c["name"] for c in report["verification"]["checks"]]
     assert "oracle period matches exact p" in names
+
+
+def test_verify_builds_the_closure_once(capsys, law_file, monkeypatch):
+    # the float oracle and the Cesaro average reuse the analysis' closure
+    from finevo import analysis, limits, semigroup
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return semigroup.generate(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "generate", counting)
+    monkeypatch.setattr(limits, "generate", counting)
+    code, _, _ = run(capsys, "verify", "--law", law_file, "--replications", "1000",
+                     "--no-timestamp")
+    assert (code, len(calls)) == (0, 1)
 
 
 def test_example_command_golden(capsys):
@@ -341,7 +364,9 @@ P3_H2_LAW = {
 # Exit code and SHA-256 of stdout. The example and nonstationary digests come
 # from the scalar per-replication sampler that preceded the lock-step one, the
 # analyze and verify digests from the Rees decomposition that was completed in
-# two steps; the reports must stay byte-identical. p3_h2 has p = 3 and H != G.
+# two steps, the rank3 and A5 digests from stationary solves over every state
+# of Ke and eK; the reports must stay byte-identical. p3_h2 has p = 3 and
+# H != G, rank3 has |L| = 2, |G| = 6 and |R| = 6, and A5 is a 60-element group.
 PINNED_REPORTS = {
     "example-2000": (
         ["example", "--replications", "2000", "--seed", "42", "--no-timestamp"], 0,
@@ -359,6 +384,13 @@ PINNED_REPORTS = {
         ["verify", "--law", "{p3_h2}", "--replications", "2000", "--seed", "42",
          "--no-timestamp"], 0,
         "40d73e32a3835460993c724506d2b78543dd33be0b8bf32da84c844738a1a223"),
+    "rank3-verify-2000": (
+        ["verify", "--law", "{rank3}", "--replications", "2000", "--seed", "42",
+         "--no-timestamp"], 0,
+        "1ea71cc1f3662bdb61dd149962e1278369a821cabd322c374d4cb5e27b5b9222"),
+    "a5-analyze": (
+        ["analyze", "--law", "{a5}", "--no-timestamp"], 0,
+        "e7023540c479fd9b7da55e95dd09fa93325527d517f8d0b26c53d5059efeae3d"),
 }
 EXAMPLE_MAX_SEED_2000_SHA = "6e316e25221281a48b36bc9b1826a8be44268c00bb0eb7d7a2c699a1ee6ce9be"
 
@@ -366,7 +398,12 @@ EXAMPLE_MAX_SEED_2000_SHA = "6e316e25221281a48b36bc9b1826a8be44268c00bb0eb7d7a2c
 @pytest.mark.parametrize("argv, code, sha", PINNED_REPORTS.values(), ids=PINNED_REPORTS)
 def test_pinned_report_bytes(capsys, tmp_path, argv, code, sha):
     files = {"cyclic3": {"n": 3, "generators": [[2, 3, 1]], "weights": ["1"]},
-             "p3_h2": P3_H2_LAW}
+             "p3_h2": P3_H2_LAW,
+             "rank3": {"n": 6, "generators": [[2, 3, 4, 5, 6, 1], [3, 2, 1, 4, 5, 6],
+                                              [1, 1, 3, 3, 5, 5]],
+                       "weights": ["2/7", "2/7", "3/7"]},
+             "a5": {"n": 5, "generators": [[2, 3, 1, 4, 5], [2, 3, 4, 5, 1]],
+                    "weights": ["3/7", "4/7"]}}
     paths = {name: str(tmp_path / f"{name}.json") for name in (*files, "config")}
     files["config"] = {
         "law_file": paths["p3_h2"], "mode": "nonstationary", "k_min": -40,

@@ -9,13 +9,12 @@ from finevo.limits import (
     cesaro_average,
     exact_vs_float_sup,
     float_limit_oracle,
-    left_factor,
     left_stationary,
     right_stationary,
     solve_stationary,
 )
 from finevo.measure import MappingLaw, RationalMeasure, convolve, measure_product
-from finevo.semigroup import left_states, project, rees_at
+from finevo.semigroup import project, rees_at
 from finevo.transform import Transformation
 from fuzzlaws import cyclic3_law, p3_h2_law
 from oracles import (
@@ -23,6 +22,7 @@ from oracles import (
     float_stationary,
     float_step,
     float_sup_distance,
+    full_chain_stationary,
     two_term_residual,
 )
 
@@ -41,7 +41,7 @@ def test_left_stationary_product_form(example_analysis):
     # beta{l*g} = eta_L{l} / |G| on each of the 12 states of Ke
     a = example_analysis
     beta = a.beta_left
-    states = left_states(a.rd)
+    states = sorted({z * a.rd.e for z in a.rd.kernel})
     assert len(states) == 12
     for z in states:
         l, g, r = project(a.rd, z)
@@ -49,9 +49,54 @@ def test_left_stationary_product_form(example_analysis):
         assert beta[z] == a.limits.eta_L[l] * Fraction(1, len(a.rd.G))
 
 
+def test_right_stationary_product_form(p3h2_analysis):
+    # beta_R{g*r} = eta_R{r} / |G| on each state of eK
+    a = p3h2_analysis
+    beta = right_stationary(a.law, a.rd)
+    states = sorted({a.rd.e * z for z in a.rd.kernel})
+    assert len(states) == len(a.rd.G) * len(a.rd.R)
+    assert set(beta.support()) == set(states)
+    for z in states:
+        l, g, r = project(a.rd, z)
+        assert l == a.rd.e
+        assert beta[z] == a.limits.eta_R[r] * Fraction(1, len(a.rd.G))
+
+
+# Group-kernel laws: A5 has |Ke| = |G| = 60; rank3 has |L| = 2, |G| = 6 and
+# |R| = 6, so the lift over the G-fibres is exercised on both sides.
+A5_LAW = {"n": 5, "generators": [[2, 3, 1, 4, 5], [2, 3, 4, 5, 1]],
+          "weights": ["3/7", "4/7"]}
+RANK3_LAW = {"n": 6, "generators": [[2, 3, 4, 5, 6, 1], [3, 2, 1, 4, 5, 6],
+                                    [1, 1, 3, 3, 5, 5]],
+             "weights": ["2/7", "2/7", "3/7"]}
+
+
+def _assert_stationary_matches_full_chain(a):
+    gens, weights = zip(*((f.images, w) for f, w in a.law.measure.items()))
+    for left, beta in ((True, left_stationary(a.law, a.rd)),
+                       (False, right_stationary(a.law, a.rd))):
+        exact = full_chain_stationary(gens, weights, a.rd.e.images, left)
+        assert {z.images: w for z, w in beta.items()} == exact
+
+
+def test_stationary_laws_match_full_chain_oracle_on_corpus(fuzz_analyses):
+    analyses, _ = fuzz_analyses
+    for a in analyses:
+        _assert_stationary_matches_full_chain(a)
+
+
+def test_stationary_laws_match_full_chain_oracle_on_group_kernels():
+    a5 = analyze_law(MappingLaw.from_dict(A5_LAW))
+    assert (len(a5.rd.L), len(a5.rd.G), len(a5.rd.R)) == (1, 60, 1)
+    _assert_stationary_matches_full_chain(a5)
+    rank3 = analyze_law(MappingLaw.from_dict(RANK3_LAW))
+    assert (len(rank3.rd.L), len(rank3.rd.G), len(rank3.rd.R)) == (2, 6, 6)
+    _assert_stationary_matches_full_chain(rank3)
+
+
 def test_left_stationary_matches_float_power_iteration(example_analysis):
     a = example_analysis
-    states = left_states(a.rd)
+    states = sorted({z * a.rd.e for z in a.rd.kernel})
     index = {s: i for i, s in enumerate(states)}
     m = len(states)
     matrix = [[Fraction(0)] * m for _ in range(m)]

@@ -5,7 +5,7 @@ import pytest
 from finevo import semigroup
 from finevo.errors import InputError, ResourceLimitError, StructuralInconsistencyError
 from finevo.measure import MappingLaw
-from finevo.semigroup import generate, kernel, left_states, project, rees_at
+from finevo.semigroup import generate, kernel, project, rees_at
 from finevo.transform import Transformation
 from oracles import brute_force_closure, brute_force_minimal_ideal
 
@@ -216,10 +216,31 @@ S3 = {"e": E, "g": G, "g2": G ** 2, "h": H, "gh": G * H, "g2h": (G ** 2) * H}
 def test_rees_at_rejects_a_wrong_coset_structure(S, K, monkeypatch, p, parts, message):
     """Cyclic classes whose G-parts are not the cosets of a normal subgroup
     fail the coset checks (the walk of the example law has p = 1)."""
-    states = left_states(rees_at(S, K, E))
+    states = sorted({z * E for z in K})
     classes = [[z for z in states if E * z * E in {S3[x] for x in part.split()}]
                for part in parts]
     monkeypatch.setattr(semigroup, "chain_period_and_classes",
                         lambda *args: (p, classes + [[]] * (p - len(classes))))
     with pytest.raises(StructuralInconsistencyError, match=re.escape(message)):
+        rees_at(S, K, E)
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_rees_at_rejects_a_reducible_right_walk(S, K, monkeypatch, direction):
+    """Successors on eK that leave e stuck (forward) or unreachable
+    (backward) fail the right walk's strong-connectivity check; the left
+    walk keeps its true successors."""
+    real = semigroup.walk_distances
+
+    def cut(states, neighbors, start, walk):
+        if walk.startswith("right"):
+            if direction == "forward":
+                neighbors = lambda z: [start]
+            else:
+                neighbors = lambda z: states if z == start else [z]
+        return real(states, neighbors, start, walk)
+
+    monkeypatch.setattr(semigroup, "walk_distances", cut)
+    with pytest.raises(StructuralInconsistencyError,
+                       match=re.escape(f"right walk on eK is not irreducible ({direction})")):
         rees_at(S, K, E)
