@@ -13,7 +13,7 @@ from .limits import (
     left_stationary,
     right_stationary,
 )
-from .measure import MappingLaw, RationalMeasure
+from .measure import MappingLaw
 from .semigroup import (
     DEFAULT_ELEMENT_CAP,
     ReesData,
@@ -32,10 +32,8 @@ class Analysis:
     law: MappingLaw
     semigroup: Semigroup
     rd: ReesData
-    beta_left: RationalMeasure
     limits: CyclicLimit
     cliques: CliqueData
-    e_word: list
 
 
 def base_idempotent(semigroup: Semigroup, ker: tuple) -> Transformation:
@@ -58,22 +56,11 @@ def analyze_law(law: MappingLaw, *, cap: int = DEFAULT_ELEMENT_CAP) -> Analysis:
     e = base_idempotent(semigroup, ker)
     rd = rees_at(semigroup, ker, e)
 
-    beta_left = left_stationary(law, rd)
-    eta_L = boundary_factor(rd, beta_left, left=True)
+    eta_L = boundary_factor(rd, left_stationary(law, rd), left=True)
     eta_R = boundary_factor(rd, right_stationary(law, rd), left=False)
     limits = assemble_limits(law, rd, eta_L, eta_R)
-    cliques = compute_W(semigroup, ker, rd)
-    e_word = semigroup.word_for(e)
-
-    return Analysis(
-        law=law,
-        semigroup=semigroup,
-        rd=rd,
-        beta_left=beta_left,
-        limits=limits,
-        cliques=cliques,
-        e_word=e_word,
-    )
+    return Analysis(law=law, semigroup=semigroup, rd=rd, limits=limits,
+                    cliques=compute_W(rd))
 
 
 def example_law() -> MappingLaw:

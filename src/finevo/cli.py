@@ -34,8 +34,8 @@ EXIT_STATISTICAL = 1
 EXIT_STRUCTURAL = 2
 EXIT_INPUT = 3
 
-# The simulation config of `simulate` and `verify`; config files and flags
-# override fields, `example` overrides replications, seed and law_file.
+# The simulation config of every command that simulates; config files and
+# flags override fields, `example` fixes law_file.
 SIM_DEFAULTS = {
     "mode": "stationary",
     "k_min": -64,
@@ -108,8 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("example", help="run analyze + simulate on the "
                                        "built-in two-generator law")
-    p.add_argument("--replications", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--replications", type=int)
+    p.add_argument("--seed", type=int)
     _add_output_flags(p)
 
     return parser
@@ -127,8 +127,8 @@ def _load_law(path: str) -> MappingLaw:
     return MappingLaw.from_dict(obj)
 
 
-def _load_sim_config(args) -> dict:
-    config = dict(SIM_DEFAULTS)
+def _load_sim_config(args, law_file=None) -> dict:
+    config = dict(SIM_DEFAULTS, law_file=law_file)
     if getattr(args, "config", None):
         try:
             with open(args.config) as fh:
@@ -337,12 +337,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_example(args) -> int:
-    law = example_law()
-    analysis = analyze_law(law)
-    config = dict(SIM_DEFAULTS, replications=args.replications, seed=args.seed,
-                  law_file="<built-in>")
+    config = _load_sim_config(args, law_file="<built-in>")
+    analysis = analyze_law(example_law())
     verification = _run_simulation_battery(analysis, config)
-    report = build_report(analysis, seed=args.seed,
+    report = build_report(analysis, seed=config["seed"],
                           timestamp=not args.no_timestamp)
     report["verification"] = verification.to_json()
     _emit(report, args)

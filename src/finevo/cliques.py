@@ -1,10 +1,13 @@
-"""Deadlock pairs, maximal stable vertex sets, stable tuples and the
-classification of invariant multiparticle laws.
+"""Stable tuples of the kernel images and the classification of invariant
+multiparticle laws.
 
-A pair of states is a deadlock when no element of the semigroup merges it;
-the images of kernel elements are exactly the maximal pairwise-deadlocked
-sets, and the stable tuples (distinct tuples that stay distinct under every
-element) are the orderings of those sets. The product map
+A distinct tuple is stable when it stays distinct under every element of
+the semigroup. The f-cliques are the images of kernel elements and W_mu is
+the set of their orderings; every one of them is stable, because an
+element merging two points of im(z), z in the kernel, would give a product
+of rank below the minimal rank. W_mu needs the kernel alone. Not every
+stable tuple lies in W_mu: for mu = delta_[1,1,3], (2,3) is stable but
+W_mu holds only the orderings of {1,3}. The product map
 L x G x W -> W_mu over a set W of orbit representatives is the coordinate
 system for everything the simulator extracts.
 """
@@ -18,35 +21,10 @@ from itertools import permutations
 from .errors import ClassificationError, InputError, StructuralInconsistencyError
 from .limits import CyclicLimit
 from .measure import RationalMeasure, act_on_tuples, measure_product
-from .semigroup import ReesData, Semigroup
-from .transform import is_distinct
+from .semigroup import ReesData
 
 
-def is_deadlock(semigroup: Semigroup, x: int, y: int) -> bool:
-    """True iff no element of the semigroup merges the two states."""
-    if x == y:
-        raise InputError("deadlock is defined for distinct states")
-    return all(f(x) != f(y) for f in semigroup)
-
-
-def deadlock_table(semigroup: Semigroup) -> dict:
-    """Symmetric table of all deadlock pairs, computed in one sweep."""
-    n = semigroup.n
-    merged = set()
-    for f in semigroup:
-        for x in range(1, n + 1):
-            for y in range(x + 1, n + 1):
-                if (x, y) not in merged and f(x) == f(y):
-                    merged.add((x, y))
-    table = {}
-    for x in range(1, n + 1):
-        for y in range(x + 1, n + 1):
-            table[(x, y)] = (x, y) not in merged
-            table[(y, x)] = table[(x, y)]
-    return table
-
-
-def f_cliques(semigroup: Semigroup, ker: tuple) -> list:
+def f_cliques(ker: tuple) -> list:
     """The distinct image sets of kernel elements, as sorted tuples."""
     return sorted({tuple(sorted(g.image_set())) for g in ker})
 
@@ -58,9 +36,7 @@ class CliqueData:
     m_mu: int
     f_cliques: tuple
     W_mu: tuple
-    eW_mu: tuple
     W: tuple
-    orbit_of: dict
     triples: dict
 
     def project_index(self, x: tuple) -> tuple:
@@ -70,44 +46,30 @@ class CliqueData:
         return self.triples[x]
 
 
-def compute_W(semigroup: Semigroup, ker: tuple, rd: ReesData) -> CliqueData:
+def compute_W(rd: ReesData) -> CliqueData:
     """Enumerate the stable tuples and fix a W with L x G x W bijective.
 
-    Candidates are the orderings of the maximal stable sets, filtered by the
-    stability requirement (every pair a deadlock, i.e. the image under every
-    semigroup element stays distinct). W collects the lexicographically
-    smallest representative of each G-orbit on e W_mu.
+    W_mu is every ordering of every f-clique (see the module docstring for
+    why they are all stable). W collects the lexicographically smallest
+    representative of each G-orbit on e W_mu.
     """
+    ker = rd.kernel
     m_mu = min(f.rank() for f in ker)
-    cliques = f_cliques(semigroup, ker)
-    table = deadlock_table(semigroup)
-
-    W_mu = []
-    for clique in cliques:
-        for cand in permutations(clique):
-            if all(
-                table[(a, b)]
-                for i, a in enumerate(cand)
-                for b in cand[i + 1 :]
-            ):
-                W_mu.append(cand)
-    W_mu = tuple(sorted(W_mu))
-    w_mu_set = set(W_mu)
+    cliques = f_cliques(ker)
+    W_mu = tuple(sorted(x for clique in cliques for x in permutations(clique)))
 
     e = rd.e
-    eW_mu = tuple(sorted({e.apply(x) for x in W_mu}))
     orbit_of = {}
     reps = []
-    for x in eW_mu:
+    for x in sorted({e.apply(x) for x in W_mu}):
         if x in orbit_of:
             continue
         orbit = sorted(g.apply(x) for g in rd.G)
         rep = orbit[0]
         reps.append(rep)
         for y in orbit:
-            if y in orbit_of and orbit_of[y] != rep:
+            if orbit_of.setdefault(y, rep) != rep:
                 raise StructuralInconsistencyError("G-orbits on eW_mu overlap")
-            orbit_of[y] = rep
     W = tuple(sorted(reps))
 
     triples = {}
@@ -121,23 +83,11 @@ def compute_W(semigroup: Semigroup, ker: tuple, rd: ReesData) -> CliqueData:
                         "L x G x W product map is not injective"
                     )
                 triples[x] = (l, g, w)
-    if set(triples) != w_mu_set:
+    if set(triples) != set(W_mu):
         raise StructuralInconsistencyError("L * G * W does not equal W_mu")
 
-    return CliqueData(
-        m_mu=m_mu,
-        f_cliques=tuple(cliques),
-        W_mu=W_mu,
-        eW_mu=eW_mu,
-        W=W,
-        orbit_of=orbit_of,
-        triples=triples,
-    )
-
-
-def stable_under_all(semigroup: Semigroup, x: tuple) -> bool:
-    """Direct check of the stability definition: f(x) distinct for all f."""
-    return all(is_distinct(f.apply(x)) for f in semigroup)
+    return CliqueData(m_mu=m_mu, f_cliques=tuple(cliques), W_mu=W_mu, W=W,
+                      triples=triples)
 
 
 def invariant_law(

@@ -193,20 +193,17 @@ def _indexed_iteration(law: MappingLaw, semigroup: Semigroup = None):
         semigroup = generate(law.generators)
     elements = semigroup.elements
     index = semigroup.index
-    tables = []
-    weights = []
-    for f, w in law.measure.items():
-        tables.append(np.array([index[f * s] for s in elements], dtype=np.intp))
-        weights.append(float(w))
+    table = np.array([index[f * s] for f, _ in law.measure.items() for s in elements],
+                     dtype=np.intp)
+    weights = [float(w) for _, w in law.measure.items()]
     v0 = np.zeros(len(elements))
     for f, w in law.measure.items():
         v0[index[f]] = float(w)
 
     def step(v: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(v)
-        for table, w in zip(tables, weights):
-            np.add.at(out, table, w * v)
-        return out
+        # terms are summed generator by generator, each in element order
+        return np.bincount(table, weights=np.concatenate([w * v for w in weights]),
+                           minlength=len(v))
 
     return elements, v0, step
 

@@ -113,11 +113,6 @@ class RationalMeasure:
             return convolve(self, other)
         return act_on_tuples(self, other)
 
-    def __rmul__(self, other):
-        if isinstance(other, (Transformation, tuple)):
-            return RationalMeasure.point(other).__mul__(self)
-        return NotImplemented
-
     def __repr__(self):
         parts = ", ".join(f"{x!r}: {v}" for x, v in self.items())
         return f"RationalMeasure({{{parts}}})"
@@ -182,18 +177,6 @@ def coordinate_marginal(lam: RationalMeasure, i: int) -> RationalMeasure:
     for x, w in lam.items():
         acc[x[i - 1]] = acc.get(x[i - 1], Fraction(0)) + w
     return RationalMeasure(acc)
-
-
-def marginal_transition_matrix(law: "MappingLaw") -> list:
-    """Row-stochastic matrix P[x][y] = mu{f : f(x) = y}, 0-indexed rows."""
-    n = law.n
-    rows = []
-    for x in range(1, n + 1):
-        row = [Fraction(0)] * n
-        for f, w in law.measure.items():
-            row[f(x) - 1] += w
-        rows.append(row)
-    return rows
 
 
 class MappingLaw:

@@ -23,11 +23,10 @@ class Semigroup:
     lexicographically on image tables). Immutable after construction.
     """
 
-    def __init__(self, elements, index, generators, parent):
+    def __init__(self, elements, index, generators):
         self.elements = tuple(elements)
         self.index = index
         self.generators = tuple(generators)
-        self._parent = parent
 
     def __len__(self):
         return len(self.elements)
@@ -39,24 +38,8 @@ class Semigroup:
         return f in self.index
 
     @property
-    def n(self) -> int:
-        return self.elements[0].n
-
-    @property
     def generator_elements(self) -> tuple:
         return tuple(self.elements[i] for i in self.generators)
-
-    def word_for(self, f: Transformation) -> list:
-        """A shortest generator word [g_k, ..., g_1] with g_k * ... * g_1 == f."""
-        if f not in self.index:
-            raise InputError(f"{f.literal()} is not in the semigroup")
-        word = []
-        current = f
-        while current is not None:
-            g, parent = self._parent[current]
-            word.append(g)
-            current = parent
-        return word
 
 
 def generate(generators, *, cap: int = DEFAULT_ELEMENT_CAP) -> Semigroup:
@@ -70,27 +53,20 @@ def generate(generators, *, cap: int = DEFAULT_ELEMENT_CAP) -> Semigroup:
     if len({g.n for g in gens}) != 1:
         raise InputError("generators must share one domain size")
 
-    parent = {g: (g, None) for g in gens}
-    elements = list(gens)
-    frontier = list(gens)
+    elements = []
+    index = {}
+    frontier = gens
     while frontier:
-        fresh = {}
-        for x in frontier:
-            for g in gens:
-                z = g * x
-                if z not in parent and z not in fresh:
-                    fresh[z] = (g, x)
-        frontier = sorted(fresh)
-        for z in frontier:
-            parent[z] = fresh[z]
-        elements.extend(frontier)
+        for f in frontier:
+            index[f] = len(elements)
+            elements.append(f)
         if len(elements) > cap:
             raise ResourceLimitError(
                 f"closure exceeded the element cap ({cap}); "
                 "raise the cap to analyze this law"
             )
-    index = {f: i for i, f in enumerate(elements)}
-    return Semigroup(elements, index, range(len(gens)), parent)
+        frontier = sorted({g * x for x in frontier for g in gens}.difference(index))
+    return Semigroup(elements, index, range(len(gens)))
 
 
 def kernel(semigroup: Semigroup) -> tuple:

@@ -154,15 +154,6 @@ class EvolutionPath:
             raise InputError(f"time {k} outside path range [{self.k_min}, {self.k_max}]")
         return k - self.k_min
 
-    def x_at(self, k: int) -> tuple:
-        return self.X[self.index(k)]
-
-    def n_at(self, k: int) -> Transformation:
-        """The driving map of the step into time k."""
-        if not self.k_min < k <= self.k_max:
-            raise InputError(f"no driving map at time {k}")
-        return self.N[k - self.k_min - 1]
-
 
 @dataclass(frozen=True, eq=False)
 class PathTables:
@@ -651,64 +642,3 @@ def verify_mono_projection(
     )
     return report
 
-
-def estimate_Te(path: EvolutionPath, k: int, word: list):
-    """Largest l < k - n with N_{l+n} * ... * N_{l+1} equal to the unit word's
-    value, or None if no such l lies in the path window."""
-    if not word:
-        raise InputError("witness word must be nonempty")
-    n = len(word)
-    target = word[0]
-    for f in word[1:]:
-        target = target * f
-    path.index(k)
-    top = min(k - n - 1, path.k_max - n)
-    for l in range(top, path.k_min - 1, -1):
-        prod = path.n_at(l + n)
-        for j in range(l + n - 1, l, -1):
-            prod = prod * path.n_at(j)
-        if prod == target:
-            return l
-    return None
-
-
-def mixing_uniformity(
-    limits: CyclicLimit,
-    f: Transformation,
-    h: Transformation,
-    *,
-    n: int,
-    replications: int,
-    seed: int,
-    alpha: float = 0.001,
-) -> Check:
-    """Empirical law of the H-part of f N_1 ... N_n h against uniform on H.
-
-    Replication r draws N_1..N_n from the substream seed ^ r; the products
-    advance in lock-step on the table of right multiplication of the
-    kernel by the law's maps.
-    """
-    rd = limits.rd
-    if f not in rd.kernel_set or h not in rd.kernel_set:
-        raise InputError("mixing check needs kernel elements at both ends")
-    _check_seed(seed)
-    gens = [g for g, _ in limits.law.measure.items()]
-    pos = {z: i for i, z in enumerate(rd.kernel)}
-    right = np.array([[pos[z * g] for g in gens] for z in rd.kernel], dtype=np.intp)
-    map_cdf = _cdf(limits.law.measure.items(), gens)
-    ends = np.zeros(len(rd.kernel), dtype=np.int64)
-    for rows, u in _uniform_chunks(seed, replications, n):
-        z = np.full(rows.stop - rows.start, pos[f], dtype=np.intp)
-        for m in _draw(map_cdf, u).T:
-            z = right[z, m]
-        ends += np.bincount(z, minlength=len(rd.kernel))
-    counts = {}
-    for z, c in zip(rd.kernel, ends.tolist()):
-        if c:
-            _, h_part = rd.ch_split(rd.e * (z * h) * rd.e)
-            _add(counts, h_part, c)
-    uniform_h = {x: Fraction(1, len(rd.H)) for x in rd.H}
-    return chi_square_gof(
-        counts, uniform_h, replications, alpha,
-        f"H-part of f N_1..N_{n} h uniform on H",
-    )

@@ -38,22 +38,6 @@ class Transformation:
         object.__setattr__(t, "_hash", hash(images))
         return t
 
-    @classmethod
-    def identity(cls, n: int) -> "Transformation":
-        return cls._unchecked(tuple(range(1, n + 1)))
-
-    @classmethod
-    def from_literal(cls, text: str) -> "Transformation":
-        """Parse the literal syntax ``[2,3,4,1,5]``."""
-        text = text.strip()
-        if not (text.startswith("[") and text.endswith("]")):
-            raise InputError(f"bad transformation literal {text!r}")
-        try:
-            images = [int(part) for part in text[1:-1].split(",")]
-        except ValueError as exc:
-            raise InputError(f"bad transformation literal {text!r}") from exc
-        return cls(images)
-
     @property
     def n(self) -> int:
         return len(self.images)
@@ -117,11 +101,6 @@ class Transformation:
 
     def __repr__(self):
         return f"Transformation({self.literal()})"
-
-
-def is_distinct(points: tuple) -> bool:
-    """Whether the tuple has pairwise distinct entries."""
-    return len(set(points)) == len(points)
 
 
 def tuple_literal(points: tuple) -> str:

@@ -2,18 +2,22 @@
 
 These deliberately avoid the package's own algorithms: the closure oracle is
 a pairwise-product fixpoint on raw image tuples, the minimal-ideal oracle
-enumerates two-sided ideals directly, the stationary oracle is float
-power iteration, the full-chain stationary oracle is an exact Fraction
-solve over every state of a kernel walk, the Cesaro first-order oracle is
-an exact Fraction solve over the brute-force closure, the naive float step
-convolves dicts keyed by transformation, and the reference sampler draws
-every replication from its own ``np.random.Generator`` and follows it with
-``Transformation`` arithmetic.
+generates one two-sided ideal and certifies it minimal without ranks, the
+deadlock, stability, kernel-image tuple, shortest-word and T_e oracles read
+the definitions off image tuples of that closure or of a path's maps, the
+stationary oracle is float power iteration, the full-chain stationary
+oracle is an exact Fraction solve over every state of a kernel walk, the
+Cesaro first-order oracle is an exact Fraction solve over the brute-force
+closure, the naive float step convolves dicts keyed by transformation, and
+the reference sampler draws every replication from its own
+``np.random.Generator`` and follows it with ``Transformation`` arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -39,23 +43,92 @@ def brute_force_closure(generators) -> set:
 
 
 def brute_force_minimal_ideal(elements) -> set:
-    """Smallest two-sided ideal, by generating S^1 z S^1 for every z.
+    """Smallest two-sided ideal, as the ideal S^1 z S^1 of one element z.
 
-    Verifies that all minimizers coincide (the minimal ideal is unique).
+    z is the product of all elements: a product with one factor in the
+    minimal ideal lies in it. The result I is certified minimal without
+    ranks: I y I == I for every y in I, and any ideal M inside I contains
+    I y I for y in M. The minimal ideal of a finite semigroup is unique.
     """
     elements = set(elements)
-    ideals = []
-    for z in elements:
-        left = {z} | {compose_images(a, z) for a in elements}
-        ideal = set(left)
-        for x in left:
-            ideal |= {compose_images(x, b) for b in elements}
-        ideals.append(ideal)
-    smallest = min(ideals, key=len)
-    for ideal in ideals:
-        if len(ideal) == len(smallest) and ideal != smallest:
-            raise AssertionError("minimal ideal is not unique")
-    return smallest
+    z = reduce(compose_images, sorted(elements))
+    left = {z} | {compose_images(a, z) for a in elements}
+    ideal = left | {compose_images(x, b) for x in left for b in elements}
+    for y in ideal:
+        inner = {compose_images(a, y) for a in ideal}
+        if {compose_images(x, b) for x in inner for b in ideal} != ideal:
+            raise AssertionError("the ideal of the full product is not minimal")
+    return ideal
+
+
+def deadlock_pairs(elements, n: int) -> set:
+    """Pairs x < y of points in 1..n that no element (image tuple) merges."""
+    return {(x, y) for x, y in combinations(range(1, n + 1), 2)
+            if all(f[x - 1] != f[y - 1] for f in elements)}
+
+
+def is_stable(elements, x: tuple) -> bool:
+    """Whether the point tuple x stays distinct under every element."""
+    return all(len({f[p - 1] for p in x}) == len(x) for f in elements)
+
+
+def stable_kernel_image_tuples(generators) -> set:
+    """The orderings of the images of minimal-ideal elements whose every
+    pair of points is a deadlock."""
+    elements = brute_force_closure(generators)
+    pairs = deadlock_pairs(elements, len(next(iter(elements))))
+    return {x for z in brute_force_minimal_ideal(elements)
+            for x in permutations(sorted(set(z)))
+            if all(pair in pairs for pair in combinations(sorted(x), 2))}
+
+
+def shortest_words(generators) -> dict:
+    """A shortest word [g_k, ..., g_1] with g_k o ... o g_1 == s for every
+    element s of the closure, by BFS over image tuples.
+
+    Layers are scanned in sorted order and the generators in sorted order,
+    and the first word found for an element is kept.
+    """
+    gens = sorted({tuple(g) for g in generators})
+    words = {g: [g] for g in gens}
+    frontier = gens
+    while frontier:
+        fresh = {}
+        for x in frontier:
+            for g in gens:
+                z = compose_images(g, x)
+                if z not in words and z not in fresh:
+                    fresh[z] = [g] + words[x]
+        words.update(fresh)
+        frontier = sorted(fresh)
+    return words
+
+
+def last_word_time(maps, k_min: int, k: int, word: list):
+    """T_e: the largest l < k - len(word) with N_{l+n} o ... o N_{l+1} equal
+    to the product of ``word`` (n = len(word)), or None.
+
+    ``maps`` are image tuples, maps[i] = N_{k_min+1+i} drives the step into
+    time k_min + 1 + i.
+    """
+    n = len(word)
+    target = reduce(compose_images, word)
+    for l in range(min(k - n - 1, k_min + len(maps) - n), k_min - 1, -1):
+        window = maps[l - k_min:l - k_min + n]  # N_{l+1}, ..., N_{l+n}
+        if reduce(compose_images, reversed(window)) == target:
+            return l
+    return None
+
+
+def marginal_transition_matrix(generators, weights) -> list:
+    """Row-stochastic matrix P[x][y] = mu{f : f(x) = y} of the one-point
+    chain, 0-indexed rows, for image tuples with exact weights."""
+    n = len(generators[0])
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for f, w in zip(generators, weights):
+        for x in range(n):
+            rows[x][f[x] - 1] += Fraction(w)
+    return rows
 
 
 def float_stationary(matrix, iters: int = 20_000) -> np.ndarray:

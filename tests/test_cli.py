@@ -436,6 +436,14 @@ def test_seed_range(capsys):
     assert (code, _sha256(out)) == (0, EXAMPLE_MAX_SEED_2000_SHA)
 
 
+def test_example_checks_its_config_like_simulate(capsys):
+    for replications in ("-5", "0"):
+        code, out, err = run(capsys, "example", "--replications", replications,
+                             "--no-timestamp")
+        assert (code, out) == (3, "")
+        assert err == "finevo: error: replications must be >= 1\n"
+
+
 def test_cli_import_leaves_scipy_stats_out():
     # the p-values need only scipy.special, a much smaller import
     src = str(Path(finevo.__file__).parents[1])

@@ -10,8 +10,6 @@ from finevo.cliques import (
     compute_W,
     f_cliques,
     invariant_law,
-    is_deadlock,
-    stable_under_all,
 )
 from finevo.errors import ClassificationError, InputError
 from finevo.measure import (
@@ -23,35 +21,44 @@ from finevo.measure import (
 )
 from finevo.semigroup import generate, kernel
 from finevo.transform import Transformation
+from oracles import (
+    brute_force_closure,
+    deadlock_pairs,
+    is_stable,
+    stable_kernel_image_tuples,
+)
 
 E = Transformation([4, 2, 2, 4, 5])
 FE = Transformation([1, 3, 3, 1, 5])
 GH = Transformation([5, 2, 2, 5, 4])
 
 
+def _example_closure(a):
+    return brute_force_closure([f.images for f in a.law.generators])
+
+
 def test_deadlock_golden(example_analysis):
-    S = example_analysis.semigroup
-    assert is_deadlock(S, 2, 4)
-    assert not is_deadlock(S, 1, 2)  # ef = [2,2,4,4,5] merges 1 and 2
-    with pytest.raises(InputError):
-        is_deadlock(S, 3, 3)
+    pairs = deadlock_pairs(_example_closure(example_analysis), 5)
+    assert (2, 4) in pairs
+    assert (1, 2) not in pairs  # ef = [2,2,4,4,5] merges 1 and 2
 
 
 def test_every_pair_under_identity_semigroup_is_deadlocked():
-    S = generate([Transformation.identity(4)])
-    assert all(is_deadlock(S, x, y) for x in range(1, 5) for y in range(x + 1, 5))
+    law = MappingLaw.from_dict({"n": 4, "generators": [[1, 2, 3, 4]], "weights": ["1"]})
+    assert len(deadlock_pairs(brute_force_closure([(1, 2, 3, 4)]), 4)) == 6
+    assert set(analyze_law(law).cliques.W_mu) == set(permutations(range(1, 5)))
 
 
 def test_f_cliques_golden(example_analysis):
     a = example_analysis
     assert a.cliques.f_cliques == ((1, 3, 5), (2, 4, 5))
-    assert f_cliques(a.semigroup, a.rd.kernel) == [(1, 3, 5), (2, 4, 5)]
+    assert f_cliques(a.rd.kernel) == [(1, 3, 5), (2, 4, 5)]
     assert all(len(c) == a.cliques.m_mu for c in a.cliques.f_cliques)
 
 
 def test_f_cliques_of_permutation_group():
     S = generate([Transformation([2, 3, 1])])
-    assert f_cliques(S, kernel(S)) == [(1, 2, 3)]
+    assert f_cliques(kernel(S)) == [(1, 2, 3)]
 
 
 def test_W_mu_and_W_golden(example_analysis):
@@ -59,23 +66,39 @@ def test_W_mu_and_W_golden(example_analysis):
     assert cd.m_mu == 3
     assert len(cd.W_mu) == 12
     assert cd.W == ((2, 4, 5),)
-    assert len(cd.eW_mu) == 6
+    assert len({example_analysis.rd.e.apply(x) for x in cd.W_mu}) == 6
     expected = {p for c in [(2, 4, 5), (1, 3, 5)] for p in permutations(c)}
     assert set(cd.W_mu) == expected
 
 
 def test_W_mu_equals_definition_scan(example_analysis):
-    # cross-check the pairwise deadlock filter against the literal
-    # "f x stays distinct for every f in S" definition
-    a = example_analysis
+    # on the example, the stable distinct 3-tuples of the literal
+    # "f x stays distinct for every f in S" definition are exactly W_mu
     from itertools import product
 
+    closure = _example_closure(example_analysis)
     direct = {
         x
         for x in product(range(1, 6), repeat=3)
-        if len(set(x)) == 3 and stable_under_all(a.semigroup, x)
+        if len(set(x)) == 3 and is_stable(closure, x)
     }
-    assert set(a.cliques.W_mu) == direct
+    assert set(example_analysis.cliques.W_mu) == direct
+
+
+# (2,3) is stable under [1,1,3], but {2,3} is not the image of a kernel
+# element: the stable tuples are more than W_mu.
+MERGE_LAW = {"n": 3, "generators": [[1, 1, 3]], "weights": ["1"]}
+
+
+def test_W_mu_is_the_stable_orderings_of_kernel_images(
+        example_analysis, cyclic3_analysis, p3h2_analysis, fuzz_analyses):
+    analyses, _ = fuzz_analyses
+    merge = analyze_law(MappingLaw.from_dict(MERGE_LAW))
+    assert set(merge.cliques.W_mu) == {(1, 3), (3, 1)}
+    assert is_stable(brute_force_closure([(1, 1, 3)]), (2, 3))
+    for a in [example_analysis, cyclic3_analysis, p3h2_analysis, merge] + analyses:
+        gens = [f.images for f in a.law.generators]
+        assert set(a.cliques.W_mu) == stable_kernel_image_tuples(gens)
 
 
 def test_stability_invariant(example_analysis):
@@ -197,17 +220,18 @@ def test_classify_rejects_mass_outside_W_mu(example_analysis):
 def test_f_cliques_are_maximal_deadlocked_sets(example_analysis):
     a = example_analysis
     n = a.law.n
+    pairs = deadlock_pairs(_example_closure(a), n)
     for clique in a.cliques.f_cliques:
         members = set(clique)
         for x in members:
             for y in members:
                 if x < y:
-                    assert is_deadlock(a.semigroup, x, y)
+                    assert (x, y) in pairs
         # any strict superset picks up a mergeable pair
         for extra in set(range(1, n + 1)) - members:
             grown = sorted(members | {extra})
             assert any(
-                not is_deadlock(a.semigroup, x, y)
+                (x, y) not in pairs
                 for i, x in enumerate(grown)
                 for y in grown[i + 1 :]
             )
@@ -258,6 +282,6 @@ def test_compute_W_on_trivial_semigroup():
     cd = a.cliques
     assert cd.m_mu == 3
     assert len(cd.W_mu) == 6
-    assert cd.W == cd.eW_mu == cd.W_mu  # trivial group: all orbits are singletons
-    fresh = compute_W(a.semigroup, a.rd.kernel, a.rd)
+    assert cd.W == cd.W_mu  # trivial group: all orbits are singletons
+    fresh = compute_W(a.rd)
     assert fresh.W == cd.W

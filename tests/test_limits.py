@@ -40,7 +40,7 @@ def test_left_and_right_factors_golden(example_analysis):
 def test_left_stationary_product_form(example_analysis):
     # beta{l*g} = eta_L{l} / |G| on each of the 12 states of Ke
     a = example_analysis
-    beta = a.beta_left
+    beta = left_stationary(a.law, a.rd)
     states = sorted({z * a.rd.e for z in a.rd.kernel})
     assert len(states) == 12
     for z in states:
@@ -104,15 +104,16 @@ def test_left_stationary_matches_float_power_iteration(example_analysis):
         for f, w in a.law.measure.items():
             matrix[index[z]][index[f * z]] += w
     pi = float_stationary(matrix)
+    beta = left_stationary(a.law, a.rd)
     for z in states:
-        assert abs(pi[index[z]] - float(a.beta_left[z])) < 1e-12
+        assert abs(pi[index[z]] - float(beta[z])) < 1e-12
 
 
 def test_stationary_of_point_mass_law():
     law = MappingLaw.from_dict({"n": 5, "generators": [[4, 2, 2, 4, 5]],
                                 "weights": ["1"]})
     a = analyze_law(law)
-    assert a.beta_left == RationalMeasure.point(E)
+    assert left_stationary(a.law, a.rd) == RationalMeasure.point(E)
     assert a.limits.eta_L == RationalMeasure.point(E)
     assert a.limits.eta_R == RationalMeasure.point(E)
     assert a.limits.eta == RationalMeasure.point(E)
@@ -138,13 +139,13 @@ def test_period_of_example_is_one(example_analysis):
 def test_period_three_cyclic_instance():
     a = analyze_law(cyclic3_law())
     assert a.limits.p == 3
-    assert a.rd.H == (Transformation.identity(3),)
+    assert a.rd.H == (Transformation([1, 2, 3]),)
     assert a.rd.gamma == Transformation([2, 3, 1])
     # mu^n = delta_{g^n} cycles with period 3
     g = Transformation([2, 3, 1])
     assert a.limits.cycle[1] == RationalMeasure.point(g)
     assert a.limits.cycle[2] == RationalMeasure.point(g * g)
-    assert a.limits.eta == RationalMeasure.point(Transformation.identity(3))
+    assert a.limits.eta == RationalMeasure.point(Transformation([1, 2, 3]))
 
 
 def test_period_three_with_nontrivial_H():
@@ -220,7 +221,7 @@ def test_float_oracle_trivial_law():
 def test_float_oracle_period_three():
     est = float_limit_oracle(cyclic3_law())
     assert est.converged and est.p_est == 3
-    assert est.eta_est == {Transformation.identity(3): 1.0}
+    assert est.eta_est == {Transformation([1, 2, 3]): 1.0}
 
 
 def test_float_oracle_survives_oscillating_transients():
@@ -247,6 +248,28 @@ def test_vectorized_iteration_matches_naive_steps(example_analysis):
         naive = float_step(law, naive)
         dense = {s: float(x) for s, x in zip(elements, vec) if x != 0.0}
         assert float_sup_distance(dense, naive) < 1e-14
+
+
+def test_indexed_iteration_sums_like_the_per_generator_loop(
+        example_analysis, p3h2_analysis, fuzz_analyses):
+    # the step must add the same terms in the same order as one np.add.at
+    # per generator: verify prints the float errors in full
+    from finevo.limits import _indexed_iteration
+
+    analyses, _ = fuzz_analyses
+    for a in [example_analysis, p3h2_analysis] + analyses:
+        S = a.semigroup
+        _, vec, step = _indexed_iteration(a.law, S)
+        tables = [(np.array([S.index[f * s] for s in S.elements]), float(w))
+                  for f, w in a.law.measure.items()]
+        ref = vec.copy()
+        for _ in range(500):
+            vec = step(vec)
+            out = np.zeros_like(ref)
+            for table, w in tables:
+                np.add.at(out, table, w * ref)
+            ref = out
+            assert np.array_equal(vec, ref)
 
 
 def _first_order(a) -> dict:

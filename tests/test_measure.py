@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from finevo import example_law
+from finevo.cliques import invariant_law
 from finevo.errors import InputError
 from finevo.measure import (
     MappingLaw,
@@ -10,10 +11,10 @@ from finevo.measure import (
     act_on_tuples,
     convolve,
     coordinate_marginal,
-    marginal_transition_matrix,
     measure_product,
 )
 from finevo.transform import Transformation
+from oracles import marginal_transition_matrix
 
 F = Transformation([2, 3, 4, 1, 5])
 G = Transformation([2, 5, 5, 2, 4])
@@ -73,7 +74,7 @@ def test_uniform_and_point():
 
 def test_act_on_tuples_identity():
     lam = RationalMeasure({(2, 4, 5): "1/2", (1, 3, 5): "1/2"})
-    ident = RationalMeasure.point(Transformation.identity(5))
+    ident = RationalMeasure.point(Transformation([1, 2, 3, 4, 5]))
     assert act_on_tuples(ident, lam) == lam
 
 
@@ -103,19 +104,29 @@ def test_invariant_point_law_on_single_particles():
     assert act_on_tuples(mu, lam) == lam
 
 
-def test_marginal_transition_matrix_golden_rows():
-    mat = marginal_transition_matrix(example_law())
+def _matrix(law):
+    return marginal_transition_matrix(*zip(*((f.images, w) for f, w in law.measure.items())))
+
+
+def test_marginal_transition_matrix_golden_rows(example_analysis):
+    a = example_analysis
+    mat = _matrix(example_law())
     half = Fraction(1, 2)
     assert mat[0] == [0, 1, 0, 0, 0]
     assert mat[3] == [half, half, 0, 0, 0]
     assert all(sum(row) == 1 for row in mat)
+    # the first coordinate of an invariant tuple law is invariant for the
+    # one-point chain
+    lam = invariant_law(a.limits, a.cliques, RationalMeasure.uniform(a.cliques.W))
+    pi = [coordinate_marginal(lam, 1)[x] for x in range(1, 6)]
+    assert [sum(pi[x] * mat[x][y] for x in range(5)) for y in range(5)] == pi
 
 
 def test_transition_matrix_of_identity_law():
     law = MappingLaw.from_dict(
         {"n": 3, "generators": [[1, 2, 3]], "weights": ["1"]}
     )
-    mat = marginal_transition_matrix(law)
+    mat = _matrix(law)
     assert mat == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 

@@ -7,7 +7,7 @@ from finevo.errors import InputError, ResourceLimitError, StructuralInconsistenc
 from finevo.measure import MappingLaw
 from finevo.semigroup import generate, kernel, project, rees_at
 from finevo.transform import Transformation
-from oracles import brute_force_closure, brute_force_minimal_ideal
+from oracles import brute_force_closure, brute_force_minimal_ideal, shortest_words
 
 F = Transformation([2, 3, 4, 1, 5])
 G = Transformation([2, 5, 5, 2, 4])
@@ -48,7 +48,7 @@ def test_closure_contains_golden_elements(S):
 
 
 def test_single_identity_generator():
-    S = generate([Transformation.identity(4)])
+    S = generate([Transformation([1, 2, 3, 4])])
     assert len(S) == 1
 
 
@@ -67,13 +67,16 @@ def test_product_table_closed(S):
 
 
 def test_word_for_reconstructs(S):
+    # the canonical order is BFS by shortest word length, each layer sorted
+    words = shortest_words([F.images, G.images])
     for target in S.elements:
-        word = S.word_for(target)
-        acc = word[0]
-        for t in word[1:]:
-            acc = acc * t
+        acc = Transformation(words[target.images][0])
+        for t in words[target.images][1:]:
+            acc = acc * Transformation(t)
         assert acc == target
-    assert S.word_for(E) == [G, G, G]
+    keys = [(len(words[f.images]), f) for f in S.elements]
+    assert keys == sorted(keys)
+    assert words[E.images] == [G.images] * 3
 
 
 def test_idempotents_golden(S):
@@ -86,7 +89,7 @@ def test_idempotents_golden(S):
 
 def test_idempotents_of_a_permutation_group():
     S = generate([Transformation([2, 3, 1])])
-    assert [f for f in S if f.is_idempotent()] == [Transformation.identity(3)]
+    assert [f for f in S if f.is_idempotent()] == [Transformation([1, 2, 3])]
 
 
 def test_kernel_matches_minimal_ideal_oracle(S, K):
@@ -195,9 +198,10 @@ def test_coset_structure_cyclic_group():
     g = Transformation([2, 3, 1])
     S = generate([g])
     K = kernel(S)
-    rd = rees_at(S, K, Transformation.identity(3))
-    assert (rd.p, rd.H, rd.gamma) == (3, (Transformation.identity(3),), g)
-    assert rd.coset_of == {Transformation.identity(3): 0, g: 1, g * g: 2}
+    ident = Transformation([1, 2, 3])
+    rd = rees_at(S, K, ident)
+    assert (rd.p, rd.H, rd.gamma) == (3, (ident,), g)
+    assert rd.coset_of == {ident: 0, g: 1, g * g: 2}
     assert rd.gamma_power(2) == g * g
     assert rd.gamma_power(-1) == g * g
 

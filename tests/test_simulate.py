@@ -8,8 +8,6 @@ from finevo.cliques import InvariantFamily
 from finevo.errors import InputError
 from finevo.measure import MappingLaw, RationalMeasure
 from finevo.simulate import (
-    estimate_Te,
-    mixing_uniformity,
     path_tables,
     philox_uniforms,
     sample_batch,
@@ -19,8 +17,9 @@ from finevo.simulate import (
     verify_path_exact,
     verify_third_noise,
 )
+from finevo.stats import chi_square_gof
 from finevo.transform import Transformation
-from oracles import ScalarReference, scalar_draw
+from oracles import ScalarReference, last_word_time, scalar_draw, shortest_words
 
 
 def one_path(a, initial, k_min, k_max, seed):
@@ -41,12 +40,9 @@ def test_path_shape(example_path):
     assert len(path.X) == 1001
     assert len(path.N) == 1000
     assert len(path.M_G) == 1000
-    assert path.x_at(-1000) == path.X[0]
-    assert path.n_at(0) == path.N[-1]
+    assert path.index(-1000) == 0 and path.index(0) == 1000
     with pytest.raises(InputError):
-        path.x_at(1)
-    with pytest.raises(InputError):
-        path.n_at(-1000)
+        path.index(1)
 
 
 def test_path_exact_invariants(example_analysis, example_path):
@@ -235,17 +231,26 @@ def test_nonstationary_joint_frequencies(p3h2_analysis):
     assert check.df == 3  # four reachable (phase, w) cells
 
 
+def e_word(a) -> list:
+    """A shortest generator word for the base idempotent, as image tuples."""
+    return shortest_words([f.images for f in a.law.generators])[a.rd.e.images]
+
+
+def estimate_Te(path, k, word):
+    """T_e at time k, read off the path's driving maps."""
+    return last_word_time([f.images for f in path.N], path.k_min, k, word)
+
+
 def test_estimate_Te_on_example(example_analysis, example_path):
     a = example_analysis
-    word = a.e_word
-    assert word == [Transformation([2, 5, 5, 2, 4])] * 3
+    word = e_word(a)
+    assert word == [(2, 5, 5, 2, 4)] * 3
     te = estimate_Te(example_path, 0, word)
     assert te is not None and te < -3
     # the product over the reported witness window is exactly e
-    prod = example_path.n_at(te + 3)
-    for j in (te + 2, te + 1):
-        prod = prod * example_path.n_at(j)
-    assert prod == a.rd.e
+    i = te - example_path.k_min
+    n1, n2, n3 = example_path.N[i:i + 3]  # N_{te+1}, N_{te+2}, N_{te+3}
+    assert n3 * n2 * n1 == a.rd.e
 
 
 def test_estimate_Te_windows_of_200(example_analysis):
@@ -255,7 +260,7 @@ def test_estimate_Te_windows_of_200(example_analysis):
     total = 200
     for r in range(total):
         path = one_path(a, lw, -200, 0, 42 ^ r)
-        if estimate_Te(path, 0, a.e_word) is not None:
+        if estimate_Te(path, 0, e_word(a)) is not None:
             found += 1
     assert found == total
 
@@ -266,18 +271,19 @@ def test_estimate_Te_deterministic_law():
     a = analyze_law(law)
     lw = RationalMeasure.uniform(a.cliques.W)
     path = one_path(a, lw, -50, 0, 1)
-    assert a.e_word == [a.rd.e]
+    assert e_word(a) == [a.rd.e.images]
     # every position carries the witness; T^e_k is the largest admissible l
-    assert estimate_Te(path, 0, a.e_word) == -2
+    assert estimate_Te(path, 0, e_word(a)) == -2
 
 
 def test_Te_tail_decays_geometrically(example_analysis):
     a = example_analysis
     lw = RationalMeasure.point(a.cliques.W[0])
+    word = e_word(a)
     gaps = []
     for r in range(400):
         path = one_path(a, lw, -120, 0, 9000 ^ r)
-        te = estimate_Te(path, 0, a.e_word)
+        te = estimate_Te(path, 0, word)
         assert te is not None
         gaps.append(-te)
     # geometric tail: the three-quarter point sits well inside twice the median
@@ -290,7 +296,6 @@ def test_one_time_law_matches_invariant_marginal(example_analysis):
     # stationarity: the empirical law of X_k over replications matches the
     # exact invariant law at chi-square level
     from finevo.cliques import invariant_law
-    from finevo.stats import chi_square_gof
 
     a = example_analysis
     lw = RationalMeasure.point(a.cliques.W[0])
@@ -299,7 +304,7 @@ def test_one_time_law_matches_invariant_marginal(example_analysis):
     reps = 3000
     for r in range(reps):
         path = one_path(a, lw, -3, 0, 42 ^ r)
-        x = path.x_at(0)
+        x = path.X[-1]
         counts[x] = counts.get(x, 0) + 1
     expected = {x: w for x, w in lam.items()}
     check = chi_square_gof(counts, expected, reps, 0.001, "one-time law")
@@ -322,26 +327,29 @@ def test_degenerate_H_auto_passes():
     assert report.all_passed
 
 
+def mixing_uniformity(a, n, replications=2000, seed=7):
+    """Chi-square test of the H-part of e N_1 ... N_n z against uniform on
+    H, z the first kernel element; replication r draws N_1..N_n from
+    Philox(key=seed ^ r)."""
+    rd = a.rd
+    split = ScalarReference(a.limits, a.cliques.W).split
+    counts = {}
+    for r in range(replications):
+        rng = np.random.Generator(np.random.Philox(key=seed ^ r))
+        prod = rd.e
+        for _ in range(n):
+            prod = prod * scalar_draw(a.law.measure.items(), rng)
+        _add(counts, split[rd.e * (prod * rd.kernel[0]) * rd.e][1])
+    uniform_h = {x: Fraction(1, len(rd.H)) for x in rd.H}
+    return chi_square_gof(counts, uniform_h, replications, 0.001,
+                          f"H-part of e N_1..N_{n} z uniform on H")
+
+
 def test_mixing_trend(example_analysis):
-    a = example_analysis
-    f = a.rd.e
-    h = a.rd.kernel[0]
-    stats = {}
-    for n in (5, 20, 50):
-        check = mixing_uniformity(
-            a.limits, f, h, n=n, replications=2000, seed=7, alpha=0.001
-        )
-        stats[n] = check
+    stats = {n: mixing_uniformity(example_analysis, n) for n in (5, 20, 50)}
     # the word products mix toward uniform on H as the word grows
     assert stats[50].passed and stats[20].passed
     assert stats[5].statistic > stats[50].statistic
-
-
-def test_mixing_requires_kernel_endpoints(example_analysis):
-    a = example_analysis
-    with pytest.raises(InputError):
-        mixing_uniformity(a.limits, Transformation([2, 3, 4, 1, 5]), a.rd.e,
-                          n=5, replications=1000, seed=1)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 42, 2**63 + 5, 2**64 - 1])
@@ -416,7 +424,7 @@ def test_stationary_counts_match_scalar_reference(name, request, tested_counts):
         assert (path.Y_C, path.Z_W) == (rows[r]["Y_C"], rows[r]["Z_W"])
 
 
-def test_mono_and_mixing_counts_match_scalar_reference(example_analysis, tested_counts):
+def test_mono_counts_match_scalar_reference(example_analysis, tested_counts):
     a = example_analysis
     lw = RationalMeasure.point(a.cliques.W[0])
     ref = ScalarReference(a.limits, a.cliques.W)
@@ -427,17 +435,6 @@ def test_mono_and_mixing_counts_match_scalar_reference(example_analysis, tested_
         sample_batch(path_tables(a.limits, a.cliques), lw, -3, 0, 42, REPS), alpha=0.001
     )
     assert tested_counts == [want]
-
-    f, h, n = a.rd.e, a.rd.kernel[0], 20
-    want = {}
-    for r in range(REPS):
-        rng = np.random.Generator(np.random.Philox(key=7 ^ r))
-        prod = f
-        for _ in range(n):
-            prod = prod * scalar_draw(a.limits.law.measure.items(), rng)
-        _add(want, ref.split[a.rd.e * (prod * h) * a.rd.e][1])
-    mixing_uniformity(a.limits, f, h, n=n, replications=REPS, seed=7)
-    assert tested_counts[1:] == [want]
 
 
 def test_nonstationary_counts_match_scalar_reference(p3h2_analysis, tested_counts):
