@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cliques import CliqueData, compute_W
-from .errors import StructuralInconsistencyError
 from .limits import (
     CyclicLimit,
     assemble_limits,
@@ -14,15 +13,7 @@ from .limits import (
     right_stationary,
 )
 from .measure import MappingLaw
-from .semigroup import (
-    DEFAULT_ELEMENT_CAP,
-    ReesData,
-    Semigroup,
-    generate,
-    kernel,
-    rees_at,
-)
-from .transform import Transformation
+from .semigroup import DEFAULT_ELEMENT_CAP, ReesData, generate, kernel, rees_at
 
 
 @dataclass(frozen=True)
@@ -30,37 +21,30 @@ class Analysis:
     """Everything the reports and the simulator need about one law."""
 
     law: MappingLaw
-    semigroup: Semigroup
+    closure: tuple  # rows in canonical order, read only by finevo.semigroup
     rd: ReesData
     limits: CyclicLimit
     cliques: CliqueData
 
 
-def base_idempotent(semigroup: Semigroup, ker: tuple) -> Transformation:
-    """The first idempotent of the kernel in canonical element order.
-
-    Canonical order (BFS by word length, lexicographic ties) makes the
-    choice deterministic; any choice yields an isomorphic decomposition.
-    """
-    kset = set(ker)
-    for f in semigroup:
-        if f in kset and f.is_idempotent():
-            return f
-    raise StructuralInconsistencyError("kernel contains no idempotent")
-
-
 def analyze_law(law: MappingLaw, *, cap: int = DEFAULT_ELEMENT_CAP) -> Analysis:
-    """Compute the full algebraic limit structure of a mapping law."""
-    semigroup = generate(law.generators, cap=cap)
-    ker = kernel(semigroup)
-    e = base_idempotent(semigroup, ker)
-    rd = rees_at(semigroup, ker, e)
+    """Compute the full algebraic limit structure of a mapping law.
+
+    ``cap`` bounds the closure's elements and the stable tuples W_mu. The
+    base idempotent is the first idempotent of the kernel in canonical
+    order; any choice yields an isomorphic decomposition.
+    """
+    closure = generate(law.generators, cap=cap)
+    ker = kernel(closure, law.generators)
+    # the kernel is a finite semigroup, so it holds an idempotent
+    e = next(z for z in ker if z.is_idempotent())
+    rd = rees_at(law.generators, ker, e)
 
     eta_L = boundary_factor(rd, left_stationary(law, rd), left=True)
     eta_R = boundary_factor(rd, right_stationary(law, rd), left=False)
     limits = assemble_limits(law, rd, eta_L, eta_R)
-    return Analysis(law=law, semigroup=semigroup, rd=rd, limits=limits,
-                    cliques=compute_W(rd))
+    return Analysis(law=law, closure=closure, rd=rd, limits=limits,
+                    cliques=compute_W(rd, cap=cap))
 
 
 def example_law() -> MappingLaw:

@@ -88,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="structural analysis of a mapping law")
     p.add_argument("--law", required=True, help="mapping-law JSON file")
     p.add_argument("--cap", type=int, default=DEFAULT_ELEMENT_CAP,
-                   help="closure element cap (default 10^6)")
+                   help="cap on the closure's elements and on the stable "
+                        "tuples W_mu (default 10^6)")
     p.add_argument("--seed", type=int, help="echoed into the report")
     _add_output_flags(p)
 
@@ -115,31 +116,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_law(path: str) -> MappingLaw:
+def _read_json_object(path: str, what: str) -> dict:
+    """The JSON object in a UTF-8 file; ``what`` names the file in errors."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
-        raise InputError(f"cannot read law file {path}: {exc}") from exc
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{what} {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise InputError(f"law file {path} is not valid JSON "
+        raise InputError(f"{what} {path} is not valid JSON "
                          f"(line {exc.lineno}, column {exc.colno})") from exc
-    return MappingLaw.from_dict(obj)
+    if not isinstance(obj, dict):
+        raise InputError(f"{what} {path} must be a JSON object")
+    return obj
+
+
+def _load_law(path: str) -> MappingLaw:
+    return MappingLaw.from_dict(_read_json_object(path, "law file"))
 
 
 def _load_sim_config(args, law_file=None) -> dict:
     config = dict(SIM_DEFAULTS, law_file=law_file)
     if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                file_cfg = json.load(fh)
-        except OSError as exc:
-            raise InputError(f"cannot read config {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputError(f"config {args.config} is not valid JSON "
-                             f"(line {exc.lineno}, column {exc.colno})") from exc
-        if not isinstance(file_cfg, dict):
-            raise InputError(f"config {args.config} must be a JSON object")
+        file_cfg = _read_json_object(args.config, "config")
         unknown = set(file_cfg) - set(config)
         if unknown:
             raise InputError(f"unknown config fields: {sorted(unknown)}")
@@ -218,8 +219,11 @@ def _resolve_family(config, analysis) -> InvariantFamily:
 def _emit(report: dict, args) -> None:
     payload = report_to_json(report) if args.fmt == "json" else render_text(report)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(payload + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write report {args.out}: {exc}") from exc
     else:
         print(payload)
 
@@ -275,16 +279,18 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    config = _load_sim_config(args)
-    law = _load_law(config["law_file"])
-    analysis = analyze_law(law, cap=args.cap)
+def _simulate(args, config, analysis) -> int:
     verification = _run_simulation_battery(analysis, config)
     report = build_report(analysis, seed=config["seed"],
                           timestamp=not args.no_timestamp)
     report["verification"] = verification.to_json()
     _emit(report, args)
     return _exit_code(verification)
+
+
+def cmd_simulate(args) -> int:
+    config = _load_sim_config(args)
+    return _simulate(args, config, analyze_law(_load_law(config["law_file"]), cap=args.cap))
 
 
 def cmd_verify(args) -> int:
@@ -294,7 +300,7 @@ def cmd_verify(args) -> int:
 
     verification = _run_simulation_battery(analysis, config)
     est = float_limit_oracle(law, max_lag=max(64, len(analysis.rd.G)),
-                             semigroup=analysis.semigroup)
+                             closure=analysis.closure)
     if not est.converged:
         verification.add(Check("float limit oracle converged", "exact", False))
         eta_err = nu_err = float("nan")
@@ -327,7 +333,7 @@ def cmd_verify(args) -> int:
     }
     # informational: the literal running average converges like C/n, far
     # slower than the cycle average checked above
-    avg = cesaro_average(law, 10_000, analysis.semigroup)
+    avg = cesaro_average(law, 10_000, analysis.closure)
     report["cesaro"] = {
         "n": 10_000,
         "sup_error_vs_nu": exact_vs_float_sup(analysis.limits.nu, avg),
@@ -338,13 +344,7 @@ def cmd_verify(args) -> int:
 
 def cmd_example(args) -> int:
     config = _load_sim_config(args, law_file="<built-in>")
-    analysis = analyze_law(example_law())
-    verification = _run_simulation_battery(analysis, config)
-    report = build_report(analysis, seed=config["seed"],
-                          timestamp=not args.no_timestamp)
-    report["verification"] = verification.to_json()
-    _emit(report, args)
-    return _exit_code(verification)
+    return _simulate(args, config, analyze_law(example_law()))
 
 
 def main(argv=None) -> int:

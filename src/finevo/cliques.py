@@ -17,11 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
-from .errors import ClassificationError, InputError, StructuralInconsistencyError
+from .errors import (ClassificationError, InputError, ResourceLimitError,
+                     StructuralInconsistencyError)
 from .limits import CyclicLimit
 from .measure import RationalMeasure, act_on_tuples, measure_product
-from .semigroup import ReesData
+from .semigroup import DEFAULT_ELEMENT_CAP, ReesData
 
 
 def f_cliques(ker: tuple) -> list:
@@ -46,16 +48,21 @@ class CliqueData:
         return self.triples[x]
 
 
-def compute_W(rd: ReesData) -> CliqueData:
+def compute_W(rd: ReesData, *, cap: int = DEFAULT_ELEMENT_CAP) -> CliqueData:
     """Enumerate the stable tuples and fix a W with L x G x W bijective.
 
     W_mu is every ordering of every f-clique (see the module docstring for
     why they are all stable). W collects the lexicographically smallest
-    representative of each G-orbit on e W_mu.
+    representative of each G-orbit on e W_mu. Raises ResourceLimitError,
+    before enumerating, if W_mu would hold more than ``cap`` tuples.
     """
     ker = rd.kernel
     m_mu = min(f.rank() for f in ker)
     cliques = f_cliques(ker)
+    size = len(cliques) * factorial(m_mu)
+    if size > cap:
+        raise ResourceLimitError(f"W_mu has {size} tuples, over the element cap "
+                                 f"({cap}); raise the cap to analyze this law")
     W_mu = tuple(sorted(x for clique in cliques for x in permutations(clique)))
 
     e = rd.e

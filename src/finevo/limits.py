@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import StructuralInconsistencyError
 from .measure import MappingLaw, RationalMeasure, convolve, measure_product
-from .semigroup import ReesData, Semigroup, generate, project
+from .semigroup import ReesData, element, generate, left_products, project
 
 
 def _pivot_size(value: Fraction) -> int:
@@ -183,29 +183,31 @@ def assemble_limits(
     )
 
 
-def _indexed_iteration(law: MappingLaw, semigroup: Semigroup = None):
-    """Vectorized left-convolution step over the indexed closure.
+def _indexed_iteration(law: MappingLaw, closure: tuple = None):
+    """Vectorized left-convolution step over the closure's canonical order.
 
-    Returns (elements, v0, step) where step maps a weight vector for mu^n
-    to the one for mu^(n+1); ``semigroup`` is built when not given.
+    Returns (closure, v0, step) where step maps a weight vector for mu^n
+    to the one for mu^(n+1); ``closure`` is built when not given. The
+    closure starts with the sorted support, so v0 starts with the weights.
     """
-    if semigroup is None:
-        semigroup = generate(law.generators)
-    elements = semigroup.elements
-    index = semigroup.index
-    table = np.array([index[f * s] for f, _ in law.measure.items() for s in elements],
-                     dtype=np.intp)
+    if closure is None:
+        closure = generate(law.generators)
+    table = np.array(left_products(closure, law.generators), dtype=np.intp)
     weights = [float(w) for _, w in law.measure.items()]
-    v0 = np.zeros(len(elements))
-    for f, w in law.measure.items():
-        v0[index[f]] = float(w)
+    v0 = np.zeros(len(closure))
+    v0[:len(weights)] = weights
 
     def step(v: np.ndarray) -> np.ndarray:
         # terms are summed generator by generator, each in element order
         return np.bincount(table, weights=np.concatenate([w * v for w in weights]),
                            minlength=len(v))
 
-    return elements, v0, step
+    return closure, v0, step
+
+
+def _nonzero(closure: tuple, vec: np.ndarray) -> dict:
+    """The nonzero entries of a weight vector, keyed by transformation."""
+    return {element(closure[i]): float(vec[i]) for i in np.flatnonzero(vec)}
 
 
 @dataclass
@@ -223,7 +225,7 @@ def float_limit_oracle(
     *,
     max_iter: int = 100_000,
     max_lag: int = 64,
-    semigroup: Semigroup = None,
+    closure: tuple = None,
 ) -> FloatLimitEstimate:
     """Brute-force limit detection by iterating convolution powers.
 
@@ -235,12 +237,12 @@ def float_limit_oracle(
     An oscillating transient can push a larger lag under ``tol`` before the
     true one, so after the first detection the iteration continues to twice
     the detection index (squaring the residual transient) and the smallest
-    lag that holds at the final iterate is reported. ``semigroup`` is the
-    law's closure, built when not given.
+    lag that holds at the final iterate is reported. ``closure`` is the
+    law's closure (``Analysis.closure``), built when not given.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    elements, vec, step = _indexed_iteration(law, semigroup)
+    closure, vec, step = _indexed_iteration(law, closure)
     history = [(1, vec)]
     settle_until = None
     for n in range(2, max_iter + 1):
@@ -259,26 +261,21 @@ def float_limit_oracle(
                     cycle = history[-q:]
                     eta_vec = next(v for m, v in cycle if m % q == 0)
                     nu_vec = sum(v for _, v in cycle) / q
-                    eta_est = {
-                        s: float(x) for s, x in zip(elements, eta_vec) if x != 0.0
-                    }
-                    nu_est = {
-                        s: float(x) for s, x in zip(elements, nu_vec) if x != 0.0
-                    }
-                    return FloatLimitEstimate(True, q, eta_est, nu_est, n)
+                    return FloatLimitEstimate(True, q, _nonzero(closure, eta_vec),
+                                              _nonzero(closure, nu_vec), n)
             settle_until = None  # lost the repetition; keep iterating
     return FloatLimitEstimate(False, 0, {}, {}, max_iter)
 
 
-def cesaro_average(law: MappingLaw, n: int, semigroup: Semigroup = None) -> dict:
+def cesaro_average(law: MappingLaw, n: int, closure: tuple = None) -> dict:
     """Running average (1/n) sum_{k=1..n} mu^k in double precision."""
-    elements, vec, step = _indexed_iteration(law, semigroup)
+    closure, vec, step = _indexed_iteration(law, closure)
     acc = vec.copy()
     for _ in range(n - 1):
         vec = step(vec)
         acc += vec
     acc /= n
-    return {s: float(x) for s, x in zip(elements, acc) if x != 0.0}
+    return _nonzero(closure, acc)
 
 
 def exact_vs_float_sup(exact: RationalMeasure, approx: dict) -> float:

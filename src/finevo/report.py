@@ -15,6 +15,7 @@ from . import __version__
 from .analysis import Analysis
 from .cliques import invariant_law
 from .measure import RationalMeasure, coordinate_marginal
+from .semigroup import literals
 from .transform import Transformation, tuple_literal
 
 
@@ -57,10 +58,10 @@ def build_report(analysis: Analysis, *, seed=None, timestamp: bool = True) -> di
         "tool": {"name": "finevo", "version": __version__},
         "input": analysis.law.to_dict(),
         "semigroup": {
-            "size": len(analysis.semigroup),
+            "size": len(analysis.closure),
             "kernel_size": len(rd.kernel),
             "m_mu": cd.m_mu,
-            "elements": [f.literal() for f in analysis.semigroup],
+            "elements": literals(analysis.closure),
             "kernel": [f.literal() for f in rd.kernel],
         },
         "rees": {

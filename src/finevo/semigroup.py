@@ -1,12 +1,18 @@
-"""Closure of a generating set of transformations, kernel, Rees decomposition.
+r"""Closure of a generating set of transformations, kernel, Rees decomposition.
 
-The semigroup is generated breadth-first by word length with lexicographic
-tie-breaking, which fixes a canonical element order used for every
-deterministic choice downstream (in particular the base idempotent).
+The closure is a tuple of image rows: the row of a map f on {1..n} is the
+``str`` of code points f(1), ..., f(n). ``row_f.translate("\0" + row_g)`` is
+the row of g * f, and ``str`` order is the lexicographic order of image
+tables. Rows are generated breadth-first by word length, each layer sorted;
+this canonical order fixes every deterministic choice downstream, such as
+the base idempotent. No other module reads rows: ``element``, ``literals``
+and ``left_products`` read them for the others, and only the kernel is
+made into ``Transformation`` objects.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from math import gcd
 
@@ -16,75 +22,76 @@ from .transform import Transformation
 DEFAULT_ELEMENT_CAP = 10**6
 
 
-class Semigroup:
-    """A composition-closed set of transformations with indexed products.
-
-    ``elements`` is ordered canonically (BFS by word length, ties broken
-    lexicographically on image tables). Immutable after construction.
-    """
-
-    def __init__(self, elements, index, generators):
-        self.elements = tuple(elements)
-        self.index = index
-        self.generators = tuple(generators)
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, f):
-        return f in self.index
-
-    @property
-    def generator_elements(self) -> tuple:
-        return tuple(self.elements[i] for i in self.generators)
+def _row(f: Transformation) -> str:
+    return "".join(map(chr, f.images))
 
 
-def generate(generators, *, cap: int = DEFAULT_ELEMENT_CAP) -> Semigroup:
-    """Smallest composition-closed superset of the generators.
+def element(row: str) -> Transformation:
+    """The transformation with the given image row."""
+    return Transformation._unchecked(tuple(map(ord, row)))
 
-    Raises ResourceLimitError if the closure exceeds ``cap`` elements.
+
+def literals(rows) -> list:
+    """``Transformation.literal()`` of every row, e.g. ``[2,3,4,1,5]``."""
+    table = {y: f"{y}," for y in range(1, len(rows[0]) + 1)}
+    return ["[" + row.translate(table)[:-1] + "]" for row in rows]
+
+
+def left_products(rows, factors) -> list:
+    """Position in ``rows`` of f * s for every factor f and row s, f-major."""
+    index = {row: i for i, row in enumerate(rows)}
+    return [index[s.translate(table)]
+            for table in ["\0" + _row(f) for f in factors] for s in rows]
+
+
+def generate(generators, *, cap: int = DEFAULT_ELEMENT_CAP) -> tuple:
+    """Rows of the smallest composition-closed superset of the generators.
+
+    The order is canonical: by shortest word length, each layer sorted, so
+    the sorted generators come first. Raises ResourceLimitError if the
+    closure exceeds ``cap`` elements.
     """
     gens = sorted(set(generators))
     if not gens:
         raise InputError("need at least one generator")
     if len({g.n for g in gens}) != 1:
         raise InputError("generators must share one domain size")
+    if gens[0].n > sys.maxunicode:
+        raise InputError(f"n = {gens[0].n} is above the largest domain, {sys.maxunicode}")
 
-    elements = []
-    index = {}
-    frontier = gens
+    tables = ["\0" + _row(g) for g in gens]
+    rows = [_row(g) for g in gens]
+    seen = set(rows)
+    frontier = rows
     while frontier:
-        for f in frontier:
-            index[f] = len(elements)
-            elements.append(f)
-        if len(elements) > cap:
-            raise ResourceLimitError(
-                f"closure exceeded the element cap ({cap}); "
-                "raise the cap to analyze this law"
-            )
-        frontier = sorted({g * x for x in frontier for g in gens}.difference(index))
-    return Semigroup(elements, index, range(len(gens)))
+        if len(rows) > cap:
+            raise ResourceLimitError(f"closure exceeded the element cap ({cap}); "
+                                     "raise the cap to analyze this law")
+        frontier = sorted({x.translate(t) for x in frontier for t in tables} - seen)
+        seen.update(frontier)
+        rows += frontier
+    return tuple(rows)
 
 
-def kernel(semigroup: Semigroup) -> tuple:
-    """The unique minimal two-sided ideal: all elements of minimal rank.
+def kernel(rows, generators) -> tuple:
+    """The unique minimal two-sided ideal of the closure ``rows`` of the
+    generators: its elements of minimal rank, in canonical order.
 
     The rank criterion is cheap; the ideal property is re-verified against
     the generators (which implies it for the whole semigroup).
     """
-    m = min(f.rank() for f in semigroup)
-    ker = tuple(f for f in semigroup if f.rank() == m)
+    ranks = [len(set(row)) for row in rows]
+    m = min(ranks)
+    ker = [row for row, rank in zip(rows, ranks) if rank == m]
     kset = set(ker)
-    for g in semigroup.generator_elements:
+    for g in map(_row, generators):
+        table = "\0" + g
         for z in ker:
-            if g * z not in kset or z * g not in kset:
+            if z.translate(table) not in kset or g.translate("\0" + z) not in kset:
                 raise StructuralInconsistencyError(
                     "minimal-rank set is not an ideal; rank criterion violated"
                 )
-    return ker
+    return tuple(map(element, ker))
 
 
 @dataclass(frozen=True)
@@ -136,7 +143,7 @@ def _element_order(g: Transformation, e: Transformation, bound: int) -> int:
     )
 
 
-def rees_at(semigroup: Semigroup, ker: tuple, e: Transformation) -> ReesData:
+def rees_at(generators, ker: tuple, e: Transformation) -> ReesData:
     """Decompose the kernel at an idempotent e: L = E(Ke), G = eKe, R = E(eK).
 
     Verifies the group axioms for G, eL = Re = {e}, and the bijectivity of
@@ -189,11 +196,10 @@ def rees_at(semigroup: Semigroup, ker: tuple, e: Transformation) -> ReesData:
     if set(seen) != kset:
         raise StructuralInconsistencyError("L * G * R does not cover the kernel")
 
-    gens = semigroup.generator_elements
-    succ = {z: sorted({f * z for f in gens}) for z in Ke}
+    succ = {z: sorted({f * z for f in generators}) for z in Ke}
     p, classes = chain_period_and_classes(Ke, succ.__getitem__, e)
     # irreducible walks have unique stationary laws (limits.*_stationary)
-    walk_distances(eK, lambda z: [z * f for f in gens], e, "right walk on eK")
+    walk_distances(eK, lambda z: [z * f for f in generators], e, "right walk on eK")
     H = tuple(sorted({e * z * e for z in classes[0]}))
     if len(H) * p != len(G):
         raise StructuralInconsistencyError("|H| * p != |G|")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .analysis import example_law
 from .cliques import CliqueData, InvariantFamily, invariant_law
-from .errors import InputError, StructuralInconsistencyError
+from .errors import InputError, ResourceLimitError, StructuralInconsistencyError
 from .limits import CyclicLimit
 from .measure import RationalMeasure, coordinate_marginal
 from .stats import Check, VerificationReport, chi_square_gof, chi_square_independence
@@ -34,6 +34,12 @@ MAX_SEED = 2**64
 # bytes per uniform) whatever the window; what grows with replications x
 # steps is only the stored int32 maps and states of the batch.
 BATCH_CHUNK_DRAWS = 1 << 16
+
+# Bound on replications x draws per row in one sample_batch. A chunk holds at
+# least one row, so one long replication draws all its uniforms at once:
+# tracemalloc measured peaks of 32 bytes per draw for one replication and
+# 7-11 for chunked batches (2^20 and 2^21 draws), about 256 MiB at the bound.
+MAX_BATCH_DRAWS = 1 << 23
 
 # Philox4x64-10 (Salmon et al., SC'11): multipliers, and the key schedule
 # [k + i*W0, i*W1] mod 2^64 of round i for a key [k, 0].
@@ -294,7 +300,8 @@ def sample_batch(
     X_{k_min} = (l gamma^(k_min+i) h)(w). Then X_k = N_k X_{k-1} with iid
     maps. Each draw reads the next uniform of the row's substream and picks
     the first item whose running float sum of weights, in ``items()`` order
-    (index order for the c_i), exceeds it.
+    (index order for the c_i), exceeds it. Raises ResourceLimitError when
+    replications x draws per row exceeds ``MAX_BATCH_DRAWS``.
     """
     if k_min >= k_max:
         raise InputError("k_min must be less than k_max")
@@ -334,6 +341,10 @@ def sample_batch(
         head = 4
 
     steps = k_max - k_min
+    if replications * (head + steps) > MAX_BATCH_DRAWS:
+        raise ResourceLimitError(
+            f"replications x draws = {replications} x {head + steps} exceeds the batch "
+            f"limit of {MAX_BATCH_DRAWS} draws; shorten the window or lower the replications")
     map_cdf = _cdf(limits.law.measure.items(), tables.gens)
     maps = np.empty((replications, steps), dtype=np.int32)
     states = np.empty((replications, steps + 1), dtype=np.int32)

@@ -7,9 +7,12 @@ Point tuples are plain Python tuples of ints.
 
 from __future__ import annotations
 
+from functools import total_ordering
+
 from .errors import InputError
 
 
+@total_ordering
 class Transformation:
     """An immutable total map {1..n} -> {1..n} stored as an image table.
 
@@ -86,15 +89,6 @@ class Transformation:
 
     def __lt__(self, other):
         return self.images < other.images
-
-    def __le__(self, other):
-        return self.images <= other.images
-
-    def __gt__(self, other):
-        return self.images > other.images
-
-    def __ge__(self, other):
-        return self.images >= other.images
 
     def __hash__(self):
         return self._hash

@@ -48,14 +48,13 @@ def random_law(rng: random.Random) -> MappingLaw:
 
 def _within_caps(law: MappingLaw) -> bool:
     try:
-        semigroup = generate(law.generators, cap=MAX_CLOSURE)
+        closure = generate(law.generators, cap=MAX_CLOSURE)
     except ResourceLimitError:
         return False
-    ker = kernel(semigroup)
+    ker = kernel(closure, law.generators)
     if len(ker) > MAX_KERNEL:
         return False
-    kset = set(ker)
-    e = next(f for f in semigroup if f in kset and f.is_idempotent())
+    e = next(f for f in ker if f.is_idempotent())
     if len({z * e for z in ker}) > MAX_SIDE or len({e * z for z in ker}) > MAX_SIDE:
         return False
     m_mu = min(f.rank() for f in ker)

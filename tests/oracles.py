@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to freeze expected values.
 
-These deliberately avoid the package's own algorithms: the closure oracle is
-a pairwise-product fixpoint on raw image tuples, the minimal-ideal oracle
+These deliberately avoid the package's own algorithms: the closure oracles
+are a pairwise-product fixpoint and a worklist of right products by
+generators, both on raw image tuples, the minimal-ideal oracle
 generates one two-sided ideal and certifies it minimal without ranks, the
 deadlock, stability, kernel-image tuple, shortest-word and T_e oracles read
 the definitions off image tuples of that closure or of a path's maps, the
@@ -40,6 +41,23 @@ def brute_force_closure(generators) -> set:
         if not fresh:
             return elements
         elements |= fresh
+
+
+def word_closure(generators) -> set:
+    """Every product of generators, as the fixpoint of s -> s o g under a
+    last-in first-out worklist: no layers and no ordering. Linear in the
+    closure size, for closures too large for ``brute_force_closure``."""
+    gens = {tuple(g) for g in generators}
+    elements = set(gens)
+    todo = list(gens)
+    while todo:
+        s = todo.pop()
+        for g in gens:
+            c = compose_images(s, g)
+            if c not in elements:
+                elements.add(c)
+                todo.append(c)
+    return elements
 
 
 def brute_force_minimal_ideal(elements) -> set:

@@ -30,7 +30,7 @@ from finevo.measure import (
     coordinate_marginal,
     measure_product,
 )
-from finevo.semigroup import project
+from finevo.semigroup import element, project
 from finevo.simulate import (
     path_tables,
     sample_batch,
@@ -110,7 +110,8 @@ def test_criterion_1_golden_example_exact():
 
 def _structural_suite(a) -> list:
     problems = []
-    S, K, rd, lim, cd = a.semigroup, a.rd.kernel, a.rd, a.limits, a.cliques
+    S = [element(row) for row in a.closure]
+    K, rd, lim, cd = a.rd.kernel, a.rd, a.limits, a.cliques
     kset = set(K)
     mu = a.law.measure
 

@@ -100,24 +100,54 @@ def test_weight_sum_validation(capsys, tmp_path):
     assert run(capsys, "analyze", "--law", str(ok))[0] == 0
 
 
-def test_missing_law_file(capsys, tmp_path):
+def test_missing_law_file(capsys, tmp_path, law_file):
     code, _, err = run(capsys, "analyze", "--law", str(tmp_path / "nope.json"))
     assert code == 3
     assert "cannot read" in err
+    out = tmp_path / "missing" / "r.json"
+    code, _, err = run(capsys, "analyze", "--law", law_file, "--out", str(out))
+    assert code == 3
+    assert f"cannot write report {out}" in err
 
 
-def test_malformed_json(capsys, tmp_path):
+def test_malformed_json(capsys, tmp_path, law_file):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     code, _, err = run(capsys, "analyze", "--law", str(bad))
     assert code == 3
     assert "line" in err
 
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"n": 1, "generators": [[1]], "weights": ["1"], "x": "\xe9"}')
+    code, _, err = run(capsys, "analyze", "--law", str(latin1))
+    assert code == 3
+    assert f"law file {latin1} is not UTF-8 text" in err
+    code, _, err = run(capsys, "simulate", "--law", law_file, "--config", str(latin1))
+    assert code == 3
+    assert f"config {latin1} is not UTF-8 text" in err
 
-def test_closure_cap_exceeded(capsys, law_file):
+    array = tmp_path / "array.json"
+    array.write_text(json.dumps([EXAMPLE_LAW]))
+    code, _, err = run(capsys, "analyze", "--law", str(array))
+    assert code == 3
+    assert f"law file {array} must be a JSON object" in err
+
+
+def test_closure_cap_exceeded(capsys, law_file, tmp_path):
     code, _, err = run(capsys, "analyze", "--law", law_file, "--cap", "4")
     assert code == 3
     assert "cap" in err
+
+    # the 7-cycle has 7 elements but 7! = 5040 stable tuples, which the cap
+    # bounds as well
+    cycle = tmp_path / "cycle7.json"
+    cycle.write_text(json.dumps({"n": 7, "generators": [[2, 3, 4, 5, 6, 7, 1]],
+                                 "weights": ["1"]}))
+    code, out, _ = run(capsys, "analyze", "--law", str(cycle), "--cap", "5040")
+    assert (code, json.loads(out)["cliques"]["W_mu_size"]) == (0, 5040)
+    code, out, err = run(capsys, "analyze", "--law", str(cycle), "--cap", "5039")
+    assert (code, out) == (3, "")
+    assert "W_mu has 5040 tuples, over the element cap (5039)" in err
 
 
 def test_identity_law_analysis(capsys, tmp_path):
@@ -152,11 +182,21 @@ def test_simulate_runs_and_reports(capsys, law_file):
     assert report["seed"] == 42
 
 
-def test_simulate_replication_validation(capsys, law_file):
+def test_simulate_replication_validation(capsys, law_file, monkeypatch):
     code, _, err = run(capsys, "simulate", "--law", law_file,
                        "--replications", "0")
     assert code == 3
     assert "replications" in err
+
+    # the one-replication path of a long window draws all its uniforms at
+    # once; a small bound stands in for the real one
+    from finevo import simulate
+
+    monkeypatch.setattr(simulate, "MAX_BATCH_DRAWS", 102)
+    code, out, err = run(capsys, "simulate", "--law", law_file, "--k-min", "-100",
+                         "--no-timestamp")
+    assert (code, out) == (3, "")
+    assert "replications x draws = 1 x 103 exceeds the batch limit of 102 draws" in err
 
 
 def test_simulate_nonstationary_config(capsys, tmp_path):
@@ -365,8 +405,10 @@ P3_H2_LAW = {
 # from the scalar per-replication sampler that preceded the lock-step one, the
 # analyze and verify digests from the Rees decomposition that was completed in
 # two steps, the rank3 and A5 digests from stationary solves over every state
-# of Ke and eK; the reports must stay byte-identical. p3_h2 has p = 3 and
-# H != G, rank3 has |L| = 2, |G| = 6 and |R| = 6, and A5 is a 60-element group.
+# of Ke and eK, and the n300 digest from the closure of Transformation
+# objects; the reports must stay byte-identical. p3_h2 has p = 3 and H != G,
+# rank3 has |L| = 2, |G| = 6 and |R| = 6, A5 is a 60-element group, and n300
+# (the transposition (1 2) and the constant map to 1) has images above 255.
 PINNED_REPORTS = {
     "example-2000": (
         ["example", "--replications", "2000", "--seed", "42", "--no-timestamp"], 0,
@@ -391,6 +433,9 @@ PINNED_REPORTS = {
     "a5-analyze": (
         ["analyze", "--law", "{a5}", "--no-timestamp"], 0,
         "e7023540c479fd9b7da55e95dd09fa93325527d517f8d0b26c53d5059efeae3d"),
+    "n300-analyze": (
+        ["analyze", "--law", "{n300}", "--no-timestamp"], 0,
+        "78db73c4042193d08bf43e7a5bdfddb3dc748793d50632d49b68ac8c46a1739b"),
 }
 EXAMPLE_MAX_SEED_2000_SHA = "6e316e25221281a48b36bc9b1826a8be44268c00bb0eb7d7a2c699a1ee6ce9be"
 
@@ -403,7 +448,9 @@ def test_pinned_report_bytes(capsys, tmp_path, argv, code, sha):
                                               [1, 1, 3, 3, 5, 5]],
                        "weights": ["2/7", "2/7", "3/7"]},
              "a5": {"n": 5, "generators": [[2, 3, 1, 4, 5], [2, 3, 4, 5, 1]],
-                    "weights": ["3/7", "4/7"]}}
+                    "weights": ["3/7", "4/7"]},
+             "n300": {"n": 300, "generators": [[2, 1, *range(3, 301)], [1] * 300],
+                      "weights": ["1/2", "1/2"]}}
     paths = {name: str(tmp_path / f"{name}.json") for name in (*files, "config")}
     files["config"] = {
         "law_file": paths["p3_h2"], "mode": "nonstationary", "k_min": -40,

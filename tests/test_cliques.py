@@ -19,7 +19,7 @@ from finevo.measure import (
     coordinate_marginal,
     measure_product,
 )
-from finevo.semigroup import generate, kernel
+from finevo.semigroup import element, generate, kernel
 from finevo.transform import Transformation
 from oracles import (
     brute_force_closure,
@@ -57,8 +57,8 @@ def test_f_cliques_golden(example_analysis):
 
 
 def test_f_cliques_of_permutation_group():
-    S = generate([Transformation([2, 3, 1])])
-    assert f_cliques(kernel(S)) == [(1, 2, 3)]
+    c = Transformation([2, 3, 1])
+    assert f_cliques(kernel(generate([c]), [c])) == [(1, 2, 3)]
 
 
 def test_W_mu_and_W_golden(example_analysis):
@@ -104,7 +104,7 @@ def test_W_mu_is_the_stable_orderings_of_kernel_images(
 def test_stability_invariant(example_analysis):
     a = example_analysis
     wset = set(a.cliques.W_mu)
-    for f in a.semigroup:
+    for f in map(element, a.closure):
         for x in a.cliques.W_mu:
             assert f.apply(x) in wset
 
@@ -242,7 +242,7 @@ def test_rank_and_clique_kernel_criteria_agree(example_analysis, fuzz_analyses):
     for a in [example_analysis] + analyses[:40]:
         cliques = set(a.cliques.f_cliques)
         kset = set(a.rd.kernel)
-        for g in a.semigroup:
+        for g in map(element, a.closure):
             in_by_rank = g in kset
             in_by_clique = tuple(sorted(g.image_set())) in cliques and (
                 g.rank() == a.cliques.m_mu

@@ -14,7 +14,7 @@ from finevo.limits import (
     solve_stationary,
 )
 from finevo.measure import MappingLaw, RationalMeasure, convolve, measure_product
-from finevo.semigroup import project, rees_at
+from finevo.semigroup import element, project, rees_at
 from finevo.transform import Transformation
 from fuzzlaws import cyclic3_law, p3_h2_law
 from oracles import (
@@ -241,7 +241,8 @@ def test_vectorized_iteration_matches_naive_steps(example_analysis):
     from finevo.limits import _indexed_iteration
 
     law = example_analysis.law
-    elements, vec, step = _indexed_iteration(law)
+    closure, vec, step = _indexed_iteration(law)
+    elements = [element(row) for row in closure]
     naive = {f: float(w) for f, w in law.measure.items()}
     for _ in range(12):
         vec = step(vec)
@@ -258,9 +259,10 @@ def test_indexed_iteration_sums_like_the_per_generator_loop(
 
     analyses, _ = fuzz_analyses
     for a in [example_analysis, p3h2_analysis] + analyses:
-        S = a.semigroup
-        _, vec, step = _indexed_iteration(a.law, S)
-        tables = [(np.array([S.index[f * s] for s in S.elements]), float(w))
+        elements = [element(row) for row in a.closure]
+        index = {s: i for i, s in enumerate(elements)}
+        _, vec, step = _indexed_iteration(a.law, a.closure)
+        tables = [(np.array([index[f * s] for s in elements]), float(w))
                   for f, w in a.law.measure.items()]
         ref = vec.copy()
         for _ in range(500):
@@ -330,7 +332,7 @@ def test_assemble_rejects_wrong_subgroup(example_analysis):
 def test_period_and_subgroup_direct(example_analysis, p3h2_analysis):
     # the left walk on Ke gives p, H and gamma; only the generators matter
     a = example_analysis
-    rd = rees_at(a.semigroup, a.rd.kernel, a.rd.e)
+    rd = rees_at(a.law.generators, a.rd.kernel, a.rd.e)
     assert (rd.p, set(rd.H), rd.gamma) == (1, set(a.rd.G), E)
     b = p3h2_analysis
     assert (b.rd.p, len(b.rd.H), len(b.rd.G)) == (3, 2, 6)

@@ -1,13 +1,21 @@
+import random
 import re
+import sys
 
 import pytest
 
-from finevo import semigroup
+from finevo import example_law, semigroup
 from finevo.errors import InputError, ResourceLimitError, StructuralInconsistencyError
 from finevo.measure import MappingLaw
-from finevo.semigroup import generate, kernel, project, rees_at
+from finevo.semigroup import element, generate, kernel, left_products, literals, project, rees_at
 from finevo.transform import Transformation
-from oracles import brute_force_closure, brute_force_minimal_ideal, shortest_words
+from fuzzlaws import cyclic3_law, p3_h2_law
+from oracles import (
+    brute_force_closure,
+    brute_force_minimal_ideal,
+    shortest_words,
+    word_closure,
+)
 
 F = Transformation([2, 3, 4, 1, 5])
 G = Transformation([2, 5, 5, 2, 4])
@@ -27,24 +35,29 @@ def S():
 
 
 @pytest.fixture(scope="module")
-def K(S):
-    return kernel(S)
+def elements(S):
+    return [element(row) for row in S]
 
 
 @pytest.fixture(scope="module")
-def rd(S, K):
-    return rees_at(S, K, E)
+def K(S):
+    return kernel(S, [F, G])
 
 
-def test_closure_matches_brute_force_oracle(S):
+@pytest.fixture(scope="module")
+def rd(K):
+    return rees_at([F, G], K, E)
+
+
+def test_closure_matches_brute_force_oracle(S, elements):
     oracle = brute_force_closure([F.images, G.images])
-    assert len(oracle) == EXAMPLE_CLOSURE_SIZE
-    assert {f.images for f in S} == oracle
+    assert len(oracle) == len(S) == EXAMPLE_CLOSURE_SIZE
+    assert {f.images for f in elements} == oracle
 
 
-def test_closure_contains_golden_elements(S):
+def test_closure_contains_golden_elements(elements):
     for t in (E, H, FE, EF):
-        assert t in S
+        assert t in elements
 
 
 def test_single_identity_generator():
@@ -57,30 +70,79 @@ def test_element_cap():
         generate([F, G], cap=10)
 
 
-def test_canonical_order_starts_with_generators(S):
-    assert S.elements[0] == F and S.elements[1] == G
+def test_canonical_order_starts_with_generators(elements):
+    assert elements[0] == F and elements[1] == G
 
 
-def test_product_table_closed(S):
-    assert all(f * g in S for f in S for g in S)
-    assert S.elements[S.index[F * G]] == F * G
+def test_product_table_closed(S, elements):
+    eset = set(elements)
+    assert all(f * g in eset for f in elements for g in elements)
+    assert ([elements[i] for i in left_products(S, [F, G])]
+            == [f * s for f in (F, G) for s in elements])
 
 
-def test_word_for_reconstructs(S):
+def test_word_for_reconstructs(elements):
     # the canonical order is BFS by shortest word length, each layer sorted
     words = shortest_words([F.images, G.images])
-    for target in S.elements:
+    for target in elements:
         acc = Transformation(words[target.images][0])
         for t in words[target.images][1:]:
             acc = acc * Transformation(t)
         assert acc == target
-    keys = [(len(words[f.images]), f) for f in S.elements]
+    keys = [(len(words[f.images]), f) for f in elements]
     assert keys == sorted(keys)
     assert words[E.images] == [G.images] * 3
 
 
-def test_idempotents_golden(S):
-    idem = [f for f in S if f.is_idempotent()]
+def _assert_rows_match_the_oracles(generators, closure_oracle) -> tuple:
+    """The rows are the oracle's closure, ordered by (shortest-word length,
+    image tuple); the kernel is the minimal ideal; the literals match."""
+    rows = generate(generators)
+    elements = [element(row) for row in rows]
+    images = [f.images for f in elements]
+    gens = [g.images for g in generators]
+    assert len(set(images)) == len(images)
+    assert set(images) == closure_oracle(gens)
+    words = shortest_words(gens)
+    keys = [(len(words[x]), x) for x in images]
+    assert keys == sorted(keys)
+    assert ({z.images for z in kernel(rows, generators)}
+            == brute_force_minimal_ideal(set(images)))
+    assert literals(rows) == [f.literal() for f in elements]
+    return rows
+
+
+def test_closure_rows_match_the_oracles_on_every_law(fuzz_corpus):
+    laws = [example_law(), cyclic3_law(), p3_h2_law()] + fuzz_corpus
+    assert len(laws) == 211
+    for law in laws:
+        _assert_rows_match_the_oracles(law.generators, brute_force_closure)
+
+
+def test_closure_rows_match_the_oracles_on_a_large_closure():
+    # two seeded random maps on six points; the pairwise oracle is
+    # quadratic in the closure size, the worklist oracle linear
+    rng = random.Random(102)
+    gens = [Transformation([rng.randint(1, 6) for _ in range(6)]) for _ in range(2)]
+    rows = _assert_rows_match_the_oracles(gens, word_closure)
+    assert (len(rows), len(kernel(rows, gens))) == (2610, 5)
+
+
+def test_closure_rows_hold_images_above_255():
+    # the transposition (1 2) and the constant map to 1 on 300 points
+    gens = [Transformation([2, 1, *range(3, 301)]), Transformation([1] * 300)]
+    rows = _assert_rows_match_the_oracles(gens, brute_force_closure)
+    assert {element(row).images[:3] for row in rows} == {
+        (2, 1, 3), (1, 2, 3), (1, 1, 1), (2, 2, 2)}
+    # a row holds images up to the largest code point
+    top = Transformation([sys.maxunicode] * sys.maxunicode)
+    assert list(map(element, generate([top]))) == [top]
+    with pytest.raises(InputError, match=f"above the largest domain, {sys.maxunicode}"):
+        generate([Transformation([1] * (sys.maxunicode + 1))])
+
+
+def test_idempotents_golden(elements):
+    idem = [f for f in elements if f.is_idempotent()]
     assert E in idem
     assert FE in idem and FE * FE == FE
     assert EF in idem and EF * EF == EF
@@ -89,23 +151,24 @@ def test_idempotents_golden(S):
 
 def test_idempotents_of_a_permutation_group():
     S = generate([Transformation([2, 3, 1])])
-    assert [f for f in S if f.is_idempotent()] == [Transformation([1, 2, 3])]
+    assert [f for f in map(element, S) if f.is_idempotent()] == [Transformation([1, 2, 3])]
 
 
-def test_kernel_matches_minimal_ideal_oracle(S, K):
+def test_kernel_matches_minimal_ideal_oracle(elements, K):
     assert len(K) == EXAMPLE_KERNEL_SIZE
-    oracle = brute_force_minimal_ideal({f.images for f in S})
+    oracle = brute_force_minimal_ideal({f.images for f in elements})
     assert {f.images for f in K} == oracle
 
 
 def test_kernel_of_a_group_is_everything():
-    S = generate([Transformation([2, 3, 1])])
-    assert set(kernel(S)) == set(S.elements)
+    c = Transformation([2, 3, 1])
+    S = generate([c])
+    assert set(kernel(S, [c])) == set(map(element, S))
 
 
-def test_kernel_is_an_ideal(S, K):
+def test_kernel_is_an_ideal(elements, K):
     kset = set(K)
-    for s in S:
+    for s in elements:
         for z in K:
             assert s * z in kset and z * s in kset
 
@@ -126,11 +189,11 @@ def test_group_relations(rd):
     assert rd.inv(E) == E
 
 
-def test_rees_requires_kernel_idempotent(S, K):
+def test_rees_requires_kernel_idempotent(K):
     with pytest.raises(InputError):
-        rees_at(S, K, F)  # not in the kernel
+        rees_at([F, G], K, F)  # not in the kernel
     with pytest.raises(InputError):
-        rees_at(S, K, G)  # in the kernel but not idempotent
+        rees_at([F, G], K, G)  # in the kernel but not idempotent
 
 
 def test_project_golden(rd):
@@ -179,9 +242,8 @@ def test_kernel_idempotents_are_primitive(rd, K):
 
 
 def test_trivial_kernel_decomposition():
-    S = generate([Transformation([1, 1])])
-    K = kernel(S)
-    rd = rees_at(S, K, Transformation([1, 1]))
+    c = Transformation([1, 1])
+    rd = rees_at([c], kernel(generate([c]), [c]), c)
     assert rd.L == rd.G == rd.R == (Transformation([1, 1]),)
 
 
@@ -196,10 +258,8 @@ def test_coset_structure_single_coset(rd):
 
 def test_coset_structure_cyclic_group():
     g = Transformation([2, 3, 1])
-    S = generate([g])
-    K = kernel(S)
     ident = Transformation([1, 2, 3])
-    rd = rees_at(S, K, ident)
+    rd = rees_at([g], kernel(generate([g]), [g]), ident)
     assert (rd.p, rd.H, rd.gamma) == (3, (ident,), g)
     assert rd.coset_of == {ident: 0, g: 1, g * g: 2}
     assert rd.gamma_power(2) == g * g
@@ -217,7 +277,7 @@ S3 = {"e": E, "g": G, "g2": G ** 2, "h": H, "gh": G * H, "g2h": (G ** 2) * H}
     (2, ("e g g2", "h gh"), "successor coset has wrong size"),
     (2, ("e g g2", "e g g2"), "cosets of H are not disjoint"),
 ])
-def test_rees_at_rejects_a_wrong_coset_structure(S, K, monkeypatch, p, parts, message):
+def test_rees_at_rejects_a_wrong_coset_structure(K, monkeypatch, p, parts, message):
     """Cyclic classes whose G-parts are not the cosets of a normal subgroup
     fail the coset checks (the walk of the example law has p = 1)."""
     states = sorted({z * E for z in K})
@@ -226,11 +286,11 @@ def test_rees_at_rejects_a_wrong_coset_structure(S, K, monkeypatch, p, parts, me
     monkeypatch.setattr(semigroup, "chain_period_and_classes",
                         lambda *args: (p, classes + [[]] * (p - len(classes))))
     with pytest.raises(StructuralInconsistencyError, match=re.escape(message)):
-        rees_at(S, K, E)
+        rees_at([F, G], K, E)
 
 
 @pytest.mark.parametrize("direction", ["forward", "backward"])
-def test_rees_at_rejects_a_reducible_right_walk(S, K, monkeypatch, direction):
+def test_rees_at_rejects_a_reducible_right_walk(K, monkeypatch, direction):
     """Successors on eK that leave e stuck (forward) or unreachable
     (backward) fail the right walk's strong-connectivity check; the left
     walk keeps its true successors."""
@@ -247,4 +307,4 @@ def test_rees_at_rejects_a_reducible_right_walk(S, K, monkeypatch, direction):
     monkeypatch.setattr(semigroup, "walk_distances", cut)
     with pytest.raises(StructuralInconsistencyError,
                        match=re.escape(f"right walk on eK is not irreducible ({direction})")):
-        rees_at(S, K, E)
+        rees_at([F, G], K, E)
