@@ -35,7 +35,7 @@ def analyze_law(law: MappingLaw, *, cap: int = DEFAULT_ELEMENT_CAP) -> Analysis:
     order; any choice yields an isomorphic decomposition.
     """
     closure = generate(law.generators, cap=cap)
-    ker = kernel(closure, law.generators)
+    ker = kernel(closure)
     # the kernel is a finite semigroup, so it holds an idempotent
     e = next(z for z in ker if z.is_idempotent())
     rd = rees_at(law.generators, ker, e)

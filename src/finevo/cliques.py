@@ -22,7 +22,7 @@ from math import factorial
 from .errors import (ClassificationError, InputError, ResourceLimitError,
                      StructuralInconsistencyError)
 from .limits import CyclicLimit
-from .measure import RationalMeasure, act_on_tuples, measure_product
+from .measure import RationalMeasure, act_on_tuples
 from .semigroup import DEFAULT_ELEMENT_CAP, ReesData
 
 
@@ -97,6 +97,22 @@ def compute_W(rd: ReesData, *, cap: int = DEFAULT_ELEMENT_CAP) -> CliqueData:
                       triples=triples)
 
 
+def _lift(eta_L: RationalMeasure, terms) -> RationalMeasure:
+    """The law of (l g)(w) for l ~ eta_L and, independently, one term
+    (c, part, Lambda_W) taken with probability c, g uniform on its distinct
+    elements ``part`` of G and w ~ Lambda_W."""
+    acc = {}
+    for c, part, Lambda_W in terms:
+        for l, wl in eta_L.items():
+            weight = c * wl / len(part)
+            for g in part:
+                lg = l * g
+                for w, ww in Lambda_W.items():
+                    x = lg.apply(w)
+                    acc[x] = acc.get(x, 0) + weight * ww
+    return RationalMeasure(acc)
+
+
 def invariant_law(
     limits: CyclicLimit, cd: CliqueData, Lambda_W: RationalMeasure
 ) -> RationalMeasure:
@@ -105,9 +121,8 @@ def invariant_law(
     for w in Lambda_W.support():
         if w not in wset:
             raise InputError(f"Lambda_W has mass at {w} outside W")
-    omega_G = RationalMeasure.uniform(limits.rd.G)
-    lam = measure_product([limits.eta_L, omega_G, Lambda_W])
-    if act_on_tuples(limits.law.measure, lam) != lam:
+    lam = _lift(limits.eta_L, [(1, limits.rd.G, Lambda_W)])
+    if act_on_tuples(limits.law, lam) != lam:
         raise StructuralInconsistencyError("assembled law is not mu-invariant")
     return lam
 
@@ -120,22 +135,12 @@ class InvariantFamily:
     c: tuple
     Lambda_W: tuple
 
-    @property
-    def p(self) -> int:
-        return self.limits.p
-
     def law_at(self, k: int) -> RationalMeasure:
         rd = self.limits.rd
-        omega_H = RationalMeasure.uniform(rd.H)
-        terms = []
-        for i, (ci, lam_w) in enumerate(zip(self.c, self.Lambda_W)):
-            if ci == 0:
-                continue
-            piece = measure_product(
-                [self.limits.eta_L, rd.gamma_power(k + i), omega_H, lam_w]
-            )
-            terms.append((ci, piece))
-        return RationalMeasure.mix(terms)
+        return _lift(self.limits.eta_L, [
+            (ci, [rd.gamma_power(k + i) * h for h in rd.H], lam_w)
+            for i, (ci, lam_w) in enumerate(zip(self.c, self.Lambda_W)) if ci
+        ])
 
 
 def classify_family(
@@ -186,7 +191,7 @@ def classify_family(
         )
     current = Lambda_0
     for k in range(1, rd.p + 1):
-        current = act_on_tuples(limits.law.measure, current)
+        current = act_on_tuples(limits.law, current)
         if current != family.law_at(k):
             raise ClassificationError(
                 f"family recursion fails at step {k}", residual={}

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
 from .errors import StructuralInconsistencyError
-from .measure import MappingLaw, RationalMeasure, convolve, measure_product
-from .semigroup import ReesData, element, generate, left_products, project
+from .measure import MappingLaw, RationalMeasure
+from .semigroup import ReesData, element, generate, left_products
 
 
 def _pivot_size(value: Fraction) -> int:
@@ -74,9 +75,50 @@ def solve_stationary(matrix: list) -> list:
     return pi
 
 
-def _fibre_stationary(law: MappingLaw, rd: ReesData, left: bool) -> RationalMeasure:
-    """Stationary law of z -> f*z on Ke = LG (or z -> z*f on eK = GR),
-    solved on the boundary factor L (or R) and lifted over the G-fibres.
+def _common(weights) -> tuple:
+    """Integer numerators of Fractions over their least common denominator."""
+    den = lcm(*(w.denominator for w in weights))
+    return [w.numerator * (den // w.denominator) for w in weights], den
+
+
+# An exact measure on the kernel is a pair (numerators, denominator): Python
+# ints indexed by kernel position over one common denominator.
+
+def _act(law: MappingLaw, rd: ReesData, x: tuple, left: bool) -> tuple:
+    """mu * x (``left``) or x * mu, through the generator tables."""
+    weights, den = _common([law.measure[f] for f in rd.generators])
+    support = [(z, v) for z, v in enumerate(x[0]) if v]
+    out = [0] * len(x[0])
+    for w, table in zip(weights, rd.left if left else rd.right):
+        for z, v in support:
+            out[table[z]] += w * v
+    return out, x[1] * den
+
+
+def _convolve(rd: ReesData, a: tuple, b: tuple) -> tuple:
+    """a * b, by the Rees-matrix product of kernel positions."""
+    support = [(z, v) for z, v in enumerate(b[0]) if v]
+    out = [0] * len(a[0])
+    for y, u in enumerate(a[0]):
+        if u:
+            for z, v in support:
+                out[rd.product(y, z)] += u * v
+    return out, a[1] * b[1]
+
+
+def _same(a: tuple, b: tuple) -> bool:
+    return all(x * b[1] == y * a[1] for x, y in zip(a[0], b[0]))
+
+
+def _measure(rd: ReesData, x: tuple) -> RationalMeasure:
+    return RationalMeasure({rd.kernel[z]: Fraction(v, x[1]) for z, v in enumerate(x[0]) if v})
+
+
+def _fibre_stationary(law: MappingLaw, rd: ReesData, left: bool) -> tuple:
+    """Exact kernel vector of the stationary law of z -> f*z on Ke = LG (or
+    z -> z*f on eK = GR): solved on the boundary factor L (or R), lifted over
+    the G-fibres and verified mu-invariant; unique as ``rees_at`` verified
+    the walk irreducible.
 
     Multiplying by h in G on the group side (z -> z*h on Ke, z -> h*z on eK)
     permutes the states and commutes with the walk, so the walk's unique
@@ -84,48 +126,46 @@ def _fibre_stationary(law: MappingLaw, rd: ReesData, left: bool) -> RationalMeas
     the stationary law eta_L of the quotient walk l -> (f*l)_L, and the law
     is beta(l*g) = eta_L(l) / |G|; mirror-wise beta(g*r) = eta_R(r) / |G|.
     """
-    side, coord = (rd.L, 0) if left else (rd.R, 2)
-    index = {b: i for i, b in enumerate(side)}
-    matrix = [[Fraction(0)] * len(side) for _ in side]
-    for b in side:
-        for f, w in law.measure.items():
-            image = project(rd, f * b if left else b * f)[coord]
-            matrix[index[b]][index[image]] += w
-    pi = solve_stationary(matrix)
-    return RationalMeasure({
-        (b * g if left else g * b): pi[i] / len(rd.G)
-        for i, b in enumerate(side) for g in rd.G
-    })
+    l0, g0, r0 = rd.coords[rd.kernel.index(rd.e)]
+    side = len(rd.L if left else rd.R)
 
+    def state(b: int, g: int) -> int:
+        return rd.at[b][g][r0] if left else rd.at[l0][g][b]
 
-def left_stationary(law: MappingLaw, rd: ReesData) -> RationalMeasure:
-    """The unique law beta on Ke fixed under beta -> mu * beta: eta_L x
-    omega_G from the |L|-state quotient walk (``_fibre_stationary``),
-    verified mu-invariant exactly, and unique because ``rees_at`` verified
-    the left walk irreducible."""
-    beta = _fibre_stationary(law, rd, left=True)
-    if convolve(law.measure, beta) != beta:
-        raise StructuralInconsistencyError("left stationary law is not mu-invariant")
+    matrix = [[Fraction(0)] * side for _ in range(side)]
+    for b in range(side):
+        for f, table in zip(rd.generators, rd.left if left else rd.right):
+            matrix[b][rd.coords[table[state(b, g0)]][0 if left else 2]] += law.measure[f]
+    pi, den = _common(solve_stationary(matrix))
+    nums = [0] * len(rd.kernel)
+    for b, v in enumerate(pi):
+        for g in range(len(rd.G)):
+            nums[state(b, g)] = v
+    beta = (nums, den * len(rd.G))
+    if not _same(_act(law, rd, beta, left), beta):
+        raise StructuralInconsistencyError(
+            f"{'left' if left else 'right'} stationary law is not mu-invariant")
     return beta
 
 
-def right_stationary(law: MappingLaw, rd: ReesData) -> RationalMeasure:
-    """The unique law on eK fixed under beta -> beta * mu: omega_G x eta_R
-    from the |R|-state quotient walk, verified as in ``left_stationary``."""
-    beta = _fibre_stationary(law, rd, left=False)
-    if convolve(beta, law.measure) != beta:
-        raise StructuralInconsistencyError("right stationary law is not mu-invariant")
-    return beta
+def left_stationary(law: MappingLaw, rd: ReesData) -> tuple:
+    """The unique law on Ke fixed by beta -> mu * beta: eta_L x omega_G."""
+    return _fibre_stationary(law, rd, left=True)
 
 
-def boundary_factor(rd: ReesData, beta: RationalMeasure, left: bool) -> RationalMeasure:
-    """Marginal of the L-coordinate (``left``) or the R-coordinate of a law
-    on the kernel."""
-    acc = {}
-    for z, w in beta.items():
-        b = project(rd, z)[0 if left else 2]
-        acc[b] = acc.get(b, Fraction(0)) + w
-    return RationalMeasure(acc)
+def right_stationary(law: MappingLaw, rd: ReesData) -> tuple:
+    """The unique law on eK fixed by beta -> beta * mu: omega_G x eta_R."""
+    return _fibre_stationary(law, rd, left=False)
+
+
+def boundary_factor(rd: ReesData, beta: tuple, left: bool) -> RationalMeasure:
+    """Marginal of the L-coordinate (``left``) or the R-coordinate of an
+    exact kernel vector."""
+    side = rd.L if left else rd.R
+    acc = [0] * len(side)
+    for (l, _, r), v in zip(rd.coords, beta[0]):
+        acc[l if left else r] += v
+    return RationalMeasure({b: Fraction(v, beta[1]) for b, v in zip(side, acc) if v})
 
 
 @dataclass(frozen=True)
@@ -138,7 +178,6 @@ class CyclicLimit:
     eta_L: RationalMeasure
     eta_R: RationalMeasure
     eta: RationalMeasure
-    cycle: tuple
     nu: RationalMeasure
 
 
@@ -147,40 +186,48 @@ def assemble_limits(
 ) -> CyclicLimit:
     """Build cycle[k] = eta_L gamma^k omega_H eta_R and the averaged limit nu.
 
-    Every structural identity of the limit cycle is verified exactly before
-    the result is returned.
+    The cycle is laid out on the Rees coordinates (l, gamma^k h, r), and
+    every structural identity of the limit cycle is verified exactly on it
+    before the result is returned.
     """
-    omega_H = RationalMeasure.uniform(rd.H)
-    cycle = tuple(
-        measure_product([eta_L, rd.C[k], omega_H, eta_R]) for k in range(rd.p)
-    )
+    g_at = {g: i for i, g in enumerate(rd.G)}
+    H = [g_at[h] for h in rd.H]
+    lw, l_den = _common([eta_L[l] for l in rd.L])
+    rw, r_den = _common([eta_R[r] for r in rd.R])
+    cycle = []
+    for k in range(rd.p):
+        coset = [rd.gmul[g_at[rd.C[k]]][h] for h in H]
+        nums = [0] * len(rd.kernel)
+        for l, x in enumerate(lw):
+            for g in coset:
+                for r, y in enumerate(rw):
+                    nums[rd.at[l][g][r]] += x * y
+        cycle.append((nums, l_den * r_den * len(H)))
     eta = cycle[0]
-    nu = RationalMeasure.mix((Fraction(1, rd.p), c) for c in cycle)
+    nu = ([sum(v) for v in zip(*(c[0] for c in cycle))], eta[1] * rd.p)
 
-    mu = law.measure
-    if convolve(eta, eta) != eta:
+    if not _same(_convolve(rd, eta, eta), eta):
         raise StructuralInconsistencyError("eta * eta != eta")
     for k in range(rd.p):
-        if convolve(mu, cycle[k]) != cycle[(k + 1) % rd.p]:
+        if not _same(_act(law, rd, cycle[k], left=True), cycle[(k + 1) % rd.p]):
             raise StructuralInconsistencyError("mu * cycle[k] != cycle[k+1]")
-    if convolve(nu, nu) != nu:
+    if not _same(_convolve(rd, nu, nu), nu):
         raise StructuralInconsistencyError("nu * nu != nu")
-    if convolve(mu, nu) != nu or convolve(nu, mu) != nu:
+    if not all(_same(_act(law, rd, nu, left), nu) for left in (True, False)):
         raise StructuralInconsistencyError("nu is not mu-invariant")
-    if set(nu.support()) != rd.kernel_set:
+    if not all(nu[0]):
         raise StructuralInconsistencyError("supp(nu) != kernel")
-    lhr = {l * h * r for l in rd.L for h in rd.H for r in rd.R}
-    if set(eta.support()) != lhr:
+    lhr = {rd.at[l][h][r] for l in range(len(rd.L)) for h in H for r in range(len(rd.R))}
+    if {z for z, v in enumerate(eta[0]) if v} != lhr:
         raise StructuralInconsistencyError("supp(eta) != L H R")
     covered = set()
-    for k in range(rd.p):
-        supp = set(cycle[k].support())
+    for nums, _ in cycle:
+        supp = {z for z, v in enumerate(nums) if v}
         if covered & supp:
             raise StructuralInconsistencyError("cycle supports are not disjoint")
         covered |= supp
-    return CyclicLimit(
-        law=law, rd=rd, p=rd.p, eta_L=eta_L, eta_R=eta_R, eta=eta, cycle=cycle, nu=nu
-    )
+    return CyclicLimit(law=law, rd=rd, p=rd.p, eta_L=eta_L, eta_R=eta_R,
+                       eta=_measure(rd, eta), nu=_measure(rd, nu))
 
 
 def _indexed_iteration(law: MappingLaw, closure: tuple = None):
@@ -193,14 +240,15 @@ def _indexed_iteration(law: MappingLaw, closure: tuple = None):
     if closure is None:
         closure = generate(law.generators)
     table = np.array(left_products(closure, law.generators), dtype=np.intp)
-    weights = [float(w) for _, w in law.measure.items()]
+    weights = np.array([[float(w)] for _, w in law.measure.items()])
     v0 = np.zeros(len(closure))
-    v0[:len(weights)] = weights
+    v0[:len(weights)] = weights[:, 0]
+    terms = np.empty((len(weights), len(closure)))
 
     def step(v: np.ndarray) -> np.ndarray:
         # terms are summed generator by generator, each in element order
-        return np.bincount(table, weights=np.concatenate([w * v for w in weights]),
-                           minlength=len(v))
+        np.multiply(weights, v, out=terms)
+        return np.bincount(table, weights=terms.ravel(), minlength=len(v))
 
     return closure, v0, step
 
@@ -243,26 +291,32 @@ def float_limit_oracle(
     if tol <= 0:
         raise ValueError("tol must be positive")
     closure, vec, step = _indexed_iteration(law, closure)
-    history = [(1, vec)]
+    # iterate m is kept in row m % size until it is max_lag iterations old
+    size = max_lag + 1
+    ring = np.zeros((size, len(vec)))
+    ring[1 % size] = vec
+
+    def first_lag(n: int) -> int:
+        """The smallest lag q with max |mu^n - mu^(n-q)| < tol, or 0."""
+        lags = np.arange(1, min(n, size))
+        dist = np.abs(ring - ring[n % size]).max(axis=1)[(n - lags) % size]
+        hits = np.flatnonzero(dist < tol)
+        return int(lags[hits[0]]) if len(hits) else 0
+
     settle_until = None
     for n in range(2, max_iter + 1):
         vec = step(vec)
-        history.append((n, vec))
-        if len(history) > max_lag + 1:
-            history.pop(0)
+        ring[n % size] = vec
         if settle_until is None:
-            for q in range(1, len(history)):
-                if np.max(np.abs(vec - history[-1 - q][1])) < tol:
-                    settle_until = min(max(2 * n, n + q), max_iter)
-                    break
+            q = first_lag(n)
+            if q:
+                settle_until = min(max(2 * n, n + q), max_iter)
         if settle_until is not None and n >= settle_until:
-            for q in range(1, len(history)):
-                if np.max(np.abs(vec - history[-1 - q][1])) < tol:
-                    cycle = history[-q:]
-                    eta_vec = next(v for m, v in cycle if m % q == 0)
-                    nu_vec = sum(v for _, v in cycle) / q
-                    return FloatLimitEstimate(True, q, _nonzero(closure, eta_vec),
-                                              _nonzero(closure, nu_vec), n)
+            q = first_lag(n)
+            if q:
+                nu_vec = sum(ring[m % size] for m in range(n - q + 1, n + 1)) / q
+                return FloatLimitEstimate(True, q, _nonzero(closure, ring[(n - n % q) % size]),
+                                          _nonzero(closure, nu_vec), n)
             settle_until = None  # lost the repetition; keep iterating
     return FloatLimitEstimate(False, 0, {}, {}, max_iter)
 

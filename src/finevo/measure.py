@@ -1,9 +1,10 @@
 """Exact rational probability measures on finite carriers.
 
 Measures are sparse: only the support is stored, every stored weight is a
-positive ``Fraction`` and the weights sum to exactly 1. Carriers are either
-transformations (measures on a semigroup) or point tuples (multiparticle
-laws); the convolution/action operators dispatch on the support type.
+positive ``Fraction`` and the weights sum to exactly 1. Carriers are
+transformations, points or point tuples; ``act_on_tuples`` pushes a tuple
+law forward under a mapping law. Kernel convolutions run in
+``finevo.limits`` on integer vectors over the Rees coordinate tables.
 """
 
 from __future__ import annotations
@@ -65,24 +66,6 @@ class RationalMeasure:
         m._w = {x: w for x in items}
         return m
 
-    @classmethod
-    def mix(cls, terms) -> "RationalMeasure":
-        """Convex combination of measures: terms are (coefficient, measure)."""
-        acc = {}
-        total = Fraction(0)
-        for c, m in terms:
-            c = as_fraction(c)
-            if c < 0:
-                raise InputError(f"negative mixture coefficient {c}")
-            total += c
-            if c == 0:
-                continue
-            for x, v in m._w.items():
-                acc[x] = acc.get(x, Fraction(0)) + c * v
-        if total != 1:
-            raise InputError(f"mixture coefficients sum to {total}, expected 1")
-        return cls(acc)
-
     def support(self) -> list:
         return sorted(self._w)
 
@@ -96,79 +79,24 @@ class RationalMeasure:
     def __contains__(self, x) -> bool:
         return x in self._w
 
-    def __len__(self) -> int:
-        return len(self._w)
-
     def __eq__(self, other):
         return isinstance(other, RationalMeasure) and self._w == other._w
-
-    def __mul__(self, other):
-        if isinstance(other, Transformation):
-            other = RationalMeasure.point(other)
-        elif isinstance(other, tuple):
-            other = RationalMeasure.point(other)
-        if not isinstance(other, RationalMeasure):
-            return NotImplemented
-        if isinstance(next(iter(other._w)), Transformation):
-            return convolve(self, other)
-        return act_on_tuples(self, other)
 
     def __repr__(self):
         parts = ", ".join(f"{x!r}: {v}" for x, v in self.items())
         return f"RationalMeasure({{{parts}}})"
 
 
-def _domain_size(measure: RationalMeasure) -> int:
-    if not all(isinstance(f, Transformation) for f in measure._w):
-        raise InputError("expected a measure supported on transformations")
-    sizes = {f.n for f in measure._w}
-    if len(sizes) != 1:
-        raise InputError("measure mixes transformations of different domains")
-    return sizes.pop()
-
-
-def convolve(a: RationalMeasure, b: RationalMeasure) -> RationalMeasure:
-    """Exact pushforward of the product measure under composition."""
-    if _domain_size(a) != _domain_size(b):
-        raise InputError("convolution of measures over different domains")
+def act_on_tuples(law: MappingLaw, lam: RationalMeasure) -> RationalMeasure:
+    """Push a tuple law forward under a random map with the given law."""
     acc = {}
-    for f, wf in a.items():
-        for g, wg in b.items():
-            z = f * g
-            acc[z] = acc.get(z, Fraction(0)) + wf * wg
-    return RationalMeasure(acc)
-
-
-def act_on_tuples(mu: RationalMeasure, lam: RationalMeasure) -> RationalMeasure:
-    """Push a tuple law forward under a random map with law mu."""
-    n = _domain_size(mu)
-    acc = {}
-    for f, wf in mu.items():
+    for f, wf in law.measure.items():
         for x, wx in lam.items():
-            if max(x) > n:
+            if max(x) > law.n:
                 raise InputError("tuple entry outside the mapping domain")
             y = f.apply(x)
             acc[y] = acc.get(y, Fraction(0)) + wf * wx
     return RationalMeasure(acc)
-
-
-def measure_product(pieces) -> RationalMeasure:
-    """Left-to-right product of measures and/or point elements.
-
-    Transformations and tuples are treated as Dirac masses. A tuple-supported
-    piece may only appear last; from there on the product acts on tuple laws.
-    """
-    if not pieces:
-        raise InputError("empty product")
-    result = None
-    for piece in pieces:
-        if isinstance(piece, (Transformation, tuple)):
-            piece = RationalMeasure.point(piece)
-        if result is None:
-            result = piece
-        else:
-            result = result * piece
-    return result
 
 
 def coordinate_marginal(lam: RationalMeasure, i: int) -> RationalMeasure:
@@ -216,6 +144,8 @@ class MappingLaw:
             raise InputError("weights must match generators one to one")
         acc = {}
         for images, w in zip(gens, weights):
+            if not isinstance(images, list):
+                raise InputError(f"generator {images!r} must be a list of images")
             f = Transformation(images)
             if f.n != n:
                 raise InputError(f"generator {f.literal()} has domain {f.n}, expected {n}")

@@ -73,25 +73,14 @@ def generate(generators, *, cap: int = DEFAULT_ELEMENT_CAP) -> tuple:
     return tuple(rows)
 
 
-def kernel(rows, generators) -> tuple:
-    """The unique minimal two-sided ideal of the closure ``rows`` of the
-    generators: its elements of minimal rank, in canonical order.
-
-    The rank criterion is cheap; the ideal property is re-verified against
-    the generators (which implies it for the whole semigroup).
+def kernel(rows) -> tuple:
+    """The elements of minimal rank of the closure ``rows``, in canonical
+    order: its kernel, the unique minimal two-sided ideal. ``rees_at``
+    verifies the ideal property as it composes the generators with them.
     """
     ranks = [len(set(row)) for row in rows]
     m = min(ranks)
-    ker = [row for row, rank in zip(rows, ranks) if rank == m]
-    kset = set(ker)
-    for g in map(_row, generators):
-        table = "\0" + g
-        for z in ker:
-            if z.translate(table) not in kset or g.translate("\0" + z) not in kset:
-                raise StructuralInconsistencyError(
-                    "minimal-rank set is not an ideal; rank criterion violated"
-                )
-    return tuple(map(element, ker))
+    return tuple(element(row) for row, rank in zip(rows, ranks) if rank == m)
 
 
 @dataclass(frozen=True)
@@ -100,6 +89,12 @@ class ReesData:
     G split into the cosets gamma^j H, j < p, of the period p.
 
     ``C[j]`` is gamma^j and ``coset_of[g]`` the j with g in gamma^j H.
+
+    The Rees coordinates index L, G and R by position. Kernel position
+    ``at[l][g][r]`` holds L[l] * G[g] * R[r] and ``coords`` is its inverse;
+    ``gmul[a][b]`` is the position of G[a] * G[b] and ``sandwich[r][l]`` that
+    of R[r] * L[l]. ``left[i][z]`` and ``right[i][z]`` are the kernel
+    positions of generators[i] * kernel[z] and kernel[z] * generators[i].
     """
 
     e: Transformation
@@ -113,10 +108,13 @@ class ReesData:
     C: tuple
     p: int
     coset_of: dict
-
-    @property
-    def kernel_set(self) -> frozenset:
-        return frozenset(self.kernel)
+    generators: tuple
+    coords: tuple
+    at: tuple
+    gmul: tuple
+    sandwich: tuple
+    left: tuple
+    right: tuple
 
     def inv(self, g: Transformation) -> Transformation:
         return self.inverse[g]
@@ -131,16 +129,12 @@ class ReesData:
         h = self.inv(self.C[j]) * g
         return self.C[j], h
 
-
-def _element_order(g: Transformation, e: Transformation, bound: int) -> int:
-    power = g
-    for k in range(1, bound + 1):
-        if power == e:
-            return k
-        power = power * g
-    raise StructuralInconsistencyError(
-        f"{g.literal()} has no power equal to the unit within {bound} steps"
-    )
+    def product(self, a: int, b: int) -> int:
+        """Kernel position of kernel[a] * kernel[b], by the Rees-matrix
+        product (l, g, r)(l', g', r') = (l, g * (r l') * g', r')."""
+        l, g, r = self.coords[a]
+        l2, g2, r2 = self.coords[b]
+        return self.at[l][self.gmul[self.gmul[g][self.sandwich[r][l2]]][g2]][r2]
 
 
 def rees_at(generators, ker: tuple, e: Transformation) -> ReesData:
@@ -154,104 +148,121 @@ def rees_at(generators, ker: tuple, e: Transformation) -> ReesData:
     G-parts exactly H, the successor class has G-parts gamma H, and gamma
     is the canonically smallest element of that coset with gamma^p = e.
     Verifies that H is a normal subgroup whose p cosets partition G.
+
+    Every product is composed once, on image rows, into the Rees
+    coordinate tables; the checks read the tables.
     """
-    kset = set(ker)
-    if e not in kset:
+    rows = [_row(z) for z in ker]
+    row_at = {row: i for i, row in enumerate(rows)}
+    unit = _row(e)
+    if unit not in row_at:
         raise InputError(f"{e.literal()} is not in the kernel")
     if not e.is_idempotent():
         raise InputError(f"{e.literal()} is not idempotent")
 
-    Ke = sorted({z * e for z in ker})
-    eK = sorted({e * z for z in ker})
-    L = tuple(z for z in Ke if z.is_idempotent())
-    G = tuple(sorted({e * z * e for z in ker}))
-    R = tuple(z for z in eK if z.is_idempotent())
+    gens = [_row(f) for f in generators]
+    left = [[row_at.get(z.translate("\0" + f)) for z in rows] for f in gens]
+    right = [[row_at.get(f.translate("\0" + z)) for z in rows] for f in gens]
+    if any(None in table for table in left + right):
+        raise StructuralInconsistencyError(
+            "minimal-rank set is not an ideal; rank criterion violated")
+    on_e = "\0" + unit
+    Ke = sorted({unit.translate("\0" + z) for z in rows})
+    eK = sorted({z.translate(on_e) for z in rows})
+    L = [x for x in Ke if x.translate("\0" + x) == x]
+    G = sorted({x.translate(on_e) for x in Ke})
+    R = [x for x in eK if x.translate("\0" + x) == x]
 
-    gset = set(G)
-    for a in G:
-        if a * e != a or e * a != a:
-            raise StructuralInconsistencyError("unit law fails in the group factor")
-        for b in G:
-            if a * b not in gset:
-                raise StructuralInconsistencyError("group factor is not closed")
-    inverse = {}
-    for g in G:
-        order = _element_order(g, e, len(G))
-        inverse[g] = e if order == 1 else g ** (order - 1)
-        if g * inverse[g] != e or inverse[g] * g != e:
-            raise StructuralInconsistencyError("inverse law fails in the group factor")
+    g_at = {g: i for i, g in enumerate(G)}
+    gmul = [[g_at.get(b.translate(t)) for b in G] for t in ["\0" + a for a in G]]
+    if any(None in row for row in gmul):
+        raise StructuralInconsistencyError("group factor is not closed")
+    one = g_at[unit]
+    if any(gmul[a][one] != a or gmul[one][a] != a for a in range(len(G))):
+        raise StructuralInconsistencyError("unit law fails in the group factor")
+    inverse = [row.index(one) if one in row else None for row in gmul]
+    if any(b is None or gmul[b][a] != one for a, b in enumerate(inverse)):
+        raise StructuralInconsistencyError("inverse law fails in the group factor")
 
-    if any(e * l != e for l in L) or any(r * e != e for r in R):
+    sandwich = [[g_at.get(l.translate(table)) for l in L] for table in ["\0" + r for r in R]]
+    if any(None in row for row in sandwich):
+        raise StructuralInconsistencyError("R * L is not inside G")
+    if sandwich[R.index(unit)] != [one] * len(L) or any(row[L.index(unit)] != one
+                                                        for row in sandwich):
         raise StructuralInconsistencyError("eL = Re = {e} fails")
 
-    seen = {}
-    for l in L:
-        for g in G:
-            lg = l * g
-            for r in R:
-                z = lg * r
-                if z in seen:
-                    raise StructuralInconsistencyError("L x G x R product not injective")
-                seen[z] = (l, g, r)
-    if set(seen) != kset:
+    at = [[[row_at.get(r.translate(lg)) for r in R]
+           for lg in ["\0" + g.translate("\0" + l) for g in G]] for l in L]
+    coords = {z: (l, g, r) for l, block in enumerate(at)
+              for g, line in enumerate(block) for r, z in enumerate(line)}
+    if None in coords:
+        raise StructuralInconsistencyError("L * G * R is not inside the kernel")
+    if len(coords) != len(L) * len(G) * len(R):
+        raise StructuralInconsistencyError("L x G x R product not injective")
+    if len(coords) != len(ker):
         raise StructuralInconsistencyError("L * G * R does not cover the kernel")
 
-    succ = {z: sorted({f * z for f in generators}) for z in Ke}
-    p, classes = chain_period_and_classes(Ke, succ.__getitem__, e)
+    # the walks run on the kernel's transformations, their steps on the tables
+    p, classes = chain_period_and_classes(
+        [ker[row_at[x]] for x in Ke], lambda z: [ker[t[row_at[_row(z)]]] for t in left], e)
     # irreducible walks have unique stationary laws (limits.*_stationary)
-    walk_distances(eK, lambda z: [z * f for f in generators], e, "right walk on eK")
-    H = tuple(sorted({e * z * e for z in classes[0]}))
+    walk_distances([ker[row_at[x]] for x in eK],
+                   lambda z: [ker[t[row_at[_row(z)]]] for t in right], e, "right walk on eK")
+
+    def g_part(zs) -> list:
+        # e z e = G[g] for z = L[l] G[g] R[r], as eL = Re = {e}
+        return sorted({coords[row_at[_row(z)]][1] for z in zs})
+
+    H = g_part(classes[0])
     if len(H) * p != len(G):
         raise StructuralInconsistencyError("|H| * p != |G|")
     hset = set(H)
-    if e not in hset:
+    if one not in hset:
         raise StructuralInconsistencyError("H does not contain the unit")
-    if any(a * b not in hset for a in H for b in H):
+    if any(gmul[a][b] not in hset for a in H for b in H):
         raise StructuralInconsistencyError("H is not closed under products")
     if any(inverse[h] not in hset for h in H):
         raise StructuralInconsistencyError("H is not closed under inverses")
-    if any(inverse[g] * h * g not in hset for h in H for g in G):
+    if any(gmul[gmul[inverse[g]][h]][g] not in hset for h in H for g in range(len(G))):
         raise StructuralInconsistencyError("H is not normal in G")
 
-    gamma = e
+    gamma = one
     if p > 1:
-        coset = sorted({e * z * e for z in classes[1]})
+        coset = g_part(classes[1])
         if len(coset) != len(H):
             raise StructuralInconsistencyError("successor coset has wrong size")
-        gamma = next((g for g in coset if g**p == e), None)
-        if gamma is None:
+        for gamma in coset:
+            power = gamma
+            for _ in range(p - 1):
+                power = gmul[power][gamma]
+            if power == one:
+                break
+        else:
             raise StructuralInconsistencyError("no order-p representative in the coset")
-    C = [e]
+    C = [one]
     while len(C) < p:
-        C.append(C[-1] * gamma)
-    if C[-1] * gamma != e:
+        C.append(gmul[C[-1]][gamma])
+    if gmul[C[-1]][gamma] != one:
         raise StructuralInconsistencyError("gamma^p != e")
     coset_of = {}
     for j, c in enumerate(C):
         for h in H:
-            if coset_of.setdefault(c * h, j) != j:
+            if coset_of.setdefault(gmul[c][h], j) != j:
                 raise StructuralInconsistencyError("cosets of H are not disjoint")
-    if set(coset_of) != gset:
+    if len(coset_of) != len(G):
         raise StructuralInconsistencyError("cosets of H do not cover G")
 
-    return ReesData(e=e, kernel=ker, L=L, G=G, R=R, inverse=inverse, H=H,
-                    gamma=gamma, C=tuple(C), p=p, coset_of=coset_of)
-
-
-def project(rd: ReesData, z: Transformation) -> tuple:
-    """Coordinates (z_L, z_G, z_R) with z = z_L * z_G * z_R.
-
-    Computed by the closed form z_G = eze, z_L = ze (eze)^-1,
-    z_R = (eze)^-1 ez.
-    """
-    if z not in rd.kernel_set:
-        raise InputError(f"{z.literal()} is not in the kernel")
-    e = rd.e
-    z_g = e * z * e
-    inv = rd.inv(z_g)
-    z_l = z * e * inv
-    z_r = inv * e * z
-    return z_l, z_g, z_r
+    Gt = tuple(ker[row_at[g]] for g in G)
+    return ReesData(
+        e=e, kernel=ker, L=tuple(ker[row_at[x]] for x in L), G=Gt,
+        R=tuple(ker[row_at[x]] for x in R),
+        inverse={g: Gt[b] for g, b in zip(Gt, inverse)}, H=tuple(Gt[h] for h in H),
+        gamma=Gt[gamma], C=tuple(Gt[c] for c in C), p=p,
+        coset_of={Gt[g]: j for g, j in coset_of.items()},
+        generators=tuple(generators), coords=tuple(coords[z] for z in range(len(ker))),
+        at=tuple(tuple(map(tuple, block)) for block in at),
+        gmul=tuple(map(tuple, gmul)), sandwich=tuple(map(tuple, sandwich)),
+        left=tuple(map(tuple, left)), right=tuple(map(tuple, right)))
 
 
 def walk_distances(states, neighbors, start, walk: str) -> dict:

@@ -51,7 +51,7 @@ def _within_caps(law: MappingLaw) -> bool:
         closure = generate(law.generators, cap=MAX_CLOSURE)
     except ResourceLimitError:
         return False
-    ker = kernel(closure, law.generators)
+    ker = kernel(closure)
     if len(ker) > MAX_KERNEL:
         return False
     e = next(f for f in ker if f.is_idempotent())
@@ -91,3 +91,19 @@ def p3_h2_law() -> MappingLaw:
             "weights": ["1/2", "1/2"],
         }
     )
+
+
+def group_kernel_laws() -> list:
+    """Tiny closures with large kernels or groups: S5, A5 and S4 (the kernel
+    is the whole group), a rank-3 kernel with |L| = 2, |G| = 6 and |R| = 6,
+    and the period-3 law of ``p3_h2_law``."""
+    gens = [
+        [[2, 3, 4, 5, 1], [2, 1, 3, 4, 5]],
+        [[2, 3, 1, 4, 5], [2, 3, 4, 5, 1]],
+        [[2, 3, 4, 1], [2, 1, 3, 4]],
+        [[2, 3, 4, 5, 6, 1], [3, 2, 1, 4, 5, 6], [1, 1, 3, 3, 5, 5]],
+        [[2, 3, 1, 5, 6, 4], [5, 6, 4, 2, 3, 1]],
+    ]
+    return [MappingLaw.from_dict({"n": len(g[0]), "generators": g,
+                                  "weights": [f"1/{len(g)}"] * len(g)})
+            for g in gens]

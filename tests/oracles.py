@@ -12,6 +12,11 @@ Cesaro first-order oracle is an exact Fraction solve over the brute-force
 closure, the naive float step convolves dicts keyed by transformation, and
 the reference sampler draws every replication from its own
 ``np.random.Generator`` and follows it with ``Transformation`` arithmetic.
+Measures on transformations are convolved as Fraction dicts keyed by
+``Transformation`` products, Rees coordinates come from the closed-form
+projection, group orders from repeated composition, and the float limit
+and Cesaro loops keep their list-of-iterates form with an ``np.add.at``
+step.
 """
 
 from __future__ import annotations
@@ -21,6 +26,9 @@ from functools import reduce
 from itertools import combinations, permutations
 
 import numpy as np
+
+from finevo.errors import InputError
+from finevo.measure import RationalMeasure
 
 
 def compose_images(f: tuple, g: tuple) -> tuple:
@@ -364,3 +372,116 @@ class ScalarReference:
     def h_part(self, x) -> object:
         """The H-part of the G-part of a stable tuple."""
         return self.split[self.triple[x][1]][1]
+
+
+def convolve(a, b):
+    """Exact pushforward of the product measure a x b under composition,
+    for RationalMeasures on transformations: a dict of Fraction sums keyed
+    by ``Transformation`` products."""
+    acc = {}
+    for f, wf in a.items():
+        for g, wg in b.items():
+            z = f * g
+            acc[z] = acc.get(z, Fraction(0)) + wf * wg
+    return RationalMeasure(acc)
+
+
+def measure_product(pieces):
+    """Left-to-right product of RationalMeasures and point elements.
+
+    Transformations and tuples are Dirac masses. A tuple-supported piece may
+    only appear last; the product then acts on it, x -> f(x) pointwise.
+    """
+    result = None
+    for piece in pieces:
+        if not isinstance(piece, RationalMeasure):
+            piece = RationalMeasure.point(piece)
+        if result is None:
+            result = piece
+        elif isinstance(piece.support()[0], tuple):
+            acc = {}
+            for f, wf in result.items():
+                for x, wx in piece.items():
+                    y = f.apply(x)
+                    acc[y] = acc.get(y, Fraction(0)) + wf * wx
+            result = RationalMeasure(acc)
+        else:
+            result = convolve(result, piece)
+    return result
+
+
+def project(rd, z) -> tuple:
+    """Coordinates (z_L, z_G, z_R) with z = z_L * z_G * z_R of a kernel
+    element, by the closed form z_G = eze, z_L = ze (eze)^-1 and
+    z_R = (eze)^-1 ez in ``Transformation`` arithmetic."""
+    if z not in set(rd.kernel):
+        raise InputError(f"{z.literal()} is not in the kernel")
+    e = rd.e
+    z_g = e * z * e
+    inv = rd.inv(z_g)
+    return z * e * inv, z_g, inv * e * z
+
+
+def element_order(g, e, bound: int) -> int:
+    """The least k <= bound with g^k == e, by repeated composition."""
+    power = g
+    for k in range(1, bound + 1):
+        if power == e:
+            return k
+        power = power * g
+    raise AssertionError(f"{g.literal()} has no power equal to the unit within {bound} steps")
+
+
+def add_at_step(law, elements):
+    """The float step v -> mu * v over ``elements`` (transformations), one
+    ``np.add.at`` per generator in the law's order."""
+    index = {s: i for i, s in enumerate(elements)}
+    tables = [(np.array([index[f * s] for s in elements]), float(w))
+              for f, w in law.measure.items()]
+
+    def step(v):
+        out = np.zeros_like(v)
+        for table, w in tables:
+            np.add.at(out, table, w * v)
+        return out
+
+    return step
+
+
+def float_limit_loop(step, vec, tol: float, max_iter: int, max_lag: int) -> tuple:
+    """Lag detection by a scan over a list of the last max_lag + 1 iterates,
+    one lag at a time, with the settle phase of ``float_limit_oracle``.
+
+    Returns (converged, q, eta vector, nu vector, iterations).
+    """
+    history = [(1, vec)]
+    settle_until = None
+    for n in range(2, max_iter + 1):
+        vec = step(vec)
+        history.append((n, vec))
+        if len(history) > max_lag + 1:
+            history.pop(0)
+        if settle_until is None:
+            for q in range(1, len(history)):
+                if np.max(np.abs(vec - history[-1 - q][1])) < tol:
+                    settle_until = min(max(2 * n, n + q), max_iter)
+                    break
+        if settle_until is not None and n >= settle_until:
+            for q in range(1, len(history)):
+                if np.max(np.abs(vec - history[-1 - q][1])) < tol:
+                    cycle = history[-q:]
+                    eta_vec = next(v for m, v in cycle if m % q == 0)
+                    nu_vec = sum(v for _, v in cycle) / q
+                    return True, q, eta_vec, nu_vec, n
+            settle_until = None
+    return False, 0, None, None, max_iter
+
+
+def cesaro_loop(step, vec, n: int) -> np.ndarray:
+    """(1/n) sum_{k=1..n} mu^k from mu^1 = vec, accumulated in order."""
+    acc = vec.copy()
+    for _ in range(n - 1):
+        vec = step(vec)
+        acc += vec
+    acc /= n
+    return acc

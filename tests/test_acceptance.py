@@ -23,14 +23,8 @@ from finevo.limits import (
     exact_vs_float_sup,
     float_limit_oracle,
 )
-from finevo.measure import (
-    RationalMeasure,
-    act_on_tuples,
-    convolve,
-    coordinate_marginal,
-    measure_product,
-)
-from finevo.semigroup import element, project
+from finevo.measure import RationalMeasure, act_on_tuples, coordinate_marginal
+from finevo.semigroup import element
 from finevo.simulate import (
     path_tables,
     sample_batch,
@@ -42,7 +36,7 @@ from finevo.simulate import (
 )
 from finevo.transform import Transformation
 from fuzzlaws import cyclic3_law, p3_h2_law
-from oracles import cesaro_first_order, two_term_residual
+from oracles import cesaro_first_order, convolve, element_order, project, two_term_residual
 
 SEED = 42
 R = 10_000
@@ -125,10 +119,12 @@ def _structural_suite(a) -> list:
                     problems.append("Rees bijection round trip")
                 if (z * z == z) != (r * l == rd.inv(g)):
                     problems.append("idempotency criterion")
-    for z in K:
+    for z, (i, j, k) in zip(K, rd.coords):
         l, g, r = project(rd, z)
         if l * g * r != z or l not in set(rd.L) or g not in set(rd.G) or r not in set(rd.R):
             problems.append("projection formula")
+        if (rd.L[i], rd.G[j], rd.R[k]) != (l, g, r):
+            problems.append("Rees coordinates")
     gset = set(rd.G)
     if not all(r * l in gset for r in rd.R for l in rd.L):
         problems.append("RL not inside G")
@@ -150,6 +146,10 @@ def _structural_suite(a) -> list:
     if set(lim.eta.support()) != lhr:
         problems.append("supp(eta) != LHR")
 
+    for g in rd.G:
+        order = element_order(g, rd.e, len(rd.G))
+        if rd.inv(g) != (rd.e if order == 1 else g ** (order - 1)):
+            problems.append("group inverse")
     hset = set(rd.H)
     if not all(rd.inv(g) * h * g in hset for h in rd.H for g in rd.G):
         problems.append("H not normal")
@@ -176,7 +176,7 @@ def _structural_suite(a) -> list:
         problems.append("LGW != W_mu")
 
     lam = invariant_law(lim, cd, RationalMeasure.uniform(cd.W))
-    if act_on_tuples(mu, lam) != lam:
+    if act_on_tuples(a.law, lam) != lam:
         problems.append("invariant law not fixed")
     return problems
 

@@ -381,6 +381,10 @@ def test_structural_inconsistency_exits_2(capsys, law_file, monkeypatch):
      "n must be a positive integer, got '2'"),
     ({"n": 2, "generators": [[1, 2]], "weights": [True]},
      "expected an exact rational, got bool"),
+    ({"n": 1, "generators": [5], "weights": ["1"]},
+     "generator 5 must be a list of images"),
+    ({"n": 1, "generators": [None], "weights": ["1"]},
+     "generator None must be a list of images"),
 ])
 def test_law_parser_rejects_booleans_and_non_integer_n(capsys, tmp_path, law, message):
     path = tmp_path / "law.json"

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -13,22 +14,42 @@ from finevo.limits import (
     right_stationary,
     solve_stationary,
 )
-from finevo.measure import MappingLaw, RationalMeasure, convolve, measure_product
-from finevo.semigroup import element, project, rees_at
+from finevo.measure import MappingLaw, RationalMeasure
+from finevo.semigroup import element, generate, rees_at
 from finevo.transform import Transformation
-from fuzzlaws import cyclic3_law, p3_h2_law
+from fuzzlaws import cyclic3_law, group_kernel_laws, p3_h2_law
 from oracles import (
+    add_at_step,
     cesaro_first_order,
+    cesaro_loop,
+    convolve,
+    float_limit_loop,
     float_stationary,
     float_step,
     float_sup_distance,
     full_chain_stationary,
+    measure_product,
+    project,
     two_term_residual,
 )
 
 E = Transformation([4, 2, 2, 4, 5])
 FE = Transformation([1, 3, 3, 1, 5])
 EF = Transformation([2, 2, 4, 4, 5])
+
+
+def _on_kernel(rd, vector) -> RationalMeasure:
+    """An exact kernel vector (numerators by kernel position, denominator)
+    as a measure on the kernel's transformations."""
+    nums, den = vector
+    return RationalMeasure({rd.kernel[z]: Fraction(v, den) for z, v in enumerate(nums) if v})
+
+
+def _cycle(a) -> list:
+    """cycle[k] = eta_L gamma^k omega_H eta_R by the convolution oracle."""
+    omega_H = RationalMeasure.uniform(a.rd.H)
+    return [measure_product([a.limits.eta_L, a.rd.C[k], omega_H, a.limits.eta_R])
+            for k in range(a.limits.p)]
 
 
 def test_left_and_right_factors_golden(example_analysis):
@@ -40,7 +61,7 @@ def test_left_and_right_factors_golden(example_analysis):
 def test_left_stationary_product_form(example_analysis):
     # beta{l*g} = eta_L{l} / |G| on each of the 12 states of Ke
     a = example_analysis
-    beta = left_stationary(a.law, a.rd)
+    beta = _on_kernel(a.rd, left_stationary(a.law, a.rd))
     states = sorted({z * a.rd.e for z in a.rd.kernel})
     assert len(states) == 12
     for z in states:
@@ -52,7 +73,7 @@ def test_left_stationary_product_form(example_analysis):
 def test_right_stationary_product_form(p3h2_analysis):
     # beta_R{g*r} = eta_R{r} / |G| on each state of eK
     a = p3h2_analysis
-    beta = right_stationary(a.law, a.rd)
+    beta = _on_kernel(a.rd, right_stationary(a.law, a.rd))
     states = sorted({a.rd.e * z for z in a.rd.kernel})
     assert len(states) == len(a.rd.G) * len(a.rd.R)
     assert set(beta.support()) == set(states)
@@ -76,7 +97,7 @@ def _assert_stationary_matches_full_chain(a):
     for left, beta in ((True, left_stationary(a.law, a.rd)),
                        (False, right_stationary(a.law, a.rd))):
         exact = full_chain_stationary(gens, weights, a.rd.e.images, left)
-        assert {z.images: w for z, w in beta.items()} == exact
+        assert {z.images: w for z, w in _on_kernel(a.rd, beta).items()} == exact
 
 
 def test_stationary_laws_match_full_chain_oracle_on_corpus(fuzz_analyses):
@@ -104,7 +125,7 @@ def test_left_stationary_matches_float_power_iteration(example_analysis):
         for f, w in a.law.measure.items():
             matrix[index[z]][index[f * z]] += w
     pi = float_stationary(matrix)
-    beta = left_stationary(a.law, a.rd)
+    beta = _on_kernel(a.rd, left_stationary(a.law, a.rd))
     for z in states:
         assert abs(pi[index[z]] - float(beta[z])) < 1e-12
 
@@ -113,7 +134,7 @@ def test_stationary_of_point_mass_law():
     law = MappingLaw.from_dict({"n": 5, "generators": [[4, 2, 2, 4, 5]],
                                 "weights": ["1"]})
     a = analyze_law(law)
-    assert left_stationary(a.law, a.rd) == RationalMeasure.point(E)
+    assert _on_kernel(a.rd, left_stationary(a.law, a.rd)) == RationalMeasure.point(E)
     assert a.limits.eta_L == RationalMeasure.point(E)
     assert a.limits.eta_R == RationalMeasure.point(E)
     assert a.limits.eta == RationalMeasure.point(E)
@@ -143,8 +164,9 @@ def test_period_three_cyclic_instance():
     assert a.rd.gamma == Transformation([2, 3, 1])
     # mu^n = delta_{g^n} cycles with period 3
     g = Transformation([2, 3, 1])
-    assert a.limits.cycle[1] == RationalMeasure.point(g)
-    assert a.limits.cycle[2] == RationalMeasure.point(g * g)
+    cycle = _cycle(a)
+    assert cycle[1] == RationalMeasure.point(g)
+    assert cycle[2] == RationalMeasure.point(g * g)
     assert a.limits.eta == RationalMeasure.point(Transformation([1, 2, 3]))
 
 
@@ -161,9 +183,11 @@ def test_period_three_with_nontrivial_H():
 def test_cycle_shifts_under_convolution(p3h2_analysis):
     a = p3h2_analysis
     mu = a.law.measure
+    cycle = _cycle(a)
+    assert cycle[0] == a.limits.eta
     for k in range(a.limits.p):
-        assert convolve(mu, a.limits.cycle[k]) == a.limits.cycle[(k + 1) % a.limits.p]
-    assert convolve(mu, a.limits.cycle[a.limits.p - 1]) == a.limits.eta
+        assert convolve(mu, cycle[k]) == cycle[(k + 1) % a.limits.p]
+    assert convolve(mu, cycle[a.limits.p - 1]) == a.limits.eta
 
 
 def test_eta_and_nu_identities(example_analysis):
@@ -196,7 +220,7 @@ def test_supports(example_analysis):
 
 def test_cycle_supports_disjoint(p3h2_analysis):
     a = p3h2_analysis
-    supports = [set(c.support()) for c in a.limits.cycle]
+    supports = [set(c.support()) for c in _cycle(a)]
     for i in range(len(supports)):
         for j in range(i + 1, len(supports)):
             assert not supports[i] & supports[j]
@@ -259,19 +283,67 @@ def test_indexed_iteration_sums_like_the_per_generator_loop(
 
     analyses, _ = fuzz_analyses
     for a in [example_analysis, p3h2_analysis] + analyses:
-        elements = [element(row) for row in a.closure]
-        index = {s: i for i, s in enumerate(elements)}
         _, vec, step = _indexed_iteration(a.law, a.closure)
-        tables = [(np.array([index[f * s] for s in elements]), float(w))
-                  for f, w in a.law.measure.items()]
+        ref_step = add_at_step(a.law, [element(row) for row in a.closure])
         ref = vec.copy()
         for _ in range(500):
             vec = step(vec)
-            out = np.zeros_like(ref)
-            for table, w in tables:
-                np.add.at(out, table, w * ref)
-            ref = out
+            ref = ref_step(ref)
             assert np.array_equal(vec, ref)
+
+
+def test_float_oracle_and_cesaro_equal_the_list_loops(
+        example_analysis, cyclic3_analysis, p3h2_analysis):
+    # the ring-buffer lag scan and the buffered step give results == to the
+    # list-of-iterates loops with an np.add.at step, which verify printed
+    oscillating = MappingLaw.from_dict(
+        {"n": 4, "generators": [[1, 4, 4, 4], [2, 3, 2, 1], [4, 3, 2, 4]],
+         "weights": ["1/3", "1/3", "1/3"]})
+    laws = [example_analysis.law, cyclic3_analysis.law, p3h2_analysis.law,
+            oscillating] + group_kernel_laws()
+    cases = [(law, max(64, len(analyze_law(law).rd.G)), 100_000) for law in laws]
+    cases.append((cyclic3_analysis.law, 2, 50))  # no lag up to 2: not converged
+    for law, max_lag, max_iter in cases:
+        closure = generate(law.generators)
+        elements = [element(row) for row in closure]
+        step = add_at_step(law, elements)
+        v0 = np.zeros(len(elements))
+        v0[[elements.index(f) for f in law.generators]] = [float(w) for _, w in law.measure.items()]
+
+        def nonzero(vec):
+            return {elements[i]: float(vec[i]) for i in np.flatnonzero(vec)}
+
+        est = float_limit_oracle(law, max_lag=max_lag, max_iter=max_iter, closure=closure)
+        converged, q, eta_vec, nu_vec, n = float_limit_loop(step, v0, 1e-12, max_iter, max_lag)
+        assert (est.converged, est.p_est, est.iterations) == (converged, q, n)
+        if converged:
+            assert (est.eta_est, est.nu_est) == (nonzero(eta_vec), nonzero(nu_vec))
+        assert cesaro_average(law, 3_000, closure) == nonzero(cesaro_loop(step, v0, 3_000))
+
+
+def test_indexed_convolution_matches_the_oracle(example_analysis, p3h2_analysis, fuzz_analyses):
+    # the kernel-vector algebra of assemble_limits and the stationary checks
+    # against Fraction dicts keyed by transformation products
+    from finevo.limits import _act, _convolve
+
+    analyses, _ = fuzz_analyses
+    rng = random.Random(5)
+
+    def vector(rd) -> tuple:
+        # a random law on the kernel, over a denominator not in lowest terms
+        nums = [rng.choice([0, 0, 1, 2, 7]) for _ in rd.kernel]
+        nums[rng.randrange(len(nums))] += 1
+        k = rng.randint(1, 5)
+        return [k * v for v in nums], k * sum(nums)
+
+    for a in [example_analysis, p3h2_analysis] + analyses:
+        rd = a.rd
+        x, y = vector(rd), vector(rd)
+        assert _on_kernel(rd, _convolve(rd, x, y)) == convolve(_on_kernel(rd, x), _on_kernel(rd, y))
+        for left in (True, False):
+            product = (convolve(a.law.measure, _on_kernel(rd, x)) if left
+                       else convolve(_on_kernel(rd, x), a.law.measure))
+            assert _on_kernel(rd, _act(a.law, rd, x, left)) == product
 
 
 def _first_order(a) -> dict:
@@ -341,9 +413,9 @@ def test_period_and_subgroup_direct(example_analysis, p3h2_analysis):
 
 def test_left_right_solvers_agree_with_invariance(p3h2_analysis):
     a = p3h2_analysis
-    beta = left_stationary(a.law, a.rd)
+    beta = _on_kernel(a.rd, left_stationary(a.law, a.rd))
     assert convolve(a.law.measure, beta) == beta
-    beta_r = right_stationary(a.law, a.rd)
+    beta_r = _on_kernel(a.rd, right_stationary(a.law, a.rd))
     assert convolve(beta_r, a.law.measure) == beta_r
     omega_G = RationalMeasure.uniform(a.rd.G)
     # omega_G * eta_R is fixed under right convolution by mu

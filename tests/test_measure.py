@@ -9,12 +9,10 @@ from finevo.measure import (
     MappingLaw,
     RationalMeasure,
     act_on_tuples,
-    convolve,
     coordinate_marginal,
-    measure_product,
 )
 from finevo.transform import Transformation
-from oracles import marginal_transition_matrix
+from oracles import convolve, marginal_transition_matrix, measure_product
 
 F = Transformation([2, 3, 4, 1, 5])
 G = Transformation([2, 5, 5, 2, 4])
@@ -74,7 +72,7 @@ def test_uniform_and_point():
 
 def test_act_on_tuples_identity():
     lam = RationalMeasure({(2, 4, 5): "1/2", (1, 3, 5): "1/2"})
-    ident = RationalMeasure.point(Transformation([1, 2, 3, 4, 5]))
+    ident = MappingLaw(5, RationalMeasure.point(Transformation([1, 2, 3, 4, 5])))
     assert act_on_tuples(ident, lam) == lam
 
 
@@ -82,8 +80,8 @@ def test_act_composes_with_convolution():
     mu = RationalMeasure({F: "1/2", G: "1/2"})
     nu = RationalMeasure({E: "2/3", FE: "1/3"})
     lam = RationalMeasure({(2, 4, 5): "1/3", (5, 2, 4): "2/3"})
-    left = act_on_tuples(convolve(mu, nu), lam)
-    right = act_on_tuples(mu, act_on_tuples(nu, lam))
+    left = act_on_tuples(MappingLaw(5, convolve(mu, nu)), lam)
+    right = act_on_tuples(MappingLaw(5, mu), act_on_tuples(MappingLaw(5, nu), lam))
     assert left == right
 
 
@@ -91,8 +89,7 @@ def test_measure_product_assembles_invariant_law():
     eta_L = RationalMeasure({E: "2/3", FE: "1/3"})
     omega = RationalMeasure.uniform(group_elements())
     lam = measure_product([eta_L, omega, (2, 4, 5)])
-    mu = RationalMeasure({F: "1/2", G: "1/2"})
-    assert act_on_tuples(mu, lam) == lam
+    assert act_on_tuples(example_law(), lam) == lam
     assert measure_product([RationalMeasure.point(E)]) == RationalMeasure.point(E)
 
 
@@ -101,7 +98,7 @@ def test_invariant_point_law_on_single_particles():
     lam = RationalMeasure(
         {(1,): "1/9", (2,): "2/9", (3,): "1/9", (4,): "2/9", (5,): "3/9"}
     )
-    assert act_on_tuples(mu, lam) == lam
+    assert act_on_tuples(MappingLaw(5, mu), lam) == lam
 
 
 def _matrix(law):

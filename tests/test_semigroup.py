@@ -7,12 +7,13 @@ import pytest
 from finevo import example_law, semigroup
 from finevo.errors import InputError, ResourceLimitError, StructuralInconsistencyError
 from finevo.measure import MappingLaw
-from finevo.semigroup import element, generate, kernel, left_products, literals, project, rees_at
+from finevo.semigroup import element, generate, kernel, left_products, literals, rees_at
 from finevo.transform import Transformation
-from fuzzlaws import cyclic3_law, p3_h2_law
+from fuzzlaws import cyclic3_law, group_kernel_laws, p3_h2_law
 from oracles import (
     brute_force_closure,
     brute_force_minimal_ideal,
+    project,
     shortest_words,
     word_closure,
 )
@@ -41,7 +42,7 @@ def elements(S):
 
 @pytest.fixture(scope="module")
 def K(S):
-    return kernel(S, [F, G])
+    return kernel(S)
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +107,7 @@ def _assert_rows_match_the_oracles(generators, closure_oracle) -> tuple:
     words = shortest_words(gens)
     keys = [(len(words[x]), x) for x in images]
     assert keys == sorted(keys)
-    assert ({z.images for z in kernel(rows, generators)}
+    assert ({z.images for z in kernel(rows)}
             == brute_force_minimal_ideal(set(images)))
     assert literals(rows) == [f.literal() for f in elements]
     return rows
@@ -125,7 +126,7 @@ def test_closure_rows_match_the_oracles_on_a_large_closure():
     rng = random.Random(102)
     gens = [Transformation([rng.randint(1, 6) for _ in range(6)]) for _ in range(2)]
     rows = _assert_rows_match_the_oracles(gens, word_closure)
-    assert (len(rows), len(kernel(rows, gens))) == (2610, 5)
+    assert (len(rows), len(kernel(rows))) == (2610, 5)
 
 
 def test_closure_rows_hold_images_above_255():
@@ -163,7 +164,7 @@ def test_kernel_matches_minimal_ideal_oracle(elements, K):
 def test_kernel_of_a_group_is_everything():
     c = Transformation([2, 3, 1])
     S = generate([c])
-    assert set(kernel(S, [c])) == set(map(element, S))
+    assert set(kernel(S)) == set(map(element, S))
 
 
 def test_kernel_is_an_ideal(elements, K):
@@ -203,10 +204,11 @@ def test_project_golden(rd):
 
 
 def test_project_round_trip(rd, K):
-    for z in K:
+    for z, (i, j, k) in zip(K, rd.coords):
         l, g, r = project(rd, z)
         assert l in set(rd.L) and g in set(rd.G) and r in set(rd.R)
         assert l * g * r == z
+        assert (rd.L[i], rd.G[j], rd.R[k]) == (l, g, r)
     with pytest.raises(InputError):
         project(rd, F)
 
@@ -243,7 +245,7 @@ def test_kernel_idempotents_are_primitive(rd, K):
 
 def test_trivial_kernel_decomposition():
     c = Transformation([1, 1])
-    rd = rees_at([c], kernel(generate([c]), [c]), c)
+    rd = rees_at([c], kernel(generate([c])), c)
     assert rd.L == rd.G == rd.R == (Transformation([1, 1]),)
 
 
@@ -259,7 +261,7 @@ def test_coset_structure_single_coset(rd):
 def test_coset_structure_cyclic_group():
     g = Transformation([2, 3, 1])
     ident = Transformation([1, 2, 3])
-    rd = rees_at([g], kernel(generate([g]), [g]), ident)
+    rd = rees_at([g], kernel(generate([g])), ident)
     assert (rd.p, rd.H, rd.gamma) == (3, (ident,), g)
     assert rd.coset_of == {ident: 0, g: 1, g * g: 2}
     assert rd.gamma_power(2) == g * g
@@ -289,6 +291,12 @@ def test_rees_at_rejects_a_wrong_coset_structure(K, monkeypatch, p, parts, messa
         rees_at([F, G], K, E)
 
 
+def test_rees_at_rejects_a_kernel_that_is_not_an_ideal(K):
+    # without G, the products f * z and z * f leave the set
+    with pytest.raises(StructuralInconsistencyError, match="minimal-rank set is not an ideal"):
+        rees_at([F, G], tuple(z for z in K if z != G), E)
+
+
 @pytest.mark.parametrize("direction", ["forward", "backward"])
 def test_rees_at_rejects_a_reducible_right_walk(K, monkeypatch, direction):
     """Successors on eK that leave e stuck (forward) or unreachable
@@ -308,3 +316,30 @@ def test_rees_at_rejects_a_reducible_right_walk(K, monkeypatch, direction):
     with pytest.raises(StructuralInconsistencyError,
                        match=re.escape(f"right walk on eK is not irreducible ({direction})")):
         rees_at([F, G], K, E)
+
+
+def test_rees_coordinate_products_match_composition(example_analysis, fuzz_analyses):
+    """Every product read off the Rees tables is the composition of the
+    transformations: kernel pairs by the Rees-matrix product, generators by
+    the left and right tables, and the tables L x G x R, G x G and R x L."""
+    analyses, _ = fuzz_analyses
+    laws = group_kernel_laws()
+    rds = [example_analysis.rd] + [a.rd for a in analyses] + [
+        rees_at(law.generators, k, next(z for z in k if z.is_idempotent()))
+        for law in laws for k in [kernel(generate(law.generators))]]
+    assert [len(rd.kernel) for rd in rds[-5:]] == [120, 60, 24, 72, 6]
+    for rd in rds:
+        K = rd.kernel
+        for a, x in enumerate(K):
+            for b, y in enumerate(K):
+                assert K[rd.product(a, b)] == x * y
+        for f, left, right in zip(rd.generators, rd.left, rd.right):
+            assert [K[z] for z in left] == [f * z for z in K]
+            assert [K[z] for z in right] == [z * f for z in K]
+        for l, x in enumerate(rd.L):
+            for g, y in enumerate(rd.G):
+                for r, z in enumerate(rd.R):
+                    assert K[rd.at[l][g][r]] == x * y * z
+                    assert rd.coords[rd.at[l][g][r]] == (l, g, r)
+        assert [[rd.G[c] for c in row] for row in rd.gmul] == [[x * y for y in rd.G] for x in rd.G]
+        assert [[rd.G[c] for c in row] for row in rd.sandwich] == [[r * l for l in rd.L] for r in rd.R]
