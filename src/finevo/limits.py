@@ -322,12 +322,27 @@ def float_limit_oracle(
 
 
 def cesaro_average(law: MappingLaw, n: int, closure: tuple = None) -> dict:
-    """Running average (1/n) sum_{k=1..n} mu^k in double precision."""
+    """Running average (1/n) sum_{k=1..n} mu^k in double precision.
+
+    ``step`` is deterministic, so once mu^k has the bytes of a power mu^j
+    in the ring of the last 65, mu^(k+i) == mu^(j+i) for all i: the rest of
+    the sum is the rows j .. k-1 added in cyclic order, == to stepping on.
+    """
     closure, vec, step = _indexed_iteration(law, closure)
+    size = 65  # float_limit_oracle's default max_lag + 1
+    ring, seen = np.empty((size, len(vec))), {hash(vec.tobytes()): 1}
+    ring[1] = vec
     acc = vec.copy()
-    for _ in range(n - 1):
+    for k in range(2, n + 1):
         vec = step(vec)
+        key = vec.tobytes()
+        j = seen.get(hash(key), -size)
+        if k - j < size and ring[j % size].tobytes() == key:
+            for m in range(k, n + 1):
+                np.add(acc, ring[(j + (m - k) % (k - j)) % size], out=acc)
+            break
         acc += vec
+        ring[k % size], seen[hash(key)] = vec, k
     acc /= n
     return _nonzero(closure, acc)
 

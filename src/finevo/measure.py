@@ -9,6 +9,7 @@ law forward under a mapping law. Kernel convolutions run in
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import InputError
@@ -16,12 +17,15 @@ from .transform import Transformation
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce ints, strings like "2/3" and Fractions; floats are rejected."""
+    """Coerce ints, strings like "2/3" or "0.25" and Fractions; floats and
+    exponent literals like "1e-9", whose size has no bound, are rejected."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        if re.search(r"[eE][-+]?\d", value):
+            raise InputError(f"rational literal {value!r} is in exponent notation")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -153,9 +157,6 @@ class MappingLaw:
             if v <= 0:
                 raise InputError(f"weight {w!r} must be positive")
             acc[f] = acc.get(f, Fraction(0)) + v
-        total = sum(acc.values())
-        if total != 1:
-            raise InputError(f"weights sum to {total}, expected 1")
         return cls(n, RationalMeasure(acc))
 
     def to_dict(self) -> dict:

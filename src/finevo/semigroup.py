@@ -16,6 +16,8 @@ import sys
 from dataclasses import dataclass
 from math import gcd
 
+import numpy as np
+
 from .errors import InputError, ResourceLimitError, StructuralInconsistencyError
 from .transform import Transformation
 
@@ -78,9 +80,11 @@ def kernel(rows) -> tuple:
     order: its kernel, the unique minimal two-sided ideal. ``rees_at``
     verifies the ideal property as it composes the generators with them.
     """
-    ranks = [len(set(row)) for row in rows]
-    m = min(ranks)
-    return tuple(element(row) for row, rank in zip(rows, ranks) if rank == m)
+    # rank = number of distinct images; surrogatepass encodes n >= 0xD800
+    codes = np.frombuffer("".join(rows).encode("utf-32-le", "surrogatepass"), "<u4")
+    codes = np.sort(codes.reshape(len(rows), -1), axis=1)
+    ranks = 1 + np.count_nonzero(codes[:, 1:] != codes[:, :-1], axis=1)
+    return tuple(element(rows[i]) for i in np.flatnonzero(ranks == ranks.min()))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -393,6 +394,26 @@ def test_law_parser_rejects_booleans_and_non_integer_n(capsys, tmp_path, law, me
     assert code == 3
     assert out == ""
     assert message in err
+
+
+HUGE_EXPONENT = "1e-100000000"
+
+
+@pytest.mark.parametrize("flag, doc", [
+    ("--law", dict(EXAMPLE_LAW, weights=[HUGE_EXPONENT, "1/2"])),
+    ("--config", {"mode": "nonstationary",
+                  "family": {"c": [HUGE_EXPONENT], "Lambda_W": [{"(2,4,5)": "1"}]}}),
+    ("--config", {"Lambda_W": {"(2,4,5)": HUGE_EXPONENT}}),
+])
+def test_exponent_literals_exit_3_at_once(capsys, tmp_path, law_file, flag, doc):
+    # Fraction(HUGE_EXPONENT) alone would build a 332-million-bit denominator
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc if flag == "--law" else {"law_file": law_file, **doc}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "simulate", flag, str(path), "--no-timestamp")
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (3, "")
+    assert err == f"finevo: error: rational literal {HUGE_EXPONENT!r} is in exponent notation\n"
 
 
 def _sha256(text: str) -> str:

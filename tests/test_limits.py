@@ -292,17 +292,45 @@ def test_indexed_iteration_sums_like_the_per_generator_loop(
             assert np.array_equal(vec, ref)
 
 
+def first_repeat(step, vec) -> int:
+    """The first k with mu^k bit for bit equal to an earlier power."""
+    seen = {vec.tobytes()}
+    for k in range(2, 20_000):
+        vec = step(vec)
+        if vec.tobytes() in seen:
+            return k
+        seen.add(vec.tobytes())
+    raise AssertionError("no repeat within 20,000 powers")
+
+
 def test_float_oracle_and_cesaro_equal_the_list_loops(
-        example_analysis, cyclic3_analysis, p3h2_analysis):
+        example_analysis, cyclic3_analysis, p3h2_analysis, monkeypatch):
     # the ring-buffer lag scan and the buffered step give results == to the
-    # list-of-iterates loops with an np.add.at step, which verify printed
+    # list-of-iterates loops with an np.add.at step, which verify printed;
+    # the Cesaro average replays the powers from their first repeat, which
+    # must leave every sum == to the stepped one, n = 10^4 as in verify
+    from finevo import limits
+
     oscillating = MappingLaw.from_dict(
         {"n": 4, "generators": [[1, 4, 4, 4], [2, 3, 2, 1], [4, 3, 2, 4]],
          "weights": ["1/3", "1/3", "1/3"]})
+    # mu^65 == mu^1 on the 64-cycle, inside the ring of 65 powers; mu^66 ==
+    # mu^1 on the 65-cycle, one power too far back to replay
+    cycles = {m: MappingLaw.from_dict({"n": m, "generators": [list(range(2, m + 1)) + [1]],
+                                       "weights": ["1"]}) for m in (64, 65)}
     laws = [example_analysis.law, cyclic3_analysis.law, p3h2_analysis.law,
             oscillating] + group_kernel_laws()
     cases = [(law, max(64, len(analyze_law(law).rd.G)), 100_000) for law in laws]
+    cases += [(law, m, 1_000) for m, law in cycles.items()]  # G is the m-cycle's
     cases.append((cyclic3_analysis.law, 2, 50))  # no lag up to 2: not converged
+    steps = []
+    indexed = limits._indexed_iteration
+
+    def counted(law, closure=None):
+        closure, v0, step = indexed(law, closure)
+        return closure, v0, lambda v: steps.append(1) or step(v)
+
+    monkeypatch.setattr(limits, "_indexed_iteration", counted)
     for law, max_lag, max_iter in cases:
         closure = generate(law.generators)
         elements = [element(row) for row in closure]
@@ -318,7 +346,12 @@ def test_float_oracle_and_cesaro_equal_the_list_loops(
         assert (est.converged, est.p_est, est.iterations) == (converged, q, n)
         if converged:
             assert (est.eta_est, est.nu_est) == (nonzero(eta_vec), nonzero(nu_vec))
-        assert cesaro_average(law, 3_000, closure) == nonzero(cesaro_loop(step, v0, 3_000))
+        k = first_repeat(step, v0)
+        for n in (1, 2, k, k + 1, 3_000, 10_000):
+            steps.clear()
+            assert cesaro_average(law, n, closure) == nonzero(cesaro_loop(step, v0, n))
+        if law in cycles.values():
+            assert len(steps) == {64: 64, 65: 9_999}[law.n]
 
 
 def test_indexed_convolution_matches_the_oracle(example_analysis, p3h2_analysis, fuzz_analyses):

@@ -142,6 +142,16 @@ def test_closure_rows_hold_images_above_255():
         generate([Transformation([1] * (sys.maxunicode + 1))])
 
 
+def test_kernel_ranks_rows_above_the_surrogate_code_points():
+    # from n = 0xD800 on, rows hold the code points 0xD800-0xDFFF, which the
+    # plain utf-32 codec refuses; the kernel keeps the len(set(row)) rule
+    n = 55_300
+    rows = generate([Transformation([2, 1, *range(3, n + 1)]), Transformation([1] * n)])
+    ranks = [len(set(row)) for row in rows]
+    assert sorted(ranks) == [1, 1, n, n]
+    assert kernel(rows) == tuple(element(row) for row, rank in zip(rows, ranks) if rank == 1)
+
+
 def test_idempotents_golden(elements):
     idem = [f for f in elements if f.is_idempotent()]
     assert E in idem
