@@ -13,7 +13,8 @@ import sys
 from .analysis import analyze_law, example_law
 from .cliques import InvariantFamily, classify_family
 from .errors import FinevoError, InputError
-from .limits import cesaro_average, exact_vs_float_sup, float_limit_oracle
+from .limits import (CESARO_N, FLOAT_MAX_LAG, cesaro_average, exact_vs_float_sup,
+                     float_limit_oracle)
 from .measure import MappingLaw, RationalMeasure, as_fraction
 from .report import build_report, render_text, report_to_json
 from .semigroup import DEFAULT_ELEMENT_CAP
@@ -237,8 +238,6 @@ def _exit_code(verification: VerificationReport) -> int:
 
 
 def _run_simulation_battery(analysis, config) -> VerificationReport:
-    limits = analysis.limits
-    cd = analysis.cliques
     seed = config["seed"]
     alpha = config["alpha"]
     verification = VerificationReport(
@@ -254,19 +253,19 @@ def _run_simulation_battery(analysis, config) -> VerificationReport:
     else:
         initial = _resolve_lambda_w(config, analysis)
         window = (-config["window"], 0)
-    tables = path_tables(limits, cd)
-    path = sample_batch(tables, initial, config["k_min"], config["k_max"], seed, 1).path(0)
-    verification.extend(verify_path_exact(path, limits, cd))
-    verification.add(verify_factorization(path, limits, config["k_max"]))
+    tables = path_tables(analysis.limits, analysis.cliques)
+    path = sample_batch(tables, initial, config["k_min"], config["k_max"], seed, 1)
+    verification.extend(verify_path_exact(path))
+    verification.add(verify_factorization(path, config["k_max"]))
 
     batch = sample_batch(tables, initial, *window, seed, config["replications"])
     if config["mode"] == "nonstationary":
-        verification.extend(verify_nonstationary_joint(batch, alpha=alpha).checks)
+        verification.extend(verify_nonstationary_joint(batch, alpha=alpha))
     else:
         # one batch of replications serves both stationary checks
-        verification.extend(verify_third_noise(batch, alpha=alpha).checks)
+        verification.extend(verify_third_noise(batch, alpha=alpha))
         if analysis.law == example_law():
-            verification.extend(verify_mono_projection(batch, alpha=alpha).checks)
+            verification.extend(verify_mono_projection(batch, alpha=alpha))
     return verification
 
 
@@ -299,7 +298,7 @@ def cmd_verify(args) -> int:
     analysis = analyze_law(law, cap=args.cap)
 
     verification = _run_simulation_battery(analysis, config)
-    est = float_limit_oracle(law, max_lag=max(64, len(analysis.rd.G)),
+    est = float_limit_oracle(law, max_lag=max(FLOAT_MAX_LAG, len(analysis.rd.G)),
                              closure=analysis.closure)
     if not est.converged:
         verification.add(Check("float limit oracle converged", "exact", False))
@@ -333,9 +332,9 @@ def cmd_verify(args) -> int:
     }
     # informational: the literal running average converges like C/n, far
     # slower than the cycle average checked above
-    avg = cesaro_average(law, 10_000, analysis.closure)
+    avg = cesaro_average(law, CESARO_N, analysis.closure)
     report["cesaro"] = {
-        "n": 10_000,
+        "n": CESARO_N,
         "sup_error_vs_nu": exact_vs_float_sup(analysis.limits.nu, avg),
     }
     _emit(report, args)

@@ -33,7 +33,9 @@ def f_cliques(ker: tuple) -> list:
 
 @dataclass(frozen=True)
 class CliqueData:
-    """Stable tuples and their L x G x W coordinates."""
+    """Stable tuples and their L x G x W coordinates: ``triples[x]`` is the
+    (l, g, w) of positions in ``rd.L``, ``rd.G`` and ``W`` with
+    x = (L[l] * G[g])(W[w])."""
 
     m_mu: int
     f_cliques: tuple
@@ -42,7 +44,7 @@ class CliqueData:
     triples: dict
 
     def project_index(self, x: tuple) -> tuple:
-        """Coordinates (x_L, x_G, x_W) of a stable tuple: x = (x_L * x_G)(x_W)."""
+        """Positions (l, g, w) of a stable tuple: x = (L[l] * G[g])(W[w])."""
         if x not in self.triples:
             raise InputError(f"tuple {x} is not a stable distinct tuple")
         return self.triples[x]
@@ -80,11 +82,11 @@ def compute_W(rd: ReesData, *, cap: int = DEFAULT_ELEMENT_CAP) -> CliqueData:
     W = tuple(sorted(reps))
 
     triples = {}
-    for l in rd.L:
-        for g in rd.G:
-            lg = l * g
-            for w in W:
-                x = lg.apply(w)
+    for l, x_l in enumerate(rd.L):
+        for g, x_g in enumerate(rd.G):
+            lg = x_l * x_g
+            for w, x_w in enumerate(W):
+                x = lg.apply(x_w)
                 if x in triples:
                     raise StructuralInconsistencyError(
                         "L x G x W product map is not injective"
@@ -97,16 +99,17 @@ def compute_W(rd: ReesData, *, cap: int = DEFAULT_ELEMENT_CAP) -> CliqueData:
                       triples=triples)
 
 
-def _lift(eta_L: RationalMeasure, terms) -> RationalMeasure:
+def _lift(limits: CyclicLimit, terms) -> RationalMeasure:
     """The law of (l g)(w) for l ~ eta_L and, independently, one term
-    (c, part, Lambda_W) taken with probability c, g uniform on its distinct
-    elements ``part`` of G and w ~ Lambda_W."""
+    (c, part, Lambda_W) taken with probability c, g uniform on the distinct
+    positions ``part`` in G and w ~ Lambda_W."""
     acc = {}
+    G = limits.rd.G
     for c, part, Lambda_W in terms:
-        for l, wl in eta_L.items():
+        for l, wl in limits.eta_L.items():
             weight = c * wl / len(part)
             for g in part:
-                lg = l * g
+                lg = l * G[g]
                 for w, ww in Lambda_W.items():
                     x = lg.apply(w)
                     acc[x] = acc.get(x, 0) + weight * ww
@@ -121,7 +124,7 @@ def invariant_law(
     for w in Lambda_W.support():
         if w not in wset:
             raise InputError(f"Lambda_W has mass at {w} outside W")
-    lam = _lift(limits.eta_L, [(1, limits.rd.G, Lambda_W)])
+    lam = _lift(limits, [(1, range(len(limits.rd.G)), Lambda_W)])
     if act_on_tuples(limits.law, lam) != lam:
         raise StructuralInconsistencyError("assembled law is not mu-invariant")
     return lam
@@ -137,8 +140,8 @@ class InvariantFamily:
 
     def law_at(self, k: int) -> RationalMeasure:
         rd = self.limits.rd
-        return _lift(self.limits.eta_L, [
-            (ci, [rd.gamma_power(k + i) * h for h in rd.H], lam_w)
+        return _lift(self.limits, [
+            (ci, [rd.gmul[rd.C[(k + i) % rd.p]][h] for h in rd.H], lam_w)
             for i, (ci, lam_w) in enumerate(zip(self.c, self.Lambda_W)) if ci
         ])
 
@@ -172,7 +175,7 @@ def classify_family(
         if ci > 0:
             lambdas.append(
                 RationalMeasure(
-                    {w: v / ci for (j, w), v in joint.items() if j == i}
+                    {cd.W[w]: v / ci for (j, w), v in joint.items() if j == i}
                 )
             )
         else:

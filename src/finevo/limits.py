@@ -24,6 +24,12 @@ from .errors import StructuralInconsistencyError
 from .measure import MappingLaw, RationalMeasure
 from .semigroup import ReesData, element, generate, left_products
 
+# The float iteration's defaults: the largest lag float_limit_oracle scans
+# (cesaro_average keeps as many past powers, plus the current one, to find a
+# repeat), and the n of the running average that `finevo verify` reports.
+FLOAT_MAX_LAG = 64
+CESARO_N = 10_000
+
 
 def _pivot_size(value: Fraction) -> int:
     return value.numerator.bit_length() + value.denominator.bit_length()
@@ -190,19 +196,17 @@ def assemble_limits(
     every structural identity of the limit cycle is verified exactly on it
     before the result is returned.
     """
-    g_at = {g: i for i, g in enumerate(rd.G)}
-    H = [g_at[h] for h in rd.H]
     lw, l_den = _common([eta_L[l] for l in rd.L])
     rw, r_den = _common([eta_R[r] for r in rd.R])
     cycle = []
     for k in range(rd.p):
-        coset = [rd.gmul[g_at[rd.C[k]]][h] for h in H]
+        coset = [rd.gmul[rd.C[k]][h] for h in rd.H]
         nums = [0] * len(rd.kernel)
         for l, x in enumerate(lw):
             for g in coset:
                 for r, y in enumerate(rw):
                     nums[rd.at[l][g][r]] += x * y
-        cycle.append((nums, l_den * r_den * len(H)))
+        cycle.append((nums, l_den * r_den * len(rd.H)))
     eta = cycle[0]
     nu = ([sum(v) for v in zip(*(c[0] for c in cycle))], eta[1] * rd.p)
 
@@ -217,7 +221,7 @@ def assemble_limits(
         raise StructuralInconsistencyError("nu is not mu-invariant")
     if not all(nu[0]):
         raise StructuralInconsistencyError("supp(nu) != kernel")
-    lhr = {rd.at[l][h][r] for l in range(len(rd.L)) for h in H for r in range(len(rd.R))}
+    lhr = {rd.at[l][h][r] for l in range(len(rd.L)) for h in rd.H for r in range(len(rd.R))}
     if {z for z, v in enumerate(eta[0]) if v} != lhr:
         raise StructuralInconsistencyError("supp(eta) != L H R")
     covered = set()
@@ -272,7 +276,7 @@ def float_limit_oracle(
     tol: float = 1e-12,
     *,
     max_iter: int = 100_000,
-    max_lag: int = 64,
+    max_lag: int = FLOAT_MAX_LAG,
     closure: tuple = None,
 ) -> FloatLimitEstimate:
     """Brute-force limit detection by iterating convolution powers.
@@ -325,11 +329,12 @@ def cesaro_average(law: MappingLaw, n: int, closure: tuple = None) -> dict:
     """Running average (1/n) sum_{k=1..n} mu^k in double precision.
 
     ``step`` is deterministic, so once mu^k has the bytes of a power mu^j
-    in the ring of the last 65, mu^(k+i) == mu^(j+i) for all i: the rest of
-    the sum is the rows j .. k-1 added in cyclic order, == to stepping on.
+    in the ring of the last FLOAT_MAX_LAG + 1, mu^(k+i) == mu^(j+i) for
+    all i: the rest of the sum is the rows j .. k-1 added in cyclic order,
+    == to stepping on.
     """
     closure, vec, step = _indexed_iteration(law, closure)
-    size = 65  # float_limit_oracle's default max_lag + 1
+    size = FLOAT_MAX_LAG + 1
     ring, seen = np.empty((size, len(vec))), {hash(vec.tobytes()): 1}
     ring[1] = vec
     acc = vec.copy()

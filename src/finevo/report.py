@@ -48,9 +48,9 @@ def build_report(analysis: Analysis, *, seed=None, timestamp: bool = True) -> di
         projections.append(
             {
                 "x": list(x),
-                "L": l.literal(),
-                "G": g.literal(),
-                "W": list(w),
+                "L": rd.L[l].literal(),
+                "G": rd.G[g].literal(),
+                "W": list(cd.W[w]),
             }
         )
 
@@ -75,11 +75,11 @@ def build_report(analysis: Analysis, *, seed=None, timestamp: bool = True) -> di
             "p": limits.p,
             "eta_L": measure_json(limits.eta_L),
             "eta_R": measure_json(limits.eta_R),
-            "H": [f.literal() for f in rd.H],
-            "gamma": rd.gamma.literal(),
+            "H": [rd.G[h].literal() for h in rd.H],
+            "gamma": rd.G[rd.C[1 % rd.p]].literal(),
             "eta": measure_json(limits.eta),
             "nu": measure_json(limits.nu),
-            "H_equals_G": set(rd.H) == set(rd.G),
+            "H_equals_G": len(rd.H) == len(rd.G),
             "eta_equals_nu": limits.eta == limits.nu,
         },
         "cliques": {

@@ -7,7 +7,9 @@ tables. Rows are generated breadth-first by word length, each layer sorted;
 this canonical order fixes every deterministic choice downstream, such as
 the base idempotent. No other module reads rows: ``element``, ``literals``
 and ``left_products`` read them for the others, and only the kernel is
-made into ``Transformation`` objects.
+made into ``Transformation`` objects. ``rees_at`` composes every product it
+needs once, on rows, into tables of positions: after it, a group element
+is a position in ``ReesData.G`` and products are table lookups.
 """
 
 from __future__ import annotations
@@ -92,7 +94,11 @@ class ReesData:
     """Product decomposition kernel = L * G * R at a base idempotent e, with
     G split into the cosets gamma^j H, j < p, of the period p.
 
-    ``C[j]`` is gamma^j and ``coset_of[g]`` the j with g in gamma^j H.
+    L, G and R hold the transformations; everything else holds positions.
+    A group element is a position in ``G``: ``H`` lists the subgroup,
+    ``C[j]`` is gamma^j (so gamma is ``C[1 % p]`` and the unit ``C[0]``),
+    ``coset_of[g]`` is the j with G[g] in gamma^j H and ``inverse[g]`` the
+    inverse of G[g].
 
     The Rees coordinates index L, G and R by position. Kernel position
     ``at[l][g][r]`` holds L[l] * G[g] * R[r] and ``coords`` is its inverse;
@@ -106,12 +112,11 @@ class ReesData:
     L: tuple
     G: tuple
     R: tuple
-    inverse: dict
+    inverse: tuple
     H: tuple
-    gamma: Transformation
     C: tuple
     p: int
-    coset_of: dict
+    coset_of: tuple
     generators: tuple
     coords: tuple
     at: tuple
@@ -119,19 +124,6 @@ class ReesData:
     sandwich: tuple
     left: tuple
     right: tuple
-
-    def inv(self, g: Transformation) -> Transformation:
-        return self.inverse[g]
-
-    def gamma_power(self, k: int) -> Transformation:
-        """gamma^k with any integer exponent, reduced mod p."""
-        return self.C[k % self.p]
-
-    def ch_split(self, g: Transformation) -> tuple:
-        """Split g in G uniquely as (gamma^j, h) with h in H."""
-        j = self.coset_of[g]
-        h = self.inv(self.C[j]) * g
-        return self.C[j], h
 
     def product(self, a: int, b: int) -> int:
         """Kernel position of kernel[a] * kernel[b], by the Rees-matrix
@@ -154,7 +146,8 @@ def rees_at(generators, ker: tuple, e: Transformation) -> ReesData:
     Verifies that H is a normal subgroup whose p cosets partition G.
 
     Every product is composed once, on image rows, into the Rees
-    coordinate tables; the checks read the tables.
+    coordinate tables; the checks and the walks read the tables, on kernel
+    and group positions.
     """
     rows = [_row(z) for z in ker]
     row_at = {row: i for i, row in enumerate(rows)}
@@ -206,16 +199,15 @@ def rees_at(generators, ker: tuple, e: Transformation) -> ReesData:
     if len(coords) != len(ker):
         raise StructuralInconsistencyError("L * G * R does not cover the kernel")
 
-    # the walks run on the kernel's transformations, their steps on the tables
-    p, classes = chain_period_and_classes(
-        [ker[row_at[x]] for x in Ke], lambda z: [ker[t[row_at[_row(z)]]] for t in left], e)
+    # the walks run on kernel positions and step on the generator tables
+    start = row_at[unit]
+    p, classes = chain_period_and_classes([row_at[x] for x in Ke], left, start)
     # irreducible walks have unique stationary laws (limits.*_stationary)
-    walk_distances([ker[row_at[x]] for x in eK],
-                   lambda z: [ker[t[row_at[_row(z)]]] for t in right], e, "right walk on eK")
+    walk_distances([row_at[x] for x in eK], right, start, "right walk on eK")
 
     def g_part(zs) -> list:
         # e z e = G[g] for z = L[l] G[g] R[r], as eL = Re = {e}
-        return sorted({coords[row_at[_row(z)]][1] for z in zs})
+        return sorted({coords[z][1] for z in zs})
 
     H = g_part(classes[0])
     if len(H) * p != len(G):
@@ -256,64 +248,63 @@ def rees_at(generators, ker: tuple, e: Transformation) -> ReesData:
     if len(coset_of) != len(G):
         raise StructuralInconsistencyError("cosets of H do not cover G")
 
-    Gt = tuple(ker[row_at[g]] for g in G)
     return ReesData(
-        e=e, kernel=ker, L=tuple(ker[row_at[x]] for x in L), G=Gt,
-        R=tuple(ker[row_at[x]] for x in R),
-        inverse={g: Gt[b] for g, b in zip(Gt, inverse)}, H=tuple(Gt[h] for h in H),
-        gamma=Gt[gamma], C=tuple(Gt[c] for c in C), p=p,
-        coset_of={Gt[g]: j for g, j in coset_of.items()},
+        e=e, kernel=ker, L=tuple(ker[row_at[x]] for x in L),
+        G=tuple(ker[row_at[g]] for g in G), R=tuple(ker[row_at[x]] for x in R),
+        inverse=tuple(inverse), H=tuple(H), C=tuple(C), p=p,
+        coset_of=tuple(coset_of[g] for g in range(len(G))),
         generators=tuple(generators), coords=tuple(coords[z] for z in range(len(ker))),
         at=tuple(tuple(map(tuple, block)) for block in at),
         gmul=tuple(map(tuple, gmul)), sandwich=tuple(map(tuple, sandwich)),
         left=tuple(map(tuple, left)), right=tuple(map(tuple, right)))
 
 
-def walk_distances(states, neighbors, start, walk: str) -> dict:
-    """BFS distances from ``start`` in a directed graph on ``states``.
-
-    ``neighbors`` maps a state to its successors. Raises, naming ``walk``,
-    unless the graph is strongly connected: every state is reached from
-    ``start`` along the edges and along the reversed edges.
+def walk_distances(states, steps, start: int, walk: str) -> dict:
+    """BFS distances from ``start`` in the walk on the kernel positions
+    ``states`` whose successors of z are ``t[z]`` for every table t in
+    ``steps``. Raises, naming ``walk``, unless the walk is strongly
+    connected: every state is reached from ``start`` along the edges and
+    along the reversed edges.
     """
-    def bfs(step) -> dict:
+    def bfs(successors) -> dict:
         dist = {start: 0}
         queue = [start]
         while queue:
             nxt = []
             for u in queue:
-                for v in step(u):
+                for v in successors.get(u, ()):
                     if v not in dist:
                         dist[v] = dist[u] + 1
                         nxt.append(v)
             queue = nxt
         return dist
 
-    reverse = {}
+    forward = {u: [t[u] for t in steps] for u in states}
+    backward = {}
     for u in states:
-        for v in neighbors(u):
-            reverse.setdefault(v, []).append(u)
+        for v in forward[u]:
+            backward.setdefault(v, []).append(u)
     state_set = set(states)
-    dist = bfs(neighbors)
+    dist = bfs(forward)
     if set(dist) != state_set:
         raise StructuralInconsistencyError(f"{walk} is not irreducible (forward)")
-    if set(bfs(lambda u: reverse.get(u, ()))) != state_set:
+    if set(bfs(backward)) != state_set:
         raise StructuralInconsistencyError(f"{walk} is not irreducible (backward)")
     return dist
 
 
-def chain_period_and_classes(states, neighbors, start) -> tuple:
-    """Period and cyclic classes of the left walk on Ke (strongly connected).
+def chain_period_and_classes(states, steps, start: int) -> tuple:
+    """Period and cyclic classes of the left walk on Ke (strongly connected),
+    on kernel positions with successors read from the tables ``steps``.
 
-    ``neighbors`` maps a state to its successors. Returns (p, classes) where
-    classes[j] holds the states at BFS distance = j mod p from ``start``.
-    Raises if the graph is not strongly connected.
+    Returns (p, classes) where classes[j] holds the states at BFS distance
+    = j mod p from ``start``. Raises if the walk is not strongly connected.
     """
-    dist = walk_distances(states, neighbors, start, "left walk on Ke")
+    dist = walk_distances(states, steps, start, "left walk on Ke")
     p = 0
     for u in states:
-        for v in neighbors(u):
-            p = gcd(p, dist[u] + 1 - dist[v])
+        for t in steps:
+            p = gcd(p, dist[u] + 1 - dist[t[u]])
     if p <= 0:
         raise StructuralInconsistencyError("could not determine a positive period")
 

@@ -1,14 +1,17 @@
 """Seeded simulation of multiparticle evolutions and the verification
 battery for the factor processes extracted from them.
 
-A path carries the driving maps N_k, the observed tuples X_k and the derived
-factor series (L-, G-, phase-, H- and W-parts; the G-increments; the path
-constants). The replication harness realizes the infinite past by starting
-each window from the exact stationary law. All replications of a window are
-drawn at once: replication r reads the counter-based Philox4x64-10
-substream keyed [seed XOR r, 0], computed in lock-step over r, and its
-states advance on integer tables of the analysis. A single path is the
-one-replication case.
+A batch holds, for every replication of a window, the positions of the
+driving maps N_k and of the observed tuples X_k; the factor series (L-, G-,
+phase-, H- and W-parts, the G-increments and the path constants) are read
+off integer tables of the analysis. The replication harness realizes the
+infinite past by starting each window from the exact stationary law. All
+replications of a window are drawn at once: replication r reads the
+counter-based Philox4x64-10 substream keyed [seed XOR r, 0], computed in
+lock-step over r, and its states advance on the tables. A single path is
+the one-replication case. The exact checks run on every row of a batch:
+tuples are composed once per distinct pattern of positions, and the group
+identities read the Rees tables.
 """
 
 from __future__ import annotations
@@ -23,8 +26,7 @@ from .cliques import CliqueData, InvariantFamily, invariant_law
 from .errors import InputError, ResourceLimitError, StructuralInconsistencyError
 from .limits import CyclicLimit
 from .measure import RationalMeasure, coordinate_marginal
-from .stats import Check, VerificationReport, chi_square_gof, chi_square_independence
-from .transform import Transformation
+from .stats import Check, chi_square_gof, chi_square_independence
 
 MAX_SEED = 2**64
 
@@ -133,40 +135,12 @@ def _draw(cdf: tuple, u: np.ndarray) -> np.ndarray:
     return index[np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)]
 
 
-@dataclass
-class EvolutionPath:
-    """A sampled trajectory with all derived factor processes.
-
-    Lists are indexed by k - k_min; N[i] is the map driving the step into
-    time k_min + 1 + i, so ``X[i+1] == N[i](X[i])``.
-    """
-
-    k_min: int
-    k_max: int
-    seed: int
-    N: list
-    X: list
-    X_L: list
-    X_G: list
-    X_C: list
-    X_H: list
-    X_W: list
-    M_G: list
-    Y_C: Transformation
-    Z_W: tuple
-
-    def index(self, k: int) -> int:
-        if not self.k_min <= k <= self.k_max:
-            raise InputError(f"time {k} outside path range [{self.k_min}, {self.k_max}]")
-        return k - self.k_min
-
-
 @dataclass(frozen=True, eq=False)
 class PathTables:
     """The state space of one analysis as integer tables.
 
-    A state is a position in ``cd.W_mu``, a map a position in ``gens`` (the
-    law's support in ``items()`` order). ``step[f, s]`` is the state of
+    A state is a position in ``cd.W_mu``, a map a position in ``gens``
+    (``rd.generators``, the law's support in sorted order). ``step[f, s]`` is the state of
     f(x_s). The ``state_*`` arrays give each state's L, G and W positions
     (its triple), the coset index j of its G-part gamma^j h and the position
     of h in H. ``lgw[l, g, w]`` inverts the triple map and ``coset_h[j, h]``
@@ -189,26 +163,21 @@ class PathTables:
 def path_tables(limits: CyclicLimit, cd: CliqueData) -> PathTables:
     """Build the tables; raises if a map of the law leaves L G W."""
     rd = limits.rd
-    gens = tuple(f for f, _ in limits.law.measure.items())
     state_of = {x: s for s, x in enumerate(cd.W_mu)}
-    pos_l, pos_g, pos_w, pos_h = (
-        {x: i for i, x in enumerate(seq)} for seq in (rd.L, rd.G, cd.W, rd.H)
-    )
 
-    g_coset = np.array([rd.coset_of[g] for g in rd.G], dtype=np.intp)
-    g_h = np.array([pos_h[rd.ch_split(g)[1]] for g in rd.G], dtype=np.intp)
-    coset_h = np.empty((rd.p, len(rd.H)), dtype=np.intp)
-    coset_h[g_coset, g_h] = np.arange(len(rd.G))
+    # gamma^j h at (j, position of h in H), and the split of G it inverts
+    coset_h = np.array([[rd.gmul[c][h] for h in rd.H] for c in rd.C], dtype=np.intp)
+    g_coset, g_h = np.empty((2, len(rd.G)), dtype=np.intp)
+    g_coset[coset_h] = np.arange(rd.p)[:, None]
+    g_h[coset_h] = np.arange(len(rd.H))
 
     state_l, state_g, state_w = np.array(
-        [(pos_l[l], pos_g[g], pos_w[w]) for l, g, w in map(cd.triples.__getitem__, cd.W_mu)],
-        dtype=np.intp,
-    ).reshape(-1, 3).T
+        [cd.triples[x] for x in cd.W_mu], dtype=np.intp).reshape(-1, 3).T
     lgw = np.empty((len(rd.L), len(rd.G), len(cd.W)), dtype=np.intp)
     lgw[state_l, state_g, state_w] = np.arange(len(cd.W_mu))
 
-    step = np.empty((len(gens), len(cd.W_mu)), dtype=np.intp)
-    for i, f in enumerate(gens):
+    step = np.empty((len(rd.generators), len(cd.W_mu)), dtype=np.intp)
+    for i, f in enumerate(rd.generators):
         for s, x in enumerate(cd.W_mu):
             y = state_of.get(f.apply(x))
             if y is None:
@@ -217,7 +186,7 @@ def path_tables(limits: CyclicLimit, cd: CliqueData) -> PathTables:
                 )
             step[i, s] = y
     return PathTables(
-        limits=limits, cd=cd, gens=gens, step=step, state_l=state_l,
+        limits=limits, cd=cd, gens=rd.generators, step=step, state_l=state_l,
         state_g=state_g, state_w=state_w, state_c=g_coset[state_g],
         state_h=g_h[state_g], lgw=lgw, coset_h=coset_h,
     )
@@ -245,43 +214,15 @@ class PathBatch:
     def __len__(self) -> int:
         return len(self.states)
 
-    def _y_c(self, first):
-        """The j with Y_C = gamma^j, gamma^(-k_min) X^C_{k_min}, for the
-        first state(s) ``first``."""
-        return (self.tables.state_c[first] - self.k_min) % self.tables.limits.p
-
     @property
     def y_c(self) -> np.ndarray:
-        """Per row, the j with Y_C = gamma^j."""
-        return self._y_c(self.states[:, 0])
+        """Per row, the j with Y_C = gamma^j: gamma^(-k_min) X^C_{k_min}."""
+        return (self.tables.state_c[self.states[:, 0]] - self.k_min) % self.tables.limits.p
 
     @property
     def z_w(self) -> np.ndarray:
         """Per row, the position of Z_W in W."""
         return self.tables.state_w[self.states[:, 0]]
-
-    def path(self, r: int) -> EvolutionPath:
-        """Row r as an EvolutionPath; the G-increments are group products."""
-        t = self.tables
-        rd = t.limits.rd
-        s = self.states[r]
-        X_G = [rd.G[g] for g in t.state_g[s].tolist()]
-        X_W = [t.cd.W[w] for w in t.state_w[s].tolist()]
-        return EvolutionPath(
-            k_min=self.k_min,
-            k_max=self.k_max,
-            seed=self.seed ^ r,
-            N=[t.gens[m] for m in self.maps[r].tolist()],
-            X=[t.cd.W_mu[x] for x in s.tolist()],
-            X_L=[rd.L[l] for l in t.state_l[s].tolist()],
-            X_G=X_G,
-            X_C=[rd.C[c] for c in t.state_c[s].tolist()],
-            X_H=[rd.H[h] for h in t.state_h[s].tolist()],
-            X_W=X_W,
-            M_G=[b * rd.inv(a) for a, b in zip(X_G, X_G[1:])],
-            Y_C=rd.C[int(self._y_c(s[0]))],
-            Z_W=X_W[0],
-        )
 
 
 def sample_batch(
@@ -374,90 +315,102 @@ def _add(counts: dict, key, c: int) -> None:
     counts[key] = counts.get(key, 0) + c
 
 
-def verify_path_exact(path: EvolutionPath, limits: CyclicLimit, cd: CliqueData) -> list:
-    """The per-path exact invariants; every step of the path is checked."""
-    rd = limits.rd
+def _misses(t: PathTables, patterns) -> int:
+    """How many of the counted patterns (l, g, w, s) have
+    (L[l] * G[g])(W[w]) != W_mu[s], composing the tuples once per pattern."""
+    rd, cd = t.limits.rd, t.cd
+    return sum(c for (l, g, w, s), c in patterns
+               if (rd.L[l] * rd.G[g]).apply(cd.W[w]) != cd.W_mu[s])
+
+
+def _increments(t: PathTables, states: np.ndarray) -> np.ndarray:
+    """The G-increments M^G_k = X^G_k (X^G_{k-1})^-1 along every row, as
+    positions in G, on the group tables."""
+    rd = t.limits.rd
+    g = t.state_g[states]
+    return np.array(rd.gmul)[g[:, 1:], np.array(rd.inverse)[g[:, :-1]]]
+
+
+def verify_path_exact(batch: PathBatch) -> list:
+    """The exact invariants of every row of a batch, at every step.
+
+    The recursion compares N_k(X_{k-1}) with X_k and the L G W check
+    (L[l] * G[g])(W[w]) with X_k, as tuples, once per distinct pattern of
+    positions. The phase and G-increment identities read the group tables.
+    """
+    t = batch.tables
+    rd, cd = t.limits.rd, t.cd
+    states, maps = batch.states, batch.maps
+    C, gmul, coset_of = np.array(rd.C), np.array(rd.gmul), np.array(rd.coset_of)
     checks = []
-    steps = len(path.N)
 
-    bad = sum(
-        1 for i in range(steps) if path.X[i + 1] != path.N[i].apply(path.X[i])
-    )
-    checks.append(
-        Check("path recursion X_k = N_k X_{k-1}", "exact", bad == 0,
-              note=f"{steps} steps")
-    )
+    bad = sum(c for (x, f, y), c in _row_counts((states[:, :-1].ravel(), maps.ravel(),
+                                                  states[:, 1:].ravel()))
+              if t.gens[f].apply(cd.W_mu[x]) != cd.W_mu[y])
+    checks.append(Check("path recursion X_k = N_k X_{k-1}", "exact", bad == 0,
+                        note=f"{maps.size} steps"))
 
-    bad = sum(1 for x in path.X if x not in cd.triples)
-    checks.append(
-        Check("X_k in L G W", "exact", bad == 0, note=f"{len(path.X)} states")
-    )
+    x = states.ravel()
+    bad = _misses(t, _row_counts((t.state_l[x], t.state_g[x], t.state_w[x], x)))
+    checks.append(Check("X_k in L G W", "exact", bad == 0, note=f"{x.size} states"))
 
-    bad = sum(1 for w in path.X_W if w != path.Z_W)
-    checks.append(Check("X_W constant along the path", "exact", bad == 0))
+    w = t.state_w[states]
+    checks.append(Check("X_W constant along the path", "exact", bool((w == w[:, :1]).all())))
 
-    bad = 0
-    for i, c in enumerate(path.X_C):
-        k = path.k_min + i
-        if c != rd.gamma_power(k) * path.Y_C:
-            bad += 1
-    checks.append(Check("X^C_k = gamma^k Y_C", "exact", bad == 0))
+    gamma_k = C[np.arange(batch.k_min, batch.k_max + 1) % rd.p]
+    expected = gmul[gamma_k, C[batch.y_c][:, None]]
+    checks.append(Check("X^C_k = gamma^k Y_C", "exact",
+                        np.array_equal(C[t.state_c[states]], expected)))
 
-    bad_inc = 0
-    bad_phase = 0
-    for i in range(steps):
-        e = rd.e
-        z = path.N[i] * path.X_L[i]
-        expected = e * z * e
-        if path.M_G[i] != expected:
-            bad_inc += 1
-        c, _ = rd.ch_split(path.M_G[i])
-        if c != rd.gamma_power(1):
-            bad_phase += 1
-    checks.append(
-        Check("M^G_k = (N_k X^L_{k-1})^G", "exact", bad_inc == 0)
-    )
-    checks.append(Check("(M^G_k)^C = gamma", "exact", bad_phase == 0))
+    # G-part of N_k X^L_{k-1}; L[l] = L[l] e e is at Rees coordinates (l, e, e)
+    r_e = rd.R.index(rd.e)
+    x_l = np.array([block[rd.C[0]][r_e] for block in rd.at])
+    g_part = np.array([g for _, g, _ in rd.coords])
+    expected = g_part[np.array(rd.left)[maps, x_l[t.state_l[states[:, :-1]]]]]
+    increments = _increments(t, states)
+    checks.append(Check("M^G_k = (N_k X^L_{k-1})^G", "exact",
+                        np.array_equal(increments, expected)))
+    checks.append(Check("(M^G_k)^C = gamma", "exact",
+                        bool((coset_of[increments] == 1 % rd.p).all())))
     return checks
 
 
-def verify_factorization(
-    path: EvolutionPath, limits: CyclicLimit, k: int, j_values=None
-) -> Check:
-    """Recompose X_j from the stored factors for every j <= k and compare.
+def verify_factorization(batch: PathBatch, k: int) -> Check:
+    """Recompose X_j from the stored factors for every j <= k on every row.
 
     Checks X_j = X_j^L (M^G_{k,j})^{-1} (gamma^k Y_C) U^H_k Z_W, with the
-    increment products M^G_{k,j} rebuilt from the stored M^G series.
+    increment products M^G_{k,j} = M^G_k ... M^G_{j+1} rebuilt step by step
+    from the G-increments. Raises InputError if k is outside the window.
     """
-    rd = limits.rd
-    idx_k = path.index(k)
-    phase = rd.gamma_power(k) * path.Y_C * path.X_H[idx_k]
-
-    m_kj = rd.e  # M^G_{k,k}
-    wanted = set(j_values) if j_values is not None else None
-    compared = 0
-    bad = 0
-    for j in range(k, path.k_min - 1, -1):
-        if j < k:
-            m_kj = m_kj * path.M_G[path.index(j)]  # append M^G_{j+1}
-        if wanted is not None and j not in wanted:
-            continue
-        idx_j = path.index(j)
-        rhs = (path.X_L[idx_j] * rd.inv(m_kj) * phase).apply(path.Z_W)
-        compared += 1
-        if rhs != path.X[idx_j]:
-            bad += 1
+    if not batch.k_min <= k <= batch.k_max:
+        raise InputError(f"time {k} outside path range [{batch.k_min}, {batch.k_max}]")
+    t = batch.tables
+    rd = t.limits.rd
+    C, H, gmul = np.array(rd.C), np.array(rd.H), np.array(rd.gmul)
+    states = batch.states[:, :k - batch.k_min + 1]
+    # (M^G_{k,j})^-1 = (M^G_{j+1})^-1 ... (M^G_k)^-1: suffix products of the
+    # inverse increments, by doubling the span of each product
+    suffix = np.array(rd.inverse)[_increments(t, states)]
+    span = 1
+    while span < suffix.shape[1]:
+        suffix[:, :-span] = gmul[suffix[:, :-span], suffix[:, span:]]
+        span *= 2
+    phase = gmul[gmul[C[k % rd.p], C[batch.y_c]], H[t.state_h[states[:, -1]]]]
+    factor = np.empty_like(states)
+    factor[:, :-1] = gmul[suffix, phase[:, None]]
+    factor[:, -1] = phase
+    x = states.ravel()
+    bad = _misses(t, _row_counts((t.state_l[x], factor.ravel(),
+                                  np.repeat(batch.z_w, states.shape[1]), x)))
     return Check(
         "factorization X_j = X_j^L (M^G_{k,j})^-1 (gamma^k Y_C) U^H_k Z_W",
         "exact",
         bad == 0,
-        note=f"{compared} (j,k) pairs at k={k}",
+        note=f"{x.size} (j,k) pairs at k={k}",
     )
 
 
-def verify_third_noise(
-    batch: PathBatch, *, alpha: float = 0.001, check_exact: bool = False
-) -> VerificationReport:
+def verify_third_noise(batch: PathBatch, *, alpha: float = 0.001) -> list:
     """Distributional checks of the third noise across the replications of a
     stationary batch, at its last time k = k_max.
 
@@ -469,18 +422,14 @@ def verify_third_noise(
     """
     t = batch.tables
     limits, cd, Lambda_W = t.limits, t.cd, batch.initial
-    replications, k, window = len(batch), batch.k_max, batch.k_max - batch.k_min
+    replications = len(batch)
     if isinstance(Lambda_W, InvariantFamily):
         raise InputError("third-noise verification needs a stationary batch")
     if replications < 1000:
         raise InputError("third-noise verification needs at least 1000 replications")
     rd = limits.rd
-    report = VerificationReport(
-        replications=replications,
-        seed=batch.seed,
-        alpha=alpha,
-        config={"k": k, "window": window, "mode": "stationary"},
-    )
+    H = [rd.G[h] for h in rd.H]
+    C = [rd.G[c] for c in rd.C]
 
     u_counts = {}
     yc_counts = {}
@@ -490,63 +439,35 @@ def verify_third_noise(
     pair_yz_nw = {}
     columns = (t.state_h[batch.states[:, -1]], batch.y_c, batch.z_w, batch.maps)
     for (h, yc, w, *nw), c in _row_counts(columns):
-        u = rd.H[h]
-        yc = rd.C[yc]
-        yz = (yc, cd.W[w])
+        u = H[h]
+        yz = (C[yc], cd.W[w])
         nw = tuple(t.gens[m] for m in nw)
         _add(u_counts, u, c)
-        _add(yc_counts, yc, c)
+        _add(yc_counts, C[yc], c)
         _add(yz_counts, yz, c)
         _add(pair_u_yz, (u, yz), c)
         _add(pair_u_nw, (u, nw), c)
         _add(pair_yz_nw, (yz, nw), c)
 
-    if check_exact:
-        exact_bad = sum(
-            1 for r in range(replications)
-            if any(not c.passed for c in verify_path_exact(batch.path(r), limits, cd))
-        )
-        report.add(
-            Check("per-replication exact path invariants", "exact", exact_bad == 0,
-                  note=f"{replications} replications")
-        )
-
-    uniform_h = {h: Fraction(1, len(rd.H)) for h in rd.H}
-    report.add(
-        chi_square_gof(u_counts, uniform_h, replications, alpha, "U^H_k uniform on H")
-    )
-    uniform_c = {c: Fraction(1, rd.p) for c in rd.C}
-    report.add(
-        chi_square_gof(yc_counts, uniform_c, replications, alpha, "Y_C uniform on C")
-    )
+    uniform_h = {h: Fraction(1, len(H)) for h in H}
+    uniform_c = {c: Fraction(1, rd.p) for c in C}
     joint = {
         (c, w): Fraction(1, rd.p) * Lambda_W[w]
-        for c in rd.C
+        for c in C
         for w in Lambda_W.support()
     }
-    report.add(
-        chi_square_gof(
-            yz_counts, joint, replications, alpha,
-            "(Y_C, Z_W) joint = omega_C x Lambda_W",
-        )
-    )
-    report.add(
-        chi_square_independence(pair_u_yz, alpha, "U^H_k independent of (Y_C, Z_W)")
-    )
-    report.add(
-        chi_square_independence(pair_u_nw, alpha, "U^H_k independent of N-window")
-    )
-    report.add(
-        chi_square_independence(
-            pair_yz_nw, alpha, "(Y_C, Z_W) independent of N-window"
-        )
-    )
-    return report
+    return [
+        chi_square_gof(u_counts, uniform_h, replications, alpha, "U^H_k uniform on H"),
+        chi_square_gof(yc_counts, uniform_c, replications, alpha, "Y_C uniform on C"),
+        chi_square_gof(yz_counts, joint, replications, alpha,
+                       "(Y_C, Z_W) joint = omega_C x Lambda_W"),
+        chi_square_independence(pair_u_yz, alpha, "U^H_k independent of (Y_C, Z_W)"),
+        chi_square_independence(pair_u_nw, alpha, "U^H_k independent of N-window"),
+        chi_square_independence(pair_yz_nw, alpha, "(Y_C, Z_W) independent of N-window"),
+    ]
 
 
-def verify_nonstationary_joint(
-    batch: PathBatch, *, alpha: float = 0.001
-) -> VerificationReport:
+def verify_nonstationary_joint(batch: PathBatch, *, alpha: float = 0.001) -> list:
     """Empirical joint of (Y_C, Z_W) against c_i Lambda_W^i{w} for the
     family a nonstationary batch was drawn from."""
     t = batch.tables
@@ -555,31 +476,18 @@ def verify_nonstationary_joint(
         raise InputError("joint verification needs a batch drawn from a family")
     if replications < 1000:
         raise InputError("joint verification needs at least 1000 replications")
-    report = VerificationReport(
-        replications=replications,
-        seed=batch.seed,
-        alpha=alpha,
-        config={"k_min": batch.k_min, "steps": batch.k_max - batch.k_min,
-                "mode": "nonstationary"},
-    )
     counts = {}
     for (yc, w), c in _row_counts((batch.y_c, batch.z_w)):
-        _add(counts, (rd.C[yc], cd.W[w]), c)
+        _add(counts, (rd.G[rd.C[yc]], cd.W[w]), c)
     expected = {}
     for i, ci in enumerate(family.c):
         if ci == 0:
             continue
         for w, v in family.Lambda_W[i].items():
-            expected[(rd.gamma_power(i), w)] = (
-                expected.get((rd.gamma_power(i), w), Fraction(0)) + ci * v
-            )
-    report.add(
-        chi_square_gof(
-            counts, expected, replications, alpha,
-            "(Y_C, Z_W) joint = c_i Lambda_W^i",
-        )
-    )
-    return report
+            key = (rd.G[rd.C[i]], w)
+            expected[key] = expected.get(key, Fraction(0)) + ci * v
+    return [chi_square_gof(counts, expected, replications, alpha,
+                           "(Y_C, Z_W) joint = c_i Lambda_W^i")]
 
 
 def mono_projection_events(limits: CyclicLimit):
@@ -597,9 +505,7 @@ def mono_projection_events(limits: CyclicLimit):
     }
 
 
-def verify_mono_projection(
-    batch: PathBatch, *, alpha: float = 0.001
-) -> VerificationReport:
+def verify_mono_projection(batch: PathBatch, *, alpha: float = 0.001) -> list:
     """Check the mono-particle projection identities on a stationary batch of
     the built-in law, at its last time k = k_max.
 
@@ -619,13 +525,6 @@ def verify_mono_projection(
     lam = coordinate_marginal(invariant_law(limits, cd, batch.initial), 1)
     rd = limits.rd
 
-    report = VerificationReport(
-        replications=replications,
-        seed=batch.seed,
-        alpha=alpha,
-        config={"k": batch.k_max, "window": batch.k_max - batch.k_min,
-                "mode": "mono-projection"},
-    )
     bad = 0
     x1_counts = {}
     at_k = np.bincount(batch.states[:, -1], minlength=len(cd.W_mu))
@@ -640,16 +539,10 @@ def verify_mono_projection(
             holds = (want_l is None or xl == want_l) and u2 == want_u2
             if (x1 == value) != holds:
                 bad += c
-    report.add(
-        Check("five mono-particle event identities", "exact", bad == 0,
-              note=f"{replications} replications")
-    )
     expected = {x: lam[x] for x in lam.support()}
-    report.add(
-        chi_square_gof(
-            x1_counts, expected, replications, alpha,
-            "empirical X^1_k law matches the invariant marginal",
-        )
-    )
-    return report
-
+    return [
+        Check("five mono-particle event identities", "exact", bad == 0,
+              note=f"{replications} replications"),
+        chi_square_gof(x1_counts, expected, replications, alpha,
+                       "empirical X^1_k law matches the invariant marginal"),
+    ]

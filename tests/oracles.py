@@ -11,7 +11,10 @@ oracle is an exact Fraction solve over every state of a kernel walk, the
 Cesaro first-order oracle is an exact Fraction solve over the brute-force
 closure, the naive float step convolves dicts keyed by transformation, and
 the reference sampler draws every replication from its own
-``np.random.Generator`` and follows it with ``Transformation`` arithmetic.
+``np.random.Generator`` and follows it with ``Transformation`` arithmetic
+(it also decodes a batch's rows through their tuples and maps alone).
+Group positions of a ``ReesData`` are decoded through ``rd.G`` into
+transformations before any oracle composes them.
 Measures on transformations are convolved as Fraction dicts keyed by
 ``Transformation`` products, Rees coordinates come from the closed-form
 projection, group orders from repeated composition, and the float limit
@@ -24,6 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, permutations
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -324,30 +328,48 @@ def scalar_draw(items, rng):
     return items[-1][0]
 
 
+def group_objects(rd) -> SimpleNamespace:
+    """The group fields of a ReesData, which hold positions in ``rd.G``, as
+    transformations: H, C and gamma, and inverse and coset_of as dicts
+    keyed by the element."""
+    G = rd.G
+    return SimpleNamespace(
+        H=tuple(G[h] for h in rd.H), C=tuple(G[c] for c in rd.C), gamma=G[rd.C[1 % rd.p]],
+        inverse={G[a]: G[b] for a, b in enumerate(rd.inverse)},
+        coset_of=dict(zip(G, rd.coset_of)))
+
+
 class ScalarReference:
     """Per-replication reference sampler for one analysis.
 
     Each window draws from ``np.random.Generator(np.random.Philox(key=seed))``
     one uniform per draw, and states, triples and coset splits come from
-    products of the analysis' transformations, found by search.
+    products of the analysis' transformations, found by search. A window is
+    a dict of the maps N, the states X, their L-, G-, C-, H- and W-parts
+    and Y_C and Z_W; ``decode`` gives the same dict for a row of a batch.
     """
 
     def __init__(self, limits, W):
         rd = limits.rd
         self.limits = limits
+        self.group = group_objects(rd)
         self.triple = {(l * g).apply(w): (l, g, w) for l in rd.L for g in rd.G for w in W}
-        self.split = {c * h: (c, h) for c in rd.C for h in rd.H}
+        self.split = {c * h: (c, h) for c in self.group.C for h in self.group.H}
+
+    def _parts(self, maps, X, k_min) -> dict:
+        L, G, W = zip(*map(self.triple.__getitem__, X))
+        C, H = zip(*map(self.split.__getitem__, G))
+        return {"N": maps, "X": X, "X_L": list(L), "X_G": list(G), "X_C": list(C),
+                "X_H": list(H), "X_W": list(W),
+                "Y_C": self.group.C[-k_min % self.limits.p] * C[0], "Z_W": W[0]}
 
     def _window(self, x0, k_min, k_max, rng) -> dict:
-        rd = self.limits.rd
         maps = [scalar_draw(self.limits.law.measure.items(), rng)
                 for _ in range(k_max - k_min)]
         X = [x0]
         for f in maps:
             X.append(f.apply(X[-1]))
-        _, g0, w0 = self.triple[x0]
-        c0, _ = self.split[g0]
-        return {"N": maps, "X": X, "Y_C": rd.C[-k_min % rd.p] * c0, "Z_W": w0}
+        return self._parts(maps, X, k_min)
 
     def stationary(self, Lambda_W, k_min, k_max, seed) -> dict:
         """X_{k_min} = (l g)(w) with l ~ eta_L, g ~ omega_G, w ~ Lambda_W."""
@@ -362,12 +384,19 @@ class ScalarReference:
         """Phase i ~ c, w ~ Lambda_W^i, l ~ eta_L, h ~ omega_H, then
         X_{k_min} = (l gamma^(k_min+i) h)(w)."""
         rng = np.random.Generator(np.random.Philox(key=seed))
-        rd = self.limits.rd
+        H, C = self.group.H, self.group.C
         i = scalar_draw(list(enumerate(family.c)), rng)
         w = scalar_draw(family.Lambda_W[i].items(), rng)
         l = scalar_draw(self.limits.eta_L.items(), rng)
-        h = scalar_draw([(h, Fraction(1, len(rd.H))) for h in sorted(rd.H)], rng)
-        return self._window((l * rd.C[(k_min + i) % rd.p] * h).apply(w), k_min, k_max, rng)
+        h = scalar_draw([(h, Fraction(1, len(H))) for h in sorted(H)], rng)
+        return self._window((l * C[(k_min + i) % self.limits.p] * h).apply(w),
+                            k_min, k_max, rng)
+
+    def decode(self, batch, r) -> dict:
+        """Row r of a PathBatch read through its stable tuples and maps."""
+        t = batch.tables
+        return self._parts([t.gens[m] for m in batch.maps[r].tolist()],
+                           [t.cd.W_mu[s] for s in batch.states[r].tolist()], batch.k_min)
 
     def h_part(self, x) -> object:
         """The H-part of the G-part of a stable tuple."""
@@ -418,7 +447,7 @@ def project(rd, z) -> tuple:
         raise InputError(f"{z.literal()} is not in the kernel")
     e = rd.e
     z_g = e * z * e
-    inv = rd.inv(z_g)
+    inv = next(g for g in rd.G if g * z_g == e)
     return z * e * inv, z_g, inv * e * z
 
 

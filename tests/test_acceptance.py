@@ -36,7 +36,15 @@ from finevo.simulate import (
 )
 from finevo.transform import Transformation
 from fuzzlaws import cyclic3_law, p3_h2_law
-from oracles import cesaro_first_order, convolve, element_order, project, two_term_residual
+from oracles import (
+    ScalarReference,
+    cesaro_first_order,
+    convolve,
+    element_order,
+    group_objects,
+    project,
+    two_term_residual,
+)
 
 SEED = 42
 R = 10_000
@@ -75,14 +83,15 @@ def test_criterion_1_golden_example_exact():
     check("R", set(a.rd.R) == {e, ef})
     check("eta_L", a.limits.eta_L == RationalMeasure({e: "2/3", fe: "1/3"}))
     check("eta_R", a.limits.eta_R == RationalMeasure({e: "2/3", ef: "1/3"}))
-    check("H = G", set(a.rd.H) == set(a.rd.G))
+    check("H = G", set(group_objects(a.rd).H) == set(a.rd.G))
     check("p", a.limits.p == 1)
     check("m_mu", a.cliques.m_mu == 3)
     check("|W_mu|", len(a.cliques.W_mu) == 12)
     check("W", a.cliques.W == ((2, 4, 5),))
+    l, g, w = a.cliques.project_index((3, 5, 1))
     check(
         "projection of (3,5,1)",
-        a.cliques.project_index((3, 5, 1))
+        (a.rd.L[l], a.rd.G[g], a.cliques.W[w])
         == (fe, Transformation([5, 2, 2, 5, 4]), (2, 4, 5)),
     )
     lam = coordinate_marginal(
@@ -106,6 +115,7 @@ def _structural_suite(a) -> list:
     problems = []
     S = [element(row) for row in a.closure]
     K, rd, lim, cd = a.rd.kernel, a.rd, a.limits, a.cliques
+    group = group_objects(rd)
     kset = set(K)
     mu = a.law.measure
 
@@ -117,7 +127,7 @@ def _structural_suite(a) -> list:
                 z = l * g * r
                 if project(rd, z) != (l, g, r):
                     problems.append("Rees bijection round trip")
-                if (z * z == z) != (r * l == rd.inv(g)):
+                if (z * z == z) != (r * l == group.inverse[g]):
                     problems.append("idempotency criterion")
     for z, (i, j, k) in zip(K, rd.coords):
         l, g, r = project(rd, z)
@@ -142,25 +152,28 @@ def _structural_suite(a) -> list:
         problems.append("mu nu != nu or nu mu != nu")
     if set(lim.nu.support()) != kset:
         problems.append("supp(nu) != kernel")
-    lhr = {l * h * r for l in rd.L for h in rd.H for r in rd.R}
+    lhr = {l * h * r for l in rd.L for h in group.H for r in rd.R}
     if set(lim.eta.support()) != lhr:
         problems.append("supp(eta) != LHR")
 
     for g in rd.G:
         order = element_order(g, rd.e, len(rd.G))
-        if rd.inv(g) != (rd.e if order == 1 else g ** (order - 1)):
+        if group.inverse[g] != (rd.e if order == 1 else g ** (order - 1)):
             problems.append("group inverse")
-    hset = set(rd.H)
-    if not all(rd.inv(g) * h * g in hset for h in rd.H for g in rd.G):
+    hset = set(group.H)
+    if not all(group.inverse[g] * h * g in hset for h in group.H for g in rd.G):
         problems.append("H not normal")
-    if rd.gamma ** rd.p != rd.e:
+    gamma, C = group.gamma, group.C
+    if gamma ** rd.p != rd.e:
         problems.append("gamma^p != e")
-    if rd.C[0] != rd.e or any(rd.C[j - 1] * rd.gamma != rd.C[j] for j in range(1, rd.p)):
+    if C[0] != rd.e or any(C[j - 1] * gamma != C[j] for j in range(1, rd.p)):
         problems.append("C is not the powers of gamma")
-    covered = [rd.C[j] * h for j in range(rd.p) for h in rd.H]
+    covered = [C[j] * h for j in range(rd.p) for h in group.H]
     if sorted(covered) != sorted(rd.G) or len(covered) != len(set(covered)):
         problems.append("cosets do not partition G")
-    if rd.p * len(rd.H) != len(rd.G):
+    if any(group.coset_of[C[j] * h] != j for j in range(rd.p) for h in group.H):
+        problems.append("coset index")
+    if rd.p * len(group.H) != len(rd.G):
         problems.append("p != index of H in G")
 
     seen = {}
@@ -255,12 +268,12 @@ def test_criterion_5_simulation_exact_checks(example_analysis, p3h2_analysis):
     a = example_analysis
     lw = RationalMeasure.point(a.cliques.W[0])
     tables = path_tables(a.limits, a.cliques)
-    path = sample_batch(tables, lw, -1000, 0, SEED, 1).path(0)
-    for c in verify_path_exact(path, a.limits, a.cliques):
+    batch = sample_batch(tables, lw, -1000, 0, SEED, 1)
+    for c in verify_path_exact(batch):
         if not c.passed:
             failures.append(("example long path", c.name))
     for k in (0, -250, -700):
-        c = verify_factorization(path, a.limits, k)
+        c = verify_factorization(batch, k)
         if not c.passed:
             failures.append(("example factorization", k))
 
@@ -268,13 +281,14 @@ def test_criterion_5_simulation_exact_checks(example_analysis, p3h2_analysis):
     e = a.rd.e
     fe = next(l for l in a.rd.L if l != e)
     events = {1: (fe, 4), 2: (e, 2), 3: (fe, 2), 4: (e, 4), 5: (None, 5)}
-    for i, x in enumerate(path.X):
-        u2 = path.X_G[i](2)
-        xl = path.X_L[i]
+    path = ScalarReference(a.limits, a.cliques.W).decode(batch, 0)
+    for i, x in enumerate(path["X"]):
+        u2 = path["X_G"][i](2)
+        xl = path["X_L"][i]
         for value, (want_l, want_u2) in events.items():
             holds = (want_l is None or xl == want_l) and u2 == want_u2
             if (x[0] == value) != holds:
-                failures.append(("mono identity", path.k_min + i, value))
+                failures.append(("mono identity", batch.k_min + i, value))
 
     b = p3h2_analysis
     family = InvariantFamily(
@@ -286,21 +300,18 @@ def test_criterion_5_simulation_exact_checks(example_analysis, p3h2_analysis):
             RationalMeasure.point(b.cliques.W[1]),
         ),
     )
-    path_b = sample_batch(path_tables(b.limits, b.cliques), family, -1000, 0, SEED,
-                          1).path(0)
-    for c in verify_path_exact(path_b, b.limits, b.cliques):
+    batch_b = sample_batch(path_tables(b.limits, b.cliques), family, -1000, 0, SEED, 1)
+    for c in verify_path_exact(batch_b):
         if not c.passed:
             failures.append(("p3 long path", c.name))
     for k in (0, -400):
-        c = verify_factorization(path_b, b.limits, k)
+        c = verify_factorization(batch_b, k)
         if not c.passed:
             failures.append(("p3 factorization", k))
 
     # every one of R short replication paths satisfies the exact battery
-    rep = verify_third_noise(sample_batch(tables, lw, -3, 0, SEED, R), alpha=ALPHA,
-                             check_exact=True)
-    exact = [c for c in rep.checks if c.kind == "exact"]
-    for c in exact:
+    replications = sample_batch(tables, lw, -3, 0, SEED, R)
+    for c in verify_path_exact(replications) + [verify_factorization(replications, 0)]:
         if not c.passed:
             failures.append(("replication battery", c.name))
 
@@ -331,11 +342,9 @@ def test_criterion_6_statistical_checks(example_analysis, p3h2_analysis):
         sample_batch(path_tables(b.limits, b.cliques), lwb, -3, 0, SEED, R), alpha=ALPHA
     )
     for rep in (rep1, rep2, rep3):
-        failing.extend(c.name for c in rep.checks if not c.passed)
+        failing.extend(c.name for c in rep if not c.passed)
 
-    names = {c.name for c in rep1.checks} | {c.name for c in rep3.checks} | {
-        c.name for c in rep2.checks
-    }
+    names = {c.name for c in rep1 + rep2 + rep3}
     required = {
         "U^H_k uniform on H",
         "Y_C uniform on C",
@@ -374,7 +383,7 @@ def test_criterion_7_nonstationary_reduction(p3h2_analysis):
         sample_batch(path_tables(b.limits, b.cliques), family, -10, -7, SEED, R),
         alpha=ALPHA,
     )
-    joint_ok = rep.all_passed
+    joint_ok = all(c.passed for c in rep)
 
     back = classify_family(b.limits, b.cliques, family.law_at(0))
     round_trip_ok = back.c == family.c and back.Lambda_W == family.Lambda_W

@@ -23,6 +23,7 @@ from finevo.transform import Transformation
 from oracles import (
     brute_force_closure,
     deadlock_pairs,
+    group_objects,
     is_stable,
     measure_product,
     stable_kernel_image_tuples,
@@ -122,10 +123,14 @@ def test_transitive_group_has_all_orderings():
 
 def test_projection_golden(example_analysis):
     a = example_analysis
-    assert a.cliques.project_index((3, 5, 1)) == (FE, GH, (2, 4, 5))
-    assert a.cliques.project_index((2, 4, 5)) == (E, E, (2, 4, 5))
+    def project(x):
+        l, g, w = a.cliques.project_index(x)
+        return a.rd.L[l], a.rd.G[g], a.cliques.W[w]
+
+    assert project((3, 5, 1)) == (FE, GH, (2, 4, 5))
+    assert project((2, 4, 5)) == (E, E, (2, 4, 5))
     g = Transformation([2, 5, 5, 2, 4])
-    assert a.cliques.project_index((5, 2, 4)) == (E, g, (2, 4, 5))
+    assert project((5, 2, 4)) == (E, g, (2, 4, 5))
     with pytest.raises(InputError):
         a.cliques.project_index((1, 2, 3))
 
@@ -134,7 +139,7 @@ def test_projection_round_trip(example_analysis):
     a = example_analysis
     for x in a.cliques.W_mu:
         l, g, w = a.cliques.project_index(x)
-        assert (l * g).apply(w) == x
+        assert (a.rd.L[l] * a.rd.G[g]).apply(a.cliques.W[w]) == x
 
 
 def test_invariant_law_golden(example_analysis):
@@ -174,8 +179,8 @@ def test_classify_unique_invariant_law(example_analysis):
 def test_classify_single_phase_family(p3h2_analysis):
     a = p3h2_analysis
     w = a.cliques.W[0]
-    lam0 = measure_product([a.limits.eta_L, a.rd.gamma_power(1),
-                            RationalMeasure.uniform(a.rd.H), w])
+    group = group_objects(a.rd)
+    lam0 = measure_product([a.limits.eta_L, group.gamma, RationalMeasure.uniform(group.H), w])
     family = classify_family(a.limits, a.cliques, lam0)
     assert family.c == (0, 1, 0)
     assert family.Lambda_W[1] == RationalMeasure.point(w)

@@ -28,6 +28,7 @@ from oracles import (
     float_step,
     float_sup_distance,
     full_chain_stationary,
+    group_objects,
     measure_product,
     project,
     two_term_residual,
@@ -47,8 +48,9 @@ def _on_kernel(rd, vector) -> RationalMeasure:
 
 def _cycle(a) -> list:
     """cycle[k] = eta_L gamma^k omega_H eta_R by the convolution oracle."""
-    omega_H = RationalMeasure.uniform(a.rd.H)
-    return [measure_product([a.limits.eta_L, a.rd.C[k], omega_H, a.limits.eta_R])
+    group = group_objects(a.rd)
+    omega_H = RationalMeasure.uniform(group.H)
+    return [measure_product([a.limits.eta_L, group.C[k], omega_H, a.limits.eta_R])
             for k in range(a.limits.p)]
 
 
@@ -153,15 +155,15 @@ def test_solve_stationary_rejects_reducible_chain():
 def test_period_of_example_is_one(example_analysis):
     a = example_analysis
     assert a.limits.p == 1
-    assert set(a.rd.H) == set(a.rd.G)
-    assert a.rd.gamma == E
+    assert set(group_objects(a.rd).H) == set(a.rd.G)
+    assert group_objects(a.rd).gamma == E
 
 
 def test_period_three_cyclic_instance():
     a = analyze_law(cyclic3_law())
     assert a.limits.p == 3
-    assert a.rd.H == (Transformation([1, 2, 3]),)
-    assert a.rd.gamma == Transformation([2, 3, 1])
+    assert group_objects(a.rd).H == (Transformation([1, 2, 3]),)
+    assert group_objects(a.rd).gamma == Transformation([2, 3, 1])
     # mu^n = delta_{g^n} cycles with period 3
     g = Transformation([2, 3, 1])
     cycle = _cycle(a)
@@ -174,7 +176,7 @@ def test_period_three_with_nontrivial_H():
     a = analyze_law(p3_h2_law())
     assert a.limits.p == 3
     assert len(a.rd.H) == 2
-    assert a.rd.gamma == Transformation([2, 3, 1, 5, 6, 4])
+    assert group_objects(a.rd).gamma == Transformation([2, 3, 1, 5, 6, 4])
     assert len(a.rd.G) == 6
     # p equals the index of H in G
     assert a.limits.p * len(a.rd.H) == len(a.rd.G)
@@ -214,7 +216,7 @@ def test_nu_expands_as_triple_product(example_analysis):
 def test_supports(example_analysis):
     a = example_analysis
     assert set(a.limits.nu.support()) == set(a.rd.kernel)
-    lhr = {l * h * r for l in a.rd.L for h in a.rd.H for r in a.rd.R}
+    lhr = {l * h * r for l in a.rd.L for h in group_objects(a.rd).H for r in a.rd.R}
     assert set(a.limits.eta.support()) == lhr
 
 
@@ -427,9 +429,9 @@ def test_assemble_rejects_wrong_subgroup(example_analysis):
     from finevo.errors import StructuralInconsistencyError
 
     a = example_analysis
-    e = a.rd.e
+    one = a.rd.G.index(a.rd.e)
     # H = {e} is a valid normal subgroup but gives the wrong eta
-    wrong = replace(a.rd, H=(e,), gamma=e, C=(e,), p=1, coset_of={e: 0})
+    wrong = replace(a.rd, H=(one,), C=(one,), p=1, coset_of=(0,) * len(a.rd.G))
     with pytest.raises(StructuralInconsistencyError):
         assemble_limits(a.law, wrong, a.limits.eta_L, a.limits.eta_R)
 
@@ -438,10 +440,12 @@ def test_period_and_subgroup_direct(example_analysis, p3h2_analysis):
     # the left walk on Ke gives p, H and gamma; only the generators matter
     a = example_analysis
     rd = rees_at(a.law.generators, a.rd.kernel, a.rd.e)
-    assert (rd.p, set(rd.H), rd.gamma) == (1, set(a.rd.G), E)
+    group = group_objects(rd)
+    assert (rd.p, set(group.H), group.gamma) == (1, set(a.rd.G), E)
     b = p3h2_analysis
+    group = group_objects(b.rd)
     assert (b.rd.p, len(b.rd.H), len(b.rd.G)) == (3, 2, 6)
-    assert b.rd.gamma == min(g for g in b.rd.G if b.rd.coset_of[g] == 1 and g**3 == b.rd.e)
+    assert group.gamma == min(g for g in b.rd.G if group.coset_of[g] == 1 and g**3 == b.rd.e)
 
 
 def test_left_right_solvers_agree_with_invariance(p3h2_analysis):

@@ -13,6 +13,7 @@ from fuzzlaws import cyclic3_law, group_kernel_laws, p3_h2_law
 from oracles import (
     brute_force_closure,
     brute_force_minimal_ideal,
+    group_objects,
     project,
     shortest_words,
     word_closure,
@@ -196,8 +197,9 @@ def test_group_relations(rd):
     assert G ** 3 == E and H * H == E
     assert H * G == (G ** 2) * H
     assert H * (G ** 2) == G * H
-    assert rd.inv(G) == G ** 2
-    assert rd.inv(E) == E
+    inverse = group_objects(rd).inverse
+    assert inverse[G] == G ** 2
+    assert inverse[E] == E
 
 
 def test_rees_requires_kernel_idempotent(K):
@@ -242,7 +244,7 @@ def test_idempotency_criterion(rd):
         for g in rd.G:
             for r in rd.R:
                 z = l * g * r
-                assert (z * z == z) == (r * l == rd.inv(g))
+                assert (z * z == z) == (r * l == group_objects(rd).inverse[g])
 
 
 def test_kernel_idempotents_are_primitive(rd, K):
@@ -261,21 +263,21 @@ def test_trivial_kernel_decomposition():
 
 def test_coset_structure_single_coset(rd):
     # the example law has period 1: H = G and gamma = e
-    assert (rd.p, set(rd.H), rd.gamma, rd.C) == (1, set(rd.G), E, (E,))
-    assert rd.coset_of == {g: 0 for g in rd.G}
-    assert rd.gamma_power(-3) == E
-    c, h = rd.ch_split(G)
-    assert c == E and h == G
+    group = group_objects(rd)
+    assert (rd.p, set(group.H), group.gamma, group.C) == (1, set(rd.G), E, (E,))
+    assert rd.H == tuple(range(6)) and rd.C == (rd.G.index(E),)
+    assert group.coset_of == {g: 0 for g in rd.G}
 
 
 def test_coset_structure_cyclic_group():
     g = Transformation([2, 3, 1])
     ident = Transformation([1, 2, 3])
     rd = rees_at([g], kernel(generate([g])), ident)
-    assert (rd.p, rd.H, rd.gamma) == (3, (ident,), g)
-    assert rd.coset_of == {ident: 0, g: 1, g * g: 2}
-    assert rd.gamma_power(2) == g * g
-    assert rd.gamma_power(-1) == g * g
+    group = group_objects(rd)
+    assert (rd.p, group.H, group.gamma) == (3, (ident,), g)
+    assert group.C == (ident, g, g * g)
+    assert group.coset_of == {ident: 0, g: 1, g * g: 2}
+    assert group.inverse == {ident: ident, g: g * g, g * g: g}
 
 
 S3 = {"e": E, "g": G, "g2": G ** 2, "h": H, "gh": G * H, "g2h": (G ** 2) * H}
@@ -292,8 +294,8 @@ S3 = {"e": E, "g": G, "g2": G ** 2, "h": H, "gh": G * H, "g2h": (G ** 2) * H}
 def test_rees_at_rejects_a_wrong_coset_structure(K, monkeypatch, p, parts, message):
     """Cyclic classes whose G-parts are not the cosets of a normal subgroup
     fail the coset checks (the walk of the example law has p = 1)."""
-    states = sorted({z * E for z in K})
-    classes = [[z for z in states if E * z * E in {S3[x] for x in part.split()}]
+    states = sorted({K.index(z * E) for z in K})
+    classes = [[z for z in states if E * K[z] * E in {S3[x] for x in part.split()}]
                for part in parts]
     monkeypatch.setattr(semigroup, "chain_period_and_classes",
                         lambda *args: (p, classes + [[]] * (p - len(classes))))
@@ -314,13 +316,14 @@ def test_rees_at_rejects_a_reducible_right_walk(K, monkeypatch, direction):
     walk keeps its true successors."""
     real = semigroup.walk_distances
 
-    def cut(states, neighbors, start, walk):
+    def cut(states, steps, start, walk):
         if walk.startswith("right"):
+            size = len(steps[0])
             if direction == "forward":
-                neighbors = lambda z: [start]
+                steps = [[start] * size]
             else:
-                neighbors = lambda z: states if z == start else [z]
-        return real(states, neighbors, start, walk)
+                steps = [[s if z == start else z for z in range(size)] for s in states]
+        return real(states, steps, start, walk)
 
     monkeypatch.setattr(semigroup, "walk_distances", cut)
     with pytest.raises(StructuralInconsistencyError,
@@ -331,7 +334,8 @@ def test_rees_at_rejects_a_reducible_right_walk(K, monkeypatch, direction):
 def test_rees_coordinate_products_match_composition(example_analysis, fuzz_analyses):
     """Every product read off the Rees tables is the composition of the
     transformations: kernel pairs by the Rees-matrix product, generators by
-    the left and right tables, and the tables L x G x R, G x G and R x L."""
+    the left and right tables, the tables L x G x R, G x G and R x L, the
+    inverses and the coset of every element of G."""
     analyses, _ = fuzz_analyses
     laws = group_kernel_laws()
     rds = [example_analysis.rd] + [a.rd for a in analyses] + [
@@ -353,3 +357,6 @@ def test_rees_coordinate_products_match_composition(example_analysis, fuzz_analy
                     assert rd.coords[rd.at[l][g][r]] == (l, g, r)
         assert [[rd.G[c] for c in row] for row in rd.gmul] == [[x * y for y in rd.G] for x in rd.G]
         assert [[rd.G[c] for c in row] for row in rd.sandwich] == [[r * l for l in rd.L] for r in rd.R]
+        assert [rd.G[b] * x for b, x in zip(rd.inverse, rd.G)] == [rd.e] * len(rd.G)
+        cosets = {rd.G[c] * rd.G[h]: j for j, c in enumerate(rd.C) for h in rd.H}
+        assert cosets == dict(zip(rd.G, rd.coset_of))

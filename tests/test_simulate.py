@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -19,13 +20,18 @@ from finevo.simulate import (
 )
 from finevo.stats import chi_square_gof
 from finevo.transform import Transformation
-from oracles import ScalarReference, last_word_time, scalar_draw, shortest_words
+from oracles import (ScalarReference, group_objects, last_word_time, scalar_draw,
+                     shortest_words)
 
 
 def one_path(a, initial, k_min, k_max, seed):
-    """A single path: row 0 of a one-replication batch."""
-    return sample_batch(path_tables(a.limits, a.cliques), initial, k_min, k_max, seed,
-                        1).path(0)
+    """A single path: a one-replication batch."""
+    return sample_batch(path_tables(a.limits, a.cliques), initial, k_min, k_max, seed, 1)
+
+
+def decode(a, batch, r=0) -> dict:
+    """Row r of a batch as maps, tuples and their parts (see ScalarReference)."""
+    return ScalarReference(a.limits, a.cliques.W).decode(batch, r)
 
 
 @pytest.fixture(scope="module")
@@ -37,43 +43,48 @@ def example_path(example_analysis):
 
 def test_path_shape(example_path):
     path = example_path
-    assert len(path.X) == 1001
-    assert len(path.N) == 1000
-    assert len(path.M_G) == 1000
-    assert path.index(-1000) == 0 and path.index(0) == 1000
-    with pytest.raises(InputError):
-        path.index(1)
+    assert (path.k_min, path.k_max, len(path)) == (-1000, 0, 1)
+    assert path.states.shape == (1, 1001)
+    assert path.maps.shape == (1, 1000)
 
 
-def test_path_exact_invariants(example_analysis, example_path):
-    a = example_analysis
-    checks = verify_path_exact(example_path, a.limits, a.cliques)
+def test_path_exact_invariants(example_path):
+    checks = verify_path_exact(example_path)
     assert len(checks) == 6
     assert all(c.passed for c in checks)
+    assert [c.note for c in checks[:2]] == ["1000 steps", "1001 states"]
 
 
-def test_states_are_clique_orderings(example_path):
+def test_states_are_clique_orderings(example_analysis, example_path):
     allowed = {frozenset({2, 4, 5}), frozenset({1, 3, 5})}
-    for x in example_path.X:
+    for x in decode(example_analysis, example_path)["X"]:
         assert frozenset(x) in allowed
 
 
-def test_factorization_all_pairs(example_analysis, example_path):
-    a = example_analysis
+def test_factorization_all_pairs(example_path):
     for k in (-500, 0):
-        check = verify_factorization(example_path, a.limits, k)
+        check = verify_factorization(example_path, k)
         assert check.passed
+        assert check.note == f"{k + 1001} (j,k) pairs at k={k}"
+
+
+def test_factorization_rejects_a_time_outside_the_window(example_path):
+    for k in (-1001, 1):
+        with pytest.raises(InputError, match=rf"time {k} outside path range \[-1000, 0\]"):
+            verify_factorization(example_path, k)
 
 
 def test_factorization_on_short_path(example_analysis):
     a = example_analysis
     lw = RationalMeasure.point(a.cliques.W[0])
     path = one_path(a, lw, -1, 0, 3)
-    check = verify_factorization(path, a.limits, 0)
+    check = verify_factorization(path, 0)
     assert check.passed
-    # single step reduces to X_k = X_k^L X_k^G Z_W
-    idx = path.index(0)
-    assert (path.X_L[idx] * path.X_G[idx]).apply(path.Z_W) == path.X[idx]
+    # single step reduces to X_k = X_k^L X_k^G Z_W, read off the state tables
+    t, s = path.tables, int(path.states[0, -1])
+    assert t.state_w[s] == path.z_w[0]
+    x = (a.rd.L[t.state_l[s]] * a.rd.G[t.state_g[s]]).apply(a.cliques.W[t.state_w[s]])
+    assert x == a.cliques.W_mu[s] == decode(a, path)["X"][-1]
 
 
 def test_seed_reproducibility(example_analysis):
@@ -82,8 +93,8 @@ def test_seed_reproducibility(example_analysis):
     p1 = one_path(a, lw, -50, 0, 7)
     p2 = one_path(a, lw, -50, 0, 7)
     p3 = one_path(a, lw, -50, 0, 8)
-    assert p1.X == p2.X and p1.N == p2.N
-    assert p1.X != p3.X or p1.N != p3.N
+    assert (p1.states == p2.states).all() and (p1.maps == p2.maps).all()
+    assert (p1.states != p3.states).any() or (p1.maps != p3.maps).any()
 
 
 def test_seed_validation(example_analysis):
@@ -103,7 +114,7 @@ def test_deterministic_dynamics_constant_path(example_analysis):
     a = analyze_law(law)
     lw = RationalMeasure.uniform(a.cliques.W)
     path = one_path(a, lw, -20, 0, 11)
-    assert len(set(path.X)) == 1  # e acts as the identity on its cliques
+    assert len(set(decode(a, path)["X"])) == 1  # e acts as the identity on its cliques
 
 
 def test_empirical_left_factor_frequency(example_analysis):
@@ -112,8 +123,8 @@ def test_empirical_left_factor_frequency(example_analysis):
     a = example_analysis
     fe = Transformation([1, 3, 3, 1, 5])
     lw = RationalMeasure.point(a.cliques.W[0])
-    path = one_path(a, lw, 0, 10_000, 42)
-    freq = sum(1 for l in path.X_L if l == fe) / len(path.X_L)
+    X_L = decode(a, one_path(a, lw, 0, 10_000, 42))["X_L"]
+    freq = sum(1 for l in X_L if l == fe) / len(X_L)
     assert abs(freq - 1 / 3) < 0.02
 
 
@@ -121,24 +132,28 @@ def test_third_noise_battery_on_example(example_analysis):
     a = example_analysis
     lw = RationalMeasure.point(a.cliques.W[0])
     batch = sample_batch(path_tables(a.limits, a.cliques), lw, -3, 0, 42, 2000)
-    report = verify_third_noise(batch, alpha=0.001, check_exact=True)
-    assert report.all_passed
-    names = [c.name for c in report.checks]
+    checks = verify_third_noise(batch, alpha=0.001)
+    assert all(c.passed for c in checks)
+    names = [c.name for c in checks]
     assert "U^H_k uniform on H" in names
-    by_name = {c.name: c for c in report.checks}
+    by_name = {c.name: c for c in checks}
     assert by_name["U^H_k uniform on H"].df == 5
     assert by_name["U^H_k independent of N-window"].df == (6 - 1) * (8 - 1)
     # p = 1 makes the remote past degenerate here
     assert "degenerate" in by_name["Y_C uniform on C"].note
+    # every replication satisfies the exact path invariants
+    exact = verify_path_exact(batch) + [verify_factorization(batch, 0)]
+    assert all(c.passed for c in exact)
+    assert [exact[0].note, exact[-1].note] == ["6000 steps", "8000 (j,k) pairs at k=0"]
 
 
 def test_third_noise_on_p3_instance(p3h2_analysis):
     a = p3h2_analysis
     lw = RationalMeasure({a.cliques.W[0]: "1/2", a.cliques.W[1]: "1/2"})
     batch = sample_batch(path_tables(a.limits, a.cliques), lw, -3, 0, 42, 3000)
-    report = verify_third_noise(batch, alpha=0.001)
-    assert report.all_passed
-    by_name = {c.name: c for c in report.checks}
+    checks = verify_third_noise(batch, alpha=0.001)
+    assert all(c.passed for c in checks)
+    by_name = {c.name: c for c in checks}
     assert by_name["U^H_k uniform on H"].df == 1
     assert by_name["Y_C uniform on C"].df == 2
     assert by_name["(Y_C, Z_W) joint = omega_C x Lambda_W"].df == 5
@@ -170,9 +185,9 @@ def test_mono_projection_battery(example_analysis):
     a = example_analysis
     lw = RationalMeasure.point(a.cliques.W[0])
     batch = sample_batch(path_tables(a.limits, a.cliques), lw, -3, 0, 42, 2000)
-    report = verify_mono_projection(batch, alpha=0.001)
-    assert report.all_passed
-    exact = [c for c in report.checks if c.kind == "exact"]
+    checks = verify_mono_projection(batch, alpha=0.001)
+    assert all(c.passed for c in checks)
+    exact = [c for c in checks if c.kind == "exact"]
     assert exact and all(c.passed for c in exact)
 
 
@@ -192,7 +207,7 @@ def test_nonstationary_single_term_reduces_to_stationary(example_analysis):
         Lambda_W=(RationalMeasure.point(a.cliques.W[0]),),
     )
     path = one_path(a, family, -200, 0, 5)
-    checks = verify_path_exact(path, a.limits, a.cliques)
+    checks = verify_path_exact(path) + [verify_factorization(path, 0)]
     assert all(c.passed for c in checks)
 
 
@@ -204,12 +219,13 @@ def test_nonstationary_deterministic_phase(p3h2_analysis):
         c=(Fraction(1), Fraction(0), Fraction(0)),
         Lambda_W=(RationalMeasure.point(w),) * 3,
     )
+    C = group_objects(a.rd).C
     for seed in range(5):
-        path = one_path(a, family, -30, 0, seed)
-        assert path.Y_C == a.rd.gamma_power(0)  # i = 0 forced
-        assert path.Z_W == w
-        for i, c in enumerate(path.X_C):
-            assert c == a.rd.gamma_power(path.k_min + i) * path.Y_C
+        path = decode(a, one_path(a, family, -30, 0, seed))
+        assert path["Y_C"] == C[0]  # i = 0 forced
+        assert path["Z_W"] == w
+        for i, c in enumerate(path["X_C"]):
+            assert c == C[(-30 + i) % 3] * path["Y_C"]
 
 
 def test_nonstationary_joint_frequencies(p3h2_analysis):
@@ -225,9 +241,8 @@ def test_nonstationary_joint_frequencies(p3h2_analysis):
         ),
     )
     batch = sample_batch(path_tables(a.limits, a.cliques), family, -10, -7, 42, 4000)
-    report = verify_nonstationary_joint(batch, alpha=0.001)
-    assert report.all_passed
-    check = report.checks[0]
+    [check] = verify_nonstationary_joint(batch, alpha=0.001)
+    assert check.passed
     assert check.df == 3  # four reachable (phase, w) cells
 
 
@@ -237,8 +252,9 @@ def e_word(a) -> list:
 
 
 def estimate_Te(path, k, word):
-    """T_e at time k, read off the path's driving maps."""
-    return last_word_time([f.images for f in path.N], path.k_min, k, word)
+    """T_e at time k, read off the driving maps of a one-row batch."""
+    maps = [path.tables.gens[m].images for m in path.maps[0].tolist()]
+    return last_word_time(maps, path.k_min, k, word)
 
 
 def test_estimate_Te_on_example(example_analysis, example_path):
@@ -249,7 +265,7 @@ def test_estimate_Te_on_example(example_analysis, example_path):
     assert te is not None and te < -3
     # the product over the reported witness window is exactly e
     i = te - example_path.k_min
-    n1, n2, n3 = example_path.N[i:i + 3]  # N_{te+1}, N_{te+2}, N_{te+3}
+    n1, n2, n3 = decode(a, example_path)["N"][i:i + 3]  # N_{te+1}, N_{te+2}, N_{te+3}
     assert n3 * n2 * n1 == a.rd.e
 
 
@@ -303,8 +319,7 @@ def test_one_time_law_matches_invariant_marginal(example_analysis):
     counts = {}
     reps = 3000
     for r in range(reps):
-        path = one_path(a, lw, -3, 0, 42 ^ r)
-        x = path.X[-1]
+        x = a.cliques.W_mu[one_path(a, lw, -3, 0, 42 ^ r).states[0, -1]]
         counts[x] = counts.get(x, 0) + 1
     expected = {x: w for x, w in lam.items()}
     check = chi_square_gof(counts, expected, reps, 0.001, "one-time law")
@@ -317,14 +332,14 @@ def test_degenerate_H_auto_passes():
     a = analyze_law(cyclic3_law())
     lw = RationalMeasure.uniform(a.cliques.W)
     batch = sample_batch(path_tables(a.limits, a.cliques), lw, -2, 0, 42, 1000)
-    report = verify_third_noise(batch, alpha=0.001)
-    by_name = {c.name: c for c in report.checks}
+    checks = verify_third_noise(batch, alpha=0.001)
+    by_name = {c.name: c for c in checks}
     assert by_name["U^H_k uniform on H"].passed
     assert "degenerate" in by_name["U^H_k uniform on H"].note
     # deterministic dynamics: the N-window has a single category
     assert "degenerate" in by_name["U^H_k independent of N-window"].note
     assert by_name["Y_C uniform on C"].df == 2
-    assert report.all_passed
+    assert all(c.passed for c in checks)
 
 
 def mixing_uniformity(a, n, replications=2000, seed=7):
@@ -340,7 +355,7 @@ def mixing_uniformity(a, n, replications=2000, seed=7):
         for _ in range(n):
             prod = prod * scalar_draw(a.law.measure.items(), rng)
         _add(counts, split[rd.e * (prod * rd.kernel[0]) * rd.e][1])
-    uniform_h = {x: Fraction(1, len(rd.H)) for x in rd.H}
+    uniform_h = {x: Fraction(1, len(rd.H)) for x in group_objects(rd).H}
     return chi_square_gof(counts, uniform_h, replications, 0.001,
                           f"H-part of e N_1..N_{n} z uniform on H")
 
@@ -419,9 +434,7 @@ def test_stationary_counts_match_scalar_reference(name, request, tested_counts):
     assert tested_counts == want
 
     for r in (0, 1, REPS // 2, REPS - 1):
-        path = batch.path(r)
-        assert path.X == rows[r]["X"] and path.N == rows[r]["N"]
-        assert (path.Y_C, path.Z_W) == (rows[r]["Y_C"], rows[r]["Z_W"])
+        assert ref.decode(batch, r) == rows[r]
 
 
 def test_mono_counts_match_scalar_reference(example_analysis, tested_counts):
@@ -460,8 +473,7 @@ def test_nonstationary_counts_match_scalar_reference(p3h2_analysis, tested_count
     )
     assert tested_counts == [want]
     path = one_path(a, family, -10, 30, 42 ^ 5)
-    row = ref.nonstationary(family, -10, 30, 42 ^ 5)
-    assert (path.X, path.N, path.Y_C, path.Z_W) == (row["X"], row["N"], row["Y_C"], row["Z_W"])
+    assert ref.decode(path, 0) == ref.nonstationary(family, -10, 30, 42 ^ 5)
 
 
 def test_nonstationary_paths_match_scalar_reference(example_analysis):
@@ -472,6 +484,71 @@ def test_nonstationary_paths_match_scalar_reference(example_analysis):
     ref = ScalarReference(a.limits, a.cliques.W)
     for seed in range(40):
         path = one_path(a, family, -4, 0, seed)
-        row = ref.nonstationary(family, -4, 0, seed)
-        assert (path.X, path.N) == (row["X"], row["N"])
+        assert ref.decode(path, 0) == ref.nonstationary(family, -4, 0, seed)
 
+
+
+def failing(batch, k) -> set:
+    """Names of the path checks a batch fails, factorization at k included."""
+    checks = verify_path_exact(batch) + [verify_factorization(batch, k)]
+    return {c.name for c in checks if not c.passed}
+
+
+def edited(batch, field, r, i, value):
+    """The batch with ``field`` (``states`` or ``maps``) changed at [r, i]."""
+    array = getattr(batch, field).copy()
+    array[r, i] = value
+    return replace(batch, **{field: array})
+
+
+RECURSION = "path recursion X_k = N_k X_{k-1}"
+W_CONSTANT = "X_W constant along the path"
+PHASE = "X^C_k = gamma^k Y_C"
+INCREMENT = "M^G_k = (N_k X^L_{k-1})^G"
+INCREMENT_PHASE = "(M^G_k)^C = gamma"
+FACTORIZATION = "factorization X_j = X_j^L (M^G_{k,j})^-1 (gamma^k Y_C) U^H_k Z_W"
+
+
+@pytest.fixture(scope="module")
+def p3h2_batch(p3h2_analysis):
+    """Three 40-step rows of the p = 3, |H| = 2 law, from every W-orbit."""
+    a = p3h2_analysis
+    assert (a.rd.p, len(a.rd.H), len(a.cliques.W)) == (3, 2, 120)
+    return sample_batch(path_tables(a.limits, a.cliques),
+                        RationalMeasure.uniform(a.cliques.W), -40, 0, 42, 3)
+
+
+def test_path_checks_pass_the_unedited_batch(p3h2_batch):
+    assert failing(p3h2_batch, 0) == failing(p3h2_batch, -20) == set()
+
+
+def test_recursion_check_rejects_an_edited_map(p3h2_analysis, p3h2_batch):
+    """Another map at one step: the next tuple is no longer its image."""
+    batch, W_mu = p3h2_batch, p3h2_analysis.cliques.W_mu
+    x, y = (W_mu[s] for s in batch.states[1, 20:22].tolist())
+    f = next(f for f, g in enumerate(batch.tables.gens) if g.apply(x) != y)
+    assert failing(edited(batch, "maps", 1, 20, f), 0) == {RECURSION, INCREMENT}
+
+
+@pytest.mark.parametrize("part, caught", [
+    ("w", {RECURSION, W_CONSTANT, FACTORIZATION}),
+    ("coset", {RECURSION, PHASE, INCREMENT, INCREMENT_PHASE}),
+    ("h", {RECURSION, INCREMENT}),
+])
+def test_path_checks_reject_an_edited_state(p3h2_batch, part, caught):
+    """X_20 of row 1 replaced by the state with one coordinate changed: the
+    W-orbit, the coset gamma^j of its G-part, or the H-part h of gamma^j h.
+    The factorization telescopes through the increments, so only a changed
+    W-part shows in it."""
+    batch = p3h2_batch
+    t = batch.tables
+    s = int(batch.states[1, 20])
+    l, w, j, h = (int(a[s]) for a in (t.state_l, t.state_w, t.state_c, t.state_h))
+    if part == "w":
+        w = (w + 1) % len(t.cd.W)
+    elif part == "coset":
+        j = (j + 1) % 3
+    else:
+        h = 1 - h
+    state = t.lgw[l, t.coset_h[j, h], w]
+    assert failing(edited(batch, "states", 1, 20, state), 0) == caught
