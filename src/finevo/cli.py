@@ -19,7 +19,6 @@ from .measure import MappingLaw, RationalMeasure, as_fraction
 from .report import build_report, render_text, report_to_json
 from .semigroup import DEFAULT_ELEMENT_CAP
 from .simulate import (
-    path_tables,
     sample_batch,
     verify_factorization,
     verify_mono_projection,
@@ -205,16 +204,26 @@ def _resolve_family(config, analysis) -> InvariantFamily:
         raise InputError("family coefficients must sum to 1")
     if any(c < 0 for c in coeffs):
         raise InputError("family coefficients must be nonnegative")
-    wset = set(analysis.cliques.W)
-    for lam in lambdas:
-        bad = [w for w in lam.support() if w not in wset]
-        if bad:
-            raise InputError(f"family law has mass outside W at {bad[0]}")
     family = InvariantFamily(limits=analysis.limits, c=tuple(coeffs),
                              Lambda_W=tuple(lambdas))
     # round-trip through the classifier to validate the family form
-    classify_family(analysis.limits, analysis.cliques, family.law_at(0))
+    classify_family(analysis.limits, analysis.cliques, family.law_at(analysis.cliques, 0))
     return family
+
+
+def mono_projection_events(rd) -> dict:
+    """The five event identities of the built-in example law, tying the
+    first coordinate x of the observed tuple to (X^L, U^G(2)): x maps to
+    (l, u) with X^L = L[l] (either L-part when l is None) and U^G(2) = u."""
+    e = rd.L.index(rd.e)
+    fe = next(l for l in range(len(rd.L)) if l != e)
+    return {
+        1: (fe, 4),
+        2: (e, 2),
+        3: (fe, 2),
+        4: (e, 4),
+        5: (None, 5),  # X^1 = 5 iff U(2) = 5, for either L-part
+    }
 
 
 def _emit(report: dict, args) -> None:
@@ -253,19 +262,19 @@ def _run_simulation_battery(analysis, config) -> VerificationReport:
     else:
         initial = _resolve_lambda_w(config, analysis)
         window = (-config["window"], 0)
-    tables = path_tables(analysis.limits, analysis.cliques)
-    path = sample_batch(tables, initial, config["k_min"], config["k_max"], seed, 1)
+    path = sample_batch(analysis, initial, config["k_min"], config["k_max"], seed, 1)
     verification.extend(verify_path_exact(path))
     verification.add(verify_factorization(path, config["k_max"]))
 
-    batch = sample_batch(tables, initial, *window, seed, config["replications"])
+    batch = sample_batch(analysis, initial, *window, seed, config["replications"])
     if config["mode"] == "nonstationary":
         verification.extend(verify_nonstationary_joint(batch, alpha=alpha))
     else:
         # one batch of replications serves both stationary checks
         verification.extend(verify_third_noise(batch, alpha=alpha))
         if analysis.law == example_law():
-            verification.extend(verify_mono_projection(batch, alpha=alpha))
+            events = mono_projection_events(analysis.rd)
+            verification.extend(verify_mono_projection(batch, events, alpha=alpha))
     return verification
 
 

@@ -1,5 +1,5 @@
-"""Stable tuples of the kernel images and the classification of invariant
-multiparticle laws.
+"""Stable tuples of the kernel images, their integer tables, and the
+classification of invariant multiparticle laws.
 
 A distinct tuple is stable when it stays distinct under every element of
 the semigroup. The f-cliques are the images of kernel elements and W_mu is
@@ -10,6 +10,14 @@ stable tuple lies in W_mu: for mu = delta_[1,1,3], (2,3) is stable but
 W_mu holds only the orderings of {1,3}. The product map
 L x G x W -> W_mu over a set W of orbit representatives is the coordinate
 system for everything the simulator extracts.
+
+Past ``compute_W`` a stable tuple is a position in W_mu, and this module
+alone translates between tuples and positions. ``compute_W`` composes
+every (generator, tuple) and (l, g, w) fact once into integer tables. A
+tuple law is a vector: Python-int numerators, one per W_mu position (or
+per W position for a law on W), over one common denominator, pushed
+forward by the step table as ``finevo.limits`` pushes kernel vectors.
+``RationalMeasure`` objects on tuples are built only for public results.
 """
 
 from __future__ import annotations
@@ -17,12 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import factorial, lcm
+
+import numpy as np
 
 from .errors import (ClassificationError, InputError, ResourceLimitError,
                      StructuralInconsistencyError)
-from .limits import CyclicLimit
-from .measure import RationalMeasure, act_on_tuples
+from .limits import CyclicLimit, _act, _common, _same
+from .measure import RationalMeasure
 from .semigroup import DEFAULT_ELEMENT_CAP, ReesData
 
 
@@ -31,32 +41,77 @@ def f_cliques(ker: tuple) -> list:
     return sorted({tuple(sorted(g.image_set())) for g in ker})
 
 
-@dataclass(frozen=True)
+def _vector(lam: RationalMeasure, index: dict, message: str) -> tuple:
+    """Numerators of a tuple law at the positions ``index`` gives, over their
+    least common denominator; raises InputError with ``message`` formatted
+    with the first tuple that has no position."""
+    items = lam.items()
+    weights, den = _common([v for _, v in items])
+    nums = [0] * len(index)
+    for (x, _), v in zip(items, weights):
+        if x not in index:
+            raise InputError(message.format(x))
+        nums[index[x]] = v
+    return nums, den
+
+
+@dataclass(frozen=True, eq=False)
 class CliqueData:
-    """Stable tuples and their L x G x W coordinates: ``triples[x]`` is the
-    (l, g, w) of positions in ``rd.L``, ``rd.G`` and ``W`` with
-    x = (L[l] * G[g])(W[w])."""
+    """Stable tuples and their integer tables.
+
+    A stable tuple is a position s in ``W_mu`` (sorted) and ``index`` maps a
+    tuple to its position; a map is a position i in ``rd.generators``.
+    ``step[i, s]`` is the position of generators[i](W_mu[s]). The columns
+    ``state_l``, ``state_g`` and ``state_w`` hold the positions (l, g, w) in
+    ``rd.L``, ``rd.G`` and ``W`` with W_mu[s] = (L[l] * G[g])(W[w]), and
+    ``lgw[l, g, w]`` inverts them. ``state_c[s]`` is the coset index j of
+    the G-part gamma^j h and ``state_h[s]`` the position of h in ``rd.H``;
+    ``coset_h[j, h]`` is the G position of gamma^j h.
+    """
 
     m_mu: int
     f_cliques: tuple
     W_mu: tuple
     W: tuple
-    triples: dict
+    index: dict
+    step: np.ndarray
+    state_l: np.ndarray
+    state_g: np.ndarray
+    state_w: np.ndarray
+    state_c: np.ndarray
+    state_h: np.ndarray
+    lgw: np.ndarray
+    coset_h: np.ndarray
 
     def project_index(self, x: tuple) -> tuple:
         """Positions (l, g, w) of a stable tuple: x = (L[l] * G[g])(W[w])."""
-        if x not in self.triples:
+        if x not in self.index:
             raise InputError(f"tuple {x} is not a stable distinct tuple")
-        return self.triples[x]
+        s = self.index[x]
+        return int(self.state_l[s]), int(self.state_g[s]), int(self.state_w[s])
+
+    def w_vector(self, lam: RationalMeasure) -> tuple:
+        """A law on W as numerators by position in W over one denominator;
+        raises InputError if it has mass outside W."""
+        return _vector(lam, dict(zip(self.W, range(len(self.W)))),
+                       "Lambda_W has mass at {} outside W")
+
+    def tuple_measure(self, x: tuple) -> RationalMeasure:
+        """The RationalMeasure on stable tuples of a W_mu vector."""
+        return RationalMeasure({self.W_mu[s]: Fraction(v, x[1])
+                                for s, v in enumerate(x[0]) if v})
 
 
 def compute_W(rd: ReesData, *, cap: int = DEFAULT_ELEMENT_CAP) -> CliqueData:
-    """Enumerate the stable tuples and fix a W with L x G x W bijective.
+    """Enumerate the stable tuples, fix a W with L x G x W bijective, and
+    build the tables of ``CliqueData``.
 
     W_mu is every ordering of every f-clique (see the module docstring for
     why they are all stable). W collects the lexicographically smallest
-    representative of each G-orbit on e W_mu. Raises ResourceLimitError,
-    before enumerating, if W_mu would hold more than ``cap`` tuples.
+    representative of each G-orbit on e W_mu. Verifies that L x G x W -> W_mu
+    is a bijection and that every generator maps W_mu into itself. Raises
+    ResourceLimitError, before enumerating, if W_mu would hold more than
+    ``cap`` tuples.
     """
     ker = rd.kernel
     m_mu = min(f.rank() for f in ker)
@@ -66,6 +121,7 @@ def compute_W(rd: ReesData, *, cap: int = DEFAULT_ELEMENT_CAP) -> CliqueData:
         raise ResourceLimitError(f"W_mu has {size} tuples, over the element cap "
                                  f"({cap}); raise the cap to analyze this law")
     W_mu = tuple(sorted(x for clique in cliques for x in permutations(clique)))
+    index = {x: s for s, x in enumerate(W_mu)}
 
     e = rd.e
     orbit_of = {}
@@ -81,53 +137,75 @@ def compute_W(rd: ReesData, *, cap: int = DEFAULT_ELEMENT_CAP) -> CliqueData:
                 raise StructuralInconsistencyError("G-orbits on eW_mu overlap")
     W = tuple(sorted(reps))
 
-    triples = {}
+    triples = [None] * len(W_mu)
+    step = np.empty((len(rd.generators), len(W_mu)), dtype=np.intp)
     for l, x_l in enumerate(rd.L):
         for g, x_g in enumerate(rd.G):
             lg = x_l * x_g
             for w, x_w in enumerate(W):
                 x = lg.apply(x_w)
-                if x in triples:
+                s = index.get(x)
+                if s is None:
+                    raise StructuralInconsistencyError("L * G * W does not equal W_mu")
+                if triples[s] is not None:
                     raise StructuralInconsistencyError(
                         "L x G x W product map is not injective"
                     )
-                triples[x] = (l, g, w)
-    if set(triples) != set(W_mu):
+                triples[s] = (l, g, w)
+                for i, f in enumerate(rd.generators):
+                    y = index.get(f.apply(x))
+                    if y is None:
+                        raise StructuralInconsistencyError(
+                            f"{f.literal()} maps the stable tuple {x} outside L G W"
+                        )
+                    step[i, s] = y
+    if None in triples:
         raise StructuralInconsistencyError("L * G * W does not equal W_mu")
 
-    return CliqueData(m_mu=m_mu, f_cliques=tuple(cliques), W_mu=W_mu, W=W,
-                      triples=triples)
+    # gamma^j h at (j, position of h in H), and the split of G it inverts
+    coset_h = np.array([[rd.gmul[c][h] for h in rd.H] for c in rd.C], dtype=np.intp)
+    g_coset, g_h = np.empty((2, len(rd.G)), dtype=np.intp)
+    g_coset[coset_h] = np.arange(rd.p)[:, None]
+    g_h[coset_h] = np.arange(len(rd.H))
+    state_l, state_g, state_w = np.array(triples, dtype=np.intp).reshape(-1, 3).T
+    lgw = np.empty((len(rd.L), len(rd.G), len(W)), dtype=np.intp)
+    lgw[state_l, state_g, state_w] = np.arange(len(W_mu))
+
+    return CliqueData(m_mu=m_mu, f_cliques=tuple(cliques), W_mu=W_mu, W=W, index=index,
+                      step=step, state_l=state_l, state_g=state_g, state_w=state_w,
+                      state_c=g_coset[state_g], state_h=g_h[state_g], lgw=lgw,
+                      coset_h=coset_h)
 
 
-def _lift(limits: CyclicLimit, terms) -> RationalMeasure:
-    """The law of (l g)(w) for l ~ eta_L and, independently, one term
-    (c, part, Lambda_W) taken with probability c, g uniform on the distinct
-    positions ``part`` in G and w ~ Lambda_W."""
-    acc = {}
-    G = limits.rd.G
-    for c, part, Lambda_W in terms:
-        for l, wl in limits.eta_L.items():
-            weight = c * wl / len(part)
+def _tuple_law(limits: CyclicLimit, cd: CliqueData, terms) -> tuple:
+    """The W_mu vector of the law of (L[l] G[g])(W[w]) for l ~ eta_L and,
+    independently, one term (c, part, lam) taken with probability c: g
+    uniform on the G positions ``part`` (equally many in every term) and w
+    ~ lam, a W vector."""
+    eta, eta_den = limits.eta_L_vector
+    c, c_den = _common([t[0] for t in terms])
+    lam_den = lcm(*(lam[1] for _, _, lam in terms))
+    lgw = cd.lgw.tolist()
+    nums = [0] * len(cd.W_mu)
+    for ci, (_, part, (lam, den)) in zip(c, terms):
+        scale = ci * (lam_den // den)
+        support = [(w, scale * v) for w, v in enumerate(lam) if v]
+        for l, x in enumerate(eta):
             for g in part:
-                lg = l * G[g]
-                for w, ww in Lambda_W.items():
-                    x = lg.apply(w)
-                    acc[x] = acc.get(x, 0) + weight * ww
-    return RationalMeasure(acc)
+                row = lgw[l][g]
+                for w, v in support:
+                    nums[row[w]] += x * v
+    return nums, c_den * eta_den * len(terms[0][1]) * lam_den
 
 
 def invariant_law(
     limits: CyclicLimit, cd: CliqueData, Lambda_W: RationalMeasure
 ) -> RationalMeasure:
     """The invariant tuple law eta_L omega_G Lambda_W; verified fixed by mu."""
-    wset = set(cd.W)
-    for w in Lambda_W.support():
-        if w not in wset:
-            raise InputError(f"Lambda_W has mass at {w} outside W")
-    lam = _lift(limits, [(1, range(len(limits.rd.G)), Lambda_W)])
-    if act_on_tuples(limits.law, lam) != lam:
+    lam = _tuple_law(limits, cd, [(1, range(len(limits.rd.G)), cd.w_vector(Lambda_W))])
+    if not _same(_act(limits.law, limits.rd, lam, cd.step.tolist()), lam):
         raise StructuralInconsistencyError("assembled law is not mu-invariant")
-    return lam
+    return cd.tuple_measure(lam)
 
 
 @dataclass(frozen=True)
@@ -138,12 +216,19 @@ class InvariantFamily:
     c: tuple
     Lambda_W: tuple
 
-    def law_at(self, k: int) -> RationalMeasure:
-        rd = self.limits.rd
-        return _lift(self.limits, [
-            (ci, [rd.gmul[rd.C[(k + i) % rd.p]][h] for h in rd.H], lam_w)
-            for i, (ci, lam_w) in enumerate(zip(self.c, self.Lambda_W)) if ci
-        ])
+    def law_at(self, cd: CliqueData, k: int) -> RationalMeasure:
+        """Lambda_k on the stable tuples of ``cd``."""
+        return cd.tuple_measure(_family_law(self, cd, k))
+
+
+def _family_law(family: InvariantFamily, cd: CliqueData, k: int) -> tuple:
+    """The W_mu vector of Lambda_k; every Lambda_W^i must lie on W."""
+    p = family.limits.p
+    lams = [cd.w_vector(lam) for lam in family.Lambda_W]
+    return _tuple_law(family.limits, cd, [
+        (ci, cd.coset_h[(k + i) % p].tolist(), lam)
+        for i, (ci, lam) in enumerate(zip(family.c, lams)) if ci
+    ])
 
 
 def classify_family(
@@ -156,46 +241,37 @@ def classify_family(
     recursion Lambda_k = mu Lambda_{k-1} over one full period.
     """
     rd = limits.rd
-    w_mu_set = set(cd.W_mu)
-    for x in Lambda_0.support():
-        if x not in w_mu_set:
-            raise InputError(f"law has mass at {x} outside the stable tuples")
-
-    joint = {}
-    for x, wgt in Lambda_0.items():
-        _, g, w = cd.project_index(x)
-        j = rd.coset_of[g]
-        joint[(j, w)] = joint.get((j, w), Fraction(0)) + wgt
+    x = _vector(Lambda_0, cd.index, "law has mass at {} outside the stable tuples")
+    joint = [[0] * len(cd.W) for _ in range(rd.p)]
+    for j, w, v in zip(cd.state_c.tolist(), cd.state_w.tolist(), x[0]):
+        joint[j][w] += v
 
     c = []
     lambdas = []
-    for i in range(rd.p):
-        ci = sum((v for (j, _), v in joint.items() if j == i), Fraction(0))
-        c.append(ci)
+    for row in joint:
+        ci = sum(row)
+        c.append(Fraction(ci, x[1]))
         if ci > 0:
-            lambdas.append(
-                RationalMeasure(
-                    {cd.W[w]: v / ci for (j, w), v in joint.items() if j == i}
-                )
-            )
+            lambdas.append(RationalMeasure(
+                {cd.W[w]: Fraction(v, ci) for w, v in enumerate(row) if v}))
         else:
             lambdas.append(RationalMeasure.point(cd.W[0]))
 
     family = InvariantFamily(limits=limits, c=tuple(c), Lambda_W=tuple(lambdas))
 
-    rebuilt = family.law_at(0)
-    if rebuilt != Lambda_0:
+    rebuilt = _family_law(family, cd, 0)
+    if not _same(rebuilt, x):
         residual = {}
-        for x in set(rebuilt.support()) | set(Lambda_0.support()):
-            if rebuilt[x] != Lambda_0[x]:
-                residual[x] = (Lambda_0[x], rebuilt[x])
+        for s, (a, b) in enumerate(zip(x[0], rebuilt[0])):
+            if a * rebuilt[1] != b * x[1]:
+                residual[cd.W_mu[s]] = (Fraction(a, x[1]), Fraction(b, rebuilt[1]))
         raise ClassificationError(
             "law is not of the cyclic family form", residual=residual
         )
-    current = Lambda_0
+    current = x
     for k in range(1, rd.p + 1):
-        current = act_on_tuples(limits.law, current)
-        if current != family.law_at(k):
+        current = _act(limits.law, rd, current, cd.step.tolist())
+        if not _same(current, _family_law(family, cd, k)):
             raise ClassificationError(
                 f"family recursion fails at step {k}", residual={}
             )

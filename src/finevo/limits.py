@@ -90,12 +90,14 @@ def _common(weights) -> tuple:
 # An exact measure on the kernel is a pair (numerators, denominator): Python
 # ints indexed by kernel position over one common denominator.
 
-def _act(law: MappingLaw, rd: ReesData, x: tuple, left: bool) -> tuple:
-    """mu * x (``left``) or x * mu, through the generator tables."""
-    weights, den = _common([law.measure[f] for f in rd.generators])
+def _act(law: MappingLaw, rd: ReesData, x: tuple, tables) -> tuple:
+    """mu acting on x through one table per generator of ``rd``: mu * x
+    for ``rd.left``, x * mu for ``rd.right``, and the law of N(X) for
+    ``CliqueData.step`` on stable tuples."""
+    weights, den = _common(law.weights)
     support = [(z, v) for z, v in enumerate(x[0]) if v]
     out = [0] * len(x[0])
-    for w, table in zip(weights, rd.left if left else rd.right):
+    for w, table in zip(weights, tables):
         for z, v in support:
             out[table[z]] += w * v
     return out, x[1] * den
@@ -140,15 +142,15 @@ def _fibre_stationary(law: MappingLaw, rd: ReesData, left: bool) -> tuple:
 
     matrix = [[Fraction(0)] * side for _ in range(side)]
     for b in range(side):
-        for f, table in zip(rd.generators, rd.left if left else rd.right):
-            matrix[b][rd.coords[table[state(b, g0)]][0 if left else 2]] += law.measure[f]
+        for w, table in zip(law.weights, rd.left if left else rd.right):
+            matrix[b][rd.coords[table[state(b, g0)]][0 if left else 2]] += w
     pi, den = _common(solve_stationary(matrix))
     nums = [0] * len(rd.kernel)
     for b, v in enumerate(pi):
         for g in range(len(rd.G)):
             nums[state(b, g)] = v
     beta = (nums, den * len(rd.G))
-    if not _same(_act(law, rd, beta, left), beta):
+    if not _same(_act(law, rd, beta, rd.left if left else rd.right), beta):
         raise StructuralInconsistencyError(
             f"{'left' if left else 'right'} stationary law is not mu-invariant")
     return beta
@@ -176,12 +178,15 @@ def boundary_factor(rd: ReesData, beta: tuple, left: bool) -> RationalMeasure:
 
 @dataclass(frozen=True)
 class CyclicLimit:
-    """The limit cycle of convolution powers and its exact factorization."""
+    """The limit cycle of convolution powers and its exact factorization;
+    ``eta_L_vector`` is eta_L as (numerators by position in rd.L,
+    denominator)."""
 
     law: MappingLaw
     rd: ReesData
     p: int
     eta_L: RationalMeasure
+    eta_L_vector: tuple
     eta_R: RationalMeasure
     eta: RationalMeasure
     nu: RationalMeasure
@@ -213,11 +218,11 @@ def assemble_limits(
     if not _same(_convolve(rd, eta, eta), eta):
         raise StructuralInconsistencyError("eta * eta != eta")
     for k in range(rd.p):
-        if not _same(_act(law, rd, cycle[k], left=True), cycle[(k + 1) % rd.p]):
+        if not _same(_act(law, rd, cycle[k], rd.left), cycle[(k + 1) % rd.p]):
             raise StructuralInconsistencyError("mu * cycle[k] != cycle[k+1]")
     if not _same(_convolve(rd, nu, nu), nu):
         raise StructuralInconsistencyError("nu * nu != nu")
-    if not all(_same(_act(law, rd, nu, left), nu) for left in (True, False)):
+    if not all(_same(_act(law, rd, nu, tables), nu) for tables in (rd.left, rd.right)):
         raise StructuralInconsistencyError("nu is not mu-invariant")
     if not all(nu[0]):
         raise StructuralInconsistencyError("supp(nu) != kernel")
@@ -230,8 +235,8 @@ def assemble_limits(
         if covered & supp:
             raise StructuralInconsistencyError("cycle supports are not disjoint")
         covered |= supp
-    return CyclicLimit(law=law, rd=rd, p=rd.p, eta_L=eta_L, eta_R=eta_R,
-                       eta=_measure(rd, eta), nu=_measure(rd, nu))
+    return CyclicLimit(law=law, rd=rd, p=rd.p, eta_L=eta_L, eta_L_vector=(lw, l_den),
+                       eta_R=eta_R, eta=_measure(rd, eta), nu=_measure(rd, nu))
 
 
 def _indexed_iteration(law: MappingLaw, closure: tuple = None):

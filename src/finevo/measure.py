@@ -2,9 +2,10 @@
 
 Measures are sparse: only the support is stored, every stored weight is a
 positive ``Fraction`` and the weights sum to exactly 1. Carriers are
-transformations, points or point tuples; ``act_on_tuples`` pushes a tuple
-law forward under a mapping law. Kernel convolutions run in
-``finevo.limits`` on integer vectors over the Rees coordinate tables.
+transformations, points or point tuples. The exact algebra runs elsewhere,
+on integer vectors: kernel convolutions in ``finevo.limits`` over the Rees
+coordinate tables, and tuple laws in ``finevo.cliques`` over the positions
+of the stable tuples. A measure is built for the results they return.
 """
 
 from __future__ import annotations
@@ -91,18 +92,6 @@ class RationalMeasure:
         return f"RationalMeasure({{{parts}}})"
 
 
-def act_on_tuples(law: MappingLaw, lam: RationalMeasure) -> RationalMeasure:
-    """Push a tuple law forward under a random map with the given law."""
-    acc = {}
-    for f, wf in law.measure.items():
-        for x, wx in lam.items():
-            if max(x) > law.n:
-                raise InputError("tuple entry outside the mapping domain")
-            y = f.apply(x)
-            acc[y] = acc.get(y, Fraction(0)) + wf * wx
-    return RationalMeasure(acc)
-
-
 def coordinate_marginal(lam: RationalMeasure, i: int) -> RationalMeasure:
     """Marginal law of the i-th coordinate (1-based) of a tuple law."""
     acc = {}
@@ -112,9 +101,10 @@ def coordinate_marginal(lam: RationalMeasure, i: int) -> RationalMeasure:
 
 
 class MappingLaw:
-    """A rational probability on transformations of one finite set."""
+    """A rational probability on transformations of one finite set;
+    ``weights`` lists its weights in ``generators`` order."""
 
-    __slots__ = ("n", "measure")
+    __slots__ = ("n", "measure", "weights")
 
     def __init__(self, n: int, measure: RationalMeasure):
         if not isinstance(n, int) or n < 1:
@@ -124,6 +114,7 @@ class MappingLaw:
                 raise InputError("law support must be transformations of {1..%d}" % n)
         self.n = n
         self.measure = measure
+        self.weights = tuple(w for _, w in measure.items())
 
     @property
     def generators(self) -> list:

@@ -2,16 +2,19 @@
 battery for the factor processes extracted from them.
 
 A batch holds, for every replication of a window, the positions of the
-driving maps N_k and of the observed tuples X_k; the factor series (L-, G-,
-phase-, H- and W-parts, the G-increments and the path constants) are read
-off integer tables of the analysis. The replication harness realizes the
+driving maps N_k in ``rd.generators`` and of the observed tuples X_k in
+W_mu; the factor series (L-, G-, phase-, H- and W-parts, the G-increments
+and the path constants) are read off the integer tables of the analysis
+(``CliqueData`` and ``ReesData``). The replication harness realizes the
 infinite past by starting each window from the exact stationary law. All
 replications of a window are drawn at once: replication r reads the
 counter-based Philox4x64-10 substream keyed [seed XOR r, 0], computed in
-lock-step over r, and its states advance on the tables. A single path is
-the one-replication case. The exact checks run on every row of a batch:
+lock-step over r, and its states advance on the step table. A single path
+is the one-replication case. The exact checks run on every row of a batch:
 tuples are composed once per distinct pattern of positions, and the group
-identities read the Rees tables.
+identities read the Rees tables. The statistical checks count positions,
+coded so that their categories keep the order of the objects they stand
+for.
 """
 
 from __future__ import annotations
@@ -21,11 +24,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .analysis import example_law
-from .cliques import CliqueData, InvariantFamily, invariant_law
-from .errors import InputError, ResourceLimitError, StructuralInconsistencyError
-from .limits import CyclicLimit
-from .measure import RationalMeasure, coordinate_marginal
+from .analysis import Analysis
+from .cliques import InvariantFamily, invariant_law
+from .errors import InputError, ResourceLimitError
+from .measure import coordinate_marginal
 from .stats import Check, chi_square_gof, chi_square_independence
 
 MAX_SEED = 2**64
@@ -120,12 +122,13 @@ def _uniform_chunks(seed: int, replications: int, count: int):
         yield slice(start, stop), philox_uniforms(keys, count)
 
 
-def _cdf(items, carrier) -> tuple:
-    """Running float sums of the weights in ``items`` order, and the position
-    of each item in ``carrier``."""
-    pos = {x: i for i, x in enumerate(carrier)}
-    return (np.cumsum([float(w) for _, w in items]),
-            np.array([pos[x] for x, _ in items], dtype=np.intp))
+def _cdf(x: tuple) -> tuple:
+    """Running float sums of the positive weights of a vector (numerators,
+    denominator), in position order, and their positions."""
+    nums, den = x
+    index = [i for i, v in enumerate(nums) if v]
+    return (np.cumsum([float(Fraction(nums[i], den)) for i in index]),
+            np.array(index, dtype=np.intp))
 
 
 def _draw(cdf: tuple, u: np.ndarray) -> np.ndarray:
@@ -136,74 +139,17 @@ def _draw(cdf: tuple, u: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class PathTables:
-    """The state space of one analysis as integer tables.
-
-    A state is a position in ``cd.W_mu``, a map a position in ``gens``
-    (``rd.generators``, the law's support in sorted order). ``step[f, s]`` is the state of
-    f(x_s). The ``state_*`` arrays give each state's L, G and W positions
-    (its triple), the coset index j of its G-part gamma^j h and the position
-    of h in H. ``lgw[l, g, w]`` inverts the triple map and ``coset_h[j, h]``
-    is the G position of gamma^j h.
-    """
-
-    limits: CyclicLimit
-    cd: CliqueData
-    gens: tuple
-    step: np.ndarray
-    state_l: np.ndarray
-    state_g: np.ndarray
-    state_w: np.ndarray
-    state_c: np.ndarray
-    state_h: np.ndarray
-    lgw: np.ndarray
-    coset_h: np.ndarray
-
-
-def path_tables(limits: CyclicLimit, cd: CliqueData) -> PathTables:
-    """Build the tables; raises if a map of the law leaves L G W."""
-    rd = limits.rd
-    state_of = {x: s for s, x in enumerate(cd.W_mu)}
-
-    # gamma^j h at (j, position of h in H), and the split of G it inverts
-    coset_h = np.array([[rd.gmul[c][h] for h in rd.H] for c in rd.C], dtype=np.intp)
-    g_coset, g_h = np.empty((2, len(rd.G)), dtype=np.intp)
-    g_coset[coset_h] = np.arange(rd.p)[:, None]
-    g_h[coset_h] = np.arange(len(rd.H))
-
-    state_l, state_g, state_w = np.array(
-        [cd.triples[x] for x in cd.W_mu], dtype=np.intp).reshape(-1, 3).T
-    lgw = np.empty((len(rd.L), len(rd.G), len(cd.W)), dtype=np.intp)
-    lgw[state_l, state_g, state_w] = np.arange(len(cd.W_mu))
-
-    step = np.empty((len(rd.generators), len(cd.W_mu)), dtype=np.intp)
-    for i, f in enumerate(rd.generators):
-        for s, x in enumerate(cd.W_mu):
-            y = state_of.get(f.apply(x))
-            if y is None:
-                raise StructuralInconsistencyError(
-                    f"{f.literal()} maps the stable tuple {x} outside L G W"
-                )
-            step[i, s] = y
-    return PathTables(
-        limits=limits, cd=cd, gens=rd.generators, step=step, state_l=state_l,
-        state_g=state_g, state_w=state_w, state_c=g_coset[state_g],
-        state_h=g_h[state_g], lgw=lgw, coset_h=coset_h,
-    )
-
-
-@dataclass(frozen=True, eq=False)
 class PathBatch:
     """R replications of one window [k_min, k_max], drawn in lock-step.
 
     Row r is replication r, drawn from the substream seed ^ r. ``maps[r, i]``
-    is the position in ``tables.gens`` of the map driving the step into time
-    k_min + 1 + i and ``states[r, i]`` the state at time k_min + i.
-    ``initial`` is the Lambda_W (stationary) or the InvariantFamily
-    (nonstationary) that the first state was drawn from.
+    is the position in ``rd.generators`` of the map driving the step into
+    time k_min + 1 + i and ``states[r, i]`` the position in ``W_mu`` of the
+    state at time k_min + i. ``initial`` is the Lambda_W (stationary) or the
+    InvariantFamily (nonstationary) that the first state was drawn from.
     """
 
-    tables: PathTables
+    analysis: Analysis
     initial: object
     k_min: int
     k_max: int
@@ -217,16 +163,17 @@ class PathBatch:
     @property
     def y_c(self) -> np.ndarray:
         """Per row, the j with Y_C = gamma^j: gamma^(-k_min) X^C_{k_min}."""
-        return (self.tables.state_c[self.states[:, 0]] - self.k_min) % self.tables.limits.p
+        cd = self.analysis.cliques
+        return (cd.state_c[self.states[:, 0]] - self.k_min) % self.analysis.rd.p
 
     @property
     def z_w(self) -> np.ndarray:
         """Per row, the position of Z_W in W."""
-        return self.tables.state_w[self.states[:, 0]]
+        return self.analysis.cliques.state_w[self.states[:, 0]]
 
 
 def sample_batch(
-    tables: PathTables,
+    analysis: Analysis,
     initial,
     k_min: int,
     k_max: int,
@@ -240,36 +187,29 @@ def sample_batch(
     probability c_i, then w ~ Lambda_W^i, l ~ eta_L and h ~ omega_H give
     X_{k_min} = (l gamma^(k_min+i) h)(w). Then X_k = N_k X_{k-1} with iid
     maps. Each draw reads the next uniform of the row's substream and picks
-    the first item whose running float sum of weights, in ``items()`` order
-    (index order for the c_i), exceeds it. Raises ResourceLimitError when
+    the first item whose running float sum of weights, in position order
+    (the order of the objects), exceeds it. Raises ResourceLimitError when
     replications x draws per row exceeds ``MAX_BATCH_DRAWS``.
     """
     if k_min >= k_max:
         raise InputError("k_min must be less than k_max")
-    limits, cd = tables.limits, tables.cd
-    rd = limits.rd
+    limits, rd, cd = analysis.limits, analysis.rd, analysis.cliques
     family = initial if isinstance(initial, InvariantFamily) else None
-    wset = set(cd.W)
-    for lam in family.Lambda_W if family else (initial,):
-        for w in lam.support():
-            if w not in wset:
-                raise InputError(f"Lambda_W has mass at {w} outside W")
+    w_cdfs = [_cdf(cd.w_vector(lam)) for lam in (family.Lambda_W if family else (initial,))]
     _check_seed(seed)
 
-    l_cdf = _cdf(limits.eta_L.items(), rd.L)
+    l_cdf = _cdf(limits.eta_L_vector)
     if family is None:
-        g_cdf = _cdf(RationalMeasure.uniform(rd.G).items(), rd.G)
-        w_cdf = _cdf(initial.items(), cd.W)
+        g_cdf = _cdf(([1] * len(rd.G), len(rd.G)))
 
         def start(u):
-            return tables.lgw[_draw(l_cdf, u[:, 0]), _draw(g_cdf, u[:, 1]),
-                              _draw(w_cdf, u[:, 2])]
+            return cd.lgw[_draw(l_cdf, u[:, 0]), _draw(g_cdf, u[:, 1]),
+                          _draw(w_cdfs[0], u[:, 2])]
         head = 3
     else:
         phase_cdf = (np.cumsum([float(c) for c in family.c]),
                      np.arange(len(family.c)))
-        w_cdfs = [_cdf(lam.items(), cd.W) for lam in family.Lambda_W]
-        h_cdf = _cdf(RationalMeasure.uniform(rd.H).items(), rd.H)
+        h_cdf = _cdf(([1] * len(rd.H), len(rd.H)))
 
         def start(u):
             i = _draw(phase_cdf, u[:, 0])
@@ -277,8 +217,8 @@ def sample_batch(
             for j, w_cdf in enumerate(w_cdfs):
                 rows = i == j
                 w[rows] = _draw(w_cdf, u[rows, 1])
-            g = tables.coset_h[(k_min + i) % rd.p, _draw(h_cdf, u[:, 3])]
-            return tables.lgw[_draw(l_cdf, u[:, 2]), g, w]
+            g = cd.coset_h[(k_min + i) % rd.p, _draw(h_cdf, u[:, 3])]
+            return cd.lgw[_draw(l_cdf, u[:, 2]), g, w]
         head = 4
 
     steps = k_max - k_min
@@ -286,7 +226,7 @@ def sample_batch(
         raise ResourceLimitError(
             f"replications x draws = {replications} x {head + steps} exceeds the batch "
             f"limit of {MAX_BATCH_DRAWS} draws; shorten the window or lower the replications")
-    map_cdf = _cdf(limits.law.measure.items(), tables.gens)
+    map_cdf = _cdf((limits.law.weights, 1))
     maps = np.empty((replications, steps), dtype=np.int32)
     states = np.empty((replications, steps + 1), dtype=np.int32)
     for rows, u in _uniform_chunks(seed, replications, head + steps):
@@ -294,40 +234,47 @@ def sample_batch(
         x = start(u[:, :head])
         states[rows, 0] = x
         for i in range(steps):
-            x = tables.step[m[:, i], x]
+            x = cd.step[m[:, i], x]
             states[rows, i + 1] = x
         maps[rows] = m
-    return PathBatch(tables=tables, initial=initial, k_min=k_min, k_max=k_max,
+    return PathBatch(analysis=analysis, initial=initial, k_min=k_min, k_max=k_max,
                      seed=seed, maps=maps, states=states)
+
+
+def _lex_codes(rows: np.ndarray) -> np.ndarray:
+    """Per row, the rank of its value among the distinct rows in
+    lexicographic order."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    new = np.ones(len(rows), dtype=np.intp)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    codes = np.empty(len(rows), dtype=np.intp)
+    codes[order] = np.cumsum(new) - 1
+    return codes
 
 
 def _row_counts(columns) -> list:
     """Distinct rows of the stacked integer columns, with multiplicities."""
     table = np.column_stack(columns)
-    table = table[np.lexsort(table.T)]
-    first = np.ones(len(table), dtype=bool)
-    first[1:] = (table[1:] != table[:-1]).any(axis=1)
-    starts = np.flatnonzero(first)
-    return list(zip(table[starts].tolist(), np.diff(starts, append=len(table)).tolist()))
+    codes = _lex_codes(table)
+    rows = np.empty((codes.max() + 1, table.shape[1]), dtype=table.dtype)
+    rows[codes] = table
+    return list(zip(rows.tolist(), np.bincount(codes).tolist()))
 
 
-def _add(counts: dict, key, c: int) -> None:
-    counts[key] = counts.get(key, 0) + c
-
-
-def _misses(t: PathTables, patterns) -> int:
+def _misses(analysis: Analysis, patterns) -> int:
     """How many of the counted patterns (l, g, w, s) have
     (L[l] * G[g])(W[w]) != W_mu[s], composing the tuples once per pattern."""
-    rd, cd = t.limits.rd, t.cd
+    rd, cd = analysis.rd, analysis.cliques
     return sum(c for (l, g, w, s), c in patterns
                if (rd.L[l] * rd.G[g]).apply(cd.W[w]) != cd.W_mu[s])
 
 
-def _increments(t: PathTables, states: np.ndarray) -> np.ndarray:
+def _increments(analysis: Analysis, states: np.ndarray) -> np.ndarray:
     """The G-increments M^G_k = X^G_k (X^G_{k-1})^-1 along every row, as
     positions in G, on the group tables."""
-    rd = t.limits.rd
-    g = t.state_g[states]
+    rd = analysis.rd
+    g = analysis.cliques.state_g[states]
     return np.array(rd.gmul)[g[:, 1:], np.array(rd.inverse)[g[:, :-1]]]
 
 
@@ -338,36 +285,36 @@ def verify_path_exact(batch: PathBatch) -> list:
     (L[l] * G[g])(W[w]) with X_k, as tuples, once per distinct pattern of
     positions. The phase and G-increment identities read the group tables.
     """
-    t = batch.tables
-    rd, cd = t.limits.rd, t.cd
+    analysis = batch.analysis
+    rd, cd = analysis.rd, analysis.cliques
     states, maps = batch.states, batch.maps
     C, gmul, coset_of = np.array(rd.C), np.array(rd.gmul), np.array(rd.coset_of)
     checks = []
 
     bad = sum(c for (x, f, y), c in _row_counts((states[:, :-1].ravel(), maps.ravel(),
                                                   states[:, 1:].ravel()))
-              if t.gens[f].apply(cd.W_mu[x]) != cd.W_mu[y])
+              if rd.generators[f].apply(cd.W_mu[x]) != cd.W_mu[y])
     checks.append(Check("path recursion X_k = N_k X_{k-1}", "exact", bad == 0,
                         note=f"{maps.size} steps"))
 
     x = states.ravel()
-    bad = _misses(t, _row_counts((t.state_l[x], t.state_g[x], t.state_w[x], x)))
+    bad = _misses(analysis, _row_counts((cd.state_l[x], cd.state_g[x], cd.state_w[x], x)))
     checks.append(Check("X_k in L G W", "exact", bad == 0, note=f"{x.size} states"))
 
-    w = t.state_w[states]
+    w = cd.state_w[states]
     checks.append(Check("X_W constant along the path", "exact", bool((w == w[:, :1]).all())))
 
     gamma_k = C[np.arange(batch.k_min, batch.k_max + 1) % rd.p]
     expected = gmul[gamma_k, C[batch.y_c][:, None]]
     checks.append(Check("X^C_k = gamma^k Y_C", "exact",
-                        np.array_equal(C[t.state_c[states]], expected)))
+                        np.array_equal(C[cd.state_c[states]], expected)))
 
     # G-part of N_k X^L_{k-1}; L[l] = L[l] e e is at Rees coordinates (l, e, e)
     r_e = rd.R.index(rd.e)
     x_l = np.array([block[rd.C[0]][r_e] for block in rd.at])
     g_part = np.array([g for _, g, _ in rd.coords])
-    expected = g_part[np.array(rd.left)[maps, x_l[t.state_l[states[:, :-1]]]]]
-    increments = _increments(t, states)
+    expected = g_part[np.array(rd.left)[maps, x_l[cd.state_l[states[:, :-1]]]]]
+    increments = _increments(analysis, states)
     checks.append(Check("M^G_k = (N_k X^L_{k-1})^G", "exact",
                         np.array_equal(increments, expected)))
     checks.append(Check("(M^G_k)^C = gamma", "exact",
@@ -384,30 +331,40 @@ def verify_factorization(batch: PathBatch, k: int) -> Check:
     """
     if not batch.k_min <= k <= batch.k_max:
         raise InputError(f"time {k} outside path range [{batch.k_min}, {batch.k_max}]")
-    t = batch.tables
-    rd = t.limits.rd
+    analysis = batch.analysis
+    rd, cd = analysis.rd, analysis.cliques
     C, H, gmul = np.array(rd.C), np.array(rd.H), np.array(rd.gmul)
     states = batch.states[:, :k - batch.k_min + 1]
     # (M^G_{k,j})^-1 = (M^G_{j+1})^-1 ... (M^G_k)^-1: suffix products of the
     # inverse increments, by doubling the span of each product
-    suffix = np.array(rd.inverse)[_increments(t, states)]
+    suffix = np.array(rd.inverse)[_increments(analysis, states)]
     span = 1
     while span < suffix.shape[1]:
         suffix[:, :-span] = gmul[suffix[:, :-span], suffix[:, span:]]
         span *= 2
-    phase = gmul[gmul[C[k % rd.p], C[batch.y_c]], H[t.state_h[states[:, -1]]]]
+    phase = gmul[gmul[C[k % rd.p], C[batch.y_c]], H[cd.state_h[states[:, -1]]]]
     factor = np.empty_like(states)
     factor[:, :-1] = gmul[suffix, phase[:, None]]
     factor[:, -1] = phase
     x = states.ravel()
-    bad = _misses(t, _row_counts((t.state_l[x], factor.ravel(),
-                                  np.repeat(batch.z_w, states.shape[1]), x)))
+    bad = _misses(analysis, _row_counts((cd.state_l[x], factor.ravel(),
+                                         np.repeat(batch.z_w, states.shape[1]), x)))
     return Check(
         "factorization X_j = X_j^L (M^G_{k,j})^-1 (gamma^k Y_C) U^H_k Z_W",
         "exact",
         bad == 0,
         note=f"{x.size} (j,k) pairs at k={k}",
     )
+
+
+def _table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Counts of the pairs (a[r], b[r]) of two code columns: a row per
+    distinct code of a and a column per distinct code of b, each in
+    increasing order."""
+    rows, a = np.unique(a, return_inverse=True)
+    cols, b = np.unique(b, return_inverse=True)
+    return np.bincount(a * len(cols) + b,
+                       minlength=len(rows) * len(cols)).reshape(len(rows), len(cols))
 
 
 def verify_third_noise(batch: PathBatch, *, alpha: float = 0.001) -> list:
@@ -419,130 +376,98 @@ def verify_third_noise(batch: PathBatch, *, alpha: float = 0.001) -> list:
     and the N-window of the batch, (d) the joint law of (Y_C, Z_W) against
     the product of the uniform phase law and the batch's Lambda_W.
     Sigma-field independence is operationalized against finite N-windows.
+
+    Every category is an integer code: U^H_k by its position in H, Y_C by
+    j in the goodness-of-fit tests, (Y_C, Z_W) by the G position of
+    gamma^j then the position in W in the independence tests, and an
+    N-window by the rank of its map positions among the observed windows in
+    lexicographic order. The independence codes order the categories as
+    the objects sort, and the goodness-of-fit tests run over C by j, then W.
     """
-    t = batch.tables
-    limits, cd, Lambda_W = t.limits, t.cd, batch.initial
+    analysis, Lambda_W = batch.analysis, batch.initial
+    rd, cd = analysis.rd, analysis.cliques
     replications = len(batch)
     if isinstance(Lambda_W, InvariantFamily):
         raise InputError("third-noise verification needs a stationary batch")
     if replications < 1000:
         raise InputError("third-noise verification needs at least 1000 replications")
-    rd = limits.rd
-    H = [rd.G[h] for h in rd.H]
-    C = [rd.G[c] for c in rd.C]
+    lam, den = cd.w_vector(Lambda_W)
+    n_h, n_w = len(rd.H), len(cd.W)
 
-    u_counts = {}
-    yc_counts = {}
-    yz_counts = {}
-    pair_u_yz = {}
-    pair_u_nw = {}
-    pair_yz_nw = {}
-    columns = (t.state_h[batch.states[:, -1]], batch.y_c, batch.z_w, batch.maps)
-    for (h, yc, w, *nw), c in _row_counts(columns):
-        u = H[h]
-        yz = (C[yc], cd.W[w])
-        nw = tuple(t.gens[m] for m in nw)
-        _add(u_counts, u, c)
-        _add(yc_counts, C[yc], c)
-        _add(yz_counts, yz, c)
-        _add(pair_u_yz, (u, yz), c)
-        _add(pair_u_nw, (u, nw), c)
-        _add(pair_yz_nw, (yz, nw), c)
-
-    uniform_h = {h: Fraction(1, len(H)) for h in H}
-    uniform_c = {c: Fraction(1, rd.p) for c in C}
-    joint = {
-        (c, w): Fraction(1, rd.p) * Lambda_W[w]
-        for c in C
-        for w in Lambda_W.support()
-    }
+    u = cd.state_h[batch.states[:, -1]]
+    yc, w = batch.y_c, batch.z_w
+    yz = np.array(rd.C)[yc] * n_w + w
+    window = _lex_codes(batch.maps)
     return [
-        chi_square_gof(u_counts, uniform_h, replications, alpha, "U^H_k uniform on H"),
-        chi_square_gof(yc_counts, uniform_c, replications, alpha, "Y_C uniform on C"),
-        chi_square_gof(yz_counts, joint, replications, alpha,
-                       "(Y_C, Z_W) joint = omega_C x Lambda_W"),
-        chi_square_independence(pair_u_yz, alpha, "U^H_k independent of (Y_C, Z_W)"),
-        chi_square_independence(pair_u_nw, alpha, "U^H_k independent of N-window"),
-        chi_square_independence(pair_yz_nw, alpha, "(Y_C, Z_W) independent of N-window"),
+        chi_square_gof(np.bincount(u, minlength=n_h), [Fraction(1, n_h)] * n_h,
+                       replications, alpha, "U^H_k uniform on H"),
+        chi_square_gof(np.bincount(yc, minlength=rd.p), [Fraction(1, rd.p)] * rd.p,
+                       replications, alpha, "Y_C uniform on C"),
+        chi_square_gof(np.bincount(yc * n_w + w, minlength=rd.p * n_w),
+                       [Fraction(v, den * rd.p) for _ in range(rd.p) for v in lam],
+                       replications, alpha, "(Y_C, Z_W) joint = omega_C x Lambda_W"),
+        chi_square_independence(_table(u, yz), alpha, "U^H_k independent of (Y_C, Z_W)"),
+        chi_square_independence(_table(u, window), alpha, "U^H_k independent of N-window"),
+        chi_square_independence(_table(yz, window), alpha,
+                                "(Y_C, Z_W) independent of N-window"),
     ]
 
 
 def verify_nonstationary_joint(batch: PathBatch, *, alpha: float = 0.001) -> list:
     """Empirical joint of (Y_C, Z_W) against c_i Lambda_W^i{w} for the
-    family a nonstationary batch was drawn from."""
-    t = batch.tables
-    family, cd, rd, replications = batch.initial, t.cd, t.limits.rd, len(batch)
+    family a nonstationary batch was drawn from, over C by j, then W."""
+    family, replications = batch.initial, len(batch)
+    rd, cd = batch.analysis.rd, batch.analysis.cliques
     if not isinstance(family, InvariantFamily):
         raise InputError("joint verification needs a batch drawn from a family")
     if replications < 1000:
         raise InputError("joint verification needs at least 1000 replications")
-    counts = {}
-    for (yc, w), c in _row_counts((batch.y_c, batch.z_w)):
-        _add(counts, (rd.G[rd.C[yc]], cd.W[w]), c)
-    expected = {}
-    for i, ci in enumerate(family.c):
-        if ci == 0:
-            continue
-        for w, v in family.Lambda_W[i].items():
-            key = (rd.G[rd.C[i]], w)
-            expected[key] = expected.get(key, Fraction(0)) + ci * v
+    expected = []
+    for ci, lam in zip(family.c, family.Lambda_W):
+        nums, den = cd.w_vector(lam)
+        expected += [ci * Fraction(v, den) for v in nums]
+    counts = np.bincount(batch.y_c * len(cd.W) + batch.z_w, minlength=len(expected))
     return [chi_square_gof(counts, expected, replications, alpha,
                            "(Y_C, Z_W) joint = c_i Lambda_W^i")]
 
 
-def mono_projection_events(limits: CyclicLimit):
-    """The five event identities tying the first coordinate of the observed
-    tuple to (X^L, U^G(2)) for the built-in example law."""
-    rd = limits.rd
-    e = rd.e
-    fe = next(l for l in rd.L if l != e)
-    return {
-        1: (fe, 4),
-        2: (e, 2),
-        3: (fe, 2),
-        4: (e, 4),
-        5: (None, 5),  # X^1 = 5 iff U(2) = 5, for either L-part
-    }
+def verify_mono_projection(batch: PathBatch, events: dict, *,
+                           alpha: float = 0.001) -> list:
+    """Check mono-particle projection identities on a stationary batch at
+    its last time k = k_max.
 
-
-def verify_mono_projection(batch: PathBatch, *, alpha: float = 0.001) -> list:
-    """Check the mono-particle projection identities on a stationary batch of
-    the built-in law, at its last time k = k_max.
-
-    On every replication the five event equivalences are checked exactly at
-    time k; the empirical law of the first coordinate is tested against its
-    exact invariant marginal under the batch's Lambda_W.
+    ``events`` maps a value x of the first coordinate to a pair (l, u):
+    X^1_k = x exactly when X^L_k = L[l] (for either L-part when l is None)
+    and U^G_k(2) = u. These equivalences are checked exactly on every
+    replication; the empirical law of the first coordinate is tested
+    against its exact invariant marginal under the batch's Lambda_W.
     """
-    t = batch.tables
-    limits, cd, replications = t.limits, t.cd, len(batch)
-    if limits.law != example_law():
-        raise InputError("mono-particle projection identities are specific to the built-in law")
+    analysis, replications = batch.analysis, len(batch)
+    rd, cd = analysis.rd, analysis.cliques
     if isinstance(batch.initial, InvariantFamily):
         raise InputError("mono-projection verification needs a stationary batch")
     if replications < 1000:
         raise InputError("mono-projection verification needs at least 1000 replications")
-    events = mono_projection_events(limits)
-    lam = coordinate_marginal(invariant_law(limits, cd, batch.initial), 1)
-    rd = limits.rd
+    lam = coordinate_marginal(invariant_law(analysis.limits, cd, batch.initial), 1)
 
     bad = 0
-    x1_counts = {}
+    x1_counts = [0] * analysis.law.n
     at_k = np.bincount(batch.states[:, -1], minlength=len(cd.W_mu))
     for s, c in enumerate(at_k.tolist()):
         if not c:
             continue
         x1 = cd.W_mu[s][0]
-        xl = rd.L[t.state_l[s]]
-        u2 = rd.G[t.state_g[s]](2)
-        _add(x1_counts, x1, c)
+        xl = cd.state_l[s]
+        u2 = rd.G[cd.state_g[s]](2)
+        x1_counts[x1 - 1] += c
         for value, (want_l, want_u2) in events.items():
             holds = (want_l is None or xl == want_l) and u2 == want_u2
             if (x1 == value) != holds:
                 bad += c
-    expected = {x: lam[x] for x in lam.support()}
     return [
         Check("five mono-particle event identities", "exact", bad == 0,
               note=f"{replications} replications"),
-        chi_square_gof(x1_counts, expected, replications, alpha,
+        chi_square_gof(x1_counts, [lam[x] for x in range(1, analysis.law.n + 1)],
+                       replications, alpha,
                        "empirical X^1_k law matches the invariant marginal"),
     ]

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
+import numpy as np
 from scipy.special import chdtrc
 
 from .errors import InputError
@@ -80,106 +80,68 @@ class VerificationReport:
         }
 
 
-def _expected_counts(expected_probs: dict, total: int) -> dict:
-    out = {}
-    for cat, prob in expected_probs.items():
-        p = float(prob) if isinstance(prob, Fraction) else prob
-        if p < 0:
-            raise InputError(f"negative expected probability at {cat!r}")
-        if p > 0:
-            out[cat] = p * total
-    return out
+def _degenerate(name: str, alpha: float, what: str) -> Check:
+    return Check(name=name, kind="statistical", passed=True, statistic=0.0, df=0,
+                 p_value=1.0, alpha=alpha, note=f"degenerate: {what}, auto-pass")
+
+
+def _chi_square(name: str, stat: float, df: int, alpha: float) -> Check:
+    p_value = float(chdtrc(df, stat))
+    return Check(name=name, kind="statistical", passed=p_value >= alpha,
+                 statistic=stat, df=df, p_value=p_value, alpha=alpha)
 
 
 def chi_square_gof(
-    counts: dict, expected_probs: dict, total: int, alpha: float, name: str
+    counts, expected_probs, total: int, alpha: float, name: str
 ) -> Check:
     """Pearson goodness-of-fit of observed counts against exact probabilities.
 
-    Counts observed outside the expected support make the check fail outright
-    (an impossible value occurred). A single-category expectation auto-passes
-    as degenerate.
+    ``counts`` and ``expected_probs`` run over the same categories in one
+    order, and the statistic adds its terms in that order. Counts at a
+    category of probability zero make the check fail outright (an
+    impossible value occurred). A single category of positive probability
+    auto-passes as degenerate.
     """
-    expected = _expected_counts(expected_probs, total)
-    outside = {cat: c for cat, c in counts.items() if c > 0 and cat not in expected}
+    expected = []
+    outside = 0
+    for i, (obs, prob) in enumerate(zip(np.asarray(counts).tolist(), expected_probs,
+                                        strict=True)):
+        p = float(prob)
+        if p < 0:
+            raise InputError(f"negative expected probability at category {i}")
+        if p > 0:
+            expected.append((obs, p * total))
+        else:
+            outside += obs
     if outside:
-        return Check(
-            name=name,
-            kind="statistical",
-            passed=False,
-            statistic=float("inf"),
-            df=max(len(expected) - 1, 0),
-            p_value=0.0,
-            alpha=alpha,
-            note=f"observed {sum(outside.values())} samples outside the support",
-        )
+        return Check(name=name, kind="statistical", passed=False, statistic=float("inf"),
+                     df=max(len(expected) - 1, 0), p_value=0.0, alpha=alpha,
+                     note=f"observed {outside} samples outside the support")
     if len(expected) < 2:
-        return Check(
-            name=name,
-            kind="statistical",
-            passed=True,
-            statistic=0.0,
-            df=0,
-            p_value=1.0,
-            alpha=alpha,
-            note="degenerate: single category, auto-pass",
-        )
+        return _degenerate(name, alpha, "single category")
     stat = 0.0
-    for cat, exp in expected.items():
-        obs = counts.get(cat, 0)
+    for obs, exp in expected:
         stat += (obs - exp) ** 2 / exp
-    df = len(expected) - 1
-    p_value = float(chdtrc(df, stat))
-    return Check(
-        name=name,
-        kind="statistical",
-        passed=p_value >= alpha,
-        statistic=stat,
-        df=df,
-        p_value=p_value,
-        alpha=alpha,
-    )
+    return _chi_square(name, stat, len(expected) - 1, alpha)
 
 
-def chi_square_independence(pair_counts: dict, alpha: float, name: str) -> Check:
+def chi_square_independence(table, alpha: float, name: str) -> Check:
     """Pearson contingency-table test of independence for paired samples.
 
-    ``pair_counts`` maps (row_category, col_category) to a count. Tables with
-    fewer than two rows or columns auto-pass as degenerate.
+    ``table[a][b]`` counts the samples in row category a and column
+    category b; the statistic adds its terms row by row in table order.
+    Rows and columns with no samples are dropped, and tables with fewer
+    than two rows or columns left auto-pass as degenerate.
     """
-    rows = sorted({a for a, _ in pair_counts})
-    cols = sorted({b for _, b in pair_counts})
-    if len(rows) < 2 or len(cols) < 2:
-        return Check(
-            name=name,
-            kind="statistical",
-            passed=True,
-            statistic=0.0,
-            df=0,
-            p_value=1.0,
-            alpha=alpha,
-            note="degenerate: table has a single row or column, auto-pass",
-        )
-    total = sum(pair_counts.values())
-    row_sum = {a: 0 for a in rows}
-    col_sum = {b: 0 for b in cols}
-    for (a, b), c in pair_counts.items():
-        row_sum[a] += c
-        col_sum[b] += c
+    table = np.asarray(table)
+    table = table[table.any(axis=1)][:, table.any(axis=0)]
+    if table.shape[0] < 2 or table.shape[1] < 2:
+        return _degenerate(name, alpha, "table has a single row or column")
+    total = int(table.sum())
+    col_sum = table.sum(axis=0).tolist()
     stat = 0.0
-    for a in rows:
-        for b in cols:
-            exp = row_sum[a] * col_sum[b] / total
-            obs = pair_counts.get((a, b), 0)
+    for row_sum, row in zip(table.sum(axis=1).tolist(), table):
+        for col, obs in zip(col_sum, row.tolist()):
+            exp = row_sum * col / total
             stat += (obs - exp) ** 2 / exp
-    df = (len(rows) - 1) * (len(cols) - 1)
-    p_value = float(chdtrc(df, stat))
-    return Check(
-        name=name,
-        kind="statistical",
-        passed=p_value >= alpha,
-        statistic=stat,
-        df=df,
-        p_value=p_value,
-        alpha=alpha,
-    )
+    return _chi_square(name, stat, (table.shape[0] - 1) * (table.shape[1] - 1), alpha)

@@ -16,7 +16,8 @@ the reference sampler draws every replication from its own
 Group positions of a ``ReesData`` are decoded through ``rd.G`` into
 transformations before any oracle composes them.
 Measures on transformations are convolved as Fraction dicts keyed by
-``Transformation`` products, Rees coordinates come from the closed-form
+``Transformation`` products, tuple laws are pushed forward as Fraction
+dicts keyed by the image tuples of raw image tables, Rees coordinates come from the closed-form
 projection, group orders from repeated composition, and the float limit
 and Cesaro loops keep their list-of-iterates form with an ``np.add.at``
 step.
@@ -394,9 +395,9 @@ class ScalarReference:
 
     def decode(self, batch, r) -> dict:
         """Row r of a PathBatch read through its stable tuples and maps."""
-        t = batch.tables
-        return self._parts([t.gens[m] for m in batch.maps[r].tolist()],
-                           [t.cd.W_mu[s] for s in batch.states[r].tolist()], batch.k_min)
+        a = batch.analysis
+        return self._parts([a.rd.generators[m] for m in batch.maps[r].tolist()],
+                           [a.cliques.W_mu[s] for s in batch.states[r].tolist()], batch.k_min)
 
     def h_part(self, x) -> object:
         """The H-part of the G-part of a stable tuple."""
@@ -412,6 +413,19 @@ def convolve(a, b):
         for g, wg in b.items():
             z = f * g
             acc[z] = acc.get(z, Fraction(0)) + wf * wg
+    return RationalMeasure(acc)
+
+
+def push_tuples(law, lam) -> RationalMeasure:
+    """The law of N(x) for N ~ ``law`` (a MappingLaw) and x ~ ``lam`` drawn
+    independently: a dict of Fraction sums keyed by the image tuple
+    (f[x_1 - 1], ..., f[x_m - 1]) of every raw image table f."""
+    acc = {}
+    for f, wf in law.measure.items():
+        images = f.images
+        for x, wx in lam.items():
+            y = tuple(images[p - 1] for p in x)
+            acc[y] = acc.get(y, Fraction(0)) + wf * wx
     return RationalMeasure(acc)
 
 

@@ -23,10 +23,10 @@ from finevo.limits import (
     exact_vs_float_sup,
     float_limit_oracle,
 )
-from finevo.measure import RationalMeasure, act_on_tuples, coordinate_marginal
+from finevo.cli import mono_projection_events
+from finevo.measure import RationalMeasure, coordinate_marginal
 from finevo.semigroup import element
 from finevo.simulate import (
-    path_tables,
     sample_batch,
     verify_factorization,
     verify_mono_projection,
@@ -43,6 +43,7 @@ from oracles import (
     element_order,
     group_objects,
     project,
+    push_tuples,
     two_term_residual,
 )
 
@@ -189,7 +190,7 @@ def _structural_suite(a) -> list:
         problems.append("LGW != W_mu")
 
     lam = invariant_law(lim, cd, RationalMeasure.uniform(cd.W))
-    if act_on_tuples(a.law, lam) != lam:
+    if push_tuples(a.law, lam) != lam:
         problems.append("invariant law not fixed")
     return problems
 
@@ -267,8 +268,7 @@ def test_criterion_5_simulation_exact_checks(example_analysis, p3h2_analysis):
 
     a = example_analysis
     lw = RationalMeasure.point(a.cliques.W[0])
-    tables = path_tables(a.limits, a.cliques)
-    batch = sample_batch(tables, lw, -1000, 0, SEED, 1)
+    batch = sample_batch(a, lw, -1000, 0, SEED, 1)
     for c in verify_path_exact(batch):
         if not c.passed:
             failures.append(("example long path", c.name))
@@ -300,7 +300,7 @@ def test_criterion_5_simulation_exact_checks(example_analysis, p3h2_analysis):
             RationalMeasure.point(b.cliques.W[1]),
         ),
     )
-    batch_b = sample_batch(path_tables(b.limits, b.cliques), family, -1000, 0, SEED, 1)
+    batch_b = sample_batch(b, family, -1000, 0, SEED, 1)
     for c in verify_path_exact(batch_b):
         if not c.passed:
             failures.append(("p3 long path", c.name))
@@ -310,7 +310,7 @@ def test_criterion_5_simulation_exact_checks(example_analysis, p3h2_analysis):
             failures.append(("p3 factorization", k))
 
     # every one of R short replication paths satisfies the exact battery
-    replications = sample_batch(tables, lw, -3, 0, SEED, R)
+    replications = sample_batch(a, lw, -3, 0, SEED, R)
     for c in verify_path_exact(replications) + [verify_factorization(replications, 0)]:
         if not c.passed:
             failures.append(("replication battery", c.name))
@@ -331,15 +331,15 @@ def test_criterion_6_statistical_checks(example_analysis, p3h2_analysis):
 
     a = example_analysis
     lw = RationalMeasure.point(a.cliques.W[0])
-    batch = sample_batch(path_tables(a.limits, a.cliques), lw, -3, 0, SEED, R)
+    batch = sample_batch(a, lw, -3, 0, SEED, R)
     rep1 = verify_third_noise(batch, alpha=ALPHA)
-    rep2 = verify_mono_projection(batch, alpha=ALPHA)
+    rep2 = verify_mono_projection(batch, mono_projection_events(a.rd), alpha=ALPHA)
     # the example law has p = 1; the p = 3 instance makes the phase and
     # remote-past checks nondegenerate at the same alpha/R/seed
     b = p3h2_analysis
     lwb = RationalMeasure({b.cliques.W[0]: "1/2", b.cliques.W[1]: "1/2"})
     rep3 = verify_third_noise(
-        sample_batch(path_tables(b.limits, b.cliques), lwb, -3, 0, SEED, R), alpha=ALPHA
+        sample_batch(b, lwb, -3, 0, SEED, R), alpha=ALPHA
     )
     for rep in (rep1, rep2, rep3):
         failing.extend(c.name for c in rep if not c.passed)
@@ -380,12 +380,12 @@ def test_criterion_7_nonstationary_reduction(p3h2_analysis):
         ),
     )
     rep = verify_nonstationary_joint(
-        sample_batch(path_tables(b.limits, b.cliques), family, -10, -7, SEED, R),
+        sample_batch(b, family, -10, -7, SEED, R),
         alpha=ALPHA,
     )
     joint_ok = all(c.passed for c in rep)
 
-    back = classify_family(b.limits, b.cliques, family.law_at(0))
+    back = classify_family(b.limits, b.cliques, family.law_at(b.cliques, 0))
     round_trip_ok = back.c == family.c and back.Lambda_W == family.Lambda_W
 
     elapsed = time.monotonic() - start

@@ -434,6 +434,10 @@ P3_H2_LAW = {
 # objects; the reports must stay byte-identical. p3_h2 has p = 3 and H != G,
 # rank3 has |L| = 2, |G| = 6 and |R| = 6, A5 is a 60-element group, and n300
 # (the transposition (1 2) and the constant map to 1) has images above 255.
+# In c-order the order of C by index differs from its order in G, and its
+# "(Y_C, Z_W) independent of N-window" table is 6x8, so the order in which
+# that statistic sums its rows shows in its last bits. example-window64 has
+# an N-window of 64 maps, far beyond any integer code of |gens|^64 windows.
 PINNED_REPORTS = {
     "example-2000": (
         ["example", "--replications", "2000", "--seed", "42", "--no-timestamp"], 0,
@@ -461,13 +465,24 @@ PINNED_REPORTS = {
     "n300-analyze": (
         ["analyze", "--law", "{n300}", "--no-timestamp"], 0,
         "78db73c4042193d08bf43e7a5bdfddb3dc748793d50632d49b68ac8c46a1739b"),
+    "c-order-simulate-2000": (
+        ["simulate", "--law", "{c_order}", "--replications", "2000", "--seed", "42",
+         "--no-timestamp"], 0,
+        "7bf2a43ce2f6302043f55be1fe49b8bfbc638d276e34db4b6bcf28c5c33f6768"),
+    "example-window64-1000": (
+        ["simulate", "--law", "{example}", "--window", "64", "--replications", "1000",
+         "--seed", "42", "--no-timestamp"], 0,
+        "aecaec14a849412eed4d6f414bce1285bb61025e5b3f694e4e903d76016867cb"),
 }
 EXAMPLE_MAX_SEED_2000_SHA = "6e316e25221281a48b36bc9b1826a8be44268c00bb0eb7d7a2c699a1ee6ce9be"
 
 
 @pytest.mark.parametrize("argv, code, sha", PINNED_REPORTS.values(), ids=PINNED_REPORTS)
 def test_pinned_report_bytes(capsys, tmp_path, argv, code, sha):
-    files = {"cyclic3": {"n": 3, "generators": [[2, 3, 1]], "weights": ["1"]},
+    files = {"example": EXAMPLE_LAW,
+             "c_order": {"n": 4, "generators": [[4, 1, 1, 3], [4, 2, 1, 3]],
+                         "weights": ["4/5", "1/5"]},
+             "cyclic3": {"n": 3, "generators": [[2, 3, 1]], "weights": ["1"]},
              "p3_h2": P3_H2_LAW,
              "rank3": {"n": 6, "generators": [[2, 3, 4, 5, 6, 1], [3, 2, 1, 4, 5, 6],
                                               [1, 1, 3, 3, 5, 5]],

@@ -12,12 +12,7 @@ from finevo.cliques import (
     invariant_law,
 )
 from finevo.errors import ClassificationError, InputError
-from finevo.measure import (
-    MappingLaw,
-    RationalMeasure,
-    act_on_tuples,
-    coordinate_marginal,
-)
+from finevo.measure import MappingLaw, RationalMeasure, coordinate_marginal
 from finevo.semigroup import element, generate, kernel
 from finevo.transform import Transformation
 from oracles import (
@@ -26,6 +21,7 @@ from oracles import (
     group_objects,
     is_stable,
     measure_product,
+    push_tuples,
     stable_kernel_image_tuples,
 )
 
@@ -145,7 +141,7 @@ def test_projection_round_trip(example_analysis):
 def test_invariant_law_golden(example_analysis):
     a = example_analysis
     lam = invariant_law(a.limits, a.cliques, RationalMeasure.point((2, 4, 5)))
-    assert act_on_tuples(a.law, lam) == lam
+    assert push_tuples(a.law, lam) == lam
     marginal = coordinate_marginal(lam, 1)
     assert marginal == RationalMeasure(
         {1: "1/9", 2: "2/9", 3: "1/9", 4: "2/9", 5: "3/9"}
@@ -165,7 +161,7 @@ def test_convex_combination_of_invariant_laws_is_invariant(p3h2_analysis):
     lam1 = invariant_law(a.limits, a.cliques, RationalMeasure.point(w1))
     mixed = RationalMeasure({x: Fraction(1, 4) * lam0[x] + Fraction(3, 4) * lam1[x]
                              for x in set(lam0.support()) | set(lam1.support())})
-    assert act_on_tuples(a.law, mixed) == mixed
+    assert push_tuples(a.law, mixed) == mixed
 
 
 def test_classify_unique_invariant_law(example_analysis):
@@ -198,15 +194,15 @@ def test_classify_round_trip(p3h2_analysis):
             RationalMeasure.point(w1),
         ),
     )
-    lam0 = family.law_at(0)
+    lam0 = family.law_at(a.cliques, 0)
     back = classify_family(a.limits, a.cliques, lam0)
     assert back.c == family.c
     assert back.Lambda_W == family.Lambda_W
     # the family reproduces the recursion Lambda_k = mu Lambda_{k-1}
     current = lam0
     for k in range(1, 4):
-        current = act_on_tuples(a.law, current)
-        assert current == family.law_at(k)
+        current = push_tuples(a.law, current)
+        assert current == family.law_at(a.cliques, k)
 
 
 def test_classify_rejects_non_family_law(p3h2_analysis):
@@ -276,7 +272,7 @@ def test_classify_round_trip_on_fuzz_instances(fuzz_analyses):
             RationalMeasure.point(rng.choice(a.cliques.W)) for _ in range(p)
         )
         family = InvariantFamily(limits=a.limits, c=c, Lambda_W=lambdas)
-        back = classify_family(a.limits, a.cliques, family.law_at(0))
+        back = classify_family(a.limits, a.cliques, family.law_at(a.cliques, 0))
         assert back.c == c
         for ci, got, want in zip(c, back.Lambda_W, lambdas):
             if ci > 0:

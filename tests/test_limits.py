@@ -378,7 +378,7 @@ def test_indexed_convolution_matches_the_oracle(example_analysis, p3h2_analysis,
         for left in (True, False):
             product = (convolve(a.law.measure, _on_kernel(rd, x)) if left
                        else convolve(_on_kernel(rd, x), a.law.measure))
-            assert _on_kernel(rd, _act(a.law, rd, x, left)) == product
+            assert _on_kernel(rd, _act(a.law, rd, x, rd.left if left else rd.right)) == product
 
 
 def _first_order(a) -> dict:

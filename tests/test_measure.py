@@ -5,14 +5,9 @@ import pytest
 from finevo import example_law
 from finevo.cliques import invariant_law
 from finevo.errors import InputError
-from finevo.measure import (
-    MappingLaw,
-    RationalMeasure,
-    act_on_tuples,
-    coordinate_marginal,
-)
+from finevo.measure import MappingLaw, RationalMeasure, coordinate_marginal
 from finevo.transform import Transformation
-from oracles import convolve, marginal_transition_matrix, measure_product
+from oracles import convolve, marginal_transition_matrix, measure_product, push_tuples
 
 F = Transformation([2, 3, 4, 1, 5])
 G = Transformation([2, 5, 5, 2, 4])
@@ -70,18 +65,18 @@ def test_uniform_and_point():
         RationalMeasure.uniform([])
 
 
-def test_act_on_tuples_identity():
+def test_push_tuples_identity():
     lam = RationalMeasure({(2, 4, 5): "1/2", (1, 3, 5): "1/2"})
     ident = MappingLaw(5, RationalMeasure.point(Transformation([1, 2, 3, 4, 5])))
-    assert act_on_tuples(ident, lam) == lam
+    assert push_tuples(ident, lam) == lam
 
 
 def test_act_composes_with_convolution():
     mu = RationalMeasure({F: "1/2", G: "1/2"})
     nu = RationalMeasure({E: "2/3", FE: "1/3"})
     lam = RationalMeasure({(2, 4, 5): "1/3", (5, 2, 4): "2/3"})
-    left = act_on_tuples(MappingLaw(5, convolve(mu, nu)), lam)
-    right = act_on_tuples(MappingLaw(5, mu), act_on_tuples(MappingLaw(5, nu), lam))
+    left = push_tuples(MappingLaw(5, convolve(mu, nu)), lam)
+    right = push_tuples(MappingLaw(5, mu), push_tuples(MappingLaw(5, nu), lam))
     assert left == right
 
 
@@ -89,7 +84,7 @@ def test_measure_product_assembles_invariant_law():
     eta_L = RationalMeasure({E: "2/3", FE: "1/3"})
     omega = RationalMeasure.uniform(group_elements())
     lam = measure_product([eta_L, omega, (2, 4, 5)])
-    assert act_on_tuples(example_law(), lam) == lam
+    assert push_tuples(example_law(), lam) == lam
     assert measure_product([RationalMeasure.point(E)]) == RationalMeasure.point(E)
 
 
@@ -98,7 +93,7 @@ def test_invariant_point_law_on_single_particles():
     lam = RationalMeasure(
         {(1,): "1/9", (2,): "2/9", (3,): "1/9", (4,): "2/9", (5,): "3/9"}
     )
-    assert act_on_tuples(MappingLaw(5, mu), lam) == lam
+    assert push_tuples(MappingLaw(5, mu), lam) == lam
 
 
 def _matrix(law):

@@ -8,8 +8,8 @@ from finevo import analyze_law, simulate
 from finevo.cliques import InvariantFamily
 from finevo.errors import InputError
 from finevo.measure import MappingLaw, RationalMeasure
+from finevo.cli import mono_projection_events
 from finevo.simulate import (
-    path_tables,
     philox_uniforms,
     sample_batch,
     verify_factorization,
@@ -26,7 +26,7 @@ from oracles import (ScalarReference, group_objects, last_word_time, scalar_draw
 
 def one_path(a, initial, k_min, k_max, seed):
     """A single path: a one-replication batch."""
-    return sample_batch(path_tables(a.limits, a.cliques), initial, k_min, k_max, seed, 1)
+    return sample_batch(a, initial, k_min, k_max, seed, 1)
 
 
 def decode(a, batch, r=0) -> dict:
@@ -81,9 +81,9 @@ def test_factorization_on_short_path(example_analysis):
     check = verify_factorization(path, 0)
     assert check.passed
     # single step reduces to X_k = X_k^L X_k^G Z_W, read off the state tables
-    t, s = path.tables, int(path.states[0, -1])
-    assert t.state_w[s] == path.z_w[0]
-    x = (a.rd.L[t.state_l[s]] * a.rd.G[t.state_g[s]]).apply(a.cliques.W[t.state_w[s]])
+    cd, s = a.cliques, int(path.states[0, -1])
+    assert cd.state_w[s] == path.z_w[0]
+    x = (a.rd.L[cd.state_l[s]] * a.rd.G[cd.state_g[s]]).apply(cd.W[cd.state_w[s]])
     assert x == a.cliques.W_mu[s] == decode(a, path)["X"][-1]
 
 
@@ -131,7 +131,7 @@ def test_empirical_left_factor_frequency(example_analysis):
 def test_third_noise_battery_on_example(example_analysis):
     a = example_analysis
     lw = RationalMeasure.point(a.cliques.W[0])
-    batch = sample_batch(path_tables(a.limits, a.cliques), lw, -3, 0, 42, 2000)
+    batch = sample_batch(a, lw, -3, 0, 42, 2000)
     checks = verify_third_noise(batch, alpha=0.001)
     assert all(c.passed for c in checks)
     names = [c.name for c in checks]
@@ -150,7 +150,7 @@ def test_third_noise_battery_on_example(example_analysis):
 def test_third_noise_on_p3_instance(p3h2_analysis):
     a = p3h2_analysis
     lw = RationalMeasure({a.cliques.W[0]: "1/2", a.cliques.W[1]: "1/2"})
-    batch = sample_batch(path_tables(a.limits, a.cliques), lw, -3, 0, 42, 3000)
+    batch = sample_batch(a, lw, -3, 0, 42, 3000)
     checks = verify_third_noise(batch, alpha=0.001)
     assert all(c.passed for c in checks)
     by_name = {c.name: c for c in checks}
@@ -163,40 +163,31 @@ def test_third_noise_on_p3_instance(p3h2_analysis):
 def test_third_noise_requires_enough_replications(example_analysis):
     a = example_analysis
     lw = RationalMeasure.point(a.cliques.W[0])
-    tables = path_tables(a.limits, a.cliques)
     with pytest.raises(InputError, match="at least 1000 replications"):
-        verify_third_noise(sample_batch(tables, lw, -3, 0, 1, 100), alpha=0.001)
+        verify_third_noise(sample_batch(a, lw, -3, 0, 1, 100), alpha=0.001)
 
 
 def test_verifiers_reject_the_other_kind_of_batch(example_analysis):
     a = example_analysis
     lw = RationalMeasure.point(a.cliques.W[0])
-    tables = path_tables(a.limits, a.cliques)
     family = InvariantFamily(limits=a.limits, c=(Fraction(1),), Lambda_W=(lw,))
     with pytest.raises(InputError, match="needs a stationary batch"):
-        verify_third_noise(sample_batch(tables, family, -3, 0, 1, 1000))
+        verify_third_noise(sample_batch(a, family, -3, 0, 1, 1000))
     with pytest.raises(InputError, match="needs a stationary batch"):
-        verify_mono_projection(sample_batch(tables, family, -3, 0, 1, 1000))
+        verify_mono_projection(sample_batch(a, family, -3, 0, 1, 1000),
+                               mono_projection_events(a.rd))
     with pytest.raises(InputError, match="drawn from a family"):
-        verify_nonstationary_joint(sample_batch(tables, lw, -3, 0, 1, 1000))
+        verify_nonstationary_joint(sample_batch(a, lw, -3, 0, 1, 1000))
 
 
 def test_mono_projection_battery(example_analysis):
     a = example_analysis
     lw = RationalMeasure.point(a.cliques.W[0])
-    batch = sample_batch(path_tables(a.limits, a.cliques), lw, -3, 0, 42, 2000)
-    checks = verify_mono_projection(batch, alpha=0.001)
+    batch = sample_batch(a, lw, -3, 0, 42, 2000)
+    checks = verify_mono_projection(batch, mono_projection_events(a.rd), alpha=0.001)
     assert all(c.passed for c in checks)
     exact = [c for c in checks if c.kind == "exact"]
     assert exact and all(c.passed for c in exact)
-
-
-def test_mono_projection_rejects_other_laws(p3h2_analysis):
-    a = p3h2_analysis
-    lw = RationalMeasure.uniform(a.cliques.W)
-    batch = sample_batch(path_tables(a.limits, a.cliques), lw, -3, 0, 1, 2000)
-    with pytest.raises(InputError):
-        verify_mono_projection(batch, alpha=0.001)
 
 
 def test_nonstationary_single_term_reduces_to_stationary(example_analysis):
@@ -240,7 +231,7 @@ def test_nonstationary_joint_frequencies(p3h2_analysis):
             RationalMeasure.point(w1),
         ),
     )
-    batch = sample_batch(path_tables(a.limits, a.cliques), family, -10, -7, 42, 4000)
+    batch = sample_batch(a, family, -10, -7, 42, 4000)
     [check] = verify_nonstationary_joint(batch, alpha=0.001)
     assert check.passed
     assert check.df == 3  # four reachable (phase, w) cells
@@ -253,7 +244,7 @@ def e_word(a) -> list:
 
 def estimate_Te(path, k, word):
     """T_e at time k, read off the driving maps of a one-row batch."""
-    maps = [path.tables.gens[m].images for m in path.maps[0].tolist()]
+    maps = [path.analysis.rd.generators[m].images for m in path.maps[0].tolist()]
     return last_word_time(maps, path.k_min, k, word)
 
 
@@ -321,8 +312,9 @@ def test_one_time_law_matches_invariant_marginal(example_analysis):
     for r in range(reps):
         x = a.cliques.W_mu[one_path(a, lw, -3, 0, 42 ^ r).states[0, -1]]
         counts[x] = counts.get(x, 0) + 1
-    expected = {x: w for x, w in lam.items()}
-    check = chi_square_gof(counts, expected, reps, 0.001, "one-time law")
+    cats = sorted(set(counts) | set(lam.support()))
+    check = chi_square_gof([counts.get(x, 0) for x in cats], [lam[x] for x in cats],
+                           reps, 0.001, "one-time law")
     assert check.passed and check.df == 11
 
 
@@ -331,7 +323,7 @@ def test_degenerate_H_auto_passes():
 
     a = analyze_law(cyclic3_law())
     lw = RationalMeasure.uniform(a.cliques.W)
-    batch = sample_batch(path_tables(a.limits, a.cliques), lw, -2, 0, 42, 1000)
+    batch = sample_batch(a, lw, -2, 0, 42, 1000)
     checks = verify_third_noise(batch, alpha=0.001)
     by_name = {c.name: c for c in checks}
     assert by_name["U^H_k uniform on H"].passed
@@ -355,9 +347,9 @@ def mixing_uniformity(a, n, replications=2000, seed=7):
         for _ in range(n):
             prod = prod * scalar_draw(a.law.measure.items(), rng)
         _add(counts, split[rd.e * (prod * rd.kernel[0]) * rd.e][1])
-    uniform_h = {x: Fraction(1, len(rd.H)) for x in group_objects(rd).H}
-    return chi_square_gof(counts, uniform_h, replications, 0.001,
-                          f"H-part of e N_1..N_{n} z uniform on H")
+    H = group_objects(rd).H
+    return chi_square_gof([counts.get(h, 0) for h in H], [Fraction(1, len(H))] * len(H),
+                          replications, 0.001, f"H-part of e N_1..N_{n} z uniform on H")
 
 
 def test_mixing_trend(example_analysis):
@@ -383,25 +375,48 @@ def test_batch_rows_do_not_depend_on_the_chunk_size(example_analysis, monkeypatc
     (still one row per chunk), on a short and a 300-step window."""
     a = example_analysis
     lw = RationalMeasure.point(a.cliques.W[0])
-    tables = path_tables(a.limits, a.cliques)
-    whole = sample_batch(tables, lw, k_min, 0, 2**64 - 3, 50)
+    whole = sample_batch(a, lw, k_min, 0, 2**64 - 3, 50)
     draws_per_row = 3 - k_min
     monkeypatch.setattr(simulate, "BATCH_CHUNK_DRAWS", int(rows_per_chunk * draws_per_row))
-    chunked = sample_batch(tables, lw, k_min, 0, 2**64 - 3, 50)
+    chunked = sample_batch(a, lw, k_min, 0, 2**64 - 3, 50)
     assert (whole.states == chunked.states).all()
     assert (whole.maps == chunked.maps).all()
 
 
 @pytest.fixture()
 def tested_counts(monkeypatch):
-    """The count dicts the verifiers hand to the chi-square tests, in order."""
+    """What the verifiers hand to the chi-square tests, in order: pairs of
+    the check's name and its counts, a sequence for a goodness-of-fit test
+    and a row x column table for an independence test."""
     seen = []
     for name in ("chi_square_gof", "chi_square_independence"):
         def spy(counts, *args, _test=getattr(simulate, name)):
-            seen.append(dict(counts))
+            seen.append((args[-1], np.asarray(counts)))
             return _test(counts, *args)
         monkeypatch.setattr(simulate, name, spy)
     return seen
+
+
+def as_dicts(seen, labels) -> list:
+    """The captured counts as dicts keyed by the objects they count, zero
+    counts left out. ``labels[name]`` lists the categories of a
+    goodness-of-fit test in order, or holds the (rows, columns) of an
+    independence table."""
+    out = []
+    for name, counts in seen:
+        if counts.ndim == 1:
+            cells = zip(labels[name], counts.tolist(), strict=True)
+        else:
+            rows, cols = labels[name]
+            cells = (((x, y), c) for x, row in zip(rows, counts.tolist(), strict=True)
+                     for y, c in zip(cols, row, strict=True))
+        out.append({key: c for key, c in cells if c})
+    return out
+
+
+def joint_labels(a) -> list:
+    """The (Y_C, Z_W) categories of a goodness-of-fit test: C by j, then W."""
+    return [(c, w) for c in group_objects(a.rd).C for w in a.cliques.W]
 
 
 def _add(counts, key):
@@ -429,12 +444,23 @@ def test_stationary_counts_match_scalar_reference(name, request, tested_counts):
     lw = RationalMeasure.uniform(a.cliques.W)
     ref = ScalarReference(a.limits, a.cliques.W)
     want, rows = _third_noise_reference(ref, lw, 42)
-    batch = sample_batch(path_tables(a.limits, a.cliques), lw, -3, 0, 42, REPS)
+    batch = sample_batch(a, lw, -3, 0, 42, REPS)
     verify_third_noise(batch, alpha=0.001)
-    assert tested_counts == want
+    assert [ref.decode(batch, r) for r in range(REPS)] == rows
 
-    for r in (0, 1, REPS // 2, REPS - 1):
-        assert ref.decode(batch, r) == rows[r]
+    # independence tables: the observed categories in the order of the objects
+    u = sorted({ref.h_part(row["X"][-1]) for row in rows})
+    yz = sorted({(row["Y_C"], row["Z_W"]) for row in rows})
+    nw = sorted({tuple(row["N"]) for row in rows})
+    group = group_objects(a.rd)
+    assert as_dicts(tested_counts, {
+        "U^H_k uniform on H": group.H,
+        "Y_C uniform on C": group.C,
+        "(Y_C, Z_W) joint = omega_C x Lambda_W": joint_labels(a),
+        "U^H_k independent of (Y_C, Z_W)": (u, yz),
+        "U^H_k independent of N-window": (u, nw),
+        "(Y_C, Z_W) independent of N-window": (yz, nw),
+    }) == want
 
 
 def test_mono_counts_match_scalar_reference(example_analysis, tested_counts):
@@ -445,9 +471,10 @@ def test_mono_counts_match_scalar_reference(example_analysis, tested_counts):
     for r in range(REPS):
         _add(want, ref.stationary(lw, -3, 0, 42 ^ r)["X"][-1][0])
     verify_mono_projection(
-        sample_batch(path_tables(a.limits, a.cliques), lw, -3, 0, 42, REPS), alpha=0.001
+        sample_batch(a, lw, -3, 0, 42, REPS), mono_projection_events(a.rd), alpha=0.001
     )
-    assert tested_counts == [want]
+    labels = {"empirical X^1_k law matches the invariant marginal": range(1, a.law.n + 1)}
+    assert as_dicts(tested_counts, labels) == [want]
 
 
 def test_nonstationary_counts_match_scalar_reference(p3h2_analysis, tested_counts):
@@ -468,10 +495,11 @@ def test_nonstationary_counts_match_scalar_reference(p3h2_analysis, tested_count
         row = ref.nonstationary(family, -10, -7, 42 ^ r)
         _add(want, (row["Y_C"], row["Z_W"]))
     verify_nonstationary_joint(
-        sample_batch(path_tables(a.limits, a.cliques), family, -10, -7, 42, REPS),
+        sample_batch(a, family, -10, -7, 42, REPS),
         alpha=0.001,
     )
-    assert tested_counts == [want]
+    labels = {"(Y_C, Z_W) joint = c_i Lambda_W^i": joint_labels(a)}
+    assert as_dicts(tested_counts, labels) == [want]
     path = one_path(a, family, -10, 30, 42 ^ 5)
     assert ref.decode(path, 0) == ref.nonstationary(family, -10, 30, 42 ^ 5)
 
@@ -514,8 +542,7 @@ def p3h2_batch(p3h2_analysis):
     """Three 40-step rows of the p = 3, |H| = 2 law, from every W-orbit."""
     a = p3h2_analysis
     assert (a.rd.p, len(a.rd.H), len(a.cliques.W)) == (3, 2, 120)
-    return sample_batch(path_tables(a.limits, a.cliques),
-                        RationalMeasure.uniform(a.cliques.W), -40, 0, 42, 3)
+    return sample_batch(a, RationalMeasure.uniform(a.cliques.W), -40, 0, 42, 3)
 
 
 def test_path_checks_pass_the_unedited_batch(p3h2_batch):
@@ -526,7 +553,7 @@ def test_recursion_check_rejects_an_edited_map(p3h2_analysis, p3h2_batch):
     """Another map at one step: the next tuple is no longer its image."""
     batch, W_mu = p3h2_batch, p3h2_analysis.cliques.W_mu
     x, y = (W_mu[s] for s in batch.states[1, 20:22].tolist())
-    f = next(f for f, g in enumerate(batch.tables.gens) if g.apply(x) != y)
+    f = next(f for f, g in enumerate(p3h2_analysis.rd.generators) if g.apply(x) != y)
     assert failing(edited(batch, "maps", 1, 20, f), 0) == {RECURSION, INCREMENT}
 
 
@@ -541,14 +568,14 @@ def test_path_checks_reject_an_edited_state(p3h2_batch, part, caught):
     The factorization telescopes through the increments, so only a changed
     W-part shows in it."""
     batch = p3h2_batch
-    t = batch.tables
+    cd = batch.analysis.cliques
     s = int(batch.states[1, 20])
-    l, w, j, h = (int(a[s]) for a in (t.state_l, t.state_w, t.state_c, t.state_h))
+    l, w, j, h = (int(a[s]) for a in (cd.state_l, cd.state_w, cd.state_c, cd.state_h))
     if part == "w":
-        w = (w + 1) % len(t.cd.W)
+        w = (w + 1) % len(cd.W)
     elif part == "coset":
         j = (j + 1) % 3
     else:
         h = 1 - h
-    state = t.lgw[l, t.coset_h[j, h], w]
+    state = cd.lgw[l, cd.coset_h[j, h], w]
     assert failing(edited(batch, "states", 1, 20, state), 0) == caught
