@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cliques import CliqueData, compute_W
 from .limits import (
     CyclicLimit,
@@ -16,12 +18,12 @@ from .measure import MappingLaw
 from .semigroup import DEFAULT_ELEMENT_CAP, ReesData, generate, kernel, rees_at
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Analysis:
     """Everything the reports and the simulator need about one law."""
 
     law: MappingLaw
-    closure: tuple  # rows in canonical order, read only by finevo.semigroup
+    closure: np.ndarray  # rows in canonical order, read only by finevo.semigroup
     rd: ReesData
     limits: CyclicLimit
     cliques: CliqueData

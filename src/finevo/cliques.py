@@ -101,6 +101,14 @@ class CliqueData:
         return RationalMeasure({self.W_mu[s]: Fraction(v, x[1])
                                 for s, v in enumerate(x[0]) if v})
 
+    def first_marginal(self, x: tuple, n: int) -> list:
+        """The law of the first coordinate under a W_mu vector, as the
+        probabilities of the points 1..n."""
+        acc = [0] * (n + 1)
+        for y, v in zip(self.W_mu, x[0]):
+            acc[y[0]] += v
+        return [Fraction(v, x[1]) for v in acc[1:]]
+
 
 def compute_W(rd: ReesData, *, cap: int = DEFAULT_ELEMENT_CAP) -> CliqueData:
     """Enumerate the stable tuples, fix a W with L x G x W bijective, and
@@ -198,14 +206,13 @@ def _tuple_law(limits: CyclicLimit, cd: CliqueData, terms) -> tuple:
     return nums, c_den * eta_den * len(terms[0][1]) * lam_den
 
 
-def invariant_law(
-    limits: CyclicLimit, cd: CliqueData, Lambda_W: RationalMeasure
-) -> RationalMeasure:
-    """The invariant tuple law eta_L omega_G Lambda_W; verified fixed by mu."""
+def invariant_law(limits: CyclicLimit, cd: CliqueData, Lambda_W: RationalMeasure) -> tuple:
+    """The W_mu vector of the invariant tuple law eta_L omega_G Lambda_W;
+    verified fixed by mu."""
     lam = _tuple_law(limits, cd, [(1, range(len(limits.rd.G)), cd.w_vector(Lambda_W))])
     if not _same(_act(limits.law, limits.rd, lam, cd.step.tolist()), lam):
         raise StructuralInconsistencyError("assembled law is not mu-invariant")
-    return cd.tuple_measure(lam)
+    return lam
 
 
 @dataclass(frozen=True)

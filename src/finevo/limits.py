@@ -239,7 +239,7 @@ def assemble_limits(
                        eta_R=eta_R, eta=_measure(rd, eta), nu=_measure(rd, nu))
 
 
-def _indexed_iteration(law: MappingLaw, closure: tuple = None):
+def _indexed_iteration(law: MappingLaw, closure: np.ndarray = None):
     """Vectorized left-convolution step over the closure's canonical order.
 
     Returns (closure, v0, step) where step maps a weight vector for mu^n
@@ -248,7 +248,7 @@ def _indexed_iteration(law: MappingLaw, closure: tuple = None):
     """
     if closure is None:
         closure = generate(law.generators)
-    table = np.array(left_products(closure, law.generators), dtype=np.intp)
+    table = left_products(closure, law.generators)
     weights = np.array([[float(w)] for _, w in law.measure.items()])
     v0 = np.zeros(len(closure))
     v0[:len(weights)] = weights[:, 0]
@@ -262,7 +262,7 @@ def _indexed_iteration(law: MappingLaw, closure: tuple = None):
     return closure, v0, step
 
 
-def _nonzero(closure: tuple, vec: np.ndarray) -> dict:
+def _nonzero(closure: np.ndarray, vec: np.ndarray) -> dict:
     """The nonzero entries of a weight vector, keyed by transformation."""
     return {element(closure[i]): float(vec[i]) for i in np.flatnonzero(vec)}
 
@@ -282,7 +282,7 @@ def float_limit_oracle(
     *,
     max_iter: int = 100_000,
     max_lag: int = FLOAT_MAX_LAG,
-    closure: tuple = None,
+    closure: np.ndarray = None,
 ) -> FloatLimitEstimate:
     """Brute-force limit detection by iterating convolution powers.
 
@@ -330,7 +330,7 @@ def float_limit_oracle(
     return FloatLimitEstimate(False, 0, {}, {}, max_iter)
 
 
-def cesaro_average(law: MappingLaw, n: int, closure: tuple = None) -> dict:
+def cesaro_average(law: MappingLaw, n: int, closure: np.ndarray = None) -> dict:
     """Running average (1/n) sum_{k=1..n} mu^k in double precision.
 
     ``step`` is deterministic, so once mu^k has the bytes of a power mu^j

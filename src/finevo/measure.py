@@ -92,14 +92,6 @@ class RationalMeasure:
         return f"RationalMeasure({{{parts}}})"
 
 
-def coordinate_marginal(lam: RationalMeasure, i: int) -> RationalMeasure:
-    """Marginal law of the i-th coordinate (1-based) of a tuple law."""
-    acc = {}
-    for x, w in lam.items():
-        acc[x[i - 1]] = acc.get(x[i - 1], Fraction(0)) + w
-    return RationalMeasure(acc)
-
-
 class MappingLaw:
     """A rational probability on transformations of one finite set;
     ``weights`` lists its weights in ``generators`` order."""

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .analysis import Analysis
 from .cliques import invariant_law
-from .measure import RationalMeasure, coordinate_marginal
+from .measure import RationalMeasure
 from .semigroup import literals
 from .transform import Transformation, tuple_literal
 
@@ -38,8 +39,7 @@ def build_report(analysis: Analysis, *, seed=None, timestamp: bool = True) -> di
     cd = analysis.cliques
 
     canonical_Lambda_W = RationalMeasure.uniform(cd.W)
-    lam = invariant_law(limits, cd, canonical_Lambda_W)
-    marginal = coordinate_marginal(lam, 1)
+    marginal = cd.first_marginal(invariant_law(limits, cd, canonical_Lambda_W), analysis.law.n)
 
     sample = list(cd.W_mu)[: min(3, len(cd.W_mu))]
     projections = []
@@ -91,9 +91,7 @@ def build_report(analysis: Analysis, *, seed=None, timestamp: bool = True) -> di
         },
         "invariant_law": {
             "Lambda_W": measure_json(canonical_Lambda_W),
-            "first_coordinate_marginal": [
-                str(marginal[x]) for x in range(1, analysis.law.n + 1)
-            ],
+            "first_coordinate_marginal": [str(w) for w in marginal],
         },
     }
     if seed is not None:
@@ -104,7 +102,12 @@ def build_report(analysis: Analysis, *, seed=None, timestamp: bool = True) -> di
 
 
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2)
+    """``json.dumps(report, indent=2)``; the closure's element list, the bulk
+    of a large report, is encoded in one join spliced into the rest."""
+    rest = {**report, "semigroup": {**report["semigroup"], "elements": []}}
+    head, _, tail = json.dumps(rest, indent=2).partition('"elements": []')
+    items = ",\n      ".join(map(encode_basestring_ascii, report["semigroup"]["elements"]))
+    return f'{head}"elements": [\n      {items}\n    ]{tail}'
 
 
 def _is_scalar_list(value) -> bool:

@@ -1,15 +1,16 @@
 r"""Closure of a generating set of transformations, kernel, Rees decomposition.
 
-The closure is a tuple of image rows: the row of a map f on {1..n} is the
-``str`` of code points f(1), ..., f(n). ``row_f.translate("\0" + row_g)`` is
-the row of g * f, and ``str`` order is the lexicographic order of image
-tables. Rows are generated breadth-first by word length, each layer sorted;
-this canonical order fixes every deterministic choice downstream, such as
-the base idempotent. No other module reads rows: ``element``, ``literals``
-and ``left_products`` read them for the others, and only the kernel is
-made into ``Transformation`` objects. ``rees_at`` composes every product it
-needs once, on rows, into tables of positions: after it, a group element
-is a position in ``ReesData.G`` and products are table lookups.
+The closure is one ``(|S|, n)`` unsigned array of image rows f(1), ...,
+f(n); ``[0, g(1), ..., g(n)][row_f]`` is the row of g * f. Rows are
+generated breadth-first by word length, each layer sorted; this canonical
+order fixes every deterministic choice downstream, such as the base
+idempotent. No other module reads rows: ``element``, ``literals`` and
+``left_products`` read them for the others, and only the kernel is made
+into ``Transformation`` objects. ``rees_at`` sees only the kernel and keeps
+its rows as ``str`` of code points, where ``row_f.translate("\0" + row_g)``
+is the row of g * f. It composes every product it needs once into tables
+of positions: after it, a group element is a position in ``ReesData.G``
+and products are table lookups.
 """
 
 from __future__ import annotations
@@ -30,26 +31,58 @@ def _row(f: Transformation) -> str:
     return "".join(map(chr, f.images))
 
 
-def element(row: str) -> Transformation:
+def _tables(maps, n: int) -> np.ndarray:
+    """``tables[i, x]`` is maps[i](x) for x in 1..n, so ``tables[i, rows]``
+    holds the rows of maps[i] * s for the rows s."""
+    tables = np.zeros((len(maps), n + 1), dtype=np.min_scalar_type(n))
+    tables[:, 1:] = [f.images for f in maps]
+    return tables
+
+
+def _keys(rows: np.ndarray) -> np.ndarray:
+    """One key per row, in the rows' lexicographic order: the images packed
+    most significant first into uint64 words, and a row of several words
+    keyed by the ``np.void`` view of its big-endian words."""
+    n = rows.shape[1]
+    bits = n.bit_length()
+    per_word = min(64 // bits, n)
+    if n % per_word:
+        rows = np.pad(rows, ((0, 0), (0, -n % per_word)))
+    words = np.zeros((len(rows), rows.shape[1] // per_word), dtype=np.uint64)
+    for j in range(per_word):
+        words <<= np.uint64(bits)
+        words |= rows[:, j::per_word]
+    if words.shape[1] == 1:
+        return words[:, 0]
+    return words.astype(">u8").view(f"V{8 * words.shape[1]}")[:, 0]
+
+
+def element(row: np.ndarray) -> Transformation:
     """The transformation with the given image row."""
-    return Transformation._unchecked(tuple(map(ord, row)))
+    return Transformation._unchecked(tuple(row.tolist()))
 
 
-def literals(rows) -> list:
+def literals(rows: np.ndarray) -> list:
     """``Transformation.literal()`` of every row, e.g. ``[2,3,4,1,5]``."""
-    table = {y: f"{y}," for y in range(1, len(rows[0]) + 1)}
-    return ["[" + row.translate(table)[:-1] + "]" for row in rows]
+    m, n = rows.shape
+    tokens = np.array([f",{y}" for y in range(n + 1)], dtype=f"S{len(str(n)) + 1}")
+    text = np.hstack([tokens.take(rows), np.full((m, 1), b"]\n", dtype=tokens.dtype)])
+    text = "\n" + text.tobytes().translate(None, b"\0").decode()
+    return text.replace("\n,", "\n[").split()  # a row's first comma opens it
 
 
-def left_products(rows, factors) -> list:
+def left_products(rows: np.ndarray, factors) -> np.ndarray:
     """Position in ``rows`` of f * s for every factor f and row s, f-major."""
-    index = {row: i for i, row in enumerate(rows)}
-    return [index[s.translate(table)]
-            for table in ["\0" + _row(f) for f in factors] for s in rows]
+    n = rows.shape[1]
+    keys = _keys(rows)
+    order = np.argsort(keys)
+    products = _tables(factors, n).take(rows, axis=1).reshape(-1, n)
+    return order[np.searchsorted(keys[order], _keys(products))]
 
 
-def generate(generators, *, cap: int = DEFAULT_ELEMENT_CAP) -> tuple:
-    """Rows of the smallest composition-closed superset of the generators.
+def generate(generators, *, cap: int = DEFAULT_ELEMENT_CAP) -> np.ndarray:
+    """Image rows of the smallest composition-closed superset of the
+    generators, as one ``(|S|, n)`` unsigned array.
 
     The order is canonical: by shortest word length, each layer sorted, so
     the sorted generators come first. Raises ResourceLimitError if the
@@ -60,33 +93,37 @@ def generate(generators, *, cap: int = DEFAULT_ELEMENT_CAP) -> tuple:
         raise InputError("need at least one generator")
     if len({g.n for g in gens}) != 1:
         raise InputError("generators must share one domain size")
-    if gens[0].n > sys.maxunicode:
-        raise InputError(f"n = {gens[0].n} is above the largest domain, {sys.maxunicode}")
+    n = gens[0].n
+    if n > sys.maxunicode:
+        raise InputError(f"n = {n} is above the largest domain, {sys.maxunicode}")
 
-    tables = ["\0" + _row(g) for g in gens]
-    rows = [_row(g) for g in gens]
-    seen = set(rows)
-    frontier = rows
-    while frontier:
-        if len(rows) > cap:
+    tables = _tables(gens, n)
+    layers = [tables[:, 1:]]
+    seen = _keys(layers[0])  # sorted, as the generators are
+    while len(layers[-1]):
+        if len(seen) > cap:
             raise ResourceLimitError(f"closure exceeded the element cap ({cap}); "
                                      "raise the cap to analyze this law")
-        frontier = sorted({x.translate(t) for x in frontier for t in tables} - seen)
-        seen.update(frontier)
-        rows += frontier
-    return tuple(rows)
+        products = tables.take(layers[-1], axis=1).reshape(-1, n)
+        keys = _keys(products)
+        order = np.argsort(keys)
+        keys = keys[order]
+        at = np.searchsorted(seen, keys)
+        new = seen[np.minimum(at, len(seen) - 1)] != keys
+        new[1:] &= keys[1:] != keys[:-1]
+        seen = np.insert(seen, at[new], keys[new])
+        layers.append(products[order[new]])
+    return np.concatenate(layers)
 
 
-def kernel(rows) -> tuple:
+def kernel(rows: np.ndarray) -> tuple:
     """The elements of minimal rank of the closure ``rows``, in canonical
     order: its kernel, the unique minimal two-sided ideal. ``rees_at``
     verifies the ideal property as it composes the generators with them.
     """
-    # rank = number of distinct images; surrogatepass encodes n >= 0xD800
-    codes = np.frombuffer("".join(rows).encode("utf-32-le", "surrogatepass"), "<u4")
-    codes = np.sort(codes.reshape(len(rows), -1), axis=1)
-    ranks = 1 + np.count_nonzero(codes[:, 1:] != codes[:, :-1], axis=1)
-    return tuple(element(rows[i]) for i in np.flatnonzero(ranks == ranks.min()))
+    ranked = np.sort(rows, axis=1)
+    ranks = 1 + np.count_nonzero(ranked[:, 1:] != ranked[:, :-1], axis=1)
+    return tuple(map(element, rows[ranks == ranks.min()]))
 
 
 @dataclass(frozen=True)

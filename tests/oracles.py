@@ -429,6 +429,15 @@ def push_tuples(law, lam) -> RationalMeasure:
     return RationalMeasure(acc)
 
 
+def coordinate_marginal(lam, i: int) -> RationalMeasure:
+    """Marginal law of the i-th coordinate (1-based) of a RationalMeasure on
+    tuples: a dict of Fraction sums keyed by that coordinate."""
+    acc = {}
+    for x, w in lam.items():
+        acc[x[i - 1]] = acc.get(x[i - 1], Fraction(0)) + w
+    return RationalMeasure(acc)
+
+
 def measure_product(pieces):
     """Left-to-right product of RationalMeasures and point elements.
 

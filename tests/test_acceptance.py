@@ -24,7 +24,7 @@ from finevo.limits import (
     float_limit_oracle,
 )
 from finevo.cli import mono_projection_events
-from finevo.measure import RationalMeasure, coordinate_marginal
+from finevo.measure import RationalMeasure
 from finevo.semigroup import element
 from finevo.simulate import (
     sample_batch,
@@ -40,6 +40,7 @@ from oracles import (
     ScalarReference,
     cesaro_first_order,
     convolve,
+    coordinate_marginal,
     element_order,
     group_objects,
     project,
@@ -95,9 +96,8 @@ def test_criterion_1_golden_example_exact():
         (a.rd.L[l], a.rd.G[g], a.cliques.W[w])
         == (fe, Transformation([5, 2, 2, 5, 4]), (2, 4, 5)),
     )
-    lam = coordinate_marginal(
-        invariant_law(a.limits, a.cliques, RationalMeasure.point((2, 4, 5))), 1
-    )
+    lam = coordinate_marginal(a.cliques.tuple_measure(
+        invariant_law(a.limits, a.cliques, RationalMeasure.point((2, 4, 5)))), 1)
     check(
         "marginal lambda",
         lam == RationalMeasure({1: "1/9", 2: "2/9", 3: "1/9", 4: "2/9", 5: "3/9"}),
@@ -189,7 +189,7 @@ def _structural_suite(a) -> list:
     if set(seen) != set(cd.W_mu):
         problems.append("LGW != W_mu")
 
-    lam = invariant_law(lim, cd, RationalMeasure.uniform(cd.W))
+    lam = cd.tuple_measure(invariant_law(lim, cd, RationalMeasure.uniform(cd.W)))
     if push_tuples(a.law, lam) != lam:
         problems.append("invariant law not fixed")
     return problems

@@ -12,11 +12,12 @@ from finevo.cliques import (
     invariant_law,
 )
 from finevo.errors import ClassificationError, InputError
-from finevo.measure import MappingLaw, RationalMeasure, coordinate_marginal
+from finevo.measure import MappingLaw, RationalMeasure
 from finevo.semigroup import element, generate, kernel
 from finevo.transform import Transformation
 from oracles import (
     brute_force_closure,
+    coordinate_marginal,
     deadlock_pairs,
     group_objects,
     is_stable,
@@ -140,12 +141,14 @@ def test_projection_round_trip(example_analysis):
 
 def test_invariant_law_golden(example_analysis):
     a = example_analysis
-    lam = invariant_law(a.limits, a.cliques, RationalMeasure.point((2, 4, 5)))
+    x = invariant_law(a.limits, a.cliques, RationalMeasure.point((2, 4, 5)))
+    lam = a.cliques.tuple_measure(x)
     assert push_tuples(a.law, lam) == lam
     marginal = coordinate_marginal(lam, 1)
     assert marginal == RationalMeasure(
         {1: "1/9", 2: "2/9", 3: "1/9", 4: "2/9", 5: "3/9"}
     )
+    assert a.cliques.first_marginal(x, 5) == [marginal[y] for y in range(1, 6)]
 
 
 def test_invariant_law_rejects_mass_outside_W(example_analysis):
@@ -157,8 +160,9 @@ def test_invariant_law_rejects_mass_outside_W(example_analysis):
 def test_convex_combination_of_invariant_laws_is_invariant(p3h2_analysis):
     a = p3h2_analysis
     w0, w1 = a.cliques.W[0], a.cliques.W[1]
-    lam0 = invariant_law(a.limits, a.cliques, RationalMeasure.point(w0))
-    lam1 = invariant_law(a.limits, a.cliques, RationalMeasure.point(w1))
+    lam0, lam1 = (a.cliques.tuple_measure(invariant_law(a.limits, a.cliques,
+                                                        RationalMeasure.point(w)))
+                  for w in (w0, w1))
     mixed = RationalMeasure({x: Fraction(1, 4) * lam0[x] + Fraction(3, 4) * lam1[x]
                              for x in set(lam0.support()) | set(lam1.support())})
     assert push_tuples(a.law, mixed) == mixed
@@ -166,7 +170,8 @@ def test_convex_combination_of_invariant_laws_is_invariant(p3h2_analysis):
 
 def test_classify_unique_invariant_law(example_analysis):
     a = example_analysis
-    lam = invariant_law(a.limits, a.cliques, RationalMeasure.point((2, 4, 5)))
+    lam = a.cliques.tuple_measure(
+        invariant_law(a.limits, a.cliques, RationalMeasure.point((2, 4, 5))))
     family = classify_family(a.limits, a.cliques, lam)
     assert family.c == (Fraction(1),)
     assert family.Lambda_W[0] == RationalMeasure.point((2, 4, 5))

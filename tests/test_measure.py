@@ -5,9 +5,15 @@ import pytest
 from finevo import example_law
 from finevo.cliques import invariant_law
 from finevo.errors import InputError
-from finevo.measure import MappingLaw, RationalMeasure, coordinate_marginal
+from finevo.measure import MappingLaw, RationalMeasure
 from finevo.transform import Transformation
-from oracles import convolve, marginal_transition_matrix, measure_product, push_tuples
+from oracles import (
+    convolve,
+    coordinate_marginal,
+    marginal_transition_matrix,
+    measure_product,
+    push_tuples,
+)
 
 F = Transformation([2, 3, 4, 1, 5])
 G = Transformation([2, 5, 5, 2, 4])
@@ -109,8 +115,9 @@ def test_marginal_transition_matrix_golden_rows(example_analysis):
     assert all(sum(row) == 1 for row in mat)
     # the first coordinate of an invariant tuple law is invariant for the
     # one-point chain
-    lam = invariant_law(a.limits, a.cliques, RationalMeasure.uniform(a.cliques.W))
-    pi = [coordinate_marginal(lam, 1)[x] for x in range(1, 6)]
+    x = invariant_law(a.limits, a.cliques, RationalMeasure.uniform(a.cliques.W))
+    pi = [coordinate_marginal(a.cliques.tuple_measure(x), 1)[y] for y in range(1, 6)]
+    assert a.cliques.first_marginal(x, 5) == pi
     assert [sum(pi[x] * mat[x][y] for x in range(5)) for y in range(5)] == pi
 
 

@@ -2,6 +2,7 @@ import random
 import re
 import sys
 
+import numpy as np
 import pytest
 
 from finevo import example_law, semigroup
@@ -111,6 +112,8 @@ def _assert_rows_match_the_oracles(generators, closure_oracle) -> tuple:
     assert ({z.images for z in kernel(rows)}
             == brute_force_minimal_ideal(set(images)))
     assert literals(rows) == [f.literal() for f in elements]
+    assert ([elements[i] for i in left_products(rows, generators)]
+            == [g * s for g in generators for s in elements])
     return rows
 
 
@@ -128,6 +131,22 @@ def test_closure_rows_match_the_oracles_on_a_large_closure():
     gens = [Transformation([rng.randint(1, 6) for _ in range(6)]) for _ in range(2)]
     rows = _assert_rows_match_the_oracles(gens, word_closure)
     assert (len(rows), len(kernel(rows))) == (2610, 5)
+
+
+@pytest.mark.parametrize("n, seed, sizes", [(15, 12, (1801, 9)), (16, 13, (2080, 16))])
+def test_closure_rows_match_the_oracles_across_the_one_word_key(n, seed, sizes):
+    # a row's n images of n.bit_length() bits each fit one uint64 key up to
+    # n = 15 and take two words from n = 16; seeded: a permutation and two
+    # maps of rank at most 5
+    rng = random.Random(seed)
+    points = range(1, n + 1)
+    gens = [Transformation(rng.sample(points, n))]
+    for _ in range(2):
+        image = rng.sample(points, rng.randint(2, 5))
+        gens.append(Transformation([rng.choice(image) for _ in points]))
+    rows = _assert_rows_match_the_oracles(gens, word_closure)
+    assert (len(rows), len(kernel(rows))) == sizes
+    assert (semigroup._keys(rows).dtype == np.uint64) == (n == 15)
 
 
 def test_closure_rows_hold_images_above_255():

@@ -306,7 +306,7 @@ def test_one_time_law_matches_invariant_marginal(example_analysis):
 
     a = example_analysis
     lw = RationalMeasure.point(a.cliques.W[0])
-    lam = invariant_law(a.limits, a.cliques, lw)
+    lam = a.cliques.tuple_measure(invariant_law(a.limits, a.cliques, lw))
     counts = {}
     reps = 3000
     for r in range(reps):
