@@ -39,22 +39,10 @@ def _tables(maps, n: int) -> np.ndarray:
     return tables
 
 
-def _keys(rows: np.ndarray) -> np.ndarray:
-    """One key per row, in the rows' lexicographic order: the images packed
-    most significant first into uint64 words, and a row of several words
-    keyed by the ``np.void`` view of its big-endian words."""
-    n = rows.shape[1]
-    bits = n.bit_length()
-    per_word = min(64 // bits, n)
-    if n % per_word:
-        rows = np.pad(rows, ((0, 0), (0, -n % per_word)))
-    words = np.zeros((len(rows), rows.shape[1] // per_word), dtype=np.uint64)
-    for j in range(per_word):
-        words <<= np.uint64(bits)
-        words |= rows[:, j::per_word]
-    if words.shape[1] == 1:
-        return words[:, 0]
-    return words.astype(">u8").view(f"V{8 * words.shape[1]}")[:, 0]
+def _keys(rows: np.ndarray, key: np.dtype) -> list:
+    """One ``bytes`` key per row: its images, viewed as the ``np.void`` dtype
+    ``key`` of one row's size. Keys of big-endian rows sort as the rows."""
+    return np.ascontiguousarray(rows).view(key).ravel().tolist()
 
 
 def element(row: np.ndarray) -> Transformation:
@@ -73,11 +61,10 @@ def literals(rows: np.ndarray) -> list:
 
 def left_products(rows: np.ndarray, factors) -> np.ndarray:
     """Position in ``rows`` of f * s for every factor f and row s, f-major."""
-    n = rows.shape[1]
-    keys = _keys(rows)
-    order = np.argsort(keys)
-    products = _tables(factors, n).take(rows, axis=1).reshape(-1, n)
-    return order[np.searchsorted(keys[order], _keys(products))]
+    key = np.dtype((np.void, rows.itemsize * rows.shape[1]))
+    at = dict(zip(_keys(rows, key), range(len(rows))))
+    products = _keys(_tables(factors, rows.shape[1]).take(rows, axis=1), key)
+    return np.fromiter(map(at.__getitem__, products), np.intp, len(products))
 
 
 def generate(generators, *, cap: int = DEFAULT_ELEMENT_CAP) -> np.ndarray:
@@ -97,23 +84,19 @@ def generate(generators, *, cap: int = DEFAULT_ELEMENT_CAP) -> np.ndarray:
     if n > sys.maxunicode:
         raise InputError(f"n = {n} is above the largest domain, {sys.maxunicode}")
 
-    tables = _tables(gens, n)
+    big = np.dtype(np.min_scalar_type(n)).newbyteorder(">")
+    key = np.dtype((np.void, big.itemsize * n))
+    tables = _tables(gens, n).astype(big)
     layers = [tables[:, 1:]]
-    seen = _keys(layers[0])  # sorted, as the generators are
+    seen = set(_keys(layers[0], key))
     while len(layers[-1]):
         if len(seen) > cap:
             raise ResourceLimitError(f"closure exceeded the element cap ({cap}); "
                                      "raise the cap to analyze this law")
-        products = tables.take(layers[-1], axis=1).reshape(-1, n)
-        keys = _keys(products)
-        order = np.argsort(keys)
-        keys = keys[order]
-        at = np.searchsorted(seen, keys)
-        new = seen[np.minimum(at, len(seen) - 1)] != keys
-        new[1:] &= keys[1:] != keys[:-1]
-        seen = np.insert(seen, at[new], keys[new])
-        layers.append(products[order[new]])
-    return np.concatenate(layers)
+        fresh = sorted(set(_keys(tables.take(layers[-1], axis=1), key)) - seen)
+        seen.update(fresh)
+        layers.append(np.frombuffer(b"".join(fresh), big).reshape(-1, n))
+    return np.concatenate(layers).astype(big.newbyteorder("="))
 
 
 def kernel(rows: np.ndarray) -> tuple:

@@ -133,20 +133,37 @@ def test_closure_rows_match_the_oracles_on_a_large_closure():
     assert (len(rows), len(kernel(rows))) == (2610, 5)
 
 
-@pytest.mark.parametrize("n, seed, sizes", [(15, 12, (1801, 9)), (16, 13, (2080, 16))])
-def test_closure_rows_match_the_oracles_across_the_one_word_key(n, seed, sizes):
-    # a row's n images of n.bit_length() bits each fit one uint64 key up to
-    # n = 15 and take two words from n = 16; seeded: a permutation and two
-    # maps of rank at most 5
+@pytest.mark.parametrize("n, seed, sizes", [(255, 6, (1742, 8)), (256, 5, (1442, 8))])
+def test_closure_rows_match_the_oracles_across_the_one_byte_image(n, seed, sizes):
+    # rows hold one byte per image up to n = 255 and two from n = 256, where
+    # the keys must be big-endian to sort as the rows; seeded: a permutation
+    # of the top eight points and two maps into them, so the images 255 and
+    # 256 are common
     rng = random.Random(seed)
-    points = range(1, n + 1)
-    gens = [Transformation(rng.sample(points, n))]
+    top = range(n - 7, n + 1)
+    perm = list(range(1, n + 1))
+    for x, y in zip(top, rng.sample(top, 8)):
+        perm[x - 1] = y
+    gens = [Transformation(perm)]
     for _ in range(2):
-        image = rng.sample(points, rng.randint(2, 5))
-        gens.append(Transformation([rng.choice(image) for _ in points]))
+        image = rng.sample(top, rng.randint(2, 5))
+        gens.append(Transformation([rng.choice(image) for _ in range(n)]))
     rows = _assert_rows_match_the_oracles(gens, word_closure)
     assert (len(rows), len(kernel(rows))) == sizes
-    assert (semigroup._keys(rows).dtype == np.uint64) == (n == 15)
+    assert rows.dtype == (np.uint8 if n == 255 else np.uint16)
+
+
+def test_closure_rows_match_the_oracles_on_a_deep_closure():
+    # a permutation of order 4 * 5 * 7 * 9 = 1260 and a constant map: the
+    # closure has a BFS layer for every word length up to 1260, none of
+    # more than two rows
+    cycles, points = [], 1
+    for length in (4, 5, 7, 9):
+        cycles += [points + (i + 1) % length for i in range(length)]
+        points += length
+    gens = [Transformation(cycles + [points]), Transformation([1] * points)]
+    rows = _assert_rows_match_the_oracles(gens, word_closure)
+    assert (len(rows), len(kernel(rows))) == (1264, 4)
 
 
 def test_closure_rows_hold_images_above_255():
