@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .analysis import analyze_law, example_law
@@ -235,7 +236,12 @@ def _emit(report: dict, args) -> None:
         except OSError as exc:
             raise InputError(f"cannot write report {args.out}: {exc}") from exc
     else:
-        print(payload)
+        try:
+            print(payload, flush=True)
+        except BrokenPipeError as exc:
+            # the reader is gone: the exit-time flush of stdout goes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise InputError(f"cannot write report to stdout: {exc}") from exc
 
 
 def _exit_code(verification: VerificationReport) -> int:

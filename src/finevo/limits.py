@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import StructuralInconsistencyError
 from .measure import MappingLaw, RationalMeasure
-from .semigroup import ReesData, element, generate, left_products
+from .semigroup import BLOCK, ReesData, element, generate, left_products
 
 # The float iteration's defaults: the largest lag float_limit_oracle scans
 # (cesaro_average keeps as many past powers, plus the current one, to find a
@@ -104,14 +104,19 @@ def _act(law: MappingLaw, rd: ReesData, x: tuple, tables) -> tuple:
 
 
 def _convolve(rd: ReesData, a: tuple, b: tuple) -> tuple:
-    """a * b, by the Rees-matrix product of kernel positions."""
-    support = [(z, v) for z, v in enumerate(b[0]) if v]
-    out = [0] * len(a[0])
-    for y, u in enumerate(a[0]):
-        if u:
-            for z, v in support:
-                out[rd.product(y, z)] += u * v
-    return out, a[1] * b[1]
+    """a * b, by the Rees-matrix product (l, g, r)(l', g', r') =
+    (l, g (r l') g', r') of kernel positions, gathered for a block of rows
+    of a's support against b's support at a time."""
+    at, gmul, sandwich = np.array(rd.at), np.array(rd.gmul), np.array(rd.sandwich)
+    l, g, r = np.array(rd.coords).T
+    u, v = np.array(a[0], dtype=object), np.array(b[0], dtype=object)
+    ys, zs = np.flatnonzero(u), np.flatnonzero(v)
+    out = np.zeros(len(u), dtype=object)
+    rows = max(1, BLOCK // max(1, len(zs)))
+    for y in (ys[i:i + rows, None] for i in range(0, len(ys), rows)):
+        z = at[l[y], gmul[gmul[g[y], sandwich[r[y], l[zs]]], g[zs]], r[zs]]
+        np.add.at(out, z, u[y] * v[zs])
+    return out.tolist(), a[1] * b[1]
 
 
 def _same(a: tuple, b: tuple) -> bool:
@@ -135,21 +140,16 @@ def _fibre_stationary(law: MappingLaw, rd: ReesData, left: bool) -> tuple:
     is beta(l*g) = eta_L(l) / |G|; mirror-wise beta(g*r) = eta_R(r) / |G|.
     """
     l0, g0, r0 = rd.coords[rd.kernel.index(rd.e)]
-    side = len(rd.L if left else rd.R)
-
-    def state(b: int, g: int) -> int:
-        return rd.at[b][g][r0] if left else rd.at[l0][g][b]
-
-    matrix = [[Fraction(0)] * side for _ in range(side)]
-    for b in range(side):
+    at = np.array(rd.at)
+    fibres = at[:, :, r0] if left else at[l0].T  # fibres[b, g] is L[b] G[g] (or G[g] R[b])
+    matrix = [[Fraction(0)] * len(fibres) for _ in fibres]
+    for b, z in enumerate(fibres[:, g0].tolist()):
         for w, table in zip(law.weights, rd.left if left else rd.right):
-            matrix[b][rd.coords[table[state(b, g0)]][0 if left else 2]] += w
+            matrix[b][rd.coords[table[z]][0 if left else 2]] += w
     pi, den = _common(solve_stationary(matrix))
-    nums = [0] * len(rd.kernel)
-    for b, v in enumerate(pi):
-        for g in range(len(rd.G)):
-            nums[state(b, g)] = v
-    beta = (nums, den * len(rd.G))
+    nums = np.zeros(len(rd.kernel), dtype=object)
+    nums[fibres] = np.array(pi, dtype=object)[:, None]
+    beta = (nums.tolist(), den * len(rd.G))
     if not _same(_act(law, rd, beta, rd.left if left else rd.right), beta):
         raise StructuralInconsistencyError(
             f"{'left' if left else 'right'} stationary law is not mu-invariant")
@@ -203,15 +203,12 @@ def assemble_limits(
     """
     lw, l_den = _common([eta_L[l] for l in rd.L])
     rw, r_den = _common([eta_R[r] for r in rd.R])
-    cycle = []
-    for k in range(rd.p):
-        coset = [rd.gmul[rd.C[k]][h] for h in rd.H]
-        nums = [0] * len(rd.kernel)
-        for l, x in enumerate(lw):
-            for g in coset:
-                for r, y in enumerate(rw):
-                    nums[rd.at[l][g][r]] += x * y
-        cycle.append((nums, l_den * r_den * len(rd.H)))
+    at, cycle = np.array(rd.at), []
+    weights = np.array(lw, dtype=object)[:, None, None] * np.array(rw, dtype=object)
+    for c in rd.C:
+        nums = np.zeros(len(rd.kernel), dtype=object)
+        np.add.at(nums, at[:, [rd.gmul[c][h] for h in rd.H]], weights)
+        cycle.append((nums.tolist(), l_den * r_den * len(rd.H)))
     eta = cycle[0]
     nu = ([sum(v) for v in zip(*(c[0] for c in cycle))], eta[1] * rd.p)
 
@@ -226,7 +223,7 @@ def assemble_limits(
         raise StructuralInconsistencyError("nu is not mu-invariant")
     if not all(nu[0]):
         raise StructuralInconsistencyError("supp(nu) != kernel")
-    lhr = {rd.at[l][h][r] for l in range(len(rd.L)) for h in rd.H for r in range(len(rd.R))}
+    lhr = set(at[:, list(rd.H)].ravel().tolist())
     if {z for z, v in enumerate(eta[0]) if v} != lhr:
         raise StructuralInconsistencyError("supp(eta) != L H R")
     covered = set()
@@ -335,8 +332,9 @@ def cesaro_average(law: MappingLaw, n: int, closure: np.ndarray = None) -> dict:
 
     ``step`` is deterministic, so once mu^k has the bytes of a power mu^j
     in the ring of the last FLOAT_MAX_LAG + 1, mu^(k+i) == mu^(j+i) for
-    all i: the rest of the sum is the rows j .. k-1 added in cyclic order,
-    == to stepping on.
+    all i: the rest of the sum is the rows j .. k-1 in cyclic order, added
+    in blocks by ``np.add.accumulate`` from the running sum on, row after
+    row, so == to stepping on.
     """
     closure, vec, step = _indexed_iteration(law, closure)
     size = FLOAT_MAX_LAG + 1
@@ -348,8 +346,12 @@ def cesaro_average(law: MappingLaw, n: int, closure: np.ndarray = None) -> dict:
         key = vec.tobytes()
         j = seen.get(hash(key), -size)
         if k - j < size and ring[j % size].tobytes() == key:
-            for m in range(k, n + 1):
-                np.add(acc, ring[(j + (m - k) % (k - j)) % size], out=acc)
+            cycle = ring[np.arange(j, k) % size]
+            rows = max(1, BLOCK // len(vec))
+            for m in range(k, n + 1, rows):
+                block = cycle[np.arange(m - k, min(m + rows, n + 1) - k) % (k - j)]
+                block[0] += acc
+                acc = np.add.accumulate(block, axis=0, out=block)[-1]
             break
         acc += vec
         ring[k % size], seen[hash(key)] = vec, k

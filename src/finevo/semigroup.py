@@ -6,17 +6,17 @@ generated breadth-first by word length, each layer sorted; this canonical
 order fixes every deterministic choice downstream, such as the base
 idempotent. No other module reads rows: ``element``, ``literals`` and
 ``left_products`` read them for the others, and only the kernel is made
-into ``Transformation`` objects. ``rees_at`` sees only the kernel and keeps
-its rows as ``str`` of code points, where ``row_f.translate("\0" + row_g)``
-is the row of g * f. It composes every product it needs once into tables
-of positions: after it, a group element is a position in ``ReesData.G``
-and products are table lookups.
+into ``Transformation`` objects. ``rees_at`` composes every product it
+needs once, on the kernel's rows, into tables of positions: after it, a
+group element is a position in ``ReesData.G`` and products are table
+lookups.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from math import gcd
 
 import numpy as np
@@ -25,17 +25,20 @@ from .errors import InputError, ResourceLimitError, StructuralInconsistencyError
 from .transform import Transformation
 
 DEFAULT_ELEMENT_CAP = 10**6
+# Array passes whose size is a product of two sizes (a group's product table,
+# a convolution, the Cesaro tail) work in blocks of about this many entries.
+BLOCK = 1 << 16
 
 
-def _row(f: Transformation) -> str:
-    return "".join(map(chr, f.images))
+def _rows(maps, dtype) -> np.ndarray:
+    return np.array([f.images for f in maps], dtype=dtype)
 
 
-def _tables(maps, n: int) -> np.ndarray:
-    """``tables[i, x]`` is maps[i](x) for x in 1..n, so ``tables[i, rows]``
-    holds the rows of maps[i] * s for the rows s."""
-    tables = np.zeros((len(maps), n + 1), dtype=np.min_scalar_type(n))
-    tables[:, 1:] = [f.images for f in maps]
+def _tables(rows: np.ndarray) -> np.ndarray:
+    """``tables[i, x]`` is rows[i]'s image of x for x in 1..n, so
+    ``tables.take(s, axis=1)[i]`` holds the rows of f_i * s for the rows s."""
+    tables = np.zeros((len(rows), rows.shape[1] + 1), rows.dtype)
+    tables[:, 1:] = rows
     return tables
 
 
@@ -63,7 +66,7 @@ def left_products(rows: np.ndarray, factors) -> np.ndarray:
     """Position in ``rows`` of f * s for every factor f and row s, f-major."""
     key = np.dtype((np.void, rows.itemsize * rows.shape[1]))
     at = dict(zip(_keys(rows, key), range(len(rows))))
-    products = _keys(_tables(factors, rows.shape[1]).take(rows, axis=1), key)
+    products = _keys(_tables(_rows(factors, rows.dtype)).take(rows, axis=1), key)
     return np.fromiter(map(at.__getitem__, products), np.intp, len(products))
 
 
@@ -86,7 +89,7 @@ def generate(generators, *, cap: int = DEFAULT_ELEMENT_CAP) -> np.ndarray:
 
     big = np.dtype(np.min_scalar_type(n)).newbyteorder(">")
     key = np.dtype((np.void, big.itemsize * n))
-    tables = _tables(gens, n).astype(big)
+    tables = _tables(_rows(gens, big))
     layers = [tables[:, 1:]]
     seen = set(_keys(layers[0], key))
     while len(layers[-1]):
@@ -145,13 +148,6 @@ class ReesData:
     left: tuple
     right: tuple
 
-    def product(self, a: int, b: int) -> int:
-        """Kernel position of kernel[a] * kernel[b], by the Rees-matrix
-        product (l, g, r)(l', g', r') = (l, g * (r l') * g', r')."""
-        l, g, r = self.coords[a]
-        l2, g2, r2 = self.coords[b]
-        return self.at[l][self.gmul[self.gmul[g][self.sandwich[r][l2]]][g2]][r2]
-
 
 def rees_at(generators, ker: tuple, e: Transformation) -> ReesData:
     """Decompose the kernel at an idempotent e: L = E(Ke), G = eKe, R = E(eK).
@@ -165,81 +161,102 @@ def rees_at(generators, ker: tuple, e: Transformation) -> ReesData:
     is the canonically smallest element of that coset with gamma^p = e.
     Verifies that H is a normal subgroup whose p cosets partition G.
 
-    Every product is composed once, on image rows, into the Rees
-    coordinate tables; the checks and the walks read the tables, on kernel
-    and group positions.
+    Every product is composed once, on big-endian image rows, and looked up
+    by its row's key into the Rees coordinate tables; the checks and the
+    walks read the tables, on kernel and group positions.
     """
-    rows = [_row(z) for z in ker]
-    row_at = {row: i for i, row in enumerate(rows)}
-    unit = _row(e)
-    if unit not in row_at:
+    n = e.n
+    big = np.dtype(np.min_scalar_type(n)).newbyteorder(">")
+    key = np.dtype((np.void, big.itemsize * n))
+
+    def lookup(products: np.ndarray, index: dict) -> np.ndarray:
+        """Positions in ``index`` of the rows of ``products``, -1 where absent."""
+        keys = _keys(products.reshape(-1, n), key)
+        found = np.fromiter(map(index.get, keys, repeat(-1)), np.intp, len(keys))
+        return found.reshape(products.shape[:-1])
+
+    def canonical(products: np.ndarray) -> np.ndarray:
+        """The distinct rows of ``products``, sorted as image tuples."""
+        keys = sorted(set(_keys(products.reshape(-1, n), key)))
+        return np.frombuffer(b"".join(keys), big).reshape(-1, n)
+
+    def distinct(zs: np.ndarray) -> np.ndarray:
+        return np.array(sorted(set(zs.ravel().tolist())))
+
+    def idempotents(xs: np.ndarray) -> np.ndarray:
+        return xs[(_tables(xs)[np.arange(len(xs))[:, None], xs] == xs).all(axis=1)]
+
+    rows, unit = _rows(ker, big), _rows([e], big)
+    row_at, unit_key = dict(zip(_keys(rows, key), range(len(ker)))), _keys(unit, key)[0]
+    if unit_key not in row_at:
         raise InputError(f"{e.literal()} is not in the kernel")
     if not e.is_idempotent():
         raise InputError(f"{e.literal()} is not idempotent")
 
-    gens = [_row(f) for f in generators]
-    left = [[row_at.get(z.translate("\0" + f)) for z in rows] for f in gens]
-    right = [[row_at.get(f.translate("\0" + z)) for z in rows] for f in gens]
-    if any(None in table for table in left + right):
+    gens = _rows(generators, big)
+    left = lookup(_tables(gens).take(rows, axis=1), row_at)
+    right = lookup(_tables(rows).take(gens, axis=1), row_at).T
+    ke = distinct(lookup(_tables(rows).take(unit[0], axis=1), row_at))  # z * e
+    ek = distinct(lookup(_tables(unit).take(rows, axis=1), row_at))  # e * z
+    if min(left.min(), right.min(), ke[0], ek[0]) < 0:
         raise StructuralInconsistencyError(
             "minimal-rank set is not an ideal; rank criterion violated")
-    on_e = "\0" + unit
-    Ke = sorted({unit.translate("\0" + z) for z in rows})
-    eK = sorted({z.translate(on_e) for z in rows})
-    L = [x for x in Ke if x.translate("\0" + x) == x]
-    G = sorted({x.translate(on_e) for x in Ke})
-    R = [x for x in eK if x.translate("\0" + x) == x]
+    L = canonical(idempotents(rows[ke]))
+    G = canonical(_tables(unit).take(rows[ke], axis=1))
+    R = canonical(idempotents(rows[ek]))
 
-    g_at = {g: i for i, g in enumerate(G)}
-    gmul = [[g_at.get(b.translate(t)) for b in G] for t in ["\0" + a for a in G]]
-    if any(None in row for row in gmul):
+    g_at = dict(zip(_keys(G, key), range(len(G))))
+    step = max(1, BLOCK // (len(G) * n))
+    gmul = np.concatenate([lookup(_tables(G[a:a + step]).take(G, axis=1), g_at)
+                           for a in range(0, len(G), step)])
+    if gmul.min() < 0:
         raise StructuralInconsistencyError("group factor is not closed")
-    one = g_at[unit]
-    if any(gmul[a][one] != a or gmul[one][a] != a for a in range(len(G))):
+    one, every = g_at[unit_key], np.arange(len(G))
+    if (gmul[:, one] != every).any() or (gmul[one] != every).any():
         raise StructuralInconsistencyError("unit law fails in the group factor")
-    inverse = [row.index(one) if one in row else None for row in gmul]
-    if any(b is None or gmul[b][a] != one for a, b in enumerate(inverse)):
+    inverse = (gmul == one).argmax(axis=1)
+    if (gmul[every, inverse] != one).any() or (gmul[inverse, every] != one).any():
         raise StructuralInconsistencyError("inverse law fails in the group factor")
 
-    sandwich = [[g_at.get(l.translate(table)) for l in L] for table in ["\0" + r for r in R]]
-    if any(None in row for row in sandwich):
+    sandwich = lookup(_tables(R).take(L, axis=1), g_at)
+    if sandwich.min() < 0:
         raise StructuralInconsistencyError("R * L is not inside G")
-    if sandwich[R.index(unit)] != [one] * len(L) or any(row[L.index(unit)] != one
-                                                        for row in sandwich):
+    l_e, r_e = (_keys(side, key).index(unit_key) for side in (L, R))
+    if (sandwich[r_e] != one).any() or (sandwich[:, l_e] != one).any():
         raise StructuralInconsistencyError("eL = Re = {e} fails")
 
-    at = [[[row_at.get(r.translate(lg)) for r in R]
-           for lg in ["\0" + g.translate("\0" + l) for g in G]] for l in L]
-    coords = {z: (l, g, r) for l, block in enumerate(at)
-              for g, line in enumerate(block) for r, z in enumerate(line)}
-    if None in coords:
+    lg = _tables(L).take(G, axis=1).reshape(-1, n)
+    at = lookup(_tables(lg).take(R, axis=1), row_at).reshape(len(L), len(G), len(R))
+    if at.min() < 0:
         raise StructuralInconsistencyError("L * G * R is not inside the kernel")
-    if len(coords) != len(L) * len(G) * len(R):
+    if len(distinct(at)) != at.size:
         raise StructuralInconsistencyError("L x G x R product not injective")
-    if len(coords) != len(ker):
+    if at.size != len(ker):
         raise StructuralInconsistencyError("L * G * R does not cover the kernel")
+    coords = np.empty((len(ker), 3), np.intp)
+    coords[at.ravel()] = np.indices(at.shape).reshape(3, -1).T
 
     # the walks run on kernel positions and step on the generator tables
-    start = row_at[unit]
-    p, classes = chain_period_and_classes([row_at[x] for x in Ke], left, start)
+    start = row_at[unit_key]
+    p, classes = chain_period_and_classes(ke.tolist(), left.tolist(), start)
     # irreducible walks have unique stationary laws (limits.*_stationary)
-    walk_distances([row_at[x] for x in eK], right, start, "right walk on eK")
+    walk_distances(ek.tolist(), right.tolist(), start, "right walk on eK")
 
-    def g_part(zs) -> list:
+    def g_part(zs) -> np.ndarray:
         # e z e = G[g] for z = L[l] G[g] R[r], as eL = Re = {e}
-        return sorted({coords[z][1] for z in zs})
+        return distinct(coords[zs, 1])
 
     H = g_part(classes[0])
     if len(H) * p != len(G):
         raise StructuralInconsistencyError("|H| * p != |G|")
-    hset = set(H)
-    if one not in hset:
+    in_h = np.bincount(H, minlength=len(G)) > 0
+    if not in_h[one]:
         raise StructuralInconsistencyError("H does not contain the unit")
-    if any(gmul[a][b] not in hset for a in H for b in H):
+    if not in_h[gmul[np.ix_(H, H)]].all():
         raise StructuralInconsistencyError("H is not closed under products")
-    if any(inverse[h] not in hset for h in H):
+    if not in_h[inverse[H]].all():
         raise StructuralInconsistencyError("H is not closed under inverses")
-    if any(gmul[gmul[inverse[g]][h]][g] not in hset for h in H for g in range(len(G))):
+    if not in_h[gmul[gmul[inverse[:, None], H], every[:, None]]].all():
         raise StructuralInconsistencyError("H is not normal in G")
 
     gamma = one
@@ -247,36 +264,34 @@ def rees_at(generators, ker: tuple, e: Transformation) -> ReesData:
         coset = g_part(classes[1])
         if len(coset) != len(H):
             raise StructuralInconsistencyError("successor coset has wrong size")
-        for gamma in coset:
-            power = gamma
-            for _ in range(p - 1):
-                power = gmul[power][gamma]
-            if power == one:
-                break
-        else:
+        power = coset
+        for _ in range(p - 1):
+            power = gmul[power, coset]
+        if not (power == one).any():
             raise StructuralInconsistencyError("no order-p representative in the coset")
+        gamma = coset[(power == one).argmax()]
     C = [one]
     while len(C) < p:
-        C.append(gmul[C[-1]][gamma])
-    if gmul[C[-1]][gamma] != one:
+        C.append(int(gmul[C[-1], gamma]))
+    if gmul[C[-1], gamma] != one:
         raise StructuralInconsistencyError("gamma^p != e")
-    coset_of = {}
-    for j, c in enumerate(C):
-        for h in H:
-            if coset_of.setdefault(gmul[c][h], j) != j:
-                raise StructuralInconsistencyError("cosets of H are not disjoint")
-    if len(coset_of) != len(G):
+    cosets = gmul[np.ix_(C, H)]
+    if len(distinct(cosets)) != cosets.size:
+        raise StructuralInconsistencyError("cosets of H are not disjoint")
+    if cosets.size != len(G):
         raise StructuralInconsistencyError("cosets of H do not cover G")
+    coset_of = np.empty(len(G), np.intp)
+    coset_of[cosets] = np.arange(p)[:, None]
 
+    def tuples(table: np.ndarray) -> tuple:
+        return tuple(map(tuple, table.tolist()))
+
+    L, G, R = (tuple(map(ker.__getitem__, lookup(x, row_at).tolist())) for x in (L, G, R))
     return ReesData(
-        e=e, kernel=ker, L=tuple(ker[row_at[x]] for x in L),
-        G=tuple(ker[row_at[g]] for g in G), R=tuple(ker[row_at[x]] for x in R),
-        inverse=tuple(inverse), H=tuple(H), C=tuple(C), p=p,
-        coset_of=tuple(coset_of[g] for g in range(len(G))),
-        generators=tuple(generators), coords=tuple(coords[z] for z in range(len(ker))),
-        at=tuple(tuple(map(tuple, block)) for block in at),
-        gmul=tuple(map(tuple, gmul)), sandwich=tuple(map(tuple, sandwich)),
-        left=tuple(map(tuple, left)), right=tuple(map(tuple, right)))
+        e=e, kernel=ker, L=L, G=G, R=R, inverse=tuple(inverse.tolist()), H=tuple(H.tolist()),
+        C=tuple(C), p=p, coset_of=tuple(coset_of.tolist()), generators=tuple(generators),
+        coords=tuples(coords), at=tuple(map(tuples, at)), gmul=tuples(gmul),
+        sandwich=tuples(sandwich), left=tuples(left), right=tuples(right))
 
 
 def walk_distances(states, steps, start: int, walk: str) -> dict:
@@ -286,29 +301,23 @@ def walk_distances(states, steps, start: int, walk: str) -> dict:
     connected: every state is reached from ``start`` along the edges and
     along the reversed edges.
     """
-    def bfs(successors) -> dict:
-        dist = {start: 0}
-        queue = [start]
-        while queue:
-            nxt = []
-            for u in queue:
-                for v in successors.get(u, ()):
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        nxt.append(v)
-            queue = nxt
+    def bfs(edges) -> dict:
+        successors = {}
+        for u, v in edges:
+            successors.setdefault(u, []).append(v)
+        dist, queue = {start: 0}, [start]
+        for u in queue:
+            for v in successors.get(u, ()):
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
         return dist
 
-    forward = {u: [t[u] for t in steps] for u in states}
-    backward = {}
-    for u in states:
-        for v in forward[u]:
-            backward.setdefault(v, []).append(u)
-    state_set = set(states)
-    dist = bfs(forward)
-    if set(dist) != state_set:
+    edges = [(u, t[u]) for u in states for t in steps]
+    dist = bfs(edges)
+    if set(dist) != set(states):
         raise StructuralInconsistencyError(f"{walk} is not irreducible (forward)")
-    if set(bfs(backward)) != state_set:
+    if set(bfs((v, u) for u, v in edges)) != set(states):
         raise StructuralInconsistencyError(f"{walk} is not irreducible (backward)")
     return dist
 
@@ -321,16 +330,11 @@ def chain_period_and_classes(states, steps, start: int) -> tuple:
     = j mod p from ``start``. Raises if the walk is not strongly connected.
     """
     dist = walk_distances(states, steps, start, "left walk on Ke")
-    p = 0
-    for u in states:
-        for t in steps:
-            p = gcd(p, dist[u] + 1 - dist[t[u]])
+    p = gcd(*(dist[u] + 1 - dist[t[u]] for u in states for t in steps))
     if p <= 0:
         raise StructuralInconsistencyError("could not determine a positive period")
 
-    classes = [[] for _ in range(p)]
-    for s in sorted(states):
-        classes[dist[s] % p].append(s)
+    classes = [[s for s in sorted(states) if dist[s] % p == j] for j in range(p)]
     if len({len(c) for c in classes}) != 1:
         raise StructuralInconsistencyError("cyclic classes have unequal sizes")
     return p, classes

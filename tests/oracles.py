@@ -18,7 +18,8 @@ transformations before any oracle composes them.
 Measures on transformations are convolved as Fraction dicts keyed by
 ``Transformation`` products, tuple laws are pushed forward as Fraction
 dicts keyed by the image tuples of raw image tables, Rees coordinates come from the closed-form
-projection, group orders from repeated composition, and the float limit
+projection, kernel products from the Rees-matrix product one pair at a
+time, group orders from repeated composition, and the float limit
 and Cesaro loops keep their list-of-iterates form with an ``np.add.at``
 step.
 """
@@ -472,6 +473,15 @@ def project(rd, z) -> tuple:
     z_g = e * z * e
     inv = next(g for g in rd.G if g * z_g == e)
     return z * e * inv, z_g, inv * e * z
+
+
+def rees_product(rd, a: int, b: int) -> int:
+    """Kernel position of kernel[a] * kernel[b], by the Rees-matrix
+    product (l, g, r)(l', g', r') = (l, g * (r l') * g', r') on the
+    position tables of ``rd``."""
+    l, g, r = rd.coords[a]
+    l2, g2, r2 = rd.coords[b]
+    return rd.at[l][rd.gmul[rd.gmul[g][rd.sandwich[r][l2]]][g2]][r2]
 
 
 def element_order(g, e, bound: int) -> int:

@@ -531,10 +531,32 @@ def test_example_checks_its_config_like_simulate(capsys):
         assert err == "finevo: error: replications must be >= 1\n"
 
 
-def test_cli_import_leaves_scipy_stats_out():
-    # the p-values need only scipy.special, a much smaller import
+def _package_env() -> dict:
     src = str(Path(finevo.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    code = "import sys, finevo.cli; sys.exit('scipy.stats' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_cli_import_leaves_scipy_stats_out(law_file):
+    # scipy loads at the first p-value: importing the CLI and running
+    # analyze never load it, and the p-values need only scipy.special
+    code = ("import sys, finevo.cli; assert 'scipy' not in sys.modules; "
+            "finevo.cli.main(['analyze', '--law', sys.argv[1], '--no-timestamp']); "
+            "sys.exit('scipy' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code, law_file], env=_package_env(),
+                          stdout=subprocess.DEVNULL).returncode == 0
+    code = ("import sys, finevo.stats as s; s._chi_square('x', 1.0, 1, 0.5); "
+            "sys.exit('scipy.stats' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=_package_env()).returncode == 0
+
+
+def test_closed_stdout_exits_3(law_file):
+    # a reader that leaves before the report is written, as `| head -c 100`
+    # does on a long report, is an output error and not a traceback
+    proc = subprocess.Popen([sys.executable, "-m", "finevo", "analyze", "--law", law_file,
+                             "--no-timestamp"], env=_package_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 3
+    assert err == "finevo: error: cannot write report to stdout: [Errno 32] Broken pipe\n"

@@ -15,7 +15,7 @@ from finevo.limits import (
     solve_stationary,
 )
 from finevo.measure import MappingLaw, RationalMeasure
-from finevo.semigroup import element, generate, rees_at
+from finevo.semigroup import BLOCK, element, generate, kernel, rees_at
 from finevo.transform import Transformation
 from fuzzlaws import cyclic3_law, group_kernel_laws, p3_h2_law
 from oracles import (
@@ -31,6 +31,7 @@ from oracles import (
     group_objects,
     measure_product,
     project,
+    rees_product,
     two_term_residual,
 )
 
@@ -349,9 +350,14 @@ def test_float_oracle_and_cesaro_equal_the_list_loops(
         if converged:
             assert (est.eta_est, est.nu_est) == (nonzero(eta_vec), nonzero(nu_vec))
         k = first_repeat(step, v0)
-        for n in (1, 2, k, k + 1, 3_000, 10_000):
-            steps.clear()
-            assert cesaro_average(law, n, closure) == nonzero(cesaro_loop(step, v0, n))
+        for n in (1, 2, k, k + 1, 3_000, 10_000):  # at n = k the tail is one term
+            expected = nonzero(cesaro_loop(step, v0, n))
+            # tail blocks of one row (a closure larger than the block), of
+            # three rows, and of the default size
+            for block in (1, 3 * len(closure), BLOCK):
+                monkeypatch.setattr(limits, "BLOCK", block)
+                steps.clear()
+                assert cesaro_average(law, n, closure) == expected
         if law in cycles.values():
             assert len(steps) == {64: 64, 65: 9_999}[law.n]
 
@@ -379,6 +385,27 @@ def test_indexed_convolution_matches_the_oracle(example_analysis, p3h2_analysis,
             product = (convolve(a.law.measure, _on_kernel(rd, x)) if left
                        else convolve(_on_kernel(rd, x), a.law.measure))
             assert _on_kernel(rd, _act(a.law, rd, x, rd.left if left else rd.right)) == product
+
+
+def test_blockwise_convolve_equals_the_pairwise_product(fuzz_corpus, monkeypatch):
+    # _convolve gathers the products of a block of rows of a's support at
+    # once; at any block size its sums are those of the Rees-matrix product
+    # taken pair by pair, exactly, with numerators above 2^64
+    from finevo import limits
+
+    rng = random.Random(11)
+    for law in fuzz_corpus + group_kernel_laws():
+        k = kernel(generate(law.generators))
+        rd = rees_at(law.generators, k, next(z for z in k if z.is_idempotent()))
+        x, y = ([rng.choice([0, 0, 1, 5, 2**70 + 1]) for _ in k] for _ in "xy")
+        x, y = (x, sum(x) + 1), (y, sum(y) + 1)
+        expected = [0] * len(k)
+        for a, u in enumerate(x[0]):
+            for b, v in enumerate(y[0]):
+                expected[rees_product(rd, a, b)] += u * v
+        for block in (1, 2 * len(k) + 1, BLOCK):
+            monkeypatch.setattr(limits, "BLOCK", block)
+            assert limits._convolve(rd, x, y) == (expected, x[1] * y[1])
 
 
 def _first_order(a) -> dict:

@@ -16,6 +16,7 @@ from oracles import (
     brute_force_minimal_ideal,
     group_objects,
     project,
+    rees_product,
     shortest_words,
     word_closure,
 )
@@ -339,6 +340,17 @@ def test_rees_at_rejects_a_wrong_coset_structure(K, monkeypatch, p, parts, messa
         rees_at([F, G], K, E)
 
 
+@pytest.mark.parametrize("e, message", [
+    (E, "L * G * R does not cover the kernel"),
+    (F ** 4, "inverse law fails in the group factor"),
+])
+def test_rees_at_rejects_an_ideal_larger_than_the_kernel(elements, e, message):
+    # the whole closure is an ideal; at the identity its "group" eSe is all
+    # of it, a monoid without inverses
+    with pytest.raises(StructuralInconsistencyError, match=re.escape(message)):
+        rees_at([F, G], tuple(elements), e)
+
+
 def test_rees_at_rejects_a_kernel_that_is_not_an_ideal(K):
     # without G, the products f * z and z * f leave the set
     with pytest.raises(StructuralInconsistencyError, match="minimal-rank set is not an ideal"):
@@ -367,22 +379,31 @@ def test_rees_at_rejects_a_reducible_right_walk(K, monkeypatch, direction):
         rees_at([F, G], K, E)
 
 
-def test_rees_coordinate_products_match_composition(example_analysis, fuzz_analyses):
+def test_rees_coordinate_products_match_composition(example_analysis, fuzz_analyses,
+                                                    monkeypatch):
     """Every product read off the Rees tables is the composition of the
     transformations: kernel pairs by the Rees-matrix product, generators by
     the left and right tables, the tables L x G x R, G x G and R x L, the
-    inverses and the coset of every element of G."""
+    inverses and the coset of every element of G. The group-kernel tables
+    are built with G x G composed one row at a time and must equal those
+    composed in one block."""
     analyses, _ = fuzz_analyses
     laws = group_kernel_laws()
-    rds = [example_analysis.rd] + [a.rd for a in analyses] + [
-        rees_at(law.generators, k, next(z for z in k if z.is_idempotent()))
-        for law in laws for k in [kernel(generate(law.generators))]]
+
+    def decomposed(law):
+        k = kernel(generate(law.generators))
+        return rees_at(law.generators, k, next(z for z in k if z.is_idempotent()))
+
+    whole = [decomposed(law) for law in laws]
+    monkeypatch.setattr(semigroup, "BLOCK", 1)
+    rds = [example_analysis.rd] + [a.rd for a in analyses] + [decomposed(law) for law in laws]
+    assert rds[-5:] == whole
     assert [len(rd.kernel) for rd in rds[-5:]] == [120, 60, 24, 72, 6]
     for rd in rds:
         K = rd.kernel
         for a, x in enumerate(K):
             for b, y in enumerate(K):
-                assert K[rd.product(a, b)] == x * y
+                assert K[rees_product(rd, a, b)] == x * y
         for f, left, right in zip(rd.generators, rd.left, rd.right):
             assert [K[z] for z in left] == [f * z for z in K]
             assert [K[z] for z in right] == [z * f for z in K]
