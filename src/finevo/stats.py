@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import chdtrc
 
 from .errors import InputError
 
@@ -85,8 +86,6 @@ def _degenerate(name: str, alpha: float, what: str) -> Check:
 
 
 def _chi_square(name: str, stat: float, df: int, alpha: float) -> Check:
-    from scipy.special import chdtrc  # imported here so that analyze never loads scipy
-
     p_value = float(chdtrc(df, stat))
     return Check(name=name, kind="statistical", passed=p_value >= alpha,
                  statistic=stat, df=df, p_value=p_value, alpha=alpha)
