@@ -7,13 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cliques import CliqueData, compute_W
-from .limits import (
-    CyclicLimit,
-    assemble_limits,
-    boundary_factor,
-    left_stationary,
-    right_stationary,
-)
+from .limits import CyclicLimit, assemble_limits, boundary_factor, fibre_stationary
 from .measure import MappingLaw
 from .semigroup import DEFAULT_ELEMENT_CAP, ReesData, generate, kernel, rees_at
 
@@ -42,8 +36,8 @@ def analyze_law(law: MappingLaw, *, cap: int = DEFAULT_ELEMENT_CAP) -> Analysis:
     e = next(z for z in ker if z.is_idempotent())
     rd = rees_at(law.generators, ker, e)
 
-    eta_L = boundary_factor(rd, left_stationary(law, rd), left=True)
-    eta_R = boundary_factor(rd, right_stationary(law, rd), left=False)
+    eta_L = boundary_factor(rd, fibre_stationary(law, rd, left=True), left=True)
+    eta_R = boundary_factor(rd, fibre_stationary(law, rd, left=False), left=False)
     limits = assemble_limits(law, rd, eta_L, eta_R)
     return Analysis(law=law, closure=closure, rd=rd, limits=limits,
                     cliques=compute_W(rd, cap=cap))

@@ -118,10 +118,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_json_object(path: str, what: str) -> dict:
-    """The JSON object in a UTF-8 file; ``what`` names the file in errors."""
+    """The JSON object, with no key repeated, in a UTF-8 file; ``what``
+    names the file in errors."""
+    def unique_keys(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise InputError(f"{what} {path} repeats the key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
         with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise InputError(f"cannot read {what} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -180,13 +189,22 @@ def _load_sim_config(args, law_file=None) -> dict:
 
 
 def _parse_tuple_measure(obj: dict) -> RationalMeasure:
-    return RationalMeasure({tuple_from_literal(k): v for k, v in obj.items()})
+    """A Lambda_W object; two literals of one tuple are an error."""
+    keys, weights = {}, {}
+    for key, value in obj.items():
+        x = tuple_from_literal(key)
+        if x in keys:
+            raise InputError(f"Lambda_W names the tuple {x} twice: {keys[x]!r} and {key!r}")
+        keys[x], weights[x] = key, value
+    return RationalMeasure(weights)
 
 
-def _resolve_lambda_w(config, analysis) -> RationalMeasure:
+def _resolve_lambda_w(config, analysis) -> tuple:
+    """The stationary Lambda_W as a W vector; uniform on W by default."""
+    cd = analysis.cliques
     if config["Lambda_W"] is None:
-        return RationalMeasure.uniform(analysis.cliques.W)
-    return _parse_tuple_measure(config["Lambda_W"])
+        return [1] * len(cd.W), len(cd.W)
+    return cd.w_vector(_parse_tuple_measure(config["Lambda_W"]))
 
 
 def _resolve_family(config, analysis) -> InvariantFamily:
@@ -198,7 +216,7 @@ def _resolve_family(config, analysis) -> InvariantFamily:
         lambdas = [_parse_tuple_measure(entry) for entry in family_cfg["Lambda_W"]]
     except (KeyError, TypeError, AttributeError) as exc:
         raise InputError(f"bad family config: {exc}") from exc
-    p = analysis.limits.p
+    p = analysis.rd.p
     if len(coeffs) != p or len(lambdas) != p:
         raise InputError(f"family needs exactly p = {p} coefficients and laws")
     if sum(coeffs) != 1:
@@ -206,7 +224,7 @@ def _resolve_family(config, analysis) -> InvariantFamily:
     if any(c < 0 for c in coeffs):
         raise InputError("family coefficients must be nonnegative")
     family = InvariantFamily(limits=analysis.limits, c=tuple(coeffs),
-                             Lambda_W=tuple(lambdas))
+                             Lambda_W=tuple(map(analysis.cliques.w_vector, lambdas)))
     # round-trip through the classifier to validate the family form
     classify_family(analysis.limits, analysis.cliques, family.law_at(analysis.cliques, 0))
     return family
@@ -319,12 +337,12 @@ def cmd_verify(args) -> int:
         verification.add(Check("float limit oracle converged", "exact", False))
         eta_err = nu_err = float("nan")
     else:
-        eta_err = exact_vs_float_sup(analysis.limits.eta, est.eta_est)
-        nu_err = exact_vs_float_sup(analysis.limits.nu, est.nu_est)
+        eta_err = exact_vs_float_sup(analysis.rd.kernel, analysis.limits.eta, est.eta_est)
+        nu_err = exact_vs_float_sup(analysis.rd.kernel, analysis.limits.nu, est.nu_est)
         verification.add(
             Check("oracle period matches exact p", "exact",
-                  est.p_est == analysis.limits.p,
-                  note=f"p_est={est.p_est}, p={analysis.limits.p}")
+                  est.p_est == analysis.rd.p,
+                  note=f"p_est={est.p_est}, p={analysis.rd.p}")
         )
         verification.add(
             Check("oracle eta within 1e-9 of exact", "exact", eta_err < 1e-9,
@@ -350,7 +368,7 @@ def cmd_verify(args) -> int:
     avg = cesaro_average(law, CESARO_N, analysis.closure)
     report["cesaro"] = {
         "n": CESARO_N,
-        "sup_error_vs_nu": exact_vs_float_sup(analysis.limits.nu, avg),
+        "sup_error_vs_nu": exact_vs_float_sup(analysis.rd.kernel, analysis.limits.nu, avg),
     }
     _emit(report, args)
     return _exit_code(verification)

@@ -17,7 +17,8 @@ every (generator, tuple) and (l, g, w) fact once into integer tables. A
 tuple law is a vector: Python-int numerators, one per W_mu position (or
 per W position for a law on W), over one common denominator, pushed
 forward by the step table as ``finevo.limits`` pushes kernel vectors.
-``RationalMeasure`` objects on tuples are built only for public results.
+A ``RationalMeasure`` on tuples is only ever parsed input: ``w_vector``
+turns it into a W vector.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import factorial, lcm
+from math import lcm
 
 import numpy as np
 
@@ -39,20 +40,6 @@ from .semigroup import DEFAULT_ELEMENT_CAP, ReesData
 def f_cliques(ker: tuple) -> list:
     """The distinct image sets of kernel elements, as sorted tuples."""
     return sorted({tuple(sorted(g.image_set())) for g in ker})
-
-
-def _vector(lam: RationalMeasure, index: dict, message: str) -> tuple:
-    """Numerators of a tuple law at the positions ``index`` gives, over their
-    least common denominator; raises InputError with ``message`` formatted
-    with the first tuple that has no position."""
-    items = lam.items()
-    weights, den = _common([v for _, v in items])
-    nums = [0] * len(index)
-    for (x, _), v in zip(items, weights):
-        if x not in index:
-            raise InputError(message.format(x))
-        nums[index[x]] = v
-    return nums, den
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,15 +78,17 @@ class CliqueData:
         return int(self.state_l[s]), int(self.state_g[s]), int(self.state_w[s])
 
     def w_vector(self, lam: RationalMeasure) -> tuple:
-        """A law on W as numerators by position in W over one denominator;
-        raises InputError if it has mass outside W."""
-        return _vector(lam, dict(zip(self.W, range(len(self.W)))),
-                       "Lambda_W has mass at {} outside W")
-
-    def tuple_measure(self, x: tuple) -> RationalMeasure:
-        """The RationalMeasure on stable tuples of a W_mu vector."""
-        return RationalMeasure({self.W_mu[s]: Fraction(v, x[1])
-                                for s, v in enumerate(x[0]) if v})
+        """A law on W as numerators by position in W over their least common
+        denominator; raises InputError if it has mass outside W."""
+        index = {w: i for i, w in enumerate(self.W)}
+        items = lam.items()
+        weights, den = _common([v for _, v in items])
+        nums = [0] * len(self.W)
+        for (x, _), v in zip(items, weights):
+            if x not in index:
+                raise InputError(f"Lambda_W has mass at {x} outside W")
+            nums[index[x]] = v
+        return nums, den
 
     def first_marginal(self, x: tuple, n: int) -> list:
         """The law of the first coordinate under a W_mu vector, as the
@@ -124,9 +113,14 @@ def compute_W(rd: ReesData, *, cap: int = DEFAULT_ELEMENT_CAP) -> CliqueData:
     ker = rd.kernel
     m_mu = min(f.rank() for f in ker)
     cliques = f_cliques(ker)
-    size = len(cliques) * factorial(m_mu)
+    # |W_mu| = |cliques| * m_mu!, multiplied out only until it passes the cap
+    size, k = len(cliques), 1
+    while size <= cap and k < m_mu:
+        k += 1
+        size *= k
     if size > cap:
-        raise ResourceLimitError(f"W_mu has {size} tuples, over the element cap "
+        count = size if k == m_mu else f"at least {size}"
+        raise ResourceLimitError(f"W_mu has {count} tuples, over the element cap "
                                  f"({cap}); raise the cap to analyze this law")
     W_mu = tuple(sorted(x for clique in cliques for x in permutations(clique)))
     index = {x: s for s, x in enumerate(W_mu)}
@@ -190,7 +184,7 @@ def _tuple_law(limits: CyclicLimit, cd: CliqueData, terms) -> tuple:
     independently, one term (c, part, lam) taken with probability c: g
     uniform on the G positions ``part`` (equally many in every term) and w
     ~ lam, a W vector."""
-    eta, eta_den = limits.eta_L_vector
+    eta, eta_den = limits.eta_L
     c, c_den = _common([t[0] for t in terms])
     lam_den = lcm(*(lam[1] for _, _, lam in terms))
     lgw = cd.lgw.tolist()
@@ -206,10 +200,10 @@ def _tuple_law(limits: CyclicLimit, cd: CliqueData, terms) -> tuple:
     return nums, c_den * eta_den * len(terms[0][1]) * lam_den
 
 
-def invariant_law(limits: CyclicLimit, cd: CliqueData, Lambda_W: RationalMeasure) -> tuple:
-    """The W_mu vector of the invariant tuple law eta_L omega_G Lambda_W;
-    verified fixed by mu."""
-    lam = _tuple_law(limits, cd, [(1, range(len(limits.rd.G)), cd.w_vector(Lambda_W))])
+def invariant_law(limits: CyclicLimit, cd: CliqueData, Lambda_W: tuple) -> tuple:
+    """The W_mu vector of the invariant tuple law eta_L omega_G Lambda_W, for
+    a W vector Lambda_W; verified fixed by mu."""
+    lam = _tuple_law(limits, cd, [(1, range(len(limits.rd.G)), Lambda_W)])
     if not _same(_act(limits.law, limits.rd, lam, cd.step.tolist()), lam):
         raise StructuralInconsistencyError("assembled law is not mu-invariant")
     return lam
@@ -217,56 +211,42 @@ def invariant_law(limits: CyclicLimit, cd: CliqueData, Lambda_W: RationalMeasure
 
 @dataclass(frozen=True)
 class InvariantFamily:
-    """A shift-compatible family Lambda_k = sum_i c_i eta_L gamma^(k+i) omega_H Lambda_W^i."""
+    """A shift-compatible family Lambda_k = sum_i c_i eta_L gamma^(k+i) omega_H
+    Lambda_W^i; ``Lambda_W`` holds the W vectors Lambda_W^i."""
 
     limits: CyclicLimit
     c: tuple
     Lambda_W: tuple
 
-    def law_at(self, cd: CliqueData, k: int) -> RationalMeasure:
-        """Lambda_k on the stable tuples of ``cd``."""
-        return cd.tuple_measure(_family_law(self, cd, k))
+    def law_at(self, cd: CliqueData, k: int) -> tuple:
+        """The W_mu vector of Lambda_k."""
+        p = self.limits.rd.p
+        return _tuple_law(self.limits, cd, [
+            (ci, cd.coset_h[(k + i) % p].tolist(), lam)
+            for i, (ci, lam) in enumerate(zip(self.c, self.Lambda_W)) if ci
+        ])
 
 
-def _family_law(family: InvariantFamily, cd: CliqueData, k: int) -> tuple:
-    """The W_mu vector of Lambda_k; every Lambda_W^i must lie on W."""
-    p = family.limits.p
-    lams = [cd.w_vector(lam) for lam in family.Lambda_W]
-    return _tuple_law(family.limits, cd, [
-        (ci, cd.coset_h[(k + i) % p].tolist(), lam)
-        for i, (ci, lam) in enumerate(zip(family.c, lams)) if ci
-    ])
+def classify_family(limits: CyclicLimit, cd: CliqueData, x: tuple) -> InvariantFamily:
+    """Decompose a one-time law, a W_mu vector, into its cyclic family
+    coefficients.
 
-
-def classify_family(
-    limits: CyclicLimit, cd: CliqueData, Lambda_0: RationalMeasure
-) -> InvariantFamily:
-    """Decompose a one-time law into its cyclic family coefficients.
-
-    The phase/W joint law under Lambda_0 determines (c_i, Lambda_W^i); the
+    The phase/W joint law under x determines (c_i, Lambda_W^i); the
     decomposition is validated by exact reassembly and by reproducing the
     recursion Lambda_k = mu Lambda_{k-1} over one full period.
     """
     rd = limits.rd
-    x = _vector(Lambda_0, cd.index, "law has mass at {} outside the stable tuples")
     joint = [[0] * len(cd.W) for _ in range(rd.p)]
     for j, w, v in zip(cd.state_c.tolist(), cd.state_w.tolist(), x[0]):
         joint[j][w] += v
 
-    c = []
-    lambdas = []
-    for row in joint:
-        ci = sum(row)
-        c.append(Fraction(ci, x[1]))
-        if ci > 0:
-            lambdas.append(RationalMeasure(
-                {cd.W[w]: Fraction(v, ci) for w, v in enumerate(row) if v}))
-        else:
-            lambdas.append(RationalMeasure.point(cd.W[0]))
+    mass = [sum(row) for row in joint]
+    # a phase of mass 0 gets the point law at W[0]
+    lambdas = [(row, m) if m else ([1] + [0] * (len(cd.W) - 1), 1) for row, m in zip(joint, mass)]
+    family = InvariantFamily(limits=limits, c=tuple(Fraction(m, x[1]) for m in mass),
+                             Lambda_W=tuple(lambdas))
 
-    family = InvariantFamily(limits=limits, c=tuple(c), Lambda_W=tuple(lambdas))
-
-    rebuilt = _family_law(family, cd, 0)
+    rebuilt = family.law_at(cd, 0)
     if not _same(rebuilt, x):
         residual = {}
         for s, (a, b) in enumerate(zip(x[0], rebuilt[0])):
@@ -278,7 +258,7 @@ def classify_family(
     current = x
     for k in range(1, rd.p + 1):
         current = _act(limits.law, rd, current, cd.step.tolist())
-        if not _same(current, _family_law(family, cd, k)):
+        if not _same(current, family.law_at(cd, k)):
             raise ClassificationError(
                 f"family recursion fails at step {k}", residual={}
             )

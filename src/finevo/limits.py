@@ -10,6 +10,10 @@ their boundary factors L and R alone: the group acts on their G-fibres by
 permutations that commute with the walk, so the stationary laws are exactly
 eta_L x omega_G and omega_G x eta_R. A double-precision power iteration is
 kept as an independent cross-check.
+
+From its solve on, every exact law is a vector (numerators, denominator):
+Python ints by position in the kernel, ``rd.L`` or ``rd.R``, over one
+common denominator.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from math import lcm
 import numpy as np
 
 from .errors import StructuralInconsistencyError
-from .measure import MappingLaw, RationalMeasure
+from .measure import MappingLaw
 from .semigroup import BLOCK, ReesData, element, generate, left_products
 
 # The float iteration's defaults: the largest lag float_limit_oracle scans
@@ -123,15 +127,12 @@ def _same(a: tuple, b: tuple) -> bool:
     return all(x * b[1] == y * a[1] for x, y in zip(a[0], b[0]))
 
 
-def _measure(rd: ReesData, x: tuple) -> RationalMeasure:
-    return RationalMeasure({rd.kernel[z]: Fraction(v, x[1]) for z, v in enumerate(x[0]) if v})
-
-
-def _fibre_stationary(law: MappingLaw, rd: ReesData, left: bool) -> tuple:
-    """Exact kernel vector of the stationary law of z -> f*z on Ke = LG (or
-    z -> z*f on eK = GR): solved on the boundary factor L (or R), lifted over
-    the G-fibres and verified mu-invariant; unique as ``rees_at`` verified
-    the walk irreducible.
+def fibre_stationary(law: MappingLaw, rd: ReesData, left: bool) -> tuple:
+    """Exact kernel vector of the unique law fixed by beta -> mu * beta on
+    Ke = LG, eta_L x omega_G (or by beta -> beta * mu on eK = GR, omega_G x
+    eta_R): solved on the boundary factor L (or R), lifted over the
+    G-fibres and verified mu-invariant; unique as ``rees_at`` verified the
+    walk irreducible.
 
     Multiplying by h in G on the group side (z -> z*h on Ke, z -> h*z on eK)
     permutes the states and commutes with the walk, so the walk's unique
@@ -156,53 +157,39 @@ def _fibre_stationary(law: MappingLaw, rd: ReesData, left: bool) -> tuple:
     return beta
 
 
-def left_stationary(law: MappingLaw, rd: ReesData) -> tuple:
-    """The unique law on Ke fixed by beta -> mu * beta: eta_L x omega_G."""
-    return _fibre_stationary(law, rd, left=True)
-
-
-def right_stationary(law: MappingLaw, rd: ReesData) -> tuple:
-    """The unique law on eK fixed by beta -> beta * mu: omega_G x eta_R."""
-    return _fibre_stationary(law, rd, left=False)
-
-
-def boundary_factor(rd: ReesData, beta: tuple, left: bool) -> RationalMeasure:
+def boundary_factor(rd: ReesData, beta: tuple, left: bool) -> tuple:
     """Marginal of the L-coordinate (``left``) or the R-coordinate of an
-    exact kernel vector."""
-    side = rd.L if left else rd.R
-    acc = [0] * len(side)
+    exact kernel vector, by position in ``rd.L`` (or ``rd.R``) over the
+    least common denominator of its reduced weights."""
+    acc = [0] * len(rd.L if left else rd.R)
     for (l, _, r), v in zip(rd.coords, beta[0]):
         acc[l if left else r] += v
-    return RationalMeasure({b: Fraction(v, beta[1]) for b, v in zip(side, acc) if v})
+    return _common([Fraction(v, beta[1]) for v in acc])
 
 
 @dataclass(frozen=True)
 class CyclicLimit:
-    """The limit cycle of convolution powers and its exact factorization;
-    ``eta_L_vector`` is eta_L as (numerators by position in rd.L,
-    denominator)."""
+    """The limit cycle of convolution powers and its exact factorization:
+    ``eta_L`` and ``eta_R`` are vectors by position in ``rd.L`` and
+    ``rd.R``, ``eta`` and ``nu`` by kernel position. The period is
+    ``rd.p``."""
 
     law: MappingLaw
     rd: ReesData
-    p: int
-    eta_L: RationalMeasure
-    eta_L_vector: tuple
-    eta_R: RationalMeasure
-    eta: RationalMeasure
-    nu: RationalMeasure
+    eta_L: tuple
+    eta_R: tuple
+    eta: tuple
+    nu: tuple
 
 
-def assemble_limits(
-    law: MappingLaw, rd: ReesData, eta_L: RationalMeasure, eta_R: RationalMeasure
-) -> CyclicLimit:
+def assemble_limits(law: MappingLaw, rd: ReesData, eta_L: tuple, eta_R: tuple) -> CyclicLimit:
     """Build cycle[k] = eta_L gamma^k omega_H eta_R and the averaged limit nu.
 
     The cycle is laid out on the Rees coordinates (l, gamma^k h, r), and
     every structural identity of the limit cycle is verified exactly on it
     before the result is returned.
     """
-    lw, l_den = _common([eta_L[l] for l in rd.L])
-    rw, r_den = _common([eta_R[r] for r in rd.R])
+    (lw, l_den), (rw, r_den) = eta_L, eta_R
     at, cycle = np.array(rd.at), []
     weights = np.array(lw, dtype=object)[:, None, None] * np.array(rw, dtype=object)
     for c in rd.C:
@@ -232,8 +219,7 @@ def assemble_limits(
         if covered & supp:
             raise StructuralInconsistencyError("cycle supports are not disjoint")
         covered |= supp
-    return CyclicLimit(law=law, rd=rd, p=rd.p, eta_L=eta_L, eta_L_vector=(lw, l_den),
-                       eta_R=eta_R, eta=_measure(rd, eta), nu=_measure(rd, nu))
+    return CyclicLimit(law=law, rd=rd, eta_L=eta_L, eta_R=eta_R, eta=eta, nu=nu)
 
 
 def _indexed_iteration(law: MappingLaw, closure: np.ndarray = None):
@@ -246,7 +232,7 @@ def _indexed_iteration(law: MappingLaw, closure: np.ndarray = None):
     if closure is None:
         closure = generate(law.generators)
     table = left_products(closure, law.generators)
-    weights = np.array([[float(w)] for _, w in law.measure.items()])
+    weights = np.array([[float(w)] for w in law.weights])
     v0 = np.zeros(len(closure))
     v0[:len(weights)] = weights[:, 0]
     terms = np.empty((len(weights), len(closure)))
@@ -359,6 +345,8 @@ def cesaro_average(law: MappingLaw, n: int, closure: np.ndarray = None) -> dict:
     return _nonzero(closure, acc)
 
 
-def exact_vs_float_sup(exact: RationalMeasure, approx: dict) -> float:
-    keys = set(exact.support()) | set(approx)
-    return float(max(abs(float(exact[k]) - approx.get(k, 0.0)) for k in keys))
+def exact_vs_float_sup(objects, vector: tuple, approx: dict) -> float:
+    """Largest |exact - approx| over ``objects`` and the keys of ``approx``;
+    ``vector`` holds the exact weights of ``objects`` by position."""
+    exact = {x: float(Fraction(v, vector[1])) for x, v in zip(objects, vector[0])}
+    return max(abs(exact.get(k, 0.0) - approx.get(k, 0.0)) for k in exact.keys() | approx.keys())

@@ -1,11 +1,14 @@
-"""Exact rational probability measures on finite carriers.
+"""Exact rational probability measures on finite carriers: the parsed form
+of input.
 
 Measures are sparse: only the support is stored, every stored weight is a
-positive ``Fraction`` and the weights sum to exactly 1. Carriers are
-transformations, points or point tuples. The exact algebra runs elsewhere,
-on integer vectors: kernel convolutions in ``finevo.limits`` over the Rees
-coordinate tables, and tuple laws in ``finevo.cliques`` over the positions
-of the stable tuples. A measure is built for the results they return.
+positive ``Fraction`` and the weights sum to exactly 1. A ``RationalMeasure``
+is only ever input: the law's ``MappingLaw.measure`` on transformations,
+and a config's Lambda_W and family laws on point tuples, which
+``CliqueData.w_vector`` turns into W vectors once. Every exact law computed
+from them is an integer vector (numerators by position, one denominator):
+kernel laws in ``finevo.limits`` over the Rees coordinate tables, and
+tuple laws in ``finevo.cliques`` over the positions of the stable tuples.
 """
 
 from __future__ import annotations
@@ -52,24 +55,6 @@ class RationalMeasure:
         if sum(w.values()) != 1:
             raise InputError(f"weights sum to {sum(w.values())}, expected 1")
         self._w = w
-
-    @classmethod
-    def point(cls, x) -> "RationalMeasure":
-        """Dirac mass at x."""
-        m = object.__new__(cls)
-        m._w = {x: Fraction(1)}
-        return m
-
-    @classmethod
-    def uniform(cls, support) -> "RationalMeasure":
-        """Uniform law (normalized Haar measure for a finite group)."""
-        items = list(dict.fromkeys(support))
-        if not items:
-            raise InputError("uniform law needs a nonempty support")
-        w = Fraction(1, len(items))
-        m = object.__new__(cls)
-        m._w = {x: w for x in items}
-        return m
 
     def support(self) -> list:
         return sorted(self._w)

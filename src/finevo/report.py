@@ -10,26 +10,23 @@ from __future__ import annotations
 
 import json
 from datetime import datetime, timezone
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .analysis import Analysis
 from .cliques import invariant_law
-from .measure import RationalMeasure
+from .limits import _same
 from .semigroup import literals
 from .transform import Transformation, tuple_literal
 
 
-def element_literal(x) -> str:
-    if isinstance(x, Transformation):
-        return x.literal()
-    if isinstance(x, tuple):
-        return tuple_literal(x)
-    return str(x)
-
-
-def measure_json(measure: RationalMeasure) -> dict:
-    return {element_literal(x): str(w) for x, w in measure.items()}
+def _vector_json(objects, vector: tuple) -> dict:
+    """The positive weights of an exact vector, keyed by the literals of
+    ``objects`` (one per position) in sorted object order."""
+    nums, den = vector
+    return {x.literal() if isinstance(x, Transformation) else tuple_literal(x):
+            str(Fraction(v, den)) for x, v in sorted(zip(objects, nums)) if v}
 
 
 def build_report(analysis: Analysis, *, seed=None, timestamp: bool = True) -> dict:
@@ -38,7 +35,7 @@ def build_report(analysis: Analysis, *, seed=None, timestamp: bool = True) -> di
     limits = analysis.limits
     cd = analysis.cliques
 
-    canonical_Lambda_W = RationalMeasure.uniform(cd.W)
+    canonical_Lambda_W = ([1] * len(cd.W), len(cd.W))
     marginal = cd.first_marginal(invariant_law(limits, cd, canonical_Lambda_W), analysis.law.n)
 
     sample = list(cd.W_mu)[: min(3, len(cd.W_mu))]
@@ -72,15 +69,15 @@ def build_report(analysis: Analysis, *, seed=None, timestamp: bool = True) -> di
             "group_order": len(rd.G),
         },
         "limits": {
-            "p": limits.p,
-            "eta_L": measure_json(limits.eta_L),
-            "eta_R": measure_json(limits.eta_R),
+            "p": rd.p,
+            "eta_L": _vector_json(rd.L, limits.eta_L),
+            "eta_R": _vector_json(rd.R, limits.eta_R),
             "H": [rd.G[h].literal() for h in rd.H],
             "gamma": rd.G[rd.C[1 % rd.p]].literal(),
-            "eta": measure_json(limits.eta),
-            "nu": measure_json(limits.nu),
+            "eta": _vector_json(rd.kernel, limits.eta),
+            "nu": _vector_json(rd.kernel, limits.nu),
             "H_equals_G": len(rd.H) == len(rd.G),
-            "eta_equals_nu": limits.eta == limits.nu,
+            "eta_equals_nu": _same(limits.eta, limits.nu),
         },
         "cliques": {
             "m_mu": cd.m_mu,
@@ -90,7 +87,7 @@ def build_report(analysis: Analysis, *, seed=None, timestamp: bool = True) -> di
             "example_projections": projections,
         },
         "invariant_law": {
-            "Lambda_W": measure_json(canonical_Lambda_W),
+            "Lambda_W": _vector_json(cd.W, canonical_Lambda_W),
             "first_coordinate_marginal": [str(w) for w in marginal],
         },
     }

@@ -14,7 +14,6 @@ lookups.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from itertools import repeat
 from math import gcd
@@ -84,8 +83,6 @@ def generate(generators, *, cap: int = DEFAULT_ELEMENT_CAP) -> np.ndarray:
     if len({g.n for g in gens}) != 1:
         raise InputError("generators must share one domain size")
     n = gens[0].n
-    if n > sys.maxunicode:
-        raise InputError(f"n = {n} is above the largest domain, {sys.maxunicode}")
 
     big = np.dtype(np.min_scalar_type(n)).newbyteorder(">")
     key = np.dtype((np.void, big.itemsize * n))

@@ -144,8 +144,9 @@ class PathBatch:
     Row r is replication r, drawn from the substream seed ^ r. ``maps[r, i]``
     is the position in ``rd.generators`` of the map driving the step into
     time k_min + 1 + i and ``states[r, i]`` the position in ``W_mu`` of the
-    state at time k_min + i. ``initial`` is the Lambda_W (stationary) or the
-    InvariantFamily (nonstationary) that the first state was drawn from.
+    state at time k_min + i. ``initial`` is the Lambda_W, a W vector
+    (stationary), or the InvariantFamily (nonstationary) that the first
+    state was drawn from.
     """
 
     analysis: Analysis
@@ -181,7 +182,7 @@ def sample_batch(
 ) -> PathBatch:
     """R = ``replications`` windows X_{k_min..k_max} drawn in lock-step.
 
-    With a Lambda_W, X_{k_min} ~ eta_L omega_G Lambda_W by three independent
+    With a W vector Lambda_W, X_{k_min} ~ eta_L omega_G Lambda_W by three independent
     draws (l, g, w). With an InvariantFamily, the phase index i is drawn with
     probability c_i, then w ~ Lambda_W^i, l ~ eta_L and h ~ omega_H give
     X_{k_min} = (l gamma^(k_min+i) h)(w). Then X_k = N_k X_{k-1} with iid
@@ -194,10 +195,10 @@ def sample_batch(
         raise InputError("k_min must be less than k_max")
     limits, rd, cd = analysis.limits, analysis.rd, analysis.cliques
     family = initial if isinstance(initial, InvariantFamily) else None
-    w_cdfs = [_cdf(cd.w_vector(lam)) for lam in (family.Lambda_W if family else (initial,))]
+    w_cdfs = [_cdf(lam) for lam in (family.Lambda_W if family else (initial,))]
     _check_seed(seed)
 
-    l_cdf = _cdf(limits.eta_L_vector)
+    l_cdf = _cdf(limits.eta_L)
     if family is None:
         g_cdf = _cdf(([1] * len(rd.G), len(rd.G)))
 
@@ -390,7 +391,7 @@ def verify_third_noise(batch: PathBatch, *, alpha: float = 0.001) -> list:
         raise InputError("third-noise verification needs a stationary batch")
     if replications < 1000:
         raise InputError("third-noise verification needs at least 1000 replications")
-    lam, den = cd.w_vector(Lambda_W)
+    lam, den = Lambda_W
     n_h, n_w = len(rd.H), len(cd.W)
 
     u = cd.state_h[batch.states[:, -1]]
@@ -422,8 +423,7 @@ def verify_nonstationary_joint(batch: PathBatch, *, alpha: float = 0.001) -> lis
     if replications < 1000:
         raise InputError("joint verification needs at least 1000 replications")
     expected = []
-    for ci, lam in zip(family.c, family.Lambda_W):
-        nums, den = cd.w_vector(lam)
+    for ci, (nums, den) in zip(family.c, family.Lambda_W):
         expected += [ci * Fraction(v, den) for v in nums]
     counts = np.bincount(batch.y_c * len(cd.W) + batch.z_w, minlength=len(expected))
     return [chi_square_gof(counts, expected, replications, alpha,

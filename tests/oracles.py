@@ -29,12 +29,32 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, permutations
+from math import lcm
 from types import SimpleNamespace
 
 import numpy as np
 
 from finevo.errors import InputError
 from finevo.measure import RationalMeasure
+
+
+def measure_of(objects, vector) -> RationalMeasure:
+    """The RationalMeasure of an exact vector: numerators by position in
+    ``objects`` over one denominator."""
+    nums, den = vector
+    return RationalMeasure({x: Fraction(v, den) for x, v in zip(objects, nums) if v})
+
+
+def vector_of(objects, weights) -> tuple:
+    """The exact vector of a law on ``objects`` given as a RationalMeasure
+    or a dict of rational weights: its weights by position in ``objects``
+    over their least common denominator."""
+    measure = RationalMeasure(dict(weights.items()))
+    exact = [measure[x] for x in objects]
+    if sum(exact) != 1:
+        raise AssertionError("the law has mass outside the objects")
+    den = lcm(*(v.denominator for v in exact))
+    return [v.numerator * (den // v.denominator) for v in exact], den
 
 
 def compose_images(f: tuple, g: tuple) -> tuple:
@@ -353,7 +373,7 @@ class ScalarReference:
 
     def __init__(self, limits, W):
         rd = limits.rd
-        self.limits = limits
+        self.limits, self.W = limits, W
         self.group = group_objects(rd)
         self.triple = {(l * g).apply(w): (l, g, w) for l in rd.L for g in rd.G for w in W}
         self.split = {c * h: (c, h) for c in self.group.C for h in self.group.H}
@@ -363,7 +383,7 @@ class ScalarReference:
         C, H = zip(*map(self.split.__getitem__, G))
         return {"N": maps, "X": X, "X_L": list(L), "X_G": list(G), "X_C": list(C),
                 "X_H": list(H), "X_W": list(W),
-                "Y_C": self.group.C[-k_min % self.limits.p] * C[0], "Z_W": W[0]}
+                "Y_C": self.group.C[-k_min % self.limits.rd.p] * C[0], "Z_W": W[0]}
 
     def _window(self, x0, k_min, k_max, rng) -> dict:
         maps = [scalar_draw(self.limits.law.measure.items(), rng)
@@ -373,13 +393,17 @@ class ScalarReference:
             X.append(f.apply(X[-1]))
         return self._parts(maps, X, k_min)
 
+    def _eta_L(self) -> list:
+        return measure_of(self.limits.rd.L, self.limits.eta_L).items()
+
     def stationary(self, Lambda_W, k_min, k_max, seed) -> dict:
-        """X_{k_min} = (l g)(w) with l ~ eta_L, g ~ omega_G, w ~ Lambda_W."""
+        """X_{k_min} = (l g)(w) with l ~ eta_L, g ~ omega_G, w ~ Lambda_W
+        (a W vector)."""
         rng = np.random.Generator(np.random.Philox(key=seed))
         rd = self.limits.rd
-        l = scalar_draw(self.limits.eta_L.items(), rng)
+        l = scalar_draw(self._eta_L(), rng)
         g = scalar_draw([(g, Fraction(1, len(rd.G))) for g in sorted(rd.G)], rng)
-        w = scalar_draw(Lambda_W.items(), rng)
+        w = scalar_draw(measure_of(self.W, Lambda_W).items(), rng)
         return self._window((l * g).apply(w), k_min, k_max, rng)
 
     def nonstationary(self, family, k_min, k_max, seed) -> dict:
@@ -388,10 +412,10 @@ class ScalarReference:
         rng = np.random.Generator(np.random.Philox(key=seed))
         H, C = self.group.H, self.group.C
         i = scalar_draw(list(enumerate(family.c)), rng)
-        w = scalar_draw(family.Lambda_W[i].items(), rng)
-        l = scalar_draw(self.limits.eta_L.items(), rng)
+        w = scalar_draw(measure_of(self.W, family.Lambda_W[i]).items(), rng)
+        l = scalar_draw(self._eta_L(), rng)
         h = scalar_draw([(h, Fraction(1, len(H))) for h in sorted(H)], rng)
-        return self._window((l * C[(k_min + i) % self.limits.p] * h).apply(w),
+        return self._window((l * C[(k_min + i) % self.limits.rd.p] * h).apply(w),
                             k_min, k_max, rng)
 
     def decode(self, batch, r) -> dict:
@@ -448,7 +472,7 @@ def measure_product(pieces):
     result = None
     for piece in pieces:
         if not isinstance(piece, RationalMeasure):
-            piece = RationalMeasure.point(piece)
+            piece = RationalMeasure({piece: 1})
         if result is None:
             result = piece
         elif isinstance(piece.support()[0], tuple):

@@ -43,9 +43,11 @@ from oracles import (
     coordinate_marginal,
     element_order,
     group_objects,
+    measure_of,
     project,
     push_tuples,
     two_term_residual,
+    vector_of,
 )
 
 SEED = 42
@@ -83,10 +85,10 @@ def test_criterion_1_golden_example_exact():
     check("g^3 = e", g ** 3 == e)
     check("h^2 = e", h * h == e)
     check("R", set(a.rd.R) == {e, ef})
-    check("eta_L", a.limits.eta_L == RationalMeasure({e: "2/3", fe: "1/3"}))
-    check("eta_R", a.limits.eta_R == RationalMeasure({e: "2/3", ef: "1/3"}))
+    check("eta_L", measure_of(a.rd.L, a.limits.eta_L) == RationalMeasure({e: "2/3", fe: "1/3"}))
+    check("eta_R", measure_of(a.rd.R, a.limits.eta_R) == RationalMeasure({e: "2/3", ef: "1/3"}))
     check("H = G", set(group_objects(a.rd).H) == set(a.rd.G))
-    check("p", a.limits.p == 1)
+    check("p", a.rd.p == 1)
     check("m_mu", a.cliques.m_mu == 3)
     check("|W_mu|", len(a.cliques.W_mu) == 12)
     check("W", a.cliques.W == ((2, 4, 5),))
@@ -96,8 +98,8 @@ def test_criterion_1_golden_example_exact():
         (a.rd.L[l], a.rd.G[g], a.cliques.W[w])
         == (fe, Transformation([5, 2, 2, 5, 4]), (2, 4, 5)),
     )
-    lam = coordinate_marginal(a.cliques.tuple_measure(
-        invariant_law(a.limits, a.cliques, RationalMeasure.point((2, 4, 5)))), 1)
+    lam = coordinate_marginal(measure_of(a.cliques.W_mu, invariant_law(
+        a.limits, a.cliques, vector_of(a.cliques.W, {(2, 4, 5): 1}))), 1)
     check(
         "marginal lambda",
         lam == RationalMeasure({1: "1/9", 2: "2/9", 3: "1/9", 4: "2/9", 5: "3/9"}),
@@ -115,7 +117,8 @@ def test_criterion_1_golden_example_exact():
 def _structural_suite(a) -> list:
     problems = []
     S = [element(row) for row in a.closure]
-    K, rd, lim, cd = a.rd.kernel, a.rd, a.limits, a.cliques
+    K, rd, cd = a.rd.kernel, a.rd, a.cliques
+    eta, nu = measure_of(K, a.limits.eta), measure_of(K, a.limits.nu)
     group = group_objects(rd)
     kset = set(K)
     mu = a.law.measure
@@ -140,21 +143,21 @@ def _structural_suite(a) -> list:
     if not all(r * l in gset for r in rd.R for l in rd.L):
         problems.append("RL not inside G")
 
-    if convolve(lim.eta, lim.eta) != lim.eta:
+    if convolve(eta, eta) != eta:
         problems.append("eta^2 != eta")
-    acc = lim.eta
-    for _ in range(lim.p):
+    acc = eta
+    for _ in range(rd.p):
         acc = convolve(mu, acc)
-    if acc != lim.eta:
+    if acc != eta:
         problems.append("mu^p eta != eta")
-    if convolve(lim.nu, lim.nu) != lim.nu:
+    if convolve(nu, nu) != nu:
         problems.append("nu^2 != nu")
-    if convolve(mu, lim.nu) != lim.nu or convolve(lim.nu, mu) != lim.nu:
+    if convolve(mu, nu) != nu or convolve(nu, mu) != nu:
         problems.append("mu nu != nu or nu mu != nu")
-    if set(lim.nu.support()) != kset:
+    if set(nu.support()) != kset:
         problems.append("supp(nu) != kernel")
     lhr = {l * h * r for l in rd.L for h in group.H for r in rd.R}
-    if set(lim.eta.support()) != lhr:
+    if set(eta.support()) != lhr:
         problems.append("supp(eta) != LHR")
 
     for g in rd.G:
@@ -189,7 +192,7 @@ def _structural_suite(a) -> list:
     if set(seen) != set(cd.W_mu):
         problems.append("LGW != W_mu")
 
-    lam = cd.tuple_measure(invariant_law(lim, cd, RationalMeasure.uniform(cd.W)))
+    lam = measure_of(cd.W_mu, invariant_law(a.limits, cd, ([1] * len(cd.W), len(cd.W))))
     if push_tuples(a.law, lam) != lam:
         problems.append("invariant law not fixed")
     return problems
@@ -221,12 +224,12 @@ def test_criterion_3_oracle_equivalence(fuzz_corpus, fuzz_analyses):
     failures = []
     for a in cases:
         est = float_limit_oracle(a.law, max_lag=max(16, len(a.rd.G)))
-        if not est.converged or est.p_est != a.limits.p:
-            failures.append((a.law, est.p_est, a.limits.p))
+        if not est.converged or est.p_est != a.rd.p:
+            failures.append((a.law, est.p_est, a.rd.p))
             continue
         err = max(
-            exact_vs_float_sup(a.limits.eta, est.eta_est),
-            exact_vs_float_sup(a.limits.nu, est.nu_est),
+            exact_vs_float_sup(a.rd.kernel, a.limits.eta, est.eta_est),
+            exact_vs_float_sup(a.rd.kernel, a.limits.nu, est.nu_est),
         )
         worst = max(worst, err)
         if err >= 1e-9:
@@ -245,12 +248,12 @@ def test_criterion_4_cesaro_convergence():
     a = analyze_law(example_law())
     n = 10_000
     avg = cesaro_average(a.law, n)
-    err = exact_vs_float_sup(a.limits.nu, avg)
+    err = exact_vs_float_sup(a.rd.kernel, a.limits.nu, avg)
 
     gens, weights = zip(*((f.images, w) for f, w in a.law.measure.items()))
-    eta = {f.images: w for f, w in a.limits.eta.items()}
+    eta = {f.images: w for f, w in measure_of(a.rd.kernel, a.limits.eta).items()}
     D = cesaro_first_order(gens, weights, eta)
-    residual = two_term_residual(avg, a.limits.nu, D, n)
+    residual = two_term_residual(avg, measure_of(a.rd.kernel, a.limits.nu), D, n)
     sup_D = max((abs(v) for v in D.values()), default=Fraction(0))
     ok = residual < 1e-9 and sup_D != 0 and sum(D.values()) == 0
     report_line(
@@ -267,7 +270,7 @@ def test_criterion_5_simulation_exact_checks(example_analysis, p3h2_analysis):
     failures = []
 
     a = example_analysis
-    lw = RationalMeasure.point(a.cliques.W[0])
+    lw = vector_of(a.cliques.W, {a.cliques.W[0]: 1})
     batch = sample_batch(a, lw, -1000, 0, SEED, 1)
     for c in verify_path_exact(batch):
         if not c.passed:
@@ -294,11 +297,11 @@ def test_criterion_5_simulation_exact_checks(example_analysis, p3h2_analysis):
     family = InvariantFamily(
         limits=b.limits,
         c=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
-        Lambda_W=(
-            RationalMeasure.point(b.cliques.W[0]),
-            RationalMeasure({b.cliques.W[0]: "1/2", b.cliques.W[1]: "1/2"}),
-            RationalMeasure.point(b.cliques.W[1]),
-        ),
+        Lambda_W=tuple(vector_of(b.cliques.W, lam) for lam in (
+            {b.cliques.W[0]: 1},
+            {b.cliques.W[0]: "1/2", b.cliques.W[1]: "1/2"},
+            {b.cliques.W[1]: 1},
+        )),
     )
     batch_b = sample_batch(b, family, -1000, 0, SEED, 1)
     for c in verify_path_exact(batch_b):
@@ -330,14 +333,14 @@ def test_criterion_6_statistical_checks(example_analysis, p3h2_analysis):
     failing = []
 
     a = example_analysis
-    lw = RationalMeasure.point(a.cliques.W[0])
+    lw = vector_of(a.cliques.W, {a.cliques.W[0]: 1})
     batch = sample_batch(a, lw, -3, 0, SEED, R)
     rep1 = verify_third_noise(batch, alpha=ALPHA)
     rep2 = verify_mono_projection(batch, mono_projection_events(a.rd), alpha=ALPHA)
     # the example law has p = 1; the p = 3 instance makes the phase and
     # remote-past checks nondegenerate at the same alpha/R/seed
     b = p3h2_analysis
-    lwb = RationalMeasure({b.cliques.W[0]: "1/2", b.cliques.W[1]: "1/2"})
+    lwb = vector_of(b.cliques.W, {b.cliques.W[0]: "1/2", b.cliques.W[1]: "1/2"})
     rep3 = verify_third_noise(
         sample_batch(b, lwb, -3, 0, SEED, R), alpha=ALPHA
     )
@@ -373,11 +376,8 @@ def test_criterion_7_nonstationary_reduction(p3h2_analysis):
     family = InvariantFamily(
         limits=b.limits,
         c=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
-        Lambda_W=(
-            RationalMeasure.point(w0),
-            RationalMeasure({w0: "1/2", w1: "1/2"}),
-            RationalMeasure.point(w1),
-        ),
+        Lambda_W=tuple(vector_of(b.cliques.W, lam)
+                       for lam in ({w0: 1}, {w0: "1/2", w1: "1/2"}, {w1: 1})),
     )
     rep = verify_nonstationary_joint(
         sample_batch(b, family, -10, -7, SEED, R),
@@ -386,7 +386,9 @@ def test_criterion_7_nonstationary_reduction(p3h2_analysis):
     joint_ok = all(c.passed for c in rep)
 
     back = classify_family(b.limits, b.cliques, family.law_at(b.cliques, 0))
-    round_trip_ok = back.c == family.c and back.Lambda_W == family.Lambda_W
+    round_trip_ok = back.c == family.c and (
+        [measure_of(b.cliques.W, lam) for lam in back.Lambda_W]
+        == [measure_of(b.cliques.W, lam) for lam in family.Lambda_W])
 
     elapsed = time.monotonic() - start
     ok = joint_ok and round_trip_ok

@@ -133,6 +133,18 @@ def test_malformed_json(capsys, tmp_path, law_file):
     assert code == 3
     assert f"law file {array} must be a JSON object" in err
 
+    # a repeated key is refused, not resolved to its last value
+    repeated = tmp_path / "repeated.json"
+    repeated.write_text('{"n": 6, "n": 5, "generators": [[2, 3, 4, 1, 5], [2, 5, 5, 2, 4]], '
+                        '"weights": ["1/2", "1/2"]}')
+    code, out, err = run(capsys, "analyze", "--law", str(repeated), "--no-timestamp")
+    assert (code, out) == (3, "")
+    assert err == f"finevo: error: law file {repeated} repeats the key 'n'\n"
+    repeated.write_text('{"Lambda_W": {"(2,4,5)": "1"}, "Lambda_W": {"(2,4,5)": "1"}}')
+    code, out, err = run(capsys, "simulate", "--law", law_file, "--config", str(repeated))
+    assert (code, out) == (3, "")
+    assert err == f"finevo: error: config {repeated} repeats the key 'Lambda_W'\n"
+
 
 def test_closure_cap_exceeded(capsys, law_file, tmp_path):
     code, _, err = run(capsys, "analyze", "--law", law_file, "--cap", "4")
@@ -149,6 +161,17 @@ def test_closure_cap_exceeded(capsys, law_file, tmp_path):
     code, out, err = run(capsys, "analyze", "--law", str(cycle), "--cap", "5039")
     assert (code, out) == (3, "")
     assert "W_mu has 5040 tuples, over the element cap (5039)" in err
+
+
+def test_huge_rank_law_exits_3(capsys, tmp_path):
+    # |W_mu| = 2000! is counted only until it passes the cap, never in full
+    path = tmp_path / "id2000.json"
+    path.write_text(json.dumps({"n": 2000, "generators": [list(range(1, 2001))],
+                                "weights": ["1"]}))
+    code, out, err = run(capsys, "analyze", "--law", str(path), "--no-timestamp")
+    assert (code, out) == (3, "")
+    assert err == ("finevo: error: W_mu has at least 3628800 tuples, over the element cap "
+                   "(1000000); raise the cap to analyze this law\n")
 
 
 def test_identity_law_analysis(capsys, tmp_path):
@@ -263,6 +286,12 @@ def test_simulate_rejects_unknown_config_fields(capsys, tmp_path, law_file):
     ({"mode": "nonstationary", "Lambda_W": {"(2,4,5)": "1"},
       "family": {"c": ["1"], "Lambda_W": [{"(2,4,5)": "1"}]}},
      "Lambda_W is a field of the other mode; nonstationary runs take no Lambda_W"),
+    # two literals of one tuple are refused, not merged
+    ({"Lambda_W": {"(2,4,5)": "1/2", "(2, 4, 5)": "1/2"}},
+     "Lambda_W names the tuple (2, 4, 5) twice: '(2,4,5)' and '(2, 4, 5)'"),
+    ({"mode": "nonstationary",
+      "family": {"c": ["1"], "Lambda_W": [{"(2,4,5)": "1/2", "( 2,4,5)": "1/2"}]}},
+     "Lambda_W names the tuple (2, 4, 5) twice: '(2,4,5)' and '( 2,4,5)'"),
 ])
 def test_config_values_of_the_wrong_type_exit_3(capsys, tmp_path, law_file, fields,
                                                 message):
@@ -445,6 +474,10 @@ PINNED_REPORTS = {
     "p3_h2-nonstationary-2000": (
         ["simulate", "--config", "{config}", "--no-timestamp"], 0,
         "06abbf4a020d91b279f0f97a6a7df44f24219ea838933804f560a08e19dc2d03"),
+    "p3_h2-stationary-lambda-2000": (
+        ["simulate", "--config", "{stationary}", "--replications", "2000", "--seed", "42",
+         "--no-timestamp"], 0,
+        "80c6f123983a9b263dfb7796e10196e5df002ff4ae7b0f31293b21dffaa2f0ba"),
     "cyclic3-analyze": (
         ["analyze", "--law", "{cyclic3}", "--no-timestamp"], 0,
         "9b84c147051ec12010f81352dcd8ef75ffcb0e85dd11a7e54666a82028d46497"),
@@ -491,7 +524,8 @@ def test_pinned_report_bytes(capsys, tmp_path, argv, code, sha):
                     "weights": ["3/7", "4/7"]},
              "n300": {"n": 300, "generators": [[2, 1, *range(3, 301)], [1] * 300],
                       "weights": ["1/2", "1/2"]}}
-    paths = {name: str(tmp_path / f"{name}.json") for name in (*files, "config")}
+    paths = {name: str(tmp_path / f"{name}.json")
+             for name in (*files, "config", "stationary")}
     files["config"] = {
         "law_file": paths["p3_h2"], "mode": "nonstationary", "k_min": -40,
         "k_max": 0, "replications": 2000, "seed": 42, "alpha": 0.001, "window": 3,
@@ -503,6 +537,11 @@ def test_pinned_report_bytes(capsys, tmp_path, argv, code, sha):
                 {"(1,2,3,4,6,5)": "1"},
             ],
         },
+    }
+    # a stationary run from a non-uniform Lambda_W
+    files["stationary"] = {
+        "law_file": paths["p3_h2"],
+        "Lambda_W": {"(1,2,3,4,5,6)": "1/3", "(1,2,3,4,6,5)": "2/3"},
     }
     for name, obj in files.items():
         with open(paths[name], "w") as fh:

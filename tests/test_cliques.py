@@ -21,9 +21,11 @@ from oracles import (
     deadlock_pairs,
     group_objects,
     is_stable,
+    measure_of,
     measure_product,
     push_tuples,
     stable_kernel_image_tuples,
+    vector_of,
 )
 
 E = Transformation([4, 2, 2, 4, 5])
@@ -141,8 +143,8 @@ def test_projection_round_trip(example_analysis):
 
 def test_invariant_law_golden(example_analysis):
     a = example_analysis
-    x = invariant_law(a.limits, a.cliques, RationalMeasure.point((2, 4, 5)))
-    lam = a.cliques.tuple_measure(x)
+    x = invariant_law(a.limits, a.cliques, vector_of(a.cliques.W, {(2, 4, 5): 1}))
+    lam = measure_of(a.cliques.W_mu, x)
     assert push_tuples(a.law, lam) == lam
     marginal = coordinate_marginal(lam, 1)
     assert marginal == RationalMeasure(
@@ -153,15 +155,16 @@ def test_invariant_law_golden(example_analysis):
 
 def test_invariant_law_rejects_mass_outside_W(example_analysis):
     a = example_analysis
-    with pytest.raises(InputError):
-        invariant_law(a.limits, a.cliques, RationalMeasure.point((5, 4, 2)))
+    # a Lambda_W reaches invariant_law as a W vector, which w_vector builds
+    with pytest.raises(InputError, match=r"mass at \(5, 4, 2\) outside W"):
+        a.cliques.w_vector(RationalMeasure({(5, 4, 2): 1}))
 
 
 def test_convex_combination_of_invariant_laws_is_invariant(p3h2_analysis):
     a = p3h2_analysis
     w0, w1 = a.cliques.W[0], a.cliques.W[1]
-    lam0, lam1 = (a.cliques.tuple_measure(invariant_law(a.limits, a.cliques,
-                                                        RationalMeasure.point(w)))
+    lam0, lam1 = (measure_of(a.cliques.W_mu, invariant_law(a.limits, a.cliques,
+                                                           vector_of(a.cliques.W, {w: 1})))
                   for w in (w0, w1))
     mixed = RationalMeasure({x: Fraction(1, 4) * lam0[x] + Fraction(3, 4) * lam1[x]
                              for x in set(lam0.support()) | set(lam1.support())})
@@ -170,21 +173,21 @@ def test_convex_combination_of_invariant_laws_is_invariant(p3h2_analysis):
 
 def test_classify_unique_invariant_law(example_analysis):
     a = example_analysis
-    lam = a.cliques.tuple_measure(
-        invariant_law(a.limits, a.cliques, RationalMeasure.point((2, 4, 5))))
+    lam = invariant_law(a.limits, a.cliques, vector_of(a.cliques.W, {(2, 4, 5): 1}))
     family = classify_family(a.limits, a.cliques, lam)
     assert family.c == (Fraction(1),)
-    assert family.Lambda_W[0] == RationalMeasure.point((2, 4, 5))
+    assert measure_of(a.cliques.W, family.Lambda_W[0]) == RationalMeasure({(2, 4, 5): 1})
 
 
 def test_classify_single_phase_family(p3h2_analysis):
     a = p3h2_analysis
     w = a.cliques.W[0]
     group = group_objects(a.rd)
-    lam0 = measure_product([a.limits.eta_L, group.gamma, RationalMeasure.uniform(group.H), w])
-    family = classify_family(a.limits, a.cliques, lam0)
+    omega_H = RationalMeasure(dict.fromkeys(group.H, Fraction(1, len(group.H))))
+    lam0 = measure_product([measure_of(a.rd.L, a.limits.eta_L), group.gamma, omega_H, w])
+    family = classify_family(a.limits, a.cliques, vector_of(a.cliques.W_mu, lam0))
     assert family.c == (0, 1, 0)
-    assert family.Lambda_W[1] == RationalMeasure.point(w)
+    assert measure_of(a.cliques.W, family.Lambda_W[1]) == RationalMeasure({w: 1})
 
 
 def test_classify_round_trip(p3h2_analysis):
@@ -193,36 +196,28 @@ def test_classify_round_trip(p3h2_analysis):
     family = InvariantFamily(
         limits=a.limits,
         c=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
-        Lambda_W=(
-            RationalMeasure.point(w0),
-            RationalMeasure({w0: "1/2", w1: "1/2"}),
-            RationalMeasure.point(w1),
-        ),
+        Lambda_W=tuple(vector_of(a.cliques.W, lam) for lam in (
+            {w0: 1}, {w0: "1/2", w1: "1/2"}, {w1: 1})),
     )
     lam0 = family.law_at(a.cliques, 0)
     back = classify_family(a.limits, a.cliques, lam0)
     assert back.c == family.c
-    assert back.Lambda_W == family.Lambda_W
+    assert ([measure_of(a.cliques.W, lam) for lam in back.Lambda_W]
+            == [measure_of(a.cliques.W, lam) for lam in family.Lambda_W])
     # the family reproduces the recursion Lambda_k = mu Lambda_{k-1}
-    current = lam0
+    current = measure_of(a.cliques.W_mu, lam0)
     for k in range(1, 4):
         current = push_tuples(a.law, current)
-        assert current == family.law_at(a.cliques, k)
+        assert current == measure_of(a.cliques.W_mu, family.law_at(a.cliques, k))
 
 
 def test_classify_rejects_non_family_law(p3h2_analysis):
     a = p3h2_analysis
     # uniform on W_mu is not of the family form unless eta_L/omega_H arrange it
-    lam = RationalMeasure.uniform([a.cliques.W_mu[0]])
+    lam = vector_of(a.cliques.W_mu, {a.cliques.W_mu[0]: 1})
     with pytest.raises(ClassificationError) as err:
         classify_family(a.limits, a.cliques, lam)
     assert err.value.residual
-
-
-def test_classify_rejects_mass_outside_W_mu(example_analysis):
-    a = example_analysis
-    with pytest.raises(InputError):
-        classify_family(a.limits, a.cliques, RationalMeasure.point((1, 2, 3)))
 
 
 def test_f_cliques_are_maximal_deadlocked_sets(example_analysis):
@@ -264,24 +259,24 @@ def test_classify_round_trip_on_fuzz_instances(fuzz_analyses):
 
     analyses, _ = fuzz_analyses
     rng = random.Random(99)
-    cyclic = [a for a in analyses if a.limits.p > 1][:12]
+    cyclic = [a for a in analyses if a.rd.p > 1][:12]
     assert cyclic, "corpus must contain instances with p > 1"
     for a in cyclic:
-        p = a.limits.p
+        p = a.rd.p
         raw = [rng.randint(0, 4) for _ in range(p)]
         if sum(raw) == 0:
             raw[0] = 1
         total = sum(raw)
         c = tuple(Fraction(r, total) for r in raw)
         lambdas = tuple(
-            RationalMeasure.point(rng.choice(a.cliques.W)) for _ in range(p)
+            vector_of(a.cliques.W, {rng.choice(a.cliques.W): 1}) for _ in range(p)
         )
         family = InvariantFamily(limits=a.limits, c=c, Lambda_W=lambdas)
         back = classify_family(a.limits, a.cliques, family.law_at(a.cliques, 0))
         assert back.c == c
         for ci, got, want in zip(c, back.Lambda_W, lambdas):
             if ci > 0:
-                assert got == want
+                assert measure_of(a.cliques.W, got) == measure_of(a.cliques.W, want)
 
 
 def test_compute_W_on_trivial_semigroup():

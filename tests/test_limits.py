@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,9 +10,8 @@ from finevo.limits import (
     assemble_limits,
     cesaro_average,
     exact_vs_float_sup,
+    fibre_stationary,
     float_limit_oracle,
-    left_stationary,
-    right_stationary,
     solve_stationary,
 )
 from finevo.measure import MappingLaw, RationalMeasure
@@ -29,6 +29,7 @@ from oracles import (
     float_sup_distance,
     full_chain_stationary,
     group_objects,
+    measure_of,
     measure_product,
     project,
     rees_product,
@@ -43,47 +44,60 @@ EF = Transformation([2, 2, 4, 4, 5])
 def _on_kernel(rd, vector) -> RationalMeasure:
     """An exact kernel vector (numerators by kernel position, denominator)
     as a measure on the kernel's transformations."""
-    nums, den = vector
-    return RationalMeasure({rd.kernel[z]: Fraction(v, den) for z, v in enumerate(nums) if v})
+    return measure_of(rd.kernel, vector)
+
+
+def _limits(a) -> SimpleNamespace:
+    """The exact limit vectors of an analysis as measures on rd.L, rd.R and
+    the kernel."""
+    rd, lim = a.rd, a.limits
+    return SimpleNamespace(eta_L=measure_of(rd.L, lim.eta_L), eta_R=measure_of(rd.R, lim.eta_R),
+                           eta=_on_kernel(rd, lim.eta), nu=_on_kernel(rd, lim.nu))
+
+
+def _uniform(support) -> RationalMeasure:
+    return RationalMeasure(dict.fromkeys(support, Fraction(1, len(support))))
 
 
 def _cycle(a) -> list:
     """cycle[k] = eta_L gamma^k omega_H eta_R by the convolution oracle."""
-    group = group_objects(a.rd)
-    omega_H = RationalMeasure.uniform(group.H)
-    return [measure_product([a.limits.eta_L, group.C[k], omega_H, a.limits.eta_R])
-            for k in range(a.limits.p)]
+    group, lim = group_objects(a.rd), _limits(a)
+    omega_H = _uniform(group.H)
+    return [measure_product([lim.eta_L, group.C[k], omega_H, lim.eta_R])
+            for k in range(a.rd.p)]
 
 
 def test_left_and_right_factors_golden(example_analysis):
-    a = example_analysis
-    assert a.limits.eta_L == RationalMeasure({E: "2/3", FE: "1/3"})
-    assert a.limits.eta_R == RationalMeasure({E: "2/3", EF: "1/3"})
+    lim = _limits(example_analysis)
+    assert lim.eta_L == RationalMeasure({E: "2/3", FE: "1/3"})
+    assert lim.eta_R == RationalMeasure({E: "2/3", EF: "1/3"})
 
 
 def test_left_stationary_product_form(example_analysis):
     # beta{l*g} = eta_L{l} / |G| on each of the 12 states of Ke
     a = example_analysis
-    beta = _on_kernel(a.rd, left_stationary(a.law, a.rd))
+    beta = _on_kernel(a.rd, fibre_stationary(a.law, a.rd, left=True))
+    eta_L = _limits(a).eta_L
     states = sorted({z * a.rd.e for z in a.rd.kernel})
     assert len(states) == 12
     for z in states:
         l, g, r = project(a.rd, z)
         assert r == a.rd.e
-        assert beta[z] == a.limits.eta_L[l] * Fraction(1, len(a.rd.G))
+        assert beta[z] == eta_L[l] * Fraction(1, len(a.rd.G))
 
 
 def test_right_stationary_product_form(p3h2_analysis):
     # beta_R{g*r} = eta_R{r} / |G| on each state of eK
     a = p3h2_analysis
-    beta = _on_kernel(a.rd, right_stationary(a.law, a.rd))
+    beta = _on_kernel(a.rd, fibre_stationary(a.law, a.rd, left=False))
+    eta_R = _limits(a).eta_R
     states = sorted({a.rd.e * z for z in a.rd.kernel})
     assert len(states) == len(a.rd.G) * len(a.rd.R)
     assert set(beta.support()) == set(states)
     for z in states:
         l, g, r = project(a.rd, z)
         assert l == a.rd.e
-        assert beta[z] == a.limits.eta_R[r] * Fraction(1, len(a.rd.G))
+        assert beta[z] == eta_R[r] * Fraction(1, len(a.rd.G))
 
 
 # Group-kernel laws: A5 has |Ke| = |G| = 60; rank3 has |L| = 2, |G| = 6 and
@@ -97,8 +111,8 @@ RANK3_LAW = {"n": 6, "generators": [[2, 3, 4, 5, 6, 1], [3, 2, 1, 4, 5, 6],
 
 def _assert_stationary_matches_full_chain(a):
     gens, weights = zip(*((f.images, w) for f, w in a.law.measure.items()))
-    for left, beta in ((True, left_stationary(a.law, a.rd)),
-                       (False, right_stationary(a.law, a.rd))):
+    for left in (True, False):
+        beta = fibre_stationary(a.law, a.rd, left)
         exact = full_chain_stationary(gens, weights, a.rd.e.images, left)
         assert {z.images: w for z, w in _on_kernel(a.rd, beta).items()} == exact
 
@@ -128,7 +142,7 @@ def test_left_stationary_matches_float_power_iteration(example_analysis):
         for f, w in a.law.measure.items():
             matrix[index[z]][index[f * z]] += w
     pi = float_stationary(matrix)
-    beta = _on_kernel(a.rd, left_stationary(a.law, a.rd))
+    beta = _on_kernel(a.rd, fibre_stationary(a.law, a.rd, left=True))
     for z in states:
         assert abs(pi[index[z]] - float(beta[z])) < 1e-12
 
@@ -137,11 +151,12 @@ def test_stationary_of_point_mass_law():
     law = MappingLaw.from_dict({"n": 5, "generators": [[4, 2, 2, 4, 5]],
                                 "weights": ["1"]})
     a = analyze_law(law)
-    assert _on_kernel(a.rd, left_stationary(a.law, a.rd)) == RationalMeasure.point(E)
-    assert a.limits.eta_L == RationalMeasure.point(E)
-    assert a.limits.eta_R == RationalMeasure.point(E)
-    assert a.limits.eta == RationalMeasure.point(E)
-    assert a.limits.p == 1
+    lim = _limits(a)
+    assert _on_kernel(a.rd, fibre_stationary(a.law, a.rd, left=True)) == RationalMeasure({E: 1})
+    assert lim.eta_L == RationalMeasure({E: 1})
+    assert lim.eta_R == RationalMeasure({E: 1})
+    assert lim.eta == RationalMeasure({E: 1})
+    assert a.rd.p == 1
 
 
 def test_solve_stationary_rejects_reducible_chain():
@@ -155,46 +170,46 @@ def test_solve_stationary_rejects_reducible_chain():
 
 def test_period_of_example_is_one(example_analysis):
     a = example_analysis
-    assert a.limits.p == 1
+    assert a.rd.p == 1
     assert set(group_objects(a.rd).H) == set(a.rd.G)
     assert group_objects(a.rd).gamma == E
 
 
 def test_period_three_cyclic_instance():
     a = analyze_law(cyclic3_law())
-    assert a.limits.p == 3
+    assert a.rd.p == 3
     assert group_objects(a.rd).H == (Transformation([1, 2, 3]),)
     assert group_objects(a.rd).gamma == Transformation([2, 3, 1])
     # mu^n = delta_{g^n} cycles with period 3
     g = Transformation([2, 3, 1])
     cycle = _cycle(a)
-    assert cycle[1] == RationalMeasure.point(g)
-    assert cycle[2] == RationalMeasure.point(g * g)
-    assert a.limits.eta == RationalMeasure.point(Transformation([1, 2, 3]))
+    assert cycle[1] == RationalMeasure({g: 1})
+    assert cycle[2] == RationalMeasure({g * g: 1})
+    assert _limits(a).eta == RationalMeasure({Transformation([1, 2, 3]): 1})
 
 
 def test_period_three_with_nontrivial_H():
     a = analyze_law(p3_h2_law())
-    assert a.limits.p == 3
+    assert a.rd.p == 3
     assert len(a.rd.H) == 2
     assert group_objects(a.rd).gamma == Transformation([2, 3, 1, 5, 6, 4])
     assert len(a.rd.G) == 6
     # p equals the index of H in G
-    assert a.limits.p * len(a.rd.H) == len(a.rd.G)
+    assert a.rd.p * len(a.rd.H) == len(a.rd.G)
 
 
 def test_cycle_shifts_under_convolution(p3h2_analysis):
     a = p3h2_analysis
     mu = a.law.measure
     cycle = _cycle(a)
-    assert cycle[0] == a.limits.eta
-    for k in range(a.limits.p):
-        assert convolve(mu, cycle[k]) == cycle[(k + 1) % a.limits.p]
-    assert convolve(mu, cycle[a.limits.p - 1]) == a.limits.eta
+    assert cycle[0] == _limits(a).eta
+    for k in range(a.rd.p):
+        assert convolve(mu, cycle[k]) == cycle[(k + 1) % a.rd.p]
+    assert convolve(mu, cycle[a.rd.p - 1]) == _limits(a).eta
 
 
 def test_eta_and_nu_identities(example_analysis):
-    lim = example_analysis.limits
+    lim = _limits(example_analysis)
     assert convolve(lim.eta, lim.eta) == lim.eta
     assert convolve(lim.nu, lim.nu) == lim.nu
     mu = example_analysis.law.measure
@@ -205,8 +220,8 @@ def test_eta_and_nu_identities(example_analysis):
 
 def test_nu_expands_as_triple_product(example_analysis):
     a = example_analysis
-    lim = a.limits
-    omega_G = RationalMeasure.uniform(a.rd.G)
+    lim = _limits(a)
+    omega_G = _uniform(a.rd.G)
     assert lim.nu == measure_product([lim.eta_L, omega_G, lim.eta_R])
     sixth = Fraction(1, len(a.rd.G))
     for z in a.rd.kernel:
@@ -216,9 +231,9 @@ def test_nu_expands_as_triple_product(example_analysis):
 
 def test_supports(example_analysis):
     a = example_analysis
-    assert set(a.limits.nu.support()) == set(a.rd.kernel)
+    assert set(_limits(a).nu.support()) == set(a.rd.kernel)
     lhr = {l * h * r for l in a.rd.L for h in group_objects(a.rd).H for r in a.rd.R}
-    assert set(a.limits.eta.support()) == lhr
+    assert set(_limits(a).eta.support()) == lhr
 
 
 def test_cycle_supports_disjoint(p3h2_analysis):
@@ -233,8 +248,8 @@ def test_float_oracle_on_example(example_analysis):
     a = example_analysis
     est = float_limit_oracle(a.law)
     assert est.converged and est.p_est == 1
-    assert exact_vs_float_sup(a.limits.eta, est.eta_est) < 1e-9
-    assert exact_vs_float_sup(a.limits.nu, est.nu_est) < 1e-9
+    assert exact_vs_float_sup(a.rd.kernel, a.limits.eta, est.eta_est) < 1e-9
+    assert exact_vs_float_sup(a.rd.kernel, a.limits.nu, est.nu_est) < 1e-9
 
 
 def test_float_oracle_trivial_law():
@@ -259,7 +274,7 @@ def test_float_oracle_survives_oscillating_transients():
          "weights": ["1/3", "1/3", "1/3"]}
     )
     a = analyze_law(law)
-    assert a.limits.p == 1
+    assert a.rd.p == 1
     est = float_limit_oracle(law)
     assert est.converged and est.p_est == 1
 
@@ -411,7 +426,7 @@ def test_blockwise_convolve_equals_the_pairwise_product(fuzz_corpus, monkeypatch
 def _first_order(a) -> dict:
     """Exact D = sum_{k>=1} (mu^k - cyc_k) from the independent oracle."""
     gens, weights = zip(*((f.images, w) for f, w in a.law.measure.items()))
-    eta = {f.images: w for f, w in a.limits.eta.items()}
+    eta = {f.images: w for f, w in _limits(a).eta.items()}
     return cesaro_first_order(gens, weights, eta)
 
 
@@ -430,7 +445,7 @@ def test_cesaro_average_decays_like_one_over_n(example_analysis):
     a = example_analysis
     sup_D = float(max(abs(v) for v in _first_order(a).values()))
     for n in (2_000, 4_000):
-        err = exact_vs_float_sup(a.limits.nu, cesaro_average(a.law, n))
+        err = exact_vs_float_sup(a.rd.kernel, a.limits.nu, cesaro_average(a.law, n))
         assert abs(err - sup_D / n) < 1e-12
 
 
@@ -440,12 +455,12 @@ def test_cesaro_expansion_on_periodic_corpus_laws(fuzz_analyses):
     analyses, _ = fuzz_analyses
     n = 3_000  # divisible by every period in the corpus
     nonzero = 0
-    for a in (a for a in analyses if a.limits.p > 1):
-        assert n % a.limits.p == 0
+    for a in (a for a in analyses if a.rd.p > 1):
+        assert n % a.rd.p == 0
         D = _first_order(a)
         assert sum(D.values()) == 0
         nonzero += bool(D)
-        residual = two_term_residual(cesaro_average(a.law, n), a.limits.nu, D, n)
+        residual = two_term_residual(cesaro_average(a.law, n), _limits(a).nu, D, n)
         assert residual < 1e-9
     assert nonzero >= 3
 
@@ -477,11 +492,11 @@ def test_period_and_subgroup_direct(example_analysis, p3h2_analysis):
 
 def test_left_right_solvers_agree_with_invariance(p3h2_analysis):
     a = p3h2_analysis
-    beta = _on_kernel(a.rd, left_stationary(a.law, a.rd))
+    beta = _on_kernel(a.rd, fibre_stationary(a.law, a.rd, left=True))
     assert convolve(a.law.measure, beta) == beta
-    beta_r = _on_kernel(a.rd, right_stationary(a.law, a.rd))
+    beta_r = _on_kernel(a.rd, fibre_stationary(a.law, a.rd, left=False))
     assert convolve(beta_r, a.law.measure) == beta_r
-    omega_G = RationalMeasure.uniform(a.rd.G)
+    omega_G = _uniform(a.rd.G)
     # omega_G * eta_R is fixed under right convolution by mu
-    fixed = measure_product([omega_G, a.limits.eta_R])
+    fixed = measure_product([omega_G, _limits(a).eta_R])
     assert convolve(fixed, a.law.measure) == fixed

@@ -11,6 +11,7 @@ from oracles import (
     convolve,
     coordinate_marginal,
     marginal_transition_matrix,
+    measure_of,
     measure_product,
     push_tuples,
 )
@@ -25,6 +26,10 @@ H = (F ** 2) * E
 
 def group_elements():
     return [E, G, G ** 2, H, G * H, (G ** 2) * H]
+
+
+def uniform(support) -> RationalMeasure:
+    return RationalMeasure(dict.fromkeys(support, Fraction(1, len(support))))
 
 
 def test_weights_validated():
@@ -46,12 +51,12 @@ def test_convolve_law_with_left_factor():
 
 
 def test_dirac_convolution_idempotent():
-    de = RationalMeasure.point(E)
+    de = RationalMeasure({E: 1})
     assert convolve(de, de) == de
 
 
 def test_haar_idempotence_by_direct_convolution():
-    omega = RationalMeasure.uniform(group_elements())
+    omega = uniform(group_elements())
     assert convolve(omega, omega) == omega
 
 
@@ -63,17 +68,21 @@ def test_support_product_rule():
     assert set(out.support()) == products
 
 
-def test_uniform_and_point():
-    omega = RationalMeasure.uniform(group_elements())
-    assert all(w == Fraction(1, 6) for _, w in omega.items())
-    assert RationalMeasure.uniform([E]) == RationalMeasure.point(E)
-    with pytest.raises(InputError):
-        RationalMeasure.uniform([])
+def test_uniform_and_point(p3h2_analysis):
+    # uniform and point laws on W, parsed as measures, become W vectors over
+    # the least common denominator
+    cd = p3h2_analysis.cliques
+    omega = uniform(cd.W)
+    assert all(w == Fraction(1, 120) for _, w in omega.items())
+    assert cd.w_vector(omega) == ([1] * 120, 120)
+    assert cd.w_vector(RationalMeasure({cd.W[1]: 1})) == ([0, 1] + [0] * 118, 1)
+    with pytest.raises(InputError, match="nonempty support"):
+        RationalMeasure(dict.fromkeys([], Fraction(1)))
 
 
 def test_push_tuples_identity():
     lam = RationalMeasure({(2, 4, 5): "1/2", (1, 3, 5): "1/2"})
-    ident = MappingLaw(5, RationalMeasure.point(Transformation([1, 2, 3, 4, 5])))
+    ident = MappingLaw(5, RationalMeasure({Transformation([1, 2, 3, 4, 5]): 1}))
     assert push_tuples(ident, lam) == lam
 
 
@@ -88,10 +97,10 @@ def test_act_composes_with_convolution():
 
 def test_measure_product_assembles_invariant_law():
     eta_L = RationalMeasure({E: "2/3", FE: "1/3"})
-    omega = RationalMeasure.uniform(group_elements())
+    omega = uniform(group_elements())
     lam = measure_product([eta_L, omega, (2, 4, 5)])
     assert push_tuples(example_law(), lam) == lam
-    assert measure_product([RationalMeasure.point(E)]) == RationalMeasure.point(E)
+    assert measure_product([RationalMeasure({E: 1})]) == RationalMeasure({E: 1})
 
 
 def test_invariant_point_law_on_single_particles():
@@ -115,8 +124,8 @@ def test_marginal_transition_matrix_golden_rows(example_analysis):
     assert all(sum(row) == 1 for row in mat)
     # the first coordinate of an invariant tuple law is invariant for the
     # one-point chain
-    x = invariant_law(a.limits, a.cliques, RationalMeasure.uniform(a.cliques.W))
-    pi = [coordinate_marginal(a.cliques.tuple_measure(x), 1)[y] for y in range(1, 6)]
+    x = invariant_law(a.limits, a.cliques, ([1] * len(a.cliques.W), len(a.cliques.W)))
+    pi = [coordinate_marginal(measure_of(a.cliques.W_mu, x), 1)[y] for y in range(1, 6)]
     assert a.cliques.first_marginal(x, 5) == pi
     assert [sum(pi[x] * mat[x][y] for x in range(5)) for y in range(5)] == pi
 

@@ -20,8 +20,14 @@ from finevo.simulate import (
 )
 from finevo.stats import chi_square_gof
 from finevo.transform import Transformation
-from oracles import (ScalarReference, group_objects, last_word_time, scalar_draw,
-                     shortest_words)
+from oracles import (ScalarReference, group_objects, last_word_time, measure_of,
+                     scalar_draw, shortest_words, vector_of)
+
+
+def w_law(a, weights=None) -> tuple:
+    """A law on the W of an analysis as a W vector; uniform by default."""
+    W = a.cliques.W
+    return vector_of(W, weights or dict.fromkeys(W, Fraction(1, len(W))))
 
 
 def one_path(a, initial, k_min, k_max, seed):
@@ -37,7 +43,7 @@ def decode(a, batch, r=0) -> dict:
 @pytest.fixture(scope="module")
 def example_path(example_analysis):
     a = example_analysis
-    lw = RationalMeasure.point(a.cliques.W[0])
+    lw = w_law(a, {a.cliques.W[0]: 1})
     return one_path(a, lw, -1000, 0, 42)
 
 
@@ -76,7 +82,7 @@ def test_factorization_rejects_a_time_outside_the_window(example_path):
 
 def test_factorization_on_short_path(example_analysis):
     a = example_analysis
-    lw = RationalMeasure.point(a.cliques.W[0])
+    lw = w_law(a, {a.cliques.W[0]: 1})
     path = one_path(a, lw, -1, 0, 3)
     check = verify_factorization(path, 0)
     assert check.passed
@@ -89,7 +95,7 @@ def test_factorization_on_short_path(example_analysis):
 
 def test_seed_reproducibility(example_analysis):
     a = example_analysis
-    lw = RationalMeasure.point(a.cliques.W[0])
+    lw = w_law(a, {a.cliques.W[0]: 1})
     p1 = one_path(a, lw, -50, 0, 7)
     p2 = one_path(a, lw, -50, 0, 7)
     p3 = one_path(a, lw, -50, 0, 8)
@@ -99,20 +105,20 @@ def test_seed_reproducibility(example_analysis):
 
 def test_seed_validation(example_analysis):
     a = example_analysis
-    lw = RationalMeasure.point(a.cliques.W[0])
+    lw = w_law(a, {a.cliques.W[0]: 1})
     with pytest.raises(InputError):
         one_path(a, lw, -10, 0, -1)
     with pytest.raises(InputError):
         one_path(a, lw, 0, 0, 1)
-    with pytest.raises(InputError):
-        one_path(a, RationalMeasure.point((1, 2, 3)), -10, 0, 1)
+    with pytest.raises(InputError, match=r"mass at \(1, 2, 3\) outside W"):
+        a.cliques.w_vector(RationalMeasure({(1, 2, 3): 1}))
 
 
 def test_deterministic_dynamics_constant_path(example_analysis):
     law = MappingLaw.from_dict({"n": 5, "generators": [[4, 2, 2, 4, 5]],
                                 "weights": ["1"]})
     a = analyze_law(law)
-    lw = RationalMeasure.uniform(a.cliques.W)
+    lw = w_law(a)
     path = one_path(a, lw, -20, 0, 11)
     assert len(set(decode(a, path)["X"])) == 1  # e acts as the identity on its cliques
 
@@ -122,7 +128,7 @@ def test_empirical_left_factor_frequency(example_analysis):
     # lands within a 0.02 binomial band for this fixed seed
     a = example_analysis
     fe = Transformation([1, 3, 3, 1, 5])
-    lw = RationalMeasure.point(a.cliques.W[0])
+    lw = w_law(a, {a.cliques.W[0]: 1})
     X_L = decode(a, one_path(a, lw, 0, 10_000, 42))["X_L"]
     freq = sum(1 for l in X_L if l == fe) / len(X_L)
     assert abs(freq - 1 / 3) < 0.02
@@ -130,7 +136,7 @@ def test_empirical_left_factor_frequency(example_analysis):
 
 def test_third_noise_battery_on_example(example_analysis):
     a = example_analysis
-    lw = RationalMeasure.point(a.cliques.W[0])
+    lw = w_law(a, {a.cliques.W[0]: 1})
     batch = sample_batch(a, lw, -3, 0, 42, 2000)
     checks = verify_third_noise(batch, alpha=0.001)
     assert all(c.passed for c in checks)
@@ -149,7 +155,7 @@ def test_third_noise_battery_on_example(example_analysis):
 
 def test_third_noise_on_p3_instance(p3h2_analysis):
     a = p3h2_analysis
-    lw = RationalMeasure({a.cliques.W[0]: "1/2", a.cliques.W[1]: "1/2"})
+    lw = w_law(a, {a.cliques.W[0]: "1/2", a.cliques.W[1]: "1/2"})
     batch = sample_batch(a, lw, -3, 0, 42, 3000)
     checks = verify_third_noise(batch, alpha=0.001)
     assert all(c.passed for c in checks)
@@ -162,14 +168,14 @@ def test_third_noise_on_p3_instance(p3h2_analysis):
 
 def test_third_noise_requires_enough_replications(example_analysis):
     a = example_analysis
-    lw = RationalMeasure.point(a.cliques.W[0])
+    lw = w_law(a, {a.cliques.W[0]: 1})
     with pytest.raises(InputError, match="at least 1000 replications"):
         verify_third_noise(sample_batch(a, lw, -3, 0, 1, 100), alpha=0.001)
 
 
 def test_verifiers_reject_the_other_kind_of_batch(example_analysis):
     a = example_analysis
-    lw = RationalMeasure.point(a.cliques.W[0])
+    lw = w_law(a, {a.cliques.W[0]: 1})
     family = InvariantFamily(limits=a.limits, c=(Fraction(1),), Lambda_W=(lw,))
     with pytest.raises(InputError, match="needs a stationary batch"):
         verify_third_noise(sample_batch(a, family, -3, 0, 1, 1000))
@@ -182,7 +188,7 @@ def test_verifiers_reject_the_other_kind_of_batch(example_analysis):
 
 def test_mono_projection_battery(example_analysis):
     a = example_analysis
-    lw = RationalMeasure.point(a.cliques.W[0])
+    lw = w_law(a, {a.cliques.W[0]: 1})
     batch = sample_batch(a, lw, -3, 0, 42, 2000)
     checks = verify_mono_projection(batch, mono_projection_events(a.rd), alpha=0.001)
     assert all(c.passed for c in checks)
@@ -195,7 +201,7 @@ def test_nonstationary_single_term_reduces_to_stationary(example_analysis):
     family = InvariantFamily(
         limits=a.limits,
         c=(Fraction(1),),
-        Lambda_W=(RationalMeasure.point(a.cliques.W[0]),),
+        Lambda_W=(w_law(a, {a.cliques.W[0]: 1}),),
     )
     path = one_path(a, family, -200, 0, 5)
     checks = verify_path_exact(path) + [verify_factorization(path, 0)]
@@ -208,7 +214,7 @@ def test_nonstationary_deterministic_phase(p3h2_analysis):
     family = InvariantFamily(
         limits=a.limits,
         c=(Fraction(1), Fraction(0), Fraction(0)),
-        Lambda_W=(RationalMeasure.point(w),) * 3,
+        Lambda_W=(w_law(a, {w: 1}),) * 3,
     )
     C = group_objects(a.rd).C
     for seed in range(5):
@@ -226,9 +232,9 @@ def test_nonstationary_joint_frequencies(p3h2_analysis):
         limits=a.limits,
         c=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
         Lambda_W=(
-            RationalMeasure.point(w0),
-            RationalMeasure({w0: "1/2", w1: "1/2"}),
-            RationalMeasure.point(w1),
+            w_law(a, {w0: 1}),
+            w_law(a, {w0: "1/2", w1: "1/2"}),
+            w_law(a, {w1: 1}),
         ),
     )
     batch = sample_batch(a, family, -10, -7, 42, 4000)
@@ -262,7 +268,7 @@ def test_estimate_Te_on_example(example_analysis, example_path):
 
 def test_estimate_Te_windows_of_200(example_analysis):
     a = example_analysis
-    lw = RationalMeasure.point(a.cliques.W[0])
+    lw = w_law(a, {a.cliques.W[0]: 1})
     found = 0
     total = 200
     for r in range(total):
@@ -276,7 +282,7 @@ def test_estimate_Te_deterministic_law():
     law = MappingLaw.from_dict({"n": 5, "generators": [[4, 2, 2, 4, 5]],
                                 "weights": ["1"]})
     a = analyze_law(law)
-    lw = RationalMeasure.uniform(a.cliques.W)
+    lw = w_law(a)
     path = one_path(a, lw, -50, 0, 1)
     assert e_word(a) == [a.rd.e.images]
     # every position carries the witness; T^e_k is the largest admissible l
@@ -285,7 +291,7 @@ def test_estimate_Te_deterministic_law():
 
 def test_Te_tail_decays_geometrically(example_analysis):
     a = example_analysis
-    lw = RationalMeasure.point(a.cliques.W[0])
+    lw = w_law(a, {a.cliques.W[0]: 1})
     word = e_word(a)
     gaps = []
     for r in range(400):
@@ -305,8 +311,8 @@ def test_one_time_law_matches_invariant_marginal(example_analysis):
     from finevo.cliques import invariant_law
 
     a = example_analysis
-    lw = RationalMeasure.point(a.cliques.W[0])
-    lam = a.cliques.tuple_measure(invariant_law(a.limits, a.cliques, lw))
+    lw = w_law(a, {a.cliques.W[0]: 1})
+    lam = measure_of(a.cliques.W_mu, invariant_law(a.limits, a.cliques, lw))
     counts = {}
     reps = 3000
     for r in range(reps):
@@ -322,7 +328,7 @@ def test_degenerate_H_auto_passes():
     from fuzzlaws import cyclic3_law
 
     a = analyze_law(cyclic3_law())
-    lw = RationalMeasure.uniform(a.cliques.W)
+    lw = w_law(a)
     batch = sample_batch(a, lw, -2, 0, 42, 1000)
     checks = verify_third_noise(batch, alpha=0.001)
     by_name = {c.name: c for c in checks}
@@ -374,7 +380,7 @@ def test_batch_rows_do_not_depend_on_the_chunk_size(example_analysis, monkeypatc
     """Chunks of 7 rows, of one row, and of less than one row's uniforms
     (still one row per chunk), on a short and a 300-step window."""
     a = example_analysis
-    lw = RationalMeasure.point(a.cliques.W[0])
+    lw = w_law(a, {a.cliques.W[0]: 1})
     whole = sample_batch(a, lw, k_min, 0, 2**64 - 3, 50)
     draws_per_row = 3 - k_min
     monkeypatch.setattr(simulate, "BATCH_CHUNK_DRAWS", int(rows_per_chunk * draws_per_row))
@@ -441,7 +447,7 @@ def _third_noise_reference(ref, lw, seed):
 @pytest.mark.parametrize("name", ["example", "cyclic3", "p3h2"])
 def test_stationary_counts_match_scalar_reference(name, request, tested_counts):
     a = request.getfixturevalue(f"{name}_analysis")
-    lw = RationalMeasure.uniform(a.cliques.W)
+    lw = w_law(a)
     ref = ScalarReference(a.limits, a.cliques.W)
     want, rows = _third_noise_reference(ref, lw, 42)
     batch = sample_batch(a, lw, -3, 0, 42, REPS)
@@ -465,7 +471,7 @@ def test_stationary_counts_match_scalar_reference(name, request, tested_counts):
 
 def test_mono_counts_match_scalar_reference(example_analysis, tested_counts):
     a = example_analysis
-    lw = RationalMeasure.point(a.cliques.W[0])
+    lw = w_law(a, {a.cliques.W[0]: 1})
     ref = ScalarReference(a.limits, a.cliques.W)
     want = {}
     for r in range(REPS):
@@ -484,9 +490,9 @@ def test_nonstationary_counts_match_scalar_reference(p3h2_analysis, tested_count
         limits=a.limits,
         c=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
         Lambda_W=(
-            RationalMeasure.point(w0),
-            RationalMeasure({w0: "1/2", w1: "1/2"}),
-            RationalMeasure.point(w1),
+            w_law(a, {w0: 1}),
+            w_law(a, {w0: "1/2", w1: "1/2"}),
+            w_law(a, {w1: 1}),
         ),
     )
     ref = ScalarReference(a.limits, a.cliques.W)
@@ -508,7 +514,7 @@ def test_nonstationary_paths_match_scalar_reference(example_analysis):
     # two L-parts and H = G: every one of the four start draws shows in X
     a = example_analysis
     family = InvariantFamily(limits=a.limits, c=(Fraction(1),),
-                             Lambda_W=(RationalMeasure.point(a.cliques.W[0]),))
+                             Lambda_W=(w_law(a, {a.cliques.W[0]: 1}),))
     ref = ScalarReference(a.limits, a.cliques.W)
     for seed in range(40):
         path = one_path(a, family, -4, 0, seed)
@@ -542,7 +548,7 @@ def p3h2_batch(p3h2_analysis):
     """Three 40-step rows of the p = 3, |H| = 2 law, from every W-orbit."""
     a = p3h2_analysis
     assert (a.rd.p, len(a.rd.H), len(a.cliques.W)) == (3, 2, 120)
-    return sample_batch(a, RationalMeasure.uniform(a.cliques.W), -40, 0, 42, 3)
+    return sample_batch(a, w_law(a), -40, 0, 42, 3)
 
 
 def test_path_checks_pass_the_unedited_batch(p3h2_batch):
