@@ -57,6 +57,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+def _cap(text: str) -> int:
+    """``--cap``'s value: an integer of at least 1."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {cap}")
+    return cap
+
+
 def _add_output_flags(p):
     p.add_argument("--out", help="write the report to this file")
     p.add_argument("--no-timestamp", action="store_true",
@@ -88,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="structural analysis of a mapping law")
     p.add_argument("--law", required=True, help="mapping-law JSON file")
-    p.add_argument("--cap", type=int, default=DEFAULT_ELEMENT_CAP,
+    p.add_argument("--cap", type=_cap, default=DEFAULT_ELEMENT_CAP,
                    help="cap on the closure's elements and on the stable "
                         "tuples W_mu (default 10^6)")
     p.add_argument("--seed", type=int, help="echoed into the report")
@@ -97,14 +108,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="seeded simulation with exact and "
                                         "statistical verification")
     p.add_argument("--law", help="mapping-law JSON file")
-    p.add_argument("--cap", type=int, default=DEFAULT_ELEMENT_CAP)
+    p.add_argument("--cap", type=_cap, default=DEFAULT_ELEMENT_CAP)
     _add_sim_flags(p)
     _add_output_flags(p)
 
     p = sub.add_parser("verify", help="full verification battery including "
                                       "the floating-point limit oracle")
     p.add_argument("--law", required=True, help="mapping-law JSON file")
-    p.add_argument("--cap", type=int, default=DEFAULT_ELEMENT_CAP)
+    p.add_argument("--cap", type=_cap, default=DEFAULT_ELEMENT_CAP)
     _add_sim_flags(p)
     _add_output_flags(p)
 

@@ -4,12 +4,15 @@ The closure is one ``(|S|, n)`` unsigned array of image rows f(1), ...,
 f(n); ``[0, g(1), ..., g(n)][row_f]`` is the row of g * f. Rows are
 generated breadth-first by word length, each layer sorted; this canonical
 order fixes every deterministic choice downstream, such as the base
-idempotent. No other module reads rows: ``element``, ``literals`` and
-``left_products`` read them for the others, and only the kernel is made
-into ``Transformation`` objects. ``rees_at`` composes every product it
-needs once, on the kernel's rows, into tables of positions: after it, a
-group element is a position in ``ReesData.G`` and products are table
-lookups.
+idempotent. The rows seen so far are flags in a dense table of all n ** n
+maps when n <= 8 (16 MiB at most), and byte keys in a set from n = 9, where
+such a table would not fit; closures deep in thin layers need many points
+and so always take the set. No other module reads rows: ``element``,
+``literals`` and ``left_products`` read them for the others, and only the
+kernel is made into ``Transformation`` objects. ``rees_at`` composes every
+product it needs once, on the kernel's rows, into tables of positions:
+after it, a group element is a position in ``ReesData.G`` and products are
+table lookups.
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ DEFAULT_ELEMENT_CAP = 10**6
 # Array passes whose size is a product of two sizes (a group's product table,
 # a convolution, the Cesaro tail) work in blocks of about this many entries.
 BLOCK = 1 << 16
+# ``generate`` keeps one flag per map for domains of at most this many points,
+# n ** n bytes: 16 MiB at n = 8.
+DENSE_MAX_N = 8
 
 
 def _rows(maps, dtype) -> np.ndarray:
@@ -74,8 +80,11 @@ def generate(generators, *, cap: int = DEFAULT_ELEMENT_CAP) -> np.ndarray:
     generators, as one ``(|S|, n)`` unsigned array.
 
     The order is canonical: by shortest word length, each layer sorted, so
-    the sorted generators come first. Raises ResourceLimitError if the
-    closure exceeds ``cap`` elements.
+    the sorted generators come first. Each layer is the generators times the
+    last layer, less the rows seen before: for n <= DENSE_MAX_N the seen rows
+    are flags in a table of all n ** n maps (``_flag_table``), otherwise byte
+    keys in a set (``_key_set``). The choice reads n alone. Raises
+    ResourceLimitError if the closure exceeds ``cap`` elements.
     """
     gens = sorted(set(generators))
     if not gens:
@@ -85,18 +94,48 @@ def generate(generators, *, cap: int = DEFAULT_ELEMENT_CAP) -> np.ndarray:
     n = gens[0].n
 
     big = np.dtype(np.min_scalar_type(n)).newbyteorder(">")
-    key = np.dtype((np.void, big.itemsize * n))
+    fresh = _flag_table(n) if n <= DENSE_MAX_N else _key_set(n, big)
     tables = _tables(_rows(gens, big))
-    layers = [tables[:, 1:]]
-    seen = set(_keys(layers[0], key))
+    layers = [fresh(tables[:, 1:])]
+    size = len(gens)
     while len(layers[-1]):
-        if len(seen) > cap:
+        if size > cap:
             raise ResourceLimitError(f"closure exceeded the element cap ({cap}); "
                                      "raise the cap to analyze this law")
-        fresh = sorted(set(_keys(tables.take(layers[-1], axis=1), key)) - seen)
-        seen.update(fresh)
-        layers.append(np.frombuffer(b"".join(fresh), big).reshape(-1, n))
+        layers.append(fresh(tables.take(layers[-1], axis=1).reshape(-1, n)))
+        size += len(layers[-1])
     return np.concatenate(layers).astype(big.newbyteorder("="))
+
+
+def _flag_table(n: int):
+    """``generate``'s step on n points: the rows not seen before, deduplicated
+    and sorted, marked seen by one flag per map at the row's code, its images
+    minus 1 read as base-n digits with point 1 most significant."""
+    radix = n ** np.arange(n - 1, -1, -1)
+    ones = int(radix.sum())
+    seen = np.zeros(n ** n, bool)
+
+    def fresh(rows: np.ndarray) -> np.ndarray:
+        codes = rows @ radix - ones
+        new = np.flatnonzero(~seen[codes])
+        codes, first = np.unique(codes[new], return_index=True)
+        seen[codes] = True
+        return rows[new[first]]
+    return fresh
+
+
+def _key_set(n: int, big: np.dtype):
+    """``generate``'s step on n points: the rows not seen before, deduplicated
+    and sorted, marked seen in a set of the byte keys of the rows, whose
+    dtype ``big`` is big-endian."""
+    key = np.dtype((np.void, big.itemsize * n))
+    seen = set()
+
+    def fresh(rows: np.ndarray) -> np.ndarray:
+        keys = sorted(set(_keys(rows, key)) - seen)
+        seen.update(keys)
+        return np.frombuffer(b"".join(keys), big).reshape(-1, n)
+    return fresh
 
 
 def kernel(rows: np.ndarray) -> tuple:

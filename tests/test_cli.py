@@ -163,6 +163,21 @@ def test_closure_cap_exceeded(capsys, law_file, tmp_path):
     assert "W_mu has 5040 tuples, over the element cap (5039)" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "simulate", "verify"])
+@pytest.mark.parametrize("cap, message", [
+    ("0", "must be at least 1, got 0"),
+    ("-5", "must be at least 1, got -5"),
+    ("ten", "invalid int value: 'ten'"),
+])
+def test_cap_below_1_is_a_usage_error(capsys, law_file, command, cap, message):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--law", law_file, "--cap", cap])
+    err = capsys.readouterr().err
+    assert exc.value.code == 3
+    assert err.endswith(f"finevo {command}: error: argument --cap: {message}\n")
+    assert "element cap" not in err
+
+
 def test_huge_rank_law_exits_3(capsys, tmp_path):
     # |W_mu| = 2000! is counted only until it passes the cap, never in full
     path = tmp_path / "id2000.json"

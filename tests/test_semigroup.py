@@ -134,6 +134,23 @@ def test_closure_rows_match_the_oracles_on_a_large_closure():
     assert (len(rows), len(kernel(rows))) == (2610, 5)
 
 
+def test_closure_rows_match_across_the_two_visited_structures():
+    # generate marks the rows it has seen in a flag table up to n = 8 and in a
+    # set of byte keys from n = 9: two seeded random maps on eight points,
+    # and the same maps with a fixed ninth point, close to the same rows in
+    # the same order, and the cap stops both at the same size
+    rng = random.Random(25)
+    gens = [Transformation([rng.randint(1, 8) for _ in range(8)]) for _ in range(2)]
+    ext = [Transformation([*g.images, 9]) for g in gens]
+    rows = _assert_rows_match_the_oracles(gens, word_closure)
+    assert (len(rows), len(kernel(rows))) == (4311, 8)
+    assert np.array_equal(generate(ext)[:, :8], rows)
+    for law in (gens, ext):
+        with pytest.raises(ResourceLimitError, match=r"element cap \(4310\)"):
+            generate(law, cap=len(rows) - 1)
+        assert len(generate(law, cap=len(rows))) == len(rows)
+
+
 @pytest.mark.parametrize("n, seed, sizes", [(255, 6, (1742, 8)), (256, 5, (1442, 8))])
 def test_closure_rows_match_the_oracles_across_the_one_byte_image(n, seed, sizes):
     # rows hold one byte per image up to n = 255 and two from n = 256, where
