@@ -9,7 +9,7 @@ import numpy as np
 from .cliques import CliqueData, compute_W
 from .limits import CyclicLimit, assemble_limits, boundary_factor, fibre_stationary
 from .measure import MappingLaw
-from .semigroup import DEFAULT_ELEMENT_CAP, ReesData, generate, kernel, rees_at
+from .semigroup import DEFAULT_ELEMENT_CAP, ReesData, generate, idempotents, kernel, rees_at
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,8 +33,7 @@ def analyze_law(law: MappingLaw, *, cap: int = DEFAULT_ELEMENT_CAP) -> Analysis:
     closure = generate(law.generators, cap=cap)
     ker = kernel(closure)
     # the kernel is a finite semigroup, so it holds an idempotent
-    e = next(z for z in ker if z.is_idempotent())
-    rd = rees_at(law.generators, ker, e)
+    rd = rees_at(law.generators, ker, int(idempotents(ker)[0]))
 
     eta_L = boundary_factor(rd, fibre_stationary(law, rd, left=True), left=True)
     eta_R = boundary_factor(rd, fibre_stationary(law, rd, left=False), left=False)

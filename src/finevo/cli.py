@@ -245,7 +245,7 @@ def mono_projection_events(rd) -> dict:
     """The five event identities of the built-in example law, tying the
     first coordinate x of the observed tuple to (X^L, U^G(2)): x maps to
     (l, u) with X^L = L[l] (either L-part when l is None) and U^G(2) = u."""
-    e = rd.L.index(rd.e)
+    e = int(rd.coords[rd.e, 0])
     fe = next(l for l in range(len(rd.L)) if l != e)
     return {
         1: (fe, 4),
@@ -346,7 +346,7 @@ def cmd_verify(args) -> int:
                              closure=analysis.closure)
     if not est.converged:
         verification.add(Check("float limit oracle converged", "exact", False))
-        eta_err = nu_err = float("nan")
+        eta_err = nu_err = None  # JSON null: there is no estimate to compare
     else:
         eta_err = exact_vs_float_sup(analysis.rd.kernel, analysis.limits.eta, est.eta_est)
         nu_err = exact_vs_float_sup(analysis.rd.kernel, analysis.limits.nu, est.nu_est)

@@ -11,12 +11,14 @@ W_mu holds only the orderings of {1,3}. The product map
 L x G x W -> W_mu over a set W of orbit representatives is the coordinate
 system for everything the simulator extracts.
 
-Past ``compute_W`` a stable tuple is a position in W_mu, and this module
-alone translates between tuples and positions. ``compute_W`` composes
-every (generator, tuple) and (l, g, w) fact once into integer tables. A
-tuple law is a vector: Python-int numerators, one per W_mu position (or
-per W position for a law on W), over one common denominator, pushed
-forward by the step table as ``finevo.limits`` pushes kernel vectors.
+The f-cliques, W_mu and W are integer rows, sorted as tuples, and past
+``compute_W`` a stable tuple is a position in W_mu. ``compute_W`` composes
+every (generator, tuple) and (l, g, w) fact once, by gathers on the image
+rows of ``ReesData``, into integer tables, looking the tuples up in W_mu
+with ``finevo.semigroup.positions_in``. A tuple law is a vector:
+Python-int numerators, one per W_mu position (or per W position for a law
+on W), over one common denominator, pushed forward by the step table as
+``finevo.limits`` pushes kernel vectors.
 A ``RationalMeasure`` on tuples is only ever parsed input: ``w_vector``
 turns it into a W vector.
 """
@@ -34,33 +36,38 @@ from .errors import (ClassificationError, InputError, ResourceLimitError,
                      StructuralInconsistencyError)
 from .limits import CyclicLimit, _act, _common, _same
 from .measure import RationalMeasure
-from .semigroup import DEFAULT_ELEMENT_CAP, ReesData
+from .semigroup import (DEFAULT_ELEMENT_CAP, ReesData, _tables, distinct, distinct_rows,
+                        literals, positions_in)
 
 
-def f_cliques(ker: tuple) -> list:
-    """The distinct image sets of kernel elements, as sorted tuples."""
-    return sorted({tuple(sorted(g.image_set())) for g in ker})
+def f_cliques(ker: np.ndarray) -> np.ndarray:
+    """The distinct image sets of the kernel rows, which share one rank,
+    each sorted, as rows in lexicographic order."""
+    ranked = np.sort(ker, axis=1)
+    new = np.ones(ranked.shape, bool)
+    new[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    return distinct_rows(ranked[new].reshape(len(ker), -1))
 
 
 @dataclass(frozen=True, eq=False)
 class CliqueData:
     """Stable tuples and their integer tables.
 
-    A stable tuple is a position s in ``W_mu`` (sorted) and ``index`` maps a
-    tuple to its position; a map is a position i in ``rd.generators``.
-    ``step[i, s]`` is the position of generators[i](W_mu[s]). The columns
-    ``state_l``, ``state_g`` and ``state_w`` hold the positions (l, g, w) in
-    ``rd.L``, ``rd.G`` and ``W`` with W_mu[s] = (L[l] * G[g])(W[w]), and
-    ``lgw[l, g, w]`` inverts them. ``state_c[s]`` is the coset index j of
-    the G-part gamma^j h and ``state_h[s]`` the position of h in ``rd.H``;
-    ``coset_h[j, h]`` is the G position of gamma^j h.
+    ``f_cliques``, ``W_mu`` and ``W`` hold point tuples as rows, sorted as
+    tuples. A stable tuple is a position s in ``W_mu``; a map is a position
+    i in ``rd.generators``. ``step[i, s]`` is the position of
+    generators[i](W_mu[s]). The columns ``state_l``, ``state_g`` and
+    ``state_w`` hold the positions (l, g, w) in ``rd.L``, ``rd.G`` and
+    ``W`` with W_mu[s] = (L[l] * G[g])(W[w]), and ``lgw[l, g, w]`` inverts
+    them. ``state_c[s]`` is the coset index j of the G-part gamma^j h and
+    ``state_h[s]`` the position of h in ``rd.H``; ``coset_h[j, h]`` is the
+    G position of gamma^j h.
     """
 
     m_mu: int
-    f_cliques: tuple
-    W_mu: tuple
-    W: tuple
-    index: dict
+    f_cliques: np.ndarray
+    W_mu: np.ndarray
+    W: np.ndarray
     step: np.ndarray
     state_l: np.ndarray
     state_g: np.ndarray
@@ -70,17 +77,10 @@ class CliqueData:
     lgw: np.ndarray
     coset_h: np.ndarray
 
-    def project_index(self, x: tuple) -> tuple:
-        """Positions (l, g, w) of a stable tuple: x = (L[l] * G[g])(W[w])."""
-        if x not in self.index:
-            raise InputError(f"tuple {x} is not a stable distinct tuple")
-        s = self.index[x]
-        return int(self.state_l[s]), int(self.state_g[s]), int(self.state_w[s])
-
     def w_vector(self, lam: RationalMeasure) -> tuple:
         """A law on W as numerators by position in W over their least common
         denominator; raises InputError if it has mass outside W."""
-        index = {w: i for i, w in enumerate(self.W)}
+        index = {w: i for i, w in enumerate(map(tuple, self.W.tolist()))}
         items = lam.items()
         weights, den = _common([v for _, v in items])
         nums = [0] * len(self.W)
@@ -94,8 +94,8 @@ class CliqueData:
         """The law of the first coordinate under a W_mu vector, as the
         probabilities of the points 1..n."""
         acc = [0] * (n + 1)
-        for y, v in zip(self.W_mu, x[0]):
-            acc[y[0]] += v
+        for y, v in zip(self.W_mu[:, 0].tolist(), x[0]):
+            acc[y] += v
         return [Fraction(v, x[1]) for v in acc[1:]]
 
 
@@ -108,11 +108,11 @@ def compute_W(rd: ReesData, *, cap: int = DEFAULT_ELEMENT_CAP) -> CliqueData:
     representative of each G-orbit on e W_mu. Verifies that L x G x W -> W_mu
     is a bijection and that every generator maps W_mu into itself. Raises
     ResourceLimitError, before enumerating, if W_mu would hold more than
-    ``cap`` tuples.
+    ``cap`` tuples. Every table is a gather on image rows, looked up in
+    W_mu by ``positions_in``.
     """
-    ker = rd.kernel
-    m_mu = min(f.rank() for f in ker)
-    cliques = f_cliques(ker)
+    cliques = f_cliques(rd.kernel)
+    m_mu = cliques.shape[1]
     # |W_mu| = |cliques| * m_mu!, multiplied out only until it passes the cap
     size, k = len(cliques), 1
     while size <= cap and k < m_mu:
@@ -122,59 +122,50 @@ def compute_W(rd: ReesData, *, cap: int = DEFAULT_ELEMENT_CAP) -> CliqueData:
         count = size if k == m_mu else f"at least {size}"
         raise ResourceLimitError(f"W_mu has {count} tuples, over the element cap "
                                  f"({cap}); raise the cap to analyze this law")
-    W_mu = tuple(sorted(x for clique in cliques for x in permutations(clique)))
-    index = {x: s for s, x in enumerate(W_mu)}
+    W_mu = distinct_rows(cliques[:, list(permutations(range(m_mu)))].reshape(-1, m_mu))
+    w_at = positions_in(W_mu)
 
-    e = rd.e
-    orbit_of = {}
+    # one lookup per G-orbit on e W_mu, taken in tuple order
+    orbit_of = [-1] * len(W_mu)
     reps = []
-    for x in sorted({e.apply(x) for x in W_mu}):
-        if x in orbit_of:
+    for x in distinct(w_at(rd.kernel[rd.e, W_mu - 1])).tolist():
+        if orbit_of[x] >= 0:
             continue
-        orbit = sorted(g.apply(x) for g in rd.G)
-        rep = orbit[0]
-        reps.append(rep)
+        orbit = w_at(rd.G[:, W_mu[x] - 1]).tolist()
+        rep = min(orbit)
+        if rep < 0:
+            raise StructuralInconsistencyError("L * G * W does not equal W_mu")
         for y in orbit:
-            if orbit_of.setdefault(y, rep) != rep:
+            if orbit_of[y] not in (-1, rep):
                 raise StructuralInconsistencyError("G-orbits on eW_mu overlap")
-    W = tuple(sorted(reps))
+            orbit_of[y] = rep
+        reps.append(rep)
+    W = W_mu[sorted(reps)]
 
-    triples = [None] * len(W_mu)
-    step = np.empty((len(rd.generators), len(W_mu)), dtype=np.intp)
-    for l, x_l in enumerate(rd.L):
-        for g, x_g in enumerate(rd.G):
-            lg = x_l * x_g
-            for w, x_w in enumerate(W):
-                x = lg.apply(x_w)
-                s = index.get(x)
-                if s is None:
-                    raise StructuralInconsistencyError("L * G * W does not equal W_mu")
-                if triples[s] is not None:
-                    raise StructuralInconsistencyError(
-                        "L x G x W product map is not injective"
-                    )
-                triples[s] = (l, g, w)
-                for i, f in enumerate(rd.generators):
-                    y = index.get(f.apply(x))
-                    if y is None:
-                        raise StructuralInconsistencyError(
-                            f"{f.literal()} maps the stable tuple {x} outside L G W"
-                        )
-                    step[i, s] = y
-    if None in triples:
+    lgw = w_at(_tables(rd.L).take(rd.G, axis=1)[:, :, W - 1])
+    if lgw.min() < 0:
         raise StructuralInconsistencyError("L * G * W does not equal W_mu")
+    if len(distinct(lgw)) != lgw.size:
+        raise StructuralInconsistencyError("L x G x W product map is not injective")
+    if lgw.size != len(W_mu):
+        raise StructuralInconsistencyError("L * G * W does not equal W_mu")
+    step = w_at(_tables(rd.generators).take(W_mu, axis=1))
+    if step.min() < 0:
+        i, s = np.argwhere(step < 0)[0]
+        raise StructuralInconsistencyError(
+            f"{literals(rd.generators[[i]])[0]} maps the stable tuple "
+            f"{tuple(W_mu[s].tolist())} outside L G W")
 
     # gamma^j h at (j, position of h in H), and the split of G it inverts
-    coset_h = np.array([[rd.gmul[c][h] for h in rd.H] for c in rd.C], dtype=np.intp)
+    coset_h = rd.gmul[np.ix_(rd.C, rd.H)]
     g_coset, g_h = np.empty((2, len(rd.G)), dtype=np.intp)
     g_coset[coset_h] = np.arange(rd.p)[:, None]
     g_h[coset_h] = np.arange(len(rd.H))
-    state_l, state_g, state_w = np.array(triples, dtype=np.intp).reshape(-1, 3).T
-    lgw = np.empty((len(rd.L), len(rd.G), len(W)), dtype=np.intp)
-    lgw[state_l, state_g, state_w] = np.arange(len(W_mu))
+    state_l, state_g, state_w = np.empty((3, len(W_mu)), dtype=np.intp)
+    state_l[lgw], state_g[lgw], state_w[lgw] = np.indices(lgw.shape)
 
-    return CliqueData(m_mu=m_mu, f_cliques=tuple(cliques), W_mu=W_mu, W=W, index=index,
-                      step=step, state_l=state_l, state_g=state_g, state_w=state_w,
+    return CliqueData(m_mu=m_mu, f_cliques=cliques, W_mu=W_mu, W=W, step=step,
+                      state_l=state_l, state_g=state_g, state_w=state_w,
                       state_c=g_coset[state_g], state_h=g_h[state_g], lgw=lgw,
                       coset_h=coset_h)
 
@@ -204,7 +195,7 @@ def invariant_law(limits: CyclicLimit, cd: CliqueData, Lambda_W: tuple) -> tuple
     """The W_mu vector of the invariant tuple law eta_L omega_G Lambda_W, for
     a W vector Lambda_W; verified fixed by mu."""
     lam = _tuple_law(limits, cd, [(1, range(len(limits.rd.G)), Lambda_W)])
-    if not _same(_act(limits.law, limits.rd, lam, cd.step.tolist()), lam):
+    if not _same(_act(limits.law, limits.rd, lam, cd.step), lam):
         raise StructuralInconsistencyError("assembled law is not mu-invariant")
     return lam
 
@@ -251,13 +242,13 @@ def classify_family(limits: CyclicLimit, cd: CliqueData, x: tuple) -> InvariantF
         residual = {}
         for s, (a, b) in enumerate(zip(x[0], rebuilt[0])):
             if a * rebuilt[1] != b * x[1]:
-                residual[cd.W_mu[s]] = (Fraction(a, x[1]), Fraction(b, rebuilt[1]))
+                residual[tuple(cd.W_mu[s].tolist())] = (Fraction(a, x[1]), Fraction(b, rebuilt[1]))
         raise ClassificationError(
             "law is not of the cyclic family form", residual=residual
         )
     current = x
     for k in range(1, rd.p + 1):
-        current = _act(limits.law, rd, current, cd.step.tolist())
+        current = _act(limits.law, rd, current, cd.step)
         if not _same(current, family.law_at(cd, k)):
             raise ClassificationError(
                 f"family recursion fails at step {k}", residual={}

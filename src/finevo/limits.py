@@ -101,7 +101,7 @@ def _act(law: MappingLaw, rd: ReesData, x: tuple, tables) -> tuple:
     weights, den = _common(law.weights)
     support = [(z, v) for z, v in enumerate(x[0]) if v]
     out = [0] * len(x[0])
-    for w, table in zip(weights, tables):
+    for w, table in zip(weights, tables.tolist()):
         for z, v in support:
             out[table[z]] += w * v
     return out, x[1] * den
@@ -111,8 +111,8 @@ def _convolve(rd: ReesData, a: tuple, b: tuple) -> tuple:
     """a * b, by the Rees-matrix product (l, g, r)(l', g', r') =
     (l, g (r l') g', r') of kernel positions, gathered for a block of rows
     of a's support against b's support at a time."""
-    at, gmul, sandwich = np.array(rd.at), np.array(rd.gmul), np.array(rd.sandwich)
-    l, g, r = np.array(rd.coords).T
+    at, gmul, sandwich = rd.at, rd.gmul, rd.sandwich
+    l, g, r = rd.coords.T
     u, v = np.array(a[0], dtype=object), np.array(b[0], dtype=object)
     ys, zs = np.flatnonzero(u), np.flatnonzero(v)
     out = np.zeros(len(u), dtype=object)
@@ -140,18 +140,19 @@ def fibre_stationary(law: MappingLaw, rd: ReesData, left: bool) -> tuple:
     the stationary law eta_L of the quotient walk l -> (f*l)_L, and the law
     is beta(l*g) = eta_L(l) / |G|; mirror-wise beta(g*r) = eta_R(r) / |G|.
     """
-    l0, g0, r0 = rd.coords[rd.kernel.index(rd.e)]
-    at = np.array(rd.at)
-    fibres = at[:, :, r0] if left else at[l0].T  # fibres[b, g] is L[b] G[g] (or G[g] R[b])
+    l0, g0, r0 = rd.coords[rd.e]
+    fibres = rd.at[:, :, r0] if left else rd.at[l0].T  # fibres[b, g] is L[b] G[g] (or G[g] R[b])
+    tables = rd.left if left else rd.right
+    steps, side = tables.tolist(), rd.coords[:, 0 if left else 2].tolist()
     matrix = [[Fraction(0)] * len(fibres) for _ in fibres]
     for b, z in enumerate(fibres[:, g0].tolist()):
-        for w, table in zip(law.weights, rd.left if left else rd.right):
-            matrix[b][rd.coords[table[z]][0 if left else 2]] += w
+        for w, table in zip(law.weights, steps):
+            matrix[b][side[table[z]]] += w
     pi, den = _common(solve_stationary(matrix))
     nums = np.zeros(len(rd.kernel), dtype=object)
     nums[fibres] = np.array(pi, dtype=object)[:, None]
     beta = (nums.tolist(), den * len(rd.G))
-    if not _same(_act(law, rd, beta, rd.left if left else rd.right), beta):
+    if not _same(_act(law, rd, beta, tables), beta):
         raise StructuralInconsistencyError(
             f"{'left' if left else 'right'} stationary law is not mu-invariant")
     return beta
@@ -162,8 +163,8 @@ def boundary_factor(rd: ReesData, beta: tuple, left: bool) -> tuple:
     exact kernel vector, by position in ``rd.L`` (or ``rd.R``) over the
     least common denominator of its reduced weights."""
     acc = [0] * len(rd.L if left else rd.R)
-    for (l, _, r), v in zip(rd.coords, beta[0]):
-        acc[l if left else r] += v
+    for b, v in zip(rd.coords[:, 0 if left else 2].tolist(), beta[0]):
+        acc[b] += v
     return _common([Fraction(v, beta[1]) for v in acc])
 
 
@@ -190,11 +191,11 @@ def assemble_limits(law: MappingLaw, rd: ReesData, eta_L: tuple, eta_R: tuple) -
     before the result is returned.
     """
     (lw, l_den), (rw, r_den) = eta_L, eta_R
-    at, cycle = np.array(rd.at), []
+    at, cycle = rd.at, []
     weights = np.array(lw, dtype=object)[:, None, None] * np.array(rw, dtype=object)
     for c in rd.C:
         nums = np.zeros(len(rd.kernel), dtype=object)
-        np.add.at(nums, at[:, [rd.gmul[c][h] for h in rd.H]], weights)
+        np.add.at(nums, at[:, rd.gmul[c, rd.H]], weights)
         cycle.append((nums.tolist(), l_den * r_den * len(rd.H)))
     eta = cycle[0]
     nu = ([sum(v) for v in zip(*(c[0] for c in cycle))], eta[1] * rd.p)
@@ -210,7 +211,7 @@ def assemble_limits(law: MappingLaw, rd: ReesData, eta_L: tuple, eta_R: tuple) -
         raise StructuralInconsistencyError("nu is not mu-invariant")
     if not all(nu[0]):
         raise StructuralInconsistencyError("supp(nu) != kernel")
-    lhr = set(at[:, list(rd.H)].ravel().tolist())
+    lhr = set(at[:, rd.H].ravel().tolist())
     if {z for z, v in enumerate(eta[0]) if v} != lhr:
         raise StructuralInconsistencyError("supp(eta) != L H R")
     covered = set()
@@ -345,8 +346,8 @@ def cesaro_average(law: MappingLaw, n: int, closure: np.ndarray = None) -> dict:
     return _nonzero(closure, acc)
 
 
-def exact_vs_float_sup(objects, vector: tuple, approx: dict) -> float:
-    """Largest |exact - approx| over ``objects`` and the keys of ``approx``;
-    ``vector`` holds the exact weights of ``objects`` by position."""
-    exact = {x: float(Fraction(v, vector[1])) for x, v in zip(objects, vector[0])}
+def exact_vs_float_sup(rows: np.ndarray, vector: tuple, approx: dict) -> float:
+    """Largest |exact - approx| over the maps ``rows`` and the keys of
+    ``approx``; ``vector`` holds the exact weights of ``rows`` by position."""
+    exact = {element(x): float(Fraction(v, vector[1])) for x, v in zip(rows, vector[0])}
     return max(abs(exact.get(k, 0.0) - approx.get(k, 0.0)) for k in exact.keys() | approx.keys())

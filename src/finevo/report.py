@@ -13,20 +13,25 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
+import numpy as np
+
 from . import __version__
 from .analysis import Analysis
 from .cliques import invariant_law
 from .limits import _same
 from .semigroup import literals
-from .transform import Transformation, tuple_literal
+from .transform import tuple_literal
 
 
-def _vector_json(objects, vector: tuple) -> dict:
+def _vector_json(rows: np.ndarray, vector: tuple, *, points: bool = False) -> dict:
     """The positive weights of an exact vector, keyed by the literals of
-    ``objects`` (one per position) in sorted object order."""
+    the maps ``rows`` (of the point tuples ``rows`` for ``points``), one
+    per position, in the order of the rows as tuples."""
     nums, den = vector
-    return {x.literal() if isinstance(x, Transformation) else tuple_literal(x):
-            str(Fraction(v, den)) for x, v in sorted(zip(objects, nums)) if v}
+    images = rows.tolist()
+    keys = list(map(tuple_literal, images)) if points else literals(rows)
+    return {keys[i]: str(Fraction(nums[i], den))
+            for i in sorted(range(len(images)), key=images.__getitem__) if nums[i]}
 
 
 def build_report(analysis: Analysis, *, seed=None, timestamp: bool = True) -> dict:
@@ -38,18 +43,9 @@ def build_report(analysis: Analysis, *, seed=None, timestamp: bool = True) -> di
     canonical_Lambda_W = ([1] * len(cd.W), len(cd.W))
     marginal = cd.first_marginal(invariant_law(limits, cd, canonical_Lambda_W), analysis.law.n)
 
-    sample = list(cd.W_mu)[: min(3, len(cd.W_mu))]
-    projections = []
-    for x in sample:
-        l, g, w = cd.project_index(x)
-        projections.append(
-            {
-                "x": list(x),
-                "L": rd.L[l].literal(),
-                "G": rd.G[g].literal(),
-                "W": list(cd.W[w]),
-            }
-        )
+    projections = [{"x": cd.W_mu[s].tolist(), "L": literals(rd.L[[cd.state_l[s]]])[0],
+                    "G": literals(rd.G[[cd.state_g[s]]])[0], "W": cd.W[cd.state_w[s]].tolist()}
+                   for s in range(min(3, len(cd.W_mu)))]
 
     report = {
         "tool": {"name": "finevo", "version": __version__},
@@ -59,21 +55,21 @@ def build_report(analysis: Analysis, *, seed=None, timestamp: bool = True) -> di
             "kernel_size": len(rd.kernel),
             "m_mu": cd.m_mu,
             "elements": literals(analysis.closure),
-            "kernel": [f.literal() for f in rd.kernel],
+            "kernel": literals(rd.kernel),
         },
         "rees": {
-            "e": rd.e.literal(),
-            "L": [f.literal() for f in rd.L],
-            "G": [f.literal() for f in rd.G],
-            "R": [f.literal() for f in rd.R],
+            "e": literals(rd.kernel[[rd.e]])[0],
+            "L": literals(rd.L),
+            "G": literals(rd.G),
+            "R": literals(rd.R),
             "group_order": len(rd.G),
         },
         "limits": {
             "p": rd.p,
             "eta_L": _vector_json(rd.L, limits.eta_L),
             "eta_R": _vector_json(rd.R, limits.eta_R),
-            "H": [rd.G[h].literal() for h in rd.H],
-            "gamma": rd.G[rd.C[1 % rd.p]].literal(),
+            "H": literals(rd.G[rd.H]),
+            "gamma": literals(rd.G[[rd.C[1 % rd.p]]])[0],
             "eta": _vector_json(rd.kernel, limits.eta),
             "nu": _vector_json(rd.kernel, limits.nu),
             "H_equals_G": len(rd.H) == len(rd.G),
@@ -81,13 +77,13 @@ def build_report(analysis: Analysis, *, seed=None, timestamp: bool = True) -> di
         },
         "cliques": {
             "m_mu": cd.m_mu,
-            "f_cliques": [list(c) for c in cd.f_cliques],
+            "f_cliques": cd.f_cliques.tolist(),
             "W_mu_size": len(cd.W_mu),
-            "W": [list(w) for w in cd.W],
+            "W": cd.W.tolist(),
             "example_projections": projections,
         },
         "invariant_law": {
-            "Lambda_W": _vector_json(cd.W, canonical_Lambda_W),
+            "Lambda_W": _vector_json(cd.W, canonical_Lambda_W, points=True),
             "first_coordinate_marginal": [str(w) for w in marginal],
         },
     }

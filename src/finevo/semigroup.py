@@ -7,12 +7,14 @@ order fixes every deterministic choice downstream, such as the base
 idempotent. The rows seen so far are flags in a dense table of all n ** n
 maps when n <= 8 (16 MiB at most), and byte keys in a set from n = 9, where
 such a table would not fit; closures deep in thin layers need many points
-and so always take the set. No other module reads rows: ``element``,
-``literals`` and ``left_products`` read them for the others, and only the
-kernel is made into ``Transformation`` objects. ``rees_at`` composes every
-product it needs once, on the kernel's rows, into tables of positions:
-after it, a group element is a position in ``ReesData.G`` and products are
-table lookups.
+and so always take the set. The kernel stays rows: ``kernel`` selects them,
+and ``rees_at`` composes every product it needs once, on those rows, into
+tables of positions, each product found by ``positions_in``, the one
+lookup of rows by their byte keys. ``ReesData`` holds the rows of the
+kernel, of L, G and R and of the generators, and positions for everything
+else: a group element is a position in ``ReesData.G`` and products are
+table lookups. ``literals`` prints rows and ``element`` makes one a
+``Transformation``.
 """
 
 from __future__ import annotations
@@ -69,10 +71,7 @@ def literals(rows: np.ndarray) -> list:
 
 def left_products(rows: np.ndarray, factors) -> np.ndarray:
     """Position in ``rows`` of f * s for every factor f and row s, f-major."""
-    key = np.dtype((np.void, rows.itemsize * rows.shape[1]))
-    at = dict(zip(_keys(rows, key), range(len(rows))))
-    products = _keys(_tables(_rows(factors, rows.dtype)).take(rows, axis=1), key)
-    return np.fromiter(map(at.__getitem__, products), np.intp, len(products))
+    return positions_in(rows)(_tables(_rows(factors, rows.dtype)).take(rows, axis=1)).ravel()
 
 
 def generate(generators, *, cap: int = DEFAULT_ELEMENT_CAP) -> np.ndarray:
@@ -138,55 +137,92 @@ def _key_set(n: int, big: np.dtype):
     return fresh
 
 
-def kernel(rows: np.ndarray) -> tuple:
-    """The elements of minimal rank of the closure ``rows``, in canonical
-    order: its kernel, the unique minimal two-sided ideal. ``rees_at``
-    verifies the ideal property as it composes the generators with them.
+def kernel(rows: np.ndarray) -> np.ndarray:
+    """The rows of minimal rank of the closure ``rows``, in canonical order:
+    its kernel, the unique minimal two-sided ideal. ``rees_at`` verifies the
+    ideal property as it composes the generators with them.
     """
     ranked = np.sort(rows, axis=1)
     ranks = 1 + np.count_nonzero(ranked[:, 1:] != ranked[:, :-1], axis=1)
-    return tuple(map(element, rows[ranks == ranks.min()]))
+    return rows[ranks == ranks.min()]
 
 
-@dataclass(frozen=True)
+def idempotents(rows: np.ndarray) -> np.ndarray:
+    """Positions of the idempotent rows, those with f(f(x)) = f(x)."""
+    return np.flatnonzero((_tables(rows)[np.arange(len(rows))[:, None], rows] == rows).all(axis=1))
+
+
+# The analysis sorts with Python's sort, not numpy's: the first numpy sort
+# of a dtype pages in its sort kernels, 130-440 KiB of resident memory that
+# the simulation battery's peak would then carry.
+
+def distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of an integer array, sorted."""
+    return np.array(sorted(set(values.ravel().tolist())), np.intp)
+
+
+def distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-d array, sorted as tuples."""
+    return np.array(sorted(set(map(tuple, rows.tolist()))), rows.dtype).reshape(-1, rows.shape[1])
+
+
+def positions_in(rows: np.ndarray):
+    """A lookup of rows in ``rows``: it maps an array whose last axis holds
+    rows of that width to their positions in ``rows``, -1 where absent."""
+    width = rows.shape[1]
+    key = np.dtype((np.void, rows.itemsize * width))
+    at = dict(zip(_keys(rows, key), range(len(rows))))
+
+    def lookup(products: np.ndarray) -> np.ndarray:
+        keys = _keys(products.reshape(-1, width).astype(rows.dtype, copy=False), key)
+        found = np.fromiter(map(at.get, keys, repeat(-1)), np.intp, len(keys))
+        return found.reshape(products.shape[:-1])
+    return lookup
+
+
+@dataclass(frozen=True, eq=False)
 class ReesData:
     """Product decomposition kernel = L * G * R at a base idempotent e, with
     G split into the cosets gamma^j H, j < p, of the period p.
 
-    L, G and R hold the transformations; everything else holds positions.
-    A group element is a position in ``G``: ``H`` lists the subgroup,
-    ``C[j]`` is gamma^j (so gamma is ``C[1 % p]`` and the unit ``C[0]``),
+    ``kernel``, ``L``, ``G``, ``R`` and ``generators`` hold image rows in
+    the kernel's dtype, L, G and R sorted as tuples; everything else holds
+    positions in integer arrays. ``e`` is a kernel position. A group
+    element is a position in ``G``: ``H`` lists the subgroup, ``C[j]`` is
+    gamma^j (so gamma is ``C[1 % p]`` and the unit ``C[0]``),
     ``coset_of[g]`` is the j with G[g] in gamma^j H and ``inverse[g]`` the
     inverse of G[g].
 
     The Rees coordinates index L, G and R by position. Kernel position
-    ``at[l][g][r]`` holds L[l] * G[g] * R[r] and ``coords`` is its inverse;
-    ``gmul[a][b]`` is the position of G[a] * G[b] and ``sandwich[r][l]`` that
-    of R[r] * L[l]. ``left[i][z]`` and ``right[i][z]`` are the kernel
-    positions of generators[i] * kernel[z] and kernel[z] * generators[i].
+    ``at[l, g, r]`` holds L[l] * G[g] * R[r] and ``coords`` is its inverse,
+    so ``coords[e]`` is (l_e, unit, r_e); ``gmul[a, b]`` is the position of
+    G[a] * G[b] and ``sandwich[r, l]`` that of R[r] * L[l]. ``left[i, z]``
+    and ``right[i, z]`` are the kernel positions of generators[i] *
+    kernel[z] and kernel[z] * generators[i].
     """
 
-    e: Transformation
-    kernel: tuple
-    L: tuple
-    G: tuple
-    R: tuple
-    inverse: tuple
-    H: tuple
-    C: tuple
+    e: int
+    kernel: np.ndarray
+    L: np.ndarray
+    G: np.ndarray
+    R: np.ndarray
+    inverse: np.ndarray
+    H: np.ndarray
+    C: np.ndarray
     p: int
-    coset_of: tuple
-    generators: tuple
-    coords: tuple
-    at: tuple
-    gmul: tuple
-    sandwich: tuple
-    left: tuple
-    right: tuple
+    coset_of: np.ndarray
+    generators: np.ndarray
+    coords: np.ndarray
+    at: np.ndarray
+    gmul: np.ndarray
+    sandwich: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
 
 
-def rees_at(generators, ker: tuple, e: Transformation) -> ReesData:
-    """Decompose the kernel at an idempotent e: L = E(Ke), G = eKe, R = E(eK).
+def rees_at(generators, ker: np.ndarray, e: int) -> ReesData:
+    """Decompose the kernel rows ``ker`` at the idempotent ker[e]:
+    L = E(Ke), G = eKe, R = E(eK).
 
     Verifies the group axioms for G, eL = Re = {e}, and the bijectivity of
     the product map L x G x R -> kernel, and that the walks z -> f z on Ke
@@ -197,72 +233,49 @@ def rees_at(generators, ker: tuple, e: Transformation) -> ReesData:
     is the canonically smallest element of that coset with gamma^p = e.
     Verifies that H is a normal subgroup whose p cosets partition G.
 
-    Every product is composed once, on big-endian image rows, and looked up
-    by its row's key into the Rees coordinate tables; the checks and the
+    Every product is composed once, on image rows, and looked up by
+    ``positions_in`` into the Rees coordinate tables; the checks and the
     walks read the tables, on kernel and group positions.
     """
-    n = e.n
-    big = np.dtype(np.min_scalar_type(n)).newbyteorder(">")
-    key = np.dtype((np.void, big.itemsize * n))
+    n = ker.shape[1]
+    unit = ker[e]
+    if not idempotents(ker[[e]]).size:
+        raise InputError(f"{literals(ker[[e]])[0]} is not idempotent")
 
-    def lookup(products: np.ndarray, index: dict) -> np.ndarray:
-        """Positions in ``index`` of the rows of ``products``, -1 where absent."""
-        keys = _keys(products.reshape(-1, n), key)
-        found = np.fromiter(map(index.get, keys, repeat(-1)), np.intp, len(keys))
-        return found.reshape(products.shape[:-1])
-
-    def canonical(products: np.ndarray) -> np.ndarray:
-        """The distinct rows of ``products``, sorted as image tuples."""
-        keys = sorted(set(_keys(products.reshape(-1, n), key)))
-        return np.frombuffer(b"".join(keys), big).reshape(-1, n)
-
-    def distinct(zs: np.ndarray) -> np.ndarray:
-        return np.array(sorted(set(zs.ravel().tolist())))
-
-    def idempotents(xs: np.ndarray) -> np.ndarray:
-        return xs[(_tables(xs)[np.arange(len(xs))[:, None], xs] == xs).all(axis=1)]
-
-    rows, unit = _rows(ker, big), _rows([e], big)
-    row_at, unit_key = dict(zip(_keys(rows, key), range(len(ker)))), _keys(unit, key)[0]
-    if unit_key not in row_at:
-        raise InputError(f"{e.literal()} is not in the kernel")
-    if not e.is_idempotent():
-        raise InputError(f"{e.literal()} is not idempotent")
-
-    gens = _rows(generators, big)
-    left = lookup(_tables(gens).take(rows, axis=1), row_at)
-    right = lookup(_tables(rows).take(gens, axis=1), row_at).T
-    ke = distinct(lookup(_tables(rows).take(unit[0], axis=1), row_at))  # z * e
-    ek = distinct(lookup(_tables(unit).take(rows, axis=1), row_at))  # e * z
+    row_at, gens = positions_in(ker), _rows(generators, ker.dtype)
+    left = row_at(_tables(gens).take(ker, axis=1))
+    right = row_at(_tables(ker).take(gens, axis=1)).T
+    ke = distinct(row_at(_tables(ker).take(unit, axis=1)))  # z * e
+    ek = distinct(row_at(unit[ker - 1]))  # e * z
     if min(left.min(), right.min(), ke[0], ek[0]) < 0:
         raise StructuralInconsistencyError(
             "minimal-rank set is not an ideal; rank criterion violated")
-    L = canonical(idempotents(rows[ke]))
-    G = canonical(_tables(unit).take(rows[ke], axis=1))
-    R = canonical(idempotents(rows[ek]))
+    L = distinct_rows(ker[ke[idempotents(ker[ke])]])
+    G = distinct_rows(unit[ker[ke] - 1])
+    R = distinct_rows(ker[ek[idempotents(ker[ek])]])
 
-    g_at = dict(zip(_keys(G, key), range(len(G))))
+    g_at = positions_in(G)
     step = max(1, BLOCK // (len(G) * n))
-    gmul = np.concatenate([lookup(_tables(G[a:a + step]).take(G, axis=1), g_at)
+    gmul = np.concatenate([g_at(_tables(G[a:a + step]).take(G, axis=1))
                            for a in range(0, len(G), step)])
     if gmul.min() < 0:
         raise StructuralInconsistencyError("group factor is not closed")
-    one, every = g_at[unit_key], np.arange(len(G))
+    one, every = int(g_at(unit)), np.arange(len(G))
     if (gmul[:, one] != every).any() or (gmul[one] != every).any():
         raise StructuralInconsistencyError("unit law fails in the group factor")
     inverse = (gmul == one).argmax(axis=1)
     if (gmul[every, inverse] != one).any() or (gmul[inverse, every] != one).any():
         raise StructuralInconsistencyError("inverse law fails in the group factor")
 
-    sandwich = lookup(_tables(R).take(L, axis=1), g_at)
+    sandwich = g_at(_tables(R).take(L, axis=1))
     if sandwich.min() < 0:
         raise StructuralInconsistencyError("R * L is not inside G")
-    l_e, r_e = (_keys(side, key).index(unit_key) for side in (L, R))
+    l_e, r_e = (int(positions_in(side)(unit)) for side in (L, R))
     if (sandwich[r_e] != one).any() or (sandwich[:, l_e] != one).any():
         raise StructuralInconsistencyError("eL = Re = {e} fails")
 
-    lg = _tables(L).take(G, axis=1).reshape(-1, n)
-    at = lookup(_tables(lg).take(R, axis=1), row_at).reshape(len(L), len(G), len(R))
+    at = row_at(_tables(_tables(L).take(G, axis=1).reshape(-1, n)).take(R, axis=1))
+    at = at.reshape(len(L), len(G), len(R))
     if at.min() < 0:
         raise StructuralInconsistencyError("L * G * R is not inside the kernel")
     if len(distinct(at)) != at.size:
@@ -273,10 +286,9 @@ def rees_at(generators, ker: tuple, e: Transformation) -> ReesData:
     coords[at.ravel()] = np.indices(at.shape).reshape(3, -1).T
 
     # the walks run on kernel positions and step on the generator tables
-    start = row_at[unit_key]
-    p, classes = chain_period_and_classes(ke.tolist(), left.tolist(), start)
+    p, classes = chain_period_and_classes(ke.tolist(), left.tolist(), e)
     # irreducible walks have unique stationary laws (limits.*_stationary)
-    walk_distances(ek.tolist(), right.tolist(), start, "right walk on eK")
+    walk_distances(ek.tolist(), right.tolist(), e, "right walk on eK")
 
     def g_part(zs) -> np.ndarray:
         # e z e = G[g] for z = L[l] G[g] R[r], as eL = Re = {e}
@@ -308,9 +320,10 @@ def rees_at(generators, ker: tuple, e: Transformation) -> ReesData:
         gamma = coset[(power == one).argmax()]
     C = [one]
     while len(C) < p:
-        C.append(int(gmul[C[-1], gamma]))
+        C.append(gmul[C[-1], gamma])
     if gmul[C[-1], gamma] != one:
         raise StructuralInconsistencyError("gamma^p != e")
+    C = np.array(C, np.intp)
     cosets = gmul[np.ix_(C, H)]
     if len(distinct(cosets)) != cosets.size:
         raise StructuralInconsistencyError("cosets of H are not disjoint")
@@ -319,15 +332,9 @@ def rees_at(generators, ker: tuple, e: Transformation) -> ReesData:
     coset_of = np.empty(len(G), np.intp)
     coset_of[cosets] = np.arange(p)[:, None]
 
-    def tuples(table: np.ndarray) -> tuple:
-        return tuple(map(tuple, table.tolist()))
-
-    L, G, R = (tuple(map(ker.__getitem__, lookup(x, row_at).tolist())) for x in (L, G, R))
-    return ReesData(
-        e=e, kernel=ker, L=L, G=G, R=R, inverse=tuple(inverse.tolist()), H=tuple(H.tolist()),
-        C=tuple(C), p=p, coset_of=tuple(coset_of.tolist()), generators=tuple(generators),
-        coords=tuples(coords), at=tuple(map(tuples, at)), gmul=tuples(gmul),
-        sandwich=tuples(sandwich), left=tuples(left), right=tuples(right))
+    return ReesData(e=e, kernel=ker, L=L, G=G, R=R, inverse=inverse, H=H, C=C, p=p,
+                    coset_of=coset_of, generators=gens, coords=coords, at=at, gmul=gmul,
+                    sandwich=sandwich, left=left, right=right)
 
 
 def walk_distances(states, steps, start: int, walk: str) -> dict:

@@ -253,21 +253,24 @@ def _lex_codes(rows: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _row_counts(columns) -> list:
-    """Distinct rows of the stacked integer columns, with multiplicities."""
+def _row_counts(columns) -> tuple:
+    """Distinct rows of the stacked integer columns, as columns, and their
+    multiplicities."""
     table = np.column_stack(columns)
     codes = _lex_codes(table)
     rows = np.empty((codes.max() + 1, table.shape[1]), dtype=table.dtype)
     rows[codes] = table
-    return list(zip(rows.tolist(), np.bincount(codes).tolist()))
+    return rows.T, np.bincount(codes)
 
 
-def _misses(analysis: Analysis, patterns) -> int:
+def _misses(analysis: Analysis, patterns: tuple) -> int:
     """How many of the counted patterns (l, g, w, s) have
-    (L[l] * G[g])(W[w]) != W_mu[s], composing the tuples once per pattern."""
+    (L[l] * G[g])(W[w]) != W_mu[s], composing the image rows once per
+    pattern."""
     rd, cd = analysis.rd, analysis.cliques
-    return sum(c for (l, g, w, s), c in patterns
-               if (rd.L[l] * rd.G[g]).apply(cd.W[w]) != cd.W_mu[s])
+    (l, g, w, s), counts = patterns
+    x = rd.L[l[:, None], rd.G[g[:, None], cd.W[w] - 1] - 1]
+    return int(counts[(x != cd.W_mu[s]).any(axis=1)].sum())
 
 
 def _increments(analysis: Analysis, states: np.ndarray) -> np.ndarray:
@@ -275,25 +278,27 @@ def _increments(analysis: Analysis, states: np.ndarray) -> np.ndarray:
     positions in G, on the group tables."""
     rd = analysis.rd
     g = analysis.cliques.state_g[states]
-    return np.array(rd.gmul)[g[:, 1:], np.array(rd.inverse)[g[:, :-1]]]
+    return rd.gmul[g[:, 1:], rd.inverse[g[:, :-1]]]
 
 
 def verify_path_exact(batch: PathBatch) -> list:
     """The exact invariants of every row of a batch, at every step.
 
     The recursion compares N_k(X_{k-1}) with X_k and the L G W check
-    (L[l] * G[g])(W[w]) with X_k, as tuples, once per distinct pattern of
-    positions. The phase and G-increment identities read the group tables.
+    (L[l] * G[g])(W[w]) with X_k, composed on image rows once per distinct
+    pattern of positions; neither reads ``step`` or ``lgw``. The phase and
+    G-increment identities read the group tables.
     """
     analysis = batch.analysis
     rd, cd = analysis.rd, analysis.cliques
     states, maps = batch.states, batch.maps
-    C, gmul, coset_of = np.array(rd.C), np.array(rd.gmul), np.array(rd.coset_of)
+    C, gmul = rd.C, rd.gmul
     checks = []
 
-    bad = sum(c for (x, f, y), c in _row_counts((states[:, :-1].ravel(), maps.ravel(),
-                                                  states[:, 1:].ravel()))
-              if rd.generators[f].apply(cd.W_mu[x]) != cd.W_mu[y])
+    (x, f, y), counts = _row_counts((states[:, :-1].ravel(), maps.ravel(),
+                                     states[:, 1:].ravel()))
+    images = rd.generators[f[:, None], cd.W_mu[x] - 1]
+    bad = int(counts[(images != cd.W_mu[y]).any(axis=1)].sum())
     checks.append(Check("path recursion X_k = N_k X_{k-1}", "exact", bad == 0,
                         note=f"{maps.size} steps"))
 
@@ -310,15 +315,13 @@ def verify_path_exact(batch: PathBatch) -> list:
                         np.array_equal(C[cd.state_c[states]], expected)))
 
     # G-part of N_k X^L_{k-1}; L[l] = L[l] e e is at Rees coordinates (l, e, e)
-    r_e = rd.R.index(rd.e)
-    x_l = np.array([block[rd.C[0]][r_e] for block in rd.at])
-    g_part = np.array([g for _, g, _ in rd.coords])
-    expected = g_part[np.array(rd.left)[maps, x_l[cd.state_l[states[:, :-1]]]]]
+    _, one, r_e = rd.coords[rd.e]
+    expected = rd.coords[rd.left[maps, rd.at[cd.state_l[states[:, :-1]], one, r_e]], 1]
     increments = _increments(analysis, states)
     checks.append(Check("M^G_k = (N_k X^L_{k-1})^G", "exact",
                         np.array_equal(increments, expected)))
     checks.append(Check("(M^G_k)^C = gamma", "exact",
-                        bool((coset_of[increments] == 1 % rd.p).all())))
+                        bool((rd.coset_of[increments] == 1 % rd.p).all())))
     return checks
 
 
@@ -333,11 +336,11 @@ def verify_factorization(batch: PathBatch, k: int) -> Check:
         raise InputError(f"time {k} outside path range [{batch.k_min}, {batch.k_max}]")
     analysis = batch.analysis
     rd, cd = analysis.rd, analysis.cliques
-    C, H, gmul = np.array(rd.C), np.array(rd.H), np.array(rd.gmul)
+    C, H, gmul = rd.C, rd.H, rd.gmul
     states = batch.states[:, :k - batch.k_min + 1]
     # (M^G_{k,j})^-1 = (M^G_{j+1})^-1 ... (M^G_k)^-1: suffix products of the
     # inverse increments, by doubling the span of each product
-    suffix = np.array(rd.inverse)[_increments(analysis, states)]
+    suffix = rd.inverse[_increments(analysis, states)]
     span = 1
     while span < suffix.shape[1]:
         suffix[:, :-span] = gmul[suffix[:, :-span], suffix[:, span:]]
@@ -396,7 +399,7 @@ def verify_third_noise(batch: PathBatch, *, alpha: float = 0.001) -> list:
 
     u = cd.state_h[batch.states[:, -1]]
     yc, w = batch.y_c, batch.z_w
-    yz = np.array(rd.C)[yc] * n_w + w
+    yz = rd.C[yc] * n_w + w
     window = _lex_codes(batch.maps)
     return [
         chi_square_gof(np.bincount(u, minlength=n_h), [Fraction(1, n_h)] * n_h,
@@ -456,9 +459,9 @@ def verify_mono_projection(batch: PathBatch, events: dict, *,
     for s, c in enumerate(at_k.tolist()):
         if not c:
             continue
-        x1 = cd.W_mu[s][0]
+        x1 = int(cd.W_mu[s, 0])
         xl = cd.state_l[s]
-        u2 = rd.G[cd.state_g[s]](2)
+        u2 = rd.G[cd.state_g[s], 1]
         x1_counts[x1 - 1] += c
         for value, (want_l, want_u2) in events.items():
             holds = (want_l is None or xl == want_l) and u2 == want_u2

@@ -1,8 +1,12 @@
-"""Total transformations of a finite set {1..n} and their action on tuples.
+"""Total transformations of a finite set {1..n}, and point-tuple literals.
 
-Conventions: points are 1-based everywhere in the public interface, and the
-product ``f * g`` means "apply g first, then f", so ``(f * g)(x) == f(g(x))``.
-Point tuples are plain Python tuples of ints.
+A ``Transformation`` is the parsed form of a law's generators and the
+public class: it validates its image table, composes, prints its literal
+and orders by its images. The analysis works on integer image rows
+(``finevo.semigroup``) and never on these objects. Conventions: points are
+1-based, and the product ``f * g`` means "apply g first, then f", so
+``(f * g).images[x - 1] == f.images[g.images[x - 1] - 1]``. Point tuples
+are plain Python tuples of ints.
 """
 
 from __future__ import annotations
@@ -45,9 +49,6 @@ class Transformation:
     def n(self) -> int:
         return len(self.images)
 
-    def __call__(self, point: int) -> int:
-        return self.images[point - 1]
-
     def __mul__(self, other):
         """Composition, apply ``other`` first: (f*g)(x) = f(g(x))."""
         if not isinstance(other, Transformation):
@@ -56,30 +57,6 @@ class Transformation:
         if len(fi) != len(other.images):
             raise InputError("mismatched domain sizes in composition")
         return Transformation._unchecked(tuple(fi[y - 1] for y in other.images))
-
-    def __pow__(self, k: int):
-        if k < 1:
-            raise InputError("power must be >= 1")
-        acc = self
-        for _ in range(k - 1):
-            acc = acc * self
-        return acc
-
-    def apply(self, points: tuple) -> tuple:
-        """Componentwise image of a point tuple."""
-        fi = self.images
-        return tuple(fi[x - 1] for x in points)
-
-    def rank(self) -> int:
-        """Number of distinct image values."""
-        return len(set(self.images))
-
-    def image_set(self) -> frozenset:
-        return frozenset(self.images)
-
-    def is_idempotent(self) -> bool:
-        fi = self.images
-        return all(fi[y - 1] == y for y in fi)
 
     def literal(self) -> str:
         return "[" + ",".join(str(y) for y in self.images) + "]"

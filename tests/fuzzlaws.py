@@ -14,6 +14,7 @@ from finevo.errors import ResourceLimitError
 from finevo.measure import MappingLaw, RationalMeasure
 from finevo.semigroup import generate, kernel
 from finevo.transform import Transformation
+from oracles import compose_images
 
 CORPUS_SEED = 271828
 CORPUS_SIZE = 208
@@ -51,14 +52,15 @@ def _within_caps(law: MappingLaw) -> bool:
         closure = generate(law.generators, cap=MAX_CLOSURE)
     except ResourceLimitError:
         return False
-    ker = kernel(closure)
+    ker = list(map(tuple, kernel(closure).tolist()))
     if len(ker) > MAX_KERNEL:
         return False
-    e = next(f for f in ker if f.is_idempotent())
-    if len({z * e for z in ker}) > MAX_SIDE or len({e * z for z in ker}) > MAX_SIDE:
+    e = next(f for f in ker if compose_images(f, f) == f)
+    if (len({compose_images(z, e) for z in ker}) > MAX_SIDE
+            or len({compose_images(e, z) for z in ker}) > MAX_SIDE):
         return False
-    m_mu = min(f.rank() for f in ker)
-    cliques = {f.image_set() for f in ker}
+    m_mu = min(len(set(f)) for f in ker)
+    cliques = {frozenset(f) for f in ker}
     if len(cliques) * factorial(m_mu) > MAX_W_MU:
         return False
     return True

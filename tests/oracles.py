@@ -13,8 +13,11 @@ closure, the naive float step convolves dicts keyed by transformation, and
 the reference sampler draws every replication from its own
 ``np.random.Generator`` and follows it with ``Transformation`` arithmetic
 (it also decodes a batch's rows through their tuples and maps alone).
-Group positions of a ``ReesData`` are decoded through ``rd.G`` into
-transformations before any oracle composes them.
+A ``ReesData`` and the stable tuples of a ``CliqueData`` hold image rows
+and positions; ``rees_objects`` and ``tuples`` decode them into
+transformations and point tuples before any oracle composes them, and the
+action of a transformation on points (``apply``, ``rank``, ``image_set``,
+``is_idempotent``, ``power``) reads its image table here.
 Measures on transformations are convolved as Fraction dicts keyed by
 ``Transformation`` products, tuple laws are pushed forward as Fraction
 dicts keyed by the image tuples of raw image tables, Rees coordinates come from the closed-form
@@ -36,6 +39,7 @@ import numpy as np
 
 from finevo.errors import InputError
 from finevo.measure import RationalMeasure
+from finevo.transform import Transformation
 
 
 def measure_of(objects, vector) -> RationalMeasure:
@@ -55,6 +59,34 @@ def vector_of(objects, weights) -> tuple:
         raise AssertionError("the law has mass outside the objects")
     den = lcm(*(v.denominator for v in exact))
     return [v.numerator * (den // v.denominator) for v in exact], den
+
+
+def apply(f, points: tuple) -> tuple:
+    """Componentwise image of a point tuple under a transformation."""
+    return tuple(f.images[x - 1] for x in points)
+
+
+def rank(f) -> int:
+    """Number of distinct image values of a transformation."""
+    return len(set(f.images))
+
+
+def image_set(f) -> frozenset:
+    return frozenset(f.images)
+
+
+def is_idempotent(f) -> bool:
+    return all(f.images[y - 1] == y for y in f.images)
+
+
+def power(f, k: int):
+    """f^k for k >= 1, by repeated composition."""
+    return reduce(lambda acc, _: acc * f, range(k - 1), f)
+
+
+def tuples(rows) -> tuple:
+    """Integer rows as a tuple of point tuples."""
+    return tuple(map(tuple, np.asarray(rows).tolist()))
 
 
 def compose_images(f: tuple, g: tuple) -> tuple:
@@ -350,15 +382,18 @@ def scalar_draw(items, rng):
     return items[-1][0]
 
 
-def group_objects(rd) -> SimpleNamespace:
-    """The group fields of a ReesData, which hold positions in ``rd.G``, as
-    transformations: H, C and gamma, and inverse and coset_of as dicts
-    keyed by the element."""
-    G = rd.G
+def rees_objects(rd) -> SimpleNamespace:
+    """A ReesData as transformations: its rows ``kernel``, ``L``, ``G``,
+    ``R`` and ``generators`` as tuples, the kernel position ``e`` and the
+    group positions H, C and gamma as elements, and inverse and coset_of as
+    dicts keyed by the element of G."""
+    kernel, L, G, R, generators = (tuple(map(Transformation, tuples(rows))) for rows in (
+        rd.kernel, rd.L, rd.G, rd.R, rd.generators))
     return SimpleNamespace(
+        kernel=kernel, L=L, G=G, R=R, generators=generators, e=kernel[rd.e],
         H=tuple(G[h] for h in rd.H), C=tuple(G[c] for c in rd.C), gamma=G[rd.C[1 % rd.p]],
         inverse={G[a]: G[b] for a, b in enumerate(rd.inverse)},
-        coset_of=dict(zip(G, rd.coset_of)))
+        coset_of=dict(zip(G, rd.coset_of.tolist())))
 
 
 class ScalarReference:
@@ -372,10 +407,10 @@ class ScalarReference:
     """
 
     def __init__(self, limits, W):
-        rd = limits.rd
-        self.limits, self.W = limits, W
-        self.group = group_objects(rd)
-        self.triple = {(l * g).apply(w): (l, g, w) for l in rd.L for g in rd.G for w in W}
+        self.limits, self.W = limits, tuples(W)
+        self.group = rees_objects(limits.rd)
+        self.triple = {apply(l * g, w): (l, g, w)
+                       for l in self.group.L for g in self.group.G for w in self.W}
         self.split = {c * h: (c, h) for c in self.group.C for h in self.group.H}
 
     def _parts(self, maps, X, k_min) -> dict:
@@ -390,21 +425,21 @@ class ScalarReference:
                 for _ in range(k_max - k_min)]
         X = [x0]
         for f in maps:
-            X.append(f.apply(X[-1]))
+            X.append(apply(f, X[-1]))
         return self._parts(maps, X, k_min)
 
     def _eta_L(self) -> list:
-        return measure_of(self.limits.rd.L, self.limits.eta_L).items()
+        return measure_of(self.group.L, self.limits.eta_L).items()
 
     def stationary(self, Lambda_W, k_min, k_max, seed) -> dict:
         """X_{k_min} = (l g)(w) with l ~ eta_L, g ~ omega_G, w ~ Lambda_W
         (a W vector)."""
         rng = np.random.Generator(np.random.Philox(key=seed))
-        rd = self.limits.rd
+        G = self.group.G
         l = scalar_draw(self._eta_L(), rng)
-        g = scalar_draw([(g, Fraction(1, len(rd.G))) for g in sorted(rd.G)], rng)
+        g = scalar_draw([(g, Fraction(1, len(G))) for g in sorted(G)], rng)
         w = scalar_draw(measure_of(self.W, Lambda_W).items(), rng)
-        return self._window((l * g).apply(w), k_min, k_max, rng)
+        return self._window(apply(l * g, w), k_min, k_max, rng)
 
     def nonstationary(self, family, k_min, k_max, seed) -> dict:
         """Phase i ~ c, w ~ Lambda_W^i, l ~ eta_L, h ~ omega_H, then
@@ -415,14 +450,14 @@ class ScalarReference:
         w = scalar_draw(measure_of(self.W, family.Lambda_W[i]).items(), rng)
         l = scalar_draw(self._eta_L(), rng)
         h = scalar_draw([(h, Fraction(1, len(H))) for h in sorted(H)], rng)
-        return self._window((l * C[(k_min + i) % self.limits.rd.p] * h).apply(w),
+        return self._window(apply(l * C[(k_min + i) % self.limits.rd.p] * h, w),
                             k_min, k_max, rng)
 
     def decode(self, batch, r) -> dict:
         """Row r of a PathBatch read through its stable tuples and maps."""
-        a = batch.analysis
-        return self._parts([a.rd.generators[m] for m in batch.maps[r].tolist()],
-                           [a.cliques.W_mu[s] for s in batch.states[r].tolist()], batch.k_min)
+        W_mu = tuples(batch.analysis.cliques.W_mu)
+        return self._parts([self.group.generators[m] for m in batch.maps[r].tolist()],
+                           [W_mu[s] for s in batch.states[r].tolist()], batch.k_min)
 
     def h_part(self, x) -> object:
         """The H-part of the G-part of a stable tuple."""
@@ -479,7 +514,7 @@ def measure_product(pieces):
             acc = {}
             for f, wf in result.items():
                 for x, wx in piece.items():
-                    y = f.apply(x)
+                    y = apply(f, x)
                     acc[y] = acc.get(y, Fraction(0)) + wf * wx
             result = RationalMeasure(acc)
         else:
@@ -487,15 +522,16 @@ def measure_product(pieces):
     return result
 
 
-def project(rd, z) -> tuple:
+def project(rees, z) -> tuple:
     """Coordinates (z_L, z_G, z_R) with z = z_L * z_G * z_R of a kernel
     element, by the closed form z_G = eze, z_L = ze (eze)^-1 and
-    z_R = (eze)^-1 ez in ``Transformation`` arithmetic."""
-    if z not in set(rd.kernel):
+    z_R = (eze)^-1 ez in ``Transformation`` arithmetic, for a ReesData
+    decoded by ``rees_objects``."""
+    if z not in set(rees.kernel):
         raise InputError(f"{z.literal()} is not in the kernel")
-    e = rd.e
+    e = rees.e
     z_g = e * z * e
-    inv = next(g for g in rd.G if g * z_g == e)
+    inv = next(g for g in rees.G if g * z_g == e)
     return z * e * inv, z_g, inv * e * z
 
 

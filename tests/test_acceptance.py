@@ -38,14 +38,17 @@ from finevo.transform import Transformation
 from fuzzlaws import cyclic3_law, p3_h2_law
 from oracles import (
     ScalarReference,
+    apply,
     cesaro_first_order,
     convolve,
     coordinate_marginal,
     element_order,
-    group_objects,
     measure_of,
+    power,
     project,
     push_tuples,
+    rees_objects,
+    tuples,
     two_term_residual,
     vector_of,
 )
@@ -76,30 +79,31 @@ def test_criterion_1_golden_example_exact():
         if not ok:
             problems.append(label)
 
-    check("e", a.rd.e == e)
-    check("h in G", h in set(a.rd.G))
-    check("fe", fe in set(a.rd.L))
-    check("ef", ef in set(a.rd.R))
-    check("L", set(a.rd.L) == {e, fe})
-    check("|G|", len(a.rd.G) == 6)
-    check("g^3 = e", g ** 3 == e)
+    rees, cd = rees_objects(a.rd), a.cliques
+    check("e", rees.e == e)
+    check("h in G", h in set(rees.G))
+    check("fe", fe in set(rees.L))
+    check("ef", ef in set(rees.R))
+    check("L", set(rees.L) == {e, fe})
+    check("|G|", len(rees.G) == 6)
+    check("g^3 = e", power(g, 3) == e)
     check("h^2 = e", h * h == e)
-    check("R", set(a.rd.R) == {e, ef})
-    check("eta_L", measure_of(a.rd.L, a.limits.eta_L) == RationalMeasure({e: "2/3", fe: "1/3"}))
-    check("eta_R", measure_of(a.rd.R, a.limits.eta_R) == RationalMeasure({e: "2/3", ef: "1/3"}))
-    check("H = G", set(group_objects(a.rd).H) == set(a.rd.G))
+    check("R", set(rees.R) == {e, ef})
+    check("eta_L", measure_of(rees.L, a.limits.eta_L) == RationalMeasure({e: "2/3", fe: "1/3"}))
+    check("eta_R", measure_of(rees.R, a.limits.eta_R) == RationalMeasure({e: "2/3", ef: "1/3"}))
+    check("H = G", set(rees.H) == set(rees.G))
     check("p", a.rd.p == 1)
-    check("m_mu", a.cliques.m_mu == 3)
-    check("|W_mu|", len(a.cliques.W_mu) == 12)
-    check("W", a.cliques.W == ((2, 4, 5),))
-    l, g, w = a.cliques.project_index((3, 5, 1))
+    check("m_mu", cd.m_mu == 3)
+    check("|W_mu|", len(cd.W_mu) == 12)
+    check("W", tuples(cd.W) == ((2, 4, 5),))
+    s = tuples(cd.W_mu).index((3, 5, 1))
     check(
         "projection of (3,5,1)",
-        (a.rd.L[l], a.rd.G[g], a.cliques.W[w])
+        (rees.L[cd.state_l[s]], rees.G[cd.state_g[s]], tuples(cd.W)[cd.state_w[s]])
         == (fe, Transformation([5, 2, 2, 5, 4]), (2, 4, 5)),
     )
-    lam = coordinate_marginal(measure_of(a.cliques.W_mu, invariant_law(
-        a.limits, a.cliques, vector_of(a.cliques.W, {(2, 4, 5): 1}))), 1)
+    lam = coordinate_marginal(measure_of(tuples(cd.W_mu), invariant_law(
+        a.limits, cd, vector_of(tuples(cd.W), {(2, 4, 5): 1}))), 1)
     check(
         "marginal lambda",
         lam == RationalMeasure({1: "1/9", 2: "2/9", 3: "1/9", 4: "2/9", 5: "3/9"}),
@@ -117,30 +121,31 @@ def test_criterion_1_golden_example_exact():
 def _structural_suite(a) -> list:
     problems = []
     S = [element(row) for row in a.closure]
-    K, rd, cd = a.rd.kernel, a.rd, a.cliques
+    rd, cd, group = a.rd, a.cliques, rees_objects(a.rd)
+    K = group.kernel
     eta, nu = measure_of(K, a.limits.eta), measure_of(K, a.limits.nu)
-    group = group_objects(rd)
     kset = set(K)
     mu = a.law.measure
 
     if not all(s * z in kset and z * s in kset for s in S for z in K):
         problems.append("kernel not an ideal")
-    for l in rd.L:
-        for g in rd.G:
-            for r in rd.R:
+    for l in group.L:
+        for g in group.G:
+            for r in group.R:
                 z = l * g * r
-                if project(rd, z) != (l, g, r):
+                if project(group, z) != (l, g, r):
                     problems.append("Rees bijection round trip")
                 if (z * z == z) != (r * l == group.inverse[g]):
                     problems.append("idempotency criterion")
     for z, (i, j, k) in zip(K, rd.coords):
-        l, g, r = project(rd, z)
-        if l * g * r != z or l not in set(rd.L) or g not in set(rd.G) or r not in set(rd.R):
+        l, g, r = project(group, z)
+        if (l * g * r != z or l not in set(group.L) or g not in set(group.G)
+                or r not in set(group.R)):
             problems.append("projection formula")
-        if (rd.L[i], rd.G[j], rd.R[k]) != (l, g, r):
+        if (group.L[i], group.G[j], group.R[k]) != (l, g, r):
             problems.append("Rees coordinates")
-    gset = set(rd.G)
-    if not all(r * l in gset for r in rd.R for l in rd.L):
+    gset = set(group.G)
+    if not all(r * l in gset for r in group.R for l in group.L):
         problems.append("RL not inside G")
 
     if convolve(eta, eta) != eta:
@@ -156,24 +161,24 @@ def _structural_suite(a) -> list:
         problems.append("mu nu != nu or nu mu != nu")
     if set(nu.support()) != kset:
         problems.append("supp(nu) != kernel")
-    lhr = {l * h * r for l in rd.L for h in group.H for r in rd.R}
+    lhr = {l * h * r for l in group.L for h in group.H for r in group.R}
     if set(eta.support()) != lhr:
         problems.append("supp(eta) != LHR")
 
-    for g in rd.G:
-        order = element_order(g, rd.e, len(rd.G))
-        if group.inverse[g] != (rd.e if order == 1 else g ** (order - 1)):
+    for g in group.G:
+        order = element_order(g, group.e, len(group.G))
+        if group.inverse[g] != (group.e if order == 1 else power(g, order - 1)):
             problems.append("group inverse")
     hset = set(group.H)
-    if not all(group.inverse[g] * h * g in hset for h in group.H for g in rd.G):
+    if not all(group.inverse[g] * h * g in hset for h in group.H for g in group.G):
         problems.append("H not normal")
     gamma, C = group.gamma, group.C
-    if gamma ** rd.p != rd.e:
+    if power(gamma, rd.p) != group.e:
         problems.append("gamma^p != e")
-    if C[0] != rd.e or any(C[j - 1] * gamma != C[j] for j in range(1, rd.p)):
+    if C[0] != group.e or any(C[j - 1] * gamma != C[j] for j in range(1, rd.p)):
         problems.append("C is not the powers of gamma")
     covered = [C[j] * h for j in range(rd.p) for h in group.H]
-    if sorted(covered) != sorted(rd.G) or len(covered) != len(set(covered)):
+    if sorted(covered) != sorted(group.G) or len(covered) != len(set(covered)):
         problems.append("cosets do not partition G")
     if any(group.coset_of[C[j] * h] != j for j in range(rd.p) for h in group.H):
         problems.append("coset index")
@@ -181,18 +186,18 @@ def _structural_suite(a) -> list:
         problems.append("p != index of H in G")
 
     seen = {}
-    for l in rd.L:
-        for g in rd.G:
+    for l in group.L:
+        for g in group.G:
             lg = l * g
-            for w in cd.W:
-                x = lg.apply(w)
+            for w in tuples(cd.W):
+                x = apply(lg, w)
                 if x in seen:
                     problems.append("LGW not injective")
                 seen[x] = True
-    if set(seen) != set(cd.W_mu):
+    if set(seen) != set(tuples(cd.W_mu)):
         problems.append("LGW != W_mu")
 
-    lam = measure_of(cd.W_mu, invariant_law(a.limits, cd, ([1] * len(cd.W), len(cd.W))))
+    lam = measure_of(tuples(cd.W_mu), invariant_law(a.limits, cd, ([1] * len(cd.W), len(cd.W))))
     if push_tuples(a.law, lam) != lam:
         problems.append("invariant law not fixed")
     return problems
@@ -251,9 +256,10 @@ def test_criterion_4_cesaro_convergence():
     err = exact_vs_float_sup(a.rd.kernel, a.limits.nu, avg)
 
     gens, weights = zip(*((f.images, w) for f, w in a.law.measure.items()))
-    eta = {f.images: w for f, w in measure_of(a.rd.kernel, a.limits.eta).items()}
+    K = rees_objects(a.rd).kernel
+    eta = {f.images: w for f, w in measure_of(K, a.limits.eta).items()}
     D = cesaro_first_order(gens, weights, eta)
-    residual = two_term_residual(avg, measure_of(a.rd.kernel, a.limits.nu), D, n)
+    residual = two_term_residual(avg, measure_of(K, a.limits.nu), D, n)
     sup_D = max((abs(v) for v in D.values()), default=Fraction(0))
     ok = residual < 1e-9 and sup_D != 0 and sum(D.values()) == 0
     report_line(
@@ -270,7 +276,8 @@ def test_criterion_5_simulation_exact_checks(example_analysis, p3h2_analysis):
     failures = []
 
     a = example_analysis
-    lw = vector_of(a.cliques.W, {a.cliques.W[0]: 1})
+    W = tuples(a.cliques.W)
+    lw = vector_of(W, {W[0]: 1})
     batch = sample_batch(a, lw, -1000, 0, SEED, 1)
     for c in verify_path_exact(batch):
         if not c.passed:
@@ -281,12 +288,13 @@ def test_criterion_5_simulation_exact_checks(example_analysis, p3h2_analysis):
             failures.append(("example factorization", k))
 
     # five mono-particle event identities, checked at every step
-    e = a.rd.e
-    fe = next(l for l in a.rd.L if l != e)
+    rees = rees_objects(a.rd)
+    e = rees.e
+    fe = next(l for l in rees.L if l != e)
     events = {1: (fe, 4), 2: (e, 2), 3: (fe, 2), 4: (e, 4), 5: (None, 5)}
     path = ScalarReference(a.limits, a.cliques.W).decode(batch, 0)
     for i, x in enumerate(path["X"]):
-        u2 = path["X_G"][i](2)
+        u2 = path["X_G"][i].images[1]
         xl = path["X_L"][i]
         for value, (want_l, want_u2) in events.items():
             holds = (want_l is None or xl == want_l) and u2 == want_u2
@@ -294,13 +302,14 @@ def test_criterion_5_simulation_exact_checks(example_analysis, p3h2_analysis):
                 failures.append(("mono identity", batch.k_min + i, value))
 
     b = p3h2_analysis
+    W = tuples(b.cliques.W)
     family = InvariantFamily(
         limits=b.limits,
         c=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
-        Lambda_W=tuple(vector_of(b.cliques.W, lam) for lam in (
-            {b.cliques.W[0]: 1},
-            {b.cliques.W[0]: "1/2", b.cliques.W[1]: "1/2"},
-            {b.cliques.W[1]: 1},
+        Lambda_W=tuple(vector_of(W, lam) for lam in (
+            {W[0]: 1},
+            {W[0]: "1/2", W[1]: "1/2"},
+            {W[1]: 1},
         )),
     )
     batch_b = sample_batch(b, family, -1000, 0, SEED, 1)
@@ -333,14 +342,16 @@ def test_criterion_6_statistical_checks(example_analysis, p3h2_analysis):
     failing = []
 
     a = example_analysis
-    lw = vector_of(a.cliques.W, {a.cliques.W[0]: 1})
+    W = tuples(a.cliques.W)
+    lw = vector_of(W, {W[0]: 1})
     batch = sample_batch(a, lw, -3, 0, SEED, R)
     rep1 = verify_third_noise(batch, alpha=ALPHA)
     rep2 = verify_mono_projection(batch, mono_projection_events(a.rd), alpha=ALPHA)
     # the example law has p = 1; the p = 3 instance makes the phase and
     # remote-past checks nondegenerate at the same alpha/R/seed
     b = p3h2_analysis
-    lwb = vector_of(b.cliques.W, {b.cliques.W[0]: "1/2", b.cliques.W[1]: "1/2"})
+    W = tuples(b.cliques.W)
+    lwb = vector_of(W, {W[0]: "1/2", W[1]: "1/2"})
     rep3 = verify_third_noise(
         sample_batch(b, lwb, -3, 0, SEED, R), alpha=ALPHA
     )
@@ -372,11 +383,12 @@ def test_criterion_6_statistical_checks(example_analysis, p3h2_analysis):
 def test_criterion_7_nonstationary_reduction(p3h2_analysis):
     start = time.monotonic()
     b = p3h2_analysis
-    w0, w1 = b.cliques.W[0], b.cliques.W[1]
+    W = tuples(b.cliques.W)
+    w0, w1 = W[0], W[1]
     family = InvariantFamily(
         limits=b.limits,
         c=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
-        Lambda_W=tuple(vector_of(b.cliques.W, lam)
+        Lambda_W=tuple(vector_of(W, lam)
                        for lam in ({w0: 1}, {w0: "1/2", w1: "1/2"}, {w1: 1})),
     )
     rep = verify_nonstationary_joint(
@@ -387,8 +399,8 @@ def test_criterion_7_nonstationary_reduction(p3h2_analysis):
 
     back = classify_family(b.limits, b.cliques, family.law_at(b.cliques, 0))
     round_trip_ok = back.c == family.c and (
-        [measure_of(b.cliques.W, lam) for lam in back.Lambda_W]
-        == [measure_of(b.cliques.W, lam) for lam in family.Lambda_W])
+        [measure_of(W, lam) for lam in back.Lambda_W]
+        == [measure_of(W, lam) for lam in family.Lambda_W])
 
     elapsed = time.monotonic() - start
     ok = joint_ok and round_trip_ok

@@ -334,6 +334,28 @@ def test_verify_includes_oracle_and_cesaro(capsys, law_file):
     assert "oracle period matches exact p" in names
 
 
+def test_verify_reports_an_unconverged_oracle_as_null(capsys, law_file, monkeypatch):
+    # a float oracle that never settles has no sup errors: the report holds
+    # JSON null for them, never the non-JSON constant NaN
+    from finevo import cli
+    from finevo.limits import FloatLimitEstimate
+
+    monkeypatch.setattr(cli, "float_limit_oracle",
+                        lambda *args, **kwargs: FloatLimitEstimate(False, 0, {}, {}, 5))
+    code, out, _ = run(capsys, "verify", "--law", law_file, "--replications", "1000",
+                       "--no-timestamp")
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    report = json.loads(out, parse_constant=refuse)
+    assert code == 2
+    assert report["oracle"] == {"converged": False, "p_est": 0, "iterations": 5,
+                                "eta_sup_error": None, "nu_sup_error": None}
+    failed = [c["name"] for c in report["verification"]["checks"] if not c["passed"]]
+    assert failed == ["float limit oracle converged"]
+
+
 def test_verify_builds_the_closure_once(capsys, law_file, monkeypatch):
     # the float oracle and the Cesaro average reuse the analysis' closure
     from finevo import analysis, limits, semigroup

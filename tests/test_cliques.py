@@ -1,3 +1,5 @@
+import re
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
@@ -11,15 +13,19 @@ from finevo.cliques import (
     f_cliques,
     invariant_law,
 )
-from finevo.errors import ClassificationError, InputError
+from finevo.errors import ClassificationError, InputError, StructuralInconsistencyError
 from finevo.measure import MappingLaw, RationalMeasure
 from finevo.semigroup import element, generate, kernel
 from finevo.transform import Transformation
 from oracles import (
+    apply,
+    image_set,
+    rank,
+    rees_objects,
+    tuples,
     brute_force_closure,
     coordinate_marginal,
     deadlock_pairs,
-    group_objects,
     is_stable,
     measure_of,
     measure_product,
@@ -46,29 +52,30 @@ def test_deadlock_golden(example_analysis):
 def test_every_pair_under_identity_semigroup_is_deadlocked():
     law = MappingLaw.from_dict({"n": 4, "generators": [[1, 2, 3, 4]], "weights": ["1"]})
     assert len(deadlock_pairs(brute_force_closure([(1, 2, 3, 4)]), 4)) == 6
-    assert set(analyze_law(law).cliques.W_mu) == set(permutations(range(1, 5)))
+    assert set(tuples(analyze_law(law).cliques.W_mu)) == set(permutations(range(1, 5)))
 
 
 def test_f_cliques_golden(example_analysis):
     a = example_analysis
-    assert a.cliques.f_cliques == ((1, 3, 5), (2, 4, 5))
-    assert f_cliques(a.rd.kernel) == [(1, 3, 5), (2, 4, 5)]
-    assert all(len(c) == a.cliques.m_mu for c in a.cliques.f_cliques)
+    assert tuples(a.cliques.f_cliques) == ((1, 3, 5), (2, 4, 5))
+    assert tuples(f_cliques(a.rd.kernel)) == ((1, 3, 5), (2, 4, 5))
+    assert a.cliques.f_cliques.shape[1] == a.cliques.m_mu
 
 
 def test_f_cliques_of_permutation_group():
     c = Transformation([2, 3, 1])
-    assert f_cliques(kernel(generate([c]))) == [(1, 2, 3)]
+    assert tuples(f_cliques(kernel(generate([c])))) == ((1, 2, 3),)
 
 
 def test_W_mu_and_W_golden(example_analysis):
     cd = example_analysis.cliques
     assert cd.m_mu == 3
     assert len(cd.W_mu) == 12
-    assert cd.W == ((2, 4, 5),)
-    assert len({example_analysis.rd.e.apply(x) for x in cd.W_mu}) == 6
+    assert tuples(cd.W) == ((2, 4, 5),)
+    e = rees_objects(example_analysis.rd).e
+    assert len({apply(e, x) for x in tuples(cd.W_mu)}) == 6
     expected = {p for c in [(2, 4, 5), (1, 3, 5)] for p in permutations(c)}
-    assert set(cd.W_mu) == expected
+    assert set(tuples(cd.W_mu)) == expected
 
 
 def test_W_mu_equals_definition_scan(example_analysis):
@@ -82,7 +89,7 @@ def test_W_mu_equals_definition_scan(example_analysis):
         for x in product(range(1, 6), repeat=3)
         if len(set(x)) == 3 and is_stable(closure, x)
     }
-    assert set(example_analysis.cliques.W_mu) == direct
+    assert set(tuples(example_analysis.cliques.W_mu)) == direct
 
 
 # (2,3) is stable under [1,1,3], but {2,3} is not the image of a kernel
@@ -94,19 +101,19 @@ def test_W_mu_is_the_stable_orderings_of_kernel_images(
         example_analysis, cyclic3_analysis, p3h2_analysis, fuzz_analyses):
     analyses, _ = fuzz_analyses
     merge = analyze_law(MappingLaw.from_dict(MERGE_LAW))
-    assert set(merge.cliques.W_mu) == {(1, 3), (3, 1)}
+    assert set(tuples(merge.cliques.W_mu)) == {(1, 3), (3, 1)}
     assert is_stable(brute_force_closure([(1, 1, 3)]), (2, 3))
     for a in [example_analysis, cyclic3_analysis, p3h2_analysis, merge] + analyses:
         gens = [f.images for f in a.law.generators]
-        assert set(a.cliques.W_mu) == stable_kernel_image_tuples(gens)
+        assert set(tuples(a.cliques.W_mu)) == stable_kernel_image_tuples(gens)
 
 
 def test_stability_invariant(example_analysis):
     a = example_analysis
-    wset = set(a.cliques.W_mu)
+    wset = set(tuples(a.cliques.W_mu))
     for f in map(element, a.closure):
-        for x in a.cliques.W_mu:
-            assert f.apply(x) in wset
+        for x in wset:
+            assert apply(f, x) in wset
 
 
 def test_transitive_group_has_all_orderings():
@@ -120,31 +127,34 @@ def test_transitive_group_has_all_orderings():
     assert len(a.cliques.W) == 1
 
 
+def project(a, x) -> tuple:
+    """(L-part, G-part, W-part) of the stable tuple x, read off the state
+    tables at its position in W_mu."""
+    cd, rees = a.cliques, rees_objects(a.rd)
+    s = tuples(cd.W_mu).index(x)
+    return rees.L[cd.state_l[s]], rees.G[cd.state_g[s]], tuples(cd.W)[cd.state_w[s]]
+
+
 def test_projection_golden(example_analysis):
     a = example_analysis
-    def project(x):
-        l, g, w = a.cliques.project_index(x)
-        return a.rd.L[l], a.rd.G[g], a.cliques.W[w]
-
-    assert project((3, 5, 1)) == (FE, GH, (2, 4, 5))
-    assert project((2, 4, 5)) == (E, E, (2, 4, 5))
+    assert project(a, (3, 5, 1)) == (FE, GH, (2, 4, 5))
+    assert project(a, (2, 4, 5)) == (E, E, (2, 4, 5))
     g = Transformation([2, 5, 5, 2, 4])
-    assert project((5, 2, 4)) == (E, g, (2, 4, 5))
-    with pytest.raises(InputError):
-        a.cliques.project_index((1, 2, 3))
+    assert project(a, (5, 2, 4)) == (E, g, (2, 4, 5))
+    assert (1, 2, 3) not in tuples(a.cliques.W_mu)
 
 
 def test_projection_round_trip(example_analysis):
     a = example_analysis
-    for x in a.cliques.W_mu:
-        l, g, w = a.cliques.project_index(x)
-        assert (a.rd.L[l] * a.rd.G[g]).apply(a.cliques.W[w]) == x
+    for x in tuples(a.cliques.W_mu):
+        l, g, w = project(a, x)
+        assert apply(l * g, w) == x
 
 
 def test_invariant_law_golden(example_analysis):
     a = example_analysis
-    x = invariant_law(a.limits, a.cliques, vector_of(a.cliques.W, {(2, 4, 5): 1}))
-    lam = measure_of(a.cliques.W_mu, x)
+    x = invariant_law(a.limits, a.cliques, vector_of(tuples(a.cliques.W), {(2, 4, 5): 1}))
+    lam = measure_of(tuples(a.cliques.W_mu), x)
     assert push_tuples(a.law, lam) == lam
     marginal = coordinate_marginal(lam, 1)
     assert marginal == RationalMeasure(
@@ -162,9 +172,9 @@ def test_invariant_law_rejects_mass_outside_W(example_analysis):
 
 def test_convex_combination_of_invariant_laws_is_invariant(p3h2_analysis):
     a = p3h2_analysis
-    w0, w1 = a.cliques.W[0], a.cliques.W[1]
-    lam0, lam1 = (measure_of(a.cliques.W_mu, invariant_law(a.limits, a.cliques,
-                                                           vector_of(a.cliques.W, {w: 1})))
+    W, W_mu = tuples(a.cliques.W), tuples(a.cliques.W_mu)
+    w0, w1 = W[0], W[1]
+    lam0, lam1 = (measure_of(W_mu, invariant_law(a.limits, a.cliques, vector_of(W, {w: 1})))
                   for w in (w0, w1))
     mixed = RationalMeasure({x: Fraction(1, 4) * lam0[x] + Fraction(3, 4) * lam1[x]
                              for x in set(lam0.support()) | set(lam1.support())})
@@ -173,48 +183,48 @@ def test_convex_combination_of_invariant_laws_is_invariant(p3h2_analysis):
 
 def test_classify_unique_invariant_law(example_analysis):
     a = example_analysis
-    lam = invariant_law(a.limits, a.cliques, vector_of(a.cliques.W, {(2, 4, 5): 1}))
+    lam = invariant_law(a.limits, a.cliques, vector_of(tuples(a.cliques.W), {(2, 4, 5): 1}))
     family = classify_family(a.limits, a.cliques, lam)
     assert family.c == (Fraction(1),)
-    assert measure_of(a.cliques.W, family.Lambda_W[0]) == RationalMeasure({(2, 4, 5): 1})
+    assert measure_of(tuples(a.cliques.W), family.Lambda_W[0]) == RationalMeasure({(2, 4, 5): 1})
 
 
 def test_classify_single_phase_family(p3h2_analysis):
     a = p3h2_analysis
-    w = a.cliques.W[0]
-    group = group_objects(a.rd)
+    w = tuples(a.cliques.W)[0]
+    group = rees_objects(a.rd)
     omega_H = RationalMeasure(dict.fromkeys(group.H, Fraction(1, len(group.H))))
-    lam0 = measure_product([measure_of(a.rd.L, a.limits.eta_L), group.gamma, omega_H, w])
-    family = classify_family(a.limits, a.cliques, vector_of(a.cliques.W_mu, lam0))
+    lam0 = measure_product([measure_of(group.L, a.limits.eta_L), group.gamma, omega_H, w])
+    family = classify_family(a.limits, a.cliques, vector_of(tuples(a.cliques.W_mu), lam0))
     assert family.c == (0, 1, 0)
-    assert measure_of(a.cliques.W, family.Lambda_W[1]) == RationalMeasure({w: 1})
+    assert measure_of(tuples(a.cliques.W), family.Lambda_W[1]) == RationalMeasure({w: 1})
 
 
 def test_classify_round_trip(p3h2_analysis):
     a = p3h2_analysis
-    w0, w1 = a.cliques.W[0], a.cliques.W[1]
+    w0, w1 = tuples(a.cliques.W)[0], tuples(a.cliques.W)[1]
     family = InvariantFamily(
         limits=a.limits,
         c=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
-        Lambda_W=tuple(vector_of(a.cliques.W, lam) for lam in (
+        Lambda_W=tuple(vector_of(tuples(a.cliques.W), lam) for lam in (
             {w0: 1}, {w0: "1/2", w1: "1/2"}, {w1: 1})),
     )
     lam0 = family.law_at(a.cliques, 0)
     back = classify_family(a.limits, a.cliques, lam0)
     assert back.c == family.c
-    assert ([measure_of(a.cliques.W, lam) for lam in back.Lambda_W]
-            == [measure_of(a.cliques.W, lam) for lam in family.Lambda_W])
+    assert ([measure_of(tuples(a.cliques.W), lam) for lam in back.Lambda_W]
+            == [measure_of(tuples(a.cliques.W), lam) for lam in family.Lambda_W])
     # the family reproduces the recursion Lambda_k = mu Lambda_{k-1}
-    current = measure_of(a.cliques.W_mu, lam0)
+    current = measure_of(tuples(a.cliques.W_mu), lam0)
     for k in range(1, 4):
         current = push_tuples(a.law, current)
-        assert current == measure_of(a.cliques.W_mu, family.law_at(a.cliques, k))
+        assert current == measure_of(tuples(a.cliques.W_mu), family.law_at(a.cliques, k))
 
 
 def test_classify_rejects_non_family_law(p3h2_analysis):
     a = p3h2_analysis
     # uniform on W_mu is not of the family form unless eta_L/omega_H arrange it
-    lam = vector_of(a.cliques.W_mu, {a.cliques.W_mu[0]: 1})
+    lam = vector_of(tuples(a.cliques.W_mu), {tuples(a.cliques.W_mu)[0]: 1})
     with pytest.raises(ClassificationError) as err:
         classify_family(a.limits, a.cliques, lam)
     assert err.value.residual
@@ -243,14 +253,14 @@ def test_f_cliques_are_maximal_deadlocked_sets(example_analysis):
 def test_rank_and_clique_kernel_criteria_agree(example_analysis, fuzz_analyses):
     analyses, _ = fuzz_analyses
     for a in [example_analysis] + analyses[:40]:
-        cliques = set(a.cliques.f_cliques)
-        kset = set(a.rd.kernel)
+        cliques = set(tuples(a.cliques.f_cliques))
+        kset = set(rees_objects(a.rd).kernel)
         for g in map(element, a.closure):
             in_by_rank = g in kset
-            in_by_clique = tuple(sorted(g.image_set())) in cliques and (
-                g.rank() == a.cliques.m_mu
+            in_by_clique = tuple(sorted(image_set(g))) in cliques and (
+                rank(g) == a.cliques.m_mu
             )
-            image_is_clique = tuple(sorted(g.image_set())) in cliques
+            image_is_clique = tuple(sorted(image_set(g))) in cliques
             assert in_by_rank == image_is_clique == in_by_clique
 
 
@@ -268,15 +278,16 @@ def test_classify_round_trip_on_fuzz_instances(fuzz_analyses):
             raw[0] = 1
         total = sum(raw)
         c = tuple(Fraction(r, total) for r in raw)
+        W = tuples(a.cliques.W)
         lambdas = tuple(
-            vector_of(a.cliques.W, {rng.choice(a.cliques.W): 1}) for _ in range(p)
+            vector_of(W, {rng.choice(W): 1}) for _ in range(p)
         )
         family = InvariantFamily(limits=a.limits, c=c, Lambda_W=lambdas)
         back = classify_family(a.limits, a.cliques, family.law_at(a.cliques, 0))
         assert back.c == c
         for ci, got, want in zip(c, back.Lambda_W, lambdas):
             if ci > 0:
-                assert measure_of(a.cliques.W, got) == measure_of(a.cliques.W, want)
+                assert measure_of(W, got) == measure_of(W, want)
 
 
 def test_compute_W_on_trivial_semigroup():
@@ -285,6 +296,27 @@ def test_compute_W_on_trivial_semigroup():
     cd = a.cliques
     assert cd.m_mu == 3
     assert len(cd.W_mu) == 6
-    assert cd.W == cd.W_mu  # trivial group: all orbits are singletons
+    assert tuples(cd.W) == tuples(cd.W_mu)  # trivial group: all orbits are singletons
     fresh = compute_W(a.rd)
-    assert fresh.W == cd.W
+    assert tuples(fresh.W) == tuples(cd.W)
+
+
+CONSTANT5 = {"n": 5, "generators": [[1, 1, 1, 1, 1]], "weights": ["1"]}
+
+
+@pytest.mark.parametrize("field, tampered, message", [
+    ("L", lambda rd: rd.L[:1], "L * G * W does not equal W_mu"),
+    ("L", lambda rd: rd.kernel, "L x G x W product map is not injective"),
+    ("G", lambda rd: rd.G[1:], "G-orbits on eW_mu overlap"),
+    ("generators", lambda rd: analyze_law(MappingLaw.from_dict(CONSTANT5)).rd.kernel,
+     "[1,1,1,1,1] maps the stable tuple (1, 3, 5) outside L G W"),
+])
+def test_compute_W_rejects_a_tampered_decomposition(example_analysis, field, tampered,
+                                                    message):
+    """A ReesData of the example law with one factor replaced: one L-part
+    leaves W_mu uncovered, the whole kernel as L repeats tuples, G without
+    its first element is no group and its orbits overlap, and a constant
+    map as the only generator merges every stable tuple."""
+    rd = example_analysis.rd
+    with pytest.raises(StructuralInconsistencyError, match=re.escape(message)):
+        compute_W(replace(rd, **{field: tampered(rd)}))

@@ -28,11 +28,12 @@ from oracles import (
     float_step,
     float_sup_distance,
     full_chain_stationary,
-    group_objects,
     measure_of,
     measure_product,
     project,
+    rees_objects,
     rees_product,
+    tuples,
     two_term_residual,
 )
 
@@ -44,15 +45,16 @@ EF = Transformation([2, 2, 4, 4, 5])
 def _on_kernel(rd, vector) -> RationalMeasure:
     """An exact kernel vector (numerators by kernel position, denominator)
     as a measure on the kernel's transformations."""
-    return measure_of(rd.kernel, vector)
+    return measure_of(rees_objects(rd).kernel, vector)
 
 
 def _limits(a) -> SimpleNamespace:
     """The exact limit vectors of an analysis as measures on rd.L, rd.R and
     the kernel."""
-    rd, lim = a.rd, a.limits
-    return SimpleNamespace(eta_L=measure_of(rd.L, lim.eta_L), eta_R=measure_of(rd.R, lim.eta_R),
-                           eta=_on_kernel(rd, lim.eta), nu=_on_kernel(rd, lim.nu))
+    rees, lim = rees_objects(a.rd), a.limits
+    return SimpleNamespace(eta_L=measure_of(rees.L, lim.eta_L),
+                           eta_R=measure_of(rees.R, lim.eta_R),
+                           eta=measure_of(rees.kernel, lim.eta), nu=measure_of(rees.kernel, lim.nu))
 
 
 def _uniform(support) -> RationalMeasure:
@@ -61,7 +63,7 @@ def _uniform(support) -> RationalMeasure:
 
 def _cycle(a) -> list:
     """cycle[k] = eta_L gamma^k omega_H eta_R by the convolution oracle."""
-    group, lim = group_objects(a.rd), _limits(a)
+    group, lim = rees_objects(a.rd), _limits(a)
     omega_H = _uniform(group.H)
     return [measure_product([lim.eta_L, group.C[k], omega_H, lim.eta_R])
             for k in range(a.rd.p)]
@@ -77,12 +79,12 @@ def test_left_stationary_product_form(example_analysis):
     # beta{l*g} = eta_L{l} / |G| on each of the 12 states of Ke
     a = example_analysis
     beta = _on_kernel(a.rd, fibre_stationary(a.law, a.rd, left=True))
-    eta_L = _limits(a).eta_L
-    states = sorted({z * a.rd.e for z in a.rd.kernel})
+    eta_L, e = _limits(a).eta_L, rees_objects(a.rd).e
+    states = sorted({z * e for z in rees_objects(a.rd).kernel})
     assert len(states) == 12
     for z in states:
-        l, g, r = project(a.rd, z)
-        assert r == a.rd.e
+        l, g, r = project(rees_objects(a.rd), z)
+        assert r == e
         assert beta[z] == eta_L[l] * Fraction(1, len(a.rd.G))
 
 
@@ -90,13 +92,13 @@ def test_right_stationary_product_form(p3h2_analysis):
     # beta_R{g*r} = eta_R{r} / |G| on each state of eK
     a = p3h2_analysis
     beta = _on_kernel(a.rd, fibre_stationary(a.law, a.rd, left=False))
-    eta_R = _limits(a).eta_R
-    states = sorted({a.rd.e * z for z in a.rd.kernel})
+    eta_R, e = _limits(a).eta_R, rees_objects(a.rd).e
+    states = sorted({e * z for z in rees_objects(a.rd).kernel})
     assert len(states) == len(a.rd.G) * len(a.rd.R)
     assert set(beta.support()) == set(states)
     for z in states:
-        l, g, r = project(a.rd, z)
-        assert l == a.rd.e
+        l, g, r = project(rees_objects(a.rd), z)
+        assert l == e
         assert beta[z] == eta_R[r] * Fraction(1, len(a.rd.G))
 
 
@@ -113,7 +115,7 @@ def _assert_stationary_matches_full_chain(a):
     gens, weights = zip(*((f.images, w) for f, w in a.law.measure.items()))
     for left in (True, False):
         beta = fibre_stationary(a.law, a.rd, left)
-        exact = full_chain_stationary(gens, weights, a.rd.e.images, left)
+        exact = full_chain_stationary(gens, weights, a.rd.kernel[a.rd.e].tolist(), left)
         assert {z.images: w for z, w in _on_kernel(a.rd, beta).items()} == exact
 
 
@@ -134,7 +136,8 @@ def test_stationary_laws_match_full_chain_oracle_on_group_kernels():
 
 def test_left_stationary_matches_float_power_iteration(example_analysis):
     a = example_analysis
-    states = sorted({z * a.rd.e for z in a.rd.kernel})
+    e = rees_objects(a.rd).e
+    states = sorted({z * e for z in rees_objects(a.rd).kernel})
     index = {s: i for i, s in enumerate(states)}
     m = len(states)
     matrix = [[Fraction(0)] * m for _ in range(m)]
@@ -171,15 +174,16 @@ def test_solve_stationary_rejects_reducible_chain():
 def test_period_of_example_is_one(example_analysis):
     a = example_analysis
     assert a.rd.p == 1
-    assert set(group_objects(a.rd).H) == set(a.rd.G)
-    assert group_objects(a.rd).gamma == E
+    group = rees_objects(a.rd)
+    assert set(group.H) == set(group.G)
+    assert group.gamma == E
 
 
 def test_period_three_cyclic_instance():
     a = analyze_law(cyclic3_law())
     assert a.rd.p == 3
-    assert group_objects(a.rd).H == (Transformation([1, 2, 3]),)
-    assert group_objects(a.rd).gamma == Transformation([2, 3, 1])
+    assert rees_objects(a.rd).H == (Transformation([1, 2, 3]),)
+    assert rees_objects(a.rd).gamma == Transformation([2, 3, 1])
     # mu^n = delta_{g^n} cycles with period 3
     g = Transformation([2, 3, 1])
     cycle = _cycle(a)
@@ -192,7 +196,7 @@ def test_period_three_with_nontrivial_H():
     a = analyze_law(p3_h2_law())
     assert a.rd.p == 3
     assert len(a.rd.H) == 2
-    assert group_objects(a.rd).gamma == Transformation([2, 3, 1, 5, 6, 4])
+    assert rees_objects(a.rd).gamma == Transformation([2, 3, 1, 5, 6, 4])
     assert len(a.rd.G) == 6
     # p equals the index of H in G
     assert a.rd.p * len(a.rd.H) == len(a.rd.G)
@@ -221,18 +225,19 @@ def test_eta_and_nu_identities(example_analysis):
 def test_nu_expands_as_triple_product(example_analysis):
     a = example_analysis
     lim = _limits(a)
-    omega_G = _uniform(a.rd.G)
+    omega_G = _uniform(rees_objects(a.rd).G)
     assert lim.nu == measure_product([lim.eta_L, omega_G, lim.eta_R])
     sixth = Fraction(1, len(a.rd.G))
-    for z in a.rd.kernel:
-        l, g, r = project(a.rd, z)
+    for z in rees_objects(a.rd).kernel:
+        l, g, r = project(rees_objects(a.rd), z)
         assert lim.nu[z] == lim.eta_L[l] * sixth * lim.eta_R[r]
 
 
 def test_supports(example_analysis):
     a = example_analysis
-    assert set(_limits(a).nu.support()) == set(a.rd.kernel)
-    lhr = {l * h * r for l in a.rd.L for h in group_objects(a.rd).H for r in a.rd.R}
+    rees = rees_objects(a.rd)
+    assert set(_limits(a).nu.support()) == set(rees.kernel)
+    lhr = {l * h * r for l in rees.L for h in rees.H for r in rees.R}
     assert set(_limits(a).eta.support()) == lhr
 
 
@@ -411,7 +416,8 @@ def test_blockwise_convolve_equals_the_pairwise_product(fuzz_corpus, monkeypatch
     rng = random.Random(11)
     for law in fuzz_corpus + group_kernel_laws():
         k = kernel(generate(law.generators))
-        rd = rees_at(law.generators, k, next(z for z in k if z.is_idempotent()))
+        rd = rees_at(law.generators, k, next(z for z, f in enumerate(tuples(k))
+                                             if f == tuple(f[y - 1] for y in f)))
         x, y = ([rng.choice([0, 0, 1, 5, 2**70 + 1]) for _ in k] for _ in "xy")
         x, y = (x, sum(x) + 1), (y, sum(y) + 1)
         expected = [0] * len(k)
@@ -471,9 +477,10 @@ def test_assemble_rejects_wrong_subgroup(example_analysis):
     from finevo.errors import StructuralInconsistencyError
 
     a = example_analysis
-    one = a.rd.G.index(a.rd.e)
+    one = a.rd.coords[a.rd.e, 1]
     # H = {e} is a valid normal subgroup but gives the wrong eta
-    wrong = replace(a.rd, H=(one,), C=(one,), p=1, coset_of=(0,) * len(a.rd.G))
+    wrong = replace(a.rd, H=np.array([one]), C=np.array([one]), p=1,
+                    coset_of=np.zeros(len(a.rd.G), np.intp))
     with pytest.raises(StructuralInconsistencyError):
         assemble_limits(a.law, wrong, a.limits.eta_L, a.limits.eta_R)
 
@@ -482,12 +489,13 @@ def test_period_and_subgroup_direct(example_analysis, p3h2_analysis):
     # the left walk on Ke gives p, H and gamma; only the generators matter
     a = example_analysis
     rd = rees_at(a.law.generators, a.rd.kernel, a.rd.e)
-    group = group_objects(rd)
-    assert (rd.p, set(group.H), group.gamma) == (1, set(a.rd.G), E)
+    group = rees_objects(rd)
+    assert (rd.p, set(group.H), group.gamma) == (1, set(group.G), E)
     b = p3h2_analysis
-    group = group_objects(b.rd)
+    group = rees_objects(b.rd)
     assert (b.rd.p, len(b.rd.H), len(b.rd.G)) == (3, 2, 6)
-    assert group.gamma == min(g for g in b.rd.G if group.coset_of[g] == 1 and g**3 == b.rd.e)
+    assert group.gamma == min(g for g in group.G
+                              if group.coset_of[g] == 1 and g * g * g == group.e)
 
 
 def test_left_right_solvers_agree_with_invariance(p3h2_analysis):
@@ -496,7 +504,7 @@ def test_left_right_solvers_agree_with_invariance(p3h2_analysis):
     assert convolve(a.law.measure, beta) == beta
     beta_r = _on_kernel(a.rd, fibre_stationary(a.law, a.rd, left=False))
     assert convolve(beta_r, a.law.measure) == beta_r
-    omega_G = _uniform(a.rd.G)
+    omega_G = _uniform(rees_objects(a.rd).G)
     # omega_G * eta_R is fixed under right convolution by mu
     fixed = measure_product([omega_G, _limits(a).eta_R])
     assert convolve(fixed, a.law.measure) == fixed

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 import sys
@@ -14,19 +15,22 @@ from fuzzlaws import cyclic3_law, group_kernel_laws, p3_h2_law
 from oracles import (
     brute_force_closure,
     brute_force_minimal_ideal,
-    group_objects,
+    is_idempotent,
+    power,
     project,
+    rees_objects,
     rees_product,
     shortest_words,
+    tuples,
     word_closure,
 )
 
 F = Transformation([2, 3, 4, 1, 5])
 G = Transformation([2, 5, 5, 2, 4])
-E = G ** 3
+E = power(G, 3)
 FE = F * E
 EF = E * F
-H = (F ** 2) * E
+H = power(F, 2) * E
 
 # frozen from the brute-force closure oracle on {f, g}; re-derived below
 EXAMPLE_CLOSURE_SIZE = 28
@@ -43,14 +47,25 @@ def elements(S):
     return [element(row) for row in S]
 
 
+def position(rows, f) -> int:
+    """The position of the transformation f among the rows."""
+    return tuples(rows).index(f.images)
+
+
 @pytest.fixture(scope="module")
 def K(S):
-    return kernel(S)
+    return [element(row) for row in kernel(S)]
 
 
 @pytest.fixture(scope="module")
-def rd(K):
-    return rees_at([F, G], K, E)
+def rd(S):
+    ker = kernel(S)
+    return rees_at([F, G], ker, position(ker, E))
+
+
+@pytest.fixture(scope="module")
+def rees(rd):
+    return rees_objects(rd)
 
 
 def test_closure_matches_brute_force_oracle(S, elements):
@@ -110,8 +125,7 @@ def _assert_rows_match_the_oracles(generators, closure_oracle) -> tuple:
     words = shortest_words(gens)
     keys = [(len(words[x]), x) for x in images]
     assert keys == sorted(keys)
-    assert ({z.images for z in kernel(rows)}
-            == brute_force_minimal_ideal(set(images)))
+    assert set(tuples(kernel(rows))) == brute_force_minimal_ideal(set(images))
     assert literals(rows) == [f.literal() for f in elements]
     assert ([elements[i] for i in left_products(rows, generators)]
             == [g * s for g in generators for s in elements])
@@ -205,11 +219,11 @@ def test_kernel_ranks_rows_above_the_surrogate_code_points():
     rows = generate([Transformation([2, 1, *range(3, n + 1)]), Transformation([1] * n)])
     ranks = [len(set(row)) for row in rows]
     assert sorted(ranks) == [1, 1, n, n]
-    assert kernel(rows) == tuple(element(row) for row, rank in zip(rows, ranks) if rank == 1)
+    assert np.array_equal(kernel(rows), rows[np.array(ranks) == 1])
 
 
 def test_idempotents_golden(elements):
-    idem = [f for f in elements if f.is_idempotent()]
+    idem = [f for f in elements if is_idempotent(f)]
     assert E in idem
     assert FE in idem and FE * FE == FE
     assert EF in idem and EF * EF == EF
@@ -218,7 +232,7 @@ def test_idempotents_golden(elements):
 
 def test_idempotents_of_a_permutation_group():
     S = generate([Transformation([2, 3, 1])])
-    assert [f for f in map(element, S) if f.is_idempotent()] == [Transformation([1, 2, 3])]
+    assert [f for f in map(element, S) if is_idempotent(f)] == [Transformation([1, 2, 3])]
 
 
 def test_kernel_matches_minimal_ideal_oracle(elements, K):
@@ -230,7 +244,7 @@ def test_kernel_matches_minimal_ideal_oracle(elements, K):
 def test_kernel_of_a_group_is_everything():
     c = Transformation([2, 3, 1])
     S = generate([c])
-    assert set(kernel(S)) == set(map(element, S))
+    assert set(tuples(kernel(S))) == set(tuples(S))
 
 
 def test_kernel_is_an_ideal(elements, K):
@@ -240,70 +254,69 @@ def test_kernel_is_an_ideal(elements, K):
             assert s * z in kset and z * s in kset
 
 
-def test_rees_golden_sets(rd):
-    assert rd.e == E
-    assert set(rd.L) == {E, FE}
-    assert set(rd.R) == {E, EF}
-    assert len(rd.G) == 6
-    assert set(rd.G) == {E, G, G ** 2, H, G * H, (G ** 2) * H}
+def test_rees_golden_sets(rd, rees):
+    assert rees.e == E and rd.coords[rd.e].tolist() == [rees.L.index(E), rees.G.index(E),
+                                                        rees.R.index(E)]
+    assert set(rees.L) == {E, FE}
+    assert set(rees.R) == {E, EF}
+    assert len(rees.G) == 6
+    assert set(rees.G) == {E, G, power(G, 2), H, G * H, power(G, 2) * H}
 
 
-def test_group_relations(rd):
-    assert G ** 3 == E and H * H == E
-    assert H * G == (G ** 2) * H
-    assert H * (G ** 2) == G * H
-    inverse = group_objects(rd).inverse
-    assert inverse[G] == G ** 2
-    assert inverse[E] == E
+def test_group_relations(rees):
+    assert power(G, 3) == E and H * H == E
+    assert H * G == power(G, 2) * H
+    assert H * power(G, 2) == G * H
+    assert rees.inverse[G] == power(G, 2)
+    assert rees.inverse[E] == E
 
 
-def test_rees_requires_kernel_idempotent(K):
-    with pytest.raises(InputError):
-        rees_at([F, G], K, F)  # not in the kernel
-    with pytest.raises(InputError):
-        rees_at([F, G], K, G)  # in the kernel but not idempotent
+def test_rees_requires_kernel_idempotent(S):
+    ker = kernel(S)
+    with pytest.raises(InputError, match=re.escape("[2,5,5,2,4] is not idempotent")):
+        rees_at([F, G], ker, position(ker, G))  # in the kernel but not idempotent
 
 
-def test_project_golden(rd):
-    assert project(rd, FE) == (FE, E, E)
-    assert project(rd, E) == (E, E, E)
-    assert project(rd, G) == (E, G, E)
+def test_project_golden(rees):
+    assert project(rees, FE) == (FE, E, E)
+    assert project(rees, E) == (E, E, E)
+    assert project(rees, G) == (E, G, E)
 
 
-def test_project_round_trip(rd, K):
+def test_project_round_trip(rd, rees, K):
     for z, (i, j, k) in zip(K, rd.coords):
-        l, g, r = project(rd, z)
-        assert l in set(rd.L) and g in set(rd.G) and r in set(rd.R)
+        l, g, r = project(rees, z)
+        assert l in set(rees.L) and g in set(rees.G) and r in set(rees.R)
         assert l * g * r == z
-        assert (rd.L[i], rd.G[j], rd.R[k]) == (l, g, r)
+        assert (rees.L[i], rees.G[j], rees.R[k]) == (l, g, r)
     with pytest.raises(InputError):
-        project(rd, F)
+        project(rees, F)
 
 
-def test_product_then_project_is_identity(rd):
-    for l in rd.L:
-        for g in rd.G:
-            for r in rd.R:
-                assert project(rd, l * g * r) == (l, g, r)
+def test_product_then_project_is_identity(rees):
+    for l in rees.L:
+        for g in rees.G:
+            for r in rees.R:
+                assert project(rees, l * g * r) == (l, g, r)
 
 
-def test_rl_contained_in_g(rd):
-    gset = set(rd.G)
-    for r in rd.R:
-        for l in rd.L:
+def test_rl_contained_in_g(rees):
+    gset = set(rees.G)
+    for r in rees.R:
+        for l in rees.L:
             assert r * l in gset
 
 
-def test_idempotency_criterion(rd):
-    for l in rd.L:
-        for g in rd.G:
-            for r in rd.R:
+def test_idempotency_criterion(rees):
+    for l in rees.L:
+        for g in rees.G:
+            for r in rees.R:
                 z = l * g * r
-                assert (z * z == z) == (r * l == group_objects(rd).inverse[g])
+                assert (z * z == z) == (r * l == rees.inverse[g])
 
 
-def test_kernel_idempotents_are_primitive(rd, K):
-    idem = [z for z in K if z.is_idempotent()]
+def test_kernel_idempotents_are_primitive(K):
+    idem = [z for z in K if is_idempotent(z)]
     for e1 in idem:
         for z in idem:
             if e1 * z == z and z * e1 == z:
@@ -312,30 +325,31 @@ def test_kernel_idempotents_are_primitive(rd, K):
 
 def test_trivial_kernel_decomposition():
     c = Transformation([1, 1])
-    rd = rees_at([c], kernel(generate([c])), c)
-    assert rd.L == rd.G == rd.R == (Transformation([1, 1]),)
+    rd = rees_at([c], kernel(generate([c])), 0)
+    assert tuples(rd.L) == tuples(rd.G) == tuples(rd.R) == ((1, 1),)
 
 
-def test_coset_structure_single_coset(rd):
+def test_coset_structure_single_coset(rd, rees):
     # the example law has period 1: H = G and gamma = e
-    group = group_objects(rd)
-    assert (rd.p, set(group.H), group.gamma, group.C) == (1, set(rd.G), E, (E,))
-    assert rd.H == tuple(range(6)) and rd.C == (rd.G.index(E),)
-    assert group.coset_of == {g: 0 for g in rd.G}
+    group = rees
+    assert (rd.p, set(group.H), group.gamma, group.C) == (1, set(rees.G), E, (E,))
+    assert rd.H.tolist() == list(range(6)) and rd.C.tolist() == [rees.G.index(E)]
+    assert group.coset_of == {g: 0 for g in rees.G}
 
 
 def test_coset_structure_cyclic_group():
     g = Transformation([2, 3, 1])
     ident = Transformation([1, 2, 3])
-    rd = rees_at([g], kernel(generate([g])), ident)
-    group = group_objects(rd)
+    ker = kernel(generate([g]))
+    rd = rees_at([g], ker, position(ker, ident))
+    group = rees_objects(rd)
     assert (rd.p, group.H, group.gamma) == (3, (ident,), g)
     assert group.C == (ident, g, g * g)
     assert group.coset_of == {ident: 0, g: 1, g * g: 2}
     assert group.inverse == {ident: ident, g: g * g, g * g: g}
 
 
-S3 = {"e": E, "g": G, "g2": G ** 2, "h": H, "gh": G * H, "g2h": (G ** 2) * H}
+S3 = {"e": E, "g": G, "g2": power(G, 2), "h": H, "gh": G * H, "g2h": power(G, 2) * H}
 
 
 @pytest.mark.parametrize("p, parts, message", [
@@ -346,7 +360,7 @@ S3 = {"e": E, "g": G, "g2": G ** 2, "h": H, "gh": G * H, "g2h": (G ** 2) * H}
     (2, ("e g g2", "h gh"), "successor coset has wrong size"),
     (2, ("e g g2", "e g g2"), "cosets of H are not disjoint"),
 ])
-def test_rees_at_rejects_a_wrong_coset_structure(K, monkeypatch, p, parts, message):
+def test_rees_at_rejects_a_wrong_coset_structure(S, K, monkeypatch, p, parts, message):
     """Cyclic classes whose G-parts are not the cosets of a normal subgroup
     fail the coset checks (the walk of the example law has p = 1)."""
     states = sorted({K.index(z * E) for z in K})
@@ -355,28 +369,30 @@ def test_rees_at_rejects_a_wrong_coset_structure(K, monkeypatch, p, parts, messa
     monkeypatch.setattr(semigroup, "chain_period_and_classes",
                         lambda *args: (p, classes + [[]] * (p - len(classes))))
     with pytest.raises(StructuralInconsistencyError, match=re.escape(message)):
-        rees_at([F, G], K, E)
+        rees_at([F, G], kernel(S), K.index(E))
 
 
 @pytest.mark.parametrize("e, message", [
     (E, "L * G * R does not cover the kernel"),
-    (F ** 4, "inverse law fails in the group factor"),
+    (power(F, 4), "inverse law fails in the group factor"),
 ])
-def test_rees_at_rejects_an_ideal_larger_than_the_kernel(elements, e, message):
+def test_rees_at_rejects_an_ideal_larger_than_the_kernel(S, e, message):
     # the whole closure is an ideal; at the identity its "group" eSe is all
     # of it, a monoid without inverses
     with pytest.raises(StructuralInconsistencyError, match=re.escape(message)):
-        rees_at([F, G], tuple(elements), e)
+        rees_at([F, G], S, position(S, e))
 
 
-def test_rees_at_rejects_a_kernel_that_is_not_an_ideal(K):
+def test_rees_at_rejects_a_kernel_that_is_not_an_ideal(S):
     # without G, the products f * z and z * f leave the set
+    ker = kernel(S)
+    ker = ker[[z != G.images for z in tuples(ker)]]
     with pytest.raises(StructuralInconsistencyError, match="minimal-rank set is not an ideal"):
-        rees_at([F, G], tuple(z for z in K if z != G), E)
+        rees_at([F, G], ker, position(ker, E))
 
 
 @pytest.mark.parametrize("direction", ["forward", "backward"])
-def test_rees_at_rejects_a_reducible_right_walk(K, monkeypatch, direction):
+def test_rees_at_rejects_a_reducible_right_walk(rd, monkeypatch, direction):
     """Successors on eK that leave e stuck (forward) or unreachable
     (backward) fail the right walk's strong-connectivity check; the left
     walk keeps its true successors."""
@@ -394,7 +410,7 @@ def test_rees_at_rejects_a_reducible_right_walk(K, monkeypatch, direction):
     monkeypatch.setattr(semigroup, "walk_distances", cut)
     with pytest.raises(StructuralInconsistencyError,
                        match=re.escape(f"right walk on eK is not irreducible ({direction})")):
-        rees_at([F, G], K, E)
+        rees_at([F, G], rd.kernel, rd.e)
 
 
 def test_rees_coordinate_products_match_composition(example_analysis, fuzz_analyses,
@@ -410,28 +426,33 @@ def test_rees_coordinate_products_match_composition(example_analysis, fuzz_analy
 
     def decomposed(law):
         k = kernel(generate(law.generators))
-        return rees_at(law.generators, k, next(z for z in k if z.is_idempotent()))
+        return rees_at(law.generators, k, next(z for z, f in enumerate(tuples(k))
+                                               if is_idempotent(Transformation(f))))
 
     whole = [decomposed(law) for law in laws]
     monkeypatch.setattr(semigroup, "BLOCK", 1)
     rds = [example_analysis.rd] + [a.rd for a in analyses] + [decomposed(law) for law in laws]
-    assert rds[-5:] == whole
+    fields = [f.name for f in dataclasses.fields(semigroup.ReesData)]
+    for x, y in zip(rds[-5:], whole):
+        assert all(np.array_equal(getattr(x, f), getattr(y, f)) for f in fields)
     assert [len(rd.kernel) for rd in rds[-5:]] == [120, 60, 24, 72, 6]
     for rd in rds:
-        K = rd.kernel
+        rees = rees_objects(rd)
+        K, G = rees.kernel, rees.G
         for a, x in enumerate(K):
             for b, y in enumerate(K):
                 assert K[rees_product(rd, a, b)] == x * y
-        for f, left, right in zip(rd.generators, rd.left, rd.right):
+        for f, left, right in zip(rees.generators, rd.left, rd.right):
             assert [K[z] for z in left] == [f * z for z in K]
             assert [K[z] for z in right] == [z * f for z in K]
-        for l, x in enumerate(rd.L):
-            for g, y in enumerate(rd.G):
-                for r, z in enumerate(rd.R):
-                    assert K[rd.at[l][g][r]] == x * y * z
-                    assert rd.coords[rd.at[l][g][r]] == (l, g, r)
-        assert [[rd.G[c] for c in row] for row in rd.gmul] == [[x * y for y in rd.G] for x in rd.G]
-        assert [[rd.G[c] for c in row] for row in rd.sandwich] == [[r * l for l in rd.L] for r in rd.R]
-        assert [rd.G[b] * x for b, x in zip(rd.inverse, rd.G)] == [rd.e] * len(rd.G)
-        cosets = {rd.G[c] * rd.G[h]: j for j, c in enumerate(rd.C) for h in rd.H}
-        assert cosets == dict(zip(rd.G, rd.coset_of))
+        for l, x in enumerate(rees.L):
+            for g, y in enumerate(G):
+                for r, z in enumerate(rees.R):
+                    assert K[rd.at[l, g, r]] == x * y * z
+                    assert rd.coords[rd.at[l, g, r]].tolist() == [l, g, r]
+        assert [[G[c] for c in row] for row in rd.gmul] == [[x * y for y in G] for x in G]
+        assert ([[G[c] for c in row] for row in rd.sandwich]
+                == [[r * l for l in rees.L] for r in rees.R])
+        assert [G[b] * x for b, x in zip(rd.inverse, G)] == [rees.e] * len(G)
+        cosets = {G[c] * G[h]: j for j, c in enumerate(rd.C) for h in rd.H}
+        assert cosets == rees.coset_of

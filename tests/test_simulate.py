@@ -20,14 +20,16 @@ from finevo.simulate import (
 )
 from finevo.stats import chi_square_gof
 from finevo.transform import Transformation
-from oracles import (ScalarReference, group_objects, last_word_time, measure_of,
-                     scalar_draw, shortest_words, vector_of)
+from oracles import (ScalarReference, apply, last_word_time, measure_of, rees_objects,
+                     scalar_draw, shortest_words, tuples, vector_of)
 
 
 def w_law(a, weights=None) -> tuple:
-    """A law on the W of an analysis as a W vector; uniform by default."""
-    W = a.cliques.W
-    return vector_of(W, weights or dict.fromkeys(W, Fraction(1, len(W))))
+    """A law on the W of an analysis as a W vector, from weights keyed by
+    position in W; uniform by default."""
+    W = tuples(a.cliques.W)
+    weights = weights or dict.fromkeys(range(len(W)), Fraction(1, len(W)))
+    return vector_of(W, {W[w]: v for w, v in weights.items()})
 
 
 def one_path(a, initial, k_min, k_max, seed):
@@ -43,7 +45,7 @@ def decode(a, batch, r=0) -> dict:
 @pytest.fixture(scope="module")
 def example_path(example_analysis):
     a = example_analysis
-    lw = w_law(a, {a.cliques.W[0]: 1})
+    lw = w_law(a, {0: 1})
     return one_path(a, lw, -1000, 0, 42)
 
 
@@ -82,20 +84,21 @@ def test_factorization_rejects_a_time_outside_the_window(example_path):
 
 def test_factorization_on_short_path(example_analysis):
     a = example_analysis
-    lw = w_law(a, {a.cliques.W[0]: 1})
+    lw = w_law(a, {0: 1})
     path = one_path(a, lw, -1, 0, 3)
     check = verify_factorization(path, 0)
     assert check.passed
     # single step reduces to X_k = X_k^L X_k^G Z_W, read off the state tables
     cd, s = a.cliques, int(path.states[0, -1])
     assert cd.state_w[s] == path.z_w[0]
-    x = (a.rd.L[cd.state_l[s]] * a.rd.G[cd.state_g[s]]).apply(cd.W[cd.state_w[s]])
-    assert x == a.cliques.W_mu[s] == decode(a, path)["X"][-1]
+    rees = rees_objects(a.rd)
+    x = apply(rees.L[cd.state_l[s]] * rees.G[cd.state_g[s]], tuples(cd.W)[cd.state_w[s]])
+    assert x == tuples(cd.W_mu)[s] == decode(a, path)["X"][-1]
 
 
 def test_seed_reproducibility(example_analysis):
     a = example_analysis
-    lw = w_law(a, {a.cliques.W[0]: 1})
+    lw = w_law(a, {0: 1})
     p1 = one_path(a, lw, -50, 0, 7)
     p2 = one_path(a, lw, -50, 0, 7)
     p3 = one_path(a, lw, -50, 0, 8)
@@ -105,7 +108,7 @@ def test_seed_reproducibility(example_analysis):
 
 def test_seed_validation(example_analysis):
     a = example_analysis
-    lw = w_law(a, {a.cliques.W[0]: 1})
+    lw = w_law(a, {0: 1})
     with pytest.raises(InputError):
         one_path(a, lw, -10, 0, -1)
     with pytest.raises(InputError):
@@ -128,7 +131,7 @@ def test_empirical_left_factor_frequency(example_analysis):
     # lands within a 0.02 binomial band for this fixed seed
     a = example_analysis
     fe = Transformation([1, 3, 3, 1, 5])
-    lw = w_law(a, {a.cliques.W[0]: 1})
+    lw = w_law(a, {0: 1})
     X_L = decode(a, one_path(a, lw, 0, 10_000, 42))["X_L"]
     freq = sum(1 for l in X_L if l == fe) / len(X_L)
     assert abs(freq - 1 / 3) < 0.02
@@ -136,7 +139,7 @@ def test_empirical_left_factor_frequency(example_analysis):
 
 def test_third_noise_battery_on_example(example_analysis):
     a = example_analysis
-    lw = w_law(a, {a.cliques.W[0]: 1})
+    lw = w_law(a, {0: 1})
     batch = sample_batch(a, lw, -3, 0, 42, 2000)
     checks = verify_third_noise(batch, alpha=0.001)
     assert all(c.passed for c in checks)
@@ -155,7 +158,7 @@ def test_third_noise_battery_on_example(example_analysis):
 
 def test_third_noise_on_p3_instance(p3h2_analysis):
     a = p3h2_analysis
-    lw = w_law(a, {a.cliques.W[0]: "1/2", a.cliques.W[1]: "1/2"})
+    lw = w_law(a, {0: "1/2", 1: "1/2"})
     batch = sample_batch(a, lw, -3, 0, 42, 3000)
     checks = verify_third_noise(batch, alpha=0.001)
     assert all(c.passed for c in checks)
@@ -168,14 +171,14 @@ def test_third_noise_on_p3_instance(p3h2_analysis):
 
 def test_third_noise_requires_enough_replications(example_analysis):
     a = example_analysis
-    lw = w_law(a, {a.cliques.W[0]: 1})
+    lw = w_law(a, {0: 1})
     with pytest.raises(InputError, match="at least 1000 replications"):
         verify_third_noise(sample_batch(a, lw, -3, 0, 1, 100), alpha=0.001)
 
 
 def test_verifiers_reject_the_other_kind_of_batch(example_analysis):
     a = example_analysis
-    lw = w_law(a, {a.cliques.W[0]: 1})
+    lw = w_law(a, {0: 1})
     family = InvariantFamily(limits=a.limits, c=(Fraction(1),), Lambda_W=(lw,))
     with pytest.raises(InputError, match="needs a stationary batch"):
         verify_third_noise(sample_batch(a, family, -3, 0, 1, 1000))
@@ -188,7 +191,7 @@ def test_verifiers_reject_the_other_kind_of_batch(example_analysis):
 
 def test_mono_projection_battery(example_analysis):
     a = example_analysis
-    lw = w_law(a, {a.cliques.W[0]: 1})
+    lw = w_law(a, {0: 1})
     batch = sample_batch(a, lw, -3, 0, 42, 2000)
     checks = verify_mono_projection(batch, mono_projection_events(a.rd), alpha=0.001)
     assert all(c.passed for c in checks)
@@ -201,7 +204,7 @@ def test_nonstationary_single_term_reduces_to_stationary(example_analysis):
     family = InvariantFamily(
         limits=a.limits,
         c=(Fraction(1),),
-        Lambda_W=(w_law(a, {a.cliques.W[0]: 1}),),
+        Lambda_W=(w_law(a, {0: 1}),),
     )
     path = one_path(a, family, -200, 0, 5)
     checks = verify_path_exact(path) + [verify_factorization(path, 0)]
@@ -210,13 +213,13 @@ def test_nonstationary_single_term_reduces_to_stationary(example_analysis):
 
 def test_nonstationary_deterministic_phase(p3h2_analysis):
     a = p3h2_analysis
-    w = a.cliques.W[0]
+    w = tuples(a.cliques.W)[0]
     family = InvariantFamily(
         limits=a.limits,
         c=(Fraction(1), Fraction(0), Fraction(0)),
-        Lambda_W=(w_law(a, {w: 1}),) * 3,
+        Lambda_W=(w_law(a, {0: 1}),) * 3,
     )
-    C = group_objects(a.rd).C
+    C = rees_objects(a.rd).C
     for seed in range(5):
         path = decode(a, one_path(a, family, -30, 0, seed))
         assert path["Y_C"] == C[0]  # i = 0 forced
@@ -227,14 +230,13 @@ def test_nonstationary_deterministic_phase(p3h2_analysis):
 
 def test_nonstationary_joint_frequencies(p3h2_analysis):
     a = p3h2_analysis
-    w0, w1 = a.cliques.W[0], a.cliques.W[1]
     family = InvariantFamily(
         limits=a.limits,
         c=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
         Lambda_W=(
-            w_law(a, {w0: 1}),
-            w_law(a, {w0: "1/2", w1: "1/2"}),
-            w_law(a, {w1: 1}),
+            w_law(a, {0: 1}),
+            w_law(a, {0: "1/2", 1: "1/2"}),
+            w_law(a, {1: 1}),
         ),
     )
     batch = sample_batch(a, family, -10, -7, 42, 4000)
@@ -245,12 +247,12 @@ def test_nonstationary_joint_frequencies(p3h2_analysis):
 
 def e_word(a) -> list:
     """A shortest generator word for the base idempotent, as image tuples."""
-    return shortest_words([f.images for f in a.law.generators])[a.rd.e.images]
+    return shortest_words([f.images for f in a.law.generators])[tuples(a.rd.kernel)[a.rd.e]]
 
 
 def estimate_Te(path, k, word):
     """T_e at time k, read off the driving maps of a one-row batch."""
-    maps = [path.analysis.rd.generators[m].images for m in path.maps[0].tolist()]
+    maps = [tuples(path.analysis.rd.generators)[m] for m in path.maps[0].tolist()]
     return last_word_time(maps, path.k_min, k, word)
 
 
@@ -263,12 +265,12 @@ def test_estimate_Te_on_example(example_analysis, example_path):
     # the product over the reported witness window is exactly e
     i = te - example_path.k_min
     n1, n2, n3 = decode(a, example_path)["N"][i:i + 3]  # N_{te+1}, N_{te+2}, N_{te+3}
-    assert n3 * n2 * n1 == a.rd.e
+    assert n3 * n2 * n1 == rees_objects(a.rd).e
 
 
 def test_estimate_Te_windows_of_200(example_analysis):
     a = example_analysis
-    lw = w_law(a, {a.cliques.W[0]: 1})
+    lw = w_law(a, {0: 1})
     found = 0
     total = 200
     for r in range(total):
@@ -284,14 +286,14 @@ def test_estimate_Te_deterministic_law():
     a = analyze_law(law)
     lw = w_law(a)
     path = one_path(a, lw, -50, 0, 1)
-    assert e_word(a) == [a.rd.e.images]
+    assert e_word(a) == [tuples(a.rd.kernel)[a.rd.e]]
     # every position carries the witness; T^e_k is the largest admissible l
     assert estimate_Te(path, 0, e_word(a)) == -2
 
 
 def test_Te_tail_decays_geometrically(example_analysis):
     a = example_analysis
-    lw = w_law(a, {a.cliques.W[0]: 1})
+    lw = w_law(a, {0: 1})
     word = e_word(a)
     gaps = []
     for r in range(400):
@@ -311,12 +313,13 @@ def test_one_time_law_matches_invariant_marginal(example_analysis):
     from finevo.cliques import invariant_law
 
     a = example_analysis
-    lw = w_law(a, {a.cliques.W[0]: 1})
-    lam = measure_of(a.cliques.W_mu, invariant_law(a.limits, a.cliques, lw))
+    lw = w_law(a, {0: 1})
+    W_mu = tuples(a.cliques.W_mu)
+    lam = measure_of(W_mu, invariant_law(a.limits, a.cliques, lw))
     counts = {}
     reps = 3000
     for r in range(reps):
-        x = a.cliques.W_mu[one_path(a, lw, -3, 0, 42 ^ r).states[0, -1]]
+        x = W_mu[one_path(a, lw, -3, 0, 42 ^ r).states[0, -1]]
         counts[x] = counts.get(x, 0) + 1
     cats = sorted(set(counts) | set(lam.support()))
     check = chi_square_gof([counts.get(x, 0) for x in cats], [lam[x] for x in cats],
@@ -344,16 +347,16 @@ def mixing_uniformity(a, n, replications=2000, seed=7):
     """Chi-square test of the H-part of e N_1 ... N_n z against uniform on
     H, z the first kernel element; replication r draws N_1..N_n from
     Philox(key=seed ^ r)."""
-    rd = a.rd
+    rees = rees_objects(a.rd)
     split = ScalarReference(a.limits, a.cliques.W).split
     counts = {}
     for r in range(replications):
         rng = np.random.Generator(np.random.Philox(key=seed ^ r))
-        prod = rd.e
+        prod = rees.e
         for _ in range(n):
             prod = prod * scalar_draw(a.law.measure.items(), rng)
-        _add(counts, split[rd.e * (prod * rd.kernel[0]) * rd.e][1])
-    H = group_objects(rd).H
+        _add(counts, split[rees.e * (prod * rees.kernel[0]) * rees.e][1])
+    H = rees.H
     return chi_square_gof([counts.get(h, 0) for h in H], [Fraction(1, len(H))] * len(H),
                           replications, 0.001, f"H-part of e N_1..N_{n} z uniform on H")
 
@@ -380,7 +383,7 @@ def test_batch_rows_do_not_depend_on_the_chunk_size(example_analysis, monkeypatc
     """Chunks of 7 rows, of one row, and of less than one row's uniforms
     (still one row per chunk), on a short and a 300-step window."""
     a = example_analysis
-    lw = w_law(a, {a.cliques.W[0]: 1})
+    lw = w_law(a, {0: 1})
     whole = sample_batch(a, lw, k_min, 0, 2**64 - 3, 50)
     draws_per_row = 3 - k_min
     monkeypatch.setattr(simulate, "BATCH_CHUNK_DRAWS", int(rows_per_chunk * draws_per_row))
@@ -422,7 +425,7 @@ def as_dicts(seen, labels) -> list:
 
 def joint_labels(a) -> list:
     """The (Y_C, Z_W) categories of a goodness-of-fit test: C by j, then W."""
-    return [(c, w) for c in group_objects(a.rd).C for w in a.cliques.W]
+    return [(c, w) for c in rees_objects(a.rd).C for w in tuples(a.cliques.W)]
 
 
 def _add(counts, key):
@@ -458,7 +461,7 @@ def test_stationary_counts_match_scalar_reference(name, request, tested_counts):
     u = sorted({ref.h_part(row["X"][-1]) for row in rows})
     yz = sorted({(row["Y_C"], row["Z_W"]) for row in rows})
     nw = sorted({tuple(row["N"]) for row in rows})
-    group = group_objects(a.rd)
+    group = rees_objects(a.rd)
     assert as_dicts(tested_counts, {
         "U^H_k uniform on H": group.H,
         "Y_C uniform on C": group.C,
@@ -471,7 +474,7 @@ def test_stationary_counts_match_scalar_reference(name, request, tested_counts):
 
 def test_mono_counts_match_scalar_reference(example_analysis, tested_counts):
     a = example_analysis
-    lw = w_law(a, {a.cliques.W[0]: 1})
+    lw = w_law(a, {0: 1})
     ref = ScalarReference(a.limits, a.cliques.W)
     want = {}
     for r in range(REPS):
@@ -485,14 +488,13 @@ def test_mono_counts_match_scalar_reference(example_analysis, tested_counts):
 
 def test_nonstationary_counts_match_scalar_reference(p3h2_analysis, tested_counts):
     a = p3h2_analysis
-    w0, w1 = a.cliques.W[0], a.cliques.W[1]
     family = InvariantFamily(
         limits=a.limits,
         c=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
         Lambda_W=(
-            w_law(a, {w0: 1}),
-            w_law(a, {w0: "1/2", w1: "1/2"}),
-            w_law(a, {w1: 1}),
+            w_law(a, {0: 1}),
+            w_law(a, {0: "1/2", 1: "1/2"}),
+            w_law(a, {1: 1}),
         ),
     )
     ref = ScalarReference(a.limits, a.cliques.W)
@@ -514,7 +516,7 @@ def test_nonstationary_paths_match_scalar_reference(example_analysis):
     # two L-parts and H = G: every one of the four start draws shows in X
     a = example_analysis
     family = InvariantFamily(limits=a.limits, c=(Fraction(1),),
-                             Lambda_W=(w_law(a, {a.cliques.W[0]: 1}),))
+                             Lambda_W=(w_law(a, {0: 1}),))
     ref = ScalarReference(a.limits, a.cliques.W)
     for seed in range(40):
         path = one_path(a, family, -4, 0, seed)
@@ -557,9 +559,10 @@ def test_path_checks_pass_the_unedited_batch(p3h2_batch):
 
 def test_recursion_check_rejects_an_edited_map(p3h2_analysis, p3h2_batch):
     """Another map at one step: the next tuple is no longer its image."""
-    batch, W_mu = p3h2_batch, p3h2_analysis.cliques.W_mu
+    batch, W_mu = p3h2_batch, tuples(p3h2_analysis.cliques.W_mu)
     x, y = (W_mu[s] for s in batch.states[1, 20:22].tolist())
-    f = next(f for f, g in enumerate(p3h2_analysis.rd.generators) if g.apply(x) != y)
+    f = next(f for f, g in enumerate(rees_objects(p3h2_analysis.rd).generators)
+             if apply(g, x) != y)
     assert failing(edited(batch, "maps", 1, 20, f), 0) == {RECURSION, INCREMENT}
 
 
@@ -585,3 +588,25 @@ def test_path_checks_reject_an_edited_state(p3h2_batch, part, caught):
         h = 1 - h
     state = cd.lgw[l, cd.coset_h[j, h], w]
     assert failing(edited(batch, "states", 1, 20, state), 0) == caught
+
+
+def test_path_checks_compose_instead_of_reading_the_tables(p3h2_analysis, p3h2_batch):
+    """The recursion and L G W checks compose the tuples themselves: a
+    batch drawn on a step table with two entries swapped fails the
+    recursion, and a batch read through a corrupted ``state_w`` fails
+    X_k in L G W."""
+    a, batch = p3h2_analysis, p3h2_batch
+    cd = a.cliques
+    f, s = int(batch.maps[1, 20]), int(batch.states[1, 20])
+    other = next(t for t in range(len(cd.W_mu)) if cd.step[f, t] != cd.step[f, s])
+    step = cd.step.copy()
+    step[f, [s, other]] = step[f, [other, s]]
+    swapped = replace(a, cliques=replace(cd, step=step))
+    redrawn = sample_batch(swapped, batch.initial, batch.k_min, batch.k_max, batch.seed, 3)
+    assert (redrawn.maps == batch.maps).all() and (redrawn.states != batch.states).any()
+    assert RECURSION in failing(redrawn, 0)
+
+    state_w = cd.state_w.copy()
+    state_w[s] = (state_w[s] + 1) % len(cd.W)
+    corrupted = replace(batch, analysis=replace(a, cliques=replace(cd, state_w=state_w)))
+    assert "X_k in L G W" in failing(corrupted, 0)
