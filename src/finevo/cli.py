@@ -14,8 +14,7 @@ import sys
 from .analysis import analyze_law, example_law
 from .cliques import InvariantFamily, classify_family
 from .errors import FinevoError, InputError
-from .limits import (CESARO_N, FLOAT_MAX_LAG, cesaro_average, exact_vs_float_sup,
-                     float_limit_oracle)
+from .limits import CESARO_N, float_limit_oracle, sup_error
 from .measure import MappingLaw, RationalMeasure, as_fraction
 from .report import build_report, render_text, report_to_json
 from .semigroup import DEFAULT_ELEMENT_CAP
@@ -338,18 +337,15 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     config = _load_sim_config(args)
-    law = _load_law(config["law_file"])
-    analysis = analyze_law(law, cap=args.cap)
-
+    analysis = analyze_law(_load_law(config["law_file"]), cap=args.cap)
     verification = _run_simulation_battery(analysis, config)
-    est = float_limit_oracle(law, max_lag=max(FLOAT_MAX_LAG, len(analysis.rd.G)),
-                             closure=analysis.closure)
+    est = float_limit_oracle(analysis)
     if not est.converged:
         verification.add(Check("float limit oracle converged", "exact", False))
         eta_err = nu_err = None  # JSON null: there is no estimate to compare
     else:
-        eta_err = exact_vs_float_sup(analysis.rd.kernel, analysis.limits.eta, est.eta_est)
-        nu_err = exact_vs_float_sup(analysis.rd.kernel, analysis.limits.nu, est.nu_est)
+        eta_err = sup_error(analysis, analysis.limits.eta, est.eta)
+        nu_err = sup_error(analysis, analysis.limits.nu, est.nu)
         verification.add(
             Check("oracle period matches exact p", "exact",
                   est.p_est == analysis.rd.p,
@@ -376,10 +372,9 @@ def cmd_verify(args) -> int:
     }
     # informational: the literal running average converges like C/n, far
     # slower than the cycle average checked above
-    avg = cesaro_average(law, CESARO_N, analysis.closure)
     report["cesaro"] = {
         "n": CESARO_N,
-        "sup_error_vs_nu": exact_vs_float_sup(analysis.rd.kernel, analysis.limits.nu, avg),
+        "sup_error_vs_nu": sup_error(analysis, analysis.limits.nu, est.average),
     }
     _emit(report, args)
     return _exit_code(verification)

@@ -8,8 +8,9 @@ and the coset generator gamma, and the cycle is assembled from the
 closed-form factorization. The walks on Ke = LG and eK = GR are solved on
 their boundary factors L and R alone: the group acts on their G-fibres by
 permutations that commute with the walk, so the stationary laws are exactly
-eta_L x omega_G and omega_G x eta_R. A double-precision power iteration is
-kept as an independent cross-check.
+eta_L x omega_G and omega_G x eta_R. One double-precision pass over the
+powers mu^k, on vectors by closure position, is kept as an independent
+cross-check: it estimates p, eta and nu and gives the running average.
 
 From its solve on, every exact law is a vector (numerators, denominator):
 Python ints by position in the kernel, ``rd.L`` or ``rd.R``, over one
@@ -26,12 +27,13 @@ import numpy as np
 
 from .errors import StructuralInconsistencyError
 from .measure import MappingLaw
-from .semigroup import BLOCK, ReesData, element, generate, left_products
+from .semigroup import BLOCK, ReesData, left_products, positions_in
 
-# The float iteration's defaults: the largest lag float_limit_oracle scans
-# (cesaro_average keeps as many past powers, plus the current one, to find a
-# repeat), and the n of the running average that `finevo verify` reports.
+# The float pass: the smallest largest lag the oracle scans (it keeps
+# max(FLOAT_MAX_LAG, |G|) + 1 powers), its tolerance, and the n of the
+# running average that `finevo verify` reports.
 FLOAT_MAX_LAG = 64
+FLOAT_TOL = 1e-12
 CESARO_N = 10_000
 
 
@@ -223,15 +225,10 @@ def assemble_limits(law: MappingLaw, rd: ReesData, eta_L: tuple, eta_R: tuple) -
     return CyclicLimit(law=law, rd=rd, eta_L=eta_L, eta_R=eta_R, eta=eta, nu=nu)
 
 
-def _indexed_iteration(law: MappingLaw, closure: np.ndarray = None):
-    """Vectorized left-convolution step over the closure's canonical order.
-
-    Returns (closure, v0, step) where step maps a weight vector for mu^n
-    to the one for mu^(n+1); ``closure`` is built when not given. The
-    closure starts with the sorted support, so v0 starts with the weights.
-    """
-    if closure is None:
-        closure = generate(law.generators)
+def _power_step(law: MappingLaw, closure: np.ndarray) -> tuple:
+    """mu^1 and the step from mu^k to mu^(k+1), as float vectors by closure
+    position. The closure starts with the sorted support, so mu^1 starts
+    with the weights."""
     table = left_products(closure, law.generators)
     weights = np.array([[float(w)] for w in law.weights])
     v0 = np.zeros(len(closure))
@@ -243,111 +240,95 @@ def _indexed_iteration(law: MappingLaw, closure: np.ndarray = None):
         np.multiply(weights, v, out=terms)
         return np.bincount(table, weights=terms.ravel(), minlength=len(v))
 
-    return closure, v0, step
+    return v0, step
 
 
-def _nonzero(closure: np.ndarray, vec: np.ndarray) -> dict:
-    """The nonzero entries of a weight vector, keyed by transformation."""
-    return {element(closure[i]): float(vec[i]) for i in np.flatnonzero(vec)}
-
-
-@dataclass
+@dataclass(frozen=True)
 class FloatLimitEstimate:
+    """The float pass's estimates, as vectors by closure position: ``eta``
+    and ``nu`` (None unless ``converged``) and the running ``average`` of
+    the first n powers. ``iterations`` is the oracle's settle index, or
+    max_iter when it did not settle."""
+
     converged: bool
     p_est: int
-    eta_est: dict
-    nu_est: dict
     iterations: int
+    eta: np.ndarray
+    nu: np.ndarray
+    average: np.ndarray
 
 
-def float_limit_oracle(
-    law: MappingLaw,
-    tol: float = 1e-12,
-    *,
-    max_iter: int = 100_000,
-    max_lag: int = FLOAT_MAX_LAG,
-    closure: np.ndarray = None,
-) -> FloatLimitEstimate:
-    """Brute-force limit detection by iterating convolution powers.
+def float_limit_oracle(a, n: int = CESARO_N, *, max_iter: int = 100_000) -> FloatLimitEstimate:
+    """Brute-force limit detection and the running average (1/n) sum_{k=1..n}
+    mu^k, from one double-precision pass over the powers of the law of the
+    ``Analysis`` ``a``. Independent of the exact path.
 
-    Iterates mu^n in double precision until the sequence repeats at some lag
-    q <= max_lag within ``tol``; the lag is the period estimate, the iterate
-    at an index divisible by q estimates the cycle unit eta, and the average
-    over one period estimates nu. Independent of the exact path.
+    The oracle steps until the sequence repeats within FLOAT_TOL at some lag
+    q <= max(FLOAT_MAX_LAG, |G|); q estimates the period, the power at an
+    index divisible by q the cycle unit eta, and the average over one period
+    nu. An oscillating transient can push a larger lag under FLOAT_TOL
+    before the true one, so after the first detection the pass steps on to
+    twice the detection index (squaring the residual transient) and reports
+    the smallest lag that holds there.
 
-    An oscillating transient can push a larger lag under ``tol`` before the
-    true one, so after the first detection the iteration continues to twice
-    the detection index (squaring the residual transient) and the smallest
-    lag that holds at the final iterate is reported. ``closure`` is the
-    law's closure (``Analysis.closure``), built when not given.
+    The step is deterministic, so once mu^k has the bytes of a power mu^j
+    in the ring, mu^(k+i) == mu^(j+i) for all i: the rest of the sum is the
+    rows j .. k-1 in cyclic order, added in blocks by ``np.add.accumulate``
+    from the running sum on, row after row, so == to stepping on. The pass
+    steps until both the oracle and the sum are done.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    closure, vec, step = _indexed_iteration(law, closure)
-    # iterate m is kept in row m % size until it is max_lag iterations old
-    size = max_lag + 1
+    vec, step = _power_step(a.law, a.closure)
+    # power k is kept in row k % size until it is size - 1 powers old
+    size = max(FLOAT_MAX_LAG, len(a.rd.G)) + 1
     ring = np.zeros((size, len(vec)))
-    ring[1 % size] = vec
+    ring[1] = vec
+    acc, seen = vec.copy(), {hash(vec.tobytes()): 1}
+    unsettled = (False, 0, max_iter, None, None)
+    oracle = unsettled if max_iter < 2 else None
+    summing, settle_until, k = n > 1, None, 1
 
-    def first_lag(n: int) -> int:
-        """The smallest lag q with max |mu^n - mu^(n-q)| < tol, or 0."""
-        lags = np.arange(1, min(n, size))
-        dist = np.abs(ring - ring[n % size]).max(axis=1)[(n - lags) % size]
-        hits = np.flatnonzero(dist < tol)
+    def first_lag() -> int:
+        """The smallest lag q with max |mu^k - mu^(k-q)| < FLOAT_TOL, or 0."""
+        lags = np.arange(1, min(k, size))
+        dist = np.abs(ring - ring[k % size]).max(axis=1)[(k - lags) % size]
+        hits = np.flatnonzero(dist < FLOAT_TOL)
         return int(lags[hits[0]]) if len(hits) else 0
 
-    settle_until = None
-    for n in range(2, max_iter + 1):
+    while summing or oracle is None:
+        k += 1
         vec = step(vec)
-        ring[n % size] = vec
-        if settle_until is None:
-            q = first_lag(n)
-            if q:
-                settle_until = min(max(2 * n, n + q), max_iter)
-        if settle_until is not None and n >= settle_until:
-            q = first_lag(n)
-            if q:
-                nu_vec = sum(ring[m % size] for m in range(n - q + 1, n + 1)) / q
-                return FloatLimitEstimate(True, q, _nonzero(closure, ring[(n - n % q) % size]),
-                                          _nonzero(closure, nu_vec), n)
-            settle_until = None  # lost the repetition; keep iterating
-    return FloatLimitEstimate(False, 0, {}, {}, max_iter)
+        ring[k % size] = vec
+        if summing:
+            key = vec.tobytes()
+            j = seen.get(hash(key), -size)
+            if k - j < size and ring[j % size].tobytes() == key:
+                cycle = ring[np.arange(j, k) % size]
+                rows = max(1, BLOCK // len(vec))
+                for m in range(k, n + 1, rows):
+                    block = cycle[np.arange(m - k, min(m + rows, n + 1) - k) % (k - j)]
+                    block[0] += acc
+                    acc = np.add.accumulate(block, axis=0, out=block)[-1]
+                summing = False
+            else:
+                acc += vec
+                seen[hash(key)] = k
+                summing = k < n
+        if oracle is None:
+            if settle_until is None and (q := first_lag()):
+                settle_until = min(max(2 * k, k + q), max_iter)
+            if settle_until is not None and k >= settle_until:
+                if q := first_lag():
+                    nu = sum(ring[m % size] for m in range(k - q + 1, k + 1)) / q
+                    oracle = (True, q, k, ring[(k - k % q) % size].copy(), nu)
+                settle_until = None  # lost the repetition; keep stepping
+            if oracle is None and k == max_iter:
+                oracle = unsettled
+    return FloatLimitEstimate(*oracle, average=acc / n)
 
 
-def cesaro_average(law: MappingLaw, n: int, closure: np.ndarray = None) -> dict:
-    """Running average (1/n) sum_{k=1..n} mu^k in double precision.
-
-    ``step`` is deterministic, so once mu^k has the bytes of a power mu^j
-    in the ring of the last FLOAT_MAX_LAG + 1, mu^(k+i) == mu^(j+i) for
-    all i: the rest of the sum is the rows j .. k-1 in cyclic order, added
-    in blocks by ``np.add.accumulate`` from the running sum on, row after
-    row, so == to stepping on.
-    """
-    closure, vec, step = _indexed_iteration(law, closure)
-    size = FLOAT_MAX_LAG + 1
-    ring, seen = np.empty((size, len(vec))), {hash(vec.tobytes()): 1}
-    ring[1] = vec
-    acc = vec.copy()
-    for k in range(2, n + 1):
-        vec = step(vec)
-        key = vec.tobytes()
-        j = seen.get(hash(key), -size)
-        if k - j < size and ring[j % size].tobytes() == key:
-            cycle = ring[np.arange(j, k) % size]
-            rows = max(1, BLOCK // len(vec))
-            for m in range(k, n + 1, rows):
-                block = cycle[np.arange(m - k, min(m + rows, n + 1) - k) % (k - j)]
-                block[0] += acc
-                acc = np.add.accumulate(block, axis=0, out=block)[-1]
-            break
-        acc += vec
-        ring[k % size], seen[hash(key)] = vec, k
-    acc /= n
-    return _nonzero(closure, acc)
-
-
-def exact_vs_float_sup(rows: np.ndarray, vector: tuple, approx: dict) -> float:
-    """Largest |exact - approx| over the maps ``rows`` and the keys of
-    ``approx``; ``vector`` holds the exact weights of ``rows`` by position."""
-    exact = {element(x): float(Fraction(v, vector[1])) for x, v in zip(rows, vector[0])}
-    return max(abs(exact.get(k, 0.0) - approx.get(k, 0.0)) for k in exact.keys() | approx.keys())
+def sup_error(a, vector: tuple, approx: np.ndarray) -> float:
+    """Largest |exact - approx| over the closure of the ``Analysis`` ``a``,
+    for an exact kernel vector and a float vector by closure position."""
+    exact = np.zeros(len(a.closure))
+    exact[positions_in(a.closure)(a.rd.kernel)] = [v / vector[1] for v in vector[0]]
+    return float(np.abs(exact - approx).max())

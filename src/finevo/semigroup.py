@@ -13,8 +13,7 @@ tables of positions, each product found by ``positions_in``, the one
 lookup of rows by their byte keys. ``ReesData`` holds the rows of the
 kernel, of L, G and R and of the generators, and positions for everything
 else: a group element is a position in ``ReesData.G`` and products are
-table lookups. ``literals`` prints rows and ``element`` makes one a
-``Transformation``.
+table lookups. ``literals`` prints rows.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from math import gcd
 import numpy as np
 
 from .errors import InputError, ResourceLimitError, StructuralInconsistencyError
-from .transform import Transformation
 
 DEFAULT_ELEMENT_CAP = 10**6
 # Array passes whose size is a product of two sizes (a group's product table,
@@ -53,11 +51,6 @@ def _keys(rows: np.ndarray, key: np.dtype) -> list:
     """One ``bytes`` key per row: its images, viewed as the ``np.void`` dtype
     ``key`` of one row's size. Keys of big-endian rows sort as the rows."""
     return np.ascontiguousarray(rows).view(key).ravel().tolist()
-
-
-def element(row: np.ndarray) -> Transformation:
-    """The transformation with the given image row."""
-    return Transformation._unchecked(tuple(row.tolist()))
 
 
 def literals(rows: np.ndarray) -> list:

@@ -113,8 +113,8 @@ def chi_square_gof(
             expected.append((obs, p * total))
         else:
             outside += obs
-    if outside:
-        return Check(name=name, kind="statistical", passed=False, statistic=float("inf"),
+    if outside:  # the statistic is infinite; the report holds JSON null for it
+        return Check(name=name, kind="statistical", passed=False, statistic=None,
                      df=max(len(expected) - 1, 0), p_value=0.0, alpha=alpha,
                      note=f"observed {outside} samples outside the support")
     if len(expected) < 2:

@@ -42,6 +42,18 @@ from finevo.measure import RationalMeasure
 from finevo.transform import Transformation
 
 
+def element(row) -> Transformation:
+    """The transformation with the image row ``row`` of a closure, whose
+    images the closure has already checked."""
+    return Transformation._unchecked(tuple(row.tolist()))
+
+
+def float_law(closure, vec) -> dict:
+    """The nonzero entries of a float vector by closure position, keyed by
+    transformation."""
+    return {element(closure[i]): float(vec[i]) for i in np.flatnonzero(vec)}
+
+
 def measure_of(objects, vector) -> RationalMeasure:
     """The RationalMeasure of an exact vector: numerators by position in
     ``objects`` over one denominator."""

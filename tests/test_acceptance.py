@@ -18,14 +18,9 @@ import pytest
 
 from finevo import analyze_law, example_law
 from finevo.cliques import InvariantFamily, classify_family, invariant_law
-from finevo.limits import (
-    cesaro_average,
-    exact_vs_float_sup,
-    float_limit_oracle,
-)
+from finevo.limits import float_limit_oracle, sup_error
 from finevo.cli import mono_projection_events
 from finevo.measure import RationalMeasure
-from finevo.semigroup import element
 from finevo.simulate import (
     sample_batch,
     verify_factorization,
@@ -42,7 +37,9 @@ from oracles import (
     cesaro_first_order,
     convolve,
     coordinate_marginal,
+    element,
     element_order,
+    float_law,
     measure_of,
     power,
     project,
@@ -228,14 +225,11 @@ def test_criterion_3_oracle_equivalence(fuzz_corpus, fuzz_analyses):
     worst = 0.0
     failures = []
     for a in cases:
-        est = float_limit_oracle(a.law, max_lag=max(16, len(a.rd.G)))
+        est = float_limit_oracle(a, n=1)
         if not est.converged or est.p_est != a.rd.p:
             failures.append((a.law, est.p_est, a.rd.p))
             continue
-        err = max(
-            exact_vs_float_sup(a.rd.kernel, a.limits.eta, est.eta_est),
-            exact_vs_float_sup(a.rd.kernel, a.limits.nu, est.nu_est),
-        )
+        err = max(sup_error(a, a.limits.eta, est.eta), sup_error(a, a.limits.nu, est.nu))
         worst = max(worst, err)
         if err >= 1e-9:
             failures.append((a.law, err))
@@ -252,14 +246,14 @@ def test_criterion_3_oracle_equivalence(fuzz_corpus, fuzz_analyses):
 def test_criterion_4_cesaro_convergence():
     a = analyze_law(example_law())
     n = 10_000
-    avg = cesaro_average(a.law, n)
-    err = exact_vs_float_sup(a.rd.kernel, a.limits.nu, avg)
+    avg = float_limit_oracle(a, n).average
+    err = sup_error(a, a.limits.nu, avg)
 
     gens, weights = zip(*((f.images, w) for f, w in a.law.measure.items()))
     K = rees_objects(a.rd).kernel
     eta = {f.images: w for f, w in measure_of(K, a.limits.eta).items()}
     D = cesaro_first_order(gens, weights, eta)
-    residual = two_term_residual(avg, measure_of(K, a.limits.nu), D, n)
+    residual = two_term_residual(float_law(a.closure, avg), measure_of(K, a.limits.nu), D, n)
     sup_D = max((abs(v) for v in D.values()), default=Fraction(0))
     ok = residual < 1e-9 and sup_D != 0 and sum(D.values()) == 0
     report_line(

@@ -334,31 +334,52 @@ def test_verify_includes_oracle_and_cesaro(capsys, law_file):
     assert "oracle period matches exact p" in names
 
 
+def _refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
 def test_verify_reports_an_unconverged_oracle_as_null(capsys, law_file, monkeypatch):
     # a float oracle that never settles has no sup errors: the report holds
     # JSON null for them, never the non-JSON constant NaN
-    from finevo import cli
-    from finevo.limits import FloatLimitEstimate
+    from finevo import cli, limits
 
     monkeypatch.setattr(cli, "float_limit_oracle",
-                        lambda *args, **kwargs: FloatLimitEstimate(False, 0, {}, {}, 5))
+                        lambda a: limits.float_limit_oracle(a, max_iter=3))
     code, out, _ = run(capsys, "verify", "--law", law_file, "--replications", "1000",
                        "--no-timestamp")
-
-    def refuse(constant):
-        raise ValueError(f"{constant} is not JSON")
-
-    report = json.loads(out, parse_constant=refuse)
+    report = json.loads(out, parse_constant=_refuse)
     assert code == 2
-    assert report["oracle"] == {"converged": False, "p_est": 0, "iterations": 5,
+    assert report["oracle"] == {"converged": False, "p_est": 0, "iterations": 3,
                                 "eta_sup_error": None, "nu_sup_error": None}
+    assert report["cesaro"]["sup_error_vs_nu"] > 0
     failed = [c["name"] for c in report["verification"]["checks"] if not c["passed"]]
     assert failed == ["float limit oracle converged"]
 
 
+def test_verify_reports_an_infinite_statistic_as_null(capsys, law_file, monkeypatch):
+    # samples outside the support make a goodness-of-fit statistic infinite:
+    # the report holds JSON null for it, never the non-JSON constant Infinity
+    from finevo import simulate
+
+    def outside(counts, probs, total, alpha, name):
+        return chi_square_gof([*counts, 1], [*probs, 0], total, alpha, name)
+
+    chi_square_gof = simulate.chi_square_gof
+    monkeypatch.setattr(simulate, "chi_square_gof", outside)
+    code, out, _ = run(capsys, "verify", "--law", law_file, "--replications", "1000",
+                       "--no-timestamp")
+    report = json.loads(out, parse_constant=_refuse)
+    assert code == 1
+    failed = [c for c in report["verification"]["checks"] if not c["passed"]]
+    assert failed and all(c["kind"] == "statistical" and c["statistic"] is None
+                          and c["p_value"] == 0.0
+                          and c["note"] == "observed 1 samples outside the support"
+                          for c in failed)
+
+
 def test_verify_builds_the_closure_once(capsys, law_file, monkeypatch):
-    # the float oracle and the Cesaro average reuse the analysis' closure
-    from finevo import analysis, limits, semigroup
+    # the float pass reuses the analysis' closure
+    from finevo import analysis, semigroup
 
     calls = []
 
@@ -367,7 +388,6 @@ def test_verify_builds_the_closure_once(capsys, law_file, monkeypatch):
         return semigroup.generate(*args, **kwargs)
 
     monkeypatch.setattr(analysis, "generate", counting)
-    monkeypatch.setattr(limits, "generate", counting)
     code, _, _ = run(capsys, "verify", "--law", law_file, "--replications", "1000",
                      "--no-timestamp")
     assert (code, len(calls)) == (0, 1)
@@ -498,8 +518,10 @@ P3_H2_LAW = {
 # two steps, the rank3 and A5 digests from stationary solves over every state
 # of Ke and eK, and the n300 digest from the closure of Transformation
 # objects; the reports must stay byte-identical. p3_h2 has p = 3 and H != G,
-# rank3 has |L| = 2, |G| = 6 and |R| = 6, A5 is a 60-element group, and n300
-# (the transposition (1 2) and the constant map to 1) has images above 255.
+# rank3 has |L| = 2, |G| = 6 and |R| = 6, A5 is a 60-element group, S5 a
+# 120-element one (wider than 64 lags, so verify's float pass keeps 121
+# powers), and n300 (the transposition (1 2) and the constant map to 1) has
+# images above 255.
 # In c-order the order of C by index differs from its order in G, and its
 # "(Y_C, Z_W) independent of N-window" table is 6x8, so the order in which
 # that statistic sums its rows shows in its last bits. example-window64 has
@@ -529,6 +551,10 @@ PINNED_REPORTS = {
         ["verify", "--law", "{rank3}", "--replications", "2000", "--seed", "42",
          "--no-timestamp"], 0,
         "1ea71cc1f3662bdb61dd149962e1278369a821cabd322c374d4cb5e27b5b9222"),
+    "s5-verify-2000": (
+        ["verify", "--law", "{s5}", "--replications", "2000", "--seed", "42",
+         "--no-timestamp"], 0,
+        "55840106de2ba875df75fc77f67fbf86fb628bcb307e8a6f201b8aa29dda4442"),
     "a5-analyze": (
         ["analyze", "--law", "{a5}", "--no-timestamp"], 0,
         "e7023540c479fd9b7da55e95dd09fa93325527d517f8d0b26c53d5059efeae3d"),
@@ -559,6 +585,8 @@ def test_pinned_report_bytes(capsys, tmp_path, argv, code, sha):
                        "weights": ["2/7", "2/7", "3/7"]},
              "a5": {"n": 5, "generators": [[2, 3, 1, 4, 5], [2, 3, 4, 5, 1]],
                     "weights": ["3/7", "4/7"]},
+             "s5": {"n": 5, "generators": [[2, 3, 4, 5, 1], [2, 1, 3, 4, 5]],
+                    "weights": ["1/2", "1/2"]},
              "n300": {"n": 300, "generators": [[2, 1, *range(3, 301)], [1] * 300],
                       "weights": ["1/2", "1/2"]}}
     paths = {name: str(tmp_path / f"{name}.json")

@@ -15,7 +15,7 @@ from finevo.cliques import (
 )
 from finevo.errors import ClassificationError, InputError, StructuralInconsistencyError
 from finevo.measure import MappingLaw, RationalMeasure
-from finevo.semigroup import element, generate, kernel
+from finevo.semigroup import generate, kernel
 from finevo.transform import Transformation
 from oracles import (
     apply,
@@ -26,6 +26,7 @@ from oracles import (
     brute_force_closure,
     coordinate_marginal,
     deadlock_pairs,
+    element,
     is_stable,
     measure_of,
     measure_product,

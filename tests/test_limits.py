@@ -8,14 +8,13 @@ import pytest
 from finevo import analyze_law
 from finevo.limits import (
     assemble_limits,
-    cesaro_average,
-    exact_vs_float_sup,
     fibre_stationary,
     float_limit_oracle,
     solve_stationary,
+    sup_error,
 )
 from finevo.measure import MappingLaw, RationalMeasure
-from finevo.semigroup import BLOCK, element, generate, kernel, rees_at
+from finevo.semigroup import BLOCK, generate, idempotents, kernel, rees_at
 from finevo.transform import Transformation
 from fuzzlaws import cyclic3_law, group_kernel_laws, p3_h2_law
 from oracles import (
@@ -23,6 +22,8 @@ from oracles import (
     cesaro_first_order,
     cesaro_loop,
     convolve,
+    element,
+    float_law,
     float_limit_loop,
     float_stationary,
     float_step,
@@ -251,24 +252,26 @@ def test_cycle_supports_disjoint(p3h2_analysis):
 
 def test_float_oracle_on_example(example_analysis):
     a = example_analysis
-    est = float_limit_oracle(a.law)
+    est = float_limit_oracle(a)
     assert est.converged and est.p_est == 1
-    assert exact_vs_float_sup(a.rd.kernel, a.limits.eta, est.eta_est) < 1e-9
-    assert exact_vs_float_sup(a.rd.kernel, a.limits.nu, est.nu_est) < 1e-9
+    assert sup_error(a, a.limits.eta, est.eta) < 1e-9
+    assert sup_error(a, a.limits.nu, est.nu) < 1e-9
 
 
 def test_float_oracle_trivial_law():
     law = MappingLaw.from_dict({"n": 5, "generators": [[4, 2, 2, 4, 5]],
                                 "weights": ["1"]})
-    est = float_limit_oracle(law)
+    a = analyze_law(law)
+    est = float_limit_oracle(a)
     assert est.converged and est.p_est == 1 and est.iterations < 10
-    assert est.eta_est == {E: 1.0}
+    assert float_law(a.closure, est.eta) == {E: 1.0}
 
 
-def test_float_oracle_period_three():
-    est = float_limit_oracle(cyclic3_law())
+def test_float_oracle_period_three(cyclic3_analysis):
+    a = cyclic3_analysis
+    est = float_limit_oracle(a)
     assert est.converged and est.p_est == 3
-    assert est.eta_est == {Transformation([1, 2, 3]): 1.0}
+    assert float_law(a.closure, est.eta) == {Transformation([1, 2, 3]): 1.0}
 
 
 def test_float_oracle_survives_oscillating_transients():
@@ -280,15 +283,15 @@ def test_float_oracle_survives_oscillating_transients():
     )
     a = analyze_law(law)
     assert a.rd.p == 1
-    est = float_limit_oracle(law)
+    est = float_limit_oracle(a)
     assert est.converged and est.p_est == 1
 
 
 def test_vectorized_iteration_matches_naive_steps(example_analysis):
-    from finevo.limits import _indexed_iteration
+    from finevo.limits import _power_step
 
-    law = example_analysis.law
-    closure, vec, step = _indexed_iteration(law)
+    law, closure = example_analysis.law, example_analysis.closure
+    vec, step = _power_step(law, closure)
     elements = [element(row) for row in closure]
     naive = {f: float(w) for f, w in law.measure.items()}
     for _ in range(12):
@@ -302,11 +305,11 @@ def test_indexed_iteration_sums_like_the_per_generator_loop(
         example_analysis, p3h2_analysis, fuzz_analyses):
     # the step must add the same terms in the same order as one np.add.at
     # per generator: verify prints the float errors in full
-    from finevo.limits import _indexed_iteration
+    from finevo.limits import _power_step
 
     analyses, _ = fuzz_analyses
     for a in [example_analysis, p3h2_analysis] + analyses:
-        _, vec, step = _indexed_iteration(a.law, a.closure)
+        vec, step = _power_step(a.law, a.closure)
         ref_step = add_at_step(a.law, [element(row) for row in a.closure])
         ref = vec.copy()
         for _ in range(500):
@@ -328,58 +331,60 @@ def first_repeat(step, vec) -> int:
 
 def test_float_oracle_and_cesaro_equal_the_list_loops(
         example_analysis, cyclic3_analysis, p3h2_analysis, monkeypatch):
-    # the ring-buffer lag scan and the buffered step give results == to the
-    # list-of-iterates loops with an np.add.at step, which verify printed;
-    # the Cesaro average replays the powers from their first repeat, which
-    # must leave every sum == to the stepped one, n = 10^4 as in verify
+    # the shared pass gives results == to the list-of-iterates loops with an
+    # np.add.at step, which verify printed: the ring-buffer lag scan, and
+    # the average replayed from the first repeat, which must leave every sum
+    # == to the stepped one, n = 10^4 as in verify. The pass steps to the
+    # later of the oracle's settle index and that repeat, never past both
     from finevo import limits
 
     oscillating = MappingLaw.from_dict(
         {"n": 4, "generators": [[1, 4, 4, 4], [2, 3, 2, 1], [4, 3, 2, 4]],
          "weights": ["1/3", "1/3", "1/3"]})
-    # mu^65 == mu^1 on the 64-cycle, inside the ring of 65 powers; mu^66 ==
-    # mu^1 on the 65-cycle, one power too far back to replay
-    cycles = {m: MappingLaw.from_dict({"n": m, "generators": [list(range(2, m + 1)) + [1]],
-                                       "weights": ["1"]}) for m in (64, 65)}
-    laws = [example_analysis.law, cyclic3_analysis.law, p3h2_analysis.law,
-            oscillating] + group_kernel_laws()
-    cases = [(law, max(64, len(analyze_law(law).rd.G)), 100_000) for law in laws]
-    cases += [(law, m, 1_000) for m, law in cycles.items()]  # G is the m-cycle's
-    cases.append((cyclic3_analysis.law, 2, 50))  # no lag up to 2: not converged
+    # mu^65 == mu^1 on the 64-cycle and mu^66 == mu^1 on the 65-cycle, both
+    # inside the ring of max(64, |G|) + 1 powers, G the m-cycle's group; their
+    # W_mu is too large to analyze, and the pass reads only law, closure and rd
+    cycles = [MappingLaw.from_dict({"n": m, "generators": [list(range(2, m + 1)) + [1]],
+                                    "weights": ["1"]}) for m in (64, 65)]
+    closures = [generate(law.generators) for law in cycles]
+    laws = [oscillating] + group_kernel_laws()
+    cases = [(a, 100_000) for a in [example_analysis, cyclic3_analysis, p3h2_analysis]]
+    cases += [(analyze_law(law), 100_000) for law in laws]
+    cases += [(SimpleNamespace(law=law, closure=S, rd=rees_at(law.generators, S, int(idempotents(S)[0]))),
+               1_000)
+              for law, S in zip(cycles, closures)]
+    cases.append((cyclic3_analysis, 3))  # no lag up to 2 at mu^3: not converged
     steps = []
-    indexed = limits._indexed_iteration
+    power_step = limits._power_step
 
-    def counted(law, closure=None):
-        closure, v0, step = indexed(law, closure)
-        return closure, v0, lambda v: steps.append(1) or step(v)
+    def counted(law, closure):
+        v0, step = power_step(law, closure)
+        return v0, lambda v: steps.append(1) or step(v)
 
-    monkeypatch.setattr(limits, "_indexed_iteration", counted)
-    for law, max_lag, max_iter in cases:
-        closure = generate(law.generators)
-        elements = [element(row) for row in closure]
-        step = add_at_step(law, elements)
+    monkeypatch.setattr(limits, "_power_step", counted)
+    for a, max_iter in cases:
+        elements = [element(row) for row in a.closure]
+        step = add_at_step(a.law, elements)
         v0 = np.zeros(len(elements))
-        v0[[elements.index(f) for f in law.generators]] = [float(w) for _, w in law.measure.items()]
-
-        def nonzero(vec):
-            return {elements[i]: float(vec[i]) for i in np.flatnonzero(vec)}
-
-        est = float_limit_oracle(law, max_lag=max_lag, max_iter=max_iter, closure=closure)
-        converged, q, eta_vec, nu_vec, n = float_limit_loop(step, v0, 1e-12, max_iter, max_lag)
-        assert (est.converged, est.p_est, est.iterations) == (converged, q, n)
-        if converged:
-            assert (est.eta_est, est.nu_est) == (nonzero(eta_vec), nonzero(nu_vec))
+        v0[[elements.index(f) for f in a.law.generators]] = [
+            float(w) for _, w in a.law.measure.items()]
+        converged, q, eta_vec, nu_vec, settled = float_limit_loop(
+            step, v0, 1e-12, max_iter, max(64, len(a.rd.G)))
         k = first_repeat(step, v0)
         for n in (1, 2, k, k + 1, 3_000, 10_000):  # at n = k the tail is one term
-            expected = nonzero(cesaro_loop(step, v0, n))
+            expected = float_law(a.closure, cesaro_loop(step, v0, n))
             # tail blocks of one row (a closure larger than the block), of
             # three rows, and of the default size
-            for block in (1, 3 * len(closure), BLOCK):
+            for block in (1, 3 * len(elements), BLOCK):
                 monkeypatch.setattr(limits, "BLOCK", block)
                 steps.clear()
-                assert cesaro_average(law, n, closure) == expected
-        if law in cycles.values():
-            assert len(steps) == {64: 64, 65: 9_999}[law.n]
+                est = float_limit_oracle(a, n, max_iter=max_iter)
+                assert (est.converged, est.p_est, est.iterations) == (converged, q, settled)
+                if converged:
+                    assert float_law(a.closure, est.eta) == float_law(a.closure, eta_vec)
+                    assert float_law(a.closure, est.nu) == float_law(a.closure, nu_vec)
+                assert float_law(a.closure, est.average) == expected
+                assert len(steps) == max(settled, min(k, n)) - 1
 
 
 def test_indexed_convolution_matches_the_oracle(example_analysis, p3h2_analysis, fuzz_analyses):
@@ -451,7 +456,7 @@ def test_cesaro_average_decays_like_one_over_n(example_analysis):
     a = example_analysis
     sup_D = float(max(abs(v) for v in _first_order(a).values()))
     for n in (2_000, 4_000):
-        err = exact_vs_float_sup(a.rd.kernel, a.limits.nu, cesaro_average(a.law, n))
+        err = sup_error(a, a.limits.nu, float_limit_oracle(a, n).average)
         assert abs(err - sup_D / n) < 1e-12
 
 
@@ -466,7 +471,8 @@ def test_cesaro_expansion_on_periodic_corpus_laws(fuzz_analyses):
         D = _first_order(a)
         assert sum(D.values()) == 0
         nonzero += bool(D)
-        residual = two_term_residual(cesaro_average(a.law, n), _limits(a).nu, D, n)
+        average = float_law(a.closure, float_limit_oracle(a, n).average)
+        residual = two_term_residual(average, _limits(a).nu, D, n)
         assert residual < 1e-9
     assert nonzero >= 3
 

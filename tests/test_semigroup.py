@@ -9,12 +9,13 @@ import pytest
 from finevo import example_law, semigroup
 from finevo.errors import InputError, ResourceLimitError, StructuralInconsistencyError
 from finevo.measure import MappingLaw
-from finevo.semigroup import element, generate, kernel, left_products, literals, rees_at
+from finevo.semigroup import generate, kernel, left_products, literals, rees_at
 from finevo.transform import Transformation
 from fuzzlaws import cyclic3_law, group_kernel_laws, p3_h2_law
 from oracles import (
     brute_force_closure,
     brute_force_minimal_ideal,
+    element,
     is_idempotent,
     power,
     project,
