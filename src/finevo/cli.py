@@ -26,7 +26,7 @@ from .simulate import (
     verify_path_exact,
     verify_third_noise,
 )
-from .stats import Check, VerificationReport
+from .stats import Check, verification_json
 from .transform import tuple_from_literal
 
 EXIT_OK = 0
@@ -79,44 +79,37 @@ def _add_output_flags(p):
     p.set_defaults(fmt="json")
 
 
-def _add_sim_flags(p):
-    p.add_argument("--config", help="simulation config JSON file")
-    p.add_argument("--mode", choices=("stationary", "nonstationary"))
-    p.add_argument("--replications", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--k-min", type=int, dest="k_min")
-    p.add_argument("--k-max", type=int, dest="k_max")
-    p.add_argument("--window", type=int)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="finevo",
                      description="Exact limit structure and seeded simulation "
                                  "of random compositions of transformations")
     sub = parser.add_subparsers(dest="command", required=True)
+    cap = {"type": _cap, "default": DEFAULT_ELEMENT_CAP,
+           "help": "cap on the closure's elements and on the stable tuples W_mu "
+                   "(default 10^6)"}
 
     p = sub.add_parser("analyze", help="structural analysis of a mapping law")
     p.add_argument("--law", required=True, help="mapping-law JSON file")
-    p.add_argument("--cap", type=_cap, default=DEFAULT_ELEMENT_CAP,
-                   help="cap on the closure's elements and on the stable "
-                        "tuples W_mu (default 10^6)")
+    p.add_argument("--cap", **cap)
     p.add_argument("--seed", type=int, help="echoed into the report")
     _add_output_flags(p)
 
-    p = sub.add_parser("simulate", help="seeded simulation with exact and "
-                                        "statistical verification")
-    p.add_argument("--law", help="mapping-law JSON file")
-    p.add_argument("--cap", type=_cap, default=DEFAULT_ELEMENT_CAP)
-    _add_sim_flags(p)
-    _add_output_flags(p)
-
-    p = sub.add_parser("verify", help="full verification battery including "
-                                      "the floating-point limit oracle")
-    p.add_argument("--law", required=True, help="mapping-law JSON file")
-    p.add_argument("--cap", type=_cap, default=DEFAULT_ELEMENT_CAP)
-    _add_sim_flags(p)
-    _add_output_flags(p)
+    for command, text in (
+            ("simulate", "seeded simulation with exact and statistical verification"),
+            ("verify", "full verification battery including the floating-point "
+                       "limit oracle")):
+        p = sub.add_parser(command, help=text)
+        p.add_argument("--law", help="mapping-law JSON file")
+        p.add_argument("--cap", **cap)
+        p.add_argument("--config", help="simulation config JSON file")
+        p.add_argument("--mode", choices=("stationary", "nonstationary"))
+        p.add_argument("--replications", type=int)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--alpha", type=float)
+        p.add_argument("--k-min", type=int, dest="k_min")
+        p.add_argument("--k-max", type=int, dest="k_max")
+        p.add_argument("--window", type=int)
+        _add_output_flags(p)
 
     p = sub.add_parser("example", help="run analyze + simulate on the "
                                        "built-in two-generator law")
@@ -221,11 +214,19 @@ def _resolve_family(config, analysis) -> InvariantFamily:
     family_cfg = config["family"]
     if family_cfg is None:
         raise InputError("nonstationary mode needs a family in the config")
-    try:
-        coeffs = [as_fraction(c) for c in family_cfg["c"]]
-        lambdas = [_parse_tuple_measure(entry) for entry in family_cfg["Lambda_W"]]
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise InputError(f"bad family config: {exc}") from exc
+    if not isinstance(family_cfg, dict):
+        raise InputError(f"bad family config: must be a JSON object, got {family_cfg!r}")
+    unknown = set(family_cfg) - {"c", "Lambda_W"}
+    if unknown:
+        raise InputError(f"bad family config: unknown fields {sorted(unknown)}")
+    c, laws = family_cfg.get("c"), family_cfg.get("Lambda_W")
+    if not isinstance(c, list):
+        raise InputError(f"bad family config: c must be a list, got {c!r}")
+    if not isinstance(laws, list) or not all(isinstance(law, dict) for law in laws):
+        raise InputError(f"bad family config: Lambda_W must be a list of JSON "
+                         f"objects, got {laws!r}")
+    coeffs = list(map(as_fraction, c))
+    lambdas = list(map(_parse_tuple_measure, laws))
     p = analysis.rd.p
     if len(coeffs) != p or len(lambdas) != p:
         raise InputError(f"family needs exactly p = {p} coefficients and laws")
@@ -272,44 +273,71 @@ def _emit(report: dict, args) -> None:
             raise InputError(f"cannot write report to stdout: {exc}") from exc
 
 
-def _exit_code(verification: VerificationReport) -> int:
-    if verification.exact_failures:
-        return EXIT_STRUCTURAL
-    if verification.statistical_failures:
-        return EXIT_STATISTICAL
-    return EXIT_OK
-
-
-def _run_simulation_battery(analysis, config) -> VerificationReport:
-    seed = config["seed"]
+def _run_simulation_battery(analysis, config) -> list:
+    """The run's checks: the exact path checks, then the statistical battery
+    on one batch of replications."""
     alpha = config["alpha"]
-    verification = VerificationReport(
-        replications=config["replications"],
-        seed=seed,
-        alpha=alpha,
-        config={k: config[k] for k in ("mode", "k_min", "k_max", "window")},
-    )
-
     if config["mode"] == "nonstationary":
         initial = _resolve_family(config, analysis)
         window = (config["k_min"], config["k_min"] + config["window"])
     else:
         initial = _resolve_lambda_w(config, analysis)
         window = (-config["window"], 0)
-    path = sample_batch(analysis, initial, config["k_min"], config["k_max"], seed, 1)
-    verification.extend(verify_path_exact(path))
-    verification.add(verify_factorization(path, config["k_max"]))
+    path = sample_batch(analysis, initial, config["k_min"], config["k_max"], config["seed"], 1)
+    checks = [*verify_path_exact(path), verify_factorization(path, config["k_max"])]
 
-    batch = sample_batch(analysis, initial, *window, seed, config["replications"])
+    batch = sample_batch(analysis, initial, *window, config["seed"], config["replications"])
     if config["mode"] == "nonstationary":
-        verification.extend(verify_nonstationary_joint(batch, alpha=alpha))
+        return checks + verify_nonstationary_joint(batch, alpha=alpha)
+    # one batch of replications serves both stationary checks
+    checks += verify_third_noise(batch, alpha=alpha)
+    if analysis.law == example_law():
+        events = mono_projection_events(analysis.rd)
+        checks += verify_mono_projection(batch, events, alpha=alpha)
+    return checks
+
+
+def _run_oracle(analysis) -> tuple:
+    """The float cross-check of the exact limits: its checks, and the
+    report's oracle and cesaro blocks."""
+    est = float_limit_oracle(analysis)
+    eta_err = nu_err = None  # JSON null: there is no estimate to compare
+    if not est.converged:
+        checks = [Check("float limit oracle converged", "exact", False)]
     else:
-        # one batch of replications serves both stationary checks
-        verification.extend(verify_third_noise(batch, alpha=alpha))
-        if analysis.law == example_law():
-            events = mono_projection_events(analysis.rd)
-            verification.extend(verify_mono_projection(batch, events, alpha=alpha))
-    return verification
+        eta_err = sup_error(analysis, analysis.limits.eta, est.eta)
+        nu_err = sup_error(analysis, analysis.limits.nu, est.nu)
+        checks = [
+            Check("oracle period matches exact p", "exact", est.p_est == analysis.rd.p,
+                  note=f"p_est={est.p_est}, p={analysis.rd.p}"),
+            Check("oracle eta within 1e-9 of exact", "exact", eta_err < 1e-9,
+                  note=f"sup error {eta_err:.3e}"),
+            Check("oracle nu within 1e-9 of exact", "exact", nu_err < 1e-9,
+                  note=f"sup error {nu_err:.3e}"),
+        ]
+    oracle = {"converged": est.converged, "p_est": est.p_est, "iterations": est.iterations,
+              "eta_sup_error": eta_err, "nu_sup_error": nu_err}
+    # informational: the literal running average converges like C/n, far
+    # slower than the cycle average checked above
+    cesaro = {"n": CESARO_N,
+              "sup_error_vs_nu": sup_error(analysis, analysis.limits.nu, est.average)}
+    return checks, {"oracle": oracle, "cesaro": cesaro}
+
+
+def _run(args, config, analysis, *, oracle: bool = False) -> int:
+    """Run the battery (and the float oracle), emit the finished report and
+    return the exit code: 2 if an exact check failed, else 1 if a
+    statistical one did, else 0."""
+    checks = _run_simulation_battery(analysis, config)
+    blocks = {}
+    if oracle:
+        oracle_checks, blocks = _run_oracle(analysis)
+        checks += oracle_checks
+    _emit(build_report(analysis, seed=config["seed"], timestamp=not args.no_timestamp,
+                       verification=verification_json(checks, config), **blocks), args)
+    failed = {c.kind for c in checks if not c.passed}
+    return (EXIT_STRUCTURAL if "exact" in failed
+            else EXIT_STATISTICAL if failed else EXIT_OK)
 
 
 def cmd_analyze(args) -> int:
@@ -321,68 +349,20 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _simulate(args, config, analysis) -> int:
-    verification = _run_simulation_battery(analysis, config)
-    report = build_report(analysis, seed=config["seed"],
-                          timestamp=not args.no_timestamp)
-    report["verification"] = verification.to_json()
-    _emit(report, args)
-    return _exit_code(verification)
-
-
 def cmd_simulate(args) -> int:
     config = _load_sim_config(args)
-    return _simulate(args, config, analyze_law(_load_law(config["law_file"]), cap=args.cap))
+    return _run(args, config, analyze_law(_load_law(config["law_file"]), cap=args.cap))
 
 
 def cmd_verify(args) -> int:
     config = _load_sim_config(args)
-    analysis = analyze_law(_load_law(config["law_file"]), cap=args.cap)
-    verification = _run_simulation_battery(analysis, config)
-    est = float_limit_oracle(analysis)
-    if not est.converged:
-        verification.add(Check("float limit oracle converged", "exact", False))
-        eta_err = nu_err = None  # JSON null: there is no estimate to compare
-    else:
-        eta_err = sup_error(analysis, analysis.limits.eta, est.eta)
-        nu_err = sup_error(analysis, analysis.limits.nu, est.nu)
-        verification.add(
-            Check("oracle period matches exact p", "exact",
-                  est.p_est == analysis.rd.p,
-                  note=f"p_est={est.p_est}, p={analysis.rd.p}")
-        )
-        verification.add(
-            Check("oracle eta within 1e-9 of exact", "exact", eta_err < 1e-9,
-                  note=f"sup error {eta_err:.3e}")
-        )
-        verification.add(
-            Check("oracle nu within 1e-9 of exact", "exact", nu_err < 1e-9,
-                  note=f"sup error {nu_err:.3e}")
-        )
-
-    report = build_report(analysis, seed=config["seed"],
-                          timestamp=not args.no_timestamp)
-    report["verification"] = verification.to_json()
-    report["oracle"] = {
-        "converged": est.converged,
-        "p_est": est.p_est,
-        "iterations": est.iterations,
-        "eta_sup_error": eta_err,
-        "nu_sup_error": nu_err,
-    }
-    # informational: the literal running average converges like C/n, far
-    # slower than the cycle average checked above
-    report["cesaro"] = {
-        "n": CESARO_N,
-        "sup_error_vs_nu": sup_error(analysis, analysis.limits.nu, est.average),
-    }
-    _emit(report, args)
-    return _exit_code(verification)
+    return _run(args, config, analyze_law(_load_law(config["law_file"]), cap=args.cap),
+                oracle=True)
 
 
 def cmd_example(args) -> int:
     config = _load_sim_config(args, law_file="<built-in>")
-    return _simulate(args, config, analyze_law(example_law()))
+    return _run(args, config, analyze_law(example_law()))
 
 
 def main(argv=None) -> int:

@@ -34,8 +34,10 @@ def _vector_json(rows: np.ndarray, vector: tuple, *, points: bool = False) -> di
             for i in sorted(range(len(images)), key=images.__getitem__) if nums[i]}
 
 
-def build_report(analysis: Analysis, *, seed=None, timestamp: bool = True) -> dict:
-    """The full structural report for one analyzed law."""
+def build_report(analysis: Analysis, *, seed=None, timestamp: bool = True,
+                 verification=None, oracle=None, cesaro=None) -> dict:
+    """The full report for one analyzed law: its structure, then the given
+    run blocks, in the order of the keywords."""
     rd = analysis.rd
     limits = analysis.limits
     cd = analysis.cliques
@@ -91,6 +93,8 @@ def build_report(analysis: Analysis, *, seed=None, timestamp: bool = True) -> di
         report["seed"] = seed
     if timestamp:
         report["timestamp"] = datetime.now(timezone.utc).isoformat()
+    blocks = {"verification": verification, "oracle": oracle, "cesaro": cesaro}
+    report.update((key, block) for key, block in blocks.items() if block is not None)
     return report
 
 

@@ -370,7 +370,7 @@ def _table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                        minlength=len(rows) * len(cols)).reshape(len(rows), len(cols))
 
 
-def verify_third_noise(batch: PathBatch, *, alpha: float = 0.001) -> list:
+def verify_third_noise(batch: PathBatch, *, alpha: float) -> list:
     """Distributional checks of the third noise across the replications of a
     stationary batch, at its last time k = k_max.
 
@@ -416,7 +416,7 @@ def verify_third_noise(batch: PathBatch, *, alpha: float = 0.001) -> list:
     ]
 
 
-def verify_nonstationary_joint(batch: PathBatch, *, alpha: float = 0.001) -> list:
+def verify_nonstationary_joint(batch: PathBatch, *, alpha: float) -> list:
     """Empirical joint of (Y_C, Z_W) against c_i Lambda_W^i{w} for the
     family a nonstationary batch was drawn from, over C by j, then W."""
     family, replications = batch.initial, len(batch)
@@ -433,8 +433,7 @@ def verify_nonstationary_joint(batch: PathBatch, *, alpha: float = 0.001) -> lis
                            "(Y_C, Z_W) joint = c_i Lambda_W^i")]
 
 
-def verify_mono_projection(batch: PathBatch, events: dict, *,
-                           alpha: float = 0.001) -> list:
+def verify_mono_projection(batch: PathBatch, events: dict, *, alpha: float) -> list:
     """Check mono-particle projection identities on a stationary batch at
     its last time k = k_max.
 

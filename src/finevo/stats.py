@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import chdtrc
@@ -41,43 +41,17 @@ class Check:
         return out
 
 
-@dataclass
-class VerificationReport:
-    """Aggregate of checks from one verification run, with its seed/config."""
-
-    checks: list = field(default_factory=list)
-    replications: int = 0
-    seed: int = None
-    alpha: float = None
-    config: dict = field(default_factory=dict)
-
-    def add(self, check: Check) -> None:
-        self.checks.append(check)
-
-    def extend(self, checks) -> None:
-        self.checks.extend(checks)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def exact_failures(self) -> list:
-        return [c for c in self.checks if c.kind == "exact" and not c.passed]
-
-    @property
-    def statistical_failures(self) -> list:
-        return [c for c in self.checks if c.kind == "statistical" and not c.passed]
-
-    def to_json(self) -> dict:
-        return {
-            "replications": self.replications,
-            "seed": self.seed,
-            "alpha": self.alpha,
-            "config": dict(self.config),
-            "passed": self.all_passed,
-            "checks": [c.to_json() for c in self.checks],
-        }
+def verification_json(checks: list, config: dict) -> dict:
+    """The report's verification block: a run's checks, in order, with the
+    seed, alpha and config they were run at."""
+    return {
+        "replications": config["replications"],
+        "seed": config["seed"],
+        "alpha": config["alpha"],
+        "config": {k: config[k] for k in ("mode", "k_min", "k_max", "window")},
+        "passed": all(c.passed for c in checks),
+        "checks": [c.to_json() for c in checks],
+    }
 
 
 def _degenerate(name: str, alpha: float, what: str) -> Check:

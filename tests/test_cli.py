@@ -71,6 +71,11 @@ def test_analyze_timestamp_present_by_default(capsys, law_file):
     code, out, _ = run(capsys, "analyze", "--law", law_file)
     assert code == 0
     assert "timestamp" in json.loads(out)
+    # the run's blocks follow the timestamp
+    code, out, _ = run(capsys, "verify", "--law", law_file, "--replications", "1000")
+    assert code == 0
+    assert list(json.loads(out))[-5:] == ["seed", "timestamp", "verification", "oracle",
+                                         "cesaro"]
 
 
 def test_text_rendering_carries_the_same_values(capsys, law_file):
@@ -307,6 +312,16 @@ def test_simulate_rejects_unknown_config_fields(capsys, tmp_path, law_file):
     ({"mode": "nonstationary",
       "family": {"c": ["1"], "Lambda_W": [{"(2,4,5)": "1/2", "( 2,4,5)": "1/2"}]}},
      "Lambda_W names the tuple (2, 4, 5) twice: '(2,4,5)' and '( 2,4,5)'"),
+    # the family is checked field by field, like the config around it
+    ({"mode": "nonstationary",
+      "family": {"c": ["1"], "Lambda_W": [{"(2,4,5)": "1"}], "extra": 5}},
+     "bad family config: unknown fields ['extra']"),
+    ({"mode": "nonstationary", "family": [1, 2]},
+     "bad family config: must be a JSON object, got [1, 2]"),
+    ({"mode": "nonstationary", "family": {"c": {"a": 1}, "Lambda_W": [{"(2,4,5)": "1"}]}},
+     "bad family config: c must be a list, got {'a': 1}"),
+    ({"mode": "nonstationary", "family": {"c": ["1"]}},
+     "bad family config: Lambda_W must be a list of JSON objects, got None"),
 ])
 def test_config_values_of_the_wrong_type_exit_3(capsys, tmp_path, law_file, fields,
                                                 message):
@@ -338,22 +353,40 @@ def _refuse(constant):
     raise ValueError(f"{constant} is not JSON")
 
 
-def test_verify_reports_an_unconverged_oracle_as_null(capsys, law_file, monkeypatch):
+@pytest.mark.parametrize("alpha", ["0.001", "0.999"])
+def test_verify_reports_an_unconverged_oracle_as_null(capsys, law_file, monkeypatch,
+                                                      alpha):
     # a float oracle that never settles has no sup errors: the report holds
-    # JSON null for them, never the non-JSON constant NaN
+    # JSON null for them, never the non-JSON constant NaN. At alpha = 0.999
+    # statistical checks fail too, and the exact failure sets the exit code.
     from finevo import cli, limits
 
     monkeypatch.setattr(cli, "float_limit_oracle",
                         lambda a: limits.float_limit_oracle(a, max_iter=3))
     code, out, _ = run(capsys, "verify", "--law", law_file, "--replications", "1000",
-                       "--no-timestamp")
+                       "--alpha", alpha, "--no-timestamp")
     report = json.loads(out, parse_constant=_refuse)
     assert code == 2
     assert report["oracle"] == {"converged": False, "p_est": 0, "iterations": 3,
                                 "eta_sup_error": None, "nu_sup_error": None}
     assert report["cesaro"]["sup_error_vs_nu"] > 0
-    failed = [c["name"] for c in report["verification"]["checks"] if not c["passed"]]
-    assert failed == ["float limit oracle converged"]
+    failed = [(c["kind"], c["name"]) for c in report["verification"]["checks"]
+              if not c["passed"]]
+    assert [name for kind, name in failed if kind == "exact"] == [
+        "float limit oracle converged"]
+    assert any(kind == "statistical" for kind, _ in failed) == (alpha == "0.999")
+
+
+def test_verify_takes_its_law_from_the_config(capsys, tmp_path, law_file):
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps({"law_file": law_file, "replications": 1000}))
+    outs = []
+    for law in ([], ["--law", law_file]):
+        code, out, _ = run(capsys, "verify", "--config", str(config), *law,
+                           "--no-timestamp")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 def test_verify_reports_an_infinite_statistic_as_null(capsys, law_file, monkeypatch):

@@ -181,12 +181,12 @@ def test_verifiers_reject_the_other_kind_of_batch(example_analysis):
     lw = w_law(a, {0: 1})
     family = InvariantFamily(limits=a.limits, c=(Fraction(1),), Lambda_W=(lw,))
     with pytest.raises(InputError, match="needs a stationary batch"):
-        verify_third_noise(sample_batch(a, family, -3, 0, 1, 1000))
+        verify_third_noise(sample_batch(a, family, -3, 0, 1, 1000), alpha=0.001)
     with pytest.raises(InputError, match="needs a stationary batch"):
         verify_mono_projection(sample_batch(a, family, -3, 0, 1, 1000),
-                               mono_projection_events(a.rd))
+                               mono_projection_events(a.rd), alpha=0.001)
     with pytest.raises(InputError, match="drawn from a family"):
-        verify_nonstationary_joint(sample_batch(a, lw, -3, 0, 1, 1000))
+        verify_nonstationary_joint(sample_batch(a, lw, -3, 0, 1, 1000), alpha=0.001)
 
 
 def test_mono_projection_battery(example_analysis):
