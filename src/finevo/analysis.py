@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cliques import CliqueData, compute_W
-from .limits import CyclicLimit, assemble_limits, boundary_factor, fibre_stationary
+from .limits import CyclicLimit, assemble_limits, boundary_stationary
 from .measure import MappingLaw
 from .semigroup import DEFAULT_ELEMENT_CAP, ReesData, generate, idempotents, kernel, rees_at
 
@@ -35,9 +35,8 @@ def analyze_law(law: MappingLaw, *, cap: int = DEFAULT_ELEMENT_CAP) -> Analysis:
     # the kernel is a finite semigroup, so it holds an idempotent
     rd = rees_at(law.generators, ker, int(idempotents(ker)[0]))
 
-    eta_L = boundary_factor(rd, fibre_stationary(law, rd, left=True), left=True)
-    eta_R = boundary_factor(rd, fibre_stationary(law, rd, left=False), left=False)
-    limits = assemble_limits(law, rd, eta_L, eta_R)
+    limits = assemble_limits(law, rd, boundary_stationary(law, rd, left=True),
+                             boundary_stationary(law, rd, left=False))
     return Analysis(law=law, closure=closure, rd=rd, limits=limits,
                     cliques=compute_W(rd, cap=cap))
 

@@ -151,6 +151,9 @@ def _load_law(path: str) -> MappingLaw:
 
 
 def _load_sim_config(args, law_file=None) -> dict:
+    """The run's config: the defaults, then the config file, then the flags.
+    Every field is checked, and Lambda_W and the family are parsed, before
+    any law is analyzed."""
     config = dict(SIM_DEFAULTS, law_file=law_file)
     if getattr(args, "config", None):
         file_cfg = _read_json_object(args.config, "config")
@@ -188,6 +191,10 @@ def _load_sim_config(args, law_file=None) -> dict:
         raise InputError("k_min must be less than k_max")
     if config["window"] < 1:
         raise InputError("window must be >= 1")
+    if config["Lambda_W"] is not None:
+        config["Lambda_W"] = _parse_tuple_measure(config["Lambda_W"])
+    if config["mode"] == "nonstationary":
+        config["family"] = _parse_family(config["family"])
     return config
 
 
@@ -202,16 +209,9 @@ def _parse_tuple_measure(obj: dict) -> RationalMeasure:
     return RationalMeasure(weights)
 
 
-def _resolve_lambda_w(config, analysis) -> tuple:
-    """The stationary Lambda_W as a W vector; uniform on W by default."""
-    cd = analysis.cliques
-    if config["Lambda_W"] is None:
-        return [1] * len(cd.W), len(cd.W)
-    return cd.w_vector(_parse_tuple_measure(config["Lambda_W"]))
-
-
-def _resolve_family(config, analysis) -> InvariantFamily:
-    family_cfg = config["family"]
+def _parse_family(family_cfg) -> tuple:
+    """A family object as (coefficients, tuple laws), checked field by
+    field; its length is checked against p once the law is analyzed."""
     if family_cfg is None:
         raise InputError("nonstationary mode needs a family in the config")
     if not isinstance(family_cfg, dict):
@@ -225,16 +225,29 @@ def _resolve_family(config, analysis) -> InvariantFamily:
     if not isinstance(laws, list) or not all(isinstance(law, dict) for law in laws):
         raise InputError(f"bad family config: Lambda_W must be a list of JSON "
                          f"objects, got {laws!r}")
-    coeffs = list(map(as_fraction, c))
-    lambdas = list(map(_parse_tuple_measure, laws))
-    p = analysis.rd.p
-    if len(coeffs) != p or len(lambdas) != p:
-        raise InputError(f"family needs exactly p = {p} coefficients and laws")
+    coeffs = tuple(map(as_fraction, c))
+    lambdas = tuple(map(_parse_tuple_measure, laws))
     if sum(coeffs) != 1:
         raise InputError("family coefficients must sum to 1")
     if any(c < 0 for c in coeffs):
         raise InputError("family coefficients must be nonnegative")
-    family = InvariantFamily(limits=analysis.limits, c=tuple(coeffs),
+    return coeffs, lambdas
+
+
+def _resolve_lambda_w(config, analysis) -> tuple:
+    """The stationary Lambda_W as a W vector; uniform on W by default."""
+    cd = analysis.cliques
+    if config["Lambda_W"] is None:
+        return [1] * len(cd.W), len(cd.W)
+    return cd.w_vector(config["Lambda_W"])
+
+
+def _resolve_family(config, analysis) -> InvariantFamily:
+    coeffs, lambdas = config["family"]
+    p = analysis.rd.p
+    if len(coeffs) != p or len(lambdas) != p:
+        raise InputError(f"family needs exactly p = {p} coefficients and laws")
+    family = InvariantFamily(limits=analysis.limits, c=coeffs,
                              Lambda_W=tuple(map(analysis.cliques.w_vector, lambdas)))
     # round-trip through the classifier to validate the family form
     classify_family(analysis.limits, analysis.cliques, family.law_at(analysis.cliques, 0))

@@ -34,8 +34,8 @@ import numpy as np
 
 from .errors import (ClassificationError, InputError, ResourceLimitError,
                      StructuralInconsistencyError)
-from .limits import CyclicLimit, _act, _common, _same
-from .measure import RationalMeasure
+from .limits import CyclicLimit, _act, _same
+from .measure import RationalMeasure, _common
 from .semigroup import (DEFAULT_ELEMENT_CAP, ReesData, _tables, distinct, distinct_rows,
                         literals, positions_in)
 
@@ -156,17 +156,17 @@ def compute_W(rd: ReesData, *, cap: int = DEFAULT_ELEMENT_CAP) -> CliqueData:
             f"{literals(rd.generators[[i]])[0]} maps the stable tuple "
             f"{tuple(W_mu[s].tolist())} outside L G W")
 
-    # gamma^j h at (j, position of h in H), and the split of G it inverts
+    # gamma^j h at (j, position of h in H); G[g] is gamma^j h for j =
+    # rd.coset_of[g] and h at g_h[g]
     coset_h = rd.gmul[np.ix_(rd.C, rd.H)]
-    g_coset, g_h = np.empty((2, len(rd.G)), dtype=np.intp)
-    g_coset[coset_h] = np.arange(rd.p)[:, None]
+    g_h = np.empty(len(rd.G), dtype=np.intp)
     g_h[coset_h] = np.arange(len(rd.H))
     state_l, state_g, state_w = np.empty((3, len(W_mu)), dtype=np.intp)
     state_l[lgw], state_g[lgw], state_w[lgw] = np.indices(lgw.shape)
 
     return CliqueData(m_mu=m_mu, f_cliques=cliques, W_mu=W_mu, W=W, step=step,
                       state_l=state_l, state_g=state_g, state_w=state_w,
-                      state_c=g_coset[state_g], state_h=g_h[state_g], lgw=lgw,
+                      state_c=rd.coset_of[state_g], state_h=g_h[state_g], lgw=lgw,
                       coset_h=coset_h)
 
 

@@ -2,26 +2,26 @@
 
 The convolution powers of a law never stabilize support-wise (transient
 elements keep positive mass forever), so the limit cycle is computed
-structurally: stationary solves on the left/right kernel walks give the
-boundary factors, the Rees decomposition gives the period p, the subgroup H
-and the coset generator gamma, and the cycle is assembled from the
-closed-form factorization. The walks on Ke = LG and eK = GR are solved on
-their boundary factors L and R alone: the group acts on their G-fibres by
-permutations that commute with the walk, so the stationary laws are exactly
-eta_L x omega_G and omega_G x eta_R. One double-precision pass over the
-powers mu^k, on vectors by closure position, is kept as an independent
-cross-check: it estimates p, eta and nu and gives the running average.
+structurally: the quotient walks on the boundary factors L and R give
+eta_L and eta_R, each by one fraction-free integer solve, the Rees
+decomposition gives the period p, the subgroup H and the coset generator
+gamma, and the cycle is assembled from the closed-form factorization and
+verified in one place, ``assemble_limits``. The walks on Ke = LG and
+eK = GR need no solve: the group acts on their G-fibres by permutations
+that commute with the walk, so their stationary laws are eta_L x omega_G
+and omega_G x eta_R. One double-precision pass over the powers mu^k, on
+vectors by closure position, is kept as an independent cross-check: it
+estimates p, eta and nu and gives the running average.
 
-From its solve on, every exact law is a vector (numerators, denominator):
-Python ints by position in the kernel, ``rd.L`` or ``rd.R``, over one
-common denominator.
+Every exact law is a vector (numerators, denominator): Python ints by
+position in the kernel, ``rd.L`` or ``rd.R``, over one common
+denominator, like the law's own ``MappingLaw.weights``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from math import gcd
 
 import numpy as np
 
@@ -37,60 +37,41 @@ FLOAT_TOL = 1e-12
 CESARO_N = 10_000
 
 
-def _pivot_size(value: Fraction) -> int:
-    return value.numerator.bit_length() + value.denominator.bit_length()
+def solve_stationary(matrix: list) -> tuple:
+    """The unique probability vector pi with pi P = pi, as (numerators,
+    denominator) over its least common denominator.
 
-
-def solve_stationary(matrix: list) -> list:
-    """Unique probability vector pi with pi P = pi, by exact elimination.
-
-    ``matrix`` is a row-stochastic list of Fraction rows. The balance
-    equations (P^T - I) pi = 0 are solved with the normalization sum(pi) = 1
-    replacing one equation; pivots are chosen among nonzero candidates with
-    the smallest numerator/denominator bit size to limit coefficient growth.
-    Raises StructuralInconsistencyError on rank deficiency.
+    ``matrix`` holds integer rows that all sum to one D, so P = matrix / D.
+    The balance equations (matrix^T - D I) pi = 0, the last replaced by
+    sum(pi) = 1, are solved by fraction-free Gauss-Jordan elimination
+    (Bareiss, Math. Comp. 22 (1968)): every entry stays an integer minor of
+    the system, every division is exact, and the last pivot is, up to sign,
+    the determinant, a common denominator of pi. Raises
+    StructuralInconsistencyError on rank deficiency.
     """
-    m = len(matrix)
-    one = Fraction(1)
-    rows = []
-    for j in range(m):
-        row = [matrix[i][j] - (one if i == j else 0) for i in range(m)]
-        row.append(Fraction(0))
-        rows.append(row)
-    rows[m - 1] = [one] * m + [one]
-
+    m, den = len(matrix), sum(matrix[0])
+    rows = [[matrix[i][j] - den * (i == j) for i in range(m)] + [0] for j in range(m - 1)]
+    rows.append([1] * (m + 1))
+    previous = 1
     for col in range(m):
-        pivot_row = None
-        best = None
-        for r in range(col, m):
-            v = rows[r][col]
-            if v != 0:
-                size = _pivot_size(v)
-                if best is None or size < best:
-                    best = size
-                    pivot_row = r
+        pivot_row = next((r for r in range(col, m) if rows[r][col]), None)
         if pivot_row is None:
             raise StructuralInconsistencyError(
-                "stationary system is rank deficient; fixed point not unique"
-            )
+                "stationary system is rank deficient; fixed point not unique")
         rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-        pivot = rows[col][col]
-        rows[col] = [v / pivot for v in rows[col]]
-        for r in range(m):
-            if r != col and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+        top = rows[col]
+        for row in rows:
+            if row is not top:
+                # only the columns right of the pivot are read again
+                row[col + 1:] = [(top[col] * a - row[col] * b) // previous
+                                 for a, b in zip(row[col + 1:], top[col + 1:])]
+        previous = top[col]
 
-    pi = [rows[i][m] for i in range(m)]
-    if sum(pi) != 1 or any(v < 0 for v in pi):
+    common = gcd(previous, *(row[m] for row in rows)) * (1 if previous > 0 else -1)
+    nums, den = [row[m] // common for row in rows], previous // common
+    if sum(nums) != den or any(v < 0 for v in nums):
         raise StructuralInconsistencyError("stationary solve produced an invalid vector")
-    return pi
-
-
-def _common(weights) -> tuple:
-    """Integer numerators of Fractions over their least common denominator."""
-    den = lcm(*(w.denominator for w in weights))
-    return [w.numerator * (den // w.denominator) for w in weights], den
+    return nums, den
 
 
 # An exact measure on the kernel is a pair (numerators, denominator): Python
@@ -100,7 +81,7 @@ def _act(law: MappingLaw, rd: ReesData, x: tuple, tables) -> tuple:
     """mu acting on x through one table per generator of ``rd``: mu * x
     for ``rd.left``, x * mu for ``rd.right``, and the law of N(X) for
     ``CliqueData.step`` on stable tuples."""
-    weights, den = _common(law.weights)
+    weights, den = law.weights
     support = [(z, v) for z, v in enumerate(x[0]) if v]
     out = [0] * len(x[0])
     for w, table in zip(weights, tables.tolist()):
@@ -129,45 +110,29 @@ def _same(a: tuple, b: tuple) -> bool:
     return all(x * b[1] == y * a[1] for x, y in zip(a[0], b[0]))
 
 
-def fibre_stationary(law: MappingLaw, rd: ReesData, left: bool) -> tuple:
-    """Exact kernel vector of the unique law fixed by beta -> mu * beta on
-    Ke = LG, eta_L x omega_G (or by beta -> beta * mu on eK = GR, omega_G x
-    eta_R): solved on the boundary factor L (or R), lifted over the
-    G-fibres and verified mu-invariant; unique as ``rees_at`` verified the
-    walk irreducible.
+def boundary_stationary(law: MappingLaw, rd: ReesData, left: bool) -> tuple:
+    """eta_L, the stationary law of the quotient walk l -> (f l)_L, by
+    position in ``rd.L`` (``left``); else eta_R, that of r -> (r f)_R, by
+    position in ``rd.R``. Unique, as ``rees_at`` verified the walks on Ke
+    and eK irreducible.
 
-    Multiplying by h in G on the group side (z -> z*h on Ke, z -> h*z on eK)
-    permutes the states and commutes with the walk, so the walk's unique
-    stationary law is constant on each fibre l*G (or G*r). Its L-marginal is
-    the stationary law eta_L of the quotient walk l -> (f*l)_L, and the law
-    is beta(l*g) = eta_L(l) / |G|; mirror-wise beta(g*r) = eta_R(r) / |G|.
+    The group acts on the G-fibres of Ke and eK by permutations that commute
+    with the walks, so their stationary laws are eta_L x omega_G and
+    omega_G x eta_R. ``assemble_limits`` verifies both: the L-marginal of its
+    check mu * cycle[k] = cycle[k+1] is the balance equations of eta_L, the
+    R-marginal of nu * mu = nu those of eta_R, and z -> z*e carries nu onto
+    eta_L x omega_G and commutes with left multiplication.
     """
     l0, g0, r0 = rd.coords[rd.e]
-    fibres = rd.at[:, :, r0] if left else rd.at[l0].T  # fibres[b, g] is L[b] G[g] (or G[g] R[b])
+    states = rd.at[:, g0, r0] if left else rd.at[l0, g0]
     tables = rd.left if left else rd.right
-    steps, side = tables.tolist(), rd.coords[:, 0 if left else 2].tolist()
-    matrix = [[Fraction(0)] * len(fibres) for _ in fibres]
-    for b, z in enumerate(fibres[:, g0].tolist()):
-        for w, table in zip(law.weights, steps):
-            matrix[b][side[table[z]]] += w
-    pi, den = _common(solve_stationary(matrix))
-    nums = np.zeros(len(rd.kernel), dtype=object)
-    nums[fibres] = np.array(pi, dtype=object)[:, None]
-    beta = (nums.tolist(), den * len(rd.G))
-    if not _same(_act(law, rd, beta, tables), beta):
-        raise StructuralInconsistencyError(
-            f"{'left' if left else 'right'} stationary law is not mu-invariant")
-    return beta
-
-
-def boundary_factor(rd: ReesData, beta: tuple, left: bool) -> tuple:
-    """Marginal of the L-coordinate (``left``) or the R-coordinate of an
-    exact kernel vector, by position in ``rd.L`` (or ``rd.R``) over the
-    least common denominator of its reduced weights."""
-    acc = [0] * len(rd.L if left else rd.R)
-    for b, v in zip(rd.coords[:, 0 if left else 2].tolist(), beta[0]):
-        acc[b] += v
-    return _common([Fraction(v, beta[1]) for v in acc])
+    side = rd.coords[tables[:, states], 0 if left else 2].tolist()
+    weights, _ = law.weights
+    matrix = [[0] * len(states) for _ in states]
+    for w, targets in zip(weights, side):
+        for b, c in enumerate(targets):
+            matrix[b][c] += w
+    return solve_stationary(matrix)
 
 
 @dataclass(frozen=True)
@@ -230,7 +195,8 @@ def _power_step(law: MappingLaw, closure: np.ndarray) -> tuple:
     position. The closure starts with the sorted support, so mu^1 starts
     with the weights."""
     table = left_products(closure, law.generators)
-    weights = np.array([[float(w)] for w in law.weights])
+    nums, den = law.weights
+    weights = np.array([[v / den] for v in nums])
     v0 = np.zeros(len(closure))
     v0[:len(weights)] = weights[:, 0]
     terms = np.empty((len(weights), len(closure)))

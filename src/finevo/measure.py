@@ -4,7 +4,8 @@ of input.
 Measures are sparse: only the support is stored, every stored weight is a
 positive ``Fraction`` and the weights sum to exactly 1. A ``RationalMeasure``
 is only ever input: the law's ``MappingLaw.measure`` on transformations,
-and a config's Lambda_W and family laws on point tuples, which
+whose integer vector ``MappingLaw.weights`` is built once at parse, and a
+config's Lambda_W and family laws on point tuples, which
 ``CliqueData.w_vector`` turns into W vectors once. Every exact law computed
 from them is an integer vector (numerators by position, one denominator):
 kernel laws in ``finevo.limits`` over the Rees coordinate tables, and
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 from .errors import InputError
 from .transform import Transformation
@@ -35,6 +37,12 @@ def as_fraction(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad rational literal {value!r}") from exc
     raise InputError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _common(weights: list) -> tuple:
+    """Integer numerators of Fractions over their least common denominator."""
+    den = lcm(*(w.denominator for w in weights))
+    return [w.numerator * (den // w.denominator) for w in weights], den
 
 
 class RationalMeasure:
@@ -79,7 +87,8 @@ class RationalMeasure:
 
 class MappingLaw:
     """A rational probability on transformations of one finite set;
-    ``weights`` lists its weights in ``generators`` order."""
+    ``weights`` is its integer vector: the numerators of its weights in
+    ``generators`` order over their least common denominator."""
 
     __slots__ = ("n", "measure", "weights")
 
@@ -91,7 +100,7 @@ class MappingLaw:
                 raise InputError("law support must be transformations of {1..%d}" % n)
         self.n = n
         self.measure = measure
-        self.weights = tuple(w for _, w in measure.items())
+        self.weights = _common([w for _, w in measure.items()])
 
     @property
     def generators(self) -> list:

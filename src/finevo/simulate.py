@@ -226,7 +226,7 @@ def sample_batch(
         raise ResourceLimitError(
             f"replications x draws = {replications} x {head + steps} exceeds the batch "
             f"limit of {MAX_BATCH_DRAWS} draws; shorten the window or lower the replications")
-    map_cdf = _cdf((limits.law.weights, 1))
+    map_cdf = _cdf(limits.law.weights)
     maps = np.empty((replications, steps), dtype=np.int32)
     states = np.empty((replications, steps + 1), dtype=np.int32)
     for rows, u in _uniform_chunks(seed, replications, head + steps):

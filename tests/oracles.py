@@ -258,6 +258,21 @@ def _row_reduce(rows: list, m: int) -> list:
     return pivots
 
 
+def exact_stationary(matrix) -> list:
+    """The unique pi with pi P = pi and sum(pi) = 1, as Fractions, for a
+    row-stochastic matrix P of exact weights: all m balance equations and
+    the normalization are row reduced with Fractions, and a unique solution
+    is asserted."""
+    m = len(matrix)
+    # row j: sum_i pi_i P(i, j) - pi_j = 0; the last row: sum_i pi_i = 1
+    rows = [[Fraction(matrix[i][j]) - (i == j) for i in range(m)] + [Fraction(0)]
+            for j in range(m)]
+    rows.append([Fraction(1)] * (m + 1))
+    if _row_reduce(rows, m) != list(range(m)) or rows[m][m] != 0:
+        raise AssertionError("the walk has no unique stationary law")
+    return [rows[i][m] for i in range(m)]
+
+
 def full_chain_stationary(generators, weights, e, left: bool = True) -> dict:
     """Exact stationary law of the walk z -> f o z (``left``) or z -> z o f
     on the orbit of the idempotent e, which is Ke (or eK).
@@ -278,17 +293,12 @@ def full_chain_stationary(generators, weights, e, left: bool = True) -> dict:
         frontier = list(fresh)
     states = sorted(states)
     index = {s: i for i, s in enumerate(states)}
-    m = len(states)
-    # row j: sum_i pi_i P(i, j) - pi_j = 0; the last row: sum_i pi_i = 1
-    rows = [[Fraction(0)] * (m + 1) for _ in range(m)]
+    matrix = [[Fraction(0)] * len(states) for _ in states]
     for i, z in enumerate(states):
-        rows[i][i] -= 1
         for f, w in mu:
-            rows[index[compose_images(f, z) if left else compose_images(z, f)]][i] += w
-    rows.append([Fraction(1)] * (m + 1))
-    if _row_reduce(rows, m) != list(range(m)) or rows[m][m] != 0:
-        raise AssertionError("the walk has no unique stationary law")
-    return {states[i]: rows[i][m] for i in range(m) if rows[i][m] != 0}
+            matrix[i][index[compose_images(f, z) if left else compose_images(z, f)]] += w
+    pi = exact_stationary(matrix)
+    return {s: v for s, v in zip(states, pi) if v != 0}
 
 
 def _convolve_tuples(a: dict, b: dict) -> dict:

@@ -322,9 +322,25 @@ def test_simulate_rejects_unknown_config_fields(capsys, tmp_path, law_file):
      "bad family config: c must be a list, got {'a': 1}"),
     ({"mode": "nonstationary", "family": {"c": ["1"]}},
      "bad family config: Lambda_W must be a list of JSON objects, got None"),
+    ({"mode": "nonstationary"}, "nonstationary mode needs a family in the config"),
+    ({"mode": "nonstationary", "family": {"c": ["1/2"], "Lambda_W": [{"(2,4,5)": "1"}]}},
+     "family coefficients must sum to 1"),
+    ({"mode": "nonstationary",
+      "family": {"c": ["3/2", "-1/2"], "Lambda_W": [{"(2,4,5)": "1"}] * 2}},
+     "family coefficients must be nonnegative"),
+    ({"mode": "nonstationary", "family": {"c": ["1"], "Lambda_W": [{"(2,4,5)": "1/2"}]}},
+     "weights sum to 1/2, expected 1"),
+    ({"Lambda_W": {"(2,4,5)": "-1"}}, "negative weight -1 at (2, 4, 5)"),
 ])
-def test_config_values_of_the_wrong_type_exit_3(capsys, tmp_path, law_file, fields,
-                                                message):
+def test_config_values_of_the_wrong_type_exit_3(capsys, tmp_path, monkeypatch, law_file,
+                                                fields, message):
+    from finevo import cli
+
+    # every field is checked before the law is analyzed
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("the config was checked after the analysis")
+
+    monkeypatch.setattr(cli, "analyze_law", no_analysis)
     config = tmp_path / "sim.json"
     if isinstance(fields, dict):
         fields = {"law_file": law_file, **fields}

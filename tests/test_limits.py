@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from finevo import analyze_law
 from finevo.limits import (
     assemble_limits,
-    fibre_stationary,
+    boundary_stationary,
     float_limit_oracle,
     solve_stationary,
     sup_error,
@@ -23,6 +24,7 @@ from oracles import (
     cesaro_loop,
     convolve,
     element,
+    exact_stationary,
     float_law,
     float_limit_loop,
     float_stationary,
@@ -47,6 +49,21 @@ def _on_kernel(rd, vector) -> RationalMeasure:
     """An exact kernel vector (numerators by kernel position, denominator)
     as a measure on the kernel's transformations."""
     return measure_of(rees_objects(rd).kernel, vector)
+
+
+def _lift(a, left: bool) -> tuple:
+    """The kernel vector of eta_L x omega_G on Ke, beta(l g) = eta_L(l) / |G|
+    (``left``), or of omega_G x eta_R on eK, beta(g r) = eta_R(r) / |G|, for
+    the boundary factor that ``boundary_stationary`` solves."""
+    rd = a.rd
+    eta, den = boundary_stationary(a.law, rd, left)
+    l0, _, r0 = rd.coords[rd.e]
+    fibres = rd.at[:, :, r0] if left else rd.at[l0].T  # fibres[b, g] is L[b] G[g] (or G[g] R[b])
+    nums = [0] * len(rd.kernel)
+    for v, fibre in zip(eta, fibres.tolist()):
+        for z in fibre:
+            nums[z] = v
+    return nums, den * len(rd.G)
 
 
 def _limits(a) -> SimpleNamespace:
@@ -76,13 +93,22 @@ def test_left_and_right_factors_golden(example_analysis):
     assert lim.eta_R == RationalMeasure({E: "2/3", EF: "1/3"})
 
 
+def _full_chain(a, left: bool) -> RationalMeasure:
+    """The stationary law of the whole walk on Ke (``left``) or eK, by the
+    Fraction oracle."""
+    gens, weights = zip(*((f.images, w) for f, w in a.law.measure.items()))
+    exact = full_chain_stationary(gens, weights, a.rd.kernel[a.rd.e].tolist(), left)
+    return RationalMeasure({Transformation(list(z)): w for z, w in exact.items()})
+
+
 def test_left_stationary_product_form(example_analysis):
-    # beta{l*g} = eta_L{l} / |G| on each of the 12 states of Ke
+    # the walk's law is eta_L{l} / |G| on each of the 12 states l*g of Ke
     a = example_analysis
-    beta = _on_kernel(a.rd, fibre_stationary(a.law, a.rd, left=True))
+    beta = _full_chain(a, left=True)
     eta_L, e = _limits(a).eta_L, rees_objects(a.rd).e
     states = sorted({z * e for z in rees_objects(a.rd).kernel})
     assert len(states) == 12
+    assert set(beta.support()) == set(states)
     for z in states:
         l, g, r = project(rees_objects(a.rd), z)
         assert r == e
@@ -90,9 +116,9 @@ def test_left_stationary_product_form(example_analysis):
 
 
 def test_right_stationary_product_form(p3h2_analysis):
-    # beta_R{g*r} = eta_R{r} / |G| on each state of eK
+    # the walk's law is eta_R{r} / |G| on each state g*r of eK
     a = p3h2_analysis
-    beta = _on_kernel(a.rd, fibre_stationary(a.law, a.rd, left=False))
+    beta = _full_chain(a, left=False)
     eta_R, e = _limits(a).eta_R, rees_objects(a.rd).e
     states = sorted({e * z for z in rees_objects(a.rd).kernel})
     assert len(states) == len(a.rd.G) * len(a.rd.R)
@@ -113,11 +139,8 @@ RANK3_LAW = {"n": 6, "generators": [[2, 3, 4, 5, 6, 1], [3, 2, 1, 4, 5, 6],
 
 
 def _assert_stationary_matches_full_chain(a):
-    gens, weights = zip(*((f.images, w) for f, w in a.law.measure.items()))
     for left in (True, False):
-        beta = fibre_stationary(a.law, a.rd, left)
-        exact = full_chain_stationary(gens, weights, a.rd.kernel[a.rd.e].tolist(), left)
-        assert {z.images: w for z, w in _on_kernel(a.rd, beta).items()} == exact
+        assert _on_kernel(a.rd, _lift(a, left)) == _full_chain(a, left)
 
 
 def test_stationary_laws_match_full_chain_oracle_on_corpus(fuzz_analyses):
@@ -146,7 +169,7 @@ def test_left_stationary_matches_float_power_iteration(example_analysis):
         for f, w in a.law.measure.items():
             matrix[index[z]][index[f * z]] += w
     pi = float_stationary(matrix)
-    beta = _on_kernel(a.rd, fibre_stationary(a.law, a.rd, left=True))
+    beta = _on_kernel(a.rd, _lift(a, left=True))
     for z in states:
         assert abs(pi[index[z]] - float(beta[z])) < 1e-12
 
@@ -156,7 +179,7 @@ def test_stationary_of_point_mass_law():
                                 "weights": ["1"]})
     a = analyze_law(law)
     lim = _limits(a)
-    assert _on_kernel(a.rd, fibre_stationary(a.law, a.rd, left=True)) == RationalMeasure({E: 1})
+    assert _on_kernel(a.rd, _lift(a, left=True)) == RationalMeasure({E: 1})
     assert lim.eta_L == RationalMeasure({E: 1})
     assert lim.eta_R == RationalMeasure({E: 1})
     assert lim.eta == RationalMeasure({E: 1})
@@ -166,10 +189,64 @@ def test_stationary_of_point_mass_law():
 def test_solve_stationary_rejects_reducible_chain():
     from finevo.errors import StructuralInconsistencyError
 
-    one = Fraction(1)
     # two absorbing states: stationary law is not unique
     with pytest.raises(StructuralInconsistencyError):
-        solve_stationary([[one, 0], [0, one]])
+        solve_stationary([[1, 0], [0, 1]])
+    with pytest.raises(StructuralInconsistencyError):
+        solve_stationary([[3, 0, 0], [1, 1, 1], [0, 0, 3]])
+
+
+def _chain(rng, m: int, den: int) -> list:
+    """A random integer matrix whose rows all sum to den and whose positive
+    entries include the cycle i -> i + 1 mod m, so the chain is irreducible."""
+    matrix = []
+    for i in range(m):
+        row = [rng.choice((0, 0, 1, 2, 5)) for _ in range(m)]
+        row[(i + 1) % m] += 1
+        while sum(row) > den:
+            j = rng.choice([j for j, v in enumerate(row) if v and j != (i + 1) % m]
+                           or [(i + 1) % m])
+            row[j] -= 1
+        row[rng.randrange(m)] += den - sum(row)
+        matrix.append(row)
+    return matrix
+
+
+def _assert_solves_like_the_oracle(matrix):
+    den = sum(matrix[0])
+    nums, lcd = solve_stationary(matrix)
+    oracle = exact_stationary([[Fraction(v, den) for v in row] for row in matrix])
+    assert [Fraction(v, lcd) for v in nums] == oracle
+    # the vector is over its least common denominator
+    assert lcd == lcm(*(v.denominator for v in oracle))
+
+
+def test_solve_stationary_matches_fraction_elimination_on_random_chains():
+    rng = random.Random(20)
+    for m in range(1, 13):
+        for _ in range(8):
+            _assert_solves_like_the_oracle(_chain(rng, m, rng.choice((1, 7, 12, 30, 1001))))
+
+
+def test_solve_stationary_swaps_rows_on_zero_pivots():
+    # states 0..k-1 form a closed class and the rest lead into it: the
+    # first k balance equations are singular on the first k columns, so a
+    # zero pivot turns up in its own row by column k - 1 (at column 0 for an
+    # absorbing state 0) and a later row must be swapped in
+    rng = random.Random(21)
+    for m in range(2, 10):
+        for k in range(1, m):
+            den = rng.choice((k + 1, 6, 60))
+            matrix = [row + [0] * (m - k) for row in _chain(rng, k, den)]
+            for i in range(k, m):
+                row = [rng.randrange(3) for _ in range(m)]
+                row[i] = 0
+                while sum(row) >= den:
+                    row[max(range(m), key=row.__getitem__)] -= 1
+                # a positive step into the class from every transient state
+                row[rng.randrange(k)] += den - sum(row)
+                matrix.append(row)
+            _assert_solves_like_the_oracle(matrix)
 
 
 def test_period_of_example_is_one(example_analysis):
@@ -491,6 +568,19 @@ def test_assemble_rejects_wrong_subgroup(example_analysis):
         assemble_limits(a.law, wrong, a.limits.eta_L, a.limits.eta_R)
 
 
+@pytest.mark.parametrize("left", [True, False])
+def test_assemble_rejects_a_nonstationary_boundary_factor(example_analysis, left):
+    from finevo.errors import StructuralInconsistencyError
+
+    a = example_analysis
+    assert a.limits.eta_L == a.limits.eta_R == ([1, 2], 3)  # (1/3, 2/3) by position
+    # uniform is not the stationary law of either quotient walk
+    factors = [a.limits.eta_L, a.limits.eta_R]
+    factors[0 if left else 1] = ([1, 1], 2)
+    with pytest.raises(StructuralInconsistencyError):
+        assemble_limits(a.law, a.rd, *factors)
+
+
 def test_period_and_subgroup_direct(example_analysis, p3h2_analysis):
     # the left walk on Ke gives p, H and gamma; only the generators matter
     a = example_analysis
@@ -506,9 +596,9 @@ def test_period_and_subgroup_direct(example_analysis, p3h2_analysis):
 
 def test_left_right_solvers_agree_with_invariance(p3h2_analysis):
     a = p3h2_analysis
-    beta = _on_kernel(a.rd, fibre_stationary(a.law, a.rd, left=True))
+    beta = _on_kernel(a.rd, _lift(a, left=True))
     assert convolve(a.law.measure, beta) == beta
-    beta_r = _on_kernel(a.rd, fibre_stationary(a.law, a.rd, left=False))
+    beta_r = _on_kernel(a.rd, _lift(a, left=False))
     assert convolve(beta_r, a.law.measure) == beta_r
     omega_G = _uniform(rees_objects(a.rd).G)
     # omega_G * eta_R is fixed under right convolution by mu
