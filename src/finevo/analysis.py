@@ -17,7 +17,7 @@ class Analysis:
     """Everything the reports and the simulator need about one law."""
 
     law: MappingLaw
-    closure: np.ndarray  # rows in canonical order, read only by finevo.semigroup
+    closure: np.ndarray  # canonical rows; the float pass, sup_error and the report read them
     rd: ReesData
     limits: CyclicLimit
     cliques: CliqueData

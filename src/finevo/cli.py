@@ -19,6 +19,7 @@ from .measure import MappingLaw, RationalMeasure, as_fraction
 from .report import build_report, render_text, report_to_json
 from .semigroup import DEFAULT_ELEMENT_CAP
 from .simulate import (
+    MIN_REPLICATIONS,
     sample_batch,
     verify_factorization,
     verify_mono_projection,
@@ -185,8 +186,8 @@ def _load_sim_config(args, law_file=None) -> dict:
     if config[other] is not None:
         raise InputError(f"{other} is a field of the other mode; "
                          f"{config['mode']} runs take no {other}")
-    if config["replications"] < 1:
-        raise InputError("replications must be >= 1")
+    if config["replications"] < MIN_REPLICATIONS:
+        raise InputError(f"replications must be >= {MIN_REPLICATIONS}")
     if config["k_min"] >= config["k_max"]:
         raise InputError("k_min must be less than k_max")
     if config["window"] < 1:
@@ -247,10 +248,9 @@ def _resolve_family(config, analysis) -> InvariantFamily:
     p = analysis.rd.p
     if len(coeffs) != p or len(lambdas) != p:
         raise InputError(f"family needs exactly p = {p} coefficients and laws")
-    family = InvariantFamily(limits=analysis.limits, c=coeffs,
-                             Lambda_W=tuple(map(analysis.cliques.w_vector, lambdas)))
+    family = InvariantFamily(c=coeffs, Lambda_W=tuple(map(analysis.cliques.w_vector, lambdas)))
     # round-trip through the classifier to validate the family form
-    classify_family(analysis.limits, analysis.cliques, family.law_at(analysis.cliques, 0))
+    classify_family(analysis, family.law_at(analysis, 0))
     return family
 
 

@@ -17,8 +17,9 @@ every (generator, tuple) and (l, g, w) fact once, by gathers on the image
 rows of ``ReesData``, into integer tables, looking the tuples up in W_mu
 with ``finevo.semigroup.positions_in``. A tuple law is a vector:
 Python-int numerators, one per W_mu position (or per W position for a law
-on W), over one common denominator, pushed forward by the step table as
-``finevo.limits`` pushes kernel vectors.
+on W), over one common denominator. The product laws eta_L gamma^j omega_H
+Lambda_W are read off the state columns by one gather, and the step table
+pushes tuple laws forward as ``finevo.limits`` pushes kernel vectors.
 A ``RationalMeasure`` on tuples is only ever parsed input: ``w_vector``
 turns it into a W vector.
 """
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import (ClassificationError, InputError, ResourceLimitError,
                      StructuralInconsistencyError)
-from .limits import CyclicLimit, _act, _same
+from .limits import _act, _same
 from .measure import RationalMeasure, _common
 from .semigroup import (DEFAULT_ELEMENT_CAP, ReesData, _tables, distinct, distinct_rows,
                         literals, positions_in)
@@ -170,63 +171,49 @@ def compute_W(rd: ReesData, *, cap: int = DEFAULT_ELEMENT_CAP) -> CliqueData:
                       coset_h=coset_h)
 
 
-def _tuple_law(limits: CyclicLimit, cd: CliqueData, terms) -> tuple:
-    """The W_mu vector of the law of (L[l] G[g])(W[w]) for l ~ eta_L and,
-    independently, one term (c, part, lam) taken with probability c: g
-    uniform on the G positions ``part`` (equally many in every term) and w
-    ~ lam, a W vector."""
-    eta, eta_den = limits.eta_L
-    c, c_den = _common([t[0] for t in terms])
-    lam_den = lcm(*(lam[1] for _, _, lam in terms))
-    lgw = cd.lgw.tolist()
-    nums = [0] * len(cd.W_mu)
-    for ci, (_, part, (lam, den)) in zip(c, terms):
-        scale = ci * (lam_den // den)
-        support = [(w, scale * v) for w, v in enumerate(lam) if v]
-        for l, x in enumerate(eta):
-            for g in part:
-                row = lgw[l][g]
-                for w, v in support:
-                    nums[row[w]] += x * v
-    return nums, c_den * eta_den * len(terms[0][1]) * lam_den
-
-
-def invariant_law(limits: CyclicLimit, cd: CliqueData, Lambda_W: tuple) -> tuple:
-    """The W_mu vector of the invariant tuple law eta_L omega_G Lambda_W, for
-    a W vector Lambda_W; verified fixed by mu."""
-    lam = _tuple_law(limits, cd, [(1, range(len(limits.rd.G)), Lambda_W)])
-    if not _same(_act(limits.law, limits.rd, lam, cd.step), lam):
-        raise StructuralInconsistencyError("assembled law is not mu-invariant")
-    return lam
-
-
 @dataclass(frozen=True)
 class InvariantFamily:
     """A shift-compatible family Lambda_k = sum_i c_i eta_L gamma^(k+i) omega_H
     Lambda_W^i; ``Lambda_W`` holds the W vectors Lambda_W^i."""
 
-    limits: CyclicLimit
     c: tuple
     Lambda_W: tuple
 
-    def law_at(self, cd: CliqueData, k: int) -> tuple:
-        """The W_mu vector of Lambda_k."""
-        p = self.limits.rd.p
-        return _tuple_law(self.limits, cd, [
-            (ci, cd.coset_h[(k + i) % p].tolist(), lam)
-            for i, (ci, lam) in enumerate(zip(self.c, self.Lambda_W)) if ci
-        ])
+    def law_at(self, a, k: int) -> tuple:
+        """The W_mu vector of Lambda_k for the ``Analysis`` ``a``: a state
+        (l, g, w) with g in gamma^j H has mass eta_L[l] c_i Lambda_W^i[w] / |H|
+        for i = j - k mod p, gathered from the state columns and the table of
+        c_i Lambda_W^i over one denominator."""
+        rd, cd = a.rd, a.cliques
+        (eta, eta_den), (c, c_den) = a.limits.eta_L, _common(self.c)
+        lam_den = lcm(*(den for _, den in self.Lambda_W))
+        table = np.array([[ci * (lam_den // den) * v for v in lam]
+                          for ci, (lam, den) in zip(c, self.Lambda_W)], dtype=object)
+        nums = (np.array(eta, dtype=object)[cd.state_l]
+                * table[(cd.state_c - k) % rd.p, cd.state_w])
+        return nums.tolist(), eta_den * c_den * lam_den * len(rd.H)
 
 
-def classify_family(limits: CyclicLimit, cd: CliqueData, x: tuple) -> InvariantFamily:
+def invariant_law(a, Lambda_W: tuple) -> tuple:
+    """The W_mu vector of the invariant tuple law eta_L omega_G Lambda_W of
+    the ``Analysis`` ``a``, for a W vector Lambda_W: the family of p equal
+    terms (1/p) eta_L gamma^i omega_H Lambda_W. Verified fixed by mu."""
+    p = a.rd.p
+    lam = InvariantFamily(c=(Fraction(1, p),) * p, Lambda_W=(Lambda_W,) * p).law_at(a, 0)
+    if not _same(_act(a.law, lam, a.cliques.step), lam):
+        raise StructuralInconsistencyError("assembled law is not mu-invariant")
+    return lam
+
+
+def classify_family(a, x: tuple) -> InvariantFamily:
     """Decompose a one-time law, a W_mu vector, into its cyclic family
-    coefficients.
+    coefficients, for the ``Analysis`` ``a``.
 
     The phase/W joint law under x determines (c_i, Lambda_W^i); the
     decomposition is validated by exact reassembly and by reproducing the
     recursion Lambda_k = mu Lambda_{k-1} over one full period.
     """
-    rd = limits.rd
+    rd, cd = a.rd, a.cliques
     joint = [[0] * len(cd.W) for _ in range(rd.p)]
     for j, w, v in zip(cd.state_c.tolist(), cd.state_w.tolist(), x[0]):
         joint[j][w] += v
@@ -234,22 +221,21 @@ def classify_family(limits: CyclicLimit, cd: CliqueData, x: tuple) -> InvariantF
     mass = [sum(row) for row in joint]
     # a phase of mass 0 gets the point law at W[0]
     lambdas = [(row, m) if m else ([1] + [0] * (len(cd.W) - 1), 1) for row, m in zip(joint, mass)]
-    family = InvariantFamily(limits=limits, c=tuple(Fraction(m, x[1]) for m in mass),
-                             Lambda_W=tuple(lambdas))
+    family = InvariantFamily(c=tuple(Fraction(m, x[1]) for m in mass), Lambda_W=tuple(lambdas))
 
-    rebuilt = family.law_at(cd, 0)
+    rebuilt = family.law_at(a, 0)
     if not _same(rebuilt, x):
         residual = {}
-        for s, (a, b) in enumerate(zip(x[0], rebuilt[0])):
-            if a * rebuilt[1] != b * x[1]:
-                residual[tuple(cd.W_mu[s].tolist())] = (Fraction(a, x[1]), Fraction(b, rebuilt[1]))
+        for s, (u, v) in enumerate(zip(x[0], rebuilt[0])):
+            if u * rebuilt[1] != v * x[1]:
+                residual[tuple(cd.W_mu[s].tolist())] = (Fraction(u, x[1]), Fraction(v, rebuilt[1]))
         raise ClassificationError(
             "law is not of the cyclic family form", residual=residual
         )
     current = x
     for k in range(1, rd.p + 1):
-        current = _act(limits.law, rd, current, cd.step)
-        if not _same(current, family.law_at(cd, k)):
+        current = _act(a.law, current, cd.step)
+        if not _same(current, family.law_at(a, k)):
             raise ClassificationError(
                 f"family recursion fails at step {k}", residual={}
             )

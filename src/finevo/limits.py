@@ -5,13 +5,13 @@ elements keep positive mass forever), so the limit cycle is computed
 structurally: the quotient walks on the boundary factors L and R give
 eta_L and eta_R, each by one fraction-free integer solve, the Rees
 decomposition gives the period p, the subgroup H and the coset generator
-gamma, and the cycle is assembled from the closed-form factorization and
-verified in one place, ``assemble_limits``. The walks on Ke = LG and
-eK = GR need no solve: the group acts on their G-fibres by permutations
-that commute with the walk, so their stationary laws are eta_L x omega_G
-and omega_G x eta_R. One double-precision pass over the powers mu^k, on
-vectors by closure position, is kept as an independent cross-check: it
-estimates p, eta and nu and gives the running average.
+gamma, and ``assemble_limits`` reads the cycle and nu off the Rees
+coordinates of the kernel positions and verifies them. The walks on Ke =
+LG and eK = GR need no solve: the group acts on their G-fibres by
+permutations that commute with the walk, so their stationary laws are
+eta_L x omega_G and omega_G x eta_R. One double-precision pass over the
+powers mu^k, on vectors by closure position, is kept as an independent
+cross-check: it estimates p, eta and nu and gives the running average.
 
 Every exact law is a vector (numerators, denominator): Python ints by
 position in the kernel, ``rd.L`` or ``rd.R``, over one common
@@ -77,10 +77,10 @@ def solve_stationary(matrix: list) -> tuple:
 # An exact measure on the kernel is a pair (numerators, denominator): Python
 # ints indexed by kernel position over one common denominator.
 
-def _act(law: MappingLaw, rd: ReesData, x: tuple, tables) -> tuple:
-    """mu acting on x through one table per generator of ``rd``: mu * x
-    for ``rd.left``, x * mu for ``rd.right``, and the law of N(X) for
-    ``CliqueData.step`` on stable tuples."""
+def _act(law: MappingLaw, x: tuple, tables) -> tuple:
+    """mu acting on x through one table per generator: mu * x for
+    ``ReesData.left``, x * mu for ``ReesData.right``, and the law of N(X)
+    for ``CliqueData.step`` on stable tuples."""
     weights, den = law.weights
     support = [(z, v) for z, v in enumerate(x[0]) if v]
     out = [0] * len(x[0])
@@ -138,12 +138,10 @@ def boundary_stationary(law: MappingLaw, rd: ReesData, left: bool) -> tuple:
 @dataclass(frozen=True)
 class CyclicLimit:
     """The limit cycle of convolution powers and its exact factorization:
-    ``eta_L`` and ``eta_R`` are vectors by position in ``rd.L`` and
-    ``rd.R``, ``eta`` and ``nu`` by kernel position. The period is
-    ``rd.p``."""
+    ``eta_L`` and ``eta_R`` are vectors by position in ``ReesData.L`` and
+    ``ReesData.R``, ``eta`` and ``nu`` by kernel position. The law and its
+    ``ReesData``, with the period p, belong to the ``Analysis``."""
 
-    law: MappingLaw
-    rd: ReesData
     eta_L: tuple
     eta_R: tuple
     eta: tuple
@@ -153,32 +151,31 @@ class CyclicLimit:
 def assemble_limits(law: MappingLaw, rd: ReesData, eta_L: tuple, eta_R: tuple) -> CyclicLimit:
     """Build cycle[k] = eta_L gamma^k omega_H eta_R and the averaged limit nu.
 
-    The cycle is laid out on the Rees coordinates (l, gamma^k h, r), and
-    every structural identity of the limit cycle is verified exactly on it
+    Both are read off the Rees coordinates (l, g, r) of the kernel
+    positions: cycle[k] is eta_L[l] eta_R[r] / |H| where g lies in the coset
+    gamma^k H, and nu is eta_L[l] eta_R[r] / |G| everywhere. Every
+    structural identity of the limit cycle is verified exactly on them
     before the result is returned.
     """
     (lw, l_den), (rw, r_den) = eta_L, eta_R
-    at, cycle = rd.at, []
-    weights = np.array(lw, dtype=object)[:, None, None] * np.array(rw, dtype=object)
-    for c in rd.C:
-        nums = np.zeros(len(rd.kernel), dtype=object)
-        np.add.at(nums, at[:, rd.gmul[c, rd.H]], weights)
-        cycle.append((nums.tolist(), l_den * r_den * len(rd.H)))
-    eta = cycle[0]
-    nu = ([sum(v) for v in zip(*(c[0] for c in cycle))], eta[1] * rd.p)
+    l, g, r = rd.coords.T
+    product = np.array(lw, dtype=object)[l] * np.array(rw, dtype=object)[r]
+    den = l_den * r_den * len(rd.H)
+    cycle = [(np.where(rd.coset_of[g] == k, product, 0).tolist(), den) for k in range(rd.p)]
+    eta, nu = cycle[0], (product.tolist(), den * rd.p)
 
     if not _same(_convolve(rd, eta, eta), eta):
         raise StructuralInconsistencyError("eta * eta != eta")
     for k in range(rd.p):
-        if not _same(_act(law, rd, cycle[k], rd.left), cycle[(k + 1) % rd.p]):
+        if not _same(_act(law, cycle[k], rd.left), cycle[(k + 1) % rd.p]):
             raise StructuralInconsistencyError("mu * cycle[k] != cycle[k+1]")
     if not _same(_convolve(rd, nu, nu), nu):
         raise StructuralInconsistencyError("nu * nu != nu")
-    if not all(_same(_act(law, rd, nu, tables), nu) for tables in (rd.left, rd.right)):
+    if not all(_same(_act(law, nu, tables), nu) for tables in (rd.left, rd.right)):
         raise StructuralInconsistencyError("nu is not mu-invariant")
     if not all(nu[0]):
         raise StructuralInconsistencyError("supp(nu) != kernel")
-    lhr = set(at[:, rd.H].ravel().tolist())
+    lhr = set(rd.at[:, rd.H].ravel().tolist())
     if {z for z, v in enumerate(eta[0]) if v} != lhr:
         raise StructuralInconsistencyError("supp(eta) != L H R")
     covered = set()
@@ -187,7 +184,7 @@ def assemble_limits(law: MappingLaw, rd: ReesData, eta_L: tuple, eta_R: tuple) -
         if covered & supp:
             raise StructuralInconsistencyError("cycle supports are not disjoint")
         covered |= supp
-    return CyclicLimit(law=law, rd=rd, eta_L=eta_L, eta_R=eta_R, eta=eta, nu=nu)
+    return CyclicLimit(eta_L=eta_L, eta_R=eta_R, eta=eta, nu=nu)
 
 
 def _power_step(law: MappingLaw, closure: np.ndarray) -> tuple:

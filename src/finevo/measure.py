@@ -108,7 +108,7 @@ class MappingLaw:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "MappingLaw":
-        """Parse the law file format:
+        """Parse the law file format, whose only fields are these three:
         {"n": 5, "generators": [[2,3,4,1,5], [2,5,5,2,4]], "weights": ["1/2","1/2"]}
         """
         try:
@@ -117,6 +117,9 @@ class MappingLaw:
             weights = obj["weights"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"law file missing field: {exc}") from exc
+        unknown = set(obj) - {"n", "generators", "weights"}
+        if unknown:
+            raise InputError(f"unknown law fields: {sorted(unknown)}")
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise InputError(f"n must be a positive integer, got {n!r}")
         if not isinstance(gens, list) or not gens:

@@ -38,12 +38,10 @@ def build_report(analysis: Analysis, *, seed=None, timestamp: bool = True,
                  verification=None, oracle=None, cesaro=None) -> dict:
     """The full report for one analyzed law: its structure, then the given
     run blocks, in the order of the keywords."""
-    rd = analysis.rd
-    limits = analysis.limits
-    cd = analysis.cliques
+    rd, limits, cd = analysis.rd, analysis.limits, analysis.cliques
 
     canonical_Lambda_W = ([1] * len(cd.W), len(cd.W))
-    marginal = cd.first_marginal(invariant_law(limits, cd, canonical_Lambda_W), analysis.law.n)
+    marginal = cd.first_marginal(invariant_law(analysis, canonical_Lambda_W), analysis.law.n)
 
     projections = [{"x": cd.W_mu[s].tolist(), "L": literals(rd.L[[cd.state_l[s]]])[0],
                     "G": literals(rd.G[[cd.state_g[s]]])[0], "W": cd.W[cd.state_w[s]].tolist()}

@@ -27,9 +27,14 @@ import numpy as np
 from .analysis import Analysis
 from .cliques import InvariantFamily, invariant_law
 from .errors import InputError, ResourceLimitError
+from .measure import _common
 from .stats import Check, chi_square_gof, chi_square_independence
 
 MAX_SEED = 2**64
+
+# The fewest replications the statistical checks take; a config asking for
+# fewer is refused before the law is analyzed.
+MIN_REPLICATIONS = 1000
 
 # Uniforms drawn per pass of the generator and the state tables: a chunk
 # holds max(1, BATCH_CHUNK_DRAWS // draws per row) replications, about 10^4
@@ -207,8 +212,7 @@ def sample_batch(
                           _draw(w_cdfs[0], u[:, 2])]
         head = 3
     else:
-        phase_cdf = (np.cumsum([float(c) for c in family.c]),
-                     np.arange(len(family.c)))
+        phase_cdf = _cdf(_common(family.c))
         h_cdf = _cdf(([1] * len(rd.H), len(rd.H)))
 
         def start(u):
@@ -226,7 +230,7 @@ def sample_batch(
         raise ResourceLimitError(
             f"replications x draws = {replications} x {head + steps} exceeds the batch "
             f"limit of {MAX_BATCH_DRAWS} draws; shorten the window or lower the replications")
-    map_cdf = _cdf(limits.law.weights)
+    map_cdf = _cdf(analysis.law.weights)
     maps = np.empty((replications, steps), dtype=np.int32)
     states = np.empty((replications, steps + 1), dtype=np.int32)
     for rows, u in _uniform_chunks(seed, replications, head + steps):
@@ -392,8 +396,9 @@ def verify_third_noise(batch: PathBatch, *, alpha: float) -> list:
     replications = len(batch)
     if isinstance(Lambda_W, InvariantFamily):
         raise InputError("third-noise verification needs a stationary batch")
-    if replications < 1000:
-        raise InputError("third-noise verification needs at least 1000 replications")
+    if replications < MIN_REPLICATIONS:
+        raise InputError(f"third-noise verification needs at least {MIN_REPLICATIONS} "
+                         "replications")
     lam, den = Lambda_W
     n_h, n_w = len(rd.H), len(cd.W)
 
@@ -423,8 +428,9 @@ def verify_nonstationary_joint(batch: PathBatch, *, alpha: float) -> list:
     rd, cd = batch.analysis.rd, batch.analysis.cliques
     if not isinstance(family, InvariantFamily):
         raise InputError("joint verification needs a batch drawn from a family")
-    if replications < 1000:
-        raise InputError("joint verification needs at least 1000 replications")
+    if replications < MIN_REPLICATIONS:
+        raise InputError(f"joint verification needs at least {MIN_REPLICATIONS} "
+                         "replications")
     expected = []
     for ci, (nums, den) in zip(family.c, family.Lambda_W):
         expected += [ci * Fraction(v, den) for v in nums]
@@ -447,25 +453,18 @@ def verify_mono_projection(batch: PathBatch, events: dict, *, alpha: float) -> l
     rd, cd = analysis.rd, analysis.cliques
     if isinstance(batch.initial, InvariantFamily):
         raise InputError("mono-projection verification needs a stationary batch")
-    if replications < 1000:
-        raise InputError("mono-projection verification needs at least 1000 replications")
-    marginal = cd.first_marginal(invariant_law(analysis.limits, cd, batch.initial),
-                                 analysis.law.n)
+    if replications < MIN_REPLICATIONS:
+        raise InputError(f"mono-projection verification needs at least {MIN_REPLICATIONS} "
+                         "replications")
+    marginal = cd.first_marginal(invariant_law(analysis, batch.initial), analysis.law.n)
 
-    bad = 0
-    x1_counts = [0] * analysis.law.n
+    x1, xl, u2 = cd.W_mu[:, 0], cd.state_l, rd.G[cd.state_g, 1]
     at_k = np.bincount(batch.states[:, -1], minlength=len(cd.W_mu))
-    for s, c in enumerate(at_k.tolist()):
-        if not c:
-            continue
-        x1 = int(cd.W_mu[s, 0])
-        xl = cd.state_l[s]
-        u2 = rd.G[cd.state_g[s], 1]
-        x1_counts[x1 - 1] += c
-        for value, (want_l, want_u2) in events.items():
-            holds = (want_l is None or xl == want_l) and u2 == want_u2
-            if (x1 == value) != holds:
-                bad += c
+    bad = 0
+    for value, (want_l, want_u2) in events.items():
+        holds = (u2 == want_u2) & (want_l is None or xl == want_l)
+        bad += int(at_k[(x1 == value) != holds].sum())
+    x1_counts = np.bincount(x1[batch.states[:, -1]], minlength=analysis.law.n + 1)[1:]
     return [
         Check("five mono-particle event identities", "exact", bad == 0,
               note=f"{replications} replications"),

@@ -428,9 +428,9 @@ class ScalarReference:
     and Y_C and Z_W; ``decode`` gives the same dict for a row of a batch.
     """
 
-    def __init__(self, limits, W):
-        self.limits, self.W = limits, tuples(W)
-        self.group = rees_objects(limits.rd)
+    def __init__(self, a):
+        self.a, self.W = a, tuples(a.cliques.W)
+        self.group = rees_objects(a.rd)
         self.triple = {apply(l * g, w): (l, g, w)
                        for l in self.group.L for g in self.group.G for w in self.W}
         self.split = {c * h: (c, h) for c in self.group.C for h in self.group.H}
@@ -440,10 +440,10 @@ class ScalarReference:
         C, H = zip(*map(self.split.__getitem__, G))
         return {"N": maps, "X": X, "X_L": list(L), "X_G": list(G), "X_C": list(C),
                 "X_H": list(H), "X_W": list(W),
-                "Y_C": self.group.C[-k_min % self.limits.rd.p] * C[0], "Z_W": W[0]}
+                "Y_C": self.group.C[-k_min % self.a.rd.p] * C[0], "Z_W": W[0]}
 
     def _window(self, x0, k_min, k_max, rng) -> dict:
-        maps = [scalar_draw(self.limits.law.measure.items(), rng)
+        maps = [scalar_draw(self.a.law.measure.items(), rng)
                 for _ in range(k_max - k_min)]
         X = [x0]
         for f in maps:
@@ -451,7 +451,7 @@ class ScalarReference:
         return self._parts(maps, X, k_min)
 
     def _eta_L(self) -> list:
-        return measure_of(self.group.L, self.limits.eta_L).items()
+        return measure_of(self.group.L, self.a.limits.eta_L).items()
 
     def stationary(self, Lambda_W, k_min, k_max, seed) -> dict:
         """X_{k_min} = (l g)(w) with l ~ eta_L, g ~ omega_G, w ~ Lambda_W
@@ -472,7 +472,7 @@ class ScalarReference:
         w = scalar_draw(measure_of(self.W, family.Lambda_W[i]).items(), rng)
         l = scalar_draw(self._eta_L(), rng)
         h = scalar_draw([(h, Fraction(1, len(H))) for h in sorted(H)], rng)
-        return self._window(apply(l * C[(k_min + i) % self.limits.rd.p] * h, w),
+        return self._window(apply(l * C[(k_min + i) % self.a.rd.p] * h, w),
                             k_min, k_max, rng)
 
     def decode(self, batch, r) -> dict:

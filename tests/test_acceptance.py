@@ -100,7 +100,7 @@ def test_criterion_1_golden_example_exact():
         == (fe, Transformation([5, 2, 2, 5, 4]), (2, 4, 5)),
     )
     lam = coordinate_marginal(measure_of(tuples(cd.W_mu), invariant_law(
-        a.limits, cd, vector_of(tuples(cd.W), {(2, 4, 5): 1}))), 1)
+        a, vector_of(tuples(cd.W), {(2, 4, 5): 1}))), 1)
     check(
         "marginal lambda",
         lam == RationalMeasure({1: "1/9", 2: "2/9", 3: "1/9", 4: "2/9", 5: "3/9"}),
@@ -194,7 +194,7 @@ def _structural_suite(a) -> list:
     if set(seen) != set(tuples(cd.W_mu)):
         problems.append("LGW != W_mu")
 
-    lam = measure_of(tuples(cd.W_mu), invariant_law(a.limits, cd, ([1] * len(cd.W), len(cd.W))))
+    lam = measure_of(tuples(cd.W_mu), invariant_law(a, ([1] * len(cd.W), len(cd.W))))
     if push_tuples(a.law, lam) != lam:
         problems.append("invariant law not fixed")
     return problems
@@ -286,7 +286,7 @@ def test_criterion_5_simulation_exact_checks(example_analysis, p3h2_analysis):
     e = rees.e
     fe = next(l for l in rees.L if l != e)
     events = {1: (fe, 4), 2: (e, 2), 3: (fe, 2), 4: (e, 4), 5: (None, 5)}
-    path = ScalarReference(a.limits, a.cliques.W).decode(batch, 0)
+    path = ScalarReference(a).decode(batch, 0)
     for i, x in enumerate(path["X"]):
         u2 = path["X_G"][i].images[1]
         xl = path["X_L"][i]
@@ -298,7 +298,6 @@ def test_criterion_5_simulation_exact_checks(example_analysis, p3h2_analysis):
     b = p3h2_analysis
     W = tuples(b.cliques.W)
     family = InvariantFamily(
-        limits=b.limits,
         c=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
         Lambda_W=tuple(vector_of(W, lam) for lam in (
             {W[0]: 1},
@@ -380,7 +379,6 @@ def test_criterion_7_nonstationary_reduction(p3h2_analysis):
     W = tuples(b.cliques.W)
     w0, w1 = W[0], W[1]
     family = InvariantFamily(
-        limits=b.limits,
         c=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
         Lambda_W=tuple(vector_of(W, lam)
                        for lam in ({w0: 1}, {w0: "1/2", w1: "1/2"}, {w1: 1})),
@@ -391,7 +389,7 @@ def test_criterion_7_nonstationary_reduction(p3h2_analysis):
     )
     joint_ok = all(c.passed for c in rep)
 
-    back = classify_family(b.limits, b.cliques, family.law_at(b.cliques, 0))
+    back = classify_family(b, family.law_at(b, 0))
     round_trip_ok = back.c == family.c and (
         [measure_of(W, lam) for lam in back.Lambda_W]
         == [measure_of(W, lam) for lam in family.Lambda_W])

@@ -132,6 +132,14 @@ def test_malformed_json(capsys, tmp_path, law_file):
     assert code == 3
     assert f"config {latin1} is not UTF-8 text" in err
 
+    # a misspelt field is refused, not dropped
+    misspelt = tmp_path / "misspelt.json"
+    misspelt.write_text(json.dumps({"n": 3, "generators": [[2, 3, 1]], "weights": ["1"],
+                                    "wieghts": ["1/2"]}))
+    code, out, err = run(capsys, "analyze", "--law", str(misspelt))
+    assert (code, out) == (3, "")
+    assert err == "finevo: error: unknown law fields: ['wieghts']\n"
+
     array = tmp_path / "array.json"
     array.write_text(json.dumps([EXAMPLE_LAW]))
     code, _, err = run(capsys, "analyze", "--law", str(array))
@@ -331,6 +339,8 @@ def test_simulate_rejects_unknown_config_fields(capsys, tmp_path, law_file):
     ({"mode": "nonstationary", "family": {"c": ["1"], "Lambda_W": [{"(2,4,5)": "1/2"}]}},
      "weights sum to 1/2, expected 1"),
     ({"Lambda_W": {"(2,4,5)": "-1"}}, "negative weight -1 at (2, 4, 5)"),
+    # fewer replications than the statistical checks take
+    ({"replications": 999}, "replications must be >= 1000"),
 ])
 def test_config_values_of_the_wrong_type_exit_3(capsys, tmp_path, monkeypatch, law_file,
                                                 fields, message):
@@ -677,11 +687,13 @@ def test_seed_range(capsys):
 
 
 def test_example_checks_its_config_like_simulate(capsys):
-    for replications in ("-5", "0"):
+    # the statistical checks take at least 1000 replications, so fewer are
+    # refused with the config, before the analysis
+    for replications in ("-5", "0", "999"):
         code, out, err = run(capsys, "example", "--replications", replications,
                              "--no-timestamp")
         assert (code, out) == (3, "")
-        assert err == "finevo: error: replications must be >= 1\n"
+        assert err == "finevo: error: replications must be >= 1000\n"
 
 
 def _package_env() -> dict:

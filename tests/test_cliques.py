@@ -154,7 +154,7 @@ def test_projection_round_trip(example_analysis):
 
 def test_invariant_law_golden(example_analysis):
     a = example_analysis
-    x = invariant_law(a.limits, a.cliques, vector_of(tuples(a.cliques.W), {(2, 4, 5): 1}))
+    x = invariant_law(a, vector_of(tuples(a.cliques.W), {(2, 4, 5): 1}))
     lam = measure_of(tuples(a.cliques.W_mu), x)
     assert push_tuples(a.law, lam) == lam
     marginal = coordinate_marginal(lam, 1)
@@ -175,7 +175,7 @@ def test_convex_combination_of_invariant_laws_is_invariant(p3h2_analysis):
     a = p3h2_analysis
     W, W_mu = tuples(a.cliques.W), tuples(a.cliques.W_mu)
     w0, w1 = W[0], W[1]
-    lam0, lam1 = (measure_of(W_mu, invariant_law(a.limits, a.cliques, vector_of(W, {w: 1})))
+    lam0, lam1 = (measure_of(W_mu, invariant_law(a, vector_of(W, {w: 1})))
                   for w in (w0, w1))
     mixed = RationalMeasure({x: Fraction(1, 4) * lam0[x] + Fraction(3, 4) * lam1[x]
                              for x in set(lam0.support()) | set(lam1.support())})
@@ -184,8 +184,8 @@ def test_convex_combination_of_invariant_laws_is_invariant(p3h2_analysis):
 
 def test_classify_unique_invariant_law(example_analysis):
     a = example_analysis
-    lam = invariant_law(a.limits, a.cliques, vector_of(tuples(a.cliques.W), {(2, 4, 5): 1}))
-    family = classify_family(a.limits, a.cliques, lam)
+    lam = invariant_law(a, vector_of(tuples(a.cliques.W), {(2, 4, 5): 1}))
+    family = classify_family(a, lam)
     assert family.c == (Fraction(1),)
     assert measure_of(tuples(a.cliques.W), family.Lambda_W[0]) == RationalMeasure({(2, 4, 5): 1})
 
@@ -196,22 +196,45 @@ def test_classify_single_phase_family(p3h2_analysis):
     group = rees_objects(a.rd)
     omega_H = RationalMeasure(dict.fromkeys(group.H, Fraction(1, len(group.H))))
     lam0 = measure_product([measure_of(group.L, a.limits.eta_L), group.gamma, omega_H, w])
-    family = classify_family(a.limits, a.cliques, vector_of(tuples(a.cliques.W_mu), lam0))
+    family = classify_family(a, vector_of(tuples(a.cliques.W_mu), lam0))
     assert family.c == (0, 1, 0)
     assert measure_of(tuples(a.cliques.W), family.Lambda_W[1]) == RationalMeasure({w: 1})
+
+
+def _family_oracle(a, family, k) -> RationalMeasure:
+    """Lambda_k = sum_i c_i eta_L gamma^(k+i) omega_H Lambda_W^i, by products
+    of transformations: gamma^m is e gamma ... gamma, m factors of gamma."""
+    group = rees_objects(a.rd)
+    omega_H = RationalMeasure(dict.fromkeys(group.H, Fraction(1, len(group.H))))
+    eta_L, W = measure_of(group.L, a.limits.eta_L), tuples(a.cliques.W)
+    acc = {}
+    for i, (ci, lam) in enumerate(zip(family.c, family.Lambda_W)):
+        power = group.e
+        for _ in range(k + i):
+            power = power * group.gamma
+        if ci:
+            for x, v in measure_product([eta_L, power, omega_H, measure_of(W, lam)]).items():
+                acc[x] = acc.get(x, Fraction(0)) + ci * v
+    return RationalMeasure(acc)
+
+
+def _assert_law_at_matches_the_oracle(a, family) -> None:
+    W_mu = tuples(a.cliques.W_mu)
+    for k in range(a.rd.p + 1):
+        assert measure_of(W_mu, family.law_at(a, k)) == _family_oracle(a, family, k)
 
 
 def test_classify_round_trip(p3h2_analysis):
     a = p3h2_analysis
     w0, w1 = tuples(a.cliques.W)[0], tuples(a.cliques.W)[1]
     family = InvariantFamily(
-        limits=a.limits,
         c=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
         Lambda_W=tuple(vector_of(tuples(a.cliques.W), lam) for lam in (
             {w0: 1}, {w0: "1/2", w1: "1/2"}, {w1: 1})),
     )
-    lam0 = family.law_at(a.cliques, 0)
-    back = classify_family(a.limits, a.cliques, lam0)
+    _assert_law_at_matches_the_oracle(a, family)
+    lam0 = family.law_at(a, 0)
+    back = classify_family(a, lam0)
     assert back.c == family.c
     assert ([measure_of(tuples(a.cliques.W), lam) for lam in back.Lambda_W]
             == [measure_of(tuples(a.cliques.W), lam) for lam in family.Lambda_W])
@@ -219,7 +242,7 @@ def test_classify_round_trip(p3h2_analysis):
     current = measure_of(tuples(a.cliques.W_mu), lam0)
     for k in range(1, 4):
         current = push_tuples(a.law, current)
-        assert current == measure_of(tuples(a.cliques.W_mu), family.law_at(a.cliques, k))
+        assert current == measure_of(tuples(a.cliques.W_mu), family.law_at(a, k))
 
 
 def test_classify_rejects_non_family_law(p3h2_analysis):
@@ -227,7 +250,7 @@ def test_classify_rejects_non_family_law(p3h2_analysis):
     # uniform on W_mu is not of the family form unless eta_L/omega_H arrange it
     lam = vector_of(tuples(a.cliques.W_mu), {tuples(a.cliques.W_mu)[0]: 1})
     with pytest.raises(ClassificationError) as err:
-        classify_family(a.limits, a.cliques, lam)
+        classify_family(a, lam)
     assert err.value.residual
 
 
@@ -272,6 +295,7 @@ def test_classify_round_trip_on_fuzz_instances(fuzz_analyses):
     rng = random.Random(99)
     cyclic = [a for a in analyses if a.rd.p > 1][:12]
     assert cyclic, "corpus must contain instances with p > 1"
+    zero_seen = False
     for a in cyclic:
         p = a.rd.p
         raw = [rng.randint(0, 4) for _ in range(p)]
@@ -283,12 +307,15 @@ def test_classify_round_trip_on_fuzz_instances(fuzz_analyses):
         lambdas = tuple(
             vector_of(W, {rng.choice(W): 1}) for _ in range(p)
         )
-        family = InvariantFamily(limits=a.limits, c=c, Lambda_W=lambdas)
-        back = classify_family(a.limits, a.cliques, family.law_at(a.cliques, 0))
+        family = InvariantFamily(c=c, Lambda_W=lambdas)
+        _assert_law_at_matches_the_oracle(a, family)
+        zero_seen |= 0 in c
+        back = classify_family(a, family.law_at(a, 0))
         assert back.c == c
         for ci, got, want in zip(c, back.Lambda_W, lambdas):
             if ci > 0:
                 assert measure_of(W, got) == measure_of(W, want)
+    assert zero_seen, "a family with a coefficient of 0 must be among them"
 
 
 def test_compute_W_on_trivial_semigroup():

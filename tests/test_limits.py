@@ -486,7 +486,7 @@ def test_indexed_convolution_matches_the_oracle(example_analysis, p3h2_analysis,
         for left in (True, False):
             product = (convolve(a.law.measure, _on_kernel(rd, x)) if left
                        else convolve(_on_kernel(rd, x), a.law.measure))
-            assert _on_kernel(rd, _act(a.law, rd, x, rd.left if left else rd.right)) == product
+            assert _on_kernel(rd, _act(a.law, x, rd.left if left else rd.right)) == product
 
 
 def test_blockwise_convolve_equals_the_pairwise_product(fuzz_corpus, monkeypatch):

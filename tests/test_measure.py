@@ -126,7 +126,7 @@ def test_marginal_transition_matrix_golden_rows(example_analysis):
     assert all(sum(row) == 1 for row in mat)
     # the first coordinate of an invariant tuple law is invariant for the
     # one-point chain
-    x = invariant_law(a.limits, a.cliques, ([1] * len(a.cliques.W), len(a.cliques.W)))
+    x = invariant_law(a, ([1] * len(a.cliques.W), len(a.cliques.W)))
     pi = [coordinate_marginal(measure_of(tuples(a.cliques.W_mu), x), 1)[y] for y in range(1, 6)]
     assert a.cliques.first_marginal(x, 5) == pi
     assert [sum(pi[x] * mat[x][y] for x in range(5)) for y in range(5)] == pi

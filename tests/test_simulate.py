@@ -7,7 +7,7 @@ import pytest
 from finevo import analyze_law, simulate
 from finevo.cliques import InvariantFamily
 from finevo.errors import InputError
-from finevo.measure import MappingLaw, RationalMeasure
+from finevo.measure import MappingLaw, RationalMeasure, _common
 from finevo.cli import mono_projection_events
 from finevo.simulate import (
     philox_uniforms,
@@ -39,7 +39,7 @@ def one_path(a, initial, k_min, k_max, seed):
 
 def decode(a, batch, r=0) -> dict:
     """Row r of a batch as maps, tuples and their parts (see ScalarReference)."""
-    return ScalarReference(a.limits, a.cliques.W).decode(batch, r)
+    return ScalarReference(a).decode(batch, r)
 
 
 @pytest.fixture(scope="module")
@@ -179,7 +179,7 @@ def test_third_noise_requires_enough_replications(example_analysis):
 def test_verifiers_reject_the_other_kind_of_batch(example_analysis):
     a = example_analysis
     lw = w_law(a, {0: 1})
-    family = InvariantFamily(limits=a.limits, c=(Fraction(1),), Lambda_W=(lw,))
+    family = InvariantFamily(c=(Fraction(1),), Lambda_W=(lw,))
     with pytest.raises(InputError, match="needs a stationary batch"):
         verify_third_noise(sample_batch(a, family, -3, 0, 1, 1000), alpha=0.001)
     with pytest.raises(InputError, match="needs a stationary batch"):
@@ -187,6 +187,24 @@ def test_verifiers_reject_the_other_kind_of_batch(example_analysis):
                                mono_projection_events(a.rd), alpha=0.001)
     with pytest.raises(InputError, match="drawn from a family"):
         verify_nonstationary_joint(sample_batch(a, lw, -3, 0, 1, 1000), alpha=0.001)
+
+
+def test_a_phase_of_coefficient_0_is_never_drawn(monkeypatch):
+    # the float sums of (1/10 x10) and of (1/6, 2/3, 1/6) both end at
+    # 1 - 2^-53, the largest uniform: a trailing phase of coefficient 0 is
+    # not in the cdf, so that uniform draws the last phase of positive weight
+    u = 1 - 2**-53
+    tenths = _common([Fraction(1, 10)] * 10 + [Fraction(0)])
+    assert simulate._draw(simulate._cdf(tenths), np.array([u])).tolist() == [9]
+    a = analyze_law(MappingLaw.from_dict({"n": 4, "generators": [[2, 3, 4, 1]],
+                                          "weights": ["1"]}))
+    assert a.rd.p == 4
+    family = InvariantFamily(c=(Fraction(1, 6), Fraction(2, 3), Fraction(1, 6), Fraction(0)),
+                             Lambda_W=(w_law(a, {0: 1}),) * 4)
+    monkeypatch.setattr(simulate, "philox_uniforms",
+                        lambda keys, count: np.full((len(keys), count), u))
+    batch = sample_batch(a, family, -5, 0, 7, 3)
+    assert batch.y_c.tolist() == [2, 2, 2]
 
 
 def test_mono_projection_battery(example_analysis):
@@ -202,7 +220,6 @@ def test_mono_projection_battery(example_analysis):
 def test_nonstationary_single_term_reduces_to_stationary(example_analysis):
     a = example_analysis
     family = InvariantFamily(
-        limits=a.limits,
         c=(Fraction(1),),
         Lambda_W=(w_law(a, {0: 1}),),
     )
@@ -215,7 +232,6 @@ def test_nonstationary_deterministic_phase(p3h2_analysis):
     a = p3h2_analysis
     w = tuples(a.cliques.W)[0]
     family = InvariantFamily(
-        limits=a.limits,
         c=(Fraction(1), Fraction(0), Fraction(0)),
         Lambda_W=(w_law(a, {0: 1}),) * 3,
     )
@@ -231,7 +247,6 @@ def test_nonstationary_deterministic_phase(p3h2_analysis):
 def test_nonstationary_joint_frequencies(p3h2_analysis):
     a = p3h2_analysis
     family = InvariantFamily(
-        limits=a.limits,
         c=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
         Lambda_W=(
             w_law(a, {0: 1}),
@@ -315,7 +330,7 @@ def test_one_time_law_matches_invariant_marginal(example_analysis):
     a = example_analysis
     lw = w_law(a, {0: 1})
     W_mu = tuples(a.cliques.W_mu)
-    lam = measure_of(W_mu, invariant_law(a.limits, a.cliques, lw))
+    lam = measure_of(W_mu, invariant_law(a, lw))
     counts = {}
     reps = 3000
     for r in range(reps):
@@ -348,7 +363,7 @@ def mixing_uniformity(a, n, replications=2000, seed=7):
     H, z the first kernel element; replication r draws N_1..N_n from
     Philox(key=seed ^ r)."""
     rees = rees_objects(a.rd)
-    split = ScalarReference(a.limits, a.cliques.W).split
+    split = ScalarReference(a).split
     counts = {}
     for r in range(replications):
         rng = np.random.Generator(np.random.Philox(key=seed ^ r))
@@ -451,7 +466,7 @@ def _third_noise_reference(ref, lw, seed):
 def test_stationary_counts_match_scalar_reference(name, request, tested_counts):
     a = request.getfixturevalue(f"{name}_analysis")
     lw = w_law(a)
-    ref = ScalarReference(a.limits, a.cliques.W)
+    ref = ScalarReference(a)
     want, rows = _third_noise_reference(ref, lw, 42)
     batch = sample_batch(a, lw, -3, 0, 42, REPS)
     verify_third_noise(batch, alpha=0.001)
@@ -475,7 +490,7 @@ def test_stationary_counts_match_scalar_reference(name, request, tested_counts):
 def test_mono_counts_match_scalar_reference(example_analysis, tested_counts):
     a = example_analysis
     lw = w_law(a, {0: 1})
-    ref = ScalarReference(a.limits, a.cliques.W)
+    ref = ScalarReference(a)
     want = {}
     for r in range(REPS):
         _add(want, ref.stationary(lw, -3, 0, 42 ^ r)["X"][-1][0])
@@ -489,7 +504,6 @@ def test_mono_counts_match_scalar_reference(example_analysis, tested_counts):
 def test_nonstationary_counts_match_scalar_reference(p3h2_analysis, tested_counts):
     a = p3h2_analysis
     family = InvariantFamily(
-        limits=a.limits,
         c=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
         Lambda_W=(
             w_law(a, {0: 1}),
@@ -497,7 +511,7 @@ def test_nonstationary_counts_match_scalar_reference(p3h2_analysis, tested_count
             w_law(a, {1: 1}),
         ),
     )
-    ref = ScalarReference(a.limits, a.cliques.W)
+    ref = ScalarReference(a)
     want = {}
     for r in range(REPS):
         row = ref.nonstationary(family, -10, -7, 42 ^ r)
@@ -515,9 +529,10 @@ def test_nonstationary_counts_match_scalar_reference(p3h2_analysis, tested_count
 def test_nonstationary_paths_match_scalar_reference(example_analysis):
     # two L-parts and H = G: every one of the four start draws shows in X
     a = example_analysis
-    family = InvariantFamily(limits=a.limits, c=(Fraction(1),),
+    family = InvariantFamily(
+                             c=(Fraction(1),),
                              Lambda_W=(w_law(a, {0: 1}),))
-    ref = ScalarReference(a.limits, a.cliques.W)
+    ref = ScalarReference(a)
     for seed in range(40):
         path = one_path(a, family, -4, 0, seed)
         assert ref.decode(path, 0) == ref.nonstationary(family, -4, 0, seed)
