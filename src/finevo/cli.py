@@ -15,7 +15,7 @@ from .analysis import analyze_law, example_law
 from .cliques import InvariantFamily, classify_family
 from .errors import FinevoError, InputError
 from .limits import CESARO_N, float_limit_oracle, sup_error
-from .measure import MappingLaw, RationalMeasure, as_fraction
+from .measure import MappingLaw, RationalMeasure, _uniform, as_fraction
 from .report import build_report, render_text, report_to_json
 from .semigroup import DEFAULT_ELEMENT_CAP
 from .simulate import (
@@ -239,7 +239,7 @@ def _resolve_lambda_w(config, analysis) -> tuple:
     """The stationary Lambda_W as a W vector; uniform on W by default."""
     cd = analysis.cliques
     if config["Lambda_W"] is None:
-        return [1] * len(cd.W), len(cd.W)
+        return _uniform(len(cd.W))
     return cd.w_vector(config["Lambda_W"])
 
 

@@ -15,11 +15,12 @@ The f-cliques, W_mu and W are integer rows, sorted as tuples, and past
 ``compute_W`` a stable tuple is a position in W_mu. ``compute_W`` composes
 every (generator, tuple) and (l, g, w) fact once, by gathers on the image
 rows of ``ReesData``, into integer tables, looking the tuples up in W_mu
-with ``finevo.semigroup.positions_in``. A tuple law is a vector:
-Python-int numerators, one per W_mu position (or per W position for a law
-on W), over one common denominator. The product laws eta_L gamma^j omega_H
-Lambda_W are read off the state columns by one gather, and the step table
-pushes tuple laws forward as ``finevo.limits`` pushes kernel vectors.
+with ``finevo.semigroup.positions_in``. A tuple law is an exact vector:
+an object array of Python-int numerators, one per W_mu position (or per W
+position for a law on W), over one common denominator. The product laws
+eta_L gamma^j omega_H Lambda_W are read off the state columns by one
+gather, marginals and the phase/W joint are scatters on them, and the step
+table pushes tuple laws forward as ``finevo.limits`` pushes kernel vectors.
 A ``RationalMeasure`` on tuples is only ever parsed input: ``w_vector``
 turns it into a W vector.
 """
@@ -84,7 +85,7 @@ class CliqueData:
         index = {w: i for i, w in enumerate(map(tuple, self.W.tolist()))}
         items = lam.items()
         weights, den = _common([v for _, v in items])
-        nums = [0] * len(self.W)
+        nums = np.zeros(len(self.W), dtype=object)
         for (x, _), v in zip(items, weights):
             if x not in index:
                 raise InputError(f"Lambda_W has mass at {x} outside W")
@@ -94,9 +95,8 @@ class CliqueData:
     def first_marginal(self, x: tuple, n: int) -> list:
         """The law of the first coordinate under a W_mu vector, as the
         probabilities of the points 1..n."""
-        acc = [0] * (n + 1)
-        for y, v in zip(self.W_mu[:, 0].tolist(), x[0]):
-            acc[y] += v
+        acc = np.zeros(n + 1, dtype=object)
+        np.add.at(acc, self.W_mu[:, 0], x[0])
         return [Fraction(v, x[1]) for v in acc[1:]]
 
 
@@ -187,11 +187,10 @@ class InvariantFamily:
         rd, cd = a.rd, a.cliques
         (eta, eta_den), (c, c_den) = a.limits.eta_L, _common(self.c)
         lam_den = lcm(*(den for _, den in self.Lambda_W))
-        table = np.array([[ci * (lam_den // den) * v for v in lam]
-                          for ci, (lam, den) in zip(c, self.Lambda_W)], dtype=object)
-        nums = (np.array(eta, dtype=object)[cd.state_l]
-                * table[(cd.state_c - k) % rd.p, cd.state_w])
-        return nums.tolist(), eta_den * c_den * lam_den * len(rd.H)
+        table = np.stack([ci * (lam_den // den) * lam
+                          for ci, (lam, den) in zip(c, self.Lambda_W)])
+        nums = eta[cd.state_l] * table[(cd.state_c - k) % rd.p, cd.state_w]
+        return nums, eta_den * c_den * lam_den * len(rd.H)
 
 
 def invariant_law(a, Lambda_W: tuple) -> tuple:
@@ -214,21 +213,20 @@ def classify_family(a, x: tuple) -> InvariantFamily:
     recursion Lambda_k = mu Lambda_{k-1} over one full period.
     """
     rd, cd = a.rd, a.cliques
-    joint = [[0] * len(cd.W) for _ in range(rd.p)]
-    for j, w, v in zip(cd.state_c.tolist(), cd.state_w.tolist(), x[0]):
-        joint[j][w] += v
+    joint = np.zeros((rd.p, len(cd.W)), dtype=object)
+    np.add.at(joint, (cd.state_c, cd.state_w), x[0])
 
-    mass = [sum(row) for row in joint]
+    mass = joint.sum(axis=1)
     # a phase of mass 0 gets the point law at W[0]
-    lambdas = [(row, m) if m else ([1] + [0] * (len(cd.W) - 1), 1) for row, m in zip(joint, mass)]
+    point = np.eye(1, len(cd.W), dtype=object)[0], 1
+    lambdas = [(row, m) if m else point for row, m in zip(joint, mass)]
     family = InvariantFamily(c=tuple(Fraction(m, x[1]) for m in mass), Lambda_W=tuple(lambdas))
 
     rebuilt = family.law_at(a, 0)
     if not _same(rebuilt, x):
-        residual = {}
-        for s, (u, v) in enumerate(zip(x[0], rebuilt[0])):
-            if u * rebuilt[1] != v * x[1]:
-                residual[tuple(cd.W_mu[s].tolist())] = (Fraction(u, x[1]), Fraction(v, rebuilt[1]))
+        (u, u_den), (v, v_den) = x, rebuilt
+        residual = {tuple(cd.W_mu[s].tolist()): (Fraction(u[s], u_den), Fraction(v[s], v_den))
+                    for s in np.flatnonzero(u * v_den != v * u_den)}
         raise ClassificationError(
             "law is not of the cyclic family form", residual=residual
         )

@@ -13,9 +13,10 @@ eta_L x omega_G and omega_G x eta_R. One double-precision pass over the
 powers mu^k, on vectors by closure position, is kept as an independent
 cross-check: it estimates p, eta and nu and gives the running average.
 
-Every exact law is a vector (numerators, denominator): Python ints by
-position in the kernel, ``rd.L`` or ``rd.R``, over one common
-denominator, like the law's own ``MappingLaw.weights``.
+Every exact law is a vector (nums, den): one object array of Python-int
+numerators by position in the kernel, ``rd.L`` or ``rd.R``, over one
+common denominator, like the law's own ``MappingLaw.weights``. Products,
+sums and comparisons of vectors are array operations on the numerators.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ FLOAT_TOL = 1e-12
 CESARO_N = 10_000
 
 
-def solve_stationary(matrix: list) -> tuple:
-    """The unique probability vector pi with pi P = pi, as (numerators,
-    denominator) over its least common denominator.
+def solve_stationary(matrix) -> tuple:
+    """The unique probability vector pi with pi P = pi, as an exact vector
+    over its least common denominator.
 
     ``matrix`` holds integer rows that all sum to one D, so P = matrix / D.
     The balance equations (matrix^T - D I) pi = 0, the last replaced by
@@ -49,44 +50,38 @@ def solve_stationary(matrix: list) -> tuple:
     the determinant, a common denominator of pi. Raises
     StructuralInconsistencyError on rank deficiency.
     """
-    m, den = len(matrix), sum(matrix[0])
-    rows = [[matrix[i][j] - den * (i == j) for i in range(m)] + [0] for j in range(m - 1)]
-    rows.append([1] * (m + 1))
+    m = len(matrix)
+    rows = np.zeros((m, m + 1), dtype=object)
+    rows[:, :m] = np.transpose(matrix) - sum(matrix[0]) * np.identity(m, dtype=object)
+    rows[-1] = 1
     previous = 1
     for col in range(m):
-        pivot_row = next((r for r in range(col, m) if rows[r][col]), None)
-        if pivot_row is None:
+        nonzero = np.flatnonzero(rows[col:, col])
+        if not len(nonzero):
             raise StructuralInconsistencyError(
                 "stationary system is rank deficient; fixed point not unique")
-        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-        top = rows[col]
-        for row in rows:
-            if row is not top:
-                # only the columns right of the pivot are read again
-                row[col + 1:] = [(top[col] * a - row[col] * b) // previous
-                                 for a, b in zip(row[col + 1:], top[col + 1:])]
+        top = rows[col + nonzero[0]].copy()
+        rows[col + nonzero[0]] = rows[col]
+        # every other row; only the columns right of the pivot are read again
+        rows[:, col + 1:] = (top[col] * rows[:, col + 1:]
+                             - rows[:, col, None] * top[col + 1:]) // previous
+        rows[col] = top
         previous = top[col]
 
-    common = gcd(previous, *(row[m] for row in rows)) * (1 if previous > 0 else -1)
-    nums, den = [row[m] // common for row in rows], previous // common
-    if sum(nums) != den or any(v < 0 for v in nums):
+    common = gcd(previous, *rows[:, m]) * (1 if previous > 0 else -1)
+    nums, den = rows[:, m] // common, previous // common
+    if nums.sum() != den or (nums < 0).any():
         raise StructuralInconsistencyError("stationary solve produced an invalid vector")
     return nums, den
 
-
-# An exact measure on the kernel is a pair (numerators, denominator): Python
-# ints indexed by kernel position over one common denominator.
 
 def _act(law: MappingLaw, x: tuple, tables) -> tuple:
     """mu acting on x through one table per generator: mu * x for
     ``ReesData.left``, x * mu for ``ReesData.right``, and the law of N(X)
     for ``CliqueData.step`` on stable tuples."""
     weights, den = law.weights
-    support = [(z, v) for z, v in enumerate(x[0]) if v]
-    out = [0] * len(x[0])
-    for w, table in zip(weights, tables.tolist()):
-        for z, v in support:
-            out[table[z]] += w * v
+    out = np.zeros(len(x[0]), dtype=object)
+    np.add.at(out, tables, weights[:, None] * x[0])
     return out, x[1] * den
 
 
@@ -96,18 +91,18 @@ def _convolve(rd: ReesData, a: tuple, b: tuple) -> tuple:
     of a's support against b's support at a time."""
     at, gmul, sandwich = rd.at, rd.gmul, rd.sandwich
     l, g, r = rd.coords.T
-    u, v = np.array(a[0], dtype=object), np.array(b[0], dtype=object)
+    u, v = a[0], b[0]
     ys, zs = np.flatnonzero(u), np.flatnonzero(v)
     out = np.zeros(len(u), dtype=object)
     rows = max(1, BLOCK // max(1, len(zs)))
     for y in (ys[i:i + rows, None] for i in range(0, len(ys), rows)):
         z = at[l[y], gmul[gmul[g[y], sandwich[r[y], l[zs]]], g[zs]], r[zs]]
         np.add.at(out, z, u[y] * v[zs])
-    return out.tolist(), a[1] * b[1]
+    return out, a[1] * b[1]
 
 
 def _same(a: tuple, b: tuple) -> bool:
-    return all(x * b[1] == y * a[1] for x, y in zip(a[0], b[0]))
+    return np.array_equal(a[0] * b[1], b[0] * a[1])
 
 
 def boundary_stationary(law: MappingLaw, rd: ReesData, left: bool) -> tuple:
@@ -126,12 +121,9 @@ def boundary_stationary(law: MappingLaw, rd: ReesData, left: bool) -> tuple:
     l0, g0, r0 = rd.coords[rd.e]
     states = rd.at[:, g0, r0] if left else rd.at[l0, g0]
     tables = rd.left if left else rd.right
-    side = rd.coords[tables[:, states], 0 if left else 2].tolist()
-    weights, _ = law.weights
-    matrix = [[0] * len(states) for _ in states]
-    for w, targets in zip(weights, side):
-        for b, c in enumerate(targets):
-            matrix[b][c] += w
+    side = rd.coords[tables[:, states], 0 if left else 2]
+    matrix = np.zeros((len(states), len(states)), dtype=object)
+    np.add.at(matrix, (np.arange(len(states)), side), law.weights[0][:, None])
     return solve_stationary(matrix)
 
 
@@ -159,10 +151,10 @@ def assemble_limits(law: MappingLaw, rd: ReesData, eta_L: tuple, eta_R: tuple) -
     """
     (lw, l_den), (rw, r_den) = eta_L, eta_R
     l, g, r = rd.coords.T
-    product = np.array(lw, dtype=object)[l] * np.array(rw, dtype=object)[r]
+    product = lw[l] * rw[r]
     den = l_den * r_den * len(rd.H)
-    cycle = [(np.where(rd.coset_of[g] == k, product, 0).tolist(), den) for k in range(rd.p)]
-    eta, nu = cycle[0], (product.tolist(), den * rd.p)
+    cycle = [(np.where(rd.coset_of[g] == k, product, 0), den) for k in range(rd.p)]
+    eta, nu = cycle[0], (product, den * rd.p)
 
     if not _same(_convolve(rd, eta, eta), eta):
         raise StructuralInconsistencyError("eta * eta != eta")
@@ -173,17 +165,11 @@ def assemble_limits(law: MappingLaw, rd: ReesData, eta_L: tuple, eta_R: tuple) -
         raise StructuralInconsistencyError("nu * nu != nu")
     if not all(_same(_act(law, nu, tables), nu) for tables in (rd.left, rd.right)):
         raise StructuralInconsistencyError("nu is not mu-invariant")
-    if not all(nu[0]):
+    if not nu[0].all():
         raise StructuralInconsistencyError("supp(nu) != kernel")
-    lhr = set(rd.at[:, rd.H].ravel().tolist())
-    if {z for z, v in enumerate(eta[0]) if v} != lhr:
+    # compared as sets: a numpy sort would page in its kernels for this one check
+    if set(np.flatnonzero(eta[0]).tolist()) != set(rd.at[:, rd.H].ravel().tolist()):
         raise StructuralInconsistencyError("supp(eta) != L H R")
-    covered = set()
-    for nums, _ in cycle:
-        supp = {z for z, v in enumerate(nums) if v}
-        if covered & supp:
-            raise StructuralInconsistencyError("cycle supports are not disjoint")
-        covered |= supp
     return CyclicLimit(eta_L=eta_L, eta_R=eta_R, eta=eta, nu=nu)
 
 
@@ -193,7 +179,7 @@ def _power_step(law: MappingLaw, closure: np.ndarray) -> tuple:
     with the weights."""
     table = left_products(closure, law.generators)
     nums, den = law.weights
-    weights = np.array([[v / den] for v in nums])
+    weights = np.array(nums / den, dtype=float)[:, None]
     v0 = np.zeros(len(closure))
     v0[:len(weights)] = weights[:, 0]
     terms = np.empty((len(weights), len(closure)))
@@ -293,5 +279,5 @@ def sup_error(a, vector: tuple, approx: np.ndarray) -> float:
     """Largest |exact - approx| over the closure of the ``Analysis`` ``a``,
     for an exact kernel vector and a float vector by closure position."""
     exact = np.zeros(len(a.closure))
-    exact[positions_in(a.closure)(a.rd.kernel)] = [v / vector[1] for v in vector[0]]
+    exact[positions_in(a.closure)(a.rd.kernel)] = vector[0] / vector[1]
     return float(np.abs(exact - approx).max())

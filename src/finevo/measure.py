@@ -7,9 +7,10 @@ is only ever input: the law's ``MappingLaw.measure`` on transformations,
 whose integer vector ``MappingLaw.weights`` is built once at parse, and a
 config's Lambda_W and family laws on point tuples, which
 ``CliqueData.w_vector`` turns into W vectors once. Every exact law computed
-from them is an integer vector (numerators by position, one denominator):
-kernel laws in ``finevo.limits`` over the Rees coordinate tables, and
-tuple laws in ``finevo.cliques`` over the positions of the stable tuples.
+from them is an integer vector (nums, den): one object array of Python-int
+numerators by position over one denominator, as ``_common`` builds it.
+Kernel laws in ``finevo.limits`` are indexed by the Rees coordinate tables,
+tuple laws in ``finevo.cliques`` by the positions of the stable tuples.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import lcm
+
+import numpy as np
 
 from .errors import InputError
 from .transform import Transformation
@@ -40,9 +43,15 @@ def as_fraction(value) -> Fraction:
 
 
 def _common(weights: list) -> tuple:
-    """Integer numerators of Fractions over their least common denominator."""
+    """The exact vector of Fractions: their numerators over their least
+    common denominator, as an object array of Python ints."""
     den = lcm(*(w.denominator for w in weights))
-    return [w.numerator * (den // w.denominator) for w in weights], den
+    return np.array([w.numerator * (den // w.denominator) for w in weights], dtype=object), den
+
+
+def _uniform(size: int) -> tuple:
+    """The exact vector of the uniform law on ``size`` positions."""
+    return np.full(size, 1, dtype=object), size
 
 
 class RationalMeasure:
@@ -87,7 +96,7 @@ class RationalMeasure:
 
 class MappingLaw:
     """A rational probability on transformations of one finite set;
-    ``weights`` is its integer vector: the numerators of its weights in
+    ``weights`` is its exact vector: the numerators of its weights in
     ``generators`` order over their least common denominator."""
 
     __slots__ = ("n", "measure", "weights")

@@ -19,6 +19,7 @@ from . import __version__
 from .analysis import Analysis
 from .cliques import invariant_law
 from .limits import _same
+from .measure import _uniform
 from .semigroup import literals
 from .transform import tuple_literal
 
@@ -40,7 +41,7 @@ def build_report(analysis: Analysis, *, seed=None, timestamp: bool = True,
     run blocks, in the order of the keywords."""
     rd, limits, cd = analysis.rd, analysis.limits, analysis.cliques
 
-    canonical_Lambda_W = ([1] * len(cd.W), len(cd.W))
+    canonical_Lambda_W = _uniform(len(cd.W))
     marginal = cd.first_marginal(invariant_law(analysis, canonical_Lambda_W), analysis.law.n)
 
     projections = [{"x": cd.W_mu[s].tolist(), "L": literals(rd.L[[cd.state_l[s]]])[0],

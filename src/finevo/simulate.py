@@ -27,7 +27,7 @@ import numpy as np
 from .analysis import Analysis
 from .cliques import InvariantFamily, invariant_law
 from .errors import InputError, ResourceLimitError
-from .measure import _common
+from .measure import _common, _uniform
 from .stats import Check, chi_square_gof, chi_square_independence
 
 MAX_SEED = 2**64
@@ -130,9 +130,9 @@ def _cdf(x: tuple) -> tuple:
     """Running float sums of the positive weights of a vector (numerators,
     denominator), in position order, and their positions."""
     nums, den = x
-    index = [i for i, v in enumerate(nums) if v]
-    return (np.cumsum([float(Fraction(nums[i], den)) for i in index]),
-            np.array(index, dtype=np.intp))
+    index = np.flatnonzero(nums)
+    # Python's int / int is correctly rounded at any size, as float(Fraction) is
+    return np.cumsum(nums[index] / den, dtype=float), index
 
 
 def _draw(cdf: tuple, u: np.ndarray) -> np.ndarray:
@@ -205,7 +205,7 @@ def sample_batch(
 
     l_cdf = _cdf(limits.eta_L)
     if family is None:
-        g_cdf = _cdf(([1] * len(rd.G), len(rd.G)))
+        g_cdf = _cdf(_uniform(len(rd.G)))
 
         def start(u):
             return cd.lgw[_draw(l_cdf, u[:, 0]), _draw(g_cdf, u[:, 1]),
@@ -213,7 +213,7 @@ def sample_batch(
         head = 3
     else:
         phase_cdf = _cdf(_common(family.c))
-        h_cdf = _cdf(([1] * len(rd.H), len(rd.H)))
+        h_cdf = _cdf(_uniform(len(rd.H)))
 
         def start(u):
             i = _draw(phase_cdf, u[:, 0])

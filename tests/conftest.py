@@ -3,7 +3,7 @@ import time
 import pytest
 
 from finevo import analyze_law, example_law
-from fuzzlaws import corpus, cyclic3_law, p3_h2_law
+from fuzzlaws import corpus, cyclic3_law, p3_h2_law, r7g2_law
 
 
 @pytest.fixture(scope="session")
@@ -19,6 +19,11 @@ def cyclic3_analysis():
 @pytest.fixture(scope="session")
 def p3h2_analysis():
     return analyze_law(p3_h2_law())
+
+
+@pytest.fixture(scope="session")
+def r7g2_analysis():
+    return analyze_law(r7g2_law())
 
 
 @pytest.fixture(scope="session")

@@ -95,6 +95,19 @@ def p3_h2_law() -> MappingLaw:
     )
 
 
+def r7g2_law() -> MappingLaw:
+    """The idempotent merging 7 and 8 and the transposition (1 2): a
+    two-element rank-7 kernel with |G| = 2 and one f-clique {1..7}, whose
+    7! = 5,040 orderings are the stable tuples W_mu."""
+    return MappingLaw.from_dict(
+        {
+            "n": 8,
+            "generators": [[1, 2, 3, 4, 5, 6, 7, 7], [2, 1, 3, 4, 5, 6, 7, 8]],
+            "weights": ["1/2", "1/2"],
+        }
+    )
+
+
 def group_kernel_laws() -> list:
     """Tiny closures with large kernels or groups: S5, A5 and S4 (the kernel
     is the whole group), a rank-3 kernel with |L| = 2, |G| = 6 and |R| = 6,

@@ -64,13 +64,13 @@ def measure_of(objects, vector) -> RationalMeasure:
 def vector_of(objects, weights) -> tuple:
     """The exact vector of a law on ``objects`` given as a RationalMeasure
     or a dict of rational weights: its weights by position in ``objects``
-    over their least common denominator."""
+    over their least common denominator, as an object array of ints."""
     measure = RationalMeasure(dict(weights.items()))
     exact = [measure[x] for x in objects]
     if sum(exact) != 1:
         raise AssertionError("the law has mass outside the objects")
     den = lcm(*(v.denominator for v in exact))
-    return [v.numerator * (den // v.denominator) for v in exact], den
+    return np.array([v.numerator * (den // v.denominator) for v in exact], dtype=object), den
 
 
 def apply(f, points: tuple) -> tuple:

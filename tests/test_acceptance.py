@@ -194,7 +194,9 @@ def _structural_suite(a) -> list:
     if set(seen) != set(tuples(cd.W_mu)):
         problems.append("LGW != W_mu")
 
-    lam = measure_of(tuples(cd.W_mu), invariant_law(a, ([1] * len(cd.W), len(cd.W))))
+    W = tuples(cd.W)
+    uniform_W = vector_of(W, dict.fromkeys(W, Fraction(1, len(W))))
+    lam = measure_of(tuples(cd.W_mu), invariant_law(a, uniform_W))
     if push_tuples(a.law, lam) != lam:
         problems.append("invariant law not fixed")
     return problems

@@ -579,8 +579,8 @@ P3_H2_LAW = {
 # objects; the reports must stay byte-identical. p3_h2 has p = 3 and H != G,
 # rank3 has |L| = 2, |G| = 6 and |R| = 6, A5 is a 60-element group, S5 a
 # 120-element one (wider than 64 lags, so verify's float pass keeps 121
-# powers), and n300 (the transposition (1 2) and the constant map to 1) has
-# images above 255.
+# powers), r7g2 has 5,040 stable tuples, and n300 (the transposition (1 2)
+# and the constant map to 1) has images above 255.
 # In c-order the order of C by index differs from its order in G, and its
 # "(Y_C, Z_W) independent of N-window" table is 6x8, so the order in which
 # that statistic sums its rows shows in its last bits. example-window64 has
@@ -624,6 +624,10 @@ PINNED_REPORTS = {
         ["simulate", "--law", "{c_order}", "--replications", "2000", "--seed", "42",
          "--no-timestamp"], 0,
         "7bf2a43ce2f6302043f55be1fe49b8bfbc638d276e34db4b6bcf28c5c33f6768"),
+    "r7g2-verify-2000": (
+        ["verify", "--law", "{r7g2}", "--replications", "2000", "--seed", "42",
+         "--no-timestamp"], 0,
+        "63bc7ecde66dfc522e161b1f23d8013c7af93b1f07d633395604f9f97c13c3ec"),
     "example-window64-1000": (
         ["simulate", "--law", "{example}", "--window", "64", "--replications", "1000",
          "--seed", "42", "--no-timestamp"], 0,
@@ -646,6 +650,9 @@ def test_pinned_report_bytes(capsys, tmp_path, argv, code, sha):
                     "weights": ["3/7", "4/7"]},
              "s5": {"n": 5, "generators": [[2, 3, 4, 5, 1], [2, 1, 3, 4, 5]],
                     "weights": ["1/2", "1/2"]},
+             "r7g2": {"n": 8, "generators": [[1, 2, 3, 4, 5, 6, 7, 7],
+                                             [2, 1, 3, 4, 5, 6, 7, 8]],
+                      "weights": ["1/2", "1/2"]},
              "n300": {"n": 300, "generators": [[2, 1, *range(3, 301)], [1] * 300],
                       "weights": ["1/2", "1/2"]}}
     paths = {name: str(tmp_path / f"{name}.json")

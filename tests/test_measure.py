@@ -1,12 +1,15 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from finevo import example_law
-from finevo.cliques import invariant_law
+from finevo import analyze_law, example_law
+from finevo.cliques import classify_family, invariant_law
 from finevo.errors import InputError
+from finevo.limits import _act, _convolve, boundary_stationary, solve_stationary
 from finevo.measure import MappingLaw, RationalMeasure
 from finevo.transform import Transformation
+from fuzzlaws import group_kernel_laws
 from oracles import (
     convolve,
     coordinate_marginal,
@@ -16,6 +19,7 @@ from oracles import (
     power,
     push_tuples,
     tuples,
+    vector_of,
 )
 
 F = Transformation([2, 3, 4, 1, 5])
@@ -76,8 +80,10 @@ def test_uniform_and_point(p3h2_analysis):
     cd = p3h2_analysis.cliques
     omega = uniform(tuples(cd.W))
     assert all(w == Fraction(1, 120) for _, w in omega.items())
-    assert cd.w_vector(omega) == ([1] * 120, 120)
-    assert cd.w_vector(RationalMeasure({tuples(cd.W)[1]: 1})) == ([0, 1] + [0] * 118, 1)
+    nums, den = cd.w_vector(omega)
+    assert (nums.tolist(), den) == ([1] * 120, 120)
+    nums, den = cd.w_vector(RationalMeasure({tuples(cd.W)[1]: 1}))
+    assert (nums.tolist(), den) == ([0, 1] + [0] * 118, 1)
     with pytest.raises(InputError, match="nonempty support"):
         RationalMeasure(dict.fromkeys([], Fraction(1)))
 
@@ -126,7 +132,7 @@ def test_marginal_transition_matrix_golden_rows(example_analysis):
     assert all(sum(row) == 1 for row in mat)
     # the first coordinate of an invariant tuple law is invariant for the
     # one-point chain
-    x = invariant_law(a, ([1] * len(a.cliques.W), len(a.cliques.W)))
+    x = invariant_law(a, vector_of(tuples(a.cliques.W), uniform(tuples(a.cliques.W))))
     pi = [coordinate_marginal(measure_of(tuples(a.cliques.W_mu), x), 1)[y] for y in range(1, 6)]
     assert a.cliques.first_marginal(x, 5) == pi
     assert [sum(pi[x] * mat[x][y] for x in range(5)) for y in range(5)] == pi
@@ -172,3 +178,36 @@ def test_law_file_validation():
 def test_law_round_trips_through_dict():
     law = example_law()
     assert MappingLaw.from_dict(law.to_dict()) == law
+
+
+def _assert_exact_vector(vector, size: int) -> None:
+    # an int64 that leaks into an object product overflows silently past
+    # 2^63, so every numerator must be a Python int
+    nums, den = vector
+    assert isinstance(nums, np.ndarray) and nums.dtype == object and nums.shape == (size,)
+    assert all(type(v) is int for v in nums.tolist()) and type(den) is int
+
+
+def test_every_exact_vector_is_an_object_array_of_ints(example_analysis, p3h2_analysis,
+                                                       r7g2_analysis, fuzz_analyses):
+    analyses, _ = fuzz_analyses
+    group_kernel = [analyze_law(law) for law in group_kernel_laws()]
+    _assert_exact_vector(solve_stationary([[1, 2], [3, 0]]), 2)
+    for a in [example_analysis, p3h2_analysis, r7g2_analysis] + analyses + group_kernel:
+        rd, cd, lim = a.rd, a.cliques, a.limits
+        _assert_exact_vector(a.law.weights, len(a.law.generators))
+        for left, side in ((True, rd.L), (False, rd.R)):
+            _assert_exact_vector(boundary_stationary(a.law, rd, left), len(side))
+        _assert_exact_vector(lim.eta_L, len(rd.L))
+        _assert_exact_vector(lim.eta_R, len(rd.R))
+        for vector in (lim.eta, lim.nu, _act(a.law, lim.nu, rd.left),
+                       _act(a.law, lim.eta, rd.right), _convolve(rd, lim.eta, lim.nu)):
+            _assert_exact_vector(vector, len(rd.kernel))
+        lam = cd.w_vector(uniform(tuples(cd.W)))
+        _assert_exact_vector(lam, len(cd.W))
+        x = invariant_law(a, lam)
+        family = classify_family(a, x)
+        for vector in (x, _act(a.law, x, cd.step), family.law_at(a, 1)):
+            _assert_exact_vector(vector, len(cd.W_mu))
+        for vector in family.Lambda_W:
+            _assert_exact_vector(vector, len(cd.W))

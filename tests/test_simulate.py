@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -187,6 +188,22 @@ def test_verifiers_reject_the_other_kind_of_batch(example_analysis):
                                mono_projection_events(a.rd), alpha=0.001)
     with pytest.raises(InputError, match="drawn from a family"):
         verify_nonstationary_joint(sample_batch(a, lw, -3, 0, 1, 1000), alpha=0.001)
+
+
+@pytest.mark.parametrize("bits", [60, 1200])
+def test_cdf_rounds_each_weight_as_fraction_does(bits):
+    # numerators past 2^53 (not exact in a double) and past 2^1100 (past the
+    # double range): each weight is the correctly rounded float of its
+    # Fraction, and the zeros are left out
+    rng = random.Random(bits)
+    for _ in range(300):
+        nums = [rng.getrandbits(bits) | 1 << (bits - 1) if rng.random() < 0.7 else 0
+                for _ in range(rng.randint(2, 12))]
+        nums[0], den = 0, sum(nums) + rng.getrandbits(bits)
+        cum, index = simulate._cdf((np.array(nums, dtype=object), den))
+        want = [i for i, v in enumerate(nums) if v]
+        assert cum.dtype == np.float64 and index.tolist() == want
+        assert cum.tolist() == np.cumsum([float(Fraction(nums[i], den)) for i in want]).tolist()
 
 
 def test_a_phase_of_coefficient_0_is_never_drawn(monkeypatch):
