@@ -92,12 +92,12 @@ class CliqueData:
             nums[index[x]] = v
         return nums, den
 
-    def first_marginal(self, x: tuple, n: int) -> list:
-        """The law of the first coordinate under a W_mu vector, as the
-        probabilities of the points 1..n."""
+    def first_marginal(self, x: tuple, n: int) -> tuple:
+        """The law of the first coordinate under a W_mu vector, as the exact
+        vector of the points 1..n."""
         acc = np.zeros(n + 1, dtype=object)
         np.add.at(acc, self.W_mu[:, 0], x[0])
-        return [Fraction(v, x[1]) for v in acc[1:]]
+        return acc[1:], x[1]
 
 
 def compute_W(rd: ReesData, *, cap: int = DEFAULT_ELEMENT_CAP) -> CliqueData:

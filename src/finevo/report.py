@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from datetime import datetime, timezone
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -42,7 +41,7 @@ def build_report(analysis: Analysis, *, seed=None, timestamp: bool = True,
     rd, limits, cd = analysis.rd, analysis.limits, analysis.cliques
 
     canonical_Lambda_W = _uniform(len(cd.W))
-    marginal = cd.first_marginal(invariant_law(analysis, canonical_Lambda_W), analysis.law.n)
+    marginal, den = cd.first_marginal(invariant_law(analysis, canonical_Lambda_W), analysis.law.n)
 
     projections = [{"x": cd.W_mu[s].tolist(), "L": literals(rd.L[[cd.state_l[s]]])[0],
                     "G": literals(rd.G[[cd.state_g[s]]])[0], "W": cd.W[cd.state_w[s]].tolist()}
@@ -85,7 +84,7 @@ def build_report(analysis: Analysis, *, seed=None, timestamp: bool = True,
         },
         "invariant_law": {
             "Lambda_W": _vector_json(cd.W, canonical_Lambda_W, points=True),
-            "first_coordinate_marginal": [str(w) for w in marginal],
+            "first_coordinate_marginal": [str(Fraction(v, den)) for v in marginal],
         },
     }
     if seed is not None:
@@ -99,11 +98,12 @@ def build_report(analysis: Analysis, *, seed=None, timestamp: bool = True,
 
 def report_to_json(report: dict) -> str:
     """``json.dumps(report, indent=2)``; the closure's element list, the bulk
-    of a large report, is encoded in one join spliced into the rest."""
+    of a large report, is one join spliced into the rest: a literal needs no
+    escaping, so the separator carries the quotes."""
     rest = {**report, "semigroup": {**report["semigroup"], "elements": []}}
     head, _, tail = json.dumps(rest, indent=2).partition('"elements": []')
-    items = ",\n      ".join(map(encode_basestring_ascii, report["semigroup"]["elements"]))
-    return f'{head}"elements": [\n      {items}\n    ]{tail}'
+    items = '",\n      "'.join(report["semigroup"]["elements"])
+    return f'{head}"elements": [\n      "{items}"\n    ]{tail}'
 
 
 def _is_scalar_list(value) -> bool:

@@ -7,13 +7,14 @@ order fixes every deterministic choice downstream, such as the base
 idempotent. The rows seen so far are flags in a dense table of all n ** n
 maps when n <= 8 (16 MiB at most), and byte keys in a set from n = 9, where
 such a table would not fit; closures deep in thin layers need many points
-and so always take the set. The kernel stays rows: ``kernel`` selects them,
-and ``rees_at`` composes every product it needs once, on those rows, into
-tables of positions, each product found by ``positions_in``, the one
-lookup of rows by their byte keys. ``ReesData`` holds the rows of the
-kernel, of L, G and R and of the generators, and positions for everything
-else: a group element is a position in ``ReesData.G`` and products are
-table lookups. ``literals`` prints rows.
+and so always take the set. The kernel stays rows: ``kernel`` selects them
+by rank, counted in a table of image flags, and ``rees_at`` composes every
+product it needs once, on those rows, into tables of positions, each
+product found by ``positions_in``, the one lookup of rows by their byte
+keys. ``ReesData`` holds the rows of the kernel, of L, G and R and of the
+generators, and positions for everything else: a group element is a
+position in ``ReesData.G`` and products are table lookups. ``literals``
+prints rows from one byte buffer.
 """
 
 from __future__ import annotations
@@ -54,12 +55,17 @@ def _keys(rows: np.ndarray, key: np.dtype) -> list:
 
 
 def literals(rows: np.ndarray) -> list:
-    """``Transformation.literal()`` of every row, e.g. ``[2,3,4,1,5]``."""
+    """``Transformation.literal()`` of every row, e.g. ``[2,3,4,1,5]``: one
+    byte buffer holds each row's ``,y`` tokens, NUL-padded to the width of
+    ``,n``, then ``]`` and a newline, and is decoded once without the NULs."""
     m, n = rows.shape
     tokens = np.array([f",{y}" for y in range(n + 1)], dtype=f"S{len(str(n)) + 1}")
-    text = np.hstack([tokens.take(rows), np.full((m, 1), b"]\n", dtype=tokens.dtype)])
-    text = "\n" + text.tobytes().translate(None, b"\0").decode()
-    return text.replace("\n,", "\n[").split()  # a row's first comma opens it
+    text = np.empty((m, n + 1), tokens.dtype)
+    text[:, :-1] = tokens.take(rows)
+    text[:, -1] = b"]\n"
+    text = text.view(np.uint8)
+    text[:, 0] = ord("[")  # a row's first comma opens it
+    return text.tobytes().translate(None, b"\0").decode().split()
 
 
 def left_products(rows: np.ndarray, factors) -> np.ndarray:
@@ -132,11 +138,15 @@ def _key_set(n: int, big: np.dtype):
 
 def kernel(rows: np.ndarray) -> np.ndarray:
     """The rows of minimal rank of the closure ``rows``, in canonical order:
-    its kernel, the unique minimal two-sided ideal. ``rees_at`` verifies the
-    ideal property as it composes the generators with them.
+    its kernel, the unique minimal two-sided ideal. A row's rank is the
+    count of its images flagged in a boolean ``(|S|, n + 1)`` table, with no
+    sort. ``rees_at`` verifies the ideal property as it composes the
+    generators with them.
     """
-    ranked = np.sort(rows, axis=1)
-    ranks = 1 + np.count_nonzero(ranked[:, 1:] != ranked[:, :-1], axis=1)
+    m, n = rows.shape
+    flags = np.zeros((m, n + 1), bool)
+    flags.ravel()[rows + np.arange(0, flags.size, n + 1)[:, None]] = True
+    ranks = np.count_nonzero(flags, axis=1)
     return rows[ranks == ranks.min()]
 
 

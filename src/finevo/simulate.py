@@ -20,7 +20,7 @@ for.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -407,12 +407,12 @@ def verify_third_noise(batch: PathBatch, *, alpha: float) -> list:
     yz = rd.C[yc] * n_w + w
     window = _lex_codes(batch.maps)
     return [
-        chi_square_gof(np.bincount(u, minlength=n_h), [Fraction(1, n_h)] * n_h,
+        chi_square_gof(np.bincount(u, minlength=n_h), _uniform(n_h),
                        replications, alpha, "U^H_k uniform on H"),
-        chi_square_gof(np.bincount(yc, minlength=rd.p), [Fraction(1, rd.p)] * rd.p,
+        chi_square_gof(np.bincount(yc, minlength=rd.p), _uniform(rd.p),
                        replications, alpha, "Y_C uniform on C"),
         chi_square_gof(np.bincount(yc * n_w + w, minlength=rd.p * n_w),
-                       [Fraction(v, den * rd.p) for _ in range(rd.p) for v in lam],
+                       (np.tile(lam, rd.p), den * rd.p),
                        replications, alpha, "(Y_C, Z_W) joint = omega_C x Lambda_W"),
         chi_square_independence(_table(u, yz), alpha, "U^H_k independent of (Y_C, Z_W)"),
         chi_square_independence(_table(u, window), alpha, "U^H_k independent of N-window"),
@@ -431,10 +431,11 @@ def verify_nonstationary_joint(batch: PathBatch, *, alpha: float) -> list:
     if replications < MIN_REPLICATIONS:
         raise InputError(f"joint verification needs at least {MIN_REPLICATIONS} "
                          "replications")
-    expected = []
-    for ci, (nums, den) in zip(family.c, family.Lambda_W):
-        expected += [ci * Fraction(v, den) for v in nums]
-    counts = np.bincount(batch.y_c * len(cd.W) + batch.z_w, minlength=len(expected))
+    terms = [(ci.numerator * nums, ci.denominator * den)
+             for ci, (nums, den) in zip(family.c, family.Lambda_W)]
+    common = lcm(*(den for _, den in terms))  # c_i Lambda_W^i over one denominator
+    expected = (np.concatenate([nums * (common // den) for nums, den in terms]), common)
+    counts = np.bincount(batch.y_c * len(cd.W) + batch.z_w, minlength=len(expected[0]))
     return [chi_square_gof(counts, expected, replications, alpha,
                            "(Y_C, Z_W) joint = c_i Lambda_W^i")]
 

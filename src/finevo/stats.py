@@ -65,22 +65,21 @@ def _chi_square(name: str, stat: float, df: int, alpha: float) -> Check:
                  statistic=stat, df=df, p_value=p_value, alpha=alpha)
 
 
-def chi_square_gof(
-    counts, expected_probs, total: int, alpha: float, name: str
-) -> Check:
+def chi_square_gof(counts, probs: tuple, total: int, alpha: float, name: str) -> Check:
     """Pearson goodness-of-fit of observed counts against exact probabilities.
 
-    ``counts`` and ``expected_probs`` run over the same categories in one
-    order, and the statistic adds its terms in that order. Counts at a
-    category of probability zero make the check fail outright (an
-    impossible value occurred). A single category of positive probability
-    auto-passes as degenerate.
+    ``counts`` and the exact vector ``probs``, (numerators, denominator),
+    run over the same categories in one order, and the statistic adds its
+    terms in that order. Counts at a category of probability zero make the
+    check fail outright (an impossible value occurred). A single category
+    of positive probability auto-passes as degenerate.
     """
+    nums, den = probs
     expected = []
     outside = 0
-    for i, (obs, prob) in enumerate(zip(np.asarray(counts).tolist(), expected_probs,
-                                        strict=True)):
-        p = float(prob)
+    for i, (obs, num) in enumerate(zip(np.asarray(counts).tolist(), nums, strict=True)):
+        # Python's int / int is correctly rounded at any size, as float(Fraction) is
+        p = num / den
         if p < 0:
             raise InputError(f"negative expected probability at category {i}")
         if p > 0:

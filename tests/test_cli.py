@@ -421,7 +421,8 @@ def test_verify_reports_an_infinite_statistic_as_null(capsys, law_file, monkeypa
     from finevo import simulate
 
     def outside(counts, probs, total, alpha, name):
-        return chi_square_gof([*counts, 1], [*probs, 0], total, alpha, name)
+        nums, den = probs
+        return chi_square_gof([*counts, 1], ([*nums, 0], den), total, alpha, name)
 
     chi_square_gof = simulate.chi_square_gof
     monkeypatch.setattr(simulate, "chi_square_gof", outside)

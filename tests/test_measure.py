@@ -134,7 +134,8 @@ def test_marginal_transition_matrix_golden_rows(example_analysis):
     # one-point chain
     x = invariant_law(a, vector_of(tuples(a.cliques.W), uniform(tuples(a.cliques.W))))
     pi = [coordinate_marginal(measure_of(tuples(a.cliques.W_mu), x), 1)[y] for y in range(1, 6)]
-    assert a.cliques.first_marginal(x, 5) == pi
+    nums, den = a.cliques.first_marginal(x, 5)
+    assert [Fraction(v, den) for v in nums] == pi
     assert [sum(pi[x] * mat[x][y] for x in range(5)) for y in range(5)] == pi
 
 
@@ -209,5 +210,6 @@ def test_every_exact_vector_is_an_object_array_of_ints(example_analysis, p3h2_an
         family = classify_family(a, x)
         for vector in (x, _act(a.law, x, cd.step), family.law_at(a, 1)):
             _assert_exact_vector(vector, len(cd.W_mu))
+        _assert_exact_vector(cd.first_marginal(x, a.law.n), a.law.n)
         for vector in family.Lambda_W:
             _assert_exact_vector(vector, len(cd.W))

@@ -8,7 +8,7 @@ import pytest
 from finevo import analyze_law, simulate
 from finevo.cliques import InvariantFamily
 from finevo.errors import InputError
-from finevo.measure import MappingLaw, RationalMeasure, _common
+from finevo.measure import MappingLaw, RationalMeasure, _common, _uniform
 from finevo.cli import mono_projection_events
 from finevo.simulate import (
     philox_uniforms,
@@ -354,7 +354,7 @@ def test_one_time_law_matches_invariant_marginal(example_analysis):
         x = W_mu[one_path(a, lw, -3, 0, 42 ^ r).states[0, -1]]
         counts[x] = counts.get(x, 0) + 1
     cats = sorted(set(counts) | set(lam.support()))
-    check = chi_square_gof([counts.get(x, 0) for x in cats], [lam[x] for x in cats],
+    check = chi_square_gof([counts.get(x, 0) for x in cats], vector_of(cats, lam),
                            reps, 0.001, "one-time law")
     assert check.passed and check.df == 11
 
@@ -389,7 +389,7 @@ def mixing_uniformity(a, n, replications=2000, seed=7):
             prod = prod * scalar_draw(a.law.measure.items(), rng)
         _add(counts, split[rees.e * (prod * rees.kernel[0]) * rees.e][1])
     H = rees.H
-    return chi_square_gof([counts.get(h, 0) for h in H], [Fraction(1, len(H))] * len(H),
+    return chi_square_gof([counts.get(h, 0) for h in H], _uniform(len(H)),
                           replications, 0.001, f"H-part of e N_1..N_{n} z uniform on H")
 
 
