@@ -20,6 +20,7 @@ from .report import build_report, render_text, report_to_json
 from .semigroup import DEFAULT_ELEMENT_CAP
 from .simulate import (
     MIN_REPLICATIONS,
+    _check_seed,
     sample_batch,
     verify_factorization,
     verify_mono_projection,
@@ -175,6 +176,7 @@ def _load_sim_config(args, law_file=None) -> dict:
     for field in ("replications", "seed", "k_min", "k_max", "window"):
         if not isinstance(config[field], int) or isinstance(config[field], bool):
             raise InputError(f"{field} must be an integer, got {config[field]!r}")
+    _check_seed(config["seed"])
     alpha = config["alpha"]
     if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0 < alpha < 1:
         raise InputError(f"alpha must be a number in (0, 1), got {alpha!r}")
@@ -235,14 +237,6 @@ def _parse_family(family_cfg) -> tuple:
     return coeffs, lambdas
 
 
-def _resolve_lambda_w(config, analysis) -> tuple:
-    """The stationary Lambda_W as a W vector; uniform on W by default."""
-    cd = analysis.cliques
-    if config["Lambda_W"] is None:
-        return _uniform(len(cd.W))
-    return cd.w_vector(config["Lambda_W"])
-
-
 def _resolve_family(config, analysis) -> InvariantFamily:
     coeffs, lambdas = config["family"]
     p = analysis.rd.p
@@ -293,8 +287,9 @@ def _run_simulation_battery(analysis, config) -> list:
     if config["mode"] == "nonstationary":
         initial = _resolve_family(config, analysis)
         window = (config["k_min"], config["k_min"] + config["window"])
-    else:
-        initial = _resolve_lambda_w(config, analysis)
+    else:  # the stationary Lambda_W as a W vector, uniform on W by default
+        lam, cd = config["Lambda_W"], analysis.cliques
+        initial = _uniform(len(cd.W)) if lam is None else cd.w_vector(lam)
         window = (-config["window"], 0)
     path = sample_batch(analysis, initial, config["k_min"], config["k_max"], config["seed"], 1)
     checks = [*verify_path_exact(path), verify_factorization(path, config["k_max"])]

@@ -17,10 +17,10 @@ every (generator, tuple) and (l, g, w) fact once, by gathers on the image
 rows of ``ReesData``, into integer tables, looking the tuples up in W_mu
 with ``finevo.semigroup.positions_in``. A tuple law is an exact vector:
 an object array of Python-int numerators, one per W_mu position (or per W
-position for a law on W), over one common denominator. The product laws
-eta_L gamma^j omega_H Lambda_W are read off the state columns by one
-gather, marginals and the phase/W joint are scatters on them, and the step
-table pushes tuple laws forward as ``finevo.limits`` pushes kernel vectors.
+position for a law on W), over one common denominator. A family's tuple
+laws are one gather from its (phase, W) table ``joint``, and
+``stationary_family`` is the family of eta_L omega_G Lambda_W; marginals
+are scatters on the state columns and the step table pushes laws forward.
 A ``RationalMeasure`` on tuples is only ever parsed input: ``w_vector``
 turns it into a W vector.
 """
@@ -62,8 +62,8 @@ class CliqueData:
     ``state_w`` hold the positions (l, g, w) in ``rd.L``, ``rd.G`` and
     ``W`` with W_mu[s] = (L[l] * G[g])(W[w]), and ``lgw[l, g, w]`` inverts
     them. ``state_c[s]`` is the coset index j of the G-part gamma^j h and
-    ``state_h[s]`` the position of h in ``rd.H``; ``coset_h[j, h]`` is the
-    G position of gamma^j h.
+    ``state_h[s]`` the position of h in ``rd.H``, so the G-part is
+    ``rd.coset_h[state_c[s], state_h[s]]``.
     """
 
     m_mu: int
@@ -77,7 +77,6 @@ class CliqueData:
     state_c: np.ndarray
     state_h: np.ndarray
     lgw: np.ndarray
-    coset_h: np.ndarray
 
     def w_vector(self, lam: RationalMeasure) -> tuple:
         """A law on W as numerators by position in W over their least common
@@ -157,18 +156,15 @@ def compute_W(rd: ReesData, *, cap: int = DEFAULT_ELEMENT_CAP) -> CliqueData:
             f"{literals(rd.generators[[i]])[0]} maps the stable tuple "
             f"{tuple(W_mu[s].tolist())} outside L G W")
 
-    # gamma^j h at (j, position of h in H); G[g] is gamma^j h for j =
-    # rd.coset_of[g] and h at g_h[g]
-    coset_h = rd.gmul[np.ix_(rd.C, rd.H)]
+    # G[g] is gamma^j h for j = rd.coset_of[g] and h at g_h[g]
     g_h = np.empty(len(rd.G), dtype=np.intp)
-    g_h[coset_h] = np.arange(len(rd.H))
+    g_h[rd.coset_h] = np.arange(len(rd.H))
     state_l, state_g, state_w = np.empty((3, len(W_mu)), dtype=np.intp)
     state_l[lgw], state_g[lgw], state_w[lgw] = np.indices(lgw.shape)
 
     return CliqueData(m_mu=m_mu, f_cliques=cliques, W_mu=W_mu, W=W, step=step,
                       state_l=state_l, state_g=state_g, state_w=state_w,
-                      state_c=rd.coset_of[state_g], state_h=g_h[state_g], lgw=lgw,
-                      coset_h=coset_h)
+                      state_c=rd.coset_of[state_g], state_h=g_h[state_g], lgw=lgw)
 
 
 @dataclass(frozen=True)
@@ -179,26 +175,33 @@ class InvariantFamily:
     c: tuple
     Lambda_W: tuple
 
-    def law_at(self, a, k: int) -> tuple:
-        """The W_mu vector of Lambda_k for the ``Analysis`` ``a``: a state
-        (l, g, w) with g in gamma^j H has mass eta_L[l] c_i Lambda_W^i[w] / |H|
-        for i = j - k mod p, gathered from the state columns and the table of
-        c_i Lambda_W^i over one denominator."""
-        rd, cd = a.rd, a.cliques
-        (eta, eta_den), (c, c_den) = a.limits.eta_L, _common(self.c)
+    def joint(self) -> tuple:
+        """The (phase, W) joint c_i Lambda_W^i[w]: a (p, |W|) table over one denominator."""
+        c, c_den = _common(self.c)
         lam_den = lcm(*(den for _, den in self.Lambda_W))
         table = np.stack([ci * (lam_den // den) * lam
                           for ci, (lam, den) in zip(c, self.Lambda_W)])
+        return table, c_den * lam_den
+
+    def law_at(self, a, k: int) -> tuple:
+        """The W_mu vector of Lambda_k for the ``Analysis`` ``a``: a state
+        (l, g, w) with g in gamma^j H has mass eta_L[l] c_i Lambda_W^i[w] / |H|
+        for i = j - k mod p, gathered from the state columns and ``joint``."""
+        rd, cd = a.rd, a.cliques
+        (eta, eta_den), (table, den) = a.limits.eta_L, self.joint()
         nums = eta[cd.state_l] * table[(cd.state_c - k) % rd.p, cd.state_w]
-        return nums, eta_den * c_den * lam_den * len(rd.H)
+        return nums, eta_den * den * len(rd.H)
+
+
+def stationary_family(p: int, Lambda_W: tuple) -> InvariantFamily:
+    """The p equal terms (1/p, Lambda_W): Lambda_0 is eta_L omega_G Lambda_W."""
+    return InvariantFamily(c=(Fraction(1, p),) * p, Lambda_W=(Lambda_W,) * p)
 
 
 def invariant_law(a, Lambda_W: tuple) -> tuple:
-    """The W_mu vector of the invariant tuple law eta_L omega_G Lambda_W of
-    the ``Analysis`` ``a``, for a W vector Lambda_W: the family of p equal
-    terms (1/p) eta_L gamma^i omega_H Lambda_W. Verified fixed by mu."""
-    p = a.rd.p
-    lam = InvariantFamily(c=(Fraction(1, p),) * p, Lambda_W=(Lambda_W,) * p).law_at(a, 0)
+    """The W_mu vector of eta_L omega_G Lambda_W for the ``Analysis`` ``a``
+    and a W vector Lambda_W, from ``stationary_family``; verified fixed by mu."""
+    lam = stationary_family(a.rd.p, Lambda_W).law_at(a, 0)
     if not _same(_act(a.law, lam, a.cliques.step), lam):
         raise StructuralInconsistencyError("assembled law is not mu-invariant")
     return lam

@@ -193,8 +193,8 @@ class ReesData:
     positions in integer arrays. ``e`` is a kernel position. A group
     element is a position in ``G``: ``H`` lists the subgroup, ``C[j]`` is
     gamma^j (so gamma is ``C[1 % p]`` and the unit ``C[0]``),
-    ``coset_of[g]`` is the j with G[g] in gamma^j H and ``inverse[g]`` the
-    inverse of G[g].
+    ``coset_h[j, h]`` is gamma^j H[h], ``coset_of[g]`` is the j with G[g]
+    in gamma^j H and ``inverse[g]`` the inverse of G[g].
 
     The Rees coordinates index L, G and R by position. Kernel position
     ``at[l, g, r]`` holds L[l] * G[g] * R[r] and ``coords`` is its inverse,
@@ -213,6 +213,7 @@ class ReesData:
     H: np.ndarray
     C: np.ndarray
     p: int
+    coset_h: np.ndarray
     coset_of: np.ndarray
     generators: np.ndarray
     coords: np.ndarray
@@ -327,17 +328,17 @@ def rees_at(generators, ker: np.ndarray, e: int) -> ReesData:
     if gmul[C[-1], gamma] != one:
         raise StructuralInconsistencyError("gamma^p != e")
     C = np.array(C, np.intp)
-    cosets = gmul[np.ix_(C, H)]
-    if len(distinct(cosets)) != cosets.size:
+    coset_h = gmul[np.ix_(C, H)]
+    if len(distinct(coset_h)) != coset_h.size:
         raise StructuralInconsistencyError("cosets of H are not disjoint")
-    if cosets.size != len(G):
+    if coset_h.size != len(G):
         raise StructuralInconsistencyError("cosets of H do not cover G")
     coset_of = np.empty(len(G), np.intp)
-    coset_of[cosets] = np.arange(p)[:, None]
+    coset_of[coset_h] = np.arange(p)[:, None]
 
     return ReesData(e=e, kernel=ker, L=L, G=G, R=R, inverse=inverse, H=H, C=C, p=p,
-                    coset_of=coset_of, generators=gens, coords=coords, at=at, gmul=gmul,
-                    sandwich=sandwich, left=left, right=right)
+                    coset_h=coset_h, coset_of=coset_of, generators=gens, coords=coords,
+                    at=at, gmul=gmul, sandwich=sandwich, left=left, right=right)
 
 
 def walk_distances(states, steps, start: int, walk: str) -> dict:

@@ -14,18 +14,19 @@ is the one-replication case. The exact checks run on every row of a batch:
 tuples are composed once per distinct pattern of positions, and the group
 identities read the Rees tables. The statistical checks count positions,
 coded so that their categories keep the order of the objects they stand
-for.
+for; each refuses a batch of the other kind or of too few replications in
+one guard, ``_check_batch``, and both tests of the (Y_C, Z_W) joint read
+the family's exact table, ``InvariantFamily.joint``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 import numpy as np
 
 from .analysis import Analysis
-from .cliques import InvariantFamily, invariant_law
+from .cliques import InvariantFamily, invariant_law, stationary_family
 from .errors import InputError, ResourceLimitError
 from .measure import _common, _uniform
 from .stats import Check, chi_square_gof, chi_square_independence
@@ -221,7 +222,7 @@ def sample_batch(
             for j, w_cdf in enumerate(w_cdfs):
                 rows = i == j
                 w[rows] = _draw(w_cdf, u[rows, 1])
-            g = cd.coset_h[(k_min + i) % rd.p, _draw(h_cdf, u[:, 3])]
+            g = rd.coset_h[(k_min + i) % rd.p, _draw(h_cdf, u[:, 3])]
             return cd.lgw[_draw(l_cdf, u[:, 2]), g, w]
         head = 4
 
@@ -374,6 +375,22 @@ def _table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                        minlength=len(rows) * len(cols)).reshape(len(rows), len(cols))
 
 
+def _check_batch(batch: PathBatch, stationary: bool, what: str) -> None:
+    """Refuse, for the ``what`` verification, a batch of the other kind or too few rows."""
+    if isinstance(batch.initial, InvariantFamily) == stationary:
+        kind = "a stationary batch" if stationary else "a batch drawn from a family"
+        raise InputError(f"{what} verification needs {kind}")
+    if len(batch) < MIN_REPLICATIONS:
+        raise InputError(f"{what} verification needs at least {MIN_REPLICATIONS} replications")
+
+
+def _joint_check(batch: PathBatch, family: InvariantFamily, alpha: float, name: str) -> Check:
+    """(Y_C, Z_W), over C by j, then W, against the (phase, W) joint of ``family``."""
+    table, den = family.joint()
+    counts = np.bincount(batch.y_c * table.shape[1] + batch.z_w, minlength=table.size)
+    return chi_square_gof(counts, (table.ravel(), den), len(batch), alpha, name)
+
+
 def verify_third_noise(batch: PathBatch, *, alpha: float) -> list:
     """Distributional checks of the third noise across the replications of a
     stationary batch, at its last time k = k_max.
@@ -391,29 +408,20 @@ def verify_third_noise(batch: PathBatch, *, alpha: float) -> list:
     lexicographic order. The independence codes order the categories as
     the objects sort, and the goodness-of-fit tests run over C by j, then W.
     """
-    analysis, Lambda_W = batch.analysis, batch.initial
-    rd, cd = analysis.rd, analysis.cliques
-    replications = len(batch)
-    if isinstance(Lambda_W, InvariantFamily):
-        raise InputError("third-noise verification needs a stationary batch")
-    if replications < MIN_REPLICATIONS:
-        raise InputError(f"third-noise verification needs at least {MIN_REPLICATIONS} "
-                         "replications")
-    lam, den = Lambda_W
-    n_h, n_w = len(rd.H), len(cd.W)
+    _check_batch(batch, True, "third-noise")
+    rd, cd = batch.analysis.rd, batch.analysis.cliques
+    n_h, replications = len(rd.H), len(batch)
 
-    u = cd.state_h[batch.states[:, -1]]
-    yc, w = batch.y_c, batch.z_w
-    yz = rd.C[yc] * n_w + w
+    u, yc = cd.state_h[batch.states[:, -1]], batch.y_c
+    yz = rd.C[yc] * len(cd.W) + batch.z_w
     window = _lex_codes(batch.maps)
     return [
         chi_square_gof(np.bincount(u, minlength=n_h), _uniform(n_h),
                        replications, alpha, "U^H_k uniform on H"),
         chi_square_gof(np.bincount(yc, minlength=rd.p), _uniform(rd.p),
                        replications, alpha, "Y_C uniform on C"),
-        chi_square_gof(np.bincount(yc * n_w + w, minlength=rd.p * n_w),
-                       (np.tile(lam, rd.p), den * rd.p),
-                       replications, alpha, "(Y_C, Z_W) joint = omega_C x Lambda_W"),
+        _joint_check(batch, stationary_family(rd.p, batch.initial), alpha,
+                     "(Y_C, Z_W) joint = omega_C x Lambda_W"),
         chi_square_independence(_table(u, yz), alpha, "U^H_k independent of (Y_C, Z_W)"),
         chi_square_independence(_table(u, window), alpha, "U^H_k independent of N-window"),
         chi_square_independence(_table(yz, window), alpha,
@@ -424,20 +432,8 @@ def verify_third_noise(batch: PathBatch, *, alpha: float) -> list:
 def verify_nonstationary_joint(batch: PathBatch, *, alpha: float) -> list:
     """Empirical joint of (Y_C, Z_W) against c_i Lambda_W^i{w} for the
     family a nonstationary batch was drawn from, over C by j, then W."""
-    family, replications = batch.initial, len(batch)
-    rd, cd = batch.analysis.rd, batch.analysis.cliques
-    if not isinstance(family, InvariantFamily):
-        raise InputError("joint verification needs a batch drawn from a family")
-    if replications < MIN_REPLICATIONS:
-        raise InputError(f"joint verification needs at least {MIN_REPLICATIONS} "
-                         "replications")
-    terms = [(ci.numerator * nums, ci.denominator * den)
-             for ci, (nums, den) in zip(family.c, family.Lambda_W)]
-    common = lcm(*(den for _, den in terms))  # c_i Lambda_W^i over one denominator
-    expected = (np.concatenate([nums * (common // den) for nums, den in terms]), common)
-    counts = np.bincount(batch.y_c * len(cd.W) + batch.z_w, minlength=len(expected[0]))
-    return [chi_square_gof(counts, expected, replications, alpha,
-                           "(Y_C, Z_W) joint = c_i Lambda_W^i")]
+    _check_batch(batch, False, "joint")
+    return [_joint_check(batch, batch.initial, alpha, "(Y_C, Z_W) joint = c_i Lambda_W^i")]
 
 
 def verify_mono_projection(batch: PathBatch, events: dict, *, alpha: float) -> list:
@@ -450,13 +446,9 @@ def verify_mono_projection(batch: PathBatch, events: dict, *, alpha: float) -> l
     replication; the empirical law of the first coordinate is tested
     against its exact invariant marginal under the batch's Lambda_W.
     """
+    _check_batch(batch, True, "mono-projection")
     analysis, replications = batch.analysis, len(batch)
     rd, cd = analysis.rd, analysis.cliques
-    if isinstance(batch.initial, InvariantFamily):
-        raise InputError("mono-projection verification needs a stationary batch")
-    if replications < MIN_REPLICATIONS:
-        raise InputError(f"mono-projection verification needs at least {MIN_REPLICATIONS} "
-                         "replications")
     marginal = cd.first_marginal(invariant_law(analysis, batch.initial), analysis.law.n)
 
     x1, xl, u2 = cd.W_mu[:, 0], cd.state_l, rd.G[cd.state_g, 1]

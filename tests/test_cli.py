@@ -341,6 +341,9 @@ def test_simulate_rejects_unknown_config_fields(capsys, tmp_path, law_file):
     ({"Lambda_W": {"(2,4,5)": "-1"}}, "negative weight -1 at (2, 4, 5)"),
     # fewer replications than the statistical checks take
     ({"replications": 999}, "replications must be >= 1000"),
+    # the seed range, like every field, is checked before the analysis
+    ({"seed": -1}, "seed must be a 64-bit unsigned integer, got -1"),
+    ({"seed": 2**64}, "seed must be a 64-bit unsigned integer, got 18446744073709551616"),
 ])
 def test_config_values_of_the_wrong_type_exit_3(capsys, tmp_path, monkeypatch, law_file,
                                                 fields, message):

@@ -3,6 +3,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from finevo import analyze_law
@@ -12,6 +13,7 @@ from finevo.cliques import (
     compute_W,
     f_cliques,
     invariant_law,
+    stationary_family,
 )
 from finevo.errors import ClassificationError, InputError, StructuralInconsistencyError
 from finevo.measure import MappingLaw, RationalMeasure
@@ -316,6 +318,58 @@ def test_classify_round_trip_on_fuzz_instances(fuzz_analyses):
             if ci > 0:
                 assert measure_of(W, got) == measure_of(W, want)
     assert zero_seen, "a family with a coefficient of 0 must be among them"
+
+
+def _assert_joint_is_c_times_lambda(family) -> None:
+    table, den = family.joint()
+    assert table.shape == (len(family.c), len(family.Lambda_W[0][0]))
+    for i, (ci, (nums, lam_den)) in enumerate(zip(family.c, family.Lambda_W)):
+        for w, num in enumerate(nums):
+            assert Fraction(table[i, w], den) == ci * Fraction(num, lam_den)
+
+
+def test_joint_is_the_phase_w_table_of_the_family(p3h2_analysis, fuzz_analyses):
+    """``InvariantFamily.joint`` is c_i Lambda_W^i[w] cell by cell: on the
+    p3_h2 config family and on random families of the cyclic fuzz
+    instances, one of them with a coefficient 0."""
+    import random
+
+    W = tuples(p3h2_analysis.cliques.W)
+    _assert_joint_is_c_times_lambda(InvariantFamily(
+        c=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
+        Lambda_W=tuple(vector_of(W, lam) for lam in (
+            {W[0]: 1}, {W[0]: "1/2", W[1]: "1/2"}, {W[1]: 1}))))
+    analyses, _ = fuzz_analyses
+    rng = random.Random(7)
+
+    def weights(size: int) -> list:
+        raw = [rng.randint(0, 4) for _ in range(size)]
+        raw[0] += 0 if sum(raw) else 1
+        return raw
+
+    zero_seen = False
+    for a in [a for a in analyses if a.rd.p > 1][:12]:
+        raw = weights(a.rd.p)
+        c = tuple(Fraction(r, sum(raw)) for r in raw)
+        # W vectors over a denominator that need not be the least one
+        lambdas = tuple((np.array(lam, dtype=object), sum(lam))
+                        for lam in (weights(len(a.cliques.W)) for _ in c))
+        _assert_joint_is_c_times_lambda(InvariantFamily(c=c, Lambda_W=lambdas))
+        zero_seen |= 0 in c
+    assert zero_seen, "a family with a coefficient of 0 must be among them"
+
+
+@pytest.mark.parametrize("name", ["example", "p3h2", "r7g2"])
+def test_stationary_family_joint_is_omega_c_times_lambda(request, name):
+    """The stationary family's joint is omega_C x Lambda_W: Lambda_W in
+    every phase over p times its denominator, as rationals."""
+    a = request.getfixturevalue(f"{name}_analysis")
+    W = tuples(a.cliques.W)
+    lam, lam_den = vector_of(W, {W[0]: "1/3", W[-1]: "2/3"} if len(W) > 1 else {W[0]: 1})
+    p = a.rd.p
+    table, den = stationary_family(p, (lam, lam_den)).joint()
+    assert ([Fraction(x, den) for x in table.ravel()]
+            == [Fraction(x, lam_den * p) for x in np.tile(lam, p)])
 
 
 def test_compute_W_on_trivial_semigroup():

@@ -177,6 +177,19 @@ def test_third_noise_requires_enough_replications(example_analysis):
         verify_third_noise(sample_batch(a, lw, -3, 0, 1, 100), alpha=0.001)
 
 
+def test_joint_and_mono_projection_require_enough_replications(example_analysis):
+    a = example_analysis
+    lw = w_law(a, {0: 1})
+    family = InvariantFamily(c=(Fraction(1),), Lambda_W=(lw,))
+    with pytest.raises(InputError) as err:
+        verify_nonstationary_joint(sample_batch(a, family, -3, 0, 1, 999), alpha=0.001)
+    assert str(err.value) == "joint verification needs at least 1000 replications"
+    with pytest.raises(InputError) as err:
+        verify_mono_projection(sample_batch(a, lw, -3, 0, 1, 999),
+                               mono_projection_events(a.rd), alpha=0.001)
+    assert str(err.value) == "mono-projection verification needs at least 1000 replications"
+
+
 def test_verifiers_reject_the_other_kind_of_batch(example_analysis):
     a = example_analysis
     lw = w_law(a, {0: 1})
@@ -618,7 +631,7 @@ def test_path_checks_reject_an_edited_state(p3h2_batch, part, caught):
         j = (j + 1) % 3
     else:
         h = 1 - h
-    state = cd.lgw[l, cd.coset_h[j, h], w]
+    state = cd.lgw[l, batch.analysis.rd.coset_h[j, h], w]
     assert failing(edited(batch, "states", 1, 20, state), 0) == caught
 
 
