@@ -349,6 +349,8 @@ def _run(args, config, analysis, *, oracle: bool = False) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.seed is not None:
+        _check_seed(args.seed)
     law = _load_law(args.law)
     analysis = analyze_law(law, cap=args.cap)
     report = build_report(analysis, seed=args.seed,

@@ -11,7 +11,9 @@ LG and eK = GR need no solve: the group acts on their G-fibres by
 permutations that commute with the walk, so their stationary laws are
 eta_L x omega_G and omega_G x eta_R. One double-precision pass over the
 powers mu^k, on vectors by closure position, is kept as an independent
-cross-check: it estimates p, eta and nu and gives the running average.
+cross-check: it estimates p, eta and nu and gives the running average. Its
+lag scan tests each lag on a few witness columns before the full row, and
+it sums the tail of the running average by one sequential reduce per block.
 
 Every exact law is a vector (nums, den): one object array of Python-int
 numerators by position in the kernel, ``rd.L`` or ``rd.R``, over one
@@ -217,11 +219,21 @@ def float_limit_oracle(a, n: int = CESARO_N, *, max_iter: int = 100_000) -> Floa
     twice the detection index (squaring the residual transient) and reports
     the smallest lag that holds there.
 
+    Each lag scan checks the full row only for the lags within FLOAT_TOL on
+    every witness column, smallest first; a lag that passes there but not
+    on the full row adds its argmax column to the witnesses. A max over
+    some columns is at most the full max, so the scan finds the same first
+    lag as a full one.
+
     The step is deterministic, so once mu^k has the bytes of a power mu^j
     in the ring, mu^(k+i) == mu^(j+i) for all i: the rest of the sum is the
-    rows j .. k-1 in cyclic order, added in blocks by ``np.add.accumulate``
-    from the running sum on, row after row, so == to stepping on. The pass
-    steps until both the oracle and the sum are done.
+    rows j .. k-1 in cyclic order, added in blocks, the running sum first,
+    by ``np.add.reduce`` along axis 0, which adds row after row (numpy sums
+    pairwise only along the fast axis), so == to stepping on. Axis 0 is the
+    fast one only for |S| = 1, where the law is one generator at weight 1,
+    every power is [1.0] and every partial sum is an integer below 2^53,
+    exact in any order. The pass steps until both the oracle and the sum
+    are done.
     """
     vec, step = _power_step(a.law, a.closure)
     # power k is kept in row k % size until it is size - 1 powers old
@@ -232,13 +244,22 @@ def float_limit_oracle(a, n: int = CESARO_N, *, max_iter: int = 100_000) -> Floa
     unsettled = (False, 0, max_iter, None, None)
     oracle = unsettled if max_iter < 2 else None
     summing, settle_until, k = n > 1, None, 1
+    witness = []  # closure columns on which some lag failed the full row
 
     def first_lag() -> int:
-        """The smallest lag q with max |mu^k - mu^(k-q)| < FLOAT_TOL, or 0."""
-        lags = np.arange(1, min(k, size))
-        dist = np.abs(ring - ring[k % size]).max(axis=1)[(k - lags) % size]
-        hits = np.flatnonzero(dist < FLOAT_TOL)
-        return int(lags[hits[0]]) if len(hits) else 0
+        """The smallest lag q with max |mu^k - mu^(k-q)| < FLOAT_TOL, or 0.
+        A failed lag's argmax column is a witness, so the next round drops
+        it."""
+        row, lags = ring[k % size], np.arange(1, min(k, size))
+        while True:
+            near = (np.abs(ring[:, witness] - row[witness]) < FLOAT_TOL).all(axis=1)
+            lags = lags[near[(k - lags) % size]]
+            if not len(lags):
+                return 0
+            dist = np.abs(ring[(k - lags[0]) % size] - row)
+            if dist.max() < FLOAT_TOL:
+                return int(lags[0])
+            witness.append(int(dist.argmax()))
 
     while summing or oracle is None:
         k += 1
@@ -253,7 +274,7 @@ def float_limit_oracle(a, n: int = CESARO_N, *, max_iter: int = 100_000) -> Floa
                 for m in range(k, n + 1, rows):
                     block = cycle[np.arange(m - k, min(m + rows, n + 1) - k) % (k - j)]
                     block[0] += acc
-                    acc = np.add.accumulate(block, axis=0, out=block)[-1]
+                    acc = np.add.reduce(block, axis=0)
                 summing = False
             else:
                 acc += vec

@@ -685,12 +685,15 @@ def test_pinned_report_bytes(capsys, tmp_path, argv, code, sha):
     assert (got_code, _sha256(out)) == (code, sha)
 
 
-def test_seed_range(capsys):
+def test_seed_range(capsys, law_file):
+    # analyze only echoes the seed, but refuses one that example refuses
     for seed in ("-1", str(2**64)):
-        code, out, err = run(capsys, "example", "--replications", "1000", "--seed",
-                             seed, "--no-timestamp")
-        assert (code, out) == (3, "")
-        assert f"seed must be a 64-bit unsigned integer, got {seed}" in err
+        for argv in (["example", "--replications", "1000"], ["analyze", "--law", law_file]):
+            code, out, err = run(capsys, *argv, "--seed", seed, "--no-timestamp")
+            assert (code, out) == (3, "")
+            assert err == f"finevo: error: seed must be a 64-bit unsigned integer, got {seed}\n"
+    code, out, _ = run(capsys, "analyze", "--law", law_file, "--no-timestamp")
+    assert code == 0 and "seed" not in json.loads(out)
     # seed ^ r stays below 2^64 for every replication index
     code, out, _ = run(capsys, "example", "--replications", "2000", "--seed",
                        str(2**64 - 1), "--no-timestamp")

@@ -424,7 +424,15 @@ def test_float_oracle_and_cesaro_equal_the_list_loops(
     cycles = [MappingLaw.from_dict({"n": m, "generators": [list(range(2, m + 1)) + [1]],
                                     "weights": ["1"]}) for m in (64, 65)]
     closures = [generate(law.generators) for law in cycles]
-    laws = [oscillating] + group_kernel_laws()
+    # a one-element closure, where every power is [1.0] and the tail is
+    # reduced along the only (fast) axis, and a two-element closure, the
+    # smallest whose tail is reduced row by row. rank3, in group_kernel_laws,
+    # is the law on which the witness columns must grow: its transient
+    # columns fall under the tolerance before its kernel rows match
+    point = MappingLaw.from_dict({"n": 3, "generators": [[1, 1, 1]], "weights": ["1"]})
+    swap = MappingLaw.from_dict({"n": 2, "generators": [[1, 2], [2, 1]],
+                                 "weights": ["1/3", "2/3"]})
+    laws = [oscillating, point, swap] + group_kernel_laws()
     cases = [(a, 100_000) for a in [example_analysis, cyclic3_analysis, p3h2_analysis]]
     cases += [(analyze_law(law), 100_000) for law in laws]
     cases += [(SimpleNamespace(law=law, closure=S, rd=rees_at(law.generators, S, int(idempotents(S)[0]))),
