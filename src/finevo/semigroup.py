@@ -4,17 +4,21 @@ The closure is one ``(|S|, n)`` unsigned array of image rows f(1), ...,
 f(n); ``[0, g(1), ..., g(n)][row_f]`` is the row of g * f. Rows are
 generated breadth-first by word length, each layer sorted; this canonical
 order fixes every deterministic choice downstream, such as the base
-idempotent. The rows seen so far are flags in a dense table of all n ** n
-maps when n <= 8 (16 MiB at most), and byte keys in a set from n = 9, where
-such a table would not fit; closures deep in thin layers need many points
-and so always take the set. The kernel stays rows: ``kernel`` selects them
-by rank, counted in a table of image flags, and ``rees_at`` composes every
-product it needs once, on those rows, into tables of positions, each
-product found by ``positions_in``, the one lookup of rows by their byte
-keys. ``ReesData`` holds the rows of the kernel, of L, G and R and of the
-generators, and positions for everything else: a group element is a
-position in ``ReesData.G`` and products are table lookups. ``literals``
-prints rows from one byte buffer.
+idempotent. The rows seen so far are kept by one of three structures,
+chosen by n alone: flags in a dense table of all n ** n maps when n <= 8
+(16 MiB at most), sorted runs of int64 codes for 9 <= n <= 15, and byte
+keys in a set from n = 16, where the codes overflow int64; closures deep in
+thin layers need many points and so always take the set. A row's code is
+its images minus 1 read as base-n digits. Both code structures take a
+layer's distinct codes by one unstable argsort: equal codes are equal rows,
+so which duplicate is kept does not matter. The kernel stays rows:
+``kernel`` selects them by rank, counted in a table of image flags, and
+``rees_at`` composes every product it needs once, on those rows, into
+tables of positions, each product found by ``positions_in``, the one lookup
+of rows by their byte keys. ``ReesData`` holds the rows of the kernel, of
+L, G and R and of the generators, and positions for everything else: a
+group element is a position in ``ReesData.G`` and products are table
+lookups. ``literals`` prints rows from one byte buffer.
 """
 
 from __future__ import annotations
@@ -34,6 +38,9 @@ BLOCK = 1 << 16
 # ``generate`` keeps one flag per map for domains of at most this many points,
 # n ** n bytes: 16 MiB at n = 8.
 DENSE_MAX_N = 8
+# ... and sorted runs of int64 codes for domains of at most this many points:
+# a code is below n ** n, which is below 2 ** 63 up to n = 15.
+CODE_MAX_N = 15
 
 
 def _rows(maps, dtype) -> np.ndarray:
@@ -80,7 +87,8 @@ def generate(generators, *, cap: int = DEFAULT_ELEMENT_CAP) -> np.ndarray:
     The order is canonical: by shortest word length, each layer sorted, so
     the sorted generators come first. Each layer is the generators times the
     last layer, less the rows seen before: for n <= DENSE_MAX_N the seen rows
-    are flags in a table of all n ** n maps (``_flag_table``), otherwise byte
+    are flags in a table of all n ** n maps (``_flag_table``), for n <=
+    CODE_MAX_N sorted runs of int64 codes (``_code_runs``), otherwise byte
     keys in a set (``_key_set``). The choice reads n alone. Raises
     ResourceLimitError if the closure exceeds ``cap`` elements.
     """
@@ -92,7 +100,12 @@ def generate(generators, *, cap: int = DEFAULT_ELEMENT_CAP) -> np.ndarray:
     n = gens[0].n
 
     big = np.dtype(np.min_scalar_type(n)).newbyteorder(">")
-    fresh = _flag_table(n) if n <= DENSE_MAX_N else _key_set(n, big)
+    if n <= DENSE_MAX_N:
+        fresh = _flag_table(n)
+    elif n <= CODE_MAX_N:
+        fresh = _code_runs(n)
+    else:
+        fresh = _key_set(n, big)
     tables = _tables(_rows(gens, big))
     layers = [fresh(tables[:, 1:])]
     size = len(gens)
@@ -105,20 +118,57 @@ def generate(generators, *, cap: int = DEFAULT_ELEMENT_CAP) -> np.ndarray:
     return np.concatenate(layers).astype(big.newbyteorder("="))
 
 
-def _flag_table(n: int):
-    """``generate``'s step on n points: the rows not seen before, deduplicated
-    and sorted, marked seen by one flag per map at the row's code, its images
-    minus 1 read as base-n digits with point 1 most significant."""
+def _coder(n: int):
+    """A row's code on n points: its images minus 1 read as base-n digits,
+    point 1 most significant, so codes sort as the rows do."""
     radix = n ** np.arange(n - 1, -1, -1)
     ones = int(radix.sum())
+    return lambda rows: rows @ radix - ones
+
+
+def _distinct(codes: np.ndarray) -> tuple:
+    """The distinct codes, sorted, and the position of one of each in
+    ``codes``: one unstable argsort, then a mask of adjacent unequal codes."""
+    order = np.argsort(codes)
+    codes = codes[order]
+    first = np.ones(len(codes), bool)
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    return codes[first], order[first]
+
+
+def _flag_table(n: int):
+    """``generate``'s step on n points: the rows not seen before, deduplicated
+    and sorted, marked seen by one flag per map at the row's code."""
+    code = _coder(n)
     seen = np.zeros(n ** n, bool)
 
     def fresh(rows: np.ndarray) -> np.ndarray:
-        codes = rows @ radix - ones
+        codes = code(rows)
         new = np.flatnonzero(~seen[codes])
-        codes, first = np.unique(codes[new], return_index=True)
+        codes, first = _distinct(codes[new])
         seen[codes] = True
         return rows[new[first]]
+    return fresh
+
+
+def _code_runs(n: int):
+    """``generate``'s step on n points: the rows not seen before, deduplicated
+    and sorted, their codes kept as one more sorted run of the seen codes.
+    The last two runs merge while the older is at most twice as long as the
+    newer, so there are O(log |S|) runs and O(|S| log |S|) merge work."""
+    code = _coder(n)
+    runs = []
+
+    def fresh(rows: np.ndarray) -> np.ndarray:
+        codes, first = _distinct(code(rows))
+        new = np.ones(len(codes), bool)
+        for run in runs:
+            new &= run.take(run.searchsorted(codes), mode="clip") != codes
+        codes, first = codes[new], first[new]
+        runs.append(codes)
+        while len(runs) > 1 and len(runs[-2]) <= 2 * len(runs[-1]):
+            runs[-2:] = [np.sort(np.concatenate(runs[-2:]))]
+        return rows[first]
     return fresh
 
 

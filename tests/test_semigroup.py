@@ -149,31 +149,36 @@ def test_closure_rows_match_the_oracles_on_a_large_closure():
     assert (len(rows), len(kernel(rows))) == (2610, 5)
 
 
-def test_closure_rows_match_across_the_two_visited_structures():
-    # generate marks the rows it has seen in a flag table up to n = 8 and in a
-    # set of byte keys from n = 9: two seeded random maps on eight points,
-    # and the same maps with a fixed ninth point, close to the same rows in
-    # the same order, and the cap stops both at the same size
+def test_closure_rows_match_across_the_three_visited_structures():
+    # generate marks the rows it has seen in a flag table up to n = 8, in
+    # sorted runs of int64 codes up to n = 15 and in a set of byte keys from
+    # n = 16: two seeded random maps on eight points, and the same maps with
+    # the points from 9 up to 9, 15 and 16 fixed, close to the same rows in
+    # the same order, and the cap stops each at the same size
     rng = random.Random(25)
     gens = [Transformation([rng.randint(1, 8) for _ in range(8)]) for _ in range(2)]
-    ext = [Transformation([*g.images, 9]) for g in gens]
     rows = _assert_rows_match_the_oracles(gens, word_closure)
     assert (len(rows), len(kernel(rows))) == (4311, 8)
-    assert np.array_equal(generate(ext)[:, :8], rows)
-    for law in (gens, ext):
+    laws = [gens] + [[Transformation([*g.images, *range(9, n + 1)]) for g in gens]
+                     for n in (9, 15, 16)]
+    for law in laws:
+        assert np.array_equal(generate(law)[:, :8], rows)
         with pytest.raises(ResourceLimitError, match=r"element cap \(4310\)"):
             generate(law, cap=len(rows) - 1)
         assert len(generate(law, cap=len(rows))) == len(rows)
 
 
 @pytest.mark.parametrize("n, seed, sizes", [(255, 6, (1742, 8)), (256, 5, (1442, 8)),
-                                            (10, 3, (528, 8)), (100, 2, (737, 5))])
+                                            (10, 3, (528, 8)), (100, 2, (737, 5)),
+                                            (15, 3, (3184, 8)), (16, 4, (4067, 7))])
 def test_closure_rows_match_the_oracles_across_the_one_byte_image(n, seed, sizes):
     # rows hold one byte per image up to n = 255 and two from n = 256, where
     # the keys must be big-endian to sort as the rows; seeded: a permutation
     # of the top eight points and two maps into them, so the images 255 and
     # 256 are common. At n = 10 and n = 100 the literal tokens ",y" widen by
-    # a digit, so the literals of the shorter images are NUL-padded
+    # a digit, so the literals of the shorter images are NUL-padded. At
+    # n = 15 the rows into the top points have codes near 15 ** 15, the
+    # largest int64 codes; at n = 16 they would pass 2 ** 63
     rng = random.Random(seed)
     top = range(n - 7, n + 1)
     perm = list(range(1, n + 1))
@@ -188,17 +193,35 @@ def test_closure_rows_match_the_oracles_across_the_one_byte_image(n, seed, sizes
     assert rows.dtype == (np.uint8 if n <= 255 else np.uint16)
 
 
+def _cycles(*lengths) -> list:
+    """The images of a permutation of 1..sum(lengths) whose cycles, of these
+    lengths, run over consecutive points."""
+    images, points = [], 1
+    for length in lengths:
+        images += [points + (i + 1) % length for i in range(length)]
+        points += length
+    return images
+
+
 def test_closure_rows_match_the_oracles_on_a_deep_closure():
     # a permutation of order 4 * 5 * 7 * 9 = 1260 and a constant map: the
     # closure has a BFS layer for every word length up to 1260, none of
     # more than two rows
-    cycles, points = [], 1
-    for length in (4, 5, 7, 9):
-        cycles += [points + (i + 1) % length for i in range(length)]
-        points += length
-    gens = [Transformation(cycles + [points]), Transformation([1] * points)]
+    perm = _cycles(4, 5, 7, 9)
+    points = len(perm) + 1
+    gens = [Transformation(perm + [points]), Transformation([1] * points)]
     rows = _assert_rows_match_the_oracles(gens, word_closure)
     assert (len(rows), len(kernel(rows))) == (1264, 4)
+
+
+def test_closure_rows_match_the_oracles_on_a_deep_closure_of_int64_codes():
+    # a permutation of order 3 * 5 * 7 = 105 on 15 points and a constant map:
+    # 105 layers of one or two rows, each a new run of codes, so the runs
+    # merge many times
+    gens = [Transformation(_cycles(3, 5, 7)), Transformation([1] * 15)]
+    rows = _assert_rows_match_the_oracles(gens, word_closure)
+    assert (len(rows), len(kernel(rows))) == (108, 3)
+    assert max(map(len, shortest_words([g.images for g in gens]).values())) == 105
 
 
 def test_closure_rows_hold_images_above_255():
