@@ -6,8 +6,9 @@ structurally: the quotient walks on the boundary factors L and R give
 eta_L and eta_R, each by one fraction-free integer solve, the Rees
 decomposition gives the period p, the subgroup H and the coset generator
 gamma, and ``assemble_limits`` reads the cycle and nu off the Rees
-coordinates of the kernel positions and verifies them. The walks on Ke =
-LG and eK = GR need no solve: the group acts on their G-fibres by
+coordinates of the kernel positions and verifies them, idempotence on the
+sandwich matrix and the mass, with no product of kernel vectors. The walks
+on Ke = LG and eK = GR need no solve: the group acts on their G-fibres by
 permutations that commute with the walk, so their stationary laws are
 eta_L x omega_G and omega_G x eta_R. One double-precision pass over the
 powers mu^k, on vectors by closure position, is kept as an independent
@@ -87,22 +88,6 @@ def _act(law: MappingLaw, x: tuple, tables) -> tuple:
     return out, x[1] * den
 
 
-def _convolve(rd: ReesData, a: tuple, b: tuple) -> tuple:
-    """a * b, by the Rees-matrix product (l, g, r)(l', g', r') =
-    (l, g (r l') g', r') of kernel positions, gathered for a block of rows
-    of a's support against b's support at a time."""
-    at, gmul, sandwich = rd.at, rd.gmul, rd.sandwich
-    l, g, r = rd.coords.T
-    u, v = a[0], b[0]
-    ys, zs = np.flatnonzero(u), np.flatnonzero(v)
-    out = np.zeros(len(u), dtype=object)
-    rows = max(1, BLOCK // max(1, len(zs)))
-    for y in (ys[i:i + rows, None] for i in range(0, len(ys), rows)):
-        z = at[l[y], gmul[gmul[g[y], sandwich[r[y], l[zs]]], g[zs]], r[zs]]
-        np.add.at(out, z, u[y] * v[zs])
-    return out, a[1] * b[1]
-
-
 def _same(a: tuple, b: tuple) -> bool:
     return np.array_equal(a[0] * b[1], b[0] * a[1])
 
@@ -150,6 +135,16 @@ def assemble_limits(law: MappingLaw, rd: ReesData, eta_L: tuple, eta_R: tuple) -
     gamma^k H, and nu is eta_L[l] eta_R[r] / |G| everywhere. Every
     structural identity of the limit cycle is verified exactly on them
     before the result is returned; supp(eta) = L H R follows from supp(nu).
+
+    Idempotence needs no product of kernel vectors. Let c be the mass of
+    eta (and of nu), scale eta_L and eta_R to mass one and let P be the
+    sandwich matrix. H is normal, so the Rees product (l, g, r)(l', g', r')
+    = (l, g P[r, l'] g', r') carries omega_H x omega_H at fixed (r, l')
+    onto the uniform law on the coset P[r, l'] H, and eta * eta =
+    c^2 eta_L x (sum over r, l of eta_R[r] eta_L[l] omega_{P[r, l] H}) x
+    eta_R. That is eta iff every sandwich entry between the supports of
+    eta_R and eta_L lies in H and c = 1. With omega_G in place of omega_H
+    every coset is G, so nu * nu = c^2 nu for any P, which is nu iff c = 1.
     """
     (lw, l_den), (rw, r_den) = eta_L, eta_R
     l, g, r = rd.coords.T
@@ -158,12 +153,13 @@ def assemble_limits(law: MappingLaw, rd: ReesData, eta_L: tuple, eta_R: tuple) -
     cycle = [(np.where(rd.coset_of[g] == k, product, 0), den) for k in range(rd.p)]
     eta, nu = cycle[0], (product, den * rd.p)
 
-    if not _same(_convolve(rd, eta, eta), eta):
+    between = rd.sandwich[np.ix_(np.flatnonzero(rw), np.flatnonzero(lw))]
+    if (rd.coset_of[between] != 0).any() or eta[0].sum() != eta[1]:
         raise StructuralInconsistencyError("eta * eta != eta")
     for k in range(rd.p):
         if not _same(_act(law, cycle[k], rd.left), cycle[(k + 1) % rd.p]):
             raise StructuralInconsistencyError("mu * cycle[k] != cycle[k+1]")
-    if not _same(_convolve(rd, nu, nu), nu):
+    if nu[0].sum() != nu[1]:
         raise StructuralInconsistencyError("nu * nu != nu")
     if not all(_same(_act(law, nu, tables), nu) for tables in (rd.left, rd.right)):
         raise StructuralInconsistencyError("nu is not mu-invariant")

@@ -108,6 +108,21 @@ def r7g2_law() -> MappingLaw:
     )
 
 
+def s6k_law() -> MappingLaw:
+    """The transposition (1 2), the 6-cycle on 1..6 and the idempotent
+    merging 6 and 7, at 1/3 each: a 4,320-element kernel with |L| = 1,
+    |G| = |H| = 720 and |R| = 6, where any product of kernel vectors costs
+    |K|^2 = 1.9 * 10^7 terms."""
+    return MappingLaw.from_dict(
+        {
+            "n": 7,
+            "generators": [[2, 1, 3, 4, 5, 6, 7], [2, 3, 4, 5, 6, 1, 7],
+                           [1, 2, 3, 4, 5, 6, 6]],
+            "weights": ["1/3", "1/3", "1/3"],
+        }
+    )
+
+
 def group_kernel_laws() -> list:
     """Tiny closures with large kernels or groups: S5, A5 and S4 (the kernel
     is the whole group), a rank-3 kernel with |L| = 2, |G| = 6 and |R| = 6,

@@ -10,6 +10,7 @@ import pytest
 
 import finevo
 from finevo.cli import main
+from fuzzlaws import s6k_law
 
 EXAMPLE_LAW = {
     "n": 5,
@@ -583,8 +584,10 @@ P3_H2_LAW = {
 # objects; the reports must stay byte-identical. p3_h2 has p = 3 and H != G,
 # rank3 has |L| = 2, |G| = 6 and |R| = 6, A5 is a 60-element group, S5 a
 # 120-element one (wider than 64 lags, so verify's float pass keeps 121
-# powers), r7g2 has 5,040 stable tuples, and n300 (the transposition (1 2)
-# and the constant map to 1) has images above 255.
+# powers), r7g2 has 5,040 stable tuples, n300 (the transposition (1 2)
+# and the constant map to 1) has images above 255, and s6k has a
+# 4,320-element kernel, where assemble_limits checks idempotence without a
+# product of kernel vectors.
 # In c-order the order of C by index differs from its order in G, and its
 # "(Y_C, Z_W) independent of N-window" table is 6x8, so the order in which
 # that statistic sums its rows shows in its last bits. example-window64 has
@@ -632,6 +635,9 @@ PINNED_REPORTS = {
         ["verify", "--law", "{r7g2}", "--replications", "2000", "--seed", "42",
          "--no-timestamp"], 0,
         "63bc7ecde66dfc522e161b1f23d8013c7af93b1f07d633395604f9f97c13c3ec"),
+    "s6k-analyze": (
+        ["analyze", "--law", "{s6k}", "--no-timestamp"], 0,
+        "e8dc92a8123b4d305c2040efeea00b7ea96b3a8f1c7a23abfc37b13297c2e694"),
     "example-window64-1000": (
         ["simulate", "--law", "{example}", "--window", "64", "--replications", "1000",
          "--seed", "42", "--no-timestamp"], 0,
@@ -658,7 +664,8 @@ def test_pinned_report_bytes(capsys, tmp_path, argv, code, sha):
                                              [2, 1, 3, 4, 5, 6, 7, 8]],
                       "weights": ["1/2", "1/2"]},
              "n300": {"n": 300, "generators": [[2, 1, *range(3, 301)], [1] * 300],
-                      "weights": ["1/2", "1/2"]}}
+                      "weights": ["1/2", "1/2"]},
+             "s6k": s6k_law().to_dict()}
     paths = {name: str(tmp_path / f"{name}.json")
              for name in (*files, "config", "stationary")}
     files["config"] = {

@@ -15,7 +15,7 @@ from finevo.limits import (
     sup_error,
 )
 from finevo.measure import MappingLaw, RationalMeasure
-from finevo.semigroup import BLOCK, generate, idempotents, kernel, rees_at
+from finevo.semigroup import BLOCK, generate, idempotents, rees_at
 from finevo.transform import Transformation
 from fuzzlaws import cyclic3_law, group_kernel_laws, p3_h2_law
 from oracles import (
@@ -35,8 +35,6 @@ from oracles import (
     measure_product,
     project,
     rees_objects,
-    rees_product,
-    tuples,
     two_term_residual,
 )
 
@@ -473,9 +471,10 @@ def test_float_oracle_and_cesaro_equal_the_list_loops(
 
 
 def test_indexed_convolution_matches_the_oracle(example_analysis, p3h2_analysis, fuzz_analyses):
-    # the kernel-vector algebra of assemble_limits and the stationary checks
-    # against Fraction dicts keyed by transformation products
-    from finevo.limits import _act, _convolve
+    # mu acting on kernel vectors by the generator tables, as in the
+    # stationary checks of assemble_limits, against Fraction dicts keyed by
+    # transformation products
+    from finevo.limits import _act
 
     analyses, _ = fuzz_analyses
     rng = random.Random(5)
@@ -489,36 +488,21 @@ def test_indexed_convolution_matches_the_oracle(example_analysis, p3h2_analysis,
 
     for a in [example_analysis, p3h2_analysis] + analyses:
         rd = a.rd
-        x, y = vector(rd), vector(rd)
-        assert _on_kernel(rd, _convolve(rd, x, y)) == convolve(_on_kernel(rd, x), _on_kernel(rd, y))
+        x = vector(rd)
         for left in (True, False):
             product = (convolve(a.law.measure, _on_kernel(rd, x)) if left
                        else convolve(_on_kernel(rd, x), a.law.measure))
             assert _on_kernel(rd, _act(a.law, x, rd.left if left else rd.right)) == product
 
 
-def test_blockwise_convolve_equals_the_pairwise_product(fuzz_corpus, monkeypatch):
-    # _convolve gathers the products of a block of rows of a's support at
-    # once; at any block size its sums are those of the Rees-matrix product
-    # taken pair by pair, exactly, with numerators above 2^64
-    from finevo import limits
-
-    rng = random.Random(11)
-    for law in fuzz_corpus + group_kernel_laws():
-        k = kernel(generate(law.generators))
-        rd = rees_at(law.generators, k, next(z for z, f in enumerate(tuples(k))
-                                             if f == tuple(f[y - 1] for y in f)))
-        x, y = (np.array([rng.choice([0, 0, 1, 5, 2**70 + 1]) for _ in k], dtype=object)
-                for _ in "xy")
-        x, y = (x, sum(x) + 1), (y, sum(y) + 1)
-        expected = [0] * len(k)
-        for a, u in enumerate(x[0]):
-            for b, v in enumerate(y[0]):
-                expected[rees_product(rd, a, b)] += u * v
-        for block in (1, 2 * len(k) + 1, BLOCK):
-            monkeypatch.setattr(limits, "BLOCK", block)
-            nums, den = limits._convolve(rd, x, y)
-            assert (nums.tolist(), den) == (expected, x[1] * y[1])
+def test_eta_and_nu_are_idempotent_under_the_transformation_product(cyclic3_analysis,
+                                                                     p3h2_analysis):
+    # assemble_limits checks idempotence on the sandwich matrix and the mass;
+    # the oracle composes every pair of transformations, with no Rees table
+    for a in [cyclic3_analysis, p3h2_analysis] + [analyze_law(law) for law in group_kernel_laws()]:
+        lim = _limits(a)
+        assert convolve(lim.eta, lim.eta) == lim.eta
+        assert convolve(lim.nu, lim.nu) == lim.nu
 
 
 def _first_order(a) -> dict:
@@ -562,6 +546,24 @@ def test_cesaro_expansion_on_periodic_corpus_laws(fuzz_analyses):
         residual = two_term_residual(average, _limits(a).nu, D, n)
         assert residual < 1e-9
     assert nonzero >= 3
+
+
+@pytest.mark.parametrize("index", [47, 125])
+def test_assemble_rejects_a_sandwich_entry_outside_H(fuzz_analyses, index):
+    # eta * eta = eta needs every sandwich entry between the supports of
+    # eta_R and eta_L in H; corpus laws 47 and 125 are the ones with H < G
+    # and more than one sandwich entry (2x1 and 3x1)
+    from dataclasses import replace
+
+    from finevo.errors import StructuralInconsistencyError
+
+    a = fuzz_analyses[0][index]
+    rd, lim = a.rd, a.limits
+    assert len(rd.H) < len(rd.G) and rd.sandwich.size > 1 and lim.eta_R[0].all()
+    sandwich, r_e = rd.sandwich.copy(), rd.coords[rd.e, 2]
+    sandwich[(r_e + 1) % len(rd.R), 0] = rd.C[1]  # gamma lies in the coset gamma H
+    with pytest.raises(StructuralInconsistencyError, match=r"eta \* eta != eta"):
+        assemble_limits(a.law, replace(rd, sandwich=sandwich), lim.eta_L, lim.eta_R)
 
 
 def test_assemble_rejects_wrong_subgroup(example_analysis):

@@ -6,7 +6,7 @@ import pytest
 from finevo import analyze_law, example_law
 from finevo.cliques import classify_family, invariant_law
 from finevo.errors import InputError
-from finevo.limits import _act, _convolve, boundary_stationary, solve_stationary
+from finevo.limits import _act, boundary_stationary, solve_stationary
 from finevo.measure import MappingLaw, RationalMeasure
 from finevo.transform import Transformation
 from fuzzlaws import group_kernel_laws
@@ -202,7 +202,7 @@ def test_every_exact_vector_is_an_object_array_of_ints(example_analysis, p3h2_an
         _assert_exact_vector(lim.eta_L, len(rd.L))
         _assert_exact_vector(lim.eta_R, len(rd.R))
         for vector in (lim.eta, lim.nu, _act(a.law, lim.nu, rd.left),
-                       _act(a.law, lim.eta, rd.right), _convolve(rd, lim.eta, lim.nu)):
+                       _act(a.law, lim.eta, rd.right)):
             _assert_exact_vector(vector, len(rd.kernel))
         lam = cd.w_vector(uniform(tuples(cd.W)))
         _assert_exact_vector(lam, len(cd.W))
