@@ -10,13 +10,16 @@ infinite past by starting each window from the exact stationary law. All
 replications of a window are drawn at once: replication r reads the
 counter-based Philox4x64-10 substream keyed [seed XOR r, 0], computed in
 lock-step over r, and its states advance on the step table. A single path
-is the one-replication case. The exact checks run on every row of a batch:
+is the one-replication case. Rounds 1-2 of the cipher run on the key and
+the counter factors apart, so only rounds 3-10 run per (replication, block),
+and the words are the same. The exact checks run on every row of a batch:
 tuples are composed once per distinct pattern of positions, and the group
 identities read the Rees tables. The statistical checks count positions,
 coded so that their categories keep the order of the objects they stand
-for; each refuses a batch of the other kind or of too few replications in
-one guard, ``_check_batch``, and both tests of the (Y_C, Z_W) joint read
-the family's exact table, ``InvariantFamily.joint``.
+for, and rank the codes of each table by a table of their counts; each
+refuses a batch of the other kind or of too few replications in one guard,
+``_check_batch``, and both tests of the (Y_C, Z_W) joint read the family's
+exact table, ``InvariantFamily.joint``.
 """
 
 from __future__ import annotations
@@ -69,23 +72,26 @@ def _check_seed(seed) -> None:
 
 
 def _mulhilo(a: np.uint64, b: np.ndarray) -> tuple:
-    """High and low words of the 128-bit products a*b, from 32-bit halves."""
+    """High and low words of the 128-bit products a*b, from 32-bit halves:
+    with u = b_lo*a_hi + (b_lo*a_lo >> 32) and v = b_hi*a_lo + (u & M),
+    hi = b_hi*a_hi + (u >> 32) + (v >> 32), every term below 2^64. Four
+    arrays, b's halves first: other orders raised the battery's peak RSS."""
     a_lo, a_hi = a & _LOW32, a >> _32
-    b_hi, b_lo = b >> _32, b & _LOW32
-    mid = b_lo * a_lo
-    mid >>= _32
-    hi = b_hi * a_hi
-    b_hi *= a_lo  # cross products in place: fewer chunk-sized temporaries
-    b_lo *= a_hi
-    hi += b_hi >> _32
-    hi += b_lo >> _32
-    b_hi &= _LOW32
-    b_lo &= _LOW32
-    mid += b_hi
-    mid += b_lo
-    mid >>= _32
-    hi += mid
-    return hi, a * b
+    b_lo = b & _LOW32
+    v = b >> _32
+    hi = v * a_hi
+    u = b_lo * a_hi
+    b_lo *= a_lo
+    b_lo >>= _32
+    u += b_lo
+    v *= a_lo
+    np.bitwise_and(u, _LOW32, out=b_lo)
+    v += b_lo
+    u >>= _32
+    hi += u
+    v >>= _32
+    hi += v
+    return hi, np.multiply(b, a, out=u)
 
 
 def philox_uniforms(keys: np.ndarray, count: int) -> np.ndarray:
@@ -98,11 +104,16 @@ def philox_uniforms(keys: np.ndarray, count: int) -> np.ndarray:
     the double (x >> 11) * 2^-53.
     """
     blocks = -(-count // 4)
-    shape = (len(keys), blocks)
-    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), shape)
-    c1 = c2 = c3 = np.zeros(shape, dtype=np.uint64)
+    # Round 1 multiplies only the counter word (its other product is M1*0)
+    # and leaves [k, 0, hi(M0(i+1)), lo(M0(i+1))]; round 2 multiplies k per
+    # key and hi(M0(i+1)) per block, and its xors broadcast to (keys, blocks).
+    hi, lo = _mulhilo(_PHILOX_M0, np.arange(1, blocks + 1, dtype=np.uint64))
+    hi0, lo0 = _mulhilo(_PHILOX_M0, keys)
+    hi1, c1 = _mulhilo(_PHILOX_M1, hi)
+    w0, w1 = _PHILOX_ROUND_KEYS[1]
     key = keys[:, None]
-    for w0, w1 in _PHILOX_ROUND_KEYS:
+    c0, c2, c3 = hi1 ^ (key + w0), (hi0 ^ w1)[:, None] ^ lo, lo0[:, None]
+    for w0, w1 in _PHILOX_ROUND_KEYS[2:]:
         hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
         hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
         hi1 ^= c1
@@ -110,9 +121,10 @@ def philox_uniforms(keys: np.ndarray, count: int) -> np.ndarray:
         hi0 ^= c3
         hi0 ^= w1
         c0, c1, c2, c3 = hi1, lo1, hi0, lo0
-    out = np.empty(shape + (4,))
+    out = np.empty((len(keys), blocks, 4))
     for j, word in enumerate((c0, c1, c2, c3)):
-        out[:, :, j] = word >> _11
+        word >>= _11
+        out[:, :, j] = word
     out *= 2.0**-53
     return out.reshape(len(keys), 4 * blocks)[:, :count]
 
@@ -368,11 +380,12 @@ def verify_factorization(batch: PathBatch, k: int) -> Check:
 def _table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Counts of the pairs (a[r], b[r]) of two code columns: a row per
     distinct code of a and a column per distinct code of b, each in
-    increasing order."""
-    rows, a = np.unique(a, return_inverse=True)
-    cols, b = np.unique(b, return_inverse=True)
-    return np.bincount(a * len(cols) + b,
-                       minlength=len(rows) * len(cols)).reshape(len(rows), len(cols))
+    increasing order. The codes are nonnegative and small (below |G|*|W| or
+    the batch size), so a table of their counts ranks them."""
+    a_rank = np.cumsum(np.bincount(a) > 0) - 1
+    b_rank = np.cumsum(np.bincount(b) > 0) - 1
+    rows, cols = a_rank[-1] + 1, b_rank[-1] + 1
+    return np.bincount(a_rank[a] * cols + b_rank[b], minlength=rows * cols).reshape(rows, cols)
 
 
 def _check_batch(batch: PathBatch, stationary: bool, what: str) -> None:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -419,6 +420,52 @@ def test_philox_uniforms_match_numpy_philox(seed, count):
     got = philox_uniforms(np.array([seed], dtype=np.uint64), count)[0]
     want = np.random.Generator(np.random.Philox(key=seed)).random(count)
     assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+@pytest.mark.parametrize("count", [*range(1, 10), 67])
+def test_philox_uniforms_match_numpy_philox_on_every_row(seed, count):
+    """Many keys and blocks at once: every row reads its own key's stream."""
+    keys = np.arange(37, dtype=np.uint64) ^ np.uint64(seed)
+    got = philox_uniforms(keys, count)
+    assert got.shape == (37, count)
+    for key, row in zip(keys.tolist(), got):
+        want = np.random.Generator(np.random.Philox(key=key)).random(count)
+        assert row.tolist() == want.tolist()
+
+
+def test_philox_working_memory():
+    """At 10^4 keys x 6 draws the peak stays within 10 arrays of
+    keys x blocks words, plus 64 KiB: the four cipher words, the two words
+    of one product and the four temporaries of the next. A product that
+    allocates its low word afresh peaks at 11."""
+    keys, blocks = np.arange(10**4, dtype=np.uint64), 2
+    philox_uniforms(keys, 6)
+    tracemalloc.start()
+    try:
+        philox_uniforms(keys, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * keys.size * blocks * 8 + 64 * 1024
+
+
+@pytest.mark.parametrize("a, b", [
+    ([5, 0, 5, 9, 0, 9, 9], [3, 3, 100, 3, 7, 100, 7]),
+    ([4, 4, 4, 4], [0, 2, 2, 5]),
+    ([0, 8, 8, 3], [6, 6, 6, 6]),
+    ([7, 7, 7], [2, 2, 2]),
+    (list(range(0, 300, 3)) * 2, [1, 40] * 100),
+])
+def test_table_counts_pairs_in_code_order(a, b):
+    """The contingency table of two code columns against np.unique ranks."""
+    rows, ia = np.unique(a, return_inverse=True)
+    cols, ib = np.unique(b, return_inverse=True)
+    want = np.zeros((len(rows), len(cols)), dtype=int)
+    for i, j in zip(ia, ib):
+        want[i, j] += 1
+    got = simulate._table(np.array(a), np.array(b))
+    assert got.shape == want.shape and (got == want).all()
 
 
 @pytest.mark.parametrize("k_min", [-5, -300])
