@@ -30,10 +30,10 @@ def analyze_law(law: MappingLaw, *, cap: int = DEFAULT_ELEMENT_CAP) -> Analysis:
     base idempotent is the first idempotent of the kernel in canonical
     order; any choice yields an isomorphic decomposition.
     """
-    closure = generate(law.generators, cap=cap)
+    closure = generate(law.rows, cap=cap)
     ker = kernel(closure)
     # the kernel is a finite semigroup, so it holds an idempotent
-    rd = rees_at(law.generators, ker, int(idempotents(ker)[0]))
+    rd = rees_at(law.rows, ker, int(idempotents(ker)[0]))
 
     limits = assemble_limits(law, rd, boundary_stationary(law, rd, left=True),
                              boundary_stationary(law, rd, left=False))

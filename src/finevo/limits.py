@@ -172,7 +172,7 @@ def _power_step(law: MappingLaw, closure: np.ndarray) -> tuple:
     """mu^1 and the step from mu^k to mu^(k+1), as float vectors by closure
     position. The closure starts with the sorted support, so mu^1 starts
     with the weights."""
-    table = left_products(closure, law.generators)
+    table = left_products(closure, law.rows)
     nums, den = law.weights
     weights = np.array(nums / den, dtype=float)[:, None]
     v0 = np.zeros(len(closure))

@@ -4,8 +4,9 @@ of input.
 Measures are sparse: only the support is stored, every stored weight is a
 positive ``Fraction`` and the weights sum to exactly 1. A ``RationalMeasure``
 is only ever input: the law's ``MappingLaw.measure`` on transformations,
-whose integer vector ``MappingLaw.weights`` is built once at parse, and a
-config's Lambda_W and family laws on point tuples, which
+whose generator rows ``MappingLaw.rows`` and integer vector
+``MappingLaw.weights`` are built once at parse and are what the analysis
+takes, and a config's Lambda_W and family laws on point tuples, which
 ``CliqueData.w_vector`` turns into W vectors once. Every exact law computed
 from them is an integer vector (nums, den): one object array of Python-int
 numerators by position over one denominator, as ``_common`` builds it.
@@ -95,20 +96,24 @@ class RationalMeasure:
 
 
 class MappingLaw:
-    """A rational probability on transformations of one finite set;
-    ``weights`` is its exact vector: the numerators of its weights in
-    ``generators`` order over their least common denominator."""
+    """A rational probability on transformations of one finite set, built
+    once into the integer form the analysis takes: ``rows`` holds the image
+    rows of the ``generators``, sorted and distinct, as one ``(|gens|, n)``
+    array in ``np.min_scalar_type(n)``, the closure's dtype, and ``weights``
+    is its exact vector: the numerators of their weights in the same order
+    over their least common denominator."""
 
-    __slots__ = ("n", "measure", "weights")
+    __slots__ = ("n", "measure", "rows", "weights")
 
     def __init__(self, n: int, measure: RationalMeasure):
-        if not isinstance(n, int) or n < 1:
-            raise InputError("domain size must be a positive integer")
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise InputError(f"n must be a positive integer, got {n!r}")
         for f in measure.support():
             if not isinstance(f, Transformation) or f.n != n:
                 raise InputError("law support must be transformations of {1..%d}" % n)
         self.n = n
         self.measure = measure
+        self.rows = np.array([f.images for f, _ in measure.items()], np.min_scalar_type(n))
         self.weights = _common([w for _, w in measure.items()])
 
     @property

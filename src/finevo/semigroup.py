@@ -1,24 +1,25 @@
 r"""Closure of a generating set of transformations, kernel, Rees decomposition.
 
-The closure is one ``(|S|, n)`` unsigned array of image rows f(1), ...,
-f(n); ``[0, g(1), ..., g(n)][row_f]`` is the row of g * f. Rows are
-generated breadth-first by word length, each layer sorted; this canonical
-order fixes every deterministic choice downstream, such as the base
-idempotent. The rows seen so far are kept by one of three structures,
-chosen by n alone: flags in a dense table of all n ** n maps when n <= 8
-(16 MiB at most), sorted runs of int64 codes for 9 <= n <= 15, and byte
-keys in a set from n = 16, where the codes overflow int64; closures deep in
-thin layers need many points and so always take the set. A row's code is
-its images minus 1 read as base-n digits. Both code structures take a
-layer's distinct codes by one unstable argsort: equal codes are equal rows,
-so which duplicate is kept does not matter. The kernel stays rows:
-``kernel`` selects them by rank, counted in a table of image flags, and
-``rees_at`` composes every product it needs once, on those rows, into
-tables of positions, each product found by ``positions_in``, the one lookup
-of rows by their byte keys. ``ReesData`` holds the rows of the kernel, of
-L, G and R and of the generators, and positions for everything else: a
-group element is a position in ``ReesData.G`` and products are table
-lookups. ``literals`` prints rows from one byte buffer.
+The closure of the law's generator rows ``MappingLaw.rows``, built once at
+parse, is one ``(|S|, n)`` unsigned array of image rows f(1), ..., f(n);
+``[0, g(1), ..., g(n)][row_f]`` is the row of g * f. Rows are generated
+breadth-first by word length, each layer sorted; this canonical order fixes
+every deterministic choice downstream, such as the base idempotent. The rows
+seen so far are kept by one of three structures, chosen by n alone: flags in
+a dense table of all n ** n maps when n <= 8 (16 MiB at most), sorted runs
+of int64 codes for 9 <= n <= 15, and byte keys in a set from n = 16, where
+the codes overflow int64; closures deep in thin layers need many points and
+so always take the set. A row's code is its images minus 1 read as base-n
+digits. Both code structures take a layer's distinct codes by one unstable
+argsort: equal codes are equal rows, so which duplicate is kept does not
+matter. The kernel stays rows: ``kernel`` selects them by rank, counted in a
+table of image flags, and ``rees_at`` composes every product it needs once,
+on those rows, into tables of positions, each product found by
+``positions_in``, the one lookup of rows by their byte keys. ``ReesData``
+holds the rows of the kernel, of L, G and R and of the generators, and
+positions for everything else: a group element is a position in
+``ReesData.G`` and products are table lookups. ``literals`` prints rows from
+one byte buffer.
 """
 
 from __future__ import annotations
@@ -41,10 +42,6 @@ DENSE_MAX_N = 8
 # ... and sorted runs of int64 codes for domains of at most this many points:
 # a code is below n ** n, which is below 2 ** 63 up to n = 15.
 CODE_MAX_N = 15
-
-
-def _rows(maps, dtype) -> np.ndarray:
-    return np.array([f.images for f in maps], dtype=dtype)
 
 
 def _tables(rows: np.ndarray) -> np.ndarray:
@@ -75,30 +72,25 @@ def literals(rows: np.ndarray) -> list:
     return text.tobytes().translate(None, b"\0").decode().split()
 
 
-def left_products(rows: np.ndarray, factors) -> np.ndarray:
-    """Position in ``rows`` of f * s for every factor f and row s, f-major."""
-    return positions_in(rows)(_tables(_rows(factors, rows.dtype)).take(rows, axis=1)).ravel()
+def left_products(rows: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """Position in ``rows`` of f * s for every factor row f and row s, f-major."""
+    return positions_in(rows)(_tables(factors).take(rows, axis=1)).ravel()
 
 
-def generate(generators, *, cap: int = DEFAULT_ELEMENT_CAP) -> np.ndarray:
+def generate(rows: np.ndarray, *, cap: int = DEFAULT_ELEMENT_CAP) -> np.ndarray:
     """Image rows of the smallest composition-closed superset of the
-    generators, as one ``(|S|, n)`` unsigned array.
+    generator rows ``rows``, as one ``(|S|, n)`` unsigned array.
 
     The order is canonical: by shortest word length, each layer sorted, so
-    the sorted generators come first. Each layer is the generators times the
-    last layer, less the rows seen before: for n <= DENSE_MAX_N the seen rows
-    are flags in a table of all n ** n maps (``_flag_table``), for n <=
-    CODE_MAX_N sorted runs of int64 codes (``_code_runs``), otherwise byte
-    keys in a set (``_key_set``). The choice reads n alone. Raises
-    ResourceLimitError if the closure exceeds ``cap`` elements.
+    the distinct generators come first, sorted, as the first layer passes
+    through the same dedupe as every other. Each layer is the generators
+    times the last layer, less the rows seen before: for n <= DENSE_MAX_N
+    the seen rows are flags in a table of all n ** n maps (``_flag_table``),
+    for n <= CODE_MAX_N sorted runs of int64 codes (``_code_runs``),
+    otherwise byte keys in a set (``_key_set``). The choice reads n alone.
+    Raises ResourceLimitError if the closure exceeds ``cap`` elements.
     """
-    gens = sorted(set(generators))
-    if not gens:
-        raise InputError("need at least one generator")
-    if len({g.n for g in gens}) != 1:
-        raise InputError("generators must share one domain size")
-    n = gens[0].n
-
+    n = rows.shape[1]
     big = np.dtype(np.min_scalar_type(n)).newbyteorder(">")
     if n <= DENSE_MAX_N:
         fresh = _flag_table(n)
@@ -106,9 +98,9 @@ def generate(generators, *, cap: int = DEFAULT_ELEMENT_CAP) -> np.ndarray:
         fresh = _code_runs(n)
     else:
         fresh = _key_set(n, big)
-    tables = _tables(_rows(gens, big))
-    layers = [fresh(tables[:, 1:])]
-    size = len(gens)
+    layers = [fresh(rows.astype(big))]
+    tables = _tables(layers[0])
+    size = len(layers[0])
     while len(layers[-1]):
         if size > cap:
             raise ResourceLimitError(f"closure exceeded the element cap ({cap}); "
@@ -274,17 +266,17 @@ class ReesData:
     right: np.ndarray
 
 
-def rees_at(generators, ker: np.ndarray, e: int) -> ReesData:
+def rees_at(gens: np.ndarray, ker: np.ndarray, e: int) -> ReesData:
     """Decompose the kernel rows ``ker`` at the idempotent ker[e]:
     L = E(Ke), G = eKe, R = E(eK).
 
     Verifies the group axioms for G, eL = Re = {e}, and the bijectivity of
     the product map L x G x R -> kernel, and that the walks z -> f z on Ke
-    and z -> z f on eK under the generators (the support of any law on
-    them) are irreducible. The period p, the subgroup H and the coset
-    generator gamma come from the left walk: the cyclic class of e has
-    G-parts exactly H, the successor class has G-parts gamma H, and gamma
-    is the canonically smallest element of that coset with gamma^p = e.
+    and z -> z f on eK under the generator rows ``gens`` (the support of
+    any law on them) are irreducible. The period p, the subgroup H and the
+    coset generator gamma come from the left walk: the cyclic class of e
+    has G-parts exactly H, the successor class has G-parts gamma H, and
+    gamma is the canonically smallest element of that coset with gamma^p = e.
     Verifies that H is a normal subgroup whose p cosets partition G.
 
     Every product is composed once, on image rows, and looked up by
@@ -296,7 +288,7 @@ def rees_at(generators, ker: np.ndarray, e: int) -> ReesData:
     if not idempotents(ker[[e]]).size:
         raise InputError(f"{literals(ker[[e]])[0]} is not idempotent")
 
-    row_at, gens = positions_in(ker), _rows(generators, ker.dtype)
+    row_at = positions_in(ker)
     left = row_at(_tables(gens).take(ker, axis=1))
     right = row_at(_tables(ker).take(gens, axis=1)).T
     ke = distinct(row_at(_tables(ker).take(unit, axis=1)))  # z * e

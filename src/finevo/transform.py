@@ -2,8 +2,9 @@
 
 A ``Transformation`` is the parsed form of a law's generators and the
 public class: it validates its image table, composes, prints its literal
-and orders by its images. The analysis works on integer image rows
-(``finevo.semigroup``) and never on these objects. Conventions: points are
+and orders by its images. The law's generators are turned into integer
+image rows once at parse (``MappingLaw.rows``); the analysis takes those
+rows (``finevo.semigroup``) and never these objects. Conventions: points are
 1-based, and the product ``f * g`` means "apply g first, then f", so
 ``(f * g).images[x - 1] == f.images[g.images[x - 1] - 1]``. Point tuples
 are plain Python tuples of ints.

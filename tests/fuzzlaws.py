@@ -49,7 +49,7 @@ def random_law(rng: random.Random) -> MappingLaw:
 
 def _within_caps(law: MappingLaw) -> bool:
     try:
-        closure = generate(law.generators, cap=MAX_CLOSURE)
+        closure = generate(law.rows, cap=MAX_CLOSURE)
     except ResourceLimitError:
         return False
     ker = list(map(tuple, kernel(closure).tolist()))

@@ -96,6 +96,13 @@ def power(f, k: int):
     return reduce(lambda acc, _: acc * f, range(k - 1), f)
 
 
+def rows_of(maps) -> np.ndarray:
+    """The image rows of the transformations ``maps``, in their order, in
+    the dtype of ``MappingLaw.rows``."""
+    images = [f.images for f in maps]
+    return np.array(images, np.min_scalar_type(len(images[0])))
+
+
 def tuples(rows) -> tuple:
     """Integer rows as a tuple of point tuples."""
     return tuple(map(tuple, np.asarray(rows).tolist()))

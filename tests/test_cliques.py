@@ -24,6 +24,7 @@ from oracles import (
     image_set,
     rank,
     rees_objects,
+    rows_of,
     tuples,
     brute_force_closure,
     coordinate_marginal,
@@ -67,7 +68,7 @@ def test_f_cliques_golden(example_analysis):
 
 def test_f_cliques_of_permutation_group():
     c = Transformation([2, 3, 1])
-    assert tuples(f_cliques(kernel(generate([c])))) == ((1, 2, 3),)
+    assert tuples(f_cliques(kernel(generate(rows_of([c]))))) == ((1, 2, 3),)
 
 
 def test_W_mu_and_W_golden(example_analysis):
@@ -120,7 +121,7 @@ def test_stability_invariant(example_analysis):
 
 
 def test_transitive_group_has_all_orderings():
-    S = generate([Transformation([2, 3, 1]), Transformation([2, 1, 3])])
+    S = generate(rows_of([Transformation([2, 3, 1]), Transformation([2, 1, 3])]))
     a = analyze_law(
         MappingLaw.from_dict(
             {"n": 3, "generators": [[2, 3, 1], [2, 1, 3]], "weights": ["1/2", "1/2"]}

@@ -421,7 +421,7 @@ def test_float_oracle_and_cesaro_equal_the_list_loops(
     # W_mu is too large to analyze, and the pass reads only law, closure and rd
     cycles = [MappingLaw.from_dict({"n": m, "generators": [list(range(2, m + 1)) + [1]],
                                     "weights": ["1"]}) for m in (64, 65)]
-    closures = [generate(law.generators) for law in cycles]
+    closures = [generate(law.rows) for law in cycles]
     # a one-element closure, where every power is [1.0] and the tail is
     # reduced along the only (fast) axis, and a two-element closure, the
     # smallest whose tail is reduced row by row. rank3, in group_kernel_laws,
@@ -433,7 +433,7 @@ def test_float_oracle_and_cesaro_equal_the_list_loops(
     laws = [oscillating, point, swap] + group_kernel_laws()
     cases = [(a, 100_000) for a in [example_analysis, cyclic3_analysis, p3h2_analysis]]
     cases += [(analyze_law(law), 100_000) for law in laws]
-    cases += [(SimpleNamespace(law=law, closure=S, rd=rees_at(law.generators, S, int(idempotents(S)[0]))),
+    cases += [(SimpleNamespace(law=law, closure=S, rd=rees_at(law.rows, S, int(idempotents(S)[0]))),
                1_000)
               for law, S in zip(cycles, closures)]
     cases.append((cyclic3_analysis, 3))  # no lag up to 2 at mu^3: not converged
@@ -597,7 +597,7 @@ def test_assemble_rejects_a_nonstationary_boundary_factor(example_analysis, left
 def test_period_and_subgroup_direct(example_analysis, p3h2_analysis):
     # the left walk on Ke gives p, H and gamma; only the generators matter
     a = example_analysis
-    rd = rees_at(a.law.generators, a.rd.kernel, a.rd.e)
+    rd = rees_at(a.law.rows, a.rd.kernel, a.rd.e)
     group = rees_objects(rd)
     assert (rd.p, set(group.H), group.gamma) == (1, set(group.G), E)
     b = p3h2_analysis

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -179,6 +180,31 @@ def test_law_file_validation():
 def test_law_round_trips_through_dict():
     law = example_law()
     assert MappingLaw.from_dict(law.to_dict()) == law
+
+
+@pytest.mark.parametrize("n", [True, False, 0, "2"])
+def test_constructor_refuses_the_domain_sizes_from_dict_refuses(n):
+    # a bool is an int, and a boolean n would make the rows a bool array
+    message = re.escape(f"n must be a positive integer, got {n!r}")
+    with pytest.raises(InputError, match=message):
+        MappingLaw(n, RationalMeasure({Transformation([1]): 1}))
+    with pytest.raises(InputError, match=message):
+        MappingLaw.from_dict({"n": n, "generators": [[1]], "weights": ["1"]})
+
+
+@pytest.mark.parametrize("n, dtype", [(255, np.uint8), (256, np.uint16)])
+def test_law_rows_are_the_generator_rows_in_the_closure_dtype(n, dtype):
+    # the constants to n and to 1 and the transposition (1 2), listed out of
+    # order; rows hold one byte per image up to n = 255 and two from 256
+    gens = [[n] * n, [2, 1, *range(3, n + 1)], [1] * n]
+    parsed = MappingLaw.from_dict({"n": n, "generators": gens, "weights": ["1/3"] * 3})
+    built = MappingLaw(n, RationalMeasure({Transformation(g): "1/3" for g in gens}))
+    assert built == parsed
+    for law in (parsed, built):
+        closure = analyze_law(law).closure
+        assert law.rows.tolist() == [list(f.images) for f in law.generators]
+        assert law.rows.dtype == np.min_scalar_type(n) == closure.dtype == dtype
+        assert np.array_equal(closure[:len(law.rows)], law.rows)
 
 
 def _assert_exact_vector(vector, size: int) -> None:

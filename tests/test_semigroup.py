@@ -21,6 +21,7 @@ from oracles import (
     project,
     rees_objects,
     rees_product,
+    rows_of,
     shortest_words,
     tuples,
     word_closure,
@@ -40,7 +41,7 @@ EXAMPLE_KERNEL_SIZE = 24
 
 @pytest.fixture(scope="module")
 def S():
-    return generate([F, G])
+    return generate(rows_of([F, G]))
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +62,7 @@ def K(S):
 @pytest.fixture(scope="module")
 def rd(S):
     ker = kernel(S)
-    return rees_at([F, G], ker, position(ker, E))
+    return rees_at(rows_of([F, G]), ker, position(ker, E))
 
 
 @pytest.fixture(scope="module")
@@ -81,13 +82,13 @@ def test_closure_contains_golden_elements(elements):
 
 
 def test_single_identity_generator():
-    S = generate([Transformation([1, 2, 3, 4])])
+    S = generate(rows_of([Transformation([1, 2, 3, 4])]))
     assert len(S) == 1
 
 
 def test_element_cap():
     with pytest.raises(ResourceLimitError):
-        generate([F, G], cap=10)
+        generate(rows_of([F, G]), cap=10)
 
 
 def test_canonical_order_starts_with_generators(elements):
@@ -97,7 +98,7 @@ def test_canonical_order_starts_with_generators(elements):
 def test_product_table_closed(S, elements):
     eset = set(elements)
     assert all(f * g in eset for f in elements for g in elements)
-    assert ([elements[i] for i in left_products(S, [F, G])]
+    assert ([elements[i] for i in left_products(S, rows_of([F, G]))]
             == [f * s for f in (F, G) for s in elements])
 
 
@@ -117,7 +118,7 @@ def test_word_for_reconstructs(elements):
 def _assert_rows_match_the_oracles(generators, closure_oracle) -> tuple:
     """The rows are the oracle's closure, ordered by (shortest-word length,
     image tuple); the kernel is the minimal ideal; the literals match."""
-    rows = generate(generators)
+    rows = generate(rows_of(generators))
     elements = [element(row) for row in rows]
     images = [f.images for f in elements]
     gens = [g.images for g in generators]
@@ -128,7 +129,7 @@ def _assert_rows_match_the_oracles(generators, closure_oracle) -> tuple:
     assert keys == sorted(keys)
     assert set(tuples(kernel(rows))) == brute_force_minimal_ideal(set(images))
     assert literals(rows) == [f.literal() for f in elements]
-    assert ([elements[i] for i in left_products(rows, generators)]
+    assert ([elements[i] for i in left_products(rows, rows_of(generators))]
             == [g * s for g in generators for s in elements])
     return rows
 
@@ -162,10 +163,10 @@ def test_closure_rows_match_across_the_three_visited_structures():
     laws = [gens] + [[Transformation([*g.images, *range(9, n + 1)]) for g in gens]
                      for n in (9, 15, 16)]
     for law in laws:
-        assert np.array_equal(generate(law)[:, :8], rows)
+        assert np.array_equal(generate(rows_of(law))[:, :8], rows)
         with pytest.raises(ResourceLimitError, match=r"element cap \(4310\)"):
-            generate(law, cap=len(rows) - 1)
-        assert len(generate(law, cap=len(rows))) == len(rows)
+            generate(rows_of(law), cap=len(rows) - 1)
+        assert len(generate(rows_of(law), cap=len(rows))) == len(rows)
 
 
 @pytest.mark.parametrize("n, seed, sizes", [(255, 6, (1742, 8)), (256, 5, (1442, 8)),
@@ -191,6 +192,23 @@ def test_closure_rows_match_the_oracles_across_the_one_byte_image(n, seed, sizes
     rows = _assert_rows_match_the_oracles(gens, word_closure)
     assert (len(rows), len(kernel(rows))) == sizes
     assert rows.dtype == (np.uint8 if n <= 255 else np.uint16)
+
+
+@pytest.mark.parametrize("law", [
+    example_law(), p3_h2_law(),
+    *(MappingLaw.from_dict({"n": n, "generators": [[2, 3, 4, 1, 5, *range(6, n + 1)],
+                                                   [2, 5, 5, 2, 4, *range(6, n + 1)]],
+                            "weights": ["1/2", "1/2"]}) for n in (12, 16))])
+def test_generate_closes_unsorted_repeated_rows_as_the_distinct_sorted_rows(law):
+    # the first layer passes through the dedupe of every later layer (flag
+    # table, int64 code runs, byte keys), so the generators come first sorted
+    # and distinct, and the cap counts the distinct generators
+    closure = generate(law.rows)
+    messy = np.concatenate([law.rows[::-1], law.rows])
+    assert np.array_equal(generate(messy), closure) and generate(messy).dtype == closure.dtype
+    assert np.array_equal(generate(messy, cap=len(closure)), closure)
+    with pytest.raises(ResourceLimitError, match=rf"element cap \({len(closure) - 1}\)"):
+        generate(messy, cap=len(closure) - 1)
 
 
 def _cycles(*lengths) -> list:
@@ -233,16 +251,16 @@ def test_closure_rows_hold_images_above_255():
     # a row holds images up to the largest code point, and the domain is not
     # bounded by it: a constant map above it closes to its single row
     top = Transformation([sys.maxunicode] * sys.maxunicode)
-    assert list(map(element, generate([top]))) == [top]
+    assert list(map(element, generate(rows_of([top])))) == [top]
     above = Transformation([1] * (sys.maxunicode + 1))
-    assert list(map(element, generate([above]))) == [above]
+    assert list(map(element, generate(rows_of([above])))) == [above]
 
 
 def test_kernel_ranks_rows_above_the_surrogate_code_points():
     # from n = 0xD800 on, rows hold the code points 0xD800-0xDFFF, which the
     # plain utf-32 codec refuses; the kernel keeps the len(set(row)) rule
     n = 55_300
-    rows = generate([Transformation([2, 1, *range(3, n + 1)]), Transformation([1] * n)])
+    rows = generate(rows_of([Transformation([2, 1, *range(3, n + 1)]), Transformation([1] * n)]))
     ranks = [len(set(row)) for row in rows]
     assert sorted(ranks) == [1, 1, n, n]
     assert np.array_equal(kernel(rows), rows[np.array(ranks) == 1])
@@ -257,7 +275,7 @@ def test_idempotents_golden(elements):
 
 
 def test_idempotents_of_a_permutation_group():
-    S = generate([Transformation([2, 3, 1])])
+    S = generate(rows_of([Transformation([2, 3, 1])]))
     assert [f for f in map(element, S) if is_idempotent(f)] == [Transformation([1, 2, 3])]
 
 
@@ -269,7 +287,7 @@ def test_kernel_matches_minimal_ideal_oracle(elements, K):
 
 def test_kernel_of_a_group_is_everything():
     c = Transformation([2, 3, 1])
-    S = generate([c])
+    S = generate(rows_of([c]))
     assert set(tuples(kernel(S))) == set(tuples(S))
 
 
@@ -300,7 +318,7 @@ def test_group_relations(rees):
 def test_rees_requires_kernel_idempotent(S):
     ker = kernel(S)
     with pytest.raises(InputError, match=re.escape("[2,5,5,2,4] is not idempotent")):
-        rees_at([F, G], ker, position(ker, G))  # in the kernel but not idempotent
+        rees_at(rows_of([F, G]), ker, position(ker, G))  # in the kernel but not idempotent
 
 
 def test_project_golden(rees):
@@ -351,7 +369,7 @@ def test_kernel_idempotents_are_primitive(K):
 
 def test_trivial_kernel_decomposition():
     c = Transformation([1, 1])
-    rd = rees_at([c], kernel(generate([c])), 0)
+    rd = rees_at(rows_of([c]), kernel(generate(rows_of([c]))), 0)
     assert tuples(rd.L) == tuples(rd.G) == tuples(rd.R) == ((1, 1),)
 
 
@@ -366,8 +384,8 @@ def test_coset_structure_single_coset(rd, rees):
 def test_coset_structure_cyclic_group():
     g = Transformation([2, 3, 1])
     ident = Transformation([1, 2, 3])
-    ker = kernel(generate([g]))
-    rd = rees_at([g], ker, position(ker, ident))
+    ker = kernel(generate(rows_of([g])))
+    rd = rees_at(rows_of([g]), ker, position(ker, ident))
     group = rees_objects(rd)
     assert (rd.p, group.H, group.gamma) == (3, (ident,), g)
     assert group.C == (ident, g, g * g)
@@ -395,7 +413,7 @@ def test_rees_at_rejects_a_wrong_coset_structure(S, K, monkeypatch, p, parts, me
     monkeypatch.setattr(semigroup, "chain_period_and_classes",
                         lambda *args: (p, classes + [[]] * (p - len(classes))))
     with pytest.raises(StructuralInconsistencyError, match=re.escape(message)):
-        rees_at([F, G], kernel(S), K.index(E))
+        rees_at(rows_of([F, G]), kernel(S), K.index(E))
 
 
 @pytest.mark.parametrize("e, message", [
@@ -406,7 +424,7 @@ def test_rees_at_rejects_an_ideal_larger_than_the_kernel(S, e, message):
     # the whole closure is an ideal; at the identity its "group" eSe is all
     # of it, a monoid without inverses
     with pytest.raises(StructuralInconsistencyError, match=re.escape(message)):
-        rees_at([F, G], S, position(S, e))
+        rees_at(rows_of([F, G]), S, position(S, e))
 
 
 def test_rees_at_rejects_a_kernel_that_is_not_an_ideal(S):
@@ -414,7 +432,7 @@ def test_rees_at_rejects_a_kernel_that_is_not_an_ideal(S):
     ker = kernel(S)
     ker = ker[[z != G.images for z in tuples(ker)]]
     with pytest.raises(StructuralInconsistencyError, match="minimal-rank set is not an ideal"):
-        rees_at([F, G], ker, position(ker, E))
+        rees_at(rows_of([F, G]), ker, position(ker, E))
 
 
 @pytest.mark.parametrize("direction", ["forward", "backward"])
@@ -436,7 +454,7 @@ def test_rees_at_rejects_a_reducible_right_walk(rd, monkeypatch, direction):
     monkeypatch.setattr(semigroup, "walk_distances", cut)
     with pytest.raises(StructuralInconsistencyError,
                        match=re.escape(f"right walk on eK is not irreducible ({direction})")):
-        rees_at([F, G], rd.kernel, rd.e)
+        rees_at(rows_of([F, G]), rd.kernel, rd.e)
 
 
 def test_rees_coordinate_products_match_composition(example_analysis, fuzz_analyses,
@@ -451,8 +469,8 @@ def test_rees_coordinate_products_match_composition(example_analysis, fuzz_analy
     laws = group_kernel_laws()
 
     def decomposed(law):
-        k = kernel(generate(law.generators))
-        return rees_at(law.generators, k, next(z for z, f in enumerate(tuples(k))
+        k = kernel(generate(law.rows))
+        return rees_at(law.rows, k, next(z for z, f in enumerate(tuples(k))
                                                if is_idempotent(Transformation(f))))
 
     whole = [decomposed(law) for law in laws]
