@@ -6,20 +6,20 @@ parse, is one ``(|S|, n)`` unsigned array of image rows f(1), ..., f(n);
 breadth-first by word length, each layer sorted; this canonical order fixes
 every deterministic choice downstream, such as the base idempotent. The rows
 seen so far are kept by one of three structures, chosen by n alone: flags in
-a dense table of all n ** n maps when n <= 8 (16 MiB at most), sorted runs
-of int64 codes for 9 <= n <= 15, and byte keys in a set from n = 16, where
-the codes overflow int64; closures deep in thin layers need many points and
-so always take the set. A row's code is its images minus 1 read as base-n
-digits. Both code structures take a layer's distinct codes by one unstable
-argsort: equal codes are equal rows, so which duplicate is kept does not
-matter. The kernel stays rows: ``kernel`` selects them by rank, counted in a
-table of image flags, and ``rees_at`` composes every product it needs once,
-on those rows, into tables of positions, each product found by
-``positions_in``, the one lookup of rows by their byte keys. ``ReesData``
-holds the rows of the kernel, of L, G and R and of the generators, and
-positions for everything else: a group element is a position in
-``ReesData.G`` and products are table lookups. ``literals`` prints rows from
-one byte buffer.
+a dense table of all n ** n maps when n <= 8 (16 MiB at most), sorted runs of
+int64 codes for 9 <= n <= 15, and byte keys in a set from n = 16, where the
+codes overflow int64; closures deep in thin layers need many points and so
+always take the set. A row's code is its images minus 1 read as base-n
+digits, summed in int64 by one ``einsum`` of the uint8 rows. Both code
+structures take a layer's distinct codes by one unstable argsort: equal codes
+are equal rows, so which duplicate is kept does not matter. The kernel stays
+rows: ``kernel`` selects them by rank, a popcount of image flags set one
+column at a time, and ``rees_at`` composes every product it needs once, on
+those rows, into tables of positions, each product found by ``positions_in``,
+the one lookup of rows by their byte keys. ``ReesData`` holds the rows of the
+kernel, of L, G and R and of the generators, and positions for everything
+else: a group element is a position in ``ReesData.G`` and products are table
+lookups. ``literals`` prints rows from one byte buffer.
 """
 
 from __future__ import annotations
@@ -61,7 +61,8 @@ def _keys(rows: np.ndarray, key: np.dtype) -> list:
 def literals(rows: np.ndarray) -> list:
     """``Transformation.literal()`` of every row, e.g. ``[2,3,4,1,5]``: one
     byte buffer holds each row's ``,y`` tokens, NUL-padded to the width of
-    ``,n``, then ``]`` and a newline, and is decoded once without the NULs."""
+    ``,n``, then ``]`` and a newline, and is decoded and split once. Only
+    from n = 10, where one-digit tokens are padded, are the NULs dropped."""
     m, n = rows.shape
     tokens = np.array([f",{y}" for y in range(n + 1)], dtype=f"S{len(str(n)) + 1}")
     text = np.empty((m, n + 1), tokens.dtype)
@@ -69,7 +70,9 @@ def literals(rows: np.ndarray) -> list:
     text[:, -1] = b"]\n"
     text = text.view(np.uint8)
     text[:, 0] = ord("[")  # a row's first comma opens it
-    return text.tobytes().translate(None, b"\0").decode().split()
+    if n > 9:
+        return text.tobytes().translate(None, b"\0").decode().splitlines()
+    return text.tobytes().decode().splitlines()
 
 
 def left_products(rows: np.ndarray, factors: np.ndarray) -> np.ndarray:
@@ -111,11 +114,11 @@ def generate(rows: np.ndarray, *, cap: int = DEFAULT_ELEMENT_CAP) -> np.ndarray:
 
 
 def _coder(n: int):
-    """A row's code on n points: its images minus 1 read as base-n digits,
-    point 1 most significant, so codes sort as the rows do."""
+    """A row's code on n points: its images minus 1 as base-n digits, point 1
+    most significant (so codes sort as the rows), by one int64 ``einsum``."""
     radix = n ** np.arange(n - 1, -1, -1)
     ones = int(radix.sum())
-    return lambda rows: rows @ radix - ones
+    return lambda rows: np.einsum("ij,j->i", rows, radix, dtype=np.int64) - ones
 
 
 def _distinct(codes: np.ndarray) -> tuple:
@@ -180,15 +183,17 @@ def _key_set(n: int, big: np.dtype):
 
 def kernel(rows: np.ndarray) -> np.ndarray:
     """The rows of minimal rank of the closure ``rows``, in canonical order:
-    its kernel, the unique minimal two-sided ideal. A row's rank is the
-    count of its images flagged in a boolean ``(|S|, n + 1)`` table, with no
-    sort. ``rees_at`` verifies the ideal property as it composes the
-    generators with them.
+    its kernel, the unique minimal two-sided ideal (``rees_at`` verifies the
+    ideal property). A row's rank is the popcount of its image flags, set
+    one column at a time in a table of whole uint64 words: no sort and no
+    int64 copy of the rows.
     """
     m, n = rows.shape
-    flags = np.zeros((m, n + 1), bool)
-    flags.ravel()[rows + np.arange(0, flags.size, n + 1)[:, None]] = True
-    ranks = np.count_nonzero(flags, axis=1)
+    flags = np.zeros((m, n // 8 * 8 + 8), bool)
+    flat, at = flags.ravel(), np.arange(0, flags.size, flags.shape[1])
+    for col in rows.T:
+        flat[at + col] = True
+    ranks = np.bitwise_count(flags.view(np.uint64)).sum(axis=1)
     return rows[ranks == ranks.min()]
 
 

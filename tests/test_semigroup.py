@@ -2,6 +2,7 @@ import dataclasses
 import random
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,19 +172,23 @@ def test_closure_rows_match_across_the_three_visited_structures():
 
 @pytest.mark.parametrize("n, seed, sizes", [(255, 6, (1742, 8)), (256, 5, (1442, 8)),
                                             (10, 3, (528, 8)), (100, 2, (737, 5)),
-                                            (15, 3, (3184, 8)), (16, 4, (4067, 7))])
+                                            (15, 3, (3184, 8)), (16, 4, (4067, 7)),
+                                            (7, 3, (867, 7)), (8, 0, (1191, 8)),
+                                            (9, 1, (1076, 8))])
 def test_closure_rows_match_the_oracles_across_the_one_byte_image(n, seed, sizes):
     # rows hold one byte per image up to n = 255 and two from n = 256, where
     # the keys must be big-endian to sort as the rows; seeded: a permutation
-    # of the top eight points and two maps into them, so the images 255 and
-    # 256 are common. At n = 10 and n = 100 the literal tokens ",y" widen by
-    # a digit, so the literals of the shorter images are NUL-padded. At
-    # n = 15 the rows into the top points have codes near 15 ** 15, the
-    # largest int64 codes; at n = 16 they would pass 2 ** 63
+    # of the top eight points (all seven at n = 7) and two maps into them, so
+    # the images 255 and 256 are common. At n = 10 and n = 100 the literal
+    # tokens ",y" widen by a digit, so the literals of the shorter images are
+    # NUL-padded; n = 9 is the last width with no padding. At n = 15 the rows
+    # into the top points have codes near 15 ** 15, the largest int64 codes;
+    # at n = 16 they would pass 2 ** 63. kernel's n + 1 image flags fill one
+    # 8-byte word at n = 7 and spill into a second at n = 8
     rng = random.Random(seed)
-    top = range(n - 7, n + 1)
+    top = range(max(1, n - 7), n + 1)
     perm = list(range(1, n + 1))
-    for x, y in zip(top, rng.sample(top, 8)):
+    for x, y in zip(top, rng.sample(top, len(top))):
         perm[x - 1] = y
     gens = [Transformation(perm)]
     for _ in range(2):
@@ -192,6 +197,26 @@ def test_closure_rows_match_the_oracles_across_the_one_byte_image(n, seed, sizes
     rows = _assert_rows_match_the_oracles(gens, word_closure)
     assert (len(rows), len(kernel(rows))) == sizes
     assert rows.dtype == (np.uint8 if n <= 255 else np.uint16)
+
+
+def test_closure_and_kernel_working_memory():
+    """On T_6 (a cycle, a transposition and a rank drop generate all 46,656
+    maps) ``generate`` peaks within 4 and ``kernel`` within 6 times the
+    closure's bytes: neither copies the uint8 rows it works on to int64, at
+    8 bytes per image."""
+    law = MappingLaw.from_dict({"n": 6, "generators": [[2, 3, 4, 5, 6, 1], [2, 1, 3, 4, 5, 6],
+                                                       [1, 1, 3, 4, 5, 6]],
+                                "weights": ["1/3"] * 3})
+    closure = generate(law.rows)
+    assert len(closure) == 6 ** 6
+    for step, arg, bound in ((generate, law.rows, 4), (kernel, closure, 6)):
+        tracemalloc.start()
+        try:
+            step(arg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * closure.nbytes, step.__name__
 
 
 @pytest.mark.parametrize("law", [
