@@ -12,9 +12,15 @@ on Ke = LG and eK = GR need no solve: the group acts on their G-fibres by
 permutations that commute with the walk, so their stationary laws are
 eta_L x omega_G and omega_G x eta_R. One double-precision pass over the
 powers mu^k, on vectors by closure position, is kept as an independent
-cross-check: it estimates p, eta and nu and gives the running average. Its
-lag scan tests each lag on a few witness columns before the full row, and
-it sums the tail of the running average by one sequential reduce per block.
+cross-check: it estimates p, eta and nu and gives the running average.
+Until its oracle settles it steps the powers in blocks that double up to
+64 (fewer on closures of over 1,024 elements) and never pass the settle
+index, and each block pays one lag scan, which tests the lags on a few
+witness columns before the full row, one round of repeat keys and one
+sequential sum reduce. Its ring holds the max(64, |G|) powers a lag or a
+repeat reaches back plus one block, and the tail of the running average
+adds the repeating rows, tiled once into whole periods, by one sequential
+reduce per run.
 
 Every exact law is a vector (nums, den): one object array of Python-int
 numerators by position in the kernel, ``rd.L`` or ``rd.R``, over one
@@ -33,9 +39,10 @@ from .errors import StructuralInconsistencyError
 from .measure import MappingLaw
 from .semigroup import BLOCK, ReesData, left_products, positions_in
 
-# The float pass: the smallest largest lag the oracle scans (it keeps
-# max(FLOAT_MAX_LAG, |G|) + 1 powers), its tolerance, and the n of the
-# running average that `finevo verify` reports.
+# The float pass: the smallest largest lag the oracle scans and the most
+# powers it steps in one block (it keeps max(FLOAT_MAX_LAG, |G|) powers and
+# one block), its tolerance, and the n of the running average that
+# `finevo verify` reports.
 FLOAT_MAX_LAG = 64
 FLOAT_TOL = 1e-12
 CESARO_N = 10_000
@@ -208,84 +215,135 @@ def float_limit_oracle(a, n: int = CESARO_N, *, max_iter: int = 100_000) -> Floa
     ``Analysis`` ``a``. Independent of the exact path.
 
     The oracle steps until the sequence repeats within FLOAT_TOL at some lag
-    q <= max(FLOAT_MAX_LAG, |G|); q estimates the period, the power at an
-    index divisible by q the cycle unit eta, and the average over one period
-    nu. An oscillating transient can push a larger lag under FLOAT_TOL
-    before the true one, so after the first detection the pass steps on to
-    twice the detection index (squaring the residual transient) and reports
-    the smallest lag that holds there.
+    q <= top = max(FLOAT_MAX_LAG, |G|); q estimates the period, the power at
+    an index divisible by q the cycle unit eta, and the average over one
+    period nu. An oscillating transient can push a larger lag under
+    FLOAT_TOL before the true one, so after the first detection the pass
+    steps on to twice the detection index (squaring the residual transient)
+    and reports the smallest lag that holds there.
 
-    Each lag scan checks the full row only for the lags within FLOAT_TOL on
-    every witness column, smallest first; a lag that passes there but not
-    on the full row adds its argmax column to the witnesses. A max over
-    some columns is at most the full max, so the scan finds the same first
-    lag as a full one.
+    Until the oracle settles, the powers are stepped in blocks, each with
+    one lag scan, one round of repeat keys and one sum reduce. A block from
+    power k ends at min(2k, k + most, settle index, max_iter), where most =
+    min(FLOAT_MAX_LAG, BLOCK // |S|) or 1. A detection at k_d > k puts the
+    settle index at min(2 k_d, max_iter) or later, so no block passes it.
+    The ring keeps the top + most powers that a block's lags and repeats
+    reach back to.
 
-    The step is deterministic, so once mu^k has the bytes of a power mu^j
-    in the ring, mu^(k+i) == mu^(j+i) for all i: the rest of the sum is the
-    rows j .. k-1 in cyclic order, added in blocks, the running sum first,
-    by ``np.add.reduce`` along axis 0, which adds row after row (numpy sums
-    pairwise only along the fast axis), so == to stepping on. Axis 0 is the
-    fast one only for |S| = 1, where the law is one generator at weight 1,
-    every power is [1.0] and every partial sum is an integer below 2^53,
-    exact in any order. The pass steps until both the oracle and the sum
-    are done.
+    The lag scan takes a block's powers in order and each power's lags
+    smallest first, and checks the full row only for the pairs within
+    FLOAT_TOL on every witness column; a pair that fails the full row adds
+    its argmax column to the witnesses. A max over some columns is at most
+    the full max, so the scan finds the first pair that a full scan would.
+
+    The step is deterministic, so once mu^m has the bytes of a power mu^j
+    with m - j <= top, mu^(m+i) == mu^(j+i) for all i: the rest of the sum
+    repeats the rows j .. m-1, tiled once into whole periods. Each run of
+    that tail, like each block, is added after a row that holds the running
+    sum by ``np.add.reduce`` along axis 0, which adds row after row (numpy
+    sums pairwise only along the fast axis), so == to stepping on. Axis 0 is
+    the fast one only for |S| = 1, where the law is one generator at weight
+    1, every power is [1.0] and every partial sum is an integer below 2^53,
+    exact in any order. Once the oracle has settled the sum steps one power
+    at a time, so the pass never steps past both the settle index and the
+    first repeat.
     """
     vec, step = _power_step(a.law, a.closure)
-    # power k is kept in row k % size until it is size - 1 powers old
-    size = max(FLOAT_MAX_LAG, len(a.rd.G)) + 1
-    ring = np.zeros((size, len(vec)))
+    width = len(vec)
+    top = max(FLOAT_MAX_LAG, len(a.rd.G))
+    most = max(1, min(FLOAT_MAX_LAG, BLOCK // width))
+    size = top + most  # power k is kept in row k % size
+    ring = np.zeros((size, width))
     ring[1] = vec
     acc, seen = vec.copy(), {hash(vec.tobytes()): 1}
     unsettled = (False, 0, max_iter, None, None)
     oracle = unsettled if max_iter < 2 else None
     summing, settle_until, k = n > 1, None, 1
     witness = []  # closure columns on which some lag failed the full row
+    lags = np.arange(1, top + 1)
 
-    def first_lag() -> int:
-        """The smallest lag q with max |mu^k - mu^(k-q)| < FLOAT_TOL, or 0.
-        A failed lag's argmax column is a witness, so the next round drops
-        it."""
-        row, lags = ring[k % size], np.arange(1, min(k, size))
-        while True:
-            near = (np.abs(ring[:, witness] - row[witness]) < FLOAT_TOL).all(axis=1)
-            lags = lags[near[(k - lags) % size]]
-            if not len(lags):
-                return 0
-            dist = np.abs(ring[(k - lags[0]) % size] - row)
+    def first_lag(lo: int, hi: int):
+        """The first (m, q), by m = lo .. hi and then by q, with
+        max |mu^m - mu^(m-q)| < FLOAT_TOL, or None."""
+        powers = np.arange(lo, hi + 1)[:, None]
+        at = powers % size
+        rows = at - lags  # a negative row counts from the end of the ring
+
+        def near(c: int) -> np.ndarray:
+            column = ring[:, c]
+            return np.abs(column[rows] - column[at]) < FLOAT_TOL
+
+        candidates = lags < powers
+        for c in witness:
+            candidates &= near(c)
+        while len(hit := np.flatnonzero(candidates)):
+            i, q = divmod(int(hit[0]), top)
+            dist = np.abs(ring[rows[i, q]] - ring[at[i, 0]])
             if dist.max() < FLOAT_TOL:
-                return int(lags[0])
-            witness.append(int(dist.argmax()))
+                return lo + i, q + 1
+            witness.append(c := int(dist.argmax()))
+            candidates &= near(c)
+        return None
 
-    while summing or oracle is None:
+    def repeated(m: int, key: bytes):
+        """The j >= m - top with mu^j == mu^m, whose bytes are ``key``, or
+        None, and then m is recorded."""
+        j = seen.get(h := hash(key), -size)
+        if m - j <= top and ring[j % size].tobytes() == key:
+            return j
+        seen[h] = m
+        return None
+
+    def tail(j: int, m: int) -> np.ndarray:
+        """The running sum plus mu^m .. mu^n, which repeat rows j .. m-1."""
+        period = m - j
+        reps = max(1, min(BLOCK // width, n + 1 - m) // period)
+        # row 0 is overwritten by the running sum before each reduce
+        rows = ring[(j + np.arange(-1, reps * period) % period) % size]
+        total = acc
+        for start in range(m, n + 1, reps * period):
+            rows[0] = total
+            total = np.add.reduce(rows[:n + 2 - start], axis=0)
+        return total
+
+    while oracle is None:
+        start, k = k + 1, min(2 * k, k + most, settle_until or max_iter)
+        for m in range(start, k + 1):
+            vec = step(vec)
+            ring[m % size] = vec
+        if summing:
+            # row 0 for the running sum, then the block's powers up to n
+            rows, j = ring[np.arange(start - 1, min(k, n) + 1) % size], None
+            keys = rows[1:].view(np.dtype((np.void, 8 * width))).ravel().tolist()
+            for m, key in enumerate(keys, start):
+                if (j := repeated(m, key)) is not None:
+                    rows = rows[:m - start + 1]
+                    break
+            rows[0] = acc
+            acc = np.add.reduce(rows, axis=0)
+            if j is not None:
+                acc = tail(j, m)
+            summing = j is None and k < n
+        if settle_until is None and (hit := first_lag(start, k)):
+            m, q = hit
+            settle_until = min(max(2 * m, m + q), max_iter)
+        if settle_until is not None and k >= settle_until:
+            if hit := first_lag(k, k):
+                q = hit[1]
+                nu = sum(ring[m % size] for m in range(k - q + 1, k + 1)) / q
+                oracle = (True, q, k, ring[(k - k % q) % size].copy(), nu)
+            settle_until = None  # lost the repetition; keep stepping
+        if oracle is None and k == max_iter:
+            oracle = unsettled
+    while summing:
         k += 1
         vec = step(vec)
         ring[k % size] = vec
-        if summing:
-            key = vec.tobytes()
-            j = seen.get(hash(key), -size)
-            if k - j < size and ring[j % size].tobytes() == key:
-                cycle = ring[np.arange(j, k) % size]
-                rows = max(1, BLOCK // len(vec))
-                for m in range(k, n + 1, rows):
-                    block = cycle[np.arange(m - k, min(m + rows, n + 1) - k) % (k - j)]
-                    block[0] += acc
-                    acc = np.add.reduce(block, axis=0)
-                summing = False
-            else:
-                acc += vec
-                seen[hash(key)] = k
-                summing = k < n
-        if oracle is None:
-            if settle_until is None and (q := first_lag()):
-                settle_until = min(max(2 * k, k + q), max_iter)
-            if settle_until is not None and k >= settle_until:
-                if q := first_lag():
-                    nu = sum(ring[m % size] for m in range(k - q + 1, k + 1)) / q
-                    oracle = (True, q, k, ring[(k - k % q) % size].copy(), nu)
-                settle_until = None  # lost the repetition; keep stepping
-            if oracle is None and k == max_iter:
-                oracle = unsettled
+        if (j := repeated(k, vec.tobytes())) is not None:
+            acc, summing = tail(j, k), False
+        else:
+            acc += vec
+            summing = k < n
     return FloatLimitEstimate(*oracle, average=acc / n)
 
 

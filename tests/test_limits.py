@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 from types import SimpleNamespace
@@ -417,8 +418,9 @@ def test_float_oracle_and_cesaro_equal_the_list_loops(
         {"n": 4, "generators": [[1, 4, 4, 4], [2, 3, 2, 1], [4, 3, 2, 4]],
          "weights": ["1/3", "1/3", "1/3"]})
     # mu^65 == mu^1 on the 64-cycle and mu^66 == mu^1 on the 65-cycle, both
-    # inside the ring of max(64, |G|) + 1 powers, G the m-cycle's group; their
-    # W_mu is too large to analyze, and the pass reads only law, closure and rd
+    # at the largest distance max(64, |G|) at which a repeat counts, G the
+    # m-cycle's group; their W_mu is too large to analyze, and the pass reads
+    # only law, closure and rd
     cycles = [MappingLaw.from_dict({"n": m, "generators": [list(range(2, m + 1)) + [1]],
                                     "weights": ["1"]}) for m in (64, 65)]
     closures = [generate(law.rows) for law in cycles]
@@ -431,12 +433,15 @@ def test_float_oracle_and_cesaro_equal_the_list_loops(
     swap = MappingLaw.from_dict({"n": 2, "generators": [[1, 2], [2, 1]],
                                  "weights": ["1/3", "2/3"]})
     laws = [oscillating, point, swap] + group_kernel_laws()
-    cases = [(a, 100_000) for a in [example_analysis, cyclic3_analysis, p3h2_analysis]]
-    cases += [(analyze_law(law), 100_000) for law in laws]
+    cases = [(a, (100_000,)) for a in [example_analysis, cyclic3_analysis, p3h2_analysis]]
+    cases += [(analyze_law(law), (100_000,)) for law in laws]
+    # S5 and rank3 stopped inside a doubling block: the blocks of 64 powers
+    # from 1 double to 32 -> 64 and 128 -> 192, cut at 37 and 129
+    cases += [(analyze_law(group_kernel_laws()[i]), (37, 129)) for i in (0, 3)]
     cases += [(SimpleNamespace(law=law, closure=S, rd=rees_at(law.rows, S, int(idempotents(S)[0]))),
-               1_000)
+               (1_000,))
               for law, S in zip(cycles, closures)]
-    cases.append((cyclic3_analysis, 3))  # no lag up to 2 at mu^3: not converged
+    cases.append((cyclic3_analysis, (3,)))  # no lag up to 2 at mu^3: not converged
     steps = []
     power_step = limits._power_step
 
@@ -445,29 +450,82 @@ def test_float_oracle_and_cesaro_equal_the_list_loops(
         return v0, lambda v: steps.append(1) or step(v)
 
     monkeypatch.setattr(limits, "_power_step", counted)
-    for a, max_iter in cases:
+    for a, max_iters in cases:
         elements = [element(row) for row in a.closure]
         step = add_at_step(a.law, elements)
         v0 = np.zeros(len(elements))
         v0[[elements.index(f) for f in a.law.generators]] = [
             float(w) for _, w in a.law.measure.items()]
-        converged, q, eta_vec, nu_vec, settled = float_limit_loop(
-            step, v0, 1e-12, max_iter, max(64, len(a.rd.G)))
+        oracles = {max_iter: float_limit_loop(step, v0, 1e-12, max_iter, max(64, len(a.rd.G)))
+                   for max_iter in max_iters}
         k = first_repeat(step, v0)
         for n in (1, 2, k, k + 1, 3_000, 10_000):  # at n = k the tail is one term
             expected = float_law(a.closure, cesaro_loop(step, v0, n))
-            # tail blocks of one row (a closure larger than the block), of
-            # three rows, and of the default size
-            for block in (1, 3 * len(elements), BLOCK):
+            # blocks of one power with tail runs of one row (a closure
+            # larger than the block), of two powers, of three powers and
+            # rows, and of the default size
+            for block in (1, 2 * len(elements), 3 * len(elements), BLOCK):
                 monkeypatch.setattr(limits, "BLOCK", block)
-                steps.clear()
-                est = float_limit_oracle(a, n, max_iter=max_iter)
-                assert (est.converged, est.p_est, est.iterations) == (converged, q, settled)
-                if converged:
-                    assert float_law(a.closure, est.eta) == float_law(a.closure, eta_vec)
-                    assert float_law(a.closure, est.nu) == float_law(a.closure, nu_vec)
-                assert float_law(a.closure, est.average) == expected
-                assert len(steps) == max(settled, min(k, n)) - 1
+                for max_iter, (converged, q, eta_vec, nu_vec, settled) in oracles.items():
+                    steps.clear()
+                    est = float_limit_oracle(a, n, max_iter=max_iter)
+                    assert (est.converged, est.p_est, est.iterations) == (converged, q, settled)
+                    if converged:
+                        assert float_law(a.closure, est.eta) == float_law(a.closure, eta_vec)
+                        assert float_law(a.closure, est.nu) == float_law(a.closure, nu_vec)
+                    assert float_law(a.closure, est.average) == expected
+                    assert len(steps) == max(settled, min(k, n)) - 1
+
+
+def test_float_pass_matches_repeats_within_the_largest_lag_only(monkeypatch):
+    # on the 65-cycle mu^66 == mu^1. Standing in a 64-element G, the pass
+    # may match a power at most max(64, |G|) = 64 powers back, though its
+    # ring of 64 + 64 rows still holds mu^1, so it steps all n powers
+    from finevo import limits
+
+    law = MappingLaw.from_dict({"n": 65, "generators": [list(range(2, 66)) + [1]],
+                                "weights": ["1"]})
+    a = SimpleNamespace(law=law, closure=generate(law.rows), rd=SimpleNamespace(G=[None] * 64))
+    steps = []
+    power_step = limits._power_step
+
+    def counted(law, closure):
+        v0, step = power_step(law, closure)
+        return v0, lambda v: steps.append(1) or step(v)
+
+    monkeypatch.setattr(limits, "_power_step", counted)
+    est = float_limit_oracle(a, 3_000, max_iter=1_000)
+    assert not est.converged and len(steps) == 2_999
+    elements = [element(row) for row in a.closure]
+    v0 = np.zeros(len(elements))
+    v0[elements.index(law.generators[0])] = 1.0
+    expected = cesaro_loop(add_at_step(law, elements), v0, 3_000)
+    assert float_law(a.closure, est.average) == float_law(a.closure, expected)
+
+
+def test_float_pass_memory_on_a_large_closure(monkeypatch):
+    # T_5, the cycle, transposition and rank drop on 5 points, closes to all
+    # 3,125 maps. With blocks of one power the pass holds the ring of
+    # max(64, |G|) + 1 powers; its powers repeat no row within 10^4 steps, so
+    # it takes no copy of repeating rows for the tail. The slack of 1.5 MB
+    # covers the repeat dict's 10^4 hashes (about 1 MB) and the step's tables
+    from finevo import limits
+
+    n = 5
+    law = MappingLaw.from_dict(
+        {"n": n, "generators": [[*range(2, n + 1), 1], [2, 1, *range(3, n + 1)],
+                                [1, 1, *range(3, n + 1)]],
+         "weights": ["1/3"] * 3})
+    a = analyze_law(law)
+    monkeypatch.setattr(limits, "BLOCK", 1)
+    tracemalloc.start()
+    try:
+        est = float_limit_oracle(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(a.closure) == 3_125 and est.converged and est.iterations == 1_832
+    assert peak <= (max(64, len(a.rd.G)) + 1) * len(a.closure) * 8 + 1_500_000
 
 
 def test_indexed_convolution_matches_the_oracle(example_analysis, p3h2_analysis, fuzz_analyses):
