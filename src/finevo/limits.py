@@ -287,11 +287,15 @@ def float_limit_oracle(a, n: int = CESARO_N, *, max_iter: int = 100_000) -> Floa
 
     def repeated(m: int, key: bytes):
         """The j >= m - top with mu^j == mu^m, whose bytes are ``key``, or
-        None, and then m is recorded."""
+        None, and then m is recorded. Past 2 top hashes, those of powers
+        i <= m - top are dropped: a later power is more than top past them."""
         j = seen.get(h := hash(key), -size)
         if m - j <= top and ring[j % size].tobytes() == key:
             return j
         seen[h] = m
+        if len(seen) > 2 * top:
+            for stale in [x for x, i in seen.items() if m - i >= top]:
+                del seen[stale]
         return None
 
     def tail(j: int, m: int) -> np.ndarray:

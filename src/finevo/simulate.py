@@ -13,13 +13,14 @@ lock-step over r, and its states advance on the step table. A single path
 is the one-replication case. Rounds 1-2 of the cipher run on the key and
 the counter factors apart, so only rounds 3-10 run per (replication, block),
 and the words are the same. The exact checks run on every row of a batch:
-tuples are composed once per distinct pattern of positions, and the group
-identities read the Rees tables. The statistical checks count positions,
-coded so that their categories keep the order of the objects they stand
-for, and rank the codes of each table by a table of their counts; each
-refuses a batch of the other kind or of too few replications in one guard,
-``_check_batch``, and both tests of the (Y_C, Z_W) joint read the family's
-exact table, ``InvariantFamily.joint``.
+the tuples of every state are composed on image rows by gathers, and the
+group identities read the Rees tables. The statistical checks count
+positions, coded so that their categories keep the order of the objects
+they stand for (an N-window by the digits of its maps), and rank the codes
+of each table by a table of their counts; each refuses a batch of the other
+kind or of too few replications in one guard, ``_check_batch``, and both
+tests of the (Y_C, Z_W) joint read the family's exact table,
+``InvariantFamily.joint``.
 """
 
 from __future__ import annotations
@@ -258,36 +259,12 @@ def sample_batch(
                      seed=seed, maps=maps, states=states)
 
 
-def _lex_codes(rows: np.ndarray) -> np.ndarray:
-    """Per row, the rank of its value among the distinct rows in
-    lexicographic order."""
-    order = np.lexsort(rows.T[::-1])
-    ranked = rows[order]
-    new = np.ones(len(rows), dtype=np.intp)
-    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    codes = np.empty(len(rows), dtype=np.intp)
-    codes[order] = np.cumsum(new) - 1
-    return codes
-
-
-def _row_counts(columns) -> tuple:
-    """Distinct rows of the stacked integer columns, as columns, and their
-    multiplicities."""
-    table = np.column_stack(columns)
-    codes = _lex_codes(table)
-    rows = np.empty((codes.max() + 1, table.shape[1]), dtype=table.dtype)
-    rows[codes] = table
-    return rows.T, np.bincount(codes)
-
-
-def _misses(analysis: Analysis, patterns: tuple) -> int:
-    """How many of the counted patterns (l, g, w, s) have
-    (L[l] * G[g])(W[w]) != W_mu[s], composing the image rows once per
-    pattern."""
+def _misses(analysis: Analysis, l, g, w, s) -> int:
+    """How many of the position columns (l, g, w, s) have
+    (L[l] * G[g])(W[w]) != W_mu[s], composed on image rows."""
     rd, cd = analysis.rd, analysis.cliques
-    (l, g, w, s), counts = patterns
     x = rd.L[l[:, None], rd.G[g[:, None], cd.W[w] - 1] - 1]
-    return int(counts[(x != cd.W_mu[s]).any(axis=1)].sum())
+    return int((x != cd.W_mu[s]).any(axis=1).sum())
 
 
 def _increments(analysis: Analysis, states: np.ndarray) -> np.ndarray:
@@ -302,9 +279,9 @@ def verify_path_exact(batch: PathBatch) -> list:
     """The exact invariants of every row of a batch, at every step.
 
     The recursion compares N_k(X_{k-1}) with X_k and the L G W check
-    (L[l] * G[g])(W[w]) with X_k, composed on image rows once per distinct
-    pattern of positions; neither reads ``step`` or ``lgw``. The phase and
-    G-increment identities read the group tables.
+    (L[l] * G[g])(W[w]) with X_k, each composed on the image rows of every
+    state; neither reads ``step`` or ``lgw``. The phase and G-increment
+    identities read the group tables.
     """
     analysis = batch.analysis
     rd, cd = analysis.rd, analysis.cliques
@@ -312,15 +289,13 @@ def verify_path_exact(batch: PathBatch) -> list:
     C, gmul = rd.C, rd.gmul
     checks = []
 
-    (x, f, y), counts = _row_counts((states[:, :-1].ravel(), maps.ravel(),
-                                     states[:, 1:].ravel()))
-    images = rd.generators[f[:, None], cd.W_mu[x] - 1]
-    bad = int(counts[(images != cd.W_mu[y]).any(axis=1)].sum())
+    images = rd.generators[maps[:, :, None], cd.W_mu[states[:, :-1]] - 1]
+    bad = int((images != cd.W_mu[states[:, 1:]]).any(axis=2).sum())
     checks.append(Check("path recursion X_k = N_k X_{k-1}", "exact", bad == 0,
                         note=f"{maps.size} steps"))
 
     x = states.ravel()
-    bad = _misses(analysis, _row_counts((cd.state_l[x], cd.state_g[x], cd.state_w[x], x)))
+    bad = _misses(analysis, cd.state_l[x], cd.state_g[x], cd.state_w[x], x)
     checks.append(Check("X_k in L G W", "exact", bad == 0, note=f"{x.size} states"))
 
     w = cd.state_w[states]
@@ -367,8 +342,8 @@ def verify_factorization(batch: PathBatch, k: int) -> Check:
     factor[:, :-1] = gmul[suffix, phase[:, None]]
     factor[:, -1] = phase
     x = states.ravel()
-    bad = _misses(analysis, _row_counts((cd.state_l[x], factor.ravel(),
-                                         np.repeat(batch.z_w, states.shape[1]), x)))
+    bad = _misses(analysis, cd.state_l[x], factor.ravel(),
+                  np.repeat(batch.z_w, states.shape[1]), x)
     return Check(
         "factorization X_j = X_j^L (M^G_{k,j})^-1 (gamma^k Y_C) U^H_k Z_W",
         "exact",
@@ -386,6 +361,19 @@ def _table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b_rank = np.cumsum(np.bincount(b) > 0) - 1
     rows, cols = a_rank[-1] + 1, b_rank[-1] + 1
     return np.bincount(a_rank[a] * cols + b_rank[b], minlength=rows * cols).reshape(rows, cols)
+
+
+def _window_codes(maps: np.ndarray, gens: int) -> np.ndarray:
+    """Per row, a code of its maps below the row count R that sorts as the
+    windows do in lexicographic order. The maps are taken as base-``gens``
+    digits, most significant first; once a code reaches R all are replaced by
+    ranks, which keep the order, so no code passes R * gens."""
+    codes = np.zeros(len(maps), dtype=np.int64)
+    for digit in maps.T:
+        codes = codes * gens + digit
+        if codes.max() >= len(maps):
+            codes = np.unique(codes, return_inverse=True)[1]
+    return codes
 
 
 def _check_batch(batch: PathBatch, stationary: bool, what: str) -> None:
@@ -417,9 +405,9 @@ def verify_third_noise(batch: PathBatch, *, alpha: float) -> list:
     Every category is an integer code: U^H_k by its position in H, Y_C by
     j in the goodness-of-fit tests, (Y_C, Z_W) by the G position of
     gamma^j then the position in W in the independence tests, and an
-    N-window by the rank of its map positions among the observed windows in
-    lexicographic order. The independence codes order the categories as
-    the objects sort, and the goodness-of-fit tests run over C by j, then W.
+    N-window by ``_window_codes``, below R and in lexicographic order of its
+    map positions. The independence codes order the categories as the
+    objects sort, and the goodness-of-fit tests run over C by j, then W.
     """
     _check_batch(batch, True, "third-noise")
     rd, cd = batch.analysis.rd, batch.analysis.cliques
@@ -427,7 +415,7 @@ def verify_third_noise(batch: PathBatch, *, alpha: float) -> list:
 
     u, yc = cd.state_h[batch.states[:, -1]], batch.y_c
     yz = rd.C[yc] * len(cd.W) + batch.z_w
-    window = _lex_codes(batch.maps)
+    window = _window_codes(batch.maps, len(rd.generators))
     return [
         chi_square_gof(np.bincount(u, minlength=n_h), _uniform(n_h),
                        replications, alpha, "U^H_k uniform on H"),

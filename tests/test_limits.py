@@ -507,8 +507,9 @@ def test_float_pass_memory_on_a_large_closure(monkeypatch):
     # T_5, the cycle, transposition and rank drop on 5 points, closes to all
     # 3,125 maps. With blocks of one power the pass holds the ring of
     # max(64, |G|) + 1 powers; its powers repeat no row within 10^4 steps, so
-    # it takes no copy of repeating rows for the tail. The slack of 1.5 MB
-    # covers the repeat dict's 10^4 hashes (about 1 MB) and the step's tables
+    # it takes no copy of repeating rows for the tail. The repeat dict keeps
+    # at most 2 max(64, |G|) + 1 of its 10^4 hashes; the slack of 0.75 MB
+    # covers those and the step's tables
     from finevo import limits
 
     n = 5
@@ -525,7 +526,7 @@ def test_float_pass_memory_on_a_large_closure(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(a.closure) == 3_125 and est.converged and est.iterations == 1_832
-    assert peak <= (max(64, len(a.rd.G)) + 1) * len(a.closure) * 8 + 1_500_000
+    assert peak <= (max(64, len(a.rd.G)) + 1) * len(a.closure) * 8 + 750_000
 
 
 def test_indexed_convolution_matches_the_oracle(example_analysis, p3h2_analysis, fuzz_analyses):

@@ -527,9 +527,9 @@ def _add(counts, key):
 REPS = 2000
 
 
-def _third_noise_reference(ref, lw, seed):
+def _third_noise_reference(ref, lw, steps, seed):
     counts = [{} for _ in range(6)]
-    rows = [ref.stationary(lw, -3, 0, seed ^ r) for r in range(REPS)]
+    rows = [ref.stationary(lw, -steps, 0, seed ^ r) for r in range(REPS)]
     for row in rows:
         u = ref.h_part(row["X"][-1])
         yz = (row["Y_C"], row["Z_W"])
@@ -539,13 +539,17 @@ def _third_noise_reference(ref, lw, seed):
     return counts, rows
 
 
-@pytest.mark.parametrize("name", ["example", "cyclic3", "p3h2"])
-def test_stationary_counts_match_scalar_reference(name, request, tested_counts):
+# a window of 12 maps on the example's 2 generators has 2^12 > REPS radix
+# codes, so the N-window codes are ranked once they pass REPS
+@pytest.mark.parametrize("name, steps", [("example", 3), ("cyclic3", 3), ("p3h2", 3),
+                                         ("example", 12)],
+                         ids=["example", "cyclic3", "p3h2", "example-window12"])
+def test_stationary_counts_match_scalar_reference(name, steps, request, tested_counts):
     a = request.getfixturevalue(f"{name}_analysis")
     lw = w_law(a)
     ref = ScalarReference(a)
-    want, rows = _third_noise_reference(ref, lw, 42)
-    batch = sample_batch(a, lw, -3, 0, 42, REPS)
+    want, rows = _third_noise_reference(ref, lw, steps, 42)
+    batch = sample_batch(a, lw, -steps, 0, 42, REPS)
     verify_third_noise(batch, alpha=0.001)
     assert [ref.decode(batch, r) for r in range(REPS)] == rows
 
@@ -562,6 +566,26 @@ def test_stationary_counts_match_scalar_reference(name, request, tested_counts):
         "U^H_k independent of N-window": (u, nw),
         "(Y_C, Z_W) independent of N-window": (yz, nw),
     }) == want
+
+
+@pytest.mark.parametrize("gens, steps, rows", [
+    (2, 3, 100),    # g^w below R: the radix codes stand
+    (2, 7, 128),    # g^w equal to R
+    (2, 12, 100),   # g^w above R: ranked once the codes pass R
+    (3, 40, 500),   # g^w far past 2^64
+    (50, 2, 20),    # g above R: ranked from the first map
+    (1, 5, 30),     # one generator, as in cyclic3: every window gets code 0
+])
+def test_window_codes_sort_as_the_windows(gens, steps, rows):
+    maps = np.random.default_rng(gens * steps + rows).integers(gens, size=(rows, steps))
+    codes = simulate._window_codes(maps.astype(np.int32), gens)
+    assert codes.min() >= 0 and codes.max() < rows
+    windows = sorted(set(map(tuple, maps.tolist())))
+    rank = {window: i for i, window in enumerate(windows)}
+    assert np.unique(codes, return_inverse=True)[1].tolist() == [
+        rank[tuple(window)] for window in maps.tolist()]
+    if gens == 1:
+        assert not codes.any()
 
 
 def test_mono_counts_match_scalar_reference(example_analysis, tested_counts):
