@@ -17,7 +17,8 @@ class Analysis:
     """Everything the reports and the simulator need about one law."""
 
     law: MappingLaw
-    closure: np.ndarray  # canonical rows; the float pass, sup_error and the report read them
+    closure: np.ndarray  # canonical rows; the float pass and the report read them
+    kernel_at: np.ndarray  # the kernel's closure positions, in the order of rd.kernel
     rd: ReesData
     limits: CyclicLimit
     cliques: CliqueData
@@ -31,13 +32,14 @@ def analyze_law(law: MappingLaw, *, cap: int = DEFAULT_ELEMENT_CAP) -> Analysis:
     order; any choice yields an isomorphic decomposition.
     """
     closure = generate(law.rows, cap=cap)
-    ker = kernel(closure)
+    kernel_at = kernel(closure)
+    ker = closure[kernel_at]
     # the kernel is a finite semigroup, so it holds an idempotent
     rd = rees_at(law.rows, ker, int(idempotents(ker)[0]))
 
     limits = assemble_limits(law, rd, boundary_stationary(law, rd, left=True),
                              boundary_stationary(law, rd, left=False))
-    return Analysis(law=law, closure=closure, rd=rd, limits=limits,
+    return Analysis(law=law, closure=closure, kernel_at=kernel_at, rd=rd, limits=limits,
                     cliques=compute_W(rd, cap=cap))
 
 

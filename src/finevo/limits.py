@@ -13,14 +13,14 @@ permutations that commute with the walk, so their stationary laws are
 eta_L x omega_G and omega_G x eta_R. One double-precision pass over the
 powers mu^k, on vectors by closure position, is kept as an independent
 cross-check: it estimates p, eta and nu and gives the running average.
-Until its oracle settles it steps the powers in blocks that double up to
-64 (fewer on closures of over 1,024 elements) and never pass the settle
-index, and each block pays one lag scan, which tests the lags on a few
-witness columns before the full row, one round of repeat keys and one
-sequential sum reduce. Its ring holds the max(64, |G|) powers a lag or a
-repeat reaches back plus one block, and the tail of the running average
-adds the repeating rows, tiled once into whole periods, by one sequential
-reduce per run.
+It steps the powers in blocks of up to 64 (fewer on closures of over
+1,024 elements); until its oracle settles they double and never pass the
+settle index, and each pays one lag scan, which tests the lags on a few
+witness columns before the full row. Each power is keyed for the repeat
+test and added to the running sum as it is stepped. Its ring holds the
+max(64, |G|) powers a lag or a repeat reaches back plus one block, and from
+the first repeat the tail of the running average adds the repeating rows,
+tiled once into whole periods, by one sequential reduce per run.
 
 Every exact law is a vector (nums, den): one object array of Python-int
 numerators by position in the kernel, ``rd.L`` or ``rd.R``, over one
@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import StructuralInconsistencyError
 from .measure import MappingLaw
-from .semigroup import BLOCK, ReesData, left_products, positions_in
+from .semigroup import BLOCK, ReesData, left_products
 
 # The float pass: the smallest largest lag the oracle scans and the most
 # powers it steps in one block (it keeps max(FLOAT_MAX_LAG, |G|) powers and
@@ -222,13 +222,13 @@ def float_limit_oracle(a, n: int = CESARO_N, *, max_iter: int = 100_000) -> Floa
     steps on to twice the detection index (squaring the residual transient)
     and reports the smallest lag that holds there.
 
-    Until the oracle settles, the powers are stepped in blocks, each with
-    one lag scan, one round of repeat keys and one sum reduce. A block from
-    power k ends at min(2k, k + most, settle index, max_iter), where most =
-    min(FLOAT_MAX_LAG, BLOCK // |S|) or 1. A detection at k_d > k puts the
-    settle index at min(2 k_d, max_iter) or later, so no block passes it.
-    The ring keeps the top + most powers that a block's lags and repeats
-    reach back to.
+    The powers are stepped in blocks. Until the oracle settles, a block
+    from power k ends at min(2k, k + most, settle index, max_iter), where
+    most = min(FLOAT_MAX_LAG, BLOCK // |S|) or 1, and is followed by one lag
+    scan. A detection at k_d > k puts the settle index at min(2 k_d,
+    max_iter) or later, so no block passes it. After that a block ends at
+    min(k + most, n). The ring keeps the top + most powers that a block's
+    lags and repeats reach back to.
 
     The lag scan takes a block's powers in order and each power's lags
     smallest first, and checks the full row only for the pairs within
@@ -236,17 +236,13 @@ def float_limit_oracle(a, n: int = CESARO_N, *, max_iter: int = 100_000) -> Floa
     its argmax column to the witnesses. A max over some columns is at most
     the full max, so the scan finds the first pair that a full scan would.
 
-    The step is deterministic, so once mu^m has the bytes of a power mu^j
-    with m - j <= top, mu^(m+i) == mu^(j+i) for all i: the rest of the sum
-    repeats the rows j .. m-1, tiled once into whole periods. Each run of
-    that tail, like each block, is added after a row that holds the running
-    sum by ``np.add.reduce`` along axis 0, which adds row after row (numpy
-    sums pairwise only along the fast axis), so == to stepping on. Axis 0 is
-    the fast one only for |S| = 1, where the law is one generator at weight
-    1, every power is [1.0] and every partial sum is an integer below 2^53,
-    exact in any order. Once the oracle has settled the sum steps one power
-    at a time, so the pass never steps past both the settle index and the
-    first repeat.
+    Until the first repeat, each power m <= n is keyed for the repeat test
+    and added to the running sum by ``acc += vec`` as it is stepped. The
+    step is deterministic, so once mu^m has the bytes of a power mu^j with
+    m - j <= top, mu^(m+i) == mu^(j+i) for all i, and ``tail`` adds the rest
+    of the sum row after row too, so == to stepping all n powers. After the
+    oracle has settled the repeat also ends the block, so the pass never
+    steps past both the settle index and the first repeat.
     """
     vec, step = _power_step(a.law, a.closure)
     width = len(vec)
@@ -299,7 +295,13 @@ def float_limit_oracle(a, n: int = CESARO_N, *, max_iter: int = 100_000) -> Floa
         return None
 
     def tail(j: int, m: int) -> np.ndarray:
-        """The running sum plus mu^m .. mu^n, which repeat rows j .. m-1."""
+        """The running sum plus mu^m .. mu^n, which repeat rows j .. m-1,
+        tiled once into whole periods. Each run is added after a row that
+        holds the running sum by ``np.add.reduce`` along axis 0, which adds
+        row after row (numpy sums pairwise only along the fast axis), as
+        ``acc += vec`` does. Axis 0 is the fast one only for |S| = 1, where
+        every power is [1.0] and every partial sum is an integer below 2^53,
+        exact in any order."""
         period = m - j
         reps = max(1, min(BLOCK // width, n + 1 - m) // period)
         # row 0 is overwritten by the running sum before each reduce
@@ -310,24 +312,22 @@ def float_limit_oracle(a, n: int = CESARO_N, *, max_iter: int = 100_000) -> Floa
             total = np.add.reduce(rows[:n + 2 - start], axis=0)
         return total
 
-    while oracle is None:
-        start, k = k + 1, min(2 * k, k + most, settle_until or max_iter)
+    while oracle is None or summing:
+        start = k + 1
+        k = (min(2 * k, k + most, settle_until or max_iter) if oracle is None
+             else min(k + most, n))
         for m in range(start, k + 1):
             vec = step(vec)
             ring[m % size] = vec
-        if summing:
-            # row 0 for the running sum, then the block's powers up to n
-            rows, j = ring[np.arange(start - 1, min(k, n) + 1) % size], None
-            keys = rows[1:].view(np.dtype((np.void, 8 * width))).ravel().tolist()
-            for m, key in enumerate(keys, start):
-                if (j := repeated(m, key)) is not None:
-                    rows = rows[:m - start + 1]
+            if summing and (j := repeated(m, vec.tobytes())) is not None:
+                acc, summing = tail(j, m), False
+                if oracle is not None:
                     break
-            rows[0] = acc
-            acc = np.add.reduce(rows, axis=0)
-            if j is not None:
-                acc = tail(j, m)
-            summing = j is None and k < n
+            elif summing:
+                acc += vec
+                summing = m < n
+        if oracle is not None:
+            continue
         if settle_until is None and (hit := first_lag(start, k)):
             m, q = hit
             settle_until = min(max(2 * m, m + q), max_iter)
@@ -339,15 +339,6 @@ def float_limit_oracle(a, n: int = CESARO_N, *, max_iter: int = 100_000) -> Floa
             settle_until = None  # lost the repetition; keep stepping
         if oracle is None and k == max_iter:
             oracle = unsettled
-    while summing:
-        k += 1
-        vec = step(vec)
-        ring[k % size] = vec
-        if (j := repeated(k, vec.tobytes())) is not None:
-            acc, summing = tail(j, k), False
-        else:
-            acc += vec
-            summing = k < n
     return FloatLimitEstimate(*oracle, average=acc / n)
 
 
@@ -355,5 +346,5 @@ def sup_error(a, vector: tuple, approx: np.ndarray) -> float:
     """Largest |exact - approx| over the closure of the ``Analysis`` ``a``,
     for an exact kernel vector and a float vector by closure position."""
     exact = np.zeros(len(a.closure))
-    exact[positions_in(a.closure)(a.rd.kernel)] = vector[0] / vector[1]
+    exact[a.kernel_at] = vector[0] / vector[1]
     return float(np.abs(exact - approx).max())

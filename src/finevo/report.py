@@ -113,27 +113,22 @@ def _is_scalar_list(value) -> bool:
 
 
 def _render_value(value, indent: int, lines: list) -> None:
+    """Append the lines of a dict, as ``key:`` entries, or of a list, as
+    ``-`` entries; a nested dict or list, unless a list of scalars, goes on
+    the lines below its label, one level deeper."""
     pad = "  " * indent
     if isinstance(value, dict):
-        for key, sub in value.items():
-            if _is_scalar_list(sub):
-                lines.append(f"{pad}{key}: [{', '.join(str(v) for v in sub)}]")
-            elif isinstance(sub, (dict, list)):
-                lines.append(f"{pad}{key}:")
-                _render_value(sub, indent + 1, lines)
-            else:
-                lines.append(f"{pad}{key}: {sub}")
-    elif isinstance(value, list):
-        for sub in value:
-            if _is_scalar_list(sub):
-                lines.append(f"{pad}- [{', '.join(str(v) for v in sub)}]")
-            elif isinstance(sub, (dict, list)):
-                lines.append(f"{pad}-")
-                _render_value(sub, indent + 1, lines)
-            else:
-                lines.append(f"{pad}- {sub}")
+        pairs = ((f"{key}:", sub) for key, sub in value.items())
     else:
-        lines.append(f"{pad}{value}")
+        pairs = (("-", sub) for sub in value)
+    for label, sub in pairs:
+        if _is_scalar_list(sub):
+            lines.append(f"{pad}{label} [{', '.join(str(v) for v in sub)}]")
+        elif isinstance(sub, (dict, list)):
+            lines.append(f"{pad}{label}")
+            _render_value(sub, indent + 1, lines)
+        else:
+            lines.append(f"{pad}{label} {sub}")
 
 
 def render_text(report: dict) -> str:

@@ -13,13 +13,14 @@ always take the set. A row's code is its images minus 1 read as base-n
 digits, summed in int64 by one ``einsum`` of the uint8 rows. Both code
 structures take a layer's distinct codes by one unstable argsort: equal codes
 are equal rows, so which duplicate is kept does not matter. The kernel stays
-rows: ``kernel`` selects them by rank, a popcount of image flags set one
-column at a time, and ``rees_at`` composes every product it needs once, on
-those rows, into tables of positions, each product found by ``positions_in``,
-the one lookup of rows by their byte keys. ``ReesData`` holds the rows of the
-kernel, of L, G and R and of the generators, and positions for everything
-else: a group element is a position in ``ReesData.G`` and products are table
-lookups. ``literals`` prints rows from one byte buffer.
+rows: ``kernel`` finds their closure positions by rank, a popcount of image
+flags set one column at a time, and ``rees_at`` composes every product it
+needs once, on those rows, into tables of positions, each product found by
+``positions_in``, the one lookup of rows by their byte keys. ``ReesData``
+holds the rows of the kernel, of L, G and R and of the generators, and
+positions for everything else: a group element is a position in
+``ReesData.G`` and products are table lookups. ``literals`` prints rows from
+one byte buffer.
 """
 
 from __future__ import annotations
@@ -183,11 +184,11 @@ def _key_set(n: int, big: np.dtype):
 
 
 def kernel(rows: np.ndarray) -> np.ndarray:
-    """The rows of minimal rank of the closure ``rows``, in canonical order:
-    its kernel, the unique minimal two-sided ideal (``rees_at`` verifies the
-    ideal property). A row's rank is the popcount of its image flags, set
-    one column at a time in a table of whole uint64 words: no sort and no
-    int64 copy of the rows.
+    """The positions of the rows of minimal rank in the closure ``rows``, in
+    canonical order: its kernel, the unique minimal two-sided ideal
+    (``rees_at`` verifies the ideal property). A row's rank is the popcount
+    of its image flags, set one column at a time in a table of whole uint64
+    words: no sort and no int64 copy of the rows.
     """
     m, n = rows.shape
     flags = np.zeros((m, n // 8 * 8 + 8), bool)
@@ -195,7 +196,7 @@ def kernel(rows: np.ndarray) -> np.ndarray:
     for col in rows.T:
         flat[at + col] = True
     ranks = np.bitwise_count(flags.view(np.uint64)).sum(axis=1)
-    return rows[ranks == ranks.min()]
+    return np.flatnonzero(ranks == ranks.min())
 
 
 def idempotents(rows: np.ndarray) -> np.ndarray:

@@ -52,7 +52,7 @@ def _within_caps(law: MappingLaw) -> bool:
         closure = generate(law.rows, cap=MAX_CLOSURE)
     except ResourceLimitError:
         return False
-    ker = list(map(tuple, kernel(closure).tolist()))
+    ker = list(map(tuple, closure[kernel(closure)].tolist()))
     if len(ker) > MAX_KERNEL:
         return False
     e = next(f for f in ker if compose_images(f, f) == f)

@@ -68,7 +68,8 @@ def test_f_cliques_golden(example_analysis):
 
 def test_f_cliques_of_permutation_group():
     c = Transformation([2, 3, 1])
-    assert tuples(f_cliques(kernel(generate(rows_of([c]))))) == ((1, 2, 3),)
+    S = generate(rows_of([c]))
+    assert tuples(f_cliques(S[kernel(S)])) == ((1, 2, 3),)
 
 
 def test_W_mu_and_W_golden(example_analysis):

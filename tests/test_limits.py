@@ -505,11 +505,13 @@ def test_float_pass_matches_repeats_within_the_largest_lag_only(monkeypatch):
 
 def test_float_pass_memory_on_a_large_closure(monkeypatch):
     # T_5, the cycle, transposition and rank drop on 5 points, closes to all
-    # 3,125 maps. With blocks of one power the pass holds the ring of
-    # max(64, |G|) + 1 powers; its powers repeat no row within 10^4 steps, so
-    # it takes no copy of repeating rows for the tail. The repeat dict keeps
-    # at most 2 max(64, |G|) + 1 of its 10^4 hashes; the slack of 0.75 MB
-    # covers those and the step's tables
+    # 3,125 maps. The pass holds the ring of max(64, |G|) + most powers,
+    # most = 1 at BLOCK = 1 and 20 at the default BLOCK, and adds each power
+    # to the running sum as it is stepped, so no block of powers is gathered;
+    # its powers repeat no row within 10^4 steps, so it takes no copy of
+    # repeating rows for the tail. The repeat dict keeps at most
+    # 2 max(64, |G|) + 1 of its 10^4 hashes; the slack of 0.75 MB covers
+    # those and the step's tables
     from finevo import limits
 
     n = 5
@@ -518,15 +520,17 @@ def test_float_pass_memory_on_a_large_closure(monkeypatch):
                                 [1, 1, *range(3, n + 1)]],
          "weights": ["1/3"] * 3})
     a = analyze_law(law)
-    monkeypatch.setattr(limits, "BLOCK", 1)
-    tracemalloc.start()
-    try:
-        est = float_limit_oracle(a)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(a.closure) == 3_125 and est.converged and est.iterations == 1_832
-    assert peak <= (max(64, len(a.rd.G)) + 1) * len(a.closure) * 8 + 750_000
+    for block in (1, BLOCK):
+        monkeypatch.setattr(limits, "BLOCK", block)
+        tracemalloc.start()
+        try:
+            est = float_limit_oracle(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(a.closure) == 3_125 and est.converged and est.iterations == 1_832
+        most = max(1, min(64, block // len(a.closure)))
+        assert peak <= (max(64, len(a.rd.G)) + most) * len(a.closure) * 8 + 750_000, block
 
 
 def test_indexed_convolution_matches_the_oracle(example_analysis, p3h2_analysis, fuzz_analyses):

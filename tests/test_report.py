@@ -20,6 +20,10 @@ N300 = {"n": 300, "generators": [[2, 1, *range(3, 301)], [1] * 300],
 # from the encoder that wrote every element through json.dumps
 BIG_JSON_SHA = "1a5b3fb8dbce1e1db8af19d4fd348634c5ecec391ff262945321f2a0e680bc44"
 BIG_TEXT_SHA = "57c5bfc0cad826cd948cd8acfa0a914bb0bc69524c3173e9ba5a9df06d2ec56c"
+# ... and of `example --replications 1000 --seed 42 --no-timestamp`, whose
+# verification block renders lists of dicts, which BIG's report has not
+EXAMPLE_JSON_SHA = "f7c696e16b19de963090deb87d39ccd3c35cee61d26b360f53793a77dc261891"
+EXAMPLE_TEXT_SHA = "8c465b275c9662ee57dc56b14ab213269285babbd9b7b7e3dd289a178404d829"
 
 
 def _sha256(text: str) -> str:
@@ -47,8 +51,11 @@ def test_report_to_json_keeps_a_verification_block(capsys):
 def test_a_large_closure_keeps_its_json_and_text_bytes(capsys, tmp_path):
     path = tmp_path / "big.json"
     path.write_text(json.dumps(BIG))
-    digests = []
-    for fmt in ([], ["--text"]):
-        assert main(["analyze", "--law", str(path), "--no-timestamp", *fmt]) == 0
-        digests.append(_sha256(capsys.readouterr().out))
-    assert digests == [BIG_JSON_SHA, BIG_TEXT_SHA]
+    for argv, shas in [(["analyze", "--law", str(path)], [BIG_JSON_SHA, BIG_TEXT_SHA]),
+                       (["example", "--replications", "1000", "--seed", "42"],
+                        [EXAMPLE_JSON_SHA, EXAMPLE_TEXT_SHA])]:
+        digests = []
+        for fmt in ([], ["--text"]):
+            assert main([*argv, "--no-timestamp", *fmt]) == 0
+            digests.append(_sha256(capsys.readouterr().out))
+        assert digests == shas, argv[0]
