@@ -91,16 +91,19 @@ def build_parser() -> argparse.ArgumentParser:
                    "(default 10^6)"}
 
     p = sub.add_parser("analyze", help="structural analysis of a mapping law")
+    p.set_defaults(run=cmd_analyze)
     p.add_argument("--law", required=True, help="mapping-law JSON file")
     p.add_argument("--cap", **cap)
     p.add_argument("--seed", type=int, help="echoed into the report")
     _add_output_flags(p)
 
-    for command, text in (
-            ("simulate", "seeded simulation with exact and statistical verification"),
-            ("verify", "full verification battery including the floating-point "
-                       "limit oracle")):
+    for command, run, text in (
+            ("simulate", cmd_simulate,
+             "seeded simulation with exact and statistical verification"),
+            ("verify", cmd_verify,
+             "full verification battery including the floating-point limit oracle")):
         p = sub.add_parser(command, help=text)
+        p.set_defaults(run=run)
         p.add_argument("--law", help="mapping-law JSON file")
         p.add_argument("--cap", **cap)
         p.add_argument("--config", help="simulation config JSON file")
@@ -115,6 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("example", help="run analyze + simulate on the "
                                        "built-in two-generator law")
+    p.set_defaults(run=cmd_example)
     p.add_argument("--replications", type=int)
     p.add_argument("--seed", type=int)
     _add_output_flags(p)
@@ -376,16 +380,9 @@ def cmd_example(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "analyze": cmd_analyze,
-        "simulate": cmd_simulate,
-        "verify": cmd_verify,
-        "example": cmd_example,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except FinevoError as exc:
         print(f"finevo: error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", EXIT_INPUT)

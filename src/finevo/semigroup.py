@@ -35,8 +35,8 @@ from .errors import InputError, ResourceLimitError, StructuralInconsistencyError
 
 DEFAULT_ELEMENT_CAP = 10**6
 # Array passes whose size is a product of two sizes (a group's product table,
-# the float pass's blocks of powers and its Cesaro tail) work in blocks of
-# about this many entries.
+# the float pass's blocks of powers and its Cesaro tail, a batch's
+# replications x uniforms) work in blocks of about this many entries.
 BLOCK = 1 << 16
 # ``generate`` keeps one flag per map for domains of at most this many points,
 # n ** n bytes: 16 MiB at n = 8.

@@ -33,6 +33,7 @@ from .analysis import Analysis
 from .cliques import InvariantFamily, invariant_law, stationary_family
 from .errors import InputError, ResourceLimitError
 from .measure import _common, _uniform
+from .semigroup import BLOCK
 from .stats import Check, chi_square_gof, chi_square_independence
 
 MAX_SEED = 2**64
@@ -40,13 +41,6 @@ MAX_SEED = 2**64
 # The fewest replications the statistical checks take; a config asking for
 # fewer is refused before the law is analyzed.
 MIN_REPLICATIONS = 1000
-
-# Uniforms drawn per pass of the generator and the state tables: a chunk
-# holds max(1, BATCH_CHUNK_DRAWS // draws per row) replications, about 10^4
-# at the default window. It bounds the generator's temporaries (some 40
-# bytes per uniform) whatever the window; what grows with replications x
-# steps is only the stored int32 maps and states of the batch.
-BATCH_CHUNK_DRAWS = 1 << 16
 
 # Bound on replications x draws per row in one sample_batch. A chunk holds at
 # least one row, so one long replication draws all its uniforms at once:
@@ -68,7 +62,7 @@ _11 = np.uint64(11)
 
 
 def _check_seed(seed) -> None:
-    if not isinstance(seed, int) or not 0 <= seed < MAX_SEED:
+    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < MAX_SEED:
         raise InputError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
 
 
@@ -132,8 +126,10 @@ def philox_uniforms(keys: np.ndarray, count: int) -> np.ndarray:
 
 def _uniform_chunks(seed: int, replications: int, count: int):
     """(rows, uniforms) for consecutive chunks of replications; row r of the
-    whole batch reads the substream keyed seed ^ r."""
-    chunk = max(1, BATCH_CHUNK_DRAWS // count)
+    whole batch reads the substream keyed seed ^ r. A chunk of
+    max(1, BLOCK // count) rows bounds the generator's temporaries, about 40
+    bytes per uniform, whatever the window and the replications."""
+    chunk = max(1, BLOCK // count)
     for start in range(0, replications, chunk):
         stop = min(start + chunk, replications)
         keys = np.arange(start, stop, dtype=np.uint64) ^ np.uint64(seed)
@@ -141,19 +137,20 @@ def _uniform_chunks(seed: int, replications: int, count: int):
 
 
 def _cdf(x: tuple) -> tuple:
-    """Running float sums of the positive weights of a vector (numerators,
-    denominator), in position order, and their positions."""
+    """The inner cut points of a vector (numerators, denominator): the
+    running float sums of its positive weights in position order, without
+    the last; and the positions of those weights."""
     nums, den = x
     index = np.flatnonzero(nums)
     # Python's int / int is correctly rounded at any size, as float(Fraction) is
-    return np.cumsum(nums[index] / den, dtype=float), index
+    return np.cumsum(nums[index] / den, dtype=float)[:-1], index
 
 
 def _draw(cdf: tuple, u: np.ndarray) -> np.ndarray:
     """For every uniform, the first item whose running sum exceeds it, or the
-    last item when none does."""
-    cum, index = cdf
-    return index[np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)]
+    last item when none does: the item past every cut point at most u."""
+    cuts, index = cdf
+    return index[np.searchsorted(cuts, u, side="right")]
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -115,6 +116,11 @@ def test_seed_validation(example_analysis):
         one_path(a, lw, -10, 0, -1)
     with pytest.raises(InputError):
         one_path(a, lw, 0, 0, 1)
+    for seed in (True, False):
+        with pytest.raises(InputError, match="seed must be a 64-bit unsigned integer"):
+            simulate._check_seed(seed)
+        with pytest.raises(InputError, match="seed must be a 64-bit unsigned integer"):
+            sample_batch(a, lw, -3, 0, seed, 1000)
     with pytest.raises(InputError, match=r"mass at \(1, 2, 3\) outside W"):
         a.cliques.w_vector(RationalMeasure({(1, 2, 3): 1}))
 
@@ -214,10 +220,33 @@ def test_cdf_rounds_each_weight_as_fraction_does(bits):
         nums = [rng.getrandbits(bits) | 1 << (bits - 1) if rng.random() < 0.7 else 0
                 for _ in range(rng.randint(2, 12))]
         nums[0], den = 0, sum(nums) + rng.getrandbits(bits)
-        cum, index = simulate._cdf((np.array(nums, dtype=object), den))
+        cuts, index = simulate._cdf((np.array(nums, dtype=object), den))
         want = [i for i, v in enumerate(nums) if v]
-        assert cum.dtype == np.float64 and index.tolist() == want
-        assert cum.tolist() == np.cumsum([float(Fraction(nums[i], den)) for i in want]).tolist()
+        assert cuts.dtype == np.float64 and index.tolist() == want
+        sums = np.cumsum([float(Fraction(nums[i], den)) for i in want]).tolist()
+        assert cuts.tolist() == sums[:-1]
+
+
+@pytest.mark.parametrize("nums", [
+    [0, 3, 0, 0, 5, 2, 0],  # zero weights inside and at the end
+    [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0],  # sums ending at 1 - 2^-53
+    [0, 0, 7, 0],  # a single positive item
+    [7],
+    [1, 0, 2, 0, 4, 0, 0, 8, 0, 16, 32, 0],
+])
+def test_draw_matches_the_running_sum_loop(nums):
+    """The draw against ``scalar_draw``'s loop over the positive weights in
+    position order (so its fallback is the last positive item), at every
+    uniform at, and one ulp either side of, each running sum, plus 0 and the
+    largest uniform 1 - 2^-53."""
+    den = sum(nums)
+    items = [(i, Fraction(v, den)) for i, v in enumerate(nums) if v]
+    us = {0.0, 1 - 2**-53}
+    for s in np.cumsum([float(w) for _, w in items]).tolist():
+        us |= {np.nextafter(s, 0.0), s, np.nextafter(s, 2.0)}
+    us = sorted(u for u in us if 0 <= u < 1)
+    got = simulate._draw(simulate._cdf((np.array(nums, dtype=object), den)), np.array(us))
+    assert got.tolist() == [scalar_draw(items, SimpleNamespace(random=lambda: u)) for u in us]
 
 
 def test_a_phase_of_coefficient_0_is_never_drawn(monkeypatch):
@@ -478,7 +507,7 @@ def test_batch_rows_do_not_depend_on_the_chunk_size(example_analysis, monkeypatc
     lw = w_law(a, {0: 1})
     whole = sample_batch(a, lw, k_min, 0, 2**64 - 3, 50)
     draws_per_row = 3 - k_min
-    monkeypatch.setattr(simulate, "BATCH_CHUNK_DRAWS", int(rows_per_chunk * draws_per_row))
+    monkeypatch.setattr(simulate, "BLOCK", int(rows_per_chunk * draws_per_row))
     chunked = sample_batch(a, lw, k_min, 0, 2**64 - 3, 50)
     assert (whole.states == chunked.states).all()
     assert (whole.maps == chunked.maps).all()
