@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
              "full verification battery including the floating-point limit oracle")):
         p = sub.add_parser(command, help=text)
         p.set_defaults(run=run)
-        p.add_argument("--law", help="mapping-law JSON file")
+        p.add_argument("--law", dest="law_file", metavar="LAW", help="mapping-law JSON file")
         p.add_argument("--cap", **cap)
         p.add_argument("--config", help="simulation config JSON file")
         p.add_argument("--mode", choices=("stationary", "nonstationary"))
@@ -147,6 +147,8 @@ def _read_json_object(path: str, what: str) -> dict:
     except json.JSONDecodeError as exc:
         raise InputError(f"{what} {path} is not valid JSON "
                          f"(line {exc.lineno}, column {exc.colno})") from exc
+    except (RecursionError, ValueError) as exc:  # too deep, or an int of too many digits
+        raise InputError(f"{what} {path} cannot be parsed: {exc}") from exc
     if not isinstance(obj, dict):
         raise InputError(f"{what} {path} must be a JSON object")
     return obj
@@ -167,12 +169,10 @@ def _load_sim_config(args, law_file=None) -> dict:
         if unknown:
             raise InputError(f"unknown config fields: {sorted(unknown)}")
         config.update(file_cfg)
-    for field in ("mode", "replications", "seed", "alpha", "k_min", "k_max", "window"):
+    for field in ("mode", "replications", "seed", "alpha", "k_min", "k_max", "window", "law_file"):
         value = getattr(args, field, None)
         if value is not None:
             config[field] = value
-    if getattr(args, "law", None):
-        config["law_file"] = args.law
     if not config["law_file"]:
         raise InputError("a law file is required (--law or config law_file)")
     if not isinstance(config["law_file"], str):

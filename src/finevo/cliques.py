@@ -104,9 +104,10 @@ def compute_W(rd: ReesData, *, cap: int = DEFAULT_ELEMENT_CAP) -> CliqueData:
     build the tables of ``CliqueData``.
 
     W_mu is every ordering of every f-clique (see the module docstring for
-    why they are all stable). W collects the lexicographically smallest
-    representative of each G-orbit on e W_mu. Verifies that L x G x W -> W_mu
-    is a bijection and that every generator maps W_mu into itself. Raises
+    why they are all stable). W collects the least tuple of each G-orbit on
+    e W_mu, scanned in increasing order with one set of the tuples seen.
+    Verifies that the orbits are disjoint, that L x G x W -> W_mu is a
+    bijection and that every generator maps W_mu into itself. Raises
     ResourceLimitError, before enumerating, if W_mu would hold more than
     ``cap`` tuples. Every table is a gather on image rows, looked up in
     W_mu by ``positions_in``.
@@ -125,22 +126,20 @@ def compute_W(rd: ReesData, *, cap: int = DEFAULT_ELEMENT_CAP) -> CliqueData:
     W_mu = distinct_rows(cliques[:, list(permutations(range(m_mu)))].reshape(-1, m_mu))
     w_at = positions_in(W_mu)
 
-    # one lookup per G-orbit on e W_mu, taken in tuple order
-    orbit_of = [-1] * len(W_mu)
-    reps = []
+    # one lookup per G-orbit; an unseen x is its orbit's least, met by no other
+    seen, reps = set(), []
     for x in distinct(w_at(rd.kernel[rd.e, W_mu - 1])).tolist():
-        if orbit_of[x] >= 0:
+        if x in seen:
             continue
         orbit = w_at(rd.G[:, W_mu[x] - 1]).tolist()
         rep = min(orbit)
         if rep < 0:
             raise StructuralInconsistencyError("L * G * W does not equal W_mu")
-        for y in orbit:
-            if orbit_of[y] not in (-1, rep):
-                raise StructuralInconsistencyError("G-orbits on eW_mu overlap")
-            orbit_of[y] = rep
-        reps.append(rep)
-    W = W_mu[sorted(reps)]
+        if rep != x or not seen.isdisjoint(orbit):
+            raise StructuralInconsistencyError("G-orbits on eW_mu overlap")
+        seen.update(orbit)
+        reps.append(x)
+    W = W_mu[reps]
 
     lgw = w_at(_tables(rd.L).take(rd.G, axis=1)[:, :, W - 1])
     if lgw.min() < 0:

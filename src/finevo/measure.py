@@ -59,6 +59,7 @@ class RationalMeasure:
     """Finitely supported probability measure with exact rational weights."""
 
     __slots__ = ("_w",)
+    __iter__ = None  # not a sequence: iter() would call __getitem__(0), (1), ... forever
 
     def __init__(self, weights):
         w = {}
@@ -116,10 +117,6 @@ class MappingLaw:
         self.rows = np.array([f.images for f, _ in measure.items()], np.min_scalar_type(n))
         self.weights = _common([w for _, w in measure.items()])
 
-    @property
-    def generators(self) -> list:
-        return self.measure.support()
-
     @classmethod
     def from_dict(cls, obj: dict) -> "MappingLaw":
         """Parse the law file format, whose only fields are these three:
@@ -169,4 +166,4 @@ class MappingLaw:
         )
 
     def __repr__(self):
-        return f"MappingLaw(n={self.n}, support={[f.literal() for f in self.generators]})"
+        return f"MappingLaw(n={self.n}, support={[f.literal() for f in self.measure.support()]})"

@@ -394,26 +394,26 @@ def walk_distances(states, steps, start: int, walk: str) -> dict:
     """BFS distances from ``start`` in the walk on the kernel positions
     ``states`` whose successors of z are ``t[z]`` for every table t in
     ``steps``. Raises, naming ``walk``, unless the walk is strongly
-    connected: every state is reached from ``start`` along the edges and
-    along the reversed edges.
+    connected: every state is reached from ``start`` along the edges, read
+    off the tables, and along the reversed edges, kept as predecessors.
     """
-    def bfs(edges) -> dict:
-        successors = {}
-        for u, v in edges:
-            successors.setdefault(u, []).append(v)
+    def bfs(successors) -> dict:
         dist, queue = {start: 0}, [start]
         for u in queue:
-            for v in successors.get(u, ()):
+            for v in successors(u):
                 if v not in dist:
                     dist[v] = dist[u] + 1
                     queue.append(v)
         return dist
 
-    edges = [(u, t[u]) for u in states for t in steps]
-    dist = bfs(edges)
+    dist = bfs(lambda u: [t[u] for t in steps])
     if set(dist) != set(states):
         raise StructuralInconsistencyError(f"{walk} is not irreducible (forward)")
-    if set(bfs((v, u) for u, v in edges)) != set(states):
+    predecessors = {}
+    for u in states:
+        for t in steps:
+            predecessors.setdefault(t[u], []).append(u)
+    if set(bfs(lambda v: predecessors.get(v, ()))) != set(states):
         raise StructuralInconsistencyError(f"{walk} is not irreducible (backward)")
     return dist
 

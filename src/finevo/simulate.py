@@ -386,7 +386,7 @@ def _joint_check(batch: PathBatch, family: InvariantFamily, alpha: float, name: 
     """(Y_C, Z_W), over C by j, then W, against the (phase, W) joint of ``family``."""
     table, den = family.joint()
     counts = np.bincount(batch.y_c * table.shape[1] + batch.z_w, minlength=table.size)
-    return chi_square_gof(counts, (table.ravel(), den), len(batch), alpha, name)
+    return chi_square_gof(counts, (table.ravel(), den), alpha, name)
 
 
 def verify_third_noise(batch: PathBatch, *, alpha: float) -> list:
@@ -408,16 +408,14 @@ def verify_third_noise(batch: PathBatch, *, alpha: float) -> list:
     """
     _check_batch(batch, True, "third-noise")
     rd, cd = batch.analysis.rd, batch.analysis.cliques
-    n_h, replications = len(rd.H), len(batch)
+    n_h = len(rd.H)
 
     u, yc = cd.state_h[batch.states[:, -1]], batch.y_c
     yz = rd.C[yc] * len(cd.W) + batch.z_w
     window = _window_codes(batch.maps, len(rd.generators))
     return [
-        chi_square_gof(np.bincount(u, minlength=n_h), _uniform(n_h),
-                       replications, alpha, "U^H_k uniform on H"),
-        chi_square_gof(np.bincount(yc, minlength=rd.p), _uniform(rd.p),
-                       replications, alpha, "Y_C uniform on C"),
+        chi_square_gof(np.bincount(u, minlength=n_h), _uniform(n_h), alpha, "U^H_k uniform on H"),
+        chi_square_gof(np.bincount(yc, minlength=rd.p), _uniform(rd.p), alpha, "Y_C uniform on C"),
         _joint_check(batch, stationary_family(rd.p, batch.initial), alpha,
                      "(Y_C, Z_W) joint = omega_C x Lambda_W"),
         chi_square_independence(_table(u, yz), alpha, "U^H_k independent of (Y_C, Z_W)"),
@@ -459,6 +457,6 @@ def verify_mono_projection(batch: PathBatch, events: dict, *, alpha: float) -> l
     return [
         Check("five mono-particle event identities", "exact", bad == 0,
               note=f"{replications} replications"),
-        chi_square_gof(x1_counts, marginal, replications, alpha,
+        chi_square_gof(x1_counts, marginal, alpha,
                        "empirical X^1_k law matches the invariant marginal"),
     ]

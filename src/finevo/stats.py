@@ -65,37 +65,40 @@ def _chi_square(name: str, stat: float, df: int, alpha: float) -> Check:
                  statistic=stat, df=df, p_value=p_value, alpha=alpha)
 
 
-def chi_square_gof(counts, probs: tuple, total: int, alpha: float, name: str) -> Check:
+def chi_square_gof(counts, probs: tuple, alpha: float, name: str) -> Check:
     """Pearson goodness-of-fit of observed counts against exact probabilities.
 
     ``counts`` and the exact vector ``probs``, (numerators, denominator),
-    run over the same categories in one order, and the statistic adds its
-    terms in that order. Counts at a category of probability zero make the
-    check fail outright (an impossible value occurred). A single category
-    of positive probability auto-passes as degenerate.
+    run over the same categories in one order; the counts sum to the sample
+    size, at least 1, and one pass adds the statistic's terms in that order.
+    Counts at a category of probability zero make the check fail outright
+    (an impossible value occurred). A single category of positive
+    probability auto-passes as degenerate.
     """
     nums, den = probs
-    expected = []
-    outside = 0
-    for i, (obs, num) in enumerate(zip(np.asarray(counts).tolist(), nums, strict=True)):
+    counts = np.asarray(counts).tolist()
+    total = sum(counts)
+    if not total:
+        raise InputError("goodness-of-fit needs at least one sample")
+    stat, df, outside = 0.0, -1, 0  # df ends one below the categories of positive probability
+    for i, (obs, num) in enumerate(zip(counts, nums, strict=True)):
         # Python's int / int is correctly rounded at any size, as float(Fraction) is
         p = num / den
         if p < 0:
             raise InputError(f"negative expected probability at category {i}")
         if p > 0:
-            expected.append((obs, p * total))
+            exp = p * total
+            stat += (obs - exp) ** 2 / exp
+            df += 1
         else:
             outside += obs
     if outside:  # the statistic is infinite; the report holds JSON null for it
         return Check(name=name, kind="statistical", passed=False, statistic=None,
-                     df=max(len(expected) - 1, 0), p_value=0.0, alpha=alpha,
+                     df=max(df, 0), p_value=0.0, alpha=alpha,
                      note=f"observed {outside} samples outside the support")
-    if len(expected) < 2:
+    if df < 1:
         return _degenerate(name, alpha, "single category")
-    stat = 0.0
-    for obs, exp in expected:
-        stat += (obs - exp) ** 2 / exp
-    return _chi_square(name, stat, len(expected) - 1, alpha)
+    return _chi_square(name, stat, df, alpha)
 
 
 def chi_square_independence(table, alpha: float, name: str) -> Check:

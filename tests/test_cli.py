@@ -160,6 +160,28 @@ def test_malformed_json(capsys, tmp_path, law_file):
     assert err == f"finevo: error: config {repeated} repeats the key 'Lambda_W'\n"
 
 
+@pytest.mark.parametrize("command", ["analyze --law", "simulate --config"])
+def test_json_past_the_parser_limits_exits_3(capsys, tmp_path, command):
+    """Nesting past the parser's depth and an integer past Python's digit
+    limit on int parsing are input errors of one line, not tracebacks.
+    Releases without that limit parse the number, and the law's or the
+    config's own checks refuse the file: its generator is not on n points,
+    or a config has no field n."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    long = tmp_path / "long.json"
+    long.write_text('{"n": ' + "9" * 5_000 + ', "generators": [[1]], "weights": ["1"]}')
+    what = "law file" if command.startswith("analyze") else "config"
+    for path, messages in ((deep, [f"{what} {deep} cannot be parsed: maximum recursion"]),
+                           (long, [f"{what} {long} cannot be parsed: ",
+                                   "generator [1] has domain 1, expected 9999",
+                                   "unknown config fields: ['generators', 'n', 'weights']"])):
+        code, out, err = run(capsys, *command.split(), str(path), "--no-timestamp")
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert any(err.startswith(f"finevo: error: {m}") for m in messages), err
+
+
 def test_closure_cap_exceeded(capsys, law_file, tmp_path):
     code, _, err = run(capsys, "analyze", "--law", law_file, "--cap", "4")
     assert code == 3
@@ -424,9 +446,9 @@ def test_verify_reports_an_infinite_statistic_as_null(capsys, law_file, monkeypa
     # the report holds JSON null for it, never the non-JSON constant Infinity
     from finevo import simulate
 
-    def outside(counts, probs, total, alpha, name):
+    def outside(counts, probs, alpha, name):
         nums, den = probs
-        return chi_square_gof([*counts, 1], ([*nums, 0], den), total, alpha, name)
+        return chi_square_gof([*counts, 1], ([*nums, 0], den), alpha, name)
 
     chi_square_gof = simulate.chi_square_gof
     monkeypatch.setattr(simulate, "chi_square_gof", outside)
@@ -624,6 +646,10 @@ PINNED_REPORTS = {
         ["verify", "--law", "{rank3}", "--replications", "2000", "--seed", "42",
          "--no-timestamp"], 0,
         "1ea71cc1f3662bdb61dd149962e1278369a821cabd322c374d4cb5e27b5b9222"),
+    "s4-verify-2000": (
+        ["verify", "--law", "{s4}", "--replications", "2000", "--seed", "42",
+         "--no-timestamp"], 0,
+        "f38ef577acb57b0c9fe22517f0e003068d3341f4c9f65d4713fcdc49ac4fcfa9"),
     "s5-verify-2000": (
         ["verify", "--law", "{s5}", "--replications", "2000", "--seed", "42",
          "--no-timestamp"], 0,
@@ -665,6 +691,8 @@ def test_pinned_report_bytes(capsys, tmp_path, argv, code, sha):
                        "weights": ["2/7", "2/7", "3/7"]},
              "a5": {"n": 5, "generators": [[2, 3, 1, 4, 5], [2, 3, 4, 5, 1]],
                     "weights": ["3/7", "4/7"]},
+             "s4": {"n": 4, "generators": [[2, 3, 4, 1], [2, 1, 3, 4]],
+                    "weights": ["1/2", "1/2"]},
              "s5": {"n": 5, "generators": [[2, 3, 4, 5, 1], [2, 1, 3, 4, 5]],
                     "weights": ["1/2", "1/2"]},
              "r7g2": {"n": 8, "generators": [[1, 2, 3, 4, 5, 6, 7, 7],

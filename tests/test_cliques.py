@@ -19,6 +19,7 @@ from finevo.errors import ClassificationError, InputError, StructuralInconsisten
 from finevo.measure import MappingLaw, RationalMeasure
 from finevo.semigroup import generate, kernel
 from finevo.transform import Transformation
+from fuzzlaws import group_kernel_laws
 from oracles import (
     apply,
     image_set,
@@ -44,7 +45,7 @@ GH = Transformation([5, 2, 2, 5, 4])
 
 
 def _example_closure(a):
-    return brute_force_closure([f.images for f in a.law.generators])
+    return brute_force_closure([f.images for f in a.law.measure.support()])
 
 
 def test_deadlock_golden(example_analysis):
@@ -83,6 +84,19 @@ def test_W_mu_and_W_golden(example_analysis):
     assert set(tuples(cd.W_mu)) == expected
 
 
+def test_W_is_the_set_of_G_orbit_minima(example_analysis, cyclic3_analysis, p3h2_analysis,
+                                         r7g2_analysis, fuzz_analyses):
+    """W holds the least tuple of every G-orbit on e W_mu, the orbits
+    composed one tuple and one element of G at a time."""
+    analyses, _ = fuzz_analyses
+    for a in [example_analysis, cyclic3_analysis, p3h2_analysis, r7g2_analysis,
+              *analyses, *map(analyze_law, group_kernel_laws())]:
+        rees = rees_objects(a.rd)
+        eW_mu = {apply(rees.e, x) for x in tuples(a.cliques.W_mu)}
+        minima = {min(apply(g, x) for g in rees.G) for x in eW_mu}
+        assert tuples(a.cliques.W) == tuple(sorted(minima))
+
+
 def test_W_mu_equals_definition_scan(example_analysis):
     # on the example, the stable distinct 3-tuples of the literal
     # "f x stays distinct for every f in S" definition are exactly W_mu
@@ -109,7 +123,7 @@ def test_W_mu_is_the_stable_orderings_of_kernel_images(
     assert set(tuples(merge.cliques.W_mu)) == {(1, 3), (3, 1)}
     assert is_stable(brute_force_closure([(1, 1, 3)]), (2, 3))
     for a in [example_analysis, cyclic3_analysis, p3h2_analysis, merge] + analyses:
-        gens = [f.images for f in a.law.generators]
+        gens = [f.images for f in a.law.measure.support()]
         assert set(tuples(a.cliques.W_mu)) == stable_kernel_image_tuples(gens)
 
 

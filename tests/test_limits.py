@@ -454,7 +454,7 @@ def test_float_oracle_and_cesaro_equal_the_list_loops(
         elements = [element(row) for row in a.closure]
         step = add_at_step(a.law, elements)
         v0 = np.zeros(len(elements))
-        v0[[elements.index(f) for f in a.law.generators]] = [
+        v0[[elements.index(f) for f in a.law.measure.support()]] = [
             float(w) for _, w in a.law.measure.items()]
         oracles = {max_iter: float_limit_loop(step, v0, 1e-12, max_iter, max(64, len(a.rd.G)))
                    for max_iter in max_iters}
@@ -498,7 +498,7 @@ def test_float_pass_matches_repeats_within_the_largest_lag_only(monkeypatch):
     assert not est.converged and len(steps) == 2_999
     elements = [element(row) for row in a.closure]
     v0 = np.zeros(len(elements))
-    v0[elements.index(law.generators[0])] = 1.0
+    v0[elements.index(law.measure.support()[0])] = 1.0
     expected = cesaro_loop(add_at_step(law, elements), v0, 3_000)
     assert float_law(a.closure, est.average) == float_law(a.closure, expected)
 

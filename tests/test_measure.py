@@ -50,6 +50,16 @@ def test_weights_validated():
         RationalMeasure({E: "-1/2", FE: "3/2"})
 
 
+def test_measure_is_not_iterable():
+    # __getitem__ answers 0 off the support, so the sequence fallback of
+    # iter() would yield Fraction(0) forever; iteration goes through items()
+    law = example_law()
+    with pytest.raises(TypeError):
+        iter(law.measure)
+    assert F in law.measure and E not in law.measure
+    assert law.measure[E] == 0 and [f for f, _ in law.measure.items()] == [F, G]
+
+
 def test_convolve_law_with_left_factor():
     mu = RationalMeasure({F: "1/2", G: "1/2"})
     eta_L = RationalMeasure({E: "2/3", FE: "1/3"})
@@ -202,7 +212,7 @@ def test_law_rows_are_the_generator_rows_in_the_closure_dtype(n, dtype):
     assert built == parsed
     for law in (parsed, built):
         closure = analyze_law(law).closure
-        assert law.rows.tolist() == [list(f.images) for f in law.generators]
+        assert law.rows.tolist() == [list(f.images) for f in law.measure.support()]
         assert law.rows.dtype == np.min_scalar_type(n) == closure.dtype == dtype
         assert np.array_equal(closure[:len(law.rows)], law.rows)
 
@@ -222,7 +232,7 @@ def test_every_exact_vector_is_an_object_array_of_ints(example_analysis, p3h2_an
     _assert_exact_vector(solve_stationary([[1, 2], [3, 0]]), 2)
     for a in [example_analysis, p3h2_analysis, r7g2_analysis] + analyses + group_kernel:
         rd, cd, lim = a.rd, a.cliques, a.limits
-        _assert_exact_vector(a.law.weights, len(a.law.generators))
+        _assert_exact_vector(a.law.weights, len(a.law.measure.support()))
         for left, side in ((True, rd.L), (False, rd.R)):
             _assert_exact_vector(boundary_stationary(a.law, rd, left), len(side))
         _assert_exact_vector(lim.eta_L, len(rd.L))

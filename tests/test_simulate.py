@@ -322,7 +322,7 @@ def test_nonstationary_joint_frequencies(p3h2_analysis):
 
 def e_word(a) -> list:
     """A shortest generator word for the base idempotent, as image tuples."""
-    return shortest_words([f.images for f in a.law.generators])[tuples(a.rd.kernel)[a.rd.e]]
+    return shortest_words([f.images for f in a.law.measure.support()])[tuples(a.rd.kernel)[a.rd.e]]
 
 
 def estimate_Te(path, k, word):
@@ -398,7 +398,7 @@ def test_one_time_law_matches_invariant_marginal(example_analysis):
         counts[x] = counts.get(x, 0) + 1
     cats = sorted(set(counts) | set(lam.support()))
     check = chi_square_gof([counts.get(x, 0) for x in cats], vector_of(cats, lam),
-                           reps, 0.001, "one-time law")
+                           0.001, "one-time law")
     assert check.passed and check.df == 11
 
 
@@ -418,6 +418,19 @@ def test_degenerate_H_auto_passes():
     assert all(c.passed for c in checks)
 
 
+def test_chi_square_gof_reads_the_sample_size_off_its_counts():
+    # 40 samples against the uniform law on 2: expected 20 each
+    check = chi_square_gof([30, 10], _uniform(2), 0.001, "two")
+    assert (check.statistic, check.df, check.passed) == (10.0, 1, True)
+    assert "degenerate" in chi_square_gof([5], _uniform(1), 0.001, "one").note
+    outside = chi_square_gof([3, 1], (np.array([1, 0], dtype=object), 1), 0.001, "out")
+    assert (outside.statistic, outside.df, outside.passed) == (None, 0, False)
+    assert outside.note == "observed 1 samples outside the support"
+    for counts in ([0, 0], [0]):
+        with pytest.raises(InputError, match="needs at least one sample"):
+            chi_square_gof(counts, _uniform(len(counts)), 0.001, "none")
+
+
 def mixing_uniformity(a, n, replications=2000, seed=7):
     """Chi-square test of the H-part of e N_1 ... N_n z against uniform on
     H, z the first kernel element; replication r draws N_1..N_n from
@@ -433,7 +446,7 @@ def mixing_uniformity(a, n, replications=2000, seed=7):
         _add(counts, split[rees.e * (prod * rees.kernel[0]) * rees.e][1])
     H = rees.H
     return chi_square_gof([counts.get(h, 0) for h in H], _uniform(len(H)),
-                          replications, 0.001, f"H-part of e N_1..N_{n} z uniform on H")
+                          0.001, f"H-part of e N_1..N_{n} z uniform on H")
 
 
 def test_mixing_trend(example_analysis):
