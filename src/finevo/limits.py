@@ -13,14 +13,15 @@ permutations that commute with the walk, so their stationary laws are
 eta_L x omega_G and omega_G x eta_R. One double-precision pass over the
 powers mu^k, on vectors by closure position, is kept as an independent
 cross-check: it estimates p, eta and nu and gives the running average.
-It steps the powers in blocks of up to 64 (fewer on closures of over
-1,024 elements); until its oracle settles they double and never pass the
-settle index, and each pays one lag scan, which tests the lags on a few
-witness columns before the full row. Each power is keyed for the repeat
-test and added to the running sum as it is stepped. Its ring holds the
-max(64, |G|) powers a lag or a repeat reaches back plus one block, and from
-the first repeat the tail of the running average adds the repeating rows,
-tiled once into whole periods, by one sequential reduce per run.
+Until its oracle settles it steps the powers in blocks of up to 64 (fewer
+on closures of over 1,024 elements) that double and never pass the settle
+index, and each pays one lag scan, which tests the lags on a few witness
+columns before the full row; after that one block runs to n or the first
+repeat. Each power is keyed for the repeat test and added to the running
+sum as it is stepped. Its ring holds the max(64, |G|) powers a lag or a
+repeat reaches back plus one scanned block, and from the first repeat the
+tail of the running average adds the repeating rows, tiled once into whole
+periods, by one sequential reduce per run.
 
 Every exact law is a vector (nums, den): one object array of Python-int
 numerators by position in the kernel, ``rd.L`` or ``rd.R``, over one
@@ -226,9 +227,10 @@ def float_limit_oracle(a, n: int = CESARO_N, *, max_iter: int = 100_000) -> Floa
     from power k ends at min(2k, k + most, settle index, max_iter), where
     most = min(FLOAT_MAX_LAG, BLOCK // |S|) or 1, and is followed by one lag
     scan. A detection at k_d > k puts the settle index at min(2 k_d,
-    max_iter) or later, so no block passes it. After that a block ends at
-    min(k + most, n). The ring keeps the top + most powers that a block's
-    lags and repeats reach back to.
+    max_iter) or later, so no block passes it. After that no lag scan
+    reads a block, and one block runs to n. The ring keeps the top + most
+    powers that a scanned block's lags and repeats reach back to; a repeat
+    reaches at most top powers back.
 
     The lag scan takes a block's powers in order and each power's lags
     smallest first, and checks the full row only for the pairs within
@@ -241,8 +243,8 @@ def float_limit_oracle(a, n: int = CESARO_N, *, max_iter: int = 100_000) -> Floa
     step is deterministic, so once mu^m has the bytes of a power mu^j with
     m - j <= top, mu^(m+i) == mu^(j+i) for all i, and ``tail`` adds the rest
     of the sum row after row too, so == to stepping all n powers. After the
-    oracle has settled the repeat also ends the block, so the pass never
-    steps past both the settle index and the first repeat.
+    oracle has settled the repeat ends the block, so the pass never steps
+    past both the settle index and the first repeat.
     """
     vec, step = _power_step(a.law, a.closure)
     width = len(vec)
@@ -314,8 +316,7 @@ def float_limit_oracle(a, n: int = CESARO_N, *, max_iter: int = 100_000) -> Floa
 
     while oracle is None or summing:
         start = k + 1
-        k = (min(2 * k, k + most, settle_until or max_iter) if oracle is None
-             else min(k + most, n))
+        k = min(2 * k, k + most, settle_until or max_iter) if oracle is None else n
         for m in range(start, k + 1):
             vec = step(vec)
             ring[m % size] = vec

@@ -106,12 +106,6 @@ def report_to_json(report: dict) -> str:
     return f'{head}"elements": [\n      "{items}"\n    ]{tail}'
 
 
-def _is_scalar_list(value) -> bool:
-    return isinstance(value, list) and all(
-        not isinstance(v, (dict, list)) for v in value
-    )
-
-
 def _render_value(value, indent: int, lines: list) -> None:
     """Append the lines of a dict, as ``key:`` entries, or of a list, as
     ``-`` entries; a nested dict or list, unless a list of scalars, goes on
@@ -122,7 +116,7 @@ def _render_value(value, indent: int, lines: list) -> None:
     else:
         pairs = (("-", sub) for sub in value)
     for label, sub in pairs:
-        if _is_scalar_list(sub):
+        if isinstance(sub, list) and not any(isinstance(v, (dict, list)) for v in sub):
             lines.append(f"{pad}{label} [{', '.join(str(v) for v in sub)}]")
         elif isinstance(sub, (dict, list)):
             lines.append(f"{pad}{label}")

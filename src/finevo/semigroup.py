@@ -288,7 +288,10 @@ def rees_at(gens: np.ndarray, ker: np.ndarray, e: int) -> ReesData:
 
     Every product is composed once, on image rows, and looked up by
     ``positions_in`` into the Rees coordinate tables; the checks and the
-    walks read the tables, on kernel and group positions.
+    walks read the tables, on kernel and group positions. e's positions in
+    L and R are read off ``coords[e]``. gamma^p = e (gamma is picked where
+    the ``gmul`` chain that builds C gives the unit) and the p disjoint
+    cosets cover G (|H| p = |G|) follow from the checks, so are not redone.
     """
     n = ker.shape[1]
     unit = ker[e]
@@ -323,9 +326,6 @@ def rees_at(gens: np.ndarray, ker: np.ndarray, e: int) -> ReesData:
     sandwich = g_at(_tables(R).take(L, axis=1))
     if sandwich.min() < 0:
         raise StructuralInconsistencyError("R * L is not inside G")
-    l_e, r_e = (int(positions_in(side)(unit)) for side in (L, R))
-    if (sandwich[r_e] != one).any() or (sandwich[:, l_e] != one).any():
-        raise StructuralInconsistencyError("eL = Re = {e} fails")
 
     at = row_at(_tables(_tables(L).take(G, axis=1).reshape(-1, n)).take(R, axis=1))
     at = at.reshape(len(L), len(G), len(R))
@@ -337,6 +337,9 @@ def rees_at(gens: np.ndarray, ker: np.ndarray, e: int) -> ReesData:
         raise StructuralInconsistencyError("L * G * R does not cover the kernel")
     coords = np.empty((len(ker), 3), np.intp)
     coords[at.ravel()] = np.indices(at.shape).reshape(3, -1).T
+    l_e, _, r_e = coords[e]  # e = e e e with e in L, G and R
+    if (sandwich[r_e] != one).any() or (sandwich[:, l_e] != one).any():
+        raise StructuralInconsistencyError("eL = Re = {e} fails")
 
     # the walks run on kernel positions and step on the generator tables
     p, classes = chain_period_and_classes(ke.tolist(), left.tolist(), e)
@@ -374,14 +377,10 @@ def rees_at(gens: np.ndarray, ker: np.ndarray, e: int) -> ReesData:
     C = [one]
     while len(C) < p:
         C.append(gmul[C[-1], gamma])
-    if gmul[C[-1], gamma] != one:
-        raise StructuralInconsistencyError("gamma^p != e")
     C = np.array(C, np.intp)
     coset_h = gmul[np.ix_(C, H)]
     if len(distinct(coset_h)) != coset_h.size:
         raise StructuralInconsistencyError("cosets of H are not disjoint")
-    if coset_h.size != len(G):
-        raise StructuralInconsistencyError("cosets of H do not cover G")
     coset_of = np.empty(len(G), np.intp)
     coset_of[coset_h] = np.arange(p)[:, None]
 
@@ -424,11 +423,10 @@ def chain_period_and_classes(states, steps, start: int) -> tuple:
 
     Returns (p, classes) where classes[j] holds the states at BFS distance
     = j mod p from ``start``. Raises if the walk is not strongly connected.
+    p is positive: some edge u -> start adds the term dist[u] + 1 >= 1.
     """
     dist = walk_distances(states, steps, start, "left walk on Ke")
     p = gcd(*(dist[u] + 1 - dist[t[u]] for u in states for t in steps))
-    if p <= 0:
-        raise StructuralInconsistencyError("could not determine a positive period")
 
     classes = [[s for s in sorted(states) if dist[s] % p == j] for j in range(p)]
     if len({len(c) for c in classes}) != 1:

@@ -30,7 +30,7 @@ from finevo.simulate import (
     verify_third_noise,
 )
 from finevo.transform import Transformation
-from fuzzlaws import cyclic3_law, p3_h2_law
+from fuzzlaws import cyclic3_law, group_kernel_laws, p3_h2_law, r7g2_law
 from oracles import (
     ScalarReference,
     apply,
@@ -206,14 +206,16 @@ def test_criterion_2_structural_suite(fuzz_corpus, fuzz_analyses):
     analyses, setup_elapsed = fuzz_analyses
     start = time.monotonic()
     failures = []
-    for a in [analyze_law(example_law())] + analyses:
+    # the group-kernel laws add p = 2 (S4), p = 3 and |G| up to 120
+    extra = [example_law(), *group_kernel_laws(), r7g2_law()]
+    for a in [*map(analyze_law, extra), *analyses]:
         problems = _structural_suite(a)
         if problems:
             failures.append((a.law, problems))
     elapsed = time.monotonic() - start + setup_elapsed
     ok = not failures and len(analyses) >= 200 and elapsed < 10.0
     report_line(
-        "criterion 2 (structural suite on example + fuzz)",
+        "criterion 2 (structural suite on example, group kernels, r7g2 + fuzz)",
         ok,
         f"{len(analyses)} fuzz laws, {elapsed:.2f}s"
         + (f"; failures: {failures[:3]}" if failures else ""),

@@ -367,6 +367,10 @@ def test_simulate_rejects_unknown_config_fields(capsys, tmp_path, law_file):
     # the seed range, like every field, is checked before the analysis
     ({"seed": -1}, "seed must be a 64-bit unsigned integer, got -1"),
     ({"seed": 2**64}, "seed must be a 64-bit unsigned integer, got 18446744073709551616"),
+    # Lambda_W keys that are not tuple literals, and a zero window
+    ({"Lambda_W": {"2,4,5": "1"}}, "bad tuple literal '2,4,5'"),
+    ({"Lambda_W": {"(2,x,5)": "1"}}, "bad tuple literal '(2,x,5)'"),
+    ({"window": 0}, "window must be >= 1"),
 ])
 def test_config_values_of_the_wrong_type_exit_3(capsys, tmp_path, monkeypatch, law_file,
                                                 fields, message):
@@ -384,6 +388,17 @@ def test_config_values_of_the_wrong_type_exit_3(capsys, tmp_path, monkeypatch, l
     code, out, err = run(capsys, "simulate", "--config", str(config), "--no-timestamp")
     assert (code, out) == (3, "")
     assert message in err
+
+
+def test_a_family_of_the_wrong_length_exits_3_after_the_analysis(capsys, tmp_path, law_file):
+    # the family's length is checked against p, which only the analysis gives
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps({
+        "law_file": law_file, "mode": "nonstationary",
+        "family": {"c": ["1/2", "1/2"], "Lambda_W": [{"(2,4,5)": "1"}] * 2}}))
+    code, out, err = run(capsys, "simulate", "--config", str(config), "--no-timestamp")
+    assert (code, out) == (3, "")
+    assert err == "finevo: error: family needs exactly p = 1 coefficients and laws\n"
 
 
 def test_verify_includes_oracle_and_cesaro(capsys, law_file):
@@ -558,6 +573,8 @@ def test_structural_inconsistency_exits_2(capsys, law_file, monkeypatch):
      "generator 5 must be a list of images"),
     ({"n": 1, "generators": [None], "weights": ["1"]},
      "generator None must be a list of images"),
+    ({"n": 2, "generators": [[1, 2], [2, 1]], "weights": ["1", "0"]},
+     "weight '0' must be positive"),
 ])
 def test_law_parser_rejects_booleans_and_non_integer_n(capsys, tmp_path, law, message):
     path = tmp_path / "law.json"

@@ -185,6 +185,8 @@ def test_law_file_validation():
         MappingLaw.from_dict({"n": 2, "generators": [], "weights": []})
     with pytest.raises(InputError):
         MappingLaw.from_dict({"n": 3, "generators": [[1, 1]], "weights": ["1"]})
+    with pytest.raises(InputError, match=re.escape("support must be transformations of {1..3}")):
+        MappingLaw(3, RationalMeasure({Transformation([1, 2]): 1}))
 
 
 def test_law_round_trips_through_dict():

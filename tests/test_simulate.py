@@ -429,6 +429,8 @@ def test_chi_square_gof_reads_the_sample_size_off_its_counts():
     for counts in ([0, 0], [0]):
         with pytest.raises(InputError, match="needs at least one sample"):
             chi_square_gof(counts, _uniform(len(counts)), 0.001, "none")
+    with pytest.raises(InputError, match="negative expected probability at category 1"):
+        chi_square_gof([1, 1], (np.array([2, -1], dtype=object), 1), 0.01, "x")
 
 
 def mixing_uniformity(a, n, replications=2000, seed=7):
