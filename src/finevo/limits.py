@@ -59,7 +59,8 @@ def solve_stationary(matrix) -> tuple:
     (Bareiss, Math. Comp. 22 (1968)): every entry stays an integer minor of
     the system, every division is exact, and the last pivot is, up to sign,
     the determinant, a common denominator of pi. Raises
-    StructuralInconsistencyError on rank deficiency.
+    StructuralInconsistencyError on rank deficiency or a negative entry,
+    which no nonnegative matrix gives; sum(pi) = 1 is an equation solved.
     """
     m = len(matrix)
     rows = np.zeros((m, m + 1), dtype=object)
@@ -81,7 +82,7 @@ def solve_stationary(matrix) -> tuple:
 
     common = gcd(previous, *rows[:, m]) * (1 if previous > 0 else -1)
     nums, den = rows[:, m] // common, previous // common
-    if nums.sum() != den or (nums < 0).any():
+    if (nums < 0).any():
         raise StructuralInconsistencyError("stationary solve produced an invalid vector")
     return nums, den
 

@@ -12,7 +12,9 @@ counter-based Philox4x64-10 substream keyed [seed XOR r, 0], computed in
 lock-step over r, and its states advance on the step table. A single path
 is the one-replication case. Rounds 1-2 of the cipher run on the key and
 the counter factors apart, so only rounds 3-10 run per (replication, block),
-and the words are the same. The exact checks run on every row of a batch:
+and the words are the same. A chunk of one row (a single path, say) reads
+numpy's own Philox generator, whose doubles are the cipher's. The exact
+checks run on every row of a batch:
 the tuples of every state are composed on image rows by gathers, and the
 group identities read the Rees tables. The statistical checks count
 positions, coded so that their categories keep the order of the objects
@@ -47,6 +49,9 @@ MIN_REPLICATIONS = 1000
 # tracemalloc measured peaks of 32 bytes per draw for one replication and
 # 7-11 for chunked batches (2^20 and 2^21 draws), about 256 MiB at the bound.
 MAX_BATCH_DRAWS = 1 << 23
+
+# The most cut points a draw counts by comparisons (see _draw).
+SHORT_CDF = 8
 
 # Philox4x64-10 (Salmon et al., SC'11): multipliers, and the key schedule
 # [k + i*W0, i*W1] mod 2^64 of round i for a key [k, 0].
@@ -96,8 +101,11 @@ def philox_uniforms(keys: np.ndarray, count: int) -> np.ndarray:
 
     Philox4x64-10 with key [k, 0]: block i (from 0) enciphers the counter
     [i+1, 0, 0, 0], its four words are used in order, and a word x gives
-    the double (x >> 11) * 2^-53.
+    the double (x >> 11) * 2^-53. One key reads numpy's generator itself
+    (11 against 180 us for 67 draws), more run the cipher in lock-step.
     """
+    if len(keys) == 1:
+        return np.random.Generator(np.random.Philox(key=int(keys[0]))).random(count)[None]
     blocks = -(-count // 4)
     # Round 1 multiplies only the counter word (its other product is M1*0)
     # and leaves [k, 0, hi(M0(i+1)), lo(M0(i+1))]; round 2 multiplies k per
@@ -148,9 +156,21 @@ def _cdf(x: tuple) -> tuple:
 
 def _draw(cdf: tuple, u: np.ndarray) -> np.ndarray:
     """For every uniform, the first item whose running sum exceeds it, or the
-    last item when none does: the item past every cut point at most u."""
+    last item when none does: the item past every cut point at most u.
+
+    That item is at the count of cut points <= u: up to ``SHORT_CDF`` cut
+    points, one comparison each counts it, past that ``searchsorted``. On
+    the (10^4, 3) strided views of a battery's maps (2-core x86, median of
+    7): 414 against 619 us at 6 cut points, 546 against 692 at 8, 812
+    against 827 at 12, 975 against 858 at 14.
+    """
     cuts, index = cdf
-    return index[np.searchsorted(cuts, u, side="right")]
+    if len(cuts) > SHORT_CDF:
+        return index[np.searchsorted(cuts, u, side="right")]
+    at = np.zeros(u.shape, dtype=np.intp)
+    for x in cuts.tolist():
+        at += u >= x
+    return index[at]
 
 
 @dataclass(frozen=True, eq=False)

@@ -525,6 +525,55 @@ def test_bad_cli_usage_exits_3(capsys):
     assert exc.value.code == 3
 
 
+def test_the_cached_parser_runs_a_handler_rebound_after_its_build(capsys, law_file,
+                                                                  monkeypatch):
+    """A timing harness rebinds ``cli.cmd_*`` after import, as
+    ``perfbench/spans.py`` does; the parser built before must run the new one."""
+    from finevo import cli
+
+    assert run(capsys, "analyze", "--law", law_file, "--no-timestamp")[0] == 0
+    calls = []
+    original = cli.cmd_analyze
+
+    def wrapped(args):
+        calls.append(args.law)
+        return original(args)
+
+    monkeypatch.setattr(cli, "cmd_analyze", wrapped)
+    code, out, _ = run(capsys, "analyze", "--law", law_file, "--no-timestamp")
+    assert (code, calls) == (0, [law_file])
+    assert json.loads(out)["semigroup"]["size"] == 28
+
+
+def _exit_output(capsys, parse, argv) -> tuple:
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+def test_the_cached_parser_prints_what_a_fresh_one_does(capsys, law_file):
+    """Every --help text and an unknown flag's usage error, from the parser
+    that ``main`` has used for each command, equal those of a fresh build."""
+    from finevo.cli import build_parser
+
+    run(capsys, "analyze", "--law", law_file, "--no-timestamp")
+    for command in ("simulate", "verify"):
+        run(capsys, command, "--law", law_file, "--replications", "1000",
+            "--k-min", "-5", "--no-timestamp")
+    run(capsys, "example", "--replications", "1000", "--no-timestamp")
+    fresh = build_parser.__wrapped__()
+    assert fresh is not build_parser()
+    argvs = [["--help"], *([command, "--help"] for command in
+                           ("analyze", "simulate", "verify", "example")),
+             ["analyze", "--law", law_file, "--frobnicate"]]
+    for argv in argvs:
+        cached = _exit_output(capsys, main, argv)
+        assert cached == _exit_output(capsys, fresh.parse_args, argv)
+        assert cached[0] == (3 if "--frobnicate" in argv else 0)
+        assert cached[1 if cached[0] == 0 else 2]
+
+
 def test_report_json_round_trips_losslessly(capsys, law_file):
     code, out, _ = run(capsys, "analyze", "--law", law_file, "--no-timestamp")
     assert code == 0

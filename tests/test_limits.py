@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 from types import SimpleNamespace
@@ -193,6 +194,15 @@ def test_solve_stationary_rejects_reducible_chain():
         solve_stationary([[1, 0], [0, 1]])
     with pytest.raises(StructuralInconsistencyError):
         solve_stationary([[3, 0, 0], [1, 1, 1], [0, 0, 3]])
+
+
+def test_solve_stationary_rejects_a_negative_entry():
+    # rows summing to 3 with a negative entry: pi P = pi gives pi = (2, -1)
+    from finevo.errors import StructuralInconsistencyError
+
+    with pytest.raises(StructuralInconsistencyError,
+                       match="stationary solve produced an invalid vector"):
+        solve_stationary([[1, 2], [-4, 7]])
 
 
 def _chain(rng, m: int, den: int) -> list:
@@ -616,8 +626,6 @@ def test_assemble_rejects_a_sandwich_entry_outside_H(fuzz_analyses, index):
     # eta * eta = eta needs every sandwich entry between the supports of
     # eta_R and eta_L in H; corpus laws 47 and 125 are the ones with H < G
     # and more than one sandwich entry (2x1 and 3x1)
-    from dataclasses import replace
-
     from finevo.errors import StructuralInconsistencyError
 
     a = fuzz_analyses[0][index]
@@ -630,8 +638,6 @@ def test_assemble_rejects_a_sandwich_entry_outside_H(fuzz_analyses, index):
 
 
 def test_assemble_rejects_wrong_subgroup(example_analysis):
-    from dataclasses import replace
-
     from finevo.errors import StructuralInconsistencyError
 
     a = example_analysis
@@ -655,6 +661,41 @@ def test_assemble_rejects_a_nonstationary_boundary_factor(example_analysis, left
     factors[0 if left else 1] = (np.array([1, 1], dtype=object), 2)
     with pytest.raises(StructuralInconsistencyError):
         assemble_limits(a.law, a.rd, *factors)
+
+
+def _fixed_walks(rd):
+    """``rd`` with left and right tables that fix every kernel position: any
+    vector is then invariant under both actions of the law."""
+    still = np.tile(np.arange(len(rd.kernel)), (len(rd.generators), 1))
+    return replace(rd, left=still, right=still)
+
+
+def test_assemble_rejects_cosets_that_miss_part_of_G(example_analysis):
+    # coset 0 is the two sandwich entries and |H| = 2, so eta has mass 1,
+    # but with p = 1 the other four elements of G lie in no coset: nu has
+    # mass |G| / (|H| p) = 3
+    from finevo.errors import StructuralInconsistencyError
+
+    a = example_analysis
+    rd, lim = a.rd, a.limits
+    entries = np.unique(rd.sandwich)
+    assert (len(rd.G), rd.p, len(entries)) == (6, 1, 2)
+    coset_of = np.ones(len(rd.G), np.intp)
+    coset_of[entries] = 0
+    wrong = replace(_fixed_walks(rd), H=entries, coset_of=coset_of)
+    with pytest.raises(StructuralInconsistencyError, match=r"nu \* nu != nu"):
+        assemble_limits(a.law, wrong, lim.eta_L, lim.eta_R)
+
+
+def test_assemble_rejects_a_boundary_factor_with_a_zero(example_analysis):
+    # eta_L = (0, 1) keeps every mass and, on walks that fix every position,
+    # every invariance, but nu is 0 on the kernel positions of L[0]
+    from finevo.errors import StructuralInconsistencyError
+
+    a = example_analysis
+    eta_L = (np.array([0, 3], dtype=object), 3)
+    with pytest.raises(StructuralInconsistencyError, match=r"supp\(nu\) != kernel"):
+        assemble_limits(a.law, _fixed_walks(a.rd), eta_L, a.limits.eta_R)
 
 
 def test_period_and_subgroup_direct(example_analysis, p3h2_analysis):

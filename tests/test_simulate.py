@@ -233,20 +233,32 @@ def test_cdf_rounds_each_weight_as_fraction_does(bits):
     [0, 0, 7, 0],  # a single positive item
     [7],
     [1, 0, 2, 0, 4, 0, 0, 8, 0, 16, 32, 0],
+    [0, *range(1, simulate.SHORT_CDF + 2)],  # SHORT_CDF cut points
+    [*range(3, simulate.SHORT_CDF + 5), 0],  # one more
 ])
-def test_draw_matches_the_running_sum_loop(nums):
+def test_draw_matches_the_running_sum_loop(monkeypatch, nums):
     """The draw against ``scalar_draw``'s loop over the positive weights in
     position order (so its fallback is the last positive item), at every
     uniform at, and one ulp either side of, each running sum, plus 0 and the
-    largest uniform 1 - 2^-53."""
+    largest uniform 1 - 2^-53. Each case runs with the module's switch
+    point, and with each branch forced: by comparisons and by
+    ``searchsorted``; on a 1-D array and on a strided view like the
+    ``u[:, head:]`` a batch draws its maps from."""
     den = sum(nums)
     items = [(i, Fraction(v, den)) for i, v in enumerate(nums) if v]
     us = {0.0, 1 - 2**-53}
     for s in np.cumsum([float(w) for _, w in items]).tolist():
         us |= {np.nextafter(s, 0.0), s, np.nextafter(s, 2.0)}
     us = sorted(u for u in us if 0 <= u < 1)
-    got = simulate._draw(simulate._cdf((np.array(nums, dtype=object), den)), np.array(us))
-    assert got.tolist() == [scalar_draw(items, SimpleNamespace(random=lambda: u)) for u in us]
+    want = [scalar_draw(items, SimpleNamespace(random=lambda: u)) for u in us]
+    cdf = simulate._cdf((np.array(nums, dtype=object), den))
+    block = np.full((len(us), 5), 0.5)
+    block[:, 3], block[:, 4] = us, us[::-1]
+    for short in (simulate.SHORT_CDF, len(nums), -1):
+        monkeypatch.setattr(simulate, "SHORT_CDF", short)
+        assert simulate._draw(cdf, np.array(us)).tolist() == want
+        got = simulate._draw(cdf, block[:, 3:])
+        assert got[:, 0].tolist() == want and got[:, 1].tolist() == want[::-1]
 
 
 def test_a_phase_of_coefficient_0_is_never_drawn(monkeypatch):
@@ -461,9 +473,12 @@ def test_mixing_trend(example_analysis):
 @pytest.mark.parametrize("seed", [0, 1, 42, 2**63 + 5, 2**64 - 1])
 @pytest.mark.parametrize("count", [6, 67])
 def test_philox_uniforms_match_numpy_philox(seed, count):
-    got = philox_uniforms(np.array([seed], dtype=np.uint64), count)[0]
+    """The cipher, as row 0 of a two-key call, and the one-key call, which
+    reads numpy's generator, each give numpy's doubles."""
     want = np.random.Generator(np.random.Philox(key=seed)).random(count)
-    assert got.tolist() == want.tolist()
+    keys = np.array([seed, seed ^ 1], dtype=np.uint64)
+    assert philox_uniforms(keys, count)[0].tolist() == want.tolist()
+    assert philox_uniforms(keys[:1], count).tolist() == [want.tolist()]
 
 
 @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
