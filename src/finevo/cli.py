@@ -391,7 +391,3 @@ def main(argv=None) -> int:
     except FinevoError as exc:
         print(f"finevo: error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", EXIT_INPUT)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -224,19 +224,19 @@ def classify_family(a, x: tuple) -> InvariantFamily:
     lambdas = [(row, m) if m else point for row, m in zip(joint, mass)]
     family = InvariantFamily(c=tuple(Fraction(m, x[1]) for m in mass), Lambda_W=tuple(lambdas))
 
-    rebuilt = family.law_at(a, 0)
-    if not _same(rebuilt, x):
-        (u, u_den), (v, v_den) = x, rebuilt
-        residual = {tuple(cd.W_mu[s].tolist()): (Fraction(u[s], u_den), Fraction(v[s], v_den))
-                    for s in np.flatnonzero(u * v_den != v * u_den)}
-        raise ClassificationError(
-            "law is not of the cyclic family form", residual=residual
-        )
+    if residual := _residual(cd, x, family.law_at(a, 0)):
+        raise ClassificationError("law is not of the cyclic family form", residual=residual)
     current = x
     for k in range(1, rd.p + 1):
         current = _act(a.law, current, cd.step)
-        if not _same(current, family.law_at(a, k)):
-            raise ClassificationError(
-                f"family recursion fails at step {k}", residual={}
-            )
+        if residual := _residual(cd, current, family.law_at(a, k)):
+            raise ClassificationError(f"family recursion fails at step {k}", residual=residual)
     return family
+
+
+def _residual(cd: CliqueData, got: tuple, want: tuple) -> dict:
+    """The W_mu tuples where the exact vectors ``got`` and ``want`` differ,
+    each mapped to its (got, want) masses."""
+    (u, u_den), (v, v_den) = got, want
+    return {tuple(cd.W_mu[s].tolist()): (Fraction(u[s], u_den), Fraction(v[s], v_den))
+            for s in np.flatnonzero(u * v_den != v * u_den)}

@@ -277,21 +277,31 @@ def rees_at(gens: np.ndarray, ker: np.ndarray, e: int) -> ReesData:
     """Decompose the kernel rows ``ker`` at the idempotent ker[e]:
     L = E(Ke), G = eKe, R = E(eK).
 
-    Verifies the group axioms for G, eL = Re = {e}, and the bijectivity of
-    the product map L x G x R -> kernel, and that the walks z -> f z on Ke
-    and z -> z f on eK under the generator rows ``gens`` (the support of
-    any law on them) are irreducible. The period p, the subgroup H and the
-    coset generator gamma come from the left walk: the cyclic class of e
-    has G-parts exactly H, the successor class has G-parts gamma H, and
-    gamma is the canonically smallest element of that coset with gamma^p = e.
-    Verifies that H is a normal subgroup whose p cosets partition G.
+    Verifies that e is idempotent, that the kernel is an ideal, that G is
+    closed with two-sided inverses, that R * L lies in G and L * G * R in
+    the kernel, covering it, and that the walks z -> f z on Ke and z -> z f
+    on eK under the generator rows ``gens`` (the support of any law on
+    them) are irreducible. The period p, the subgroup H and the coset
+    generator gamma come from the left walk: the cyclic class of e has
+    G-parts exactly H, the successor class has G-parts gamma H, and gamma
+    is the canonically smallest element of that coset with gamma^p = e.
+    Verifies that H holds the unit and is closed under products and
+    conjugation, and that its p cosets are disjoint.
 
     Every product is composed once, on image rows, and looked up by
     ``positions_in`` into the Rees coordinate tables; the checks and the
-    walks read the tables, on kernel and group positions. e's positions in
-    L and R are read off ``coords[e]``. gamma^p = e (gamma is picked where
-    the ``gmul`` chain that builds C gives the unit) and the p disjoint
-    cosets cover G (|H| p = |G|) follow from the checks, so are not redone.
+    walks read the tables, on kernel and group positions. The other facts
+    follow from the checks, so are not redone. G = e(Ke) and e e = e, so
+    e is G's unit. For l = z e in L, x = e l lies in G and x x = e (l e) l
+    = x, so x = (x x) x^-1 = e: eL = {e}, and Re = {e} likewise. So if
+    l g r = l' g' r', composing with e on the right and on the left gives
+    l g = l' g' and g r = g' r', whence g = e l g = g', l = l g g^-1 = l'
+    and r = r': L x G x R -> kernel is a bijection, and as e = e e e with e
+    in L and R, ``coords[e]`` is (e's place in L, unit, e's place in R).
+    H is finite, holds the unit and is closed under products, so it holds
+    every h^-1, a power of h. gamma^p = e (gamma is picked where the
+    ``gmul`` chain that builds C gives the unit) and the p disjoint cosets
+    cover G (|H| p = |G|).
     """
     n = ker.shape[1]
     unit = ker[e]
@@ -317,8 +327,6 @@ def rees_at(gens: np.ndarray, ker: np.ndarray, e: int) -> ReesData:
     if gmul.min() < 0:
         raise StructuralInconsistencyError("group factor is not closed")
     one, every = int(g_at(unit)), np.arange(len(G))
-    if (gmul[:, one] != every).any() or (gmul[one] != every).any():
-        raise StructuralInconsistencyError("unit law fails in the group factor")
     inverse = (gmul == one).argmax(axis=1)
     if (gmul[every, inverse] != one).any() or (gmul[inverse, every] != one).any():
         raise StructuralInconsistencyError("inverse law fails in the group factor")
@@ -331,15 +339,10 @@ def rees_at(gens: np.ndarray, ker: np.ndarray, e: int) -> ReesData:
     at = at.reshape(len(L), len(G), len(R))
     if at.min() < 0:
         raise StructuralInconsistencyError("L * G * R is not inside the kernel")
-    if len(distinct(at)) != at.size:
-        raise StructuralInconsistencyError("L x G x R product not injective")
     if at.size != len(ker):
         raise StructuralInconsistencyError("L * G * R does not cover the kernel")
     coords = np.empty((len(ker), 3), np.intp)
     coords[at.ravel()] = np.indices(at.shape).reshape(3, -1).T
-    l_e, _, r_e = coords[e]  # e = e e e with e in L, G and R
-    if (sandwich[r_e] != one).any() or (sandwich[:, l_e] != one).any():
-        raise StructuralInconsistencyError("eL = Re = {e} fails")
 
     # the walks run on kernel positions and step on the generator tables
     p, classes = chain_period_and_classes(ke.tolist(), left.tolist(), e)
@@ -358,8 +361,6 @@ def rees_at(gens: np.ndarray, ker: np.ndarray, e: int) -> ReesData:
         raise StructuralInconsistencyError("H does not contain the unit")
     if not in_h[gmul[np.ix_(H, H)]].all():
         raise StructuralInconsistencyError("H is not closed under products")
-    if not in_h[inverse[H]].all():
-        raise StructuralInconsistencyError("H is not closed under inverses")
     if not in_h[gmul[gmul[inverse[:, None], H], every[:, None]]].all():
         raise StructuralInconsistencyError("H is not normal in G")
 
@@ -422,13 +423,15 @@ def chain_period_and_classes(states, steps, start: int) -> tuple:
     on kernel positions with successors read from the tables ``steps``.
 
     Returns (p, classes) where classes[j] holds the states at BFS distance
-    = j mod p from ``start``. Raises if the walk is not strongly connected.
+    = j mod p from ``start``, in the order of ``states`` (``rees_at`` reads
+    only each class's set of G-parts). Raises if the walk is not strongly
+    connected.
     p is positive: some edge u -> start adds the term dist[u] + 1 >= 1.
     """
     dist = walk_distances(states, steps, start, "left walk on Ke")
     p = gcd(*(dist[u] + 1 - dist[t[u]] for u in states for t in steps))
 
-    classes = [[s for s in sorted(states) if dist[s] % p == j] for j in range(p)]
+    classes = [[s for s in states if dist[s] % p == j] for j in range(p)]
     if len({len(c) for c in classes}) != 1:
         raise StructuralInconsistencyError("cyclic classes have unequal sizes")
     return p, classes

@@ -144,6 +144,11 @@ def _structural_suite(a) -> list:
     gset = set(group.G)
     if not all(r * l in gset for r in group.R for l in group.L):
         problems.append("RL not inside G")
+    e = group.e
+    if not all(g * e == g == e * g for g in group.G):
+        problems.append("e is not the unit of G")
+    if any(e * l != e for l in group.L) or any(r * e != e for r in group.R):
+        problems.append("eL = Re = {e} fails")
 
     if convolve(eta, eta) != eta:
         problems.append("eta^2 != eta")
@@ -162,11 +167,15 @@ def _structural_suite(a) -> list:
     if set(eta.support()) != lhr:
         problems.append("supp(eta) != LHR")
 
+    inverse = {}
     for g in group.G:
         order = element_order(g, group.e, len(group.G))
-        if group.inverse[g] != (group.e if order == 1 else power(g, order - 1)):
+        inverse[g] = group.e if order == 1 else power(g, order - 1)
+        if group.inverse[g] != inverse[g]:
             problems.append("group inverse")
     hset = set(group.H)
+    if not all(inverse[h] in hset for h in group.H):
+        problems.append("H not closed under inverses")
     if not all(group.inverse[g] * h * g in hset for h in group.H for g in group.G):
         problems.append("H not normal")
     gamma, C = group.gamma, group.C

@@ -272,6 +272,26 @@ def test_classify_rejects_non_family_law(p3h2_analysis):
     assert err.value.residual
 
 
+def test_a_wrong_eta_L_fails_invariance_and_the_family_recursion(example_analysis):
+    """With eta_L replaced by the point law at L[0], eta_L omega_G Lambda_W
+    is not mu-invariant, and the family read off it reassembles it but
+    fails the recursion at step 1. The residual maps each W_mu tuple where
+    mu Lambda_0 != Lambda_1 (= Lambda_0, as p = 1) to the two masses."""
+    a = example_analysis
+    b = replace(a, limits=replace(a.limits, eta_L=(np.array([1, 0], dtype=object), 1)))
+    W, W_mu = tuples(a.cliques.W), tuples(a.cliques.W_mu)
+    uniform = vector_of(W, dict.fromkeys(W, Fraction(1, len(W))))
+    with pytest.raises(StructuralInconsistencyError, match="assembled law is not mu-invariant"):
+        invariant_law(b, uniform)
+    lam0 = stationary_family(b.rd.p, uniform).law_at(b, 0)
+    with pytest.raises(ClassificationError,
+                       match=re.escape("family recursion fails at step 1")) as err:
+        classify_family(b, lam0)
+    got, want = push_tuples(b.law, measure_of(W_mu, lam0)), measure_of(W_mu, lam0)
+    residual = {x: (got[x], want[x]) for x in W_mu if got[x] != want[x]}
+    assert residual and err.value.residual == residual
+
+
 def test_f_cliques_are_maximal_deadlocked_sets(example_analysis):
     a = example_analysis
     n = a.law.n
@@ -404,6 +424,8 @@ CONSTANT5 = {"n": 5, "generators": [[1, 1, 1, 1, 1]], "weights": ["1"]}
 
 @pytest.mark.parametrize("field, tampered, message", [
     ("L", lambda rd: rd.L[:1], "L * G * W does not equal W_mu"),
+    ("G", lambda rd: np.vstack([rd.G, np.ones_like(rd.G[:1])]), "L * G * W does not equal W_mu"),
+    ("L", lambda rd: np.vstack([rd.L, np.ones_like(rd.L[:1])]), "L * G * W does not equal W_mu"),
     ("L", lambda rd: rd.kernel, "L x G x W product map is not injective"),
     ("G", lambda rd: rd.G[1:], "G-orbits on eW_mu overlap"),
     ("generators", lambda rd: analyze_law(MappingLaw.from_dict(CONSTANT5)).rd.kernel,
@@ -412,9 +434,11 @@ CONSTANT5 = {"n": 5, "generators": [[1, 1, 1, 1, 1]], "weights": ["1"]}
 def test_compute_W_rejects_a_tampered_decomposition(example_analysis, field, tampered,
                                                     message):
     """A ReesData of the example law with one factor replaced: one L-part
-    leaves W_mu uncovered, the whole kernel as L repeats tuples, G without
-    its first element is no group and its orbits overlap, and a constant
-    map as the only generator merges every stable tuple."""
+    leaves W_mu uncovered, the constant map [1,1,1,1,1] added to G sends a
+    G-orbit and added to L an L G W tuple outside W_mu, the whole kernel as
+    L repeats tuples, G without its first element is no group and its
+    orbits overlap, and a constant map as the only generator merges every
+    stable tuple."""
     rd = example_analysis.rd
     with pytest.raises(StructuralInconsistencyError, match=re.escape(message)):
         compute_W(replace(rd, **{field: tampered(rd)}))

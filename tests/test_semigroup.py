@@ -462,6 +462,43 @@ def test_rees_at_rejects_a_kernel_that_is_not_an_ideal(S):
         rees_at(rows_of([F, G]), ker, position(ker, E))
 
 
+@pytest.mark.parametrize("gens, ker, e, message", [
+    # at the identity e, G is all three rows, and [2,1] * [1,1] = [2,2] is not one
+    ([[1, 2]], [[1, 1], [1, 2], [2, 1]], 1, "group factor is not closed"),
+    # L = {e}, G = {e, [3,3,1]}, R = {e, [1,3,3]}: [3,3,1] * [1,3,3] = [3,1,1]
+    ([[1, 1, 3]], [[1, 1, 3], [1, 3, 3], [3, 3, 1]], 0, "L * G * R is not inside the kernel"),
+    # L = {[1,2,1], e}, G = {e}, R = {[2,2,3], e}: [2,2,3] * [1,2,1] = [2,2,2]
+    ([[3, 2, 3]], [[1, 2, 1], [2, 2, 3], [3, 2, 3]], 2, "R * L is not inside G"),
+])
+def test_rees_at_rejects_hand_built_rows(gens, ker, e, message):
+    """Rows closed under the generator on both sides, so an ideal by
+    rees_at's test, that fail one Rees factor check."""
+    gens, ker = (np.array(rows, np.uint8) for rows in (gens, ker))
+    with pytest.raises(StructuralInconsistencyError, match=re.escape(message)):
+        rees_at(gens, ker, e)
+
+
+def test_rees_at_rejects_a_coset_without_an_order_p_element(monkeypatch):
+    """The 4-cycle c generates Z4, its own kernel. Classes split by the
+    parity of the power give H = {1, c^2} and the coset {c, c^3}, whose
+    elements both square to c^2, not the unit."""
+    c = Transformation([2, 3, 4, 1])
+    S = generate(rows_of([c]))
+    powers = [position(S, power(c, k)) for k in (4, 1, 2, 3)]
+    monkeypatch.setattr(semigroup, "chain_period_and_classes",
+                        lambda *args: (2, [powers[0::2], powers[1::2]]))
+    with pytest.raises(StructuralInconsistencyError,
+                       match=re.escape("no order-p representative in the coset")):
+        rees_at(rows_of([c]), S, powers[0])
+
+
+def test_chain_period_and_classes_rejects_unequal_classes():
+    # 0 -> 1, 0 -> 2 and back: period 2 with classes {0} and {1, 2}
+    with pytest.raises(StructuralInconsistencyError,
+                       match=re.escape("cyclic classes have unequal sizes")):
+        semigroup.chain_period_and_classes([0, 1, 2], [[1, 0, 0], [2, 0, 0]], 0)
+
+
 @pytest.mark.parametrize("direction", ["forward", "backward"])
 def test_rees_at_rejects_a_reducible_right_walk(rd, monkeypatch, direction):
     """Successors on eK that leave e stuck (forward) or unreachable
