@@ -134,7 +134,7 @@ def compute_W(rd: ReesData, *, cap: int = DEFAULT_ELEMENT_CAP) -> CliqueData:
         orbit = w_at(rd.G[:, W_mu[x] - 1]).tolist()
         rep = min(orbit)
         if rep < 0:
-            raise StructuralInconsistencyError("L * G * W does not equal W_mu")
+            raise StructuralInconsistencyError("a G-orbit leaves W_mu")
         if rep != x or not seen.isdisjoint(orbit):
             raise StructuralInconsistencyError("G-orbits on eW_mu overlap")
         seen.update(orbit)
@@ -143,11 +143,11 @@ def compute_W(rd: ReesData, *, cap: int = DEFAULT_ELEMENT_CAP) -> CliqueData:
 
     lgw = w_at(_tables(rd.L).take(rd.G, axis=1)[:, :, W - 1])
     if lgw.min() < 0:
-        raise StructuralInconsistencyError("L * G * W does not equal W_mu")
+        raise StructuralInconsistencyError("an L G W tuple lies outside W_mu")
     if len(distinct(lgw)) != lgw.size:
         raise StructuralInconsistencyError("L x G x W product map is not injective")
     if lgw.size != len(W_mu):
-        raise StructuralInconsistencyError("L * G * W does not equal W_mu")
+        raise StructuralInconsistencyError("L G W misses part of W_mu")
     step = w_at(_tables(rd.generators).take(W_mu, axis=1))
     if step.min() < 0:
         i, s = np.argwhere(step < 0)[0]

@@ -103,7 +103,7 @@ def generate(rows: np.ndarray, *, cap: int = DEFAULT_ELEMENT_CAP) -> np.ndarray:
         fresh = _code_runs(n)
     else:
         fresh = _key_set(n, big)
-    layers = [fresh(rows.astype(big))]
+    layers = [fresh(rows.astype(big, copy=False))]
     tables = _tables(layers[0])
     size = len(layers[0])
     while len(layers[-1]):
@@ -112,7 +112,7 @@ def generate(rows: np.ndarray, *, cap: int = DEFAULT_ELEMENT_CAP) -> np.ndarray:
                                      "raise the cap to analyze this law")
         layers.append(fresh(tables.take(layers[-1], axis=1).reshape(-1, n)))
         size += len(layers[-1])
-    return np.concatenate(layers).astype(big.newbyteorder("="))
+    return np.concatenate(layers).astype(big.newbyteorder("="), copy=False)
 
 
 def _coder(n: int):
@@ -281,12 +281,12 @@ def rees_at(gens: np.ndarray, ker: np.ndarray, e: int) -> ReesData:
     closed with two-sided inverses, that R * L lies in G and L * G * R in
     the kernel, covering it, and that the walks z -> f z on Ke and z -> z f
     on eK under the generator rows ``gens`` (the support of any law on
-    them) are irreducible. The period p, the subgroup H and the coset
-    generator gamma come from the left walk: the cyclic class of e has
-    G-parts exactly H, the successor class has G-parts gamma H, and gamma
-    is the canonically smallest element of that coset with gamma^p = e.
-    Verifies that H holds the unit and is closed under products and
-    conjugation, and that its p cosets are disjoint.
+    them) are irreducible. The left walk's period p and BFS distances from
+    e give the phase map phi: G -> Z_p, phi(g) the distance mod p of the Ke
+    state G[g] = e G[g] e, kept as ``coset_of``. For p > 1 it verifies that
+    every Ke state's class is phi of its G-part and that phi is a
+    homomorphism. H = phi^-1(0), and gamma is the canonically smallest
+    element of phi^-1(1) with gamma^p = e, or the check fails.
 
     Every product is composed once, on image rows, and looked up by
     ``positions_in`` into the Rees coordinate tables; the checks and the
@@ -298,10 +298,11 @@ def rees_at(gens: np.ndarray, ker: np.ndarray, e: int) -> ReesData:
     l g = l' g' and g r = g' r', whence g = e l g = g', l = l g g^-1 = l'
     and r = r': L x G x R -> kernel is a bijection, and as e = e e e with e
     in L and R, ``coords[e]`` is (e's place in L, unit, e's place in R).
-    H is finite, holds the unit and is closed under products, so it holds
-    every h^-1, a power of h. gamma^p = e (gamma is picked where the
-    ``gmul`` chain that builds C gives the unit) and the p disjoint cosets
-    cover G (|H| p = |G|).
+    phi(e) = 0, e starting the walk, so with the two checks H = ker phi is a
+    normal subgroup; at p = 1, phi = 0 and H = G, so the checks are skipped.
+    phi(gamma) = 1 makes phi onto Z_p, so its fibres phi^-1(j) = gamma^j H
+    are p disjoint cosets of size |H| covering G, and the class j of Ke is
+    L x phi^-1(j): all classes have size |L||H|.
     """
     n = ker.shape[1]
     unit = ker[e]
@@ -345,49 +346,38 @@ def rees_at(gens: np.ndarray, ker: np.ndarray, e: int) -> ReesData:
     coords[at.ravel()] = np.indices(at.shape).reshape(3, -1).T
 
     # the walks run on kernel positions and step on the generator tables
-    p, classes = chain_period_and_classes(ke.tolist(), left.tolist(), e)
+    p, dist = chain_period(ke.tolist(), left.tolist(), e)
     # irreducible walks have unique stationary laws (limits.*_stationary)
     walk_distances(ek.tolist(), right.tolist(), e, "right walk on eK")
 
-    def g_part(zs) -> np.ndarray:
-        # e z e = G[g] for z = L[l] G[g] R[r], as eL = Re = {e}
-        return distinct(coords[zs, 1])
-
-    H = g_part(classes[0])
-    if len(H) * p != len(G):
-        raise StructuralInconsistencyError("|H| * p != |G|")
-    in_h = np.bincount(H, minlength=len(G)) > 0
-    if not in_h[one]:
-        raise StructuralInconsistencyError("H does not contain the unit")
-    if not in_h[gmul[np.ix_(H, H)]].all():
-        raise StructuralInconsistencyError("H is not closed under products")
-    if not in_h[gmul[gmul[inverse[:, None], H], every[:, None]]].all():
-        raise StructuralInconsistencyError("H is not normal in G")
-
+    # the phase of G[g] is the class of the Ke state e G[g] e = at[l_e, g, r_e]
+    phase = np.zeros(len(ker), np.intp)
+    phase[list(dist)] = list(dist.values())
+    phase %= p
+    coset_of = phase[at[coords[e, 0], :, coords[e, 2]]]
     gamma = one
     if p > 1:
-        coset = g_part(classes[1])
-        if len(coset) != len(H):
-            raise StructuralInconsistencyError("successor coset has wrong size")
+        if (phase[ke] != coset_of[coords[ke, 1]]).any():
+            raise StructuralInconsistencyError("a cyclic class of Ke is not a phase of G")
+        phi = coset_of.astype(np.min_scalar_type(2 * p))
+        if (phi[gmul] != (phi[:, None] + phi) % p).any():
+            raise StructuralInconsistencyError("the phases of G are not a homomorphism")
+        coset = np.flatnonzero(coset_of == 1)
         power = coset
         for _ in range(p - 1):
             power = gmul[power, coset]
         if not (power == one).any():
             raise StructuralInconsistencyError("no order-p representative in the coset")
         gamma = coset[(power == one).argmax()]
+    H = np.flatnonzero(coset_of == 0)
     C = [one]
     while len(C) < p:
         C.append(gmul[C[-1], gamma])
     C = np.array(C, np.intp)
-    coset_h = gmul[np.ix_(C, H)]
-    if len(distinct(coset_h)) != coset_h.size:
-        raise StructuralInconsistencyError("cosets of H are not disjoint")
-    coset_of = np.empty(len(G), np.intp)
-    coset_of[coset_h] = np.arange(p)[:, None]
 
     return ReesData(e=e, kernel=ker, L=L, G=G, R=R, inverse=inverse, H=H, C=C, p=p,
-                    coset_h=coset_h, coset_of=coset_of, generators=gens, coords=coords,
-                    at=at, gmul=gmul, sandwich=sandwich, left=left, right=right)
+                    coset_h=gmul[np.ix_(C, H)], coset_of=coset_of, generators=gens,
+                    coords=coords, at=at, gmul=gmul, sandwich=sandwich, left=left, right=right)
 
 
 def walk_distances(states, steps, start: int, walk: str) -> dict:
@@ -418,20 +408,14 @@ def walk_distances(states, steps, start: int, walk: str) -> dict:
     return dist
 
 
-def chain_period_and_classes(states, steps, start: int) -> tuple:
-    """Period and cyclic classes of the left walk on Ke (strongly connected),
+def chain_period(states, steps, start: int) -> tuple:
+    """Period and BFS distances of the left walk on Ke (strongly connected),
     on kernel positions with successors read from the tables ``steps``.
 
-    Returns (p, classes) where classes[j] holds the states at BFS distance
-    = j mod p from ``start``, in the order of ``states`` (``rees_at`` reads
-    only each class's set of G-parts). Raises if the walk is not strongly
-    connected.
+    Returns (p, dist), dist mapping each state to its distance from
+    ``start``; its cyclic class is dist mod p. Raises if the walk is not
+    strongly connected.
     p is positive: some edge u -> start adds the term dist[u] + 1 >= 1.
     """
     dist = walk_distances(states, steps, start, "left walk on Ke")
-    p = gcd(*(dist[u] + 1 - dist[t[u]] for u in states for t in steps))
-
-    classes = [[s for s in states if dist[s] % p == j] for j in range(p)]
-    if len({len(c) for c in classes}) != 1:
-        raise StructuralInconsistencyError("cyclic classes have unequal sizes")
-    return p, classes
+    return gcd(*(dist[u] + 1 - dist[t[u]] for u in states for t in steps)), dist

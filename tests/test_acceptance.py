@@ -173,7 +173,19 @@ def _structural_suite(a) -> list:
         inverse[g] = group.e if order == 1 else power(g, order - 1)
         if group.inverse[g] != inverse[g]:
             problems.append("group inverse")
+    # the left walk z -> f z on Ke, composed here, not read off rd.left
+    dist, queue = {e: 0}, [e]
+    for z in queue:
+        for f in group.generators:
+            if f * z not in dist:
+                dist[f * z] = dist[z] + 1
+                queue.append(f * z)
+    if set(dist) != {z * e for z in K} or any(dist[z] % rd.p != group.coset_of[e * z * e]
+                                               for z in dist):
+        problems.append("cyclic class of a Ke state is not the coset of its G-part")
     hset = set(group.H)
+    if not all(h * k in hset for h in group.H for k in group.H):
+        problems.append("H not closed under products")
     if not all(inverse[h] in hset for h in group.H):
         problems.append("H not closed under inverses")
     if not all(group.inverse[g] * h * g in hset for h in group.H for g in group.G):

@@ -423,9 +423,9 @@ CONSTANT5 = {"n": 5, "generators": [[1, 1, 1, 1, 1]], "weights": ["1"]}
 
 
 @pytest.mark.parametrize("field, tampered, message", [
-    ("L", lambda rd: rd.L[:1], "L * G * W does not equal W_mu"),
-    ("G", lambda rd: np.vstack([rd.G, np.ones_like(rd.G[:1])]), "L * G * W does not equal W_mu"),
-    ("L", lambda rd: np.vstack([rd.L, np.ones_like(rd.L[:1])]), "L * G * W does not equal W_mu"),
+    ("L", lambda rd: rd.L[:1], "L G W misses part of W_mu"),
+    ("G", lambda rd: np.vstack([rd.G, np.ones_like(rd.G[:1])]), "a G-orbit leaves W_mu"),
+    ("L", lambda rd: np.vstack([rd.L, np.ones_like(rd.L[:1])]), "an L G W tuple lies outside W_mu"),
     ("L", lambda rd: rd.kernel, "L x G x W product map is not injective"),
     ("G", lambda rd: rd.G[1:], "G-orbits on eW_mu overlap"),
     ("generators", lambda rd: analyze_law(MappingLaw.from_dict(CONSTANT5)).rd.kernel,
