@@ -30,7 +30,7 @@ from .simulate import (
     verify_third_noise,
 )
 from .stats import Check, verification_json
-from .transform import tuple_from_literal
+from .transform import tuple_from_literal, tuple_literal
 
 EXIT_OK = 0
 EXIT_STATISTICAL = 1
@@ -389,5 +389,7 @@ def main(argv=None) -> int:
     try:
         return args.run(args)
     except FinevoError as exc:
-        print(f"finevo: error: {exc}", file=sys.stderr)
+        residual = list(getattr(exc, "residual", {}).items())[:3]
+        where = "".join(f"; at {tuple_literal(x)}: got {a}, want {b}" for x, (a, b) in residual)
+        print(f"finevo: error: {exc}{where}", file=sys.stderr)
         return getattr(exc, "exit_code", EXIT_INPUT)

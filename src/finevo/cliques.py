@@ -106,11 +106,15 @@ def compute_W(rd: ReesData, *, cap: int = DEFAULT_ELEMENT_CAP) -> CliqueData:
     W_mu is every ordering of every f-clique (see the module docstring for
     why they are all stable). W collects the least tuple of each G-orbit on
     e W_mu, scanned in increasing order with one set of the tuples seen.
-    Verifies that the orbits are disjoint, that L x G x W -> W_mu is a
-    bijection and that every generator maps W_mu into itself. Raises
-    ResourceLimitError, before enumerating, if W_mu would hold more than
-    ``cap`` tuples. Every table is a gather on image rows, looked up in
-    W_mu by ``positions_in``.
+    Verifies that the orbits and L G W lie in W_mu, that L G W covers it and
+    that every generator maps W_mu into itself; the rest follows from
+    ``rees_at``'s facts. The group G acts on e W_mu, so its orbits partition
+    it and an unseen x is its orbit's least. A tuple of e W_mu orders im(e),
+    so g w = w gives g = g e = e. If l g w = l' g' w', then e (eL = {e})
+    gives g w = g' w', so w = w' and g = g', and l = l e = l' e:
+    L x G x W -> W_mu is injective. Raises ResourceLimitError, before
+    enumerating, if W_mu would hold more than ``cap`` tuples. Every table is
+    a gather on image rows, looked up in W_mu by ``positions_in``.
     """
     cliques = f_cliques(rd.kernel)
     m_mu = cliques.shape[1]
@@ -126,26 +130,20 @@ def compute_W(rd: ReesData, *, cap: int = DEFAULT_ELEMENT_CAP) -> CliqueData:
     W_mu = distinct_rows(cliques[:, list(permutations(range(m_mu)))].reshape(-1, m_mu))
     w_at = positions_in(W_mu)
 
-    # one lookup per G-orbit; an unseen x is its orbit's least, met by no other
+    # one lookup per G-orbit; an unseen x is its orbit's least
     seen, reps = set(), []
     for x in distinct(w_at(rd.kernel[rd.e, W_mu - 1])).tolist():
-        if x in seen:
-            continue
-        orbit = w_at(rd.G[:, W_mu[x] - 1]).tolist()
-        rep = min(orbit)
-        if rep < 0:
-            raise StructuralInconsistencyError("a G-orbit leaves W_mu")
-        if rep != x or not seen.isdisjoint(orbit):
-            raise StructuralInconsistencyError("G-orbits on eW_mu overlap")
-        seen.update(orbit)
-        reps.append(x)
+        if x not in seen:
+            orbit = w_at(rd.G[:, W_mu[x] - 1]).tolist()
+            if min(orbit) < 0:
+                raise StructuralInconsistencyError("a G-orbit leaves W_mu")
+            seen.update(orbit)
+            reps.append(x)
     W = W_mu[reps]
 
     lgw = w_at(_tables(rd.L).take(rd.G, axis=1)[:, :, W - 1])
     if lgw.min() < 0:
         raise StructuralInconsistencyError("an L G W tuple lies outside W_mu")
-    if len(distinct(lgw)) != lgw.size:
-        raise StructuralInconsistencyError("L x G x W product map is not injective")
     if lgw.size != len(W_mu):
         raise StructuralInconsistencyError("L G W misses part of W_mu")
     step = w_at(_tables(rd.generators).take(W_mu, axis=1))
@@ -210,9 +208,11 @@ def classify_family(a, x: tuple) -> InvariantFamily:
     """Decompose a one-time law, a W_mu vector, into its cyclic family
     coefficients, for the ``Analysis`` ``a``.
 
-    The phase/W joint law under x determines (c_i, Lambda_W^i); the
-    decomposition is validated by exact reassembly and by reproducing the
-    recursion Lambda_k = mu Lambda_{k-1} over one full period.
+    The phase/W joint law under x determines (c_i, Lambda_W^i); it is
+    validated by exact reassembly, x = Lambda_0, and one recursion step,
+    mu Lambda_0 = Lambda_1: f maps the state (l, g, w) to (l', y g, w),
+    f l = l' y, so mu commutes with T (l, g, w) = (l, g gamma, w), which
+    carries Lambda_k onto Lambda_{k+1}, and mu Lambda_k = Lambda_{k+1}.
     """
     rd, cd = a.rd, a.cliques
     joint = np.zeros((rd.p, len(cd.W)), dtype=object)
@@ -226,11 +226,8 @@ def classify_family(a, x: tuple) -> InvariantFamily:
 
     if residual := _residual(cd, x, family.law_at(a, 0)):
         raise ClassificationError("law is not of the cyclic family form", residual=residual)
-    current = x
-    for k in range(1, rd.p + 1):
-        current = _act(a.law, current, cd.step)
-        if residual := _residual(cd, current, family.law_at(a, k)):
-            raise ClassificationError(f"family recursion fails at step {k}", residual=residual)
+    if residual := _residual(cd, _act(a.law, x, cd.step), family.law_at(a, 1)):
+        raise ClassificationError("family recursion fails at step 1", residual=residual)
     return family
 
 

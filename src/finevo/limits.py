@@ -110,7 +110,7 @@ def boundary_stationary(law: MappingLaw, rd: ReesData, left: bool) -> tuple:
     The group acts on the G-fibres of Ke and eK by permutations that commute
     with the walks, so their stationary laws are eta_L x omega_G and
     omega_G x eta_R. ``assemble_limits`` verifies both: the L-marginal of its
-    check mu * cycle[k] = cycle[k+1] is the balance equations of eta_L, the
+    check mu * eta = cycle[1] is the balance equations of eta_L, the
     R-marginal of nu * mu = nu those of eta_R, and z -> z*e carries nu onto
     eta_L x omega_G and commutes with left multiplication.
     """
@@ -141,9 +141,13 @@ def assemble_limits(law: MappingLaw, rd: ReesData, eta_L: tuple, eta_R: tuple) -
 
     Both are read off the Rees coordinates (l, g, r) of the kernel
     positions: cycle[k] is eta_L[l] eta_R[r] / |H| where g lies in the coset
-    gamma^k H, and nu is eta_L[l] eta_R[r] / |G| everywhere. Every
-    structural identity of the limit cycle is verified exactly on them
-    before the result is returned; supp(eta) = L H R follows from supp(nu).
+    gamma^k H, and nu is eta_L[l] eta_R[r] / |G| everywhere. Every identity
+    of the limit cycle is verified exactly on them, or follows from those
+    verified, before the result is returned; supp(eta) = L H R follows from
+    supp(nu). T_k (l, g, r) = (l, g gamma^k, r) carries eta onto cycle[k]
+    and commutes with z -> f z, (l, g, r) -> (l', x g, r) for f l = l' x, so
+    mu * eta = cycle[1] gives mu * cycle[k] = cycle[k+1] for every k, and
+    mu * nu = nu for nu, the cycle's mean.
 
     Idempotence needs no product of kernel vectors. Let c be the mass of
     eta (and of nu), scale eta_L and eta_R to mass one and let P be the
@@ -153,24 +157,21 @@ def assemble_limits(law: MappingLaw, rd: ReesData, eta_L: tuple, eta_R: tuple) -
     c^2 eta_L x (sum over r, l of eta_R[r] eta_L[l] omega_{P[r, l] H}) x
     eta_R. That is eta iff every sandwich entry between the supports of
     eta_R and eta_L lies in H and c = 1. With omega_G in place of omega_H
-    every coset is G, so nu * nu = c^2 nu for any P, which is nu iff c = 1.
+    every coset is G, so nu * nu = c^2 nu for any P: nu once c = 1.
     """
     (lw, l_den), (rw, r_den) = eta_L, eta_R
     l, g, r = rd.coords.T
     product = lw[l] * rw[r]
     den = l_den * r_den * len(rd.H)
-    cycle = [(np.where(rd.coset_of[g] == k, product, 0), den) for k in range(rd.p)]
-    eta, nu = cycle[0], (product, den * rd.p)
+    phase = rd.coset_of[g]
+    eta, nu = (np.where(phase == 0, product, 0), den), (product, den * rd.p)
 
     between = rd.sandwich[np.ix_(np.flatnonzero(rw), np.flatnonzero(lw))]
     if (rd.coset_of[between] != 0).any() or eta[0].sum() != eta[1]:
         raise StructuralInconsistencyError("eta * eta != eta")
-    for k in range(rd.p):
-        if not _same(_act(law, cycle[k], rd.left), cycle[(k + 1) % rd.p]):
-            raise StructuralInconsistencyError("mu * cycle[k] != cycle[k+1]")
-    if nu[0].sum() != nu[1]:
-        raise StructuralInconsistencyError("nu * nu != nu")
-    if not all(_same(_act(law, nu, tables), nu) for tables in (rd.left, rd.right)):
+    if not _same(_act(law, eta, rd.left), (np.where(phase == 1 % rd.p, product, 0), den)):
+        raise StructuralInconsistencyError("mu * eta != cycle[1]")
+    if not _same(_act(law, nu, rd.right), nu):
         raise StructuralInconsistencyError("nu is not mu-invariant")
     if not nu[0].all():
         raise StructuralInconsistencyError("supp(nu) != kernel")

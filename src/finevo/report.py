@@ -17,7 +17,6 @@ import numpy as np
 from . import __version__
 from .analysis import Analysis
 from .cliques import invariant_law
-from .limits import _same
 from .measure import _uniform
 from .semigroup import literals
 from .transform import tuple_literal
@@ -72,8 +71,9 @@ def build_report(analysis: Analysis, *, seed=None, timestamp: bool = True,
             "gamma": literals(rd.G[[rd.C[1 % rd.p]]])[0],
             "eta": _vector_json(rd.kernel, limits.eta),
             "nu": _vector_json(rd.kernel, limits.nu),
-            "H_equals_G": len(rd.H) == len(rd.G),
-            "eta_equals_nu": _same(limits.eta, limits.nu),
+            # |G| = p |H|, and eta = cycle[0] is the cycle's mean nu iff p = 1
+            "H_equals_G": rd.p == 1,
+            "eta_equals_nu": rd.p == 1,
         },
         "cliques": {
             "m_mu": cd.m_mu,

@@ -278,31 +278,34 @@ def rees_at(gens: np.ndarray, ker: np.ndarray, e: int) -> ReesData:
     L = E(Ke), G = eKe, R = E(eK).
 
     Verifies that e is idempotent, that the kernel is an ideal, that G is
-    closed with two-sided inverses, that R * L lies in G and L * G * R in
-    the kernel, covering it, and that the walks z -> f z on Ke and z -> z f
-    on eK under the generator rows ``gens`` (the support of any law on
-    them) are irreducible. The left walk's period p and BFS distances from
-    e give the phase map phi: G -> Z_p, phi(g) the distance mod p of the Ke
-    state G[g] = e G[g] e, kept as ``coset_of``. For p > 1 it verifies that
-    every Ke state's class is phi of its G-part and that phi is a
-    homomorphism. H = phi^-1(0), and gamma is the canonically smallest
-    element of phi^-1(1) with gamma^p = e, or the check fails.
+    closed with right inverses, that R * L lies in G and L * G * R in the
+    kernel, covering it, and that the walks z -> f z on Ke and z -> z f on
+    eK under the generator rows ``gens`` (the support of any law on them)
+    are irreducible. The left walk's period p and BFS distances from e give
+    the phase map phi: G -> Z_p, phi(g) the distance mod p of the Ke state
+    G[g] = e G[g] e, kept as ``coset_of``. It verifies that every Ke state's
+    class is phi of its G-part. H = phi^-1(0), and gamma is the least
+    element of phi^-1(1 mod p) with gamma^p = e, or the check fails.
 
     Every product is composed once, on image rows, and looked up by
     ``positions_in`` into the Rees coordinate tables; the checks and the
     walks read the tables, on kernel and group positions. The other facts
-    follow from the checks, so are not redone. G = e(Ke) and e e = e, so
-    e is G's unit. For l = z e in L, x = e l lies in G and x x = e (l e) l
-    = x, so x = (x x) x^-1 = e: eL = {e}, and Re = {e} likewise. So if
-    l g r = l' g' r', composing with e on the right and on the left gives
-    l g = l' g' and g r = g' r', whence g = e l g = g', l = l g g^-1 = l'
-    and r = r': L x G x R -> kernel is a bijection, and as e = e e e with e
-    in L and R, ``coords[e]`` is (e's place in L, unit, e's place in R).
-    phi(e) = 0, e starting the walk, so with the two checks H = ker phi is a
-    normal subgroup; at p = 1, phi = 0 and H = G, so the checks are skipped.
-    phi(gamma) = 1 makes phi onto Z_p, so its fibres phi^-1(j) = gamma^j H
-    are p disjoint cosets of size |H| covering G, and the class j of Ke is
-    L x phi^-1(j): all classes have size |L||H|.
+    follow from the checks, so are not redone. G = e(Ke) and e e = e, so e
+    is G's unit, and right inverses are two-sided: a b = b c = e gives
+    a = a b c = c. For l = z e in L, x = e l lies in G and
+    x x = e (l e) l = x, so x = (x x) x^-1 = e: eL = {e}, and Re = {e}
+    likewise. So if l g r = l' g' r', composing with e on the right and on
+    the left gives l g = l' g' and g r = g' r', whence g = e l g = g',
+    l = l g g^-1 = l' and r = r': L x G x R -> kernel is a bijection, and as
+    e = e e e with e in L and R, ``coords[e]`` is (e's place in L, unit, e's
+    place in R). Each walk edge adds 1 to the class. For z = l g in Ke,
+    f z = l' (k g) where f l = l' k, k in G, so the class check gives
+    phi(k g) = phi(g) + 1, and phi(k) = 1 as phi(e) = 0. The walk from e
+    reaches every g, a product of such k, so phi is a homomorphism and
+    H = ker phi is normal; at p = 1, phi = 0 and H = G. phi(gamma) = 1 makes
+    phi onto Z_p, so its fibres phi^-1(j) = gamma^j H are p disjoint cosets
+    of size |H| covering G, and the class j of Ke is L x phi^-1(j): all
+    classes have size |L||H|.
     """
     n = ker.shape[1]
     unit = ker[e]
@@ -327,9 +330,9 @@ def rees_at(gens: np.ndarray, ker: np.ndarray, e: int) -> ReesData:
                            for a in range(0, len(G), step)])
     if gmul.min() < 0:
         raise StructuralInconsistencyError("group factor is not closed")
-    one, every = int(g_at(unit)), np.arange(len(G))
+    one = int(g_at(unit))
     inverse = (gmul == one).argmax(axis=1)
-    if (gmul[every, inverse] != one).any() or (gmul[inverse, every] != one).any():
+    if (gmul[np.arange(len(G)), inverse] != one).any():
         raise StructuralInconsistencyError("inverse law fails in the group factor")
 
     sandwich = g_at(_tables(R).take(L, axis=1))
@@ -355,20 +358,15 @@ def rees_at(gens: np.ndarray, ker: np.ndarray, e: int) -> ReesData:
     phase[list(dist)] = list(dist.values())
     phase %= p
     coset_of = phase[at[coords[e, 0], :, coords[e, 2]]]
-    gamma = one
-    if p > 1:
-        if (phase[ke] != coset_of[coords[ke, 1]]).any():
-            raise StructuralInconsistencyError("a cyclic class of Ke is not a phase of G")
-        phi = coset_of.astype(np.min_scalar_type(2 * p))
-        if (phi[gmul] != (phi[:, None] + phi) % p).any():
-            raise StructuralInconsistencyError("the phases of G are not a homomorphism")
-        coset = np.flatnonzero(coset_of == 1)
-        power = coset
-        for _ in range(p - 1):
-            power = gmul[power, coset]
-        if not (power == one).any():
-            raise StructuralInconsistencyError("no order-p representative in the coset")
-        gamma = coset[(power == one).argmax()]
+    if (phase[ke] != coset_of[coords[ke, 1]]).any():
+        raise StructuralInconsistencyError("a cyclic class of Ke is not a phase of G")
+    coset = np.flatnonzero(coset_of == 1 % p)
+    power = coset
+    for _ in range(p - 1):
+        power = gmul[power, coset]
+    if not (power == one).any():
+        raise StructuralInconsistencyError("no order-p representative in the coset")
+    gamma = coset[(power == one).argmax()]
     H = np.flatnonzero(coset_of == 0)
     C = [one]
     while len(C) < p:

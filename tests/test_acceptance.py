@@ -134,8 +134,9 @@ def _structural_suite(a) -> list:
                     problems.append("Rees bijection round trip")
                 if (z * z == z) != (r * l == group.inverse[g]):
                     problems.append("idempotency criterion")
+    parts = {}  # each kernel element's (l, g, r), by Transformation products
     for z, (i, j, k) in zip(K, rd.coords):
-        l, g, r = project(group, z)
+        l, g, r = parts[z] = project(group, z)
         if (l * g * r != z or l not in set(group.L) or g not in set(group.G)
                 or r not in set(group.R)):
             problems.append("projection formula")
@@ -152,9 +153,14 @@ def _structural_suite(a) -> list:
 
     if convolve(eta, eta) != eta:
         problems.append("eta^2 != eta")
-    acc = eta
+    # cycle[k] = mu^k eta is eta with its G-coordinate multiplied on the
+    # right by gamma^k
+    acc, shift = eta, e
     for _ in range(rd.p):
-        acc = convolve(mu, acc)
+        moved = {l * g * shift * r: w for z, w in eta.items() for l, g, r in [parts[z]]}
+        if acc != RationalMeasure(moved):
+            problems.append("cycle[k] is not eta translated on the right by gamma^k")
+        acc, shift = convolve(mu, acc), shift * group.gamma
     if acc != eta:
         problems.append("mu^p eta != eta")
     if convolve(nu, nu) != nu:
@@ -183,6 +189,18 @@ def _structural_suite(a) -> list:
     if set(dist) != {z * e for z in K} or any(dist[z] % rd.p != group.coset_of[e * z * e]
                                                for z in dist):
         problems.append("cyclic class of a Ke state is not the coset of its G-part")
+    # the walk increments k, f l = l' k, lie in phase 1 and generate G
+    increments = {e * f * l * e for f in group.generators for l in group.L}
+    if any(group.coset_of[k] != 1 % rd.p for k in increments):
+        problems.append("a walk increment is not in phase 1")
+    generated, queue = {e}, [e]
+    for g in queue:
+        for k in increments:
+            if k * g not in generated:
+                generated.add(k * g)
+                queue.append(k * g)
+    if generated != gset:
+        problems.append("the walk increments do not generate G")
     hset = set(group.H)
     if not all(h * k in hset for h in group.H for k in group.H):
         problems.append("H not closed under products")
@@ -203,6 +221,15 @@ def _structural_suite(a) -> list:
     if rd.p * len(group.H) != len(rd.G):
         problems.append("p != index of H in G")
 
+    # each tuple of e W_mu orders im(e), and G acts freely on them; a map f
+    # acts on a tuple x as map((0, *f.images).__getitem__, x)
+    image, act_e = set(e.images), (0, *e.images).__getitem__
+    acts = [(0, *g.images).__getitem__ for g in group.G]
+    for x in {tuple(map(act_e, w)) for w in tuples(cd.W_mu)}:
+        if len(x) != len(image) or set(x) != image:
+            problems.append("an e W_mu tuple does not order im(e)")
+        if len({tuple(map(act, x)) for act in acts}) != len(group.G):
+            problems.append("G does not act freely on e W_mu")
     seen = {}
     for l in group.L:
         for g in group.G:
@@ -227,8 +254,9 @@ def test_criterion_2_structural_suite(fuzz_corpus, fuzz_analyses):
     analyses, setup_elapsed = fuzz_analyses
     start = time.monotonic()
     failures = []
-    # the group-kernel laws add p = 2 (S4), p = 3 and |G| up to 120
-    extra = [example_law(), *group_kernel_laws(), r7g2_law()]
+    # the group-kernel laws add p = 2 (S4), p = 3 and |G| up to 120, and
+    # cyclic3 a period-3 walk on its whole group
+    extra = [example_law(), cyclic3_law(), *group_kernel_laws(), r7g2_law()]
     for a in [*map(analyze_law, extra), *analyses]:
         problems = _structural_suite(a)
         if problems:
@@ -236,7 +264,7 @@ def test_criterion_2_structural_suite(fuzz_corpus, fuzz_analyses):
     elapsed = time.monotonic() - start + setup_elapsed
     ok = not failures and len(analyses) >= 200 and elapsed < 10.0
     report_line(
-        "criterion 2 (structural suite on example, group kernels, r7g2 + fuzz)",
+        "criterion 2 (structural suite on example, cyclic3, group kernels, r7g2 + fuzz)",
         ok,
         f"{len(analyses)} fuzz laws, {elapsed:.2f}s"
         + (f"; failures: {failures[:3]}" if failures else ""),

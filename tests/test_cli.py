@@ -4,12 +4,14 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import finevo
 from finevo.cli import main
+from finevo.errors import ClassificationError
 from fuzzlaws import s6k_law
 
 EXAMPLE_LAW = {
@@ -399,6 +401,42 @@ def test_a_family_of_the_wrong_length_exits_3_after_the_analysis(capsys, tmp_pat
     code, out, err = run(capsys, "simulate", "--config", str(config), "--no-timestamp")
     assert (code, out) == (3, "")
     assert err == "finevo: error: family needs exactly p = 1 coefficients and laws\n"
+
+
+def test_a_classification_error_names_its_residual_on_stderr(capsys, tmp_path, law_file,
+                                                              monkeypatch):
+    """The one stderr line of a ClassificationError carries the first three
+    entries of its residual: the W_mu tuple and the masses got and wanted."""
+    residual = {(1, 2, 3): (Fraction(1, 4), Fraction(1, 3)),
+                (2, 4, 5): (Fraction(0), Fraction(1, 2)),
+                (3, 5, 1): (Fraction(1), Fraction(2, 3)),
+                (4, 2, 5): (Fraction(1, 5), Fraction(1, 6))}
+
+    def refuse(analysis, x):
+        raise ClassificationError("family recursion fails at step 1", residual=residual)
+
+    monkeypatch.setattr("finevo.cli.classify_family", refuse)
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps({
+        "law_file": law_file, "mode": "nonstationary",
+        "family": {"c": ["1"], "Lambda_W": [{"(2,4,5)": "1"}]}}))
+    code, out, err = run(capsys, "simulate", "--config", str(config), "--no-timestamp")
+    assert (code, out) == (2, "")
+    assert err == ("finevo: error: family recursion fails at step 1; at (1,2,3): got 1/4, "
+                   "want 1/3; at (2,4,5): got 0, want 1/2; at (3,5,1): got 1, want 2/3\n")
+    assert "Traceback" not in err
+
+
+def test_a_coset_without_an_order_p_element_exits_2(capsys, tmp_path):
+    """A known limit: the +-1 walk on a 4-cycle has p = 2, and its odd coset
+    {c, c^3} of Z4 holds no element of order 2, so analyze refuses the law."""
+    path = tmp_path / "walk4.json"
+    path.write_text(json.dumps({"n": 4, "generators": [[2, 3, 4, 1], [4, 1, 2, 3]],
+                                "weights": ["1/2", "1/2"]}))
+    code, out, err = run(capsys, "analyze", "--law", str(path), "--no-timestamp")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "no order-p representative in the coset" in err
+    assert "Traceback" not in err
 
 
 def test_verify_includes_oracle_and_cesaro(capsys, law_file):

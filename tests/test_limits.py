@@ -670,23 +670,6 @@ def _fixed_walks(rd):
     return replace(rd, left=still, right=still)
 
 
-def test_assemble_rejects_cosets_that_miss_part_of_G(example_analysis):
-    # coset 0 is the two sandwich entries and |H| = 2, so eta has mass 1,
-    # but with p = 1 the other four elements of G lie in no coset: nu has
-    # mass |G| / (|H| p) = 3
-    from finevo.errors import StructuralInconsistencyError
-
-    a = example_analysis
-    rd, lim = a.rd, a.limits
-    entries = np.unique(rd.sandwich)
-    assert (len(rd.G), rd.p, len(entries)) == (6, 1, 2)
-    coset_of = np.ones(len(rd.G), np.intp)
-    coset_of[entries] = 0
-    wrong = replace(_fixed_walks(rd), H=entries, coset_of=coset_of)
-    with pytest.raises(StructuralInconsistencyError, match=r"nu \* nu != nu"):
-        assemble_limits(a.law, wrong, lim.eta_L, lim.eta_R)
-
-
 def test_assemble_rejects_a_boundary_factor_with_a_zero(example_analysis):
     # eta_L = (0, 1) keeps every mass and, on walks that fix every position,
     # every invariance, but nu is 0 on the kernel positions of L[0]
